@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-baseline golden golden-check profile serve smoke ci
+.PHONY: all build test race vet fmt lint bench bench-baseline bench-smoke golden golden-check profile serve smoke ci
 
 all: build test
 
@@ -47,8 +47,16 @@ bench-baseline:
 	$(GO) test -bench 'MachineOps' -benchtime 10000x -count 3 -benchmem -run '^$$' ./internal/machine >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CrashCampaignForked' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/crash >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CheckpointRoundtrip' -benchtime 20x -count 3 -benchmem -run '^$$' ./internal/checkpoint >> /tmp/bench_baseline.txt
+	$(GO) test -bench 'CheckpointRecapture' -benchtime 500x -count 3 -benchmem -run '^$$' ./internal/checkpoint >> /tmp/bench_baseline.txt
 	$(GO) run ./cmd/benchdiff -tojson /tmp/bench_baseline.txt > BENCH_baseline.json
 	@cat BENCH_baseline.json
+
+# bench-smoke vets and tests the end-to-end benchmark (bench/, its own
+# module): a tiny-size run of every workload plus the pinned seed-1 result
+# digests, so a simulator change that breaks the benchmark or moves its
+# digests fails here. Root `go test ./...` never builds bench/.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # golden regenerates the checked-in golden tables the CI golden job (and
 # golden_test.go) diff against, plus the golden Chrome trace
@@ -94,4 +102,4 @@ smoke:
 	kill $$pid; exit $$rc
 
 # ci mirrors .github/workflows/ci.yml.
-ci: build vet fmt test race lint golden-check smoke
+ci: build vet fmt test race lint bench-smoke golden-check smoke

@@ -27,7 +27,8 @@ import (
 )
 
 // Checkpoint is an in-memory snapshot of one serial machine, taken by
-// Capture. It rewinds that same machine instance: Fork puts the machine
+// Capture and moved to a later instant by Recapture. It rewinds that same
+// machine instance: Fork puts the machine
 // back into the captured state in place, preserving every object identity
 // (pointers, closures, map and slice backing arrays), so in-flight
 // continuations the model holds remain valid. Forks are therefore
@@ -49,10 +50,22 @@ func Capture(m *machine.Machine) (*Checkpoint, error) {
 	if m.Sharded() {
 		return nil, fmt.Errorf("checkpoint: sharded machines cannot be captured (build with shards=1)")
 	}
-	c := &Checkpoint{m: m, cycle: m.Eng.Now()}
-	c.w.seen = make(map[seenKey]struct{}, 256)
-	c.w.walkRegion(unsafe.Pointer(m), reflect.TypeOf(*m))
+	c := &Checkpoint{m: m}
+	c.Recapture()
 	return c, nil
+}
+
+// Recapture re-snapshots the checkpoint's machine at its current cycle,
+// replacing the previous snapshot: after it, Fork rewinds to the new
+// instant and the old one is gone. The snapshot is rebuilt in the storage
+// the previous one used (the byte arena keeps its capacity; region shadows,
+// slice copies and map snapshots of objects still reachable are refilled),
+// so a caller that moves one checkpoint forward through a run — the crash
+// campaign's frontier — allocates its arena once instead of once per
+// capture. The same preconditions as Capture apply: not mid-dispatch.
+func (c *Checkpoint) Recapture() {
+	c.cycle = c.m.Eng.Now()
+	c.w.capture(unsafe.Pointer(c.m), reflect.TypeOf(*c.m))
 }
 
 // Cycle reports the simulation time the snapshot was taken at.

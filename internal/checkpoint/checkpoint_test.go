@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"asap/internal/config"
 	"asap/internal/machine"
@@ -136,5 +137,36 @@ func TestCaptureRejectsSharded(t *testing.T) {
 	}
 	if _, err := Capture(m); err == nil {
 		t.Fatal("Capture accepted a sharded machine")
+	}
+}
+
+// TestCaptureSkipsSharedTrace pins that a snapshot never covers the
+// *trace.Trace: machines built from one trace share it, so restoring it
+// would race between campaigns forked concurrently (the -race run of
+// TestCampaignForkedMatchesRebuild is where that shows).
+func TestCaptureSkipsSharedTrace(t *testing.T) {
+	tr, err := workload.Generate("cceh", workload.Params{Threads: 2, OpsPerThread: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.New(config.Default(), model.NameASAPEP, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Advance(500)
+	cp, err := Capture(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceType := reflect.TypeOf(*tr)
+	for _, r := range cp.w.regions {
+		if r.typ == traceType {
+			t.Fatal("the shared trace was captured as a region")
+		}
+	}
+	for _, s := range cp.w.slices {
+		if s.ptr == unsafe.Pointer(&tr.Threads) {
+			t.Fatal("the shared trace's thread list was captured")
+		}
 	}
 }

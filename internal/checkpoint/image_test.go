@@ -174,7 +174,7 @@ func TestImageRejectsUnquiescent(t *testing.T) {
 
 // goldenImagePath is the committed checkpoint image: asap_ep on the cceh
 // workload, saved at cycle 400. CI's golden job loads it and reruns it.
-func goldenImagePath(t *testing.T) string {
+func goldenImagePath(t testing.TB) string {
 	t.Helper()
 	return filepath.Join("..", "..", "testdata", "golden", "checkpoint_asap_ep_cceh.ckpt")
 }

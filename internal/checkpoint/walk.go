@@ -29,6 +29,12 @@ package checkpoint
 // destinations are the capture-time data pointers, which the captured
 // headers keep alive, so the passes never depend on each other beyond that.
 //
+// A walker lives as long as its Checkpoint, and each capture after the
+// first (Checkpoint.Recapture) refills the previous capture's storage —
+// arena, action lists, shadows, slice and map copies — instead of
+// allocating new (see capture), so a checkpoint moved forward through a
+// run allocates nothing once its storage has grown to fit.
+//
 // Unexported fields are reached through unsafe.Pointer arithmetic
 // (reflect.NewAt over base+offset), which sidesteps reflect's read-only
 // flag; the machine graph is a single-goroutine object tree, so the walk
@@ -67,7 +73,7 @@ type region struct {
 type sliceCopy struct {
 	ptr  unsafe.Pointer // address of the slice header
 	typ  reflect.Type   // slice type
-	data reflect.Value  // contents copy, len == captured len
+	data reflect.Value  // *typ holding the contents copy, len == captured len
 }
 
 // mapCopy is the captured contents of one map on the generic path. Values
@@ -77,8 +83,25 @@ type sliceCopy struct {
 type mapCopy struct {
 	ptr        unsafe.Pointer // address of the map header
 	typ        reflect.Type   // map type
-	keys, vals reflect.Value  // parallel slices of captured entries
+	keys, vals reflect.Value  // pointers to parallel slices of captured entries
 	cloneVals  bool           // slice values: re-clone per restore
+}
+
+// typedMap is one map on the native fast path: a *typedSnap.
+type typedMap interface{ refill() }
+
+// typedSnap is the captured copy of the map[K]V at ptr (see
+// captureTypedMap).
+type typedSnap[K comparable, V any] struct {
+	ptr  unsafe.Pointer
+	snap map[K]V
+}
+
+// refill restores the snapshot into the live map in place.
+func (s *typedSnap[K, V]) refill() {
+	live := *(*map[K]V)(s.ptr)
+	clear(live)
+	maps.Copy(live, s.snap) //asaplint:ignore detcheck in-place map refill; entry order never reaches simulation results
 }
 
 // seenKey dedups pointees. The type is part of the key: distinct views of
@@ -88,15 +111,36 @@ type seenKey struct {
 	typ reflect.Type
 }
 
-// walker accumulates the restore actions for one capture.
+// kept is one object's entry in a walker pool: the storage that holds the
+// object's copy, stamped with the capture that last reached the object.
+type kept[V any] struct {
+	gen uint64
+	v   V
+}
+
+// walker holds one snapshot: its restore actions, and the storage pools a
+// recapture refills.
 type walker struct {
 	arena   []byte
 	raw     []rawRestore
 	regions []region
 	slices  []sliceCopy
 	maps    []mapCopy
-	typed   []func() // typed fast-path map restores
-	seen    map[seenKey]struct{}
+	typed   []typedMap
+
+	// The pools map every object the last capture reached to the storage
+	// of its copy: regions by seenKey (a non-POD region's shadow; they
+	// double as the dedup set), non-POD slices and generic-path maps by
+	// header address and type, typed fast-path maps by header address.
+	// gen numbers the captures; an entry stamped with the current gen was
+	// reached by this walk already. An object a later capture reaches
+	// again refills its kept storage instead of allocating new, and an
+	// object it no longer reaches is pruned when its walk ends.
+	gen        uint64
+	regionPool map[seenKey]*kept[reflect.Value]
+	slicePool  map[seenKey]*kept[reflect.Value]
+	mapPool    map[seenKey]*kept[mapCopy]
+	typedPool  map[unsafe.Pointer]*kept[typedMap]
 }
 
 // Skip rules. Observability sinks accumulate history (trace spans, timeline
@@ -106,13 +150,18 @@ type walker struct {
 // descends into the objects. sim.Cluster owns goroutines and channels and is
 // nil on the serial machines checkpointing supports. []trace.Op is the
 // replayed program: immutable by contract, shared between machine and trace,
-// and far too large to copy per capture.
+// and far too large to copy per capture. The same holds for the
+// *trace.Trace that owns it, which machines built from one trace share: the
+// walker keeps the machine's reference and never descends, because
+// restoring it would write the shared trace (a data race between machines
+// forked concurrently, even though the bytes written are equal).
 var (
 	tracerType   = reflect.TypeOf((*obs.Tracer)(nil)).Elem()
 	progressType = reflect.TypeOf((*obs.Progress)(nil))
 	timelineType = reflect.TypeOf((*obs.Timeline)(nil))
 	clusterType  = reflect.TypeOf((*sim.Cluster)(nil))
 	opSliceType  = reflect.TypeOf([]trace.Op(nil))
+	tracePtrType = reflect.TypeOf((*trace.Trace)(nil))
 
 	lineTokenMapType = reflect.TypeOf(map[mem.Line]mem.Token(nil))
 	lineBoolMapType  = reflect.TypeOf(map[mem.Line]bool(nil))
@@ -190,6 +239,75 @@ func shallow(t reflect.Type) bool {
 	return false
 }
 
+// capture replaces the walker's snapshot with one of the object graph
+// rooted at the t-typed value at root. It reuses the previous snapshot's
+// storage: the arena and action lists keep their capacity (entries are
+// cleared before truncation, so spare capacity pins nothing), and every
+// object reached again refills the copy its pool entry keeps.
+func (w *walker) capture(root unsafe.Pointer, t reflect.Type) {
+	if w.regionPool == nil {
+		w.regionPool = make(map[seenKey]*kept[reflect.Value], 256)
+		w.slicePool = make(map[seenKey]*kept[reflect.Value])
+		w.mapPool = make(map[seenKey]*kept[mapCopy])
+		w.typedPool = make(map[unsafe.Pointer]*kept[typedMap])
+	}
+	w.gen++
+	w.arena = w.arena[:0]
+	clear(w.raw)
+	w.raw = w.raw[:0]
+	clear(w.regions)
+	w.regions = w.regions[:0]
+	clear(w.slices)
+	w.slices = w.slices[:0]
+	clear(w.maps)
+	w.maps = w.maps[:0]
+	clear(w.typed)
+	w.typed = w.typed[:0]
+
+	w.walkRegion(root, t)
+
+	prune(w.regionPool, w.gen)
+	prune(w.slicePool, w.gen)
+	prune(w.mapPool, w.gen)
+	prune(w.typedPool, w.gen)
+}
+
+// keep returns k's pool entry, creating it on first sight, and reports
+// whether the capture gen already reached k; if not, it stamps the entry.
+func keep[K comparable, V any](pool map[K]*kept[V], k K, gen uint64) (e *kept[V], again bool) {
+	e = pool[k]
+	if e == nil {
+		e = &kept[V]{}
+		pool[k] = e
+	} else if e.gen == gen {
+		return e, true
+	}
+	e.gen = gen
+	return e, false
+}
+
+// prune drops the pool entries the capture gen did not reach, so the pools
+// pin nothing the machine no longer holds.
+func prune[K comparable, V any](pool map[K]*kept[V], gen uint64) {
+	maps.DeleteFunc(pool, func(_ K, e *kept[V]) bool { return e.gen != gen })
+}
+
+// refit resizes the slice p points to (a previous capture's copy, or a
+// fresh one) to length n for a capture to fill, in place: it grows like
+// append when the backing array is too small, and zeroes whatever lies
+// past n so no stale reference survives. It returns the resized slice.
+func refit(p reflect.Value, n int) reflect.Value {
+	s := p.Elem()
+	for i := n; i < s.Len(); i++ {
+		s.Index(i).SetZero()
+	}
+	if n > s.Len() {
+		s.Grow(n - s.Len())
+	}
+	s.SetLen(n)
+	return s
+}
+
 // captureRaw stages n bytes at ptr in the arena for a memmove restore.
 func (w *walker) captureRaw(ptr unsafe.Pointer, n int) {
 	if n == 0 {
@@ -202,18 +320,19 @@ func (w *walker) captureRaw(ptr unsafe.Pointer, n int) {
 
 // walkRegion captures the pointee at ptr and scans its interior.
 func (w *walker) walkRegion(ptr unsafe.Pointer, t reflect.Type) {
-	key := seenKey{ptr, t}
-	if _, ok := w.seen[key]; ok {
+	e, again := keep(w.regionPool, seenKey{ptr, t}, w.gen)
+	if again {
 		return
 	}
-	w.seen[key] = struct{}{}
 	if isPOD(t) {
 		w.captureRaw(ptr, int(t.Size()))
 		return
 	}
-	shadow := reflect.New(t)
-	shadow.Elem().Set(reflect.NewAt(t, ptr).Elem())
-	w.regions = append(w.regions, region{ptr: ptr, typ: t, shadow: shadow})
+	if !e.v.IsValid() {
+		e.v = reflect.New(t)
+	}
+	e.v.Elem().Set(reflect.NewAt(t, ptr).Elem())
+	w.regions = append(w.regions, region{ptr: ptr, typ: t, shadow: e.v})
 	w.walkInterior(ptr, t)
 }
 
@@ -240,7 +359,7 @@ func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 			w.walkInterior(unsafe.Add(ptr, uintptr(i)*sz), et)
 		}
 	case reflect.Pointer:
-		if skipType(t) {
+		if skipType(t) || t == tracePtrType {
 			return
 		}
 		p := *(*unsafe.Pointer)(ptr)
@@ -284,11 +403,10 @@ func (w *walker) captureSlice(ptr unsafe.Pointer, t reflect.Type) {
 	if t == opSliceType {
 		return // replayed program: immutable, shared, header-only
 	}
+	// An empty slice needs no contents: its header (incl. nil-ness) is
+	// restored by the enclosing copy.
 	sv := reflect.NewAt(t, ptr).Elem()
 	n := sv.Len()
-	if n == 0 {
-		return // header (incl. nil-ness) restored by the enclosing copy
-	}
 	et := t.Elem()
 	base := sv.UnsafePointer()
 	sz := et.Size()
@@ -296,9 +414,19 @@ func (w *walker) captureSlice(ptr unsafe.Pointer, t reflect.Type) {
 		w.captureRaw(base, n*int(sz))
 		return
 	}
-	buf := reflect.MakeSlice(t, n, n)
+	e, again := keep(w.slicePool, seenKey{ptr, t}, w.gen)
+	if again {
+		return
+	}
+	if !e.v.IsValid() {
+		e.v = reflect.New(t)
+	}
+	buf := refit(e.v, n) // kept (emptied) while the slice is empty, for when it refills
+	if n == 0 {
+		return
+	}
 	reflect.Copy(buf, sv)
-	w.slices = append(w.slices, sliceCopy{ptr: ptr, typ: t, data: buf})
+	w.slices = append(w.slices, sliceCopy{ptr: ptr, typ: t, data: e.v})
 	if shallow(et) {
 		return
 	}
@@ -334,12 +462,21 @@ func (w *walker) captureMap(ptr unsafe.Pointer, t reflect.Type) {
 		panic(fmt.Sprintf("checkpoint: map value type %v needs deep copy; keep machine maps POD-, pointer-, or slice-valued", vt))
 	}
 	n := mv.Len()
-	keys := reflect.MakeSlice(reflect.SliceOf(t.Key()), 0, n)
-	vals := reflect.MakeSlice(reflect.SliceOf(vt), 0, n)
+	e, again := keep(w.mapPool, seenKey{ptr, t}, w.gen)
+	if again {
+		return
+	}
+	if !e.v.keys.IsValid() {
+		e.v = mapCopy{ptr: ptr, typ: t, cloneVals: sliceVal,
+			keys: reflect.New(reflect.SliceOf(t.Key())), vals: reflect.New(reflect.SliceOf(vt))}
+	}
+	mc := e.v
+	keys, vals := refit(mc.keys, n), refit(mc.vals, n)
 	it := mv.MapRange() //asaplint:ignore detcheck snapshot capture; entry order never reaches simulation results
-	for it.Next() {
-		keys = reflect.Append(keys, it.Key())
-		v := it.Value()
+	for i := 0; it.Next(); i++ {
+		keys.Index(i).SetIterKey(it)
+		v := vals.Index(i)
+		v.SetIterValue(it)
 		if sliceVal && v.Len() > 0 {
 			// Detach slice values: the live slice keeps being appended to
 			// (and mutated in place) after the capture, so the snapshot
@@ -348,11 +485,10 @@ func (w *walker) captureMap(ptr unsafe.Pointer, t reflect.Type) {
 			// reach the checkpoint's copy.
 			d := reflect.MakeSlice(vt, v.Len(), v.Len())
 			reflect.Copy(d, v)
-			v = d
+			v.Set(d)
 		}
-		vals = reflect.Append(vals, v)
 	}
-	w.maps = append(w.maps, mapCopy{ptr: ptr, typ: t, keys: keys, vals: vals, cloneVals: sliceVal})
+	w.maps = append(w.maps, mc)
 	switch {
 	case ptrVal:
 		pt := vt.Elem()
@@ -377,18 +513,26 @@ func (w *walker) captureMap(ptr unsafe.Pointer, t reflect.Type) {
 }
 
 // captureTypedMap is the native snapshot of a POD-keyed, POD-valued map:
-// one clone at capture, one clear+copy per restore — no reflect per entry.
+// one clone at capture (or a refill of the previous capture's snapshot of
+// the same map), one clear+copy per restore — no reflect per entry.
 func captureTypedMap[K comparable, V any](w *walker, ptr unsafe.Pointer) {
 	m := *(*map[K]V)(ptr)
 	if m == nil {
 		return
 	}
-	snap := maps.Clone(m) //asaplint:ignore detcheck snapshot capture; entry order never reaches simulation results
-	w.typed = append(w.typed, func() {
-		live := *(*map[K]V)(ptr)
-		clear(live)
-		maps.Copy(live, snap) //asaplint:ignore detcheck in-place map refill; entry order never reaches simulation results
-	})
+	e, again := keep(w.typedPool, ptr, w.gen)
+	if again {
+		return
+	}
+	ts, ok := e.v.(*typedSnap[K, V])
+	if ok {
+		clear(ts.snap)
+		maps.Copy(ts.snap, m) //asaplint:ignore detcheck snapshot capture; entry order never reaches simulation results
+	} else {
+		ts = &typedSnap[K, V]{ptr: ptr, snap: maps.Clone(m)} //asaplint:ignore detcheck snapshot capture; entry order never reaches simulation results
+		e.v = ts
+	}
+	w.typed = append(w.typed, ts)
 }
 
 // restore replays the captured actions, rewinding every reached object.
@@ -403,23 +547,24 @@ func (w *walker) restore() {
 	}
 	for i := range w.slices {
 		s := &w.slices[i]
-		reflect.Copy(reflect.NewAt(s.typ, s.ptr).Elem(), s.data)
+		reflect.Copy(reflect.NewAt(s.typ, s.ptr).Elem(), s.data.Elem())
 	}
 	for i := range w.maps {
 		mc := &w.maps[i]
 		mv := reflect.NewAt(mc.typ, mc.ptr).Elem()
 		mv.Clear()
-		for j := 0; j < mc.keys.Len(); j++ {
-			v := mc.vals.Index(j)
+		keys, vals := mc.keys.Elem(), mc.vals.Elem()
+		for j := 0; j < keys.Len(); j++ {
+			v := vals.Index(j)
 			if mc.cloneVals && v.Len() > 0 {
 				d := reflect.MakeSlice(mc.typ.Elem(), v.Len(), v.Len())
 				reflect.Copy(d, v)
 				v = d
 			}
-			mv.SetMapIndex(mc.keys.Index(j), v)
+			mv.SetMapIndex(keys.Index(j), v)
 		}
 	}
-	for _, fn := range w.typed {
-		fn()
+	for _, tm := range w.typed {
+		tm.refill()
 	}
 }

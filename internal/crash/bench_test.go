@@ -24,8 +24,9 @@ func campaignBenchTrace(b *testing.B) *trace.Trace {
 const campaignBenchRuns = 1000
 
 // BenchmarkCrashCampaignForked measures the checkpoint-forked campaign:
-// one simulation along the sorted injection frontier, one capture per
-// distinct point, one rewind per injection. Its counterpart
+// one simulation along the sorted injection frontier, an in-place
+// recapture each time the frontier moves a ~T/64 stride, and one rewind
+// plus a sub-stride suffix per injection. Its counterpart
 // BenchmarkCrashCampaignRebuild re-simulates the prefix per injection; the
 // tentpole's acceptance gate is forked ≥ 5× faster at 1k injections.
 func BenchmarkCrashCampaignForked(b *testing.B) {

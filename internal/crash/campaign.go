@@ -33,9 +33,12 @@ func (c CampaignResult) String() string {
 //
 // The campaign is checkpoint-forked: instead of rebuilding a machine and
 // re-simulating the prefix for each of the N injection points (O(N·T)),
-// it simulates one machine along the sorted injection points, captures a
-// checkpoint at each point's eve, and forks the checkpoint per injection —
-// O(T) total simulation plus O(state) capture/rewind per point. Injection
+// it simulates one machine along the sorted injection points and forks a
+// frontier checkpoint per injection. The frontier moves forward in strides
+// of ~T/64, each move an in-place Recapture that reuses the checkpoint's
+// storage, and a fork re-simulates only the short suffix from the frontier
+// to its point — O(T) total simulation, about 64 captures at most, and one
+// O(state) rewind plus a sub-stride suffix per point. Injection
 // points drawn past the last simulated cycle never alter the image (the
 // crash fires after the drain), so they are counted and answered with the
 // reference check without touching a machine. Results — crash counts,
@@ -100,7 +103,8 @@ func Campaign(cfg config.Config, modelName string, tr *trace.Trace, runs int, se
 	// frontier checkpoint moves in strides of ~T/64: a fork whose injection
 	// point lies within the stride re-simulates the short suffix from the
 	// last capture (deterministic, so results are unchanged), and only a
-	// fork that advances past the stride pays for a new capture.
+	// fork that advances past the stride pays for a recapture — in place,
+	// into the storage of the instant it replaces.
 	stride := refRes.Cycles / 64
 	reports := make([]Report, runs)
 	for _, idx := range order {
@@ -116,9 +120,7 @@ func Campaign(cfg config.Config, modelName string, tr *trace.Trace, runs int, se
 		m = cp.Fork()
 		if at-1 > cp.Cycle()+stride {
 			m.Advance(at - 1)
-			if cp, err = checkpoint.Capture(m); err != nil {
-				return res, err
-			}
+			cp.Recapture()
 		}
 		m.CrashNow(at)
 		reports[idx] = Check(m)
