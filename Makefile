@@ -45,6 +45,8 @@ bench-baseline:
 	$(GO) test -bench 'HierarchyAccess|DirectoryAccess|SetAssocLookup' -benchtime 1000000x -count 8 -benchmem -run '^$$' ./internal/cache >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'PBFlushCycle|MCFlushCommit' -benchtime 200000x -count 3 -benchmem -run '^$$' ./internal/persist >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'MachineOps' -benchtime 10000x -count 3 -benchmem -run '^$$' ./internal/machine >> /tmp/bench_baseline.txt
+	$(GO) test -bench 'MachineNew' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/machine >> /tmp/bench_baseline.txt
+	$(GO) test -bench 'Generate' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/workload >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CrashCampaignForked' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/crash >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CheckpointRoundtrip' -benchtime 20x -count 3 -benchmem -run '^$$' ./internal/checkpoint >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CheckpointRecapture' -benchtime 500x -count 3 -benchmem -run '^$$' ./internal/checkpoint >> /tmp/bench_baseline.txt

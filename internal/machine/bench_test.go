@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"asap/internal/config"
+	"asap/internal/workload"
 )
 
 // BenchmarkMachineOps measures end-to-end op dispatch through a full
@@ -26,5 +27,29 @@ func BenchmarkMachineOps(b *testing.B) {
 		b.StartTimer()
 		m.Run(0)
 		n += ops
+	}
+}
+
+// BenchmarkMachineNew measures building one asap_ep machine per Table III
+// workload (and the bandwidth micro) at Figure 8 scale: four threads of 80
+// operations, as asapfig -ops 80 runs them. The trace is generated once
+// outside the loop, so this is the construction cost every run pays —
+// cache hierarchy, controllers, model, ledger and PM-line filter.
+func BenchmarkMachineNew(b *testing.B) {
+	p := workload.Default()
+	p.OpsPerThread = 80
+	for _, name := range workload.Names() {
+		tr, err := workload.Generate(name, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(config.Default(), "asap_ep", tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -93,9 +93,11 @@ type Ledger struct {
 	nCommitted int
 }
 
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
+// NewLedger returns an empty ledger with room for tokens tokens (a
+// machine issues one per persistent store of its trace).
+func NewLedger(tokens int) *Ledger {
 	return &Ledger{
+		recs:      make([]tokenRec, 0, tokens+1),
 		lineSlots: make([]lineSlot, ledgerInitSlots),
 		lineMask:  ledgerInitSlots - 1,
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLedgerWriteOrder(t *testing.T) {
-	lg := NewLedger()
+	lg := NewLedger(0)
 	e1 := persist.EpochID{Thread: 0, TS: 1}
 	e2 := persist.EpochID{Thread: 1, TS: 3}
 	lg.RecordWrite(e1, 10, 100)
@@ -33,7 +33,7 @@ func TestLedgerWriteOrder(t *testing.T) {
 }
 
 func TestLedgerDepsAndCommits(t *testing.T) {
-	lg := NewLedger()
+	lg := NewLedger(0)
 	src := persist.EpochID{Thread: 0, TS: 5}
 	dst := persist.EpochID{Thread: 1, TS: 2}
 	lg.DepCreated(src, dst)

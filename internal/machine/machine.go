@@ -233,15 +233,16 @@ func NewSharded(cfg config.Config, modelName string, tr *trace.Trace, shards int
 		eng = sim.NewEngine()
 	}
 	st := stats.New()
+	pm, pstores := newPMFilter(tr)
 	m := &Machine{
 		Eng:    eng,
 		Cfg:    cfg,
 		Hier:   cache.NewHierarchy(cfg),
 		IL:     mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
 		St:     st,
-		Ledger: NewLedger(),
+		Ledger: NewLedger(pstores),
 		locks:  make(map[mem.Line]*lockState),
-		pm:     newPMFilter(tr),
+		pm:     pm,
 
 		cWbbParked:           st.Counter(kWbbParked),
 		cWbbFullStalls:       st.Counter(kWbbFullStalls),

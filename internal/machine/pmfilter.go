@@ -5,83 +5,109 @@ import (
 	"asap/internal/trace"
 )
 
-// pmFilterMaxSpan caps the dense-bitset representation of pmFilter at 2^27
-// lines (8 GiB of PM, a 16 MiB bitset). Real workloads allocate from a
-// contiguous PM heap well under this; a pathological trace spanning more
-// falls back to a map so correctness never depends on layout.
-const pmFilterMaxSpan = 1 << 27
+// pmPageShift sets the filter's page size: 4096 lines (256 KiB of PM),
+// whose bits take 512 B.
+const (
+	pmPageShift = 12
+	pmPageWords = 1 << pmPageShift / 64
+)
+
+// pmInitSlots is the page directory's initial size (a power of two): room
+// for the few pages a short run touches without rehashing.
+const pmInitSlots = 8
+
+// pmPage is one slot of the filter's page directory.
+type pmPage struct {
+	key uint64 // page number + 1; 0 marks the slot empty
+	off uint32 // index in bits of the page's first word
+}
 
 // pmFilter answers "is this line persistent memory?" on the LLC-eviction
-// path. The previous representation was a map[mem.Line]bool probed once per
-// evicted line; this is a bitset over the persistent address range observed
-// in the trace — two compares and a bit test. The range is fixed by a
-// pre-scan at construction, but membership is still marked at run time as
+// path. It is a paged bitset: the pre-scan at construction finds the pages
+// of lines the trace's persistent stores touch, and only those pages get
+// bits, found through a small open-addressed directory (linear probing, at
+// most half full). Host memory therefore follows the lines the trace
+// touches, however far apart they lie — the WHISPER generators put their
+// log a GiB above their data. Membership is still marked at run time as
 // each persistent store issues, so stats that depend on when a line became
 // persistent are unchanged.
 type pmFilter struct {
-	base mem.Line
-	span uint64
+	dir  []pmPage
+	mask uint64 // len(dir)-1; len(dir) is a power of two
 	bits []uint64
-	// over is the fallback when the trace's persistent footprint exceeds
-	// pmFilterMaxSpan lines; nil whenever bits is in use.
-	over map[mem.Line]bool
 }
 
-// newPMFilter sizes the filter from the trace's persistent-store footprint.
-func newPMFilter(tr *trace.Trace) pmFilter {
-	var lo, hi mem.Line
-	seen := false
+// newPMFilter builds the filter for the pages the trace's persistent
+// stores touch, and counts those stores.
+func newPMFilter(tr *trace.Trace) (f pmFilter, pstores int) {
+	f = pmFilter{dir: make([]pmPage, pmInitSlots), mask: pmInitSlots - 1}
+	pages := uint32(0)
+	last := uint64(0) // key of the page inserted or found last
 	for _, ops := range tr.Threads {
 		for i := range ops {
 			op := &ops[i]
 			if op.Kind != trace.OpStore || !op.Persistent {
 				continue
 			}
-			l := mem.LineOf(op.Addr)
-			if !seen {
-				lo, hi, seen = l, l, true
-			} else if l < lo {
-				lo = l
-			} else if l > hi {
-				hi = l
+			pstores++
+			key := uint64(mem.LineOf(op.Addr))>>pmPageShift + 1
+			if key == last {
+				continue
+			}
+			last = key
+			if s := f.slot(key - 1); s.key == 0 {
+				*s = pmPage{key: key, off: pages * pmPageWords}
+				pages++
+				if 2*uint64(pages) > uint64(len(f.dir)) {
+					f.rehash(2 * len(f.dir))
+				}
 			}
 		}
 	}
-	if !seen {
-		return pmFilter{}
-	}
-	span := uint64(hi-lo) + 1
-	if span > pmFilterMaxSpan {
-		return pmFilter{over: make(map[mem.Line]bool)}
-	}
-	return pmFilter{
-		base: lo,
-		span: span,
-		bits: make([]uint64, (span+63)/64),
+	f.bits = make([]uint64, pages*pmPageWords)
+	return f, pstores
+}
+
+// slot returns page's directory slot, or the empty slot where it would go.
+// Pages are spread with the Ledger's Fibonacci line hash.
+func (f *pmFilter) slot(page uint64) *pmPage {
+	for i := lineHash(mem.Line(page)) >> 32 & f.mask; ; i = (i + 1) & f.mask {
+		s := &f.dir[i]
+		if s.key == page+1 || s.key == 0 {
+			return s
+		}
 	}
 }
 
-// mark records line l as persistent. Only lines inside the pre-scanned
-// range are ever marked (marks come from the same trace ops the scan saw).
+// rehash moves the directory to n slots.
+func (f *pmFilter) rehash(n int) {
+	old := f.dir
+	f.dir, f.mask = make([]pmPage, n), uint64(n-1)
+	for _, s := range old {
+		if s.key != 0 {
+			*f.slot(s.key - 1) = s
+		}
+	}
+}
+
+// word returns the bitset word holding line l, or nil if l's page carries
+// no persistent store.
+func (f *pmFilter) word(l mem.Line) *uint64 {
+	s := f.slot(uint64(l) >> pmPageShift)
+	if s.key == 0 {
+		return nil
+	}
+	return &f.bits[uint64(s.off)+uint64(l)>>6&(pmPageWords-1)]
+}
+
+// mark records line l as persistent. Marks come from the same trace ops
+// the pre-scan saw, so l's page always has bits.
 func (f *pmFilter) mark(l mem.Line) {
-	if f.bits != nil {
-		off := uint64(l - f.base)
-		f.bits[off>>6] |= 1 << (off & 63)
-		return
-	}
-	if f.over != nil {
-		f.over[l] = true //asaplint:ignore alloccheck overflow map bounded by the workload's PM-line footprint
-	}
+	*f.word(l) |= 1 << (l & 63)
 }
 
 // has reports whether line l has carried a persistent store.
 func (f *pmFilter) has(l mem.Line) bool {
-	if f.bits != nil {
-		if l < f.base {
-			return false
-		}
-		off := uint64(l - f.base)
-		return off < f.span && f.bits[off>>6]&(1<<(off&63)) != 0
-	}
-	return f.over != nil && f.over[l]
+	w := f.word(l)
+	return w != nil && *w&(1<<(l&63)) != 0
 }

@@ -13,6 +13,7 @@ package pmds
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"asap/internal/trace"
 )
@@ -31,9 +32,15 @@ const (
 // recording. Structure code calls SetThread to attribute subsequent
 // operations; generation is single-goroutine, so no synchronization is
 // needed even though the recorded trace is multi-threaded.
+//
+// The heap spans size bytes from PMBase, but only the prefix that has been
+// written is backed by host memory: data grows on demand, and in-heap bytes
+// past it read as zero. A short run therefore costs what it touches, not
+// the cap it was given.
 type Heap struct {
-	data []byte
-	brk  uint64 // allocation offset into data
+	data []byte // backed prefix of the heap; never longer than size
+	size uint64 // the heap's extent in bytes
+	brk  uint64 // allocation offset
 
 	builders []*trace.Builder
 	cur      int
@@ -46,14 +53,21 @@ type Heap struct {
 	images map[int][]LineImage
 }
 
+// heapPage is the initial backing (the reserved first page) and the
+// granularity data grows in.
+const heapPage = 4096
+
 // NewHeap returns a heap of size bytes recording nthreads trace streams.
+// Only the reserved first page is allocated up front; size is the cap the
+// heap grows to.
 func NewHeap(size int, nthreads int) *Heap {
 	if nthreads <= 0 {
 		panic("pmds: need at least one thread")
 	}
 	h := &Heap{
-		data:     make([]byte, size),
-		brk:      4096, // first page reserved for allocator metadata
+		data:     make([]byte, min(size, heapPage)),
+		size:     uint64(size),
+		brk:      heapPage, // first page reserved for allocator metadata
 		builders: make([]*trace.Builder, nthreads),
 		nextLock: LockBase,
 	}
@@ -88,8 +102,8 @@ func (h *Heap) Alloc(n int, align uint64) uint64 {
 		align = 8
 	}
 	h.brk = (h.brk + align - 1) &^ (align - 1)
-	if h.brk+uint64(n) > uint64(len(h.data)) {
-		panic(fmt.Sprintf("pmds: heap exhausted (%d + %d > %d)", h.brk, n, len(h.data)))
+	if h.brk+uint64(n) > h.size {
+		panic(fmt.Sprintf("pmds: heap exhausted (%d + %d > %d)", h.brk, n, h.size))
 	}
 	addr := PMBase + h.brk
 	h.brk += uint64(n)
@@ -111,28 +125,56 @@ func (h *Heap) NewLock() uint64 {
 }
 
 func (h *Heap) off(addr uint64) uint64 {
-	if addr < PMBase || addr+8 > PMBase+uint64(len(h.data)) {
+	if addr < PMBase || addr+8 > PMBase+h.size {
 		panic(fmt.Sprintf("pmds: address %#x outside heap", addr))
 	}
 	return addr - PMBase
 }
 
+// load reads the word at heap offset off; bytes past the backed prefix
+// read as zero.
+func (h *Heap) load(off uint64) uint64 {
+	if off+8 <= uint64(len(h.data)) {
+		return binary.LittleEndian.Uint64(h.data[off:])
+	}
+	var w [8]byte
+	if off < uint64(len(h.data)) {
+		copy(w[:], h.data[off:])
+	}
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// grow backs at least the first end bytes of the heap. The backing at
+// least doubles on each growth, so a run copies O(final length) bytes in
+// total, and it never grows past size.
+func (h *Heap) grow(end uint64) {
+	if end <= uint64(len(h.data)) {
+		return
+	}
+	n := max(2*uint64(len(h.data)), (end+heapPage-1)&^(heapPage-1))
+	data := make([]byte, min(n, h.size))
+	copy(data, h.data)
+	h.data = data
+}
+
 // Read64 loads a uint64, recording the access.
 func (h *Heap) Read64(addr uint64) uint64 {
 	h.b().Load(addr)
-	return binary.LittleEndian.Uint64(h.data[h.off(addr):])
+	return h.load(h.off(addr))
 }
 
 // Write64 stores a uint64 persistently, recording the access.
 func (h *Heap) Write64(addr uint64, v uint64) {
 	h.b().StoreP(addr)
-	binary.LittleEndian.PutUint64(h.data[h.off(addr):], v)
+	off := h.off(addr)
+	h.grow(off + 8)
+	binary.LittleEndian.PutUint64(h.data[off:], v)
 	h.recordImage(addr)
 }
 
 // Peek64 reads without recording (assertions, oracles).
 func (h *Heap) Peek64(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(h.data[h.off(addr):])
+	return h.load(h.off(addr))
 }
 
 // WriteValue writes a value of the given byte size starting at addr: the
@@ -179,7 +221,7 @@ func (h *Heap) PStoreCount(t int) int { return h.builders[t].PersistentStores() 
 // updated in place but cannot allocate.
 func ReopenHeap(data []byte, nthreads int) *Heap {
 	h := NewHeap(len(data), nthreads)
-	copy(h.data, data)
+	h.data = slices.Clone(data)
 	h.brk = uint64(len(data))
 	return h
 }
@@ -206,15 +248,16 @@ func (h *Heap) CaptureImages() {
 func (h *Heap) Images(t int) []LineImage { return h.images[t] }
 
 // recordImage captures the line containing addr for the current thread.
-// Metadata stores outside the data heap capture as zero lines.
+// Metadata stores outside the heap capture as zero lines, as do in-heap
+// lines past the backed prefix (their bytes are zero).
 func (h *Heap) recordImage(addr uint64) {
 	if h.images == nil {
 		return
 	}
 	lineAddr := addr &^ uint64(lineSize-1)
 	img := LineImage{LineAddr: lineAddr}
-	if lineAddr >= PMBase && lineAddr+lineSize <= PMBase+uint64(len(h.data)) {
-		copy(img.Data[:], h.data[lineAddr-PMBase:])
+	if off := lineAddr - PMBase; lineAddr >= PMBase && off+lineSize <= h.size && off < uint64(len(h.data)) {
+		copy(img.Data[:], h.data[off:])
 	}
 	h.images[h.cur] = append(h.images[h.cur], img)
 }

@@ -1,6 +1,9 @@
 package pmds
 
 import (
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"asap/internal/trace"
@@ -147,5 +150,147 @@ func TestStrandRecording(t *testing.T) {
 	tr := h.Trace("s")
 	if tr.Counts()[trace.OpStrand] != 2 {
 		t.Fatal("strand ops not recorded")
+	}
+}
+
+// mustPanic runs f and fails unless it panics with a message containing
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestHeapCapBounds: the heap grows on demand, but Alloc still exhausts
+// and accesses still fall outside at exactly size bytes, however little of
+// it is backed.
+func TestHeapCapBounds(t *testing.T) {
+	const size = 1 << 20
+	h := NewHeap(size, 1)
+	h.Alloc(size-4096-64, 1)
+	a := h.Alloc(64, 64) // the last 64 bytes of the cap
+	if a != PMBase+size-64 {
+		t.Fatalf("last alloc at %#x, want %#x", a, PMBase+size-64)
+	}
+	mustPanic(t, "heap exhausted", func() { h.Alloc(1, 1) })
+
+	h.Write64(PMBase+size-8, 5) // the last word grows the backing to the cap
+	if h.Peek64(PMBase+size-8) != 5 || h.Read64(PMBase+size-8) != 5 {
+		t.Fatal("last word lost")
+	}
+	if len(h.data) != size {
+		t.Fatalf("backing %d bytes, want the cap %d", len(h.data), size)
+	}
+	for _, addr := range []uint64{PMBase + size - 7, PMBase + size, PMBase - 8, PMBase - 1} {
+		mustPanic(t, "outside heap", func() { h.Read64(addr) })
+		mustPanic(t, "outside heap", func() { h.Write64(addr, 1) })
+		mustPanic(t, "outside heap", func() { h.Peek64(addr) })
+	}
+
+	// Doubling stops at the cap: 8 KiB backed, then a write at the end of
+	// a 12 KiB heap backs 12 KiB, not 16.
+	odd := NewHeap(3*4096, 1)
+	odd.Write64(PMBase+8184, 1)
+	odd.Write64(PMBase+3*4096-8, 2)
+	if len(odd.data) != 3*4096 {
+		t.Fatalf("backing grew to %d bytes past the %d-byte cap", len(odd.data), 3*4096)
+	}
+
+	fresh := NewHeap(size, 1)
+	mustPanic(t, "outside heap", func() { fresh.Peek64(PMBase + size) })
+	mustPanic(t, "heap exhausted", func() { fresh.Alloc(size-4096+1, 1) })
+}
+
+// TestHeapUnbackedReadsZero: bytes inside the cap but past the backed
+// prefix read as zero, including a word that straddles its end, and
+// growth keeps what was written.
+func TestHeapUnbackedReadsZero(t *testing.T) {
+	const size = 1 << 20
+	h := NewHeap(size, 1)
+	if len(h.data) != 4096 {
+		t.Fatalf("fresh heap backs %d bytes, want the reserved page", len(h.data))
+	}
+	for _, off := range []uint64{4096, 8192, size / 2, size - 8} {
+		if v := h.Peek64(PMBase + off); v != 0 {
+			t.Fatalf("unbacked word at +%d reads %#x", off, v)
+		}
+	}
+	h.Write64(PMBase+8184, 0x1122334455667788) // ends the backed prefix
+	if len(h.data) != 8192 {
+		t.Fatalf("backing %d bytes after a write ending at 8192", len(h.data))
+	}
+	if v := h.Peek64(PMBase + 8188); v != 0x11223344 {
+		t.Fatalf("straddling word reads %#x, want %#x", v, 0x11223344)
+	}
+	h.Write64(PMBase+size/2, 9)
+	if h.Peek64(PMBase+8184) != 0x1122334455667788 || h.Peek64(PMBase+size/2) != 9 {
+		t.Fatal("growth lost a written word")
+	}
+	if v := h.Peek64(PMBase + size/2 + 8); v != 0 {
+		t.Fatalf("word past the last write reads %#x", v)
+	}
+}
+
+// TestReopenHeapRoundTrip: a reopened heap reads back every byte of its
+// image, owns a copy of it, and cannot allocate.
+func TestReopenHeapRoundTrip(t *testing.T) {
+	img := make([]byte, 3*4096+64)
+	for i := range img {
+		img[i] = byte(i*7 + 1)
+	}
+	h := ReopenHeap(img, 2)
+	if h.Used() != uint64(len(img)) {
+		t.Fatalf("Used = %d, want %d", h.Used(), len(img))
+	}
+	for off := 0; off+8 <= len(img); off += 8 {
+		if got, want := h.Peek64(PMBase+uint64(off)), binary.LittleEndian.Uint64(img[off:]); got != want {
+			t.Fatalf("word +%d = %#x, want %#x", off, got, want)
+		}
+	}
+	img[0]++
+	if h.Peek64(PMBase) == binary.LittleEndian.Uint64(img) {
+		t.Fatal("reopened heap aliases its image")
+	}
+	mustPanic(t, "outside heap", func() { h.Peek64(PMBase + uint64(len(img))) })
+	mustPanic(t, "heap exhausted", func() { h.Alloc(8, 8) })
+}
+
+// TestCaptureImagesMetadataLines: with more than eight threads, allocator
+// metadata lines fall past the reserved page. One past the backed prefix
+// records a zero line, and one inside it records the line's current bytes,
+// exactly as when the whole heap was allocated up front.
+func TestCaptureImagesMetadataLines(t *testing.T) {
+	h := NewHeap(1<<20, 16)
+	h.CaptureImages()
+	h.SetThread(15)
+	h.Alloc(64, 64) // meta line (15*8+1)*64 = 7744, unbacked
+	imgs := h.Images(15)
+	if len(imgs) != 1 || imgs[0].LineAddr != PMBase+7744 || imgs[0].Data != [64]byte{} {
+		t.Fatalf("unbacked metadata line image = %+v", imgs)
+	}
+	if len(h.data) != 4096 {
+		t.Fatalf("metadata store grew the backing to %d bytes", len(h.data))
+	}
+
+	h.SetThread(0)
+	h.Write64(PMBase+7808+8, 0xABCD) // back the next metadata line and fill a word
+	h.SetThread(15)
+	h.Alloc(8, 8) // meta line (15*8+2)*64 = 7808, backed
+	imgs = h.Images(15)
+	last := imgs[len(imgs)-1]
+	if last.LineAddr != PMBase+7808 {
+		t.Fatalf("second metadata line at %#x", last.LineAddr)
+	}
+	if got := binary.LittleEndian.Uint64(last.Data[8:]); got != 0xABCD {
+		t.Fatalf("backed metadata line image holds %#x, want the written word", got)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"asap/internal/trace"
 )
 
-// heapSize scales the simulated PM heap with the op count.
+// heapSize is the simulated PM heap's cap for a run of p: it scales with
+// the op count. The heap grows on demand up to it (pmds.NewHeap), so the
+// cap bounds a run's footprint but is not allocated up front.
 func heapSize(p Params) int {
 	sz := 8 << 20
 	need := p.Threads * p.OpsPerThread * (p.ValueSize + 512)
@@ -14,6 +16,31 @@ func heapSize(p Params) int {
 		sz <<= 1
 	}
 	return sz
+}
+
+// pmdsDriver runs one pmds structure's workload over a caller-built heap.
+type pmdsDriver struct {
+	heapScale int // multiple of heapSize the structure may use
+	drive     func(h *pmds.Heap, p Params) *trace.Trace
+}
+
+// pmdsDrivers holds every pmds workload's driver by name, so a test can
+// replay the run Generate makes over a heap that captures line images.
+var pmdsDrivers = map[string]pmdsDriver{}
+
+// registerPMDS registers a pmds workload whose generator drives its
+// structure over a fresh heap capped at heapScale×heapSize.
+func registerPMDS(name string, heapScale int, drive func(*pmds.Heap, Params) *trace.Trace) {
+	d := pmdsDriver{heapScale: heapScale, drive: drive}
+	pmdsDrivers[name] = d
+	register(name, func(p Params) *trace.Trace {
+		return d.drive(d.newHeap(p), p)
+	})
+}
+
+// newHeap returns the heap Generate drives the structure over.
+func (d pmdsDriver) newHeap(p Params) *pmds.Heap {
+	return pmds.NewHeap(heapSize(p)*d.heapScale, p.Threads)
 }
 
 // driveKV interleaves update-intensive key/value operations (80% insert,
@@ -49,16 +76,14 @@ func driveKV(h *pmds.Heap, p Params, name string,
 	return h.Trace(name)
 }
 
-func genCCEH(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func driveCCEH(h *pmds.Heap, p Params) *trace.Trace {
 	c := pmds.NewCCEH(h, 4, p.ValueSize)
 	return driveKV(h, p, "cceh",
 		func(k, v uint64) { c.Insert(k, v) },
 		func(k uint64) { c.Get(k) })
 }
 
-func genFastFair(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func driveFastFair(h *pmds.Heap, p Params) *trace.Trace {
 	f := pmds.NewFastFair(h, 14, p.ValueSize)
 	// Table III: FAST&FAIR runs insert/search/delete. Reuse the KV driver
 	// mix but convert one in eight inserts into a delete of the same key.
@@ -76,8 +101,7 @@ func genFastFair(p Params) *trace.Trace {
 		func(k uint64) { f.Get(k) })
 }
 
-func genDashLH(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func driveDashLH(h *pmds.Heap, p Params) *trace.Trace {
 	// Size the levels so resizes stay rare, as in the paper's setup.
 	d := pmds.NewDashLH(h, p.KeyRange, p.ValueSize)
 	return driveKV(h, p, "dash_lh",
@@ -85,40 +109,35 @@ func genDashLH(p Params) *trace.Trace {
 		func(k uint64) { d.Get(k) })
 }
 
-func genDashEH(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func driveDashEH(h *pmds.Heap, p Params) *trace.Trace {
 	d := pmds.NewDashEH(h, 4, p.KeyRange/16+1, p.ValueSize)
 	return driveKV(h, p, "dash_eh",
 		func(k, v uint64) { d.Insert(k, v) },
 		func(k uint64) { d.Get(k) })
 }
 
-func genPART(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p)*8, p.Threads) // radix nodes are large
+func drivePART(h *pmds.Heap, p Params) *trace.Trace {
 	a := pmds.NewART(h, p.ValueSize)
 	return driveKV(h, p, "p_art",
 		func(k, v uint64) { a.Insert(k, v) },
 		func(k uint64) { a.Get(k) })
 }
 
-func genPCLHT(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func drivePCLHT(h *pmds.Heap, p Params) *trace.Trace {
 	c := pmds.NewCLHT(h, p.KeyRange/2+1, p.ValueSize)
 	return driveKV(h, p, "p_clht",
 		func(k, v uint64) { c.Insert(k, v) },
 		func(k uint64) { c.Get(k) })
 }
 
-func genPMasstree(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func drivePMasstree(h *pmds.Heap, p Params) *trace.Trace {
 	m := pmds.NewMasstree(h, 15, p.ValueSize)
 	return driveKV(h, p, "p_masstree",
 		func(k, v uint64) { m.Insert(k, v) },
 		func(k uint64) { m.Get(k) })
 }
 
-func genAtlasQueue(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func driveAtlasQueue(h *pmds.Heap, p Params) *trace.Trace {
 	q := pmds.NewAtlasQueue(h, p.ValueSize)
 	r := rng.New(p.Seed)
 	total := p.Threads * p.OpsPerThread
@@ -138,8 +157,7 @@ func genAtlasQueue(p Params) *trace.Trace {
 	return h.Trace("atlas_queue")
 }
 
-func genAtlasHeap(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func driveAtlasHeap(h *pmds.Heap, p Params) *trace.Trace {
 	a := pmds.NewAtlasHeap(h, p.Threads*p.OpsPerThread+16)
 	r := rng.New(p.Seed)
 	total := p.Threads * p.OpsPerThread
@@ -159,8 +177,7 @@ func genAtlasHeap(p Params) *trace.Trace {
 	return h.Trace("atlas_heap")
 }
 
-func genAtlasSkiplist(p Params) *trace.Trace {
-	h := pmds.NewHeap(heapSize(p), p.Threads)
+func driveAtlasSkiplist(h *pmds.Heap, p Params) *trace.Trace {
 	s := pmds.NewAtlasSkipList(h, p.ValueSize)
 	r := rng.New(p.Seed)
 	zip := rng.NewZipf(r, int(p.KeyRange), 0.9)

@@ -121,18 +121,18 @@ func init() {
 	register("vacation", genVacation)
 	register("memcached", genMemcached)
 	// ATLAS data structures.
-	register("atlas_heap", genAtlasHeap)
-	register("atlas_queue", genAtlasQueue)
-	register("atlas_skiplist", genAtlasSkiplist)
+	registerPMDS("atlas_heap", 1, driveAtlasHeap)
+	registerPMDS("atlas_queue", 1, driveAtlasQueue)
+	registerPMDS("atlas_skiplist", 1, driveAtlasSkiplist)
 	// Concurrent persistent data structures.
-	register("cceh", genCCEH)
-	register("fast_fair", genFastFair)
-	register("dash_lh", genDashLH)
-	register("dash_eh", genDashEH)
+	registerPMDS("cceh", 1, driveCCEH)
+	registerPMDS("fast_fair", 1, driveFastFair)
+	registerPMDS("dash_lh", 1, driveDashLH)
+	registerPMDS("dash_eh", 1, driveDashEH)
 	// RECIPE.
-	register("p_art", genPART)
-	register("p_clht", genPCLHT)
-	register("p_masstree", genPMasstree)
+	registerPMDS("p_art", 8, drivePART) // radix nodes are large
+	registerPMDS("p_clht", 1, drivePCLHT)
+	registerPMDS("p_masstree", 1, drivePMasstree)
 	// Microbenchmark for Figure 13.
 	register("bandwidth", genBandwidth)
 }
