@@ -48,6 +48,7 @@ bench-baseline:
 	$(GO) test -bench 'MachineNew' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/machine >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'Generate' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/workload >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CrashCampaignForked' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/crash >> /tmp/bench_baseline.txt
+	$(GO) test -bench 'CrashCheck' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/crash >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CheckpointRoundtrip' -benchtime 20x -count 3 -benchmem -run '^$$' ./internal/checkpoint >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'CheckpointRecapture' -benchtime 500x -count 3 -benchmem -run '^$$' ./internal/checkpoint >> /tmp/bench_baseline.txt
 	$(GO) run ./cmd/benchdiff -tojson /tmp/bench_baseline.txt > BENCH_baseline.json

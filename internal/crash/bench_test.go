@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"asap/internal/config"
+	"asap/internal/machine"
 	"asap/internal/model"
 	"asap/internal/trace"
 	"asap/internal/workload"
@@ -58,6 +59,35 @@ func BenchmarkCrashCampaignRebuild(b *testing.B) {
 		}
 		if len(res.Failures) != 0 {
 			b.Fatalf("campaign found %d failures", len(res.Failures))
+		}
+	}
+}
+
+// BenchmarkCrashCheck measures one crash.Check — the Lemma 1.1 and
+// Theorem 2 verdict over the Ledger — on an asap_ep/cceh machine crashed
+// halfway through the campaign trace. The check reads the machine and
+// never mutates it, so every iteration sees the same image.
+func BenchmarkCrashCheck(b *testing.B) {
+	tr := campaignBenchTrace(b)
+	cfg := config.Default()
+	ref, err := machine.New(cfg, model.NameASAPEP, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	total := ref.Run(0).Cycles
+	m, err := machine.New(cfg, model.NameASAPEP, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.CrashNow(total / 2)
+	if rep := Check(m); !rep.OK || rep.LinesChecked == 0 {
+		b.Fatalf("mid-run crash check: %+v", rep)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := Check(m); !rep.OK {
+			b.Fatal(rep.Problems)
 		}
 	}
 }

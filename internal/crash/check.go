@@ -15,6 +15,7 @@ package crash
 
 import (
 	"fmt"
+	"sync"
 
 	"asap/internal/machine"
 	"asap/internal/mem"
@@ -80,13 +81,40 @@ func (t *epochMemo) set(e persist.EpochID, v uint8) {
 	t.byThread[e.Thread] = grown
 }
 
+// reset forgets every verdict, keeping the tables' storage.
+func (t *epochMemo) reset() {
+	for _, s := range t.byThread {
+		clear(s)
+	}
+	clear(t.overflow)
+}
+
+// checkScratch is one Check's working storage, pooled so a campaign's
+// thousands of checks reuse it instead of allocating per call.
+type checkScratch struct {
+	lines                     []mem.Line
+	durable, ancestry, seenEp epochMemo
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
+
 // Check verifies the machine's post-crash NVM image against its ledger.
 // Call it after Machine.Run returned with Crashed=true (or after a normal
 // completion, where it degenerates to checking that all committed writes
 // persisted).
+//
+// Each epoch's writes are walked once through the ledger's chain and the
+// written lines are listed by sorting the slab's lines, so the work is
+// O(W log W) in the W recorded writes, and all working storage is pooled:
+// a check allocates nothing once warm.
 func Check(m *machine.Machine) Report {
 	rep := Report{OK: true}
 	lg := m.Ledger
+	sc := scratchPool.Get().(*checkScratch)
+	defer scratchPool.Put(sc)
+	sc.durable.reset()
+	sc.ancestry.reset()
+	sc.seenEp.reset()
 
 	// surviving(line) = token now in NVM at the line's home controller.
 	surviving := func(l mem.Line) mem.Token {
@@ -100,31 +128,32 @@ func Check(m *machine.Machine) Report {
 		durYes
 		durNo
 	)
-	var durableMemo epochMemo
 	var fullyDurable func(e persist.EpochID) bool
 	fullyDurable = func(e persist.EpochID) bool {
-		if v := durableMemo.get(e); v != durUnknown {
+		if v := sc.durable.get(e); v != durUnknown {
 			return v == durYes
 		}
 		v := durYes // epochs without writes are trivially durable
-		for _, w := range lg.EpochWrites(e) {
-			sv := surviving(w.Line)
+		for tok := lg.EpochHead(e); tok != 0; tok = lg.EpochNext(tok) {
+			line, _ := lg.TokenLine(tok)
+			sv := surviving(line)
 			if sv == 0 {
 				v = durNo
 				break
 			}
-			svPos, ok := lg.TokenPos(sv)
-			if !ok {
+			// The write survives if the line holds it or a write to the
+			// same line recorded after it (coherence order is seq order).
+			svSeq, ok := lg.TokenSeq(sv)
+			if svLine, _ := lg.TokenLine(sv); !ok || svLine != line {
 				v = durNo
 				break
 			}
-			wPos, _ := lg.TokenPos(w.Token)
-			if svPos < wPos {
+			if wSeq, _ := lg.TokenSeq(tok); svSeq < wSeq {
 				v = durNo
 				break
 			}
 		}
-		durableMemo.set(e, v)
+		sc.durable.set(e, v)
 		return v == durYes
 	}
 
@@ -136,16 +165,16 @@ func Check(m *machine.Machine) Report {
 	})
 
 	// Theorem 2: ancestry of every surviving epoch is fully durable.
-	var ancestryOK epochMemo // 0 unknown, 1 ok, 2 bad, 3 visiting
+	// sc.ancestry: 0 unknown, 1 ok, 2 bad, 3 visiting.
 	var checkAncestry func(e persist.EpochID) bool
 	checkAncestry = func(e persist.EpochID) bool {
-		switch ancestryOK.get(e) {
+		switch sc.ancestry.get(e) {
 		case 1, 3: // visiting: the DAG is acyclic by construction (Lemma 0.1); treat as ok
 			return true
 		case 2:
 			return false
 		}
-		ancestryOK.set(e, 3)
+		sc.ancestry.set(e, 3)
 		ok := true
 		// Same-thread predecessor chain.
 		if e.TS > 1 {
@@ -167,36 +196,36 @@ func Check(m *machine.Machine) Report {
 			}
 		}
 		if ok {
-			ancestryOK.set(e, 1)
+			sc.ancestry.set(e, 1)
 		} else {
-			ancestryOK.set(e, 2)
+			sc.ancestry.set(e, 2)
 		}
 		return ok
 	}
 
-	var seenEpochs epochMemo
-	lg.Lines(func(l mem.Line, ws []machine.WriteRec) {
+	sc.lines = lg.AppendLines(sc.lines[:0])
+	for _, l := range sc.lines {
 		rep.LinesChecked++
 		sv := surviving(l)
 		if sv == 0 {
 			// Nothing persisted for this line: legal only if no
 			// committed epoch wrote it, which Lemma 1.1 covers.
-			return
+			continue
 		}
 		rec, ok := lg.TokenRec(sv)
 		if !ok {
 			rep.fail("line %#x holds token %d that was never written", l.Addr(), sv)
-			return
+			continue
 		}
 		if wl, _ := lg.TokenLine(sv); wl != l {
 			rep.fail("line %#x holds token %d belonging to line %#x", l.Addr(), sv, wl.Addr())
-			return
+			continue
 		}
-		if seenEpochs.get(rec.Epoch) == 0 {
-			seenEpochs.set(rec.Epoch, 1)
+		if sc.seenEp.get(rec.Epoch) == 0 {
+			sc.seenEp.set(rec.Epoch, 1)
 			rep.SurvivingEpochs++
 		}
 		checkAncestry(rec.Epoch)
-	})
+	}
 	return rep
 }

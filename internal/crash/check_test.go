@@ -1,6 +1,8 @@
 package crash
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"asap/internal/config"
@@ -40,7 +42,10 @@ func buildMachine(t *testing.T) *machine.Machine {
 	return m
 }
 
-// TestCheckDetectsForeignToken: a token placed on the wrong line is flagged.
+// TestCheckDetectsForeignToken: a token placed on the wrong line is flagged,
+// and the committed epoch whose write it displaced counts as having lost
+// that write — a foreign token never stands in for a later write to the
+// line, whatever its record position.
 func TestCheckDetectsForeignToken(t *testing.T) {
 	m := buildMachine(t)
 	var lineA, lineB mem.Line
@@ -56,9 +61,15 @@ func TestCheckDetectsForeignToken(t *testing.T) {
 	}
 	// Write lineB's surviving token onto lineA.
 	mc := m.MCs[m.IL.Home(lineA)]
+	displaced, _ := m.Ledger.TokenRec(mc.NVM.Peek(lineA))
 	mc.NVM.Write(lineA, mc.NVM.Peek(lineB))
-	if rep := Check(m); rep.OK {
+	rep := Check(m)
+	if rep.OK {
 		t.Fatal("foreign token not detected")
+	}
+	lost := fmt.Sprintf("committed epoch %v lost a write", displaced.Epoch)
+	if !m.Ledger.IsCommitted(displaced.Epoch) || !slices.Contains(rep.Problems, lost) {
+		t.Fatalf("displaced write of %v not reported lost: %q", displaced.Epoch, rep.Problems)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"asap/internal/machine"
-	"asap/internal/mem"
 	"asap/internal/pmds"
 )
 
@@ -26,36 +25,29 @@ import (
 // except lock-protected shared lines).
 func RebuildImage(m *machine.Machine, h *pmds.Heap, size int) ([]byte, error) {
 	out := make([]byte, size)
-	var err error
-	m.Ledger.Lines(func(l mem.Line, _ []machine.WriteRec) {
-		if err != nil {
-			return
-		}
+	for _, l := range m.Ledger.AppendLines(nil) {
 		tok := m.MCs[m.IL.Home(l)].NVM.Peek(l)
 		if tok == 0 {
-			return // never persisted: stays zero
+			continue // never persisted: stays zero
 		}
 		origin, ok := m.Ledger.Origin(tok)
 		if !ok {
-			err = fmt.Errorf("crash: surviving token %d has no origin", tok)
-			return
+			return nil, fmt.Errorf("crash: surviving token %d has no origin", tok)
 		}
 		imgs := h.Images(origin.Thread)
 		if origin.Seq >= len(imgs) {
-			err = fmt.Errorf("crash: origin %+v beyond %d recorded images", origin, len(imgs))
-			return
+			return nil, fmt.Errorf("crash: origin %+v beyond %d recorded images", origin, len(imgs))
 		}
 		img := imgs[origin.Seq]
 		addr := l.Addr()
 		if img.LineAddr != addr {
-			err = fmt.Errorf("crash: image for token %d is line %#x, want %#x", tok, img.LineAddr, addr)
-			return
+			return nil, fmt.Errorf("crash: image for token %d is line %#x, want %#x", tok, img.LineAddr, addr)
 		}
 		off := addr - pmds.PMBase
 		if off+64 > uint64(size) {
-			return // metadata line outside the data heap
+			continue // metadata line outside the data heap
 		}
 		copy(out[off:], img.Data[:])
-	})
-	return out, err
+	}
+	return out, nil
 }

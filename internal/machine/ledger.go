@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"slices"
 
 	"asap/internal/mem"
@@ -27,68 +28,76 @@ type EpochWrite struct {
 	Token mem.Token
 }
 
-type tokenFlags uint8
-
-const (
-	tokRecorded tokenFlags = 1 << iota // RecordWrite seen for this token
-	tokHasOrigin
-)
-
 // tokenRec is the per-token ground truth. The machine issues tokens as a
-// dense 1..N sequence, so everything previously spread over four
-// token-keyed maps (position, record, line, origin) lives in one slice
-// entry indexed by the token itself — RecordWrite on the persist hot path
-// touches one cache line here instead of hashing four maps.
+// dense 1..N sequence, so the whole write log lives in one slice entry
+// indexed by the token itself: RecordWrite on the persist hot path fills
+// one entry and links it onto its epoch's chain, with no per-line or
+// per-epoch log to grow.
+//
+// The entry is packed to 40 bytes (the slab is the ledger's bulk): tokens,
+// record positions, thread ids and per-thread store counts are 32-bit —
+// a trace would need more than 2^31 persistent stores to overflow them.
 type tokenRec struct {
-	line   mem.Line
-	epoch  persist.EpochID
-	origin Origin
-	pos    int32
-	flags  tokenFlags
+	line    mem.Line
+	epochTS uint64
+	thread  int32 // epoch's thread
+	// seq is the token's 1-based position in record order (0: never
+	// recorded). Models record a line's writes in coherence order, so for
+	// two writes to one line seq orders them.
+	seq uint32
+	// next is the epoch's next recorded token (0 ends the chain).
+	next uint32
+	// origin is Origin{originThread, originSeq-1}; originSeq 0 marks a
+	// token without one.
+	originThread int32
+	originSeq    int32
 }
 
-// lineSlot is one slot of the ledger's open-addressed line table (linear
-// probing, no deletes — the same shape as the cache directory's table).
-// ref is index+1 into lineWrites; 0 marks the slot empty, since line 0 is
-// a valid key.
-type lineSlot struct {
-	line mem.Line
-	ref  int32
+func (r *tokenRec) epoch() persist.EpochID {
+	return persist.EpochID{Thread: int(r.thread), TS: r.epochTS}
 }
 
-// ledgerInitSlots is the line table's initial size; must be a power of two.
-const ledgerInitSlots = 1024
+func (r *tokenRec) origin() (Origin, bool) {
+	if r.originSeq == 0 {
+		return Origin{}, false
+	}
+	return Origin{Thread: int(r.originThread), Seq: int(r.originSeq) - 1}, true
+}
+
+// epochRec is one epoch's ground truth: the ends of its write chain
+// through the token slab, and its commit flag.
+type epochRec struct {
+	head, tail uint32 // first and last token recorded in the epoch (0: none)
+	committed  bool
+}
 
 // threadEpochs is one thread's epoch-keyed ground truth. Epoch timestamps
 // are small dense per-thread sequences, so TS indexes a slice directly —
 // no EpochID hashing on the write path.
 type threadEpochs struct {
-	writes    [][]EpochWrite
-	deps      [][]persist.EpochID
-	committed []bool
+	epochs []epochRec
+	deps   [][]persist.EpochID
 }
 
-// Ledger is the machine's ground-truth log: for every line the ordered
-// sequence of persistent writes (coherence order), the cross-thread
-// dependency edges the model created, and the set of committed epochs.
-// The crash checker (package crash) verifies the post-crash NVM image
-// against it — implementing Theorem 2 of the paper as an executable check.
+// Ledger is the machine's ground-truth log: every persistent write with
+// its line, epoch and record position, the cross-thread dependency edges
+// the model created, and the set of committed epochs. The crash checker
+// (package crash) verifies the post-crash NVM image against it —
+// implementing Theorem 2 of the paper as an executable check.
 //
 // RecordWrite is called once per persistent store, making it one of the
 // hottest functions of a full run; the representation is therefore flat:
-// a token-indexed slab, an open-addressed line table, and per-thread
-// TS-indexed epoch logs, rather than the seven maps a direct transcription
-// would use.
+// one token-indexed slab, presized from the trace, holds each write, and
+// each epoch chains its writes through the slab. A line's write order is
+// not stored: its writes are the slab entries on that line, ordered by
+// seq. The per-line views (Writes, Lines, TokenPos) derive it on demand,
+// and the Ledger keeps no cached index, so a checkpoint image never
+// depends on which queries ran.
 type Ledger struct {
-	recs []tokenRec // indexed by token; index 0 unused (token 0 = "never written")
+	recs     []tokenRec // indexed by token; index 0 unused (token 0 = "never written")
+	nWrites  uint32     // writes recorded so far; the last write's seq
+	byThread []threadEpochs
 
-	lineSlots  []lineSlot
-	lineMask   uint64
-	lineCount  int
-	lineWrites [][]WriteRec
-	lineKeys   []mem.Line // first-touch order; sorted on demand by Lines
-
-	byThread   []threadEpochs
 	nDeps      uint64
 	nCommitted int
 }
@@ -96,66 +105,7 @@ type Ledger struct {
 // NewLedger returns an empty ledger with room for tokens tokens (a
 // machine issues one per persistent store of its trace).
 func NewLedger(tokens int) *Ledger {
-	return &Ledger{
-		recs:      make([]tokenRec, 0, tokens+1),
-		lineSlots: make([]lineSlot, ledgerInitSlots),
-		lineMask:  ledgerInitSlots - 1,
-	}
-}
-
-// lineHash spreads line numbers across the table (Fibonacci hashing);
-// workload lines are sequential within a structure, so the low bits alone
-// would cluster whole regions onto neighbouring probe chains.
-func lineHash(l mem.Line) uint64 {
-	return uint64(l) * 0x9E3779B97F4A7C15
-}
-
-// findLine returns the slot index holding l, or the empty slot where l
-// would be inserted.
-func (lg *Ledger) findLine(l mem.Line) int {
-	i := (lineHash(l) >> 32) & lg.lineMask
-	for {
-		s := &lg.lineSlots[i]
-		if s.ref == 0 || s.line == l {
-			return int(i)
-		}
-		i = (i + 1) & lg.lineMask
-	}
-}
-
-// lineRef returns the lineWrites index for l, creating the log on first
-// touch.
-func (lg *Ledger) lineRef(l mem.Line) int32 {
-	i := lg.findLine(l)
-	if r := lg.lineSlots[i].ref; r != 0 {
-		return r - 1
-	}
-	lg.lineWrites = append(lg.lineWrites, nil) //asaplint:ignore alloccheck one slot per distinct line in the workload footprint
-	lg.lineKeys = append(lg.lineKeys, l)       //asaplint:ignore alloccheck one slot per distinct line in the workload footprint
-	ref := int32(len(lg.lineWrites))
-	lg.lineSlots[i] = lineSlot{line: l, ref: ref}
-	lg.lineCount++
-	if uint64(lg.lineCount)*4 >= uint64(len(lg.lineSlots))*3 {
-		lg.growLines()
-	}
-	return ref - 1
-}
-
-// growLines doubles the line table and re-places every occupied slot.
-func (lg *Ledger) growLines() {
-	old := lg.lineSlots
-	lg.lineSlots = make([]lineSlot, len(old)*2) //asaplint:ignore alloccheck amortized doubling of the open-addressed line table
-	lg.lineMask = uint64(len(lg.lineSlots)) - 1
-	for _, s := range old {
-		if s.ref == 0 {
-			continue
-		}
-		i := (lineHash(s.line) >> 32) & lg.lineMask
-		for lg.lineSlots[i].ref != 0 {
-			i = (i + 1) & lg.lineMask
-		}
-		lg.lineSlots[i] = s
-	}
+	return &Ledger{recs: make([]tokenRec, 0, tokens+1)}
 }
 
 // rec returns the record for token, growing the slab to cover it. Tokens
@@ -176,20 +126,50 @@ func (lg *Ledger) thread(th int) *threadEpochs {
 	return &lg.byThread[th]
 }
 
-// RecordWrite implements model.Ledger.
+// epoch returns e's record, growing its thread's epoch slice to cover it.
+func (lg *Ledger) epoch(e persist.EpochID) *epochRec {
+	te := lg.thread(e.Thread)
+	for uint64(len(te.epochs)) <= e.TS {
+		te.epochs = append(te.epochs, epochRec{}) //asaplint:ignore alloccheck one slot per epoch; epochs are dense per thread
+	}
+	return &te.epochs[e.TS]
+}
+
+// lookup returns e's record, or nil if the ledger has never seen e.
+func (lg *Ledger) lookup(e persist.EpochID) *epochRec {
+	if e.Thread < 0 || e.Thread >= len(lg.byThread) {
+		return nil
+	}
+	te := &lg.byThread[e.Thread]
+	if e.TS >= uint64(len(te.epochs)) {
+		return nil
+	}
+	return &te.epochs[e.TS]
+}
+
+// recorded returns token's record if RecordWrite has seen it.
+func (lg *Ledger) recorded(token mem.Token) (*tokenRec, bool) {
+	if uint64(token) < uint64(len(lg.recs)) && lg.recs[token].seq != 0 {
+		return &lg.recs[token], true
+	}
+	return nil, false
+}
+
+// RecordWrite implements model.Ledger. Each token is recorded at most
+// once.
 func (lg *Ledger) RecordWrite(e persist.EpochID, line mem.Line, token mem.Token) {
-	ref := lg.lineRef(line)
+	lg.nWrites++
 	r := lg.rec(token)
 	r.line = line
-	r.epoch = e
-	r.pos = int32(len(lg.lineWrites[ref]))
-	r.flags |= tokRecorded
-	lg.lineWrites[ref] = append(lg.lineWrites[ref], WriteRec{Token: token, Epoch: e}) //asaplint:ignore alloccheck the ledger is an append-only audit log; recording every persist is its function
-	te := lg.thread(e.Thread)
-	for uint64(len(te.writes)) <= e.TS {
-		te.writes = append(te.writes, nil) //asaplint:ignore alloccheck one slot per epoch; epochs are dense per thread
+	r.epochTS, r.thread = e.TS, int32(e.Thread)
+	r.seq = lg.nWrites
+	ep := lg.epoch(e)
+	if ep.tail == 0 {
+		ep.head = uint32(token)
+	} else {
+		lg.recs[ep.tail].next = uint32(token)
 	}
-	te.writes[e.TS] = append(te.writes[e.TS], EpochWrite{Line: line, Token: token}) //asaplint:ignore alloccheck the ledger is an append-only audit log; recording every persist is its function
+	ep.tail = uint32(token)
 }
 
 // DepCreated implements model.Ledger.
@@ -204,60 +184,137 @@ func (lg *Ledger) DepCreated(src, dst persist.EpochID) {
 
 // EpochCommitted implements model.Ledger.
 func (lg *Ledger) EpochCommitted(e persist.EpochID) {
-	te := lg.thread(e.Thread)
-	for uint64(len(te.committed)) <= e.TS {
-		te.committed = append(te.committed, false) //asaplint:ignore alloccheck audit log: dense per-epoch growth, amortized doubling
-	}
-	if !te.committed[e.TS] {
-		te.committed[e.TS] = true
+	if ep := lg.epoch(e); !ep.committed {
+		ep.committed = true
 		lg.nCommitted++
 	}
 }
 
-// Writes returns the write order of a line.
-func (lg *Ledger) Writes(line mem.Line) []WriteRec {
-	if r := lg.lineSlots[lg.findLine(line)].ref; r != 0 {
-		return lg.lineWrites[r-1]
+// TokenSeq returns token's position in record order (1-based). For two
+// writes to the same line the lower seq is the earlier write in coherence
+// order.
+func (lg *Ledger) TokenSeq(token mem.Token) (int, bool) {
+	if r, ok := lg.recorded(token); ok {
+		return int(r.seq), true
 	}
-	return nil
+	return 0, false
 }
 
-// Lines calls fn for every line with at least one persistent write, in
-// ascending line order so crash-check reports are reproducible.
+// EpochHead returns the first token recorded in epoch e (0 for an epoch
+// that issued no write). EpochNext walks the rest of its writes in record
+// order.
+func (lg *Ledger) EpochHead(e persist.EpochID) mem.Token {
+	if ep := lg.lookup(e); ep != nil {
+		return mem.Token(ep.head)
+	}
+	return 0
+}
+
+// EpochNext returns the token recorded in token's epoch after it (0 after
+// the last).
+func (lg *Ledger) EpochNext(token mem.Token) mem.Token {
+	if r, ok := lg.recorded(token); ok {
+		return mem.Token(r.next)
+	}
+	return 0
+}
+
+// AppendLines appends every line with at least one persistent write to
+// dst, once each and in ascending line order so crash-check reports are
+// reproducible, and returns the extended slice. It allocates only if dst
+// lacks room for one entry per recorded write.
+func (lg *Ledger) AppendLines(dst []mem.Line) []mem.Line {
+	start := len(dst)
+	for i := range lg.recs {
+		if lg.recs[i].seq != 0 {
+			dst = append(dst, lg.recs[i].line)
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
+}
+
+// lineWrite is one write of the per-line views, with its record position.
+type lineWrite struct {
+	line mem.Line
+	seq  uint32
+	w    WriteRec
+}
+
+// lineWrites returns the recorded writes on line l (every line if all),
+// ordered by line then record position.
+func (lg *Ledger) lineWrites(l mem.Line, all bool) []lineWrite {
+	var out []lineWrite
+	for tok := range lg.recs {
+		r := &lg.recs[tok]
+		if r.seq != 0 && (all || r.line == l) {
+			out = append(out, lineWrite{line: r.line, seq: r.seq, w: WriteRec{Token: mem.Token(tok), Epoch: r.epoch()}})
+		}
+	}
+	slices.SortFunc(out, func(a, b lineWrite) int {
+		if a.line != b.line {
+			return cmp.Compare(a.line, b.line)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	return out
+}
+
+// Writes returns the write order of a line (coherence order). It is a
+// view derived from the slab for tests and tools.
+func (lg *Ledger) Writes(line mem.Line) []WriteRec {
+	var ws []WriteRec
+	for _, lw := range lg.lineWrites(line, false) {
+		ws = append(ws, lw.w)
+	}
+	return ws
+}
+
+// Lines calls fn for every line with at least one persistent write, with
+// that line's write order, in ascending line order. Like Writes it is a
+// derived view; the crash checker uses AppendLines.
 func (lg *Ledger) Lines(fn func(mem.Line, []WriteRec)) {
-	lines := make([]mem.Line, len(lg.lineKeys))
-	copy(lines, lg.lineKeys)
-	slices.Sort(lines)
-	for _, l := range lines {
-		fn(l, lg.Writes(l))
+	all := lg.lineWrites(0, true)
+	for i := 0; i < len(all); {
+		var ws []WriteRec
+		j := i
+		for ; j < len(all) && all[j].line == all[i].line; j++ {
+			ws = append(ws, all[j].w)
+		}
+		fn(all[i].line, ws)
+		i = j
 	}
 }
 
 // TokenPos returns the position of token in its line's write order.
 func (lg *Ledger) TokenPos(token mem.Token) (int, bool) {
-	if uint64(token) < uint64(len(lg.recs)) && lg.recs[token].flags&tokRecorded != 0 {
-		return int(lg.recs[token].pos), true
+	r, ok := lg.recorded(token)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	pos := 0
+	for i := range lg.recs {
+		if o := &lg.recs[i]; o.seq != 0 && o.seq < r.seq && o.line == r.line {
+			pos++
+		}
+	}
+	return pos, true
 }
 
 // TokenRec returns the write record for a token.
 func (lg *Ledger) TokenRec(token mem.Token) (WriteRec, bool) {
-	if uint64(token) < uint64(len(lg.recs)) && lg.recs[token].flags&tokRecorded != 0 {
-		return WriteRec{Token: token, Epoch: lg.recs[token].epoch}, true
+	if r, ok := lg.recorded(token); ok {
+		return WriteRec{Token: token, Epoch: r.epoch()}, true
 	}
 	return WriteRec{}, false
 }
 
-// IsCommitted reports whether epoch e committed before the crash. Epochs on
-// the same thread with a lower timestamp than any committed epoch are
-// committed transitively (models commit per-thread in order).
+// IsCommitted reports whether the model committed epoch e before the
+// crash. It is e's own flag only: a lower-timestamp epoch of the same
+// thread is not implied committed by a later one.
 func (lg *Ledger) IsCommitted(e persist.EpochID) bool {
-	if e.Thread < 0 || e.Thread >= len(lg.byThread) {
-		return false
-	}
-	te := &lg.byThread[e.Thread]
-	return e.TS < uint64(len(te.committed)) && te.committed[e.TS]
+	ep := lg.lookup(e)
+	return ep != nil && ep.committed
 }
 
 // Predecessors returns the recorded dependency sources of epoch e; the
@@ -273,23 +330,21 @@ func (lg *Ledger) Predecessors(e persist.EpochID) []persist.EpochID {
 	return te.deps[e.TS]
 }
 
-// EpochWrites returns the writes attributed to epoch e (nil for an epoch
-// that issued none).
+// EpochWrites returns the writes attributed to epoch e in record order
+// (nil for an epoch that issued none). It is a view derived from the
+// epoch's chain; the crash checker walks EpochHead/EpochNext instead.
 func (lg *Ledger) EpochWrites(e persist.EpochID) []EpochWrite {
-	if e.Thread < 0 || e.Thread >= len(lg.byThread) {
-		return nil
+	var ws []EpochWrite
+	for tok := lg.EpochHead(e); tok != 0; tok = lg.EpochNext(tok) {
+		ws = append(ws, EpochWrite{Line: lg.recs[tok].line, Token: tok})
 	}
-	te := &lg.byThread[e.Thread]
-	if e.TS >= uint64(len(te.writes)) {
-		return nil
-	}
-	return te.writes[e.TS]
+	return ws
 }
 
 // TokenLine returns the line a token was written to.
 func (lg *Ledger) TokenLine(token mem.Token) (mem.Line, bool) {
-	if uint64(token) < uint64(len(lg.recs)) && lg.recs[token].flags&tokRecorded != 0 {
-		return lg.recs[token].line, true
+	if r, ok := lg.recorded(token); ok {
+		return r.line, true
 	}
 	return 0, false
 }
@@ -299,9 +354,9 @@ func (lg *Ledger) TokenLine(token mem.Token) (mem.Line, bool) {
 // logs store epochs in exactly that order, so no sort is needed.
 func (lg *Ledger) CommittedEpochs(fn func(persist.EpochID)) {
 	for th := range lg.byThread {
-		committed := lg.byThread[th].committed
-		for ts := range committed {
-			if committed[ts] {
+		epochs := lg.byThread[th].epochs
+		for ts := range epochs {
+			if epochs[ts].committed {
 				fn(persist.EpochID{Thread: th, TS: uint64(ts)})
 			}
 		}
@@ -312,14 +367,13 @@ func (lg *Ledger) CommittedEpochs(fn func(persist.EpochID)) {
 // the store issues).
 func (lg *Ledger) SetOrigin(token mem.Token, o Origin) {
 	r := lg.rec(token)
-	r.origin = o
-	r.flags |= tokHasOrigin
+	r.originThread, r.originSeq = int32(o.Thread), int32(o.Seq)+1
 }
 
 // Origin returns the trace origin of a token.
 func (lg *Ledger) Origin(token mem.Token) (Origin, bool) {
-	if uint64(token) < uint64(len(lg.recs)) && lg.recs[token].flags&tokHasOrigin != 0 {
-		return lg.recs[token].origin, true
+	if uint64(token) < uint64(len(lg.recs)) {
+		return lg.recs[token].origin()
 	}
 	return Origin{}, false
 }
@@ -329,7 +383,7 @@ func (lg *Ledger) Origin(token mem.Token) (Origin, bool) {
 // unique origins, so the ascending scan finds at most one match.
 func (lg *Ledger) TokenForOrigin(o Origin) mem.Token {
 	for tok := 1; tok < len(lg.recs); tok++ {
-		if lg.recs[tok].flags&tokHasOrigin != 0 && lg.recs[tok].origin == o {
+		if org, ok := lg.recs[tok].origin(); ok && org == o {
 			return mem.Token(tok)
 		}
 	}

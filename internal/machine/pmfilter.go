@@ -69,9 +69,10 @@ func newPMFilter(tr *trace.Trace) (f pmFilter, pstores int) {
 }
 
 // slot returns page's directory slot, or the empty slot where it would go.
-// Pages are spread with the Ledger's Fibonacci line hash.
+// Pages are spread by Fibonacci hashing: structures lay out sequential
+// pages, which the low bits alone would cluster onto neighbouring chains.
 func (f *pmFilter) slot(page uint64) *pmPage {
-	for i := lineHash(mem.Line(page)) >> 32 & f.mask; ; i = (i + 1) & f.mask {
+	for i := (page * 0x9E3779B97F4A7C15) >> 32 & f.mask; ; i = (i + 1) & f.mask {
 		s := &f.dir[i]
 		if s.key == page+1 || s.key == 0 {
 			return s
