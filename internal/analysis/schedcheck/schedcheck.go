@@ -1,11 +1,13 @@
 // Package schedcheck enforces the event-scheduler access discipline that
 // keeps the zero-allocation hot path honest:
 //
-//  1. The engine's event heap is private. Appending to an Engine's events
-//     slice anywhere outside internal/sim bypasses the (when, seq)
-//     heap ordering that makes dispatch deterministic — events must enter
-//     through At/After/ScheduleOp/AfterOp, which assign the sequence
-//     number that breaks timestamp ties.
+//  1. The engine's event queue is private. Appending to one of an
+//     Engine's queue slices (queueFields: the timing wheel's node slab,
+//     the overflow heap) anywhere outside internal/sim bypasses the
+//     (when, seq, sub) ordering that makes dispatch deterministic — events
+//     must enter through At/After/ScheduleOp/AfterOp, which assign the
+//     sequence number that breaks timestamp ties and link the event into
+//     its wheel slot or heap position.
 //
 //  2. In the packages converted to typed events (internal/machine,
 //     internal/persist), the closure-form After/At calls allocate a
@@ -71,22 +73,26 @@ func (c checker) Run(pass *analysis.Pass) {
 	}
 }
 
-// checkEventsAppend flags append(e.events, ...) where e is a sim.Engine.
-// The field is unexported, so the compiler already rejects this outside
-// the sim package; the analyzer keeps the invariant explicit so that
-// exporting the slice (or embedding the engine) can never quietly open a
-// scheduling side door.
+// queueFields are the Engine's event-queue slices: the timing wheel's
+// node slab and the overflow heap.
+var queueFields = map[string]bool{"nodes": true, "overflow": true}
+
+// checkEventsAppend flags append(e.f, ...) where e is a sim.Engine and f
+// one of its queueFields. The fields are unexported, so the compiler
+// already rejects this outside the sim package; the analyzer keeps the
+// invariant explicit so that exporting a slice (or embedding the engine)
+// can never quietly open a scheduling side door.
 func (c checker) checkEventsAppend(pass *analysis.Pass, call *ast.CallExpr) {
 	fn, ok := call.Fun.(*ast.Ident)
 	if !ok || fn.Name != "append" || len(call.Args) == 0 {
 		return
 	}
 	sel, ok := call.Args[0].(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "events" || !isEngine(pass.TypeOf(sel.X)) {
+	if !ok || !queueFields[sel.Sel.Name] || !isEngine(pass.TypeOf(sel.X)) {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"direct append to %s bypasses the engine's (when, seq) heap ordering: schedule through At/After/ScheduleOp/AfterOp",
+		"direct append to %s bypasses the engine's (when, seq, sub) event-queue ordering: schedule through At/After/ScheduleOp/AfterOp",
 		types.ExprString(call.Args[0]))
 }
 

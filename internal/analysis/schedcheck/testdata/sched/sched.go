@@ -15,7 +15,8 @@ type event struct {
 }
 
 type Engine struct {
-	events []event
+	nodes    []event
+	overflow []event
 }
 
 // The real scheduling methods live in internal/sim; these stubs only
@@ -46,7 +47,10 @@ func (m *machine) coldPath() {
 }
 
 func (m *machine) sideDoor() {
-	m.eng.events = append(m.eng.events, event{0, nil}) // want `direct append to m\.eng\.events bypasses`
+	m.eng.nodes = append(m.eng.nodes, event{0, nil})       // want `direct append to m\.eng\.nodes bypasses the engine's \(when, seq, sub\) event-queue ordering`
+	m.eng.overflow = append(m.eng.overflow, event{0, nil}) // want `direct append to m\.eng\.overflow bypasses`
+	spare := append(m.eng.nodes[:0:0], m.eng.overflow...)  // a copy out of the queue: not an append to it
+	_ = spare
 }
 
 type jobs struct {

@@ -1,6 +1,6 @@
 // Fixture for schedcheck under the engine's own package path
-// (asap/internal/sim): the heap implementation appends to its own events
-// slice freely.
+// (asap/internal/sim): the queue implementation appends to its own slices
+// freely.
 package sim
 
 type Cycles = uint64
@@ -11,11 +11,13 @@ type event struct {
 }
 
 type Engine struct {
-	events []event
+	nodes    []event
+	overflow []event
 }
 
 func (e *Engine) After(delay Cycles, fn func()) { e.push(event{delay, fn}) }
 
 func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev) // the engine owns its heap
+	e.overflow = append(e.overflow, ev) // the engine owns its heap
+	e.nodes = append(e.nodes, ev)       // and its wheel slab
 }

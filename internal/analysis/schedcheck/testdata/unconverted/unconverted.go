@@ -1,6 +1,6 @@
 // Fixture for schedcheck under an unconverted package path
 // (asap/internal/model): closure scheduling is still the norm there, but
-// the engine's event heap stays off-limits.
+// the engine's event queue stays off-limits.
 package model
 
 type Cycles = uint64
@@ -11,7 +11,8 @@ type event struct {
 }
 
 type Engine struct {
-	events []event
+	nodes    []event
+	overflow []event
 }
 
 // Stubs; the real methods live in internal/sim.
@@ -28,5 +29,5 @@ func (m *model) schedule() {
 }
 
 func (m *model) sideDoor() {
-	m.eng.events = append(m.eng.events, event{}) // want `direct append to m\.eng\.events bypasses`
+	m.eng.overflow = append(m.eng.overflow, event{}) // want `direct append to m\.eng\.overflow bypasses`
 }

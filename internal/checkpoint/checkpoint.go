@@ -1,7 +1,7 @@
 // Package checkpoint snapshots a complete simulated machine — caches and
 // directory, persist buffers and epoch/recovery tables, memory-controller
 // job and reply rings, model state, per-core trace cursors, and the sim
-// engine's typed event heap with its free-list indices — so a run can be
+// engine's typed event queue with its free-list indices — so a run can be
 // forked from a warmed state (Capture/Fork, in memory, O(state)) or saved
 // to a compact versioned binary image and resumed in another process
 // (Save/Load). Both paths continue byte-identically to an uninterrupted
@@ -79,7 +79,7 @@ func (c *Checkpoint) Machine() *machine.Machine { return c.m }
 // contents, map refills) with no serialization and no new object graph.
 // After Fork the machine continues byte-identically to how it continued the
 // first time — including a re-fork after running further: the restore also
-// rewinds the engine clock, event heap, and sequence counters.
+// rewinds the engine clock, event queue, and sequence counters.
 func (c *Checkpoint) Fork() *machine.Machine {
 	c.w.restore()
 	return c.m

@@ -3,7 +3,7 @@ package checkpoint
 // The binary checkpoint image: Save serializes a quiescent machine's full
 // state — caches and directory, persist buffers, epoch/recovery tables,
 // WPQ and controller rings, model state, trace cursors, and the engine's
-// typed event heap — into a compact, versioned, checksummed byte image;
+// typed event queue — into a compact, versioned, checksummed byte image;
 // Load rebuilds a machine that continues byte-identically.
 //
 // The format leans on the same property the in-memory Fork does:
@@ -1028,7 +1028,10 @@ func Save(m *machine.Machine) (img []byte, err error) {
 // Load rebuilds a machine from a checkpoint image. The returned machine
 // continues byte-identically with the one Save captured: same results,
 // same stats, same NVM images (pinned by TestImageRoundtrip). Corrupted,
-// truncated, or wrong-version images return errors, never panic.
+// truncated, or wrong-version images return errors, never panic; so does
+// an image whose digest is intact but whose event queue breaks the
+// engine's invariants (sim.Engine.CheckQueue), which would otherwise load
+// into a machine that panics or misorders events in Run.
 func Load(img []byte) (m *machine.Machine, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1108,6 +1111,9 @@ func Load(img []byte) (m *machine.Machine, err error) {
 	}
 	if fresh.Eng.Now() != cycle {
 		return nil, fmt.Errorf("checkpoint: decoded clock %d does not match header cycle %d", fresh.Eng.Now(), cycle)
+	}
+	if err := fresh.Eng.CheckQueue(); err != nil {
+		return nil, fmt.Errorf("checkpoint: decoded event queue is malformed: %w", err)
 	}
 	return fresh, nil
 }

@@ -2,11 +2,15 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"asap/internal/config"
 	"asap/internal/machine"
@@ -220,4 +224,82 @@ func TestGoldenImage(t *testing.T) {
 	oracle := newAt(t, model.NameASAPEP,
 		diffCase{wl: "cceh", p: workload.Params{Threads: 2, OpsPerThread: 150, Seed: 42}}, 0)
 	compare(t, "golden", summarize(oracle, oracle.Run(0)), summarize(lm, lm.Run(0)))
+}
+
+// reseal recomputes an image's digest over its (patched) payload, so a
+// test can hand Load a corrupted payload the envelope check accepts.
+func reseal(img []byte) []byte {
+	header := len(imageMagic) + 1
+	sum := sha256.Sum256(img[header+32:])
+	copy(img[header:], sum[:])
+	return img
+}
+
+// engineSlotHead returns a settable view of the engine's wheel slot head
+// for slot s (the field is unexported; the test reaches it the way the
+// checkpoint walker does, through its address).
+func engineSlotHead(m *machine.Machine, s int) reflect.Value {
+	f := reflect.ValueOf(m.Eng).Elem().FieldByName("slots").Index(s).FieldByName("head")
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// TestImageRejectsMalformedQueue pins that Load checks the decoded event
+// queue: an image whose digest is valid but whose payload names a bogus
+// wheel slot head must fail Load with an error, not load into a machine
+// that panics (or dispatches out of order) in Run. The head's offset in
+// the payload is found by saving the same machine twice, once with an
+// empty slot's head set to 1 in memory; the byte that differs is then
+// patched to each corrupt value and the image resealed.
+func TestImageRejectsMalformedQueue(t *testing.T) {
+	m := goldenMachine(t)
+	img, _, err := SaveNextQuiescent(m, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(img); err != nil {
+		t.Fatalf("clean image: %v", err)
+	}
+	empty := -1
+	for s := 0; s < 1024 && empty < 0; s++ {
+		if engineSlotHead(m, s).Int() == 0 {
+			empty = s
+		}
+	}
+	if empty < 0 {
+		t.Fatal("no empty wheel slot")
+	}
+	engineSlotHead(m, empty).SetInt(1)
+	marked, err := Save(m)
+	engineSlotHead(m, empty).SetInt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(marked) != len(img) {
+		t.Fatalf("marked image is %d bytes, clean %d", len(marked), len(img))
+	}
+	off := -1
+	for i := len(imageMagic) + 1 + 32; i < len(img); i++ {
+		if img[i] != marked[i] {
+			if off >= 0 {
+				t.Fatalf("images differ at payload bytes %d and %d, want one slot head", off, i)
+			}
+			off = i
+		}
+	}
+	if off < 0 {
+		t.Fatal("slot head change did not reach the image")
+	}
+	// Zigzag varints: 0x02 is node 1 (owned by another slot), 0x01 is -1,
+	// 0x7e is 63 (past the slab's end).
+	for _, b := range []byte{0x02, 0x01, 0x7e} {
+		bad := append([]byte(nil), img...)
+		bad[off] = b
+		lm, err := Load(reseal(bad))
+		if err == nil || lm != nil {
+			t.Fatalf("slot head byte %#x: Load returned (%v, %v), want an error", b, lm != nil, err)
+		}
+		if !strings.Contains(err.Error(), "event queue is malformed") {
+			t.Fatalf("slot head byte %#x: %v, want the queue check's error", b, err)
+		}
+	}
 }

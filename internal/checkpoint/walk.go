@@ -9,7 +9,7 @@ package checkpoint
 //
 //   - POD regions and POD slice contents (no pointers, maps, interfaces or
 //     funcs anywhere inside — the bulk of machine state: cache arrays, the
-//     event heap, ledger slabs, NVM tokens) are captured into one shared
+//     event queue, ledger slabs, NVM tokens) are captured into one shared
 //     byte arena and restored with plain memmoves. This is the fast path
 //     that makes a campaign's thousand rewinds affordable.
 //   - non-POD pointees are captured as typed shallow copies (reflect.Set —

@@ -29,14 +29,16 @@ type EventOp interface {
 // event is a scheduled callback. seq breaks ties deterministically so that
 // two events scheduled for the same cycle fire in schedule order.
 //
-// The struct is deliberately pointer-free: the heap permutes events
-// constantly (every push and pop moves several), and if the element held a
-// closure or interface directly, every one of those moves would run a GC
-// write barrier — measured at a double-digit share of whole-machine time.
-// Instead an event holds indices: opIdx into the engine's registered
-// receiver table (typed form) or fnIdx into the in-flight closure table
-// (closure form, opIdx < 0). A 40-byte pointer-free element makes heap
-// sifts plain memmoves and packs more of the frontier per cache line.
+// The struct is deliberately pointer-free: the queue copies events on
+// every schedule and dispatch (and the overflow heap permutes them), and
+// if the element held a closure or interface directly, every one of those
+// moves would run a GC write barrier — measured at a double-digit share of
+// whole-machine time. Instead an event holds indices: opIdx into the
+// engine's registered receiver table (typed form) or fnIdx into the
+// in-flight closure table (closure form, opIdx < 0), and next links it
+// into its wheel slot's FIFO. next fills what would otherwise be padding,
+// so the element stays a 48-byte pointer-free value: queue moves are plain
+// memmoves.
 type event struct {
 	when  Cycles
 	seq   uint64
@@ -45,15 +47,17 @@ type event struct {
 	kind  int32
 	opIdx int32 // index into Engine.ops; -1 for closure events
 	fnIdx int32 // index into Engine.fns (closure events only)
+	next  int32 // wheel slab index of the next event in this slot; 0 ends the chain
 }
 
 // localSub is the sub-order rank of locally scheduled events. Cross-shard
-// arrivals are merged into the heap with the seq watermark of their send
-// moment (see arriveOp): an arrival and a local event can therefore carry
-// the same (when, seq), and sub breaks that tie. Arrival ranks are built
-// from (source domain, drain order) and stay below localSub, so an arrival
-// sorts before the first local event scheduled after its send moment —
-// exactly where the serial engine would have dispatched it. In a serial
+// arrivals are merged into the overflow heap with the seq watermark of
+// their send moment (see ArriveOp): an arrival and a local event can
+// therefore carry the same (when, seq), and sub breaks that tie. Arrival
+// ranks are built from (source domain, drain order) and stay below
+// localSub, so an arrival sorts before the first local event scheduled
+// after its send moment — exactly where the serial engine would have
+// dispatched it. In a serial
 // engine every event carries localSub and seq alone is already a total
 // order, so the extra comparison never fires.
 const localSub = 1 << 63
@@ -63,26 +67,37 @@ const localSub = 1 << 63
 // not safe for concurrent use: the whole simulated machine runs on one
 // goroutine, which keeps the model deterministic.
 //
-// The pending-event queue is an inlined 4-ary min-heap over a typed event
-// slice, ordered by (when, seq). Compared to container/heap's binary heap
-// of interface{} values this removes the per-event boxing allocation, the
-// Push/Pop interface-call overhead, and (being 4-ary) roughly halves the
-// sift-down depth, trading it for cheaper, cache-resident sibling scans.
-// Because (when, seq) is a total order, dispatch order is independent of
-// heap shape: every pop removes the unique global minimum, so this heap
-// dispatches byte-identically to the container/heap implementation it
-// replaced (pinned by TestDifferentialDeterminism).
+// The pending-event queue (queue.go) is a timing wheel of one-cycle slots
+// for the near-future events that make up almost every run, backed by a
+// 4-ary min-heap for events scheduled further ahead and for cross-shard
+// arrivals. Dispatch always takes the global minimum by (when, seq, sub),
+// a total order, so dispatch order is independent of which structure an
+// event sat in: the engine dispatches byte-identically to the
+// container/heap scheduler the repo started with (pinned by
+// TestDifferentialDeterminism and TestQueueDifferential).
 type Engine struct {
 	now        Cycles
 	seq        uint64
-	dispatched uint64  // events dispatched so far (see Dispatched)
-	events     []event // 4-ary min-heap by (when, seq)
+	dispatched uint64 // events dispatched so far (see Dispatched)
 	halted     bool
 	onDispatch func(when Cycles)
 
+	// The timing wheel: slot s is the FIFO of events at the one cycle in
+	// [now, now+wheelSize) congruent to s, threaded through the dense
+	// nodes slab (nodes[0] is the nil sentinel, so the wheel holds
+	// len(nodes)-1 events); occ has bit s set iff slot s is non-empty.
+	slots [wheelSize]wheelSlot
+	occ   [wheelWords]uint64
+	nodes []event
+
+	// overflow is the 4-ary min-heap by (when, seq, sub) for events the
+	// wheel cannot hold: local events wheelSize or more cycles ahead, and
+	// every cross-shard arrival.
+	overflow []event
+
 	// ops holds the typed-event receivers ever scheduled on this engine,
 	// deduplicated by identity; events reference them by index so the
-	// heap elements stay pointer-free. A machine registers only a handful
+	// queued events stay pointer-free. A machine registers only a handful
 	// of receivers (machine, model, controllers), so the lookup in
 	// ScheduleOp is a short pointer-compare scan.
 	ops []EventOp
@@ -111,7 +126,7 @@ type mark struct {
 
 // NewEngine returns an engine with the clock at cycle zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{nodes: make([]event, 1, wheelSlabCap)}
 }
 
 // Now reports the current simulation time in cycles.
@@ -132,8 +147,7 @@ func (e *Engine) At(when Cycles, fn func()) {
 		idx = int32(len(e.fns))
 		e.fns = append(e.fns, fn) //asaplint:ignore alloccheck free-list miss; bounded by peak in-flight closure events
 	}
-	e.push(event{when: when, seq: e.seq, opIdx: -1, fnIdx: idx, sub: localSub})
-	e.seq++
+	e.enqueue(when, -1, idx, 0, 0)
 }
 
 // After schedules fn to run delay cycles from now.
@@ -149,8 +163,7 @@ func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {
 	if when < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	e.push(event{when: when, seq: e.seq, opIdx: e.opIndex(op), kind: int32(kind), arg: arg, sub: localSub})
-	e.seq++
+	e.enqueue(when, e.opIndex(op), 0, int32(kind), arg)
 }
 
 // opIndex returns op's slot in the receiver table, registering it on first
@@ -172,7 +185,7 @@ func (e *Engine) AfterOp(delay Cycles, op EventOp, kind int, arg uint64) {
 }
 
 // Pending reports the number of scheduled events not yet dispatched.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.nodes) - 1 + len(e.overflow) }
 
 // Dispatched reports the number of events dispatched since construction.
 // The machine's periodic sampler publishes it as a progress metric; unlike
@@ -194,14 +207,19 @@ func (e *Engine) Halted() bool { return e.halted }
 
 // Run dispatches events in time order until the queue drains, Halt is
 // called, or the clock would pass limit (limit 0 means no limit). It returns
-// the cycle at which it stopped.
+// the cycle at which it stopped: limit when the next event lies past it,
+// unless limit is already behind the clock, which never moves backwards.
 func (e *Engine) Run(limit Cycles) Cycles {
-	for len(e.events) > 0 && !e.halted {
-		if limit != 0 && e.events[0].when > limit {
-			e.now = limit
+	for !e.halted {
+		ev, slot := e.peek()
+		if ev == nil {
+			break
+		}
+		if limit != 0 && ev.when > limit {
+			e.now = max(e.now, limit)
 			return e.now
 		}
-		e.dispatch()
+		e.dispatch(ev, slot)
 	}
 	return e.now
 }
@@ -214,8 +232,12 @@ func (e *Engine) Run(limit Cycles) Cycles {
 // after RunUntil(c) always observes the state the machine has at cycle c,
 // with every pre-c event retired.
 func (e *Engine) RunUntil(limit Cycles) Cycles {
-	for len(e.events) > 0 && !e.halted && e.events[0].when <= limit {
-		e.dispatch()
+	for !e.halted {
+		ev, slot := e.peek()
+		if ev == nil || ev.when > limit {
+			break
+		}
+		e.dispatch(ev, slot)
 	}
 	if !e.halted && e.now < limit {
 		e.now = limit
@@ -228,10 +250,15 @@ func (e *Engine) RunUntil(limit Cycles) Cycles {
 // before the crash cycle has fired" (RunUntil(when-1)) and "no event at the
 // crash cycle has" — the same machine state the scheduled-crash event used
 // to observe, since it carried sequence number zero and preempted all
-// same-cycle work. Jumping backwards panics like scheduling in the past.
+// same-cycle work. Jumping backwards panics like scheduling in the past,
+// and so does jumping past a pending event, which would leave it to fire
+// before the clock.
 func (e *Engine) JumpTo(when Cycles) {
 	if when < e.now {
 		panic("sim: clock jump into the past")
+	}
+	if ev, _ := e.peek(); ev != nil && ev.when < when {
+		panic("sim: clock jump past a pending event")
 	}
 	e.now = when
 }
@@ -239,7 +266,7 @@ func (e *Engine) JumpTo(when Cycles) {
 // RegisterOp pre-registers a typed-event receiver, fixing its slot in the
 // receiver table at construction time instead of first-schedule time. The
 // slot index never influences dispatch order — (when, seq) does — but a
-// checkpoint image stores heap events by receiver index, so machines
+// checkpoint image stores queued events by receiver index, so machines
 // register their receivers in one canonical construction order to make the
 // table reproducible between the machine that saved an image and the fresh
 // machine that restores it.
@@ -254,9 +281,11 @@ func (e *Engine) RegisterOp(op EventOp) { e.opIndex(op) }
 // cycle where none are in flight, which is what the quiescence search in
 // cmd/asapsim looks for.
 func (e *Engine) Quiesce() error {
-	for i := range e.events {
-		if e.events[i].opIdx < 0 {
-			return fmt.Errorf("sim: closure event pending at cycle %d (not quiescent)", e.events[i].when)
+	for _, q := range [][]event{e.nodes[1:], e.overflow} {
+		for i := range q {
+			if q[i].opIdx < 0 {
+				return fmt.Errorf("sim: closure event pending at cycle %d (not quiescent)", q[i].when)
+			}
 		}
 	}
 	for i, fn := range e.fns {
@@ -274,20 +303,29 @@ func (e *Engine) Quiesce() error {
 
 // Step dispatches exactly one event if available and reports whether it did.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 || e.halted {
+	if e.halted {
 		return false
 	}
-	e.dispatch()
+	ev, slot := e.peek()
+	if ev == nil {
+		return false
+	}
+	e.dispatch(ev, slot)
 	return true
 }
 
-// dispatch pops the minimum event, advances the clock, and runs the
-// callback. It is the single dispatch path shared by Run and Step.
+// dispatch removes ev, the minimum event peek returned with its slot,
+// advances the clock, and runs the callback. It is the single dispatch
+// path shared by Run, RunUntil, Step and the shard window loop.
 //
 //asap:hot the event loop: every simulated cycle of work funnels through here
-func (e *Engine) dispatch() {
-	next := e.events[0]
-	e.popMin()
+func (e *Engine) dispatch(ev *event, slot int) {
+	next := *ev
+	if slot >= 0 {
+		e.unlinkHead(slot)
+	} else {
+		e.popMin()
+	}
 	e.now = next.when
 	e.dispatched++
 	if e.onDispatch != nil {
@@ -300,70 +338,5 @@ func (e *Engine) dispatch() {
 		e.fns[next.fnIdx] = nil
 		e.fnFree = append(e.fnFree, next.fnIdx) //asaplint:ignore alloccheck free list bounded by peak closure events; backing array reaches it once
 		fn()                                    //asaplint:ignore alloccheck closure-form events are the cold-path API; schedcheck keeps them out of converted packages
-	}
-}
-
-// less orders heap slots by (when, seq, sub). Locally scheduled events
-// never share a seq, so for a serial engine the sub comparison is dead
-// code on a branch that never executes; it exists to rank cross-shard
-// arrivals against the local events around their send moment.
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq || (a.seq == b.seq && a.sub < b.sub)
-}
-
-// push appends ev and restores the heap property by sifting it up.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev) //asaplint:ignore alloccheck heap storage reaches steady-state capacity, then appends reuse it
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(i, parent) {
-			break
-		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
-		i = parent
-	}
-}
-
-// popMin removes the root. Events are pointer-free (closures live in
-// Engine.fns and are cleared at dispatch), so the vacated tail slot needs
-// no zeroing for the collector's sake.
-func (e *Engine) popMin() {
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events = e.events[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-}
-
-// siftDown restores the heap property below slot i: swap with the smallest
-// of up to four children until neither child is smaller.
-func (e *Engine) siftDown(i int) {
-	n := len(e.events)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(c, min) {
-				min = c
-			}
-		}
-		if !e.less(min, i) {
-			return
-		}
-		e.events[i], e.events[min] = e.events[min], e.events[i]
-		i = min
 	}
 }

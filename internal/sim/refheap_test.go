@@ -4,12 +4,14 @@ import "container/heap"
 
 // refEvent and refEngine are a reference implementation of the scheduler
 // built on container/heap, kept test-only: the shipped Engine replaced it
-// with an inlined 4-ary typed heap, and TestDifferentialDeterminism drives
-// both with identical randomized workloads to prove the dispatch order —
-// the only observable the simulator depends on — is unchanged.
+// with a timing wheel over an inlined 4-ary typed heap, and the
+// differential tests drive both with identical randomized workloads to
+// prove the dispatch order — the only observable the simulator depends
+// on — is unchanged.
 type refEvent struct {
 	when Cycles
 	seq  uint64
+	sub  uint64
 	fn   func()
 }
 
@@ -20,7 +22,10 @@ func (h refHeap) Less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
-	return h[i].seq < h[j].seq
+	if h[i].seq != h[j].seq {
+		return h[i].seq < h[j].seq
+	}
+	return h[i].sub < h[j].sub
 }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refEvent)) }
@@ -45,16 +50,69 @@ func (e *refEngine) At(when Cycles, fn func()) {
 	if when < e.now {
 		panic("refEngine: event scheduled in the past")
 	}
-	heap.Push(&e.events, refEvent{when: when, seq: e.seq, fn: fn})
+	heap.Push(&e.events, refEvent{when: when, seq: e.seq, sub: localSub, fn: fn})
 	e.seq++
 }
 
 func (e *refEngine) After(delay Cycles, fn func()) { e.At(e.now+delay, fn) }
 
-func (e *refEngine) Run() {
-	for len(e.events) > 0 {
-		next := heap.Pop(&e.events).(refEvent)
-		e.now = next.when
-		next.fn()
+// Arrive mirrors ArriveOp/ArriveFn on a serial engine: the arrival takes
+// the current seq counter as its watermark without consuming it, and sub
+// ranks it against the local event that will take that seq next.
+func (e *refEngine) Arrive(when Cycles, sub uint64, fn func()) {
+	if when < e.now {
+		panic("refEngine: arrival in the past")
 	}
+	heap.Push(&e.events, refEvent{when: when, seq: e.seq, sub: sub, fn: fn})
+}
+
+func (e *refEngine) Pending() int { return len(e.events) }
+
+// NextWhen reports the earliest pending event time.
+func (e *refEngine) NextWhen() (Cycles, bool) {
+	if len(e.events) == 0 {
+		return 0, false
+	}
+	return e.events[0].when, true
+}
+
+func (e *refEngine) Step() bool {
+	if len(e.events) == 0 {
+		return false
+	}
+	next := heap.Pop(&e.events).(refEvent)
+	e.now = next.when
+	next.fn()
+	return true
+}
+
+func (e *refEngine) Run() { e.RunLimit(0) }
+
+// RunLimit mirrors Engine.Run(limit).
+func (e *refEngine) RunLimit(limit Cycles) Cycles {
+	for len(e.events) > 0 {
+		if limit != 0 && e.events[0].when > limit {
+			e.now = max(e.now, limit)
+			return e.now
+		}
+		e.Step()
+	}
+	return e.now
+}
+
+// RunUntil mirrors Engine.RunUntil.
+func (e *refEngine) RunUntil(limit Cycles) Cycles {
+	for len(e.events) > 0 && e.events[0].when <= limit {
+		e.Step()
+	}
+	e.now = max(e.now, limit)
+	return e.now
+}
+
+// JumpTo mirrors Engine.JumpTo.
+func (e *refEngine) JumpTo(when Cycles) {
+	if next, ok := e.NextWhen(); when < e.now || ok && next < when {
+		panic("refEngine: clock jump into the past or past a pending event")
+	}
+	e.now = when
 }

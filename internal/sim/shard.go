@@ -9,8 +9,8 @@
 // from the config). Each round, all domains agree on the global minimum
 // pending event time m and dispatch only events in [m, m+lookahead); a
 // message sent while dispatching inside that window carries a delivery
-// stamp >= m+lookahead, so it is always drained into the destination
-// heap at a barrier before the destination can reach it.
+// stamp >= m+lookahead, so it is always drained into the destination's
+// overflow heap at a barrier before the destination can reach it.
 //
 // Arrival ordering is what makes parallel results match serial ones. The
 // serial engine orders same-cycle events by a global schedule sequence.
@@ -69,11 +69,13 @@ func (e *Engine) watermark(sent Cycles) uint64 {
 	return w
 }
 
-// ArriveOp merges a cross-shard typed event into the heap. when is the
-// delivery stamp, sent the sender's clock at the send; sub ranks
-// arrivals that share a send moment (callers build it from the source
-// domain and drain order, below localSub). Only the engine's own worker
-// may call it, between windows.
+// ArriveOp merges a cross-shard typed event into the overflow heap, whose
+// full (when, seq, sub) compare places it among the local events (the
+// wheel's FIFOs order by local seq alone, so arrivals never enter them).
+// when is the delivery stamp, sent the sender's clock at the send; sub
+// ranks arrivals that share a send moment (callers build it from the
+// source domain and drain order, below localSub). Only the engine's own
+// worker may call it, between windows.
 func (e *Engine) ArriveOp(when, sent Cycles, op EventOp, kind int, arg uint64, sub uint64) {
 	if when < e.now {
 		panic("sim: cross-shard arrival in the past (latency below cluster lookahead)")
@@ -101,10 +103,11 @@ func (e *Engine) ArriveFn(when, sent Cycles, fn func(), sub uint64) {
 
 // minWhen reports the earliest pending event time, or ^0 when idle.
 func (e *Engine) minWhen() Cycles {
-	if len(e.events) == 0 {
+	ev, _ := e.peek()
+	if ev == nil {
 		return ^Cycles(0)
 	}
-	return e.events[0].when
+	return ev.when
 }
 
 // runWindow dispatches events strictly before horizon, recording a seq
@@ -113,16 +116,16 @@ func (e *Engine) minWhen() Cycles {
 //
 //asap:hot the shard dispatch loop: every sharded cycle of work funnels through here
 func (e *Engine) runWindow(horizon Cycles) bool {
-	for len(e.events) > 0 && !e.halted {
-		next := &e.events[0]
-		if next.when >= horizon {
+	for !e.halted {
+		next, slot := e.peek()
+		if next == nil || next.when >= horizon {
 			break
 		}
 		if next.when != e.now {
 			e.marks[e.markHead&(markRingSize-1)] = mark{cycle: next.when, seq: e.seq}
 			e.markHead++
 		}
-		e.dispatch()
+		e.dispatch(next, slot)
 	}
 	return !e.halted
 }
@@ -276,7 +279,7 @@ func (c *Cluster) AddInbox(dst int, ib Inbox) {
 	c.inboxes[dst] = append(c.inboxes[dst], ib)
 }
 
-// Run drives every domain until all heaps and rings drain, a handler
+// Run drives every domain until all queues and rings drain, a handler
 // halts, or the clock would pass limit (0 = no limit), then aligns all
 // domain clocks to the global stop time — the same cycle the serial
 // engine would report — and returns it.
@@ -306,6 +309,10 @@ func (c *Cluster) Run(limit Cycles) Cycles {
 	if c.hitLimit && limit > stop {
 		stop = limit
 	}
+	// Aligning skips no event a domain can still dispatch: a domain that
+	// finished its last window has nothing pending before the window end,
+	// which bounds stop. Only a halted domain can be moved past its own
+	// pending events, and a halted engine never dispatches again.
 	for _, e := range c.domains {
 		e.now = stop
 	}
