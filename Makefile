@@ -41,7 +41,7 @@ bench:
 # artifact.
 bench-baseline:
 	$(GO) test -bench 'Fig8|Tab4|RunASAP' -benchtime 1x -count 3 -benchmem -run '^$$' . > /tmp/bench_baseline.txt
-	$(GO) test -bench 'EventThroughput|EventQueueMachineShape|ShardBarrier' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/sim >> /tmp/bench_baseline.txt
+	$(GO) test -bench 'EventThroughput|EventQueueMachineShape' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/sim >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'HierarchyAccess|DirectoryAccess|SetAssocLookup' -benchtime 1000000x -count 8 -benchmem -run '^$$' ./internal/cache >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'PBFlushCycle|MCFlushCommit' -benchtime 200000x -count 3 -benchmem -run '^$$' ./internal/persist >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'MachineOps' -benchtime 10000x -count 3 -benchmem -run '^$$' ./internal/machine >> /tmp/bench_baseline.txt

@@ -8,7 +8,6 @@
 //	asapsim -stats -workload cceh
 //	asapsim -save-spec run.json            # capture the flags as a RunSpec
 //	asapsim -spec run.json                 # replay a RunSpec exactly
-//	asapsim -shards 2 -workload cceh       # sharded engine, identical results
 //
 // Models: baseline, hops_ep, hops_rp, asap_ep, asap_rp, eadr.
 // Workloads: see -list.
@@ -49,7 +48,6 @@ func main() {
 		valSize  = flag.Int("valuesize", 64, "value size in bytes (16-128 in the paper)")
 		seed     = flag.Uint64("seed", 1, "workload generator seed")
 		mcs      = flag.Int("mcs", 2, "memory controllers")
-		shards   = flag.Int("shards", 1, "timing domains (1 = serial engine; >1 runs the MCs on a parallel shard, same results)")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		saveTr   = flag.String("save-trace", "", "write the generated trace to this file and exit")
 		loadTr   = flag.String("load-trace", "", "replay a trace file instead of generating one")
@@ -84,8 +82,6 @@ func main() {
 	}
 	cfg.MCs = *mcs
 	spec := runspec.New(*wl, *mdl, p, cfg)
-	spec.Shards = *shards
-	spec.Normalize()
 
 	if *specIn != "" {
 		b, err := os.ReadFile(*specIn)
@@ -163,16 +159,7 @@ func main() {
 		return
 	}
 
-	// A spec file may request sharding too; the flag default is serial.
-	nshards := spec.Shards
-	if nshards == 0 {
-		nshards = 1
-	}
-	if nshards > 1 && (*traceOut != "" || *tlOut != "") {
-		fmt.Fprintln(os.Stderr, "asapsim: -trace/-timeline require the serial engine (-shards=1)")
-		os.Exit(1)
-	}
-	m, err := machine.NewSharded(cfg, *mdl, tr, nshards)
+	m, err := machine.New(cfg, *mdl, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -187,8 +174,8 @@ func main() {
 		tl = m.EnableTimeline(sim.Cycles(*interval))
 	}
 	if *ckptOut != "" {
-		if nshards > 1 || col != nil || tl != nil {
-			fmt.Fprintln(os.Stderr, "asapsim: -checkpoint requires the serial engine without -trace/-timeline")
+		if col != nil || tl != nil {
+			fmt.Fprintln(os.Stderr, "asapsim: -checkpoint cannot be combined with -trace/-timeline")
 			os.Exit(1)
 		}
 		if *ckptAt > 0 {

@@ -1,6 +1,6 @@
-// Package domaincheck enforces the state-isolation invariant that the
-// planned parallel discrete-event engine will rely on: an event callback
-// may only mutate state owned by its component.
+// Package domaincheck enforces the state-isolation invariant of the typed
+// event components: an event callback may only mutate state owned by its
+// component.
 //
 // A component is a named struct type implementing the typed event
 // interface — a method
@@ -13,41 +13,28 @@
 // that component's event domain. Inside the domain, two kinds of write
 // are flagged:
 //
-//   - writes to package-level variables (shared by every domain, so any
-//     mutation races once event execution is sharded), and
+//   - writes to package-level variables, and
 //   - writes that reach through a pointer into a *different* component
 //     (assignments to its fields, or through a dereference of a pointer
 //     to it). Cross-component *method calls* stay legal — they are the
-//     messaging fabric, and the parallel engine will serialize them by
-//     scheduling domain-tagged events — but reaching directly into
-//     another component's memory is exactly the data race the sharding
-//     cannot fix.
+//     messaging surface, and the callee mutates its own state.
+//
+// The reason is checkpointing. A checkpoint (internal/checkpoint)
+// captures the state reachable from the machine, and restoring it is sound
+// only if every event's effects lie inside that state. A package-level
+// variable an event writes lies outside it: Capture never sees it, so Fork
+// cannot roll it back, and a forked run inherits whatever the discarded
+// branch left there. Writes that reach into another component's fields
+// are flagged for the same ownership reason: each component's state stays
+// a function of its own callbacks, so its RunEvent is the whole account of
+// what its part of an image can hold.
 //
 // The engine itself is shared infrastructure by contract (schedule calls
-// from any domain); it has no RunEvent, so it is not a component and
+// from any component); it has no RunEvent, so it is not a component and
 // writes via its API are method calls anyway. Violations carry the
 // owning domain in the message and honor //asaplint:ignore domaincheck,
 // which on a call site also cuts the edge out of the domain like
 // alloccheck's propagation control.
-//
-// # Shard boundaries
-//
-// The sharded engine (sim.Cluster) assigns components to timing domains;
-// a component type declares its assignment with a directive in its doc
-// comment:
-//
-//	//asap:domain cpu
-//
-// Between two components annotated with *different* shard names, the
-// method-call allowance above is withdrawn: a synchronous call from one
-// annotated component's event domain into the other annotated component
-// is a cross-shard interaction that bypasses the ring fabric — at run
-// time the callee's state lives on another goroutine's clock. Such calls
-// must go through the cross-shard ring (persist.Link), whose types are
-// deliberately unannotated: ring endpoints run on whichever domain drains
-// them. Components without a directive are unconstrained by this rule
-// (the serial-only models stay legal), and //asaplint:ignore on the call
-// site waives it for deliberately serial-gated fallbacks.
 package domaincheck
 
 import (
@@ -68,12 +55,8 @@ type checker struct{}
 func (checker) Name() string { return "domaincheck" }
 
 func (checker) Doc() string {
-	return "event callbacks (RunEvent and everything it reaches) may only mutate their own component's state: no package-level variable writes, no writes into other components' fields, no synchronous calls into components on a different //asap:domain shard"
+	return "event callbacks (RunEvent and everything it reaches) may only mutate their own component's state: no package-level variable writes, no writes into other components' fields"
 }
-
-// DomainDirective assigns a component type to a shard of the parallel
-// engine; see the package comment.
-const DomainDirective = "//asap:domain"
 
 func (c checker) RunModule(pass *analysis.ModulePass) {
 	g := callgraph.Build(pass.Pkgs)
@@ -83,7 +66,6 @@ func (c checker) RunModule(pass *analysis.ModulePass) {
 			dc.components = append(dc.components, named)
 		}
 	}
-	dc.shards = collectShardNames(pass)
 	for _, comp := range dc.components {
 		dc.checkDomain(comp)
 	}
@@ -93,63 +75,10 @@ type domainCtx struct {
 	pass       *analysis.ModulePass
 	g          *callgraph.Graph
 	components []*types.Named
-	// shards maps an annotated component type to its //asap:domain name.
-	shards map[*types.Named]string
 	// flagged dedupes findings by position: a free function reachable
 	// from several domains is reported once, for the first domain that
 	// reaches it.
 	flagged map[token.Pos]bool
-}
-
-// collectShardNames walks every type declaration for //asap:domain
-// directives. The directive binds to the TypeSpec (its own doc, or the
-// GenDecl doc for the common single-spec form).
-func collectShardNames(pass *analysis.ModulePass) map[*types.Named]string {
-	shards := make(map[*types.Named]string)
-	for _, pkg := range pass.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts := spec.(*ast.TypeSpec)
-					name := shardNameOf(ts.Doc)
-					if name == "" && len(gd.Specs) == 1 {
-						name = shardNameOf(gd.Doc)
-					}
-					if name == "" {
-						continue
-					}
-					if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-						if named, ok := tn.Type().(*types.Named); ok {
-							shards[named] = name
-						}
-					}
-				}
-			}
-		}
-	}
-	return shards
-}
-
-// shardNameOf extracts the name from an //asap:domain line in a doc
-// comment, or "".
-func shardNameOf(doc *ast.CommentGroup) string {
-	if doc == nil {
-		return ""
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, DomainDirective)
-		if !ok || rest == "" {
-			continue
-		}
-		if fields := strings.Fields(rest); len(fields) > 0 {
-			return fields[0]
-		}
-	}
-	return ""
 }
 
 // isComponent reports whether the named type is a struct with a
@@ -190,7 +119,6 @@ func (dc *domainCtx) checkDomain(owner *types.Named) {
 			if dc.pass.Ignored(callPos(call)) {
 				continue // directive cuts the edge out of the domain
 			}
-			dc.checkShardEdge(owner, call)
 			for _, callee := range call.Callees {
 				if inScope[callee] || !dc.inDomain(owner, callee) {
 					continue
@@ -204,44 +132,6 @@ func (dc *domainCtx) checkDomain(owner *types.Named) {
 		if inScope[n] && n.Body != nil {
 			dc.checkBody(owner, n)
 		}
-	}
-}
-
-// checkShardEdge flags a call edge that crosses a shard boundary: owner
-// and the callee's receiver component are both //asap:domain-annotated,
-// with different names. Such a call executes against state owned by
-// another timing domain's goroutine — it must go through the cross-shard
-// ring instead.
-func (dc *domainCtx) checkShardEdge(owner *types.Named, call callgraph.Call) {
-	ownShard := dc.shards[owner]
-	if ownShard == "" {
-		return
-	}
-	for _, callee := range call.Callees {
-		if callee.Func == nil {
-			continue // literal: runs in the calling domain, checked there
-		}
-		sig, ok := callee.Func.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
-		}
-		target := receiverNamed(sig.Recv().Type())
-		if target == nil || target == owner {
-			continue
-		}
-		theirShard := dc.shards[target]
-		if theirShard == "" || theirShard == ownShard {
-			continue
-		}
-		pos := callPos(call)
-		if dc.flagged[pos] {
-			return
-		}
-		dc.flagged[pos] = true
-		dc.pass.Reportf(pos,
-			"synchronous call to (%s).%s (shard %q) from the event domain of %s (shard %q); cross-shard interaction must go through the ring",
-			shortTypeName(target), callee.Func.Name(), theirShard, shortTypeName(owner), ownShard)
-		return
 	}
 }
 

@@ -71,62 +71,3 @@ func (l *Link) RunEvent(kind int, arg uint64) {
 		l.back.n = 5 // want `write to field n of component Station`
 	}
 }
-
-// Shard boundaries: components annotated with //asap:domain may not call
-// each other synchronously across different shard names.
-
-// Pump models a CPU-side component.
-//
-//asap:domain cpu
-type Pump struct {
-	n    int
-	ctrl *Ctrl
-	mate *Gauge
-	sink receiver
-	ring *ring
-}
-
-// Ctrl models an MC-side component.
-//
-//asap:domain mc
-type Ctrl struct{ n int }
-
-// Gauge shares Pump's shard: calls between them stay legal.
-//
-//asap:domain cpu
-type Gauge struct{ n int }
-
-// ring is the messaging fabric: unannotated, so both shards may call it.
-type ring struct{ q []uint64 }
-
-type receiver interface{ Receive(v int) }
-
-func (c *Ctrl) RunEvent(kind int, arg uint64) { c.n++ }
-func (c *Ctrl) Receive(v int)                 { c.n = v }
-
-func (g *Gauge) RunEvent(kind int, arg uint64) { g.n++ }
-func (g *Gauge) Observe(v int)                 { g.n = v }
-
-func (r *ring) Send(v uint64) { r.q = append(r.q, v) }
-
-func (p *Pump) RunEvent(kind int, arg uint64) {
-	p.n++
-	p.ctrl.Receive(1)  // want `synchronous call to \(fixture.Ctrl\).Receive \(shard "mc"\)`
-	p.mate.Observe(2)  // ok: same shard
-	p.ring.Send(arg)   // ok: the fabric is unannotated
-	p.sink.Receive(3)  // want `synchronous call to \(fixture.Ctrl\).Receive \(shard "mc"\)`
-	p.relay()          // helper joins the domain; its edges are checked too
-	p.ctrl.Receive(9)  //asaplint:ignore domaincheck serial-gated fallback, cluster==nil branch
-	func() { p.n-- }() // ok: closure runs on the owning shard
-}
-
-// relay is in Pump's domain via the static call in RunEvent.
-func (p *Pump) relay() {
-	p.ctrl.Receive(4) // want `synchronous call to \(fixture.Ctrl\).Receive \(shard "mc"\)`
-}
-
-// drain is not reachable from Pump.RunEvent: identical calls are legal
-// outside the event domain (setup/teardown and post-run merging).
-func (p *Pump) drain() {
-	p.ctrl.Receive(5)
-}

@@ -18,7 +18,6 @@
 package checkpoint
 
 import (
-	"fmt"
 	"reflect"
 	"unsafe"
 
@@ -26,7 +25,7 @@ import (
 	"asap/internal/sim"
 )
 
-// Checkpoint is an in-memory snapshot of one serial machine, taken by
+// Checkpoint is an in-memory snapshot of one machine, taken by
 // Capture and moved to a later instant by Recapture. It rewinds that same
 // machine instance: Fork puts the machine
 // back into the captured state in place, preserving every object identity
@@ -42,14 +41,10 @@ type Checkpoint struct {
 }
 
 // Capture snapshots m's full state at the current cycle. The machine must
-// be serial (sharded machines span goroutines) and not mid-dispatch: call
-// between Advance boundaries. Attached observability sinks (tracer,
+// not be mid-dispatch: call between Advance boundaries. Attached observability sinks (tracer,
 // timeline, progress) are deliberately not rolled back by a later Fork —
 // they are append-only history, not simulation state.
 func Capture(m *machine.Machine) (*Checkpoint, error) {
-	if m.Sharded() {
-		return nil, fmt.Errorf("checkpoint: sharded machines cannot be captured (build with shards=1)")
-	}
 	c := &Checkpoint{m: m}
 	c.Recapture()
 	return c, nil

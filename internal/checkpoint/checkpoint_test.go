@@ -122,24 +122,6 @@ func compare(t *testing.T, phase string, want, got runSummary) {
 	}
 }
 
-// TestCaptureRejectsSharded pins the serial-only contract.
-func TestCaptureRejectsSharded(t *testing.T) {
-	tr, err := workload.Generate("cceh", workload.Params{Threads: 4, OpsPerThread: 40, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.NewSharded(config.Default(), model.NameASAPEP, tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Sharded() {
-		t.Skip("host clamps to serial")
-	}
-	if _, err := Capture(m); err == nil {
-		t.Fatal("Capture accepted a sharded machine")
-	}
-}
-
 // TestCaptureSkipsSharedTrace pins that a snapshot never covers the
 // *trace.Trace: machines built from one trace share it, so restoring it
 // would race between campaigns forked concurrently (the -race run of

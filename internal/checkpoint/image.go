@@ -964,9 +964,6 @@ func Save(m *machine.Machine) (img []byte, err error) {
 			img, err = nil, fmt.Errorf("checkpoint: save panicked: %v", r)
 		}
 	}()
-	if m.Sharded() {
-		return nil, fmt.Errorf("checkpoint: cannot save a sharded machine (serial engines only)")
-	}
 	if m.HasObservers() {
 		return nil, fmt.Errorf("checkpoint: cannot save an observed machine (detach tracer/timeline/progress first)")
 	}
@@ -1369,7 +1366,7 @@ func scanQuiescent(m, pristine *machine.Machine) error {
 // cycle. Non-quiescence is the only error it retries; each rejected cycle
 // costs a func-pruned scan, not an encode attempt.
 func SaveNextQuiescent(m *machine.Machine, maxAhead uint64) ([]byte, uint64, error) {
-	if m.Sharded() || m.HasObservers() || m.Trace() == nil {
+	if m.HasObservers() || m.Trace() == nil {
 		_, err := Save(m) // produce the precise gating error
 		return nil, 0, err
 	}

@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -235,12 +237,50 @@ func reseal(img []byte) []byte {
 	return img
 }
 
-// engineSlotHead returns a settable view of the engine's wheel slot head
-// for slot s (the field is unexported; the test reaches it the way the
-// checkpoint walker does, through its address).
-func engineSlotHead(m *machine.Machine, s int) reflect.Value {
-	f := reflect.ValueOf(m.Eng).Elem().FieldByName("slots").Index(s).FieldByName("head")
+// settable returns a settable view of an unexported field; the test
+// reaches it the way the checkpoint walker does, through its address.
+func settable(f reflect.Value) reflect.Value {
 	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// engineSlotHead returns a settable view of the engine's wheel slot head
+// for slot s.
+func engineSlotHead(m *machine.Machine, s int) reflect.Value {
+	return settable(reflect.ValueOf(m.Eng).Elem().FieldByName("slots").Index(s).FieldByName("head"))
+}
+
+// diffOffset returns the one payload offset where a and b differ.
+func diffOffset(t *testing.T, a, b []byte) int {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("images are %d and %d bytes, want equal lengths", len(a), len(b))
+	}
+	off := -1
+	for i := len(imageMagic) + 1 + 32; i < len(a); i++ {
+		if a[i] != b[i] {
+			if off >= 0 {
+				t.Fatalf("images differ at payload bytes %d and %d, want one", off, i)
+			}
+			off = i
+		}
+	}
+	if off < 0 {
+		t.Fatal("in-memory change did not reach the image")
+	}
+	return off
+}
+
+// loadRejects asserts Load refuses the resealed image with the queue
+// check's error, naming want.
+func loadRejects(t *testing.T, bad []byte, want, what string) {
+	t.Helper()
+	lm, err := Load(reseal(bad))
+	if err == nil || lm != nil {
+		t.Fatalf("%s: Load returned (%v, %v), want an error", what, lm != nil, err)
+	}
+	if !strings.Contains(err.Error(), "event queue is malformed") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s: %v, want the queue check's %q error", what, err, want)
+	}
 }
 
 // TestImageRejectsMalformedQueue pins that Load checks the decoded event
@@ -274,32 +314,44 @@ func TestImageRejectsMalformedQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(marked) != len(img) {
-		t.Fatalf("marked image is %d bytes, clean %d", len(marked), len(img))
-	}
-	off := -1
-	for i := len(imageMagic) + 1 + 32; i < len(img); i++ {
-		if img[i] != marked[i] {
-			if off >= 0 {
-				t.Fatalf("images differ at payload bytes %d and %d, want one slot head", off, i)
-			}
-			off = i
-		}
-	}
-	if off < 0 {
-		t.Fatal("slot head change did not reach the image")
-	}
+	off := diffOffset(t, img, marked)
 	// Zigzag varints: 0x02 is node 1 (owned by another slot), 0x01 is -1,
 	// 0x7e is 63 (past the slab's end).
 	for _, b := range []byte{0x02, 0x01, 0x7e} {
 		bad := append([]byte(nil), img...)
 		bad[off] = b
-		lm, err := Load(reseal(bad))
-		if err == nil || lm != nil {
-			t.Fatalf("slot head byte %#x: Load returned (%v, %v), want an error", b, lm != nil, err)
-		}
-		if !strings.Contains(err.Error(), "event queue is malformed") {
-			t.Fatalf("slot head byte %#x: %v, want the queue check's error", b, err)
-		}
+		loadRejects(t, bad, "wheel slot", fmt.Sprintf("slot head byte %#x", b))
 	}
+
+	// An overflow event whose seq is not below the engine's counter could
+	// tie a later event on (when, seq). The machine has no far-future
+	// event at this cycle, so schedule one (never dispatched); its seq's
+	// offset is found by saving again with the seq's low bit flipped, and
+	// the uvarint there is patched to the largest value of its length.
+	m.Eng.AfterOp(4096, m, 0, 0)
+	img, err = Save(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(img); err != nil {
+		t.Fatalf("image with an overflow event: %v", err)
+	}
+	seq := settable(reflect.ValueOf(m.Eng).Elem().FieldByName("overflow").Index(0).FieldByName("seq"))
+	seq.SetUint(seq.Uint() ^ 1)
+	marked, err = Save(m)
+	seq.SetUint(seq.Uint() ^ 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off = diffOffset(t, img, marked)
+	v, n := binary.Uvarint(img[off:])
+	if v != seq.Uint() {
+		t.Fatalf("uvarint at the overflow seq offset decodes to %d, want %d", v, seq.Uint())
+	}
+	bad := append([]byte(nil), img...)
+	for i := off; i < off+n-1; i++ {
+		bad[i] = 0xff
+	}
+	bad[off+n-1] = 0x7f
+	loadRejects(t, bad, "overflow event seq", "overflow seq patched past the counter")
 }

@@ -239,11 +239,7 @@ func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := k.Shards
-	if shards == 0 {
-		shards = 1 // the normalized serial value
-	}
-	m, err := machine.NewSharded(k.Config, k.Model, tr, shards)
+	m, err := machine.New(k.Config, k.Model, tr)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", k, err)
 	}
@@ -269,12 +265,8 @@ type artifactKey string
 // serializes both artifacts after the run. Each leader owns its own
 // collector, so parallel captures never share mutable state. With capture
 // disabled it returns a no-op, keeping the call sites unconditional.
-// Sharded machines cannot be traced (the tracer assumes the serial
-// engine); their leaders skip capture rather than panic — the CLIs reject
-// the flag combination up front, this guard covers specs arriving with
-// Shards set over the RunSpec path.
 func (e *engine) instrument(k runspec.RunSpec, m *machine.Machine) func() error {
-	if e.traceDir == "" || m.Sharded() {
+	if e.traceDir == "" {
 		return func() error { return nil }
 	}
 	col := obs.NewCollector(m.Eng.Now)

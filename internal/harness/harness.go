@@ -110,17 +110,6 @@ type Options struct {
 	// service (asapd) wants the opposite — errors stay cached under
 	// their own spec, and unrelated requests keep working.
 	KeepGoing bool
-	// Shards requests a sharded (multi-domain) simulation engine for every
-	// run the harness builds: 0 or 1 selects the serial engine, larger
-	// values split each machine across timing domains (see
-	// machine.NewSharded; the effective count may be clamped). Sharded runs
-	// reproduce serial results exactly, so tables are identical at any
-	// setting — the differential suite in package machine and the
-	// golden-table test here enforce that. Runs requested through RunSpec
-	// carry their own Shards field and are unaffected by this option.
-	// Trace capture requires the serial engine: sharded leaders skip
-	// artifact writes (see engine.instrument).
-	Shards int
 	// Observe, when non-nil, is invoked on each leader simulation's
 	// machine after construction and before Run, so callers can attach
 	// observability sinks (asapd attaches an obs.Gauge for progress
@@ -207,11 +196,9 @@ func (h *Harness) jobCfg(cfg config.Config, wl, mdl string, threads int) runspec
 }
 
 // jobParams is job with explicit machine configuration and workload
-// parameters (bandwidth and strand traces). Every harness-built spec
-// passes through here, so the Shards option lands on all of them.
+// parameters (bandwidth and strand traces).
 func (h *Harness) jobParams(cfg config.Config, p workload.Params, wl, mdl string) runspec.RunSpec {
 	s := runspec.New(wl, mdl, p, cfg)
-	s.Shards = h.opts.Shards
 	s.Normalize()
 	return s
 }

@@ -28,11 +28,8 @@ const (
 	asapEvCDR         // deliver a CDR; arg is the packed dependent EpochID
 )
 
-// ASAP runs on the CPU timing domain of a sharded machine: all controller
-// interaction (flush issue, commit broadcast, NACK retries) crosses the
-// Link, never a direct MC call — domaincheck enforces it.
-//
-//asap:domain cpu
+// ASAP issues every flush, commit broadcast and NACK retry through the
+// Link, never as a direct MC call.
 type ASAP struct {
 	env Env
 	hc  hotCounters

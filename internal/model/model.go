@@ -49,11 +49,10 @@ type Env struct {
 	St     *stats.Set
 	Ledger Ledger
 
-	// Link carries every model→controller message (flushes, commits) and
-	// the replies. On a serial machine it is a passthrough that reproduces
-	// the models' former event schedule exactly; on a sharded machine it is
-	// the cross-shard ring fabric. New defaults it to a serial link over
-	// Eng when left nil.
+	// Link carries every model→controller message (flushes, commits) at
+	// its modeled latency, reproducing the models' former event schedule
+	// exactly; the controllers' replies come back through their own reply
+	// queues. New defaults it to a link over Eng when left nil.
 	Link *persist.Link
 }
 
@@ -149,15 +148,6 @@ func Known(name string) bool {
 func Speculative(name string) bool {
 	return name == NameASAPEP || name == NameASAPRP
 }
-
-// Shardable reports whether the named model tolerates its memory
-// controllers living on separate timing domains (sharded machines). Every
-// controller interaction must then cross the Link with at least the
-// cluster lookahead of modeled latency. Vorpal cannot: its park/persist
-// decisions and periodic clock broadcasts touch the controllers
-// synchronously (persistNow calls Receive with zero latency at broadcast
-// ticks), so a sharded run of vorpal falls back to the serial engine.
-func Shardable(name string) bool { return name != NameVorpal }
 
 // New builds the named model.
 func New(name string, env Env) (Model, error) {

@@ -2,50 +2,29 @@ package persist
 
 import (
 	"asap/internal/config"
-	"asap/internal/mem"
 	"asap/internal/sim"
 )
 
-// Link is the model↔controller message fabric. Every interaction that
-// crosses the CPU/MC timing boundary — persist-buffer flushes, epoch
-// commits, their ACK/NACK replies, demand-fill read accounting and
-// LLC-eviction classification — is issued through it.
-//
-// In a serial machine the Link is a passthrough that reproduces, event
-// for event, the schedule the models used to produce themselves: one
-// typed event per flush at +FlushLat, one per commit at +MsgLat, with
-// FIFO payload queues — so the serial (when, seq) dispatch stream, and
-// therefore the golden tables and golden trace, are byte-identical to
-// the pre-Link engine.
-//
-// In a sharded machine (built over a sim.Cluster) the same calls become
-// stamped messages on fixed-capacity SPSC rings between the CPU domain
-// and each MC domain. Payloads park in a per-domain slab so the heap
-// events stay pointer-free, and the controller's reply path (MC.sendReply)
-// routes back through the Link with the MsgLat applied across the ring
-// rather than inside the controller. All Link latencies are at least
-// min(FlushLat, MsgLat), which is exactly the cluster lookahead — the
-// conservative-window correctness condition.
+// Link is the model↔controller message fabric: every flush and epoch
+// commit a model issues toward a memory controller goes through it. It
+// schedules one typed event per flush at +FlushLat and one per commit at
+// +MsgLat, and keeps the payloads (packets, repliers, closures) in FIFO
+// queues, because queued engine events are pointer-free and carry none.
+// Deliveries of one kind share one latency, so the FIFOs dequeue in
+// exactly the order the events fire.
 type Link struct {
-	eng *sim.Engine // CPU-domain engine (the only engine in serial mode)
+	eng *sim.Engine
 	cfg config.Config
 	mcs []*MC
 
-	// serial delivery queues, head-indexed rings like MC's job queue.
+	// delivery queues, head-indexed rings like MC's job queue.
 	fq    []linkFlushSend
 	fhead int
 	cq    []linkCommitSend
 	chead int
-
-	// sharded state; nil/empty in serial mode.
-	cluster  *sim.Cluster
-	mcDomain []int                // MC index -> cluster domain
-	toMC     []*sim.Ring[linkMsg] // per cluster domain; nil for domain 0
-	toCPU    []*sim.Ring[linkMsg] // per cluster domain; nil for domain 0
-	ports    []*linkPort          // per cluster domain payload slab
 }
 
-// linkFlushSend is one queued serial flush delivery.
+// linkFlushSend is one queued flush delivery.
 type linkFlushSend struct {
 	mc      *MC
 	pkt     FlushPacket
@@ -55,136 +34,39 @@ type linkFlushSend struct {
 	retried bool
 }
 
-// linkCommitSend is one queued serial commit delivery.
+// linkCommitSend is one queued commit delivery.
 type linkCommitSend struct {
 	mc    *MC
 	epoch EpochID
 	acker CommitAcker
 }
 
-// Typed-event kinds dispatched through Link.RunEvent (serial mode).
+// Typed-event kinds dispatched through Link.RunEvent.
 const (
 	linkEvFlush = iota
 	linkEvCommit
 )
 
-// Cross-shard message kinds.
-const (
-	linkFlushMsg    = iota // CPU->MC: deliver a flush (typed or closure reply)
-	linkCommitMsg          // CPU->MC: deliver an epoch commit
-	linkReadMsg            // CPU->MC: account a demand-fill media read
-	linkClassifyMsg        // CPU->MC: classify a dropped LLC eviction
-	linkReplyMsg           // MC->CPU: deliver an ACK/NACK/commit-done
-)
-
-// linkMsg is the one cross-shard payload shape, both directions. Rings
-// and slabs hold them by value; the heap only ever sees a slab index.
-type linkMsg struct {
-	when sim.Cycles // delivery stamp
-	sent sim.Cycles // sender's clock at send (arrival ordering)
-	kind int32
-	mc   *MC
-
-	pkt     FlushPacket
-	replier FlushReplier
-	reply   func(FlushResult)
-	arg     uint64
-	retried bool
-
-	epoch EpochID
-	acker CommitAcker
-	ackFn func()
-
-	line mem.Line
-	res  FlushResult
-}
-
-// NewLink builds the serial passthrough fabric over eng.
+// NewLink builds the fabric over eng.
 func NewLink(eng *sim.Engine, cfg config.Config, mcs []*MC) *Link {
 	return &Link{eng: eng, cfg: cfg, mcs: mcs}
 }
 
-// NewCrossLink builds the sharded fabric over cl: mcDomain maps each MC
-// to its cluster domain (never domain 0, which hosts the cores and
-// models). It wires the rings, registers the drain inboxes in source
-// order, and points every controller's reply path back through the
-// link.
-func NewCrossLink(cl *sim.Cluster, cfg config.Config, mcs []*MC, mcDomain []int) *Link {
-	l := &Link{
-		eng:      cl.Domain(0),
-		cfg:      cfg,
-		mcs:      mcs,
-		cluster:  cl,
-		mcDomain: mcDomain,
-		toMC:     make([]*sim.Ring[linkMsg], cl.Domains()),
-		toCPU:    make([]*sim.Ring[linkMsg], cl.Domains()),
-		ports:    make([]*linkPort, cl.Domains()),
-	}
-	for d := 0; d < cl.Domains(); d++ {
-		l.ports[d] = &linkPort{link: l}
-	}
-	for _, d := range mcDomain {
-		if d == 0 {
-			panic("persist: MC assigned to the CPU domain")
-		}
-		if l.toMC[d] == nil {
-			l.toMC[d] = sim.NewRing[linkMsg](linkRingCap)
-			l.toCPU[d] = sim.NewRing[linkMsg](linkRingCap)
-			cl.AddInbox(d, &linkInbox{ring: l.toMC[d], port: l.ports[d]})
-		}
-	}
-	// CPU-side inboxes in MC-domain order, so arrival ranking between
-	// controllers is deterministic.
-	for d := 1; d < cl.Domains(); d++ {
-		if l.toCPU[d] != nil {
-			cl.AddInbox(0, &linkInbox{ring: l.toCPU[d], port: l.ports[0]})
-		}
-	}
-	for i, mc := range mcs {
-		mc.setCrossLink(l, mcDomain[i])
-	}
-	return l
-}
-
-// linkRingCap bounds in-flight cross-shard messages per direction and
-// domain pair. Rings drain fully at every window barrier, so occupancy
-// is one window's sends; Send panics via the caller if it ever fills.
-const linkRingCap = 2048
-
-// Sharded reports whether the link crosses shard boundaries.
-func (l *Link) Sharded() bool { return l.cluster != nil }
-
 // FlushOp issues a flush to mcs[mcID], delivered after FlushLat: the
 // typed form used by the ASAP models. retried marks a NACK-retried
-// flush, whose delivery removes the line's Bloom reservation — at the
-// controller, in both modes, at the same simulated time.
+// flush, whose delivery removes the line's Bloom reservation at the
+// controller.
 //
 //asap:hot flush issue: every persist-buffer drain goes through here
 func (l *Link) FlushOp(mcID int, pkt FlushPacket, rp FlushReplier, arg uint64, retried bool) {
-	mc := l.mcs[mcID]
-	if l.cluster != nil {
-		l.sendToMC(mc, linkMsg{
-			when: l.eng.Now() + l.cfg.FlushLat, sent: l.eng.Now(), kind: linkFlushMsg,
-			mc: mc, pkt: pkt, replier: rp, arg: arg, retried: retried,
-		})
-		return
-	}
-	l.fq = append(l.fq, linkFlushSend{mc: mc, pkt: pkt, replier: rp, arg: arg, retried: retried}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
+	l.fq = append(l.fq, linkFlushSend{mc: l.mcs[mcID], pkt: pkt, replier: rp, arg: arg, retried: retried}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
 	l.eng.AfterOp(l.cfg.FlushLat, l, linkEvFlush, 0)
 }
 
 // Flush is the closure-reply form of FlushOp, used by the non-ASAP
-// models; reply runs on the CPU domain in both modes.
+// models.
 func (l *Link) Flush(mcID int, pkt FlushPacket, reply func(FlushResult)) {
-	mc := l.mcs[mcID]
-	if l.cluster != nil {
-		l.sendToMC(mc, linkMsg{
-			when: l.eng.Now() + l.cfg.FlushLat, sent: l.eng.Now(), kind: linkFlushMsg,
-			mc: mc, pkt: pkt, reply: reply,
-		})
-		return
-	}
-	l.fq = append(l.fq, linkFlushSend{mc: mc, pkt: pkt, reply: reply})
+	l.fq = append(l.fq, linkFlushSend{mc: l.mcs[mcID], pkt: pkt, reply: reply})
 	l.eng.AfterOp(l.cfg.FlushLat, l, linkEvFlush, 0)
 }
 
@@ -193,69 +75,13 @@ func (l *Link) Flush(mcID int, pkt FlushPacket, reply func(FlushResult)) {
 //
 //asap:hot commit issue: every epoch commit goes through here
 func (l *Link) CommitOp(mcID int, e EpochID, acker CommitAcker) {
-	mc := l.mcs[mcID]
-	if l.cluster != nil {
-		l.sendToMC(mc, linkMsg{
-			when: l.eng.Now() + l.cfg.MsgLat, sent: l.eng.Now(), kind: linkCommitMsg,
-			mc: mc, epoch: e, acker: acker,
-		})
-		return
-	}
-	l.cq = append(l.cq, linkCommitSend{mc: mc, epoch: e, acker: acker}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
+	l.cq = append(l.cq, linkCommitSend{mc: l.mcs[mcID], epoch: e, acker: acker}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
 	l.eng.AfterOp(l.cfg.MsgLat, l, linkEvCommit, 0)
 }
 
-// DemandRead accounts a demand-fill media read at mcs[mcID] in sharded
-// mode, where the CPU domain must not touch the controller's NVM
-// directly; the read lands after MsgLat. Serial machines read the NVM
-// in place instead.
-func (l *Link) DemandRead(mcID int, line mem.Line) {
-	mc := l.mcs[mcID]
-	l.sendToMC(mc, linkMsg{
-		when: l.eng.Now() + l.cfg.MsgLat, sent: l.eng.Now(), kind: linkReadMsg,
-		mc: mc, line: line,
-	})
-}
-
-// ClassifyEviction routes a dropped-LLC-eviction classification to
-// mcs[mcID]'s Bloom filter in sharded mode; the controller counts it as
-// delayed or dropped (merged into the machine stats after the run).
-// Serial machines classify in place instead.
-func (l *Link) ClassifyEviction(mcID int, line mem.Line) {
-	mc := l.mcs[mcID]
-	l.sendToMC(mc, linkMsg{
-		when: l.eng.Now() + l.cfg.MsgLat, sent: l.eng.Now(), kind: linkClassifyMsg,
-		mc: mc, line: line,
-	})
-}
-
-// sendToMC rings m to its controller's domain.
+// RunEvent dispatches the delivery queues.
 //
-//asap:hot cross-shard send fast path
-func (l *Link) sendToMC(mc *MC, m linkMsg) {
-	if !l.toMC[mc.crossDomain].Send(m) {
-		panic("persist: cross-shard ring full (raise linkRingCap)")
-	}
-}
-
-// replyFromMC crosses an ACK/NACK/commit-done back to the CPU domain,
-// applying the MsgLat the serial controller applies internally.
-//
-//asap:hot cross-shard reply fast path
-func (l *Link) replyFromMC(mc *MC, r mcReply) {
-	m := linkMsg{
-		when: mc.eng.Now() + l.cfg.MsgLat, sent: mc.eng.Now(), kind: linkReplyMsg,
-		mc: mc, replier: r.replier, reply: r.legacy, arg: r.arg, res: r.res,
-		acker: r.acker, ackFn: r.commit, epoch: r.ackEpoch,
-	}
-	if !l.toCPU[mc.crossDomain].Send(m) {
-		panic("persist: cross-shard ring full (raise linkRingCap)")
-	}
-}
-
-// RunEvent dispatches the serial delivery queues.
-//
-//asap:hot serial link delivery: one event per flush/commit in flight
+//asap:hot link delivery: one event per flush/commit in flight
 func (l *Link) RunEvent(kind int, arg uint64) {
 	switch kind {
 	case linkEvFlush:
@@ -266,7 +92,17 @@ func (l *Link) RunEvent(kind int, arg uint64) {
 			l.fq = l.fq[:0]
 			l.fhead = 0
 		}
-		l.deliverFlush(s.mc, s.pkt, s.replier, s.reply, s.arg, s.retried)
+		if s.retried && s.mc.Bloom != nil {
+			// The retry carries the newest value for the line; the Bloom
+			// reservation that protected it from LLC-eviction drops lifts
+			// the moment the retry reaches the controller.
+			s.mc.Bloom.Remove(s.pkt.Line)
+		}
+		if s.replier != nil {
+			s.mc.ReceiveOp(s.pkt, s.replier, s.arg)
+		} else {
+			s.mc.Receive(s.pkt, s.reply)
+		}
 	case linkEvCommit:
 		s := l.cq[l.chead]
 		l.cq[l.chead] = linkCommitSend{}
@@ -278,95 +114,5 @@ func (l *Link) RunEvent(kind int, arg uint64) {
 		s.mc.CommitOp(s.epoch, s.acker)
 	default:
 		panic("persist: unknown Link event kind")
-	}
-}
-
-// deliverFlush lands a flush at its controller: the shared tail of the
-// serial and sharded paths, at the same simulated time in both.
-func (l *Link) deliverFlush(mc *MC, pkt FlushPacket, rp FlushReplier, reply func(FlushResult), arg uint64, retried bool) {
-	if retried && mc.Bloom != nil {
-		// The retry carries the newest value for the line; the Bloom
-		// reservation that protected it from LLC-eviction drops lifts
-		// the moment the retry reaches the controller.
-		mc.Bloom.Remove(pkt.Line)
-	}
-	if rp != nil {
-		mc.ReceiveOp(pkt, rp, arg)
-	} else {
-		mc.Receive(pkt, reply)
-	}
-}
-
-// linkPort is one domain's delivery endpoint: arrivals park their
-// payload in its slab and the heap event carries only the slot index,
-// keeping shard heap elements pointer-free like every other event.
-type linkPort struct {
-	link *Link
-	slab []linkMsg
-	free []int32
-}
-
-// park stores m and returns its slot.
-func (p *linkPort) park(m linkMsg) uint64 {
-	var idx int32
-	if n := len(p.free); n > 0 {
-		idx = p.free[n-1]
-		p.free = p.free[:n-1]
-		p.slab[idx] = m
-	} else {
-		idx = int32(len(p.slab))
-		p.slab = append(p.slab, m) //asaplint:ignore alloccheck slab reaches peak in-flight deliveries, then the free list recycles slots
-	}
-	return uint64(idx)
-}
-
-// RunEvent delivers a parked cross-shard message at its stamped time.
-//
-//asap:hot sharded delivery: every cross-shard message dispatches here
-func (p *linkPort) RunEvent(kind int, arg uint64) {
-	m := p.slab[arg]
-	p.slab[arg] = linkMsg{}
-	p.free = append(p.free, int32(arg)) //asaplint:ignore alloccheck free list bounded by peak in-flight deliveries
-	switch m.kind {
-	case linkFlushMsg:
-		p.link.deliverFlush(m.mc, m.pkt, m.replier, m.reply, m.arg, m.retried)
-	case linkCommitMsg:
-		m.mc.CommitOp(m.epoch, m.acker)
-	case linkReadMsg:
-		m.mc.NVM.Read(m.line)
-	case linkClassifyMsg:
-		m.mc.classifyEviction(m.line)
-	case linkReplyMsg:
-		switch {
-		case m.acker != nil:
-			m.acker.CommitAck(m.epoch)
-		case m.ackFn != nil:
-			m.ackFn() //asaplint:ignore alloccheck legacy closure-form reply; models use the typed repliers
-		case m.replier != nil:
-			m.replier.FlushReply(m.arg, m.res)
-		default:
-			m.reply(m.res) //asaplint:ignore alloccheck legacy closure-form reply path for the non-ASAP models
-		}
-	default:
-		panic("persist: unknown cross-shard message kind")
-	}
-}
-
-// linkInbox adapts one ring to the cluster's drain contract; ctr keeps
-// arrival ranking monotonic across windows.
-type linkInbox struct {
-	ring *sim.Ring[linkMsg]
-	port *linkPort
-	ctr  uint64
-}
-
-// Drain empties the ring into dst's heap.
-//
-//asap:hot cross-shard drain: runs at every window barrier
-func (ib *linkInbox) Drain(dst *sim.Engine, subBase uint64) {
-	var m linkMsg
-	for ib.ring.Recv(&m) {
-		dst.ArriveOp(m.when, m.sent, ib.port, 0, ib.port.park(m), subBase|ib.ctr)
-		ib.ctr++
 	}
 }

@@ -84,12 +84,6 @@ type mcReply struct {
 // All steady-state work is scheduled through the engine's typed-event form
 // with the controller itself as receiver, and the job/reply queues are
 // head-indexed rings, so serving traffic does not allocate.
-//
-// On a sharded machine every controller lives on the MC timing domain
-// (machine.EffectiveShards); domaincheck enforces that CPU-domain
-// components reach it only through the Link.
-//
-//asap:domain mc
 type MC struct {
 	ID  int
 	eng *sim.Engine
@@ -121,15 +115,6 @@ type MC struct {
 	wpqWaitCont int
 
 	draining bool
-
-	// cross-shard routing, set only on sharded machines: replies leave
-	// through the link (which applies MsgLat across the ring) instead of
-	// the local reply queue, and LLC-eviction classifications arriving
-	// from the CPU domain are counted here and merged after the run.
-	cross       *Link
-	crossDomain int
-	evDelayed   uint64
-	evDropped   uint64
 
 	st *stats.Set
 	hc mcCounters
@@ -267,9 +252,7 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 		}
 		switch {
 		case r.acker != nil:
-			// Serial path only: on a sharded machine sendReply routed this
-			// reply through the Link before it could reach the local queue.
-			r.acker.CommitAck(r.ackEpoch) //asaplint:ignore domaincheck serial engine delivery; sharded replies cross the ring in sendReply
+			r.acker.CommitAck(r.ackEpoch)
 		case r.commit != nil:
 			r.commit() //asaplint:ignore alloccheck legacy closure-form reply, used only by package tests; models use the typed repliers
 		case r.replier != nil:
@@ -301,36 +284,8 @@ func (mc *MC) finishJob() {
 	mc.serve()
 }
 
-// setCrossLink points the controller's reply path at the sharded link.
-func (mc *MC) setCrossLink(l *Link, domain int) {
-	mc.cross = l
-	mc.crossDomain = domain
-}
-
-// classifyEviction counts a dropped persistent LLC eviction against the
-// Bloom filter — the sharded form of the machine's in-place check; the
-// machine folds the two counters into its stats after the run.
-func (mc *MC) classifyEviction(l mem.Line) {
-	if mc.Bloom != nil && mc.Bloom.MaybeContains(l) {
-		mc.evDelayed++
-	} else {
-		mc.evDropped++
-	}
-}
-
-// EvictionCounts reports the sharded-mode eviction classifications.
-func (mc *MC) EvictionCounts() (delayed, dropped uint64) {
-	return mc.evDelayed, mc.evDropped
-}
-
-// sendReply queues r for delivery MsgLat cycles from now. On a sharded
-// machine every reply targets the CPU domain, so the reply crosses the
-// link with the same MsgLat applied to the ring stamp instead.
+// sendReply queues r for delivery MsgLat cycles from now.
 func (mc *MC) sendReply(r mcReply) {
-	if mc.cross != nil {
-		mc.cross.replyFromMC(mc, r)
-		return
-	}
 	mc.replies = append(mc.replies, r) //asaplint:ignore alloccheck reply ring: head compaction keeps it at steady-state capacity
 	mc.eng.AfterOp(mc.cfg.MsgLat, mc, mcEvReply, 0)
 }

@@ -49,17 +49,6 @@ type RunSpec struct {
 	Model    string          `json:"model"`
 	Params   workload.Params `json:"params"`
 	Config   config.Config   `json:"config"`
-
-	// Shards requests a sharded (multi-domain) engine for the run. Sharded
-	// runs reproduce the serial result exactly (the machine package's
-	// differential suite is the contract), so 0 and 1 both mean "serial"
-	// and are canonically identical: Normalize folds 1 into the zero value
-	// and omitempty keeps it out of the canonical bytes — every pre-existing
-	// content address is unchanged, and Schema stays at 1. Values above 1
-	// do participate in the hash: they select a different execution engine,
-	// and a store that wants to trust the equivalence may map such specs
-	// back itself.
-	Shards int `json:"shards,omitempty"`
 }
 
 // New builds a normalized RunSpec at the current schema version. A zero
@@ -89,9 +78,6 @@ func (s *RunSpec) Normalize() {
 	if s.Params.Threads > s.Config.Cores {
 		s.Config.Cores = s.Params.Threads
 	}
-	if s.Shards == 1 {
-		s.Shards = 0 // serial is the zero value; keeps the hash shard-free
-	}
 }
 
 // Validate reports whether the spec is structurally runnable: current
@@ -112,8 +98,6 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("runspec: Params.OpsPerThread must be positive")
 	case s.Params.Threads > s.Config.Cores:
 		return fmt.Errorf("runspec: %d threads exceed %d cores (normalize the spec)", s.Params.Threads, s.Config.Cores)
-	case s.Shards < 0:
-		return fmt.Errorf("runspec: Shards must be non-negative (0 or 1 = serial)")
 	}
 	return validateConfig(s.Config)
 }

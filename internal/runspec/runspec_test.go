@@ -123,66 +123,34 @@ func TestNormalization(t *testing.T) {
 	}
 }
 
-// TestShardsHashNeutrality: the shards field is canonically invisible for
-// serial runs — 0 (elided) and 1 (normalized to 0) produce byte-identical
-// canonical forms, so every content address computed before the field
-// existed is still valid. Only shards > 1 (a genuinely different engine)
-// participates in the hash.
-func TestShardsHashNeutrality(t *testing.T) {
-	base := defaultSpec()
-	canon, err := base.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(canon), "shards") {
-		t.Fatalf("serial canonical form mentions shards: %s", canon)
-	}
+// serialBody is the defaultSpec request as an HTTP client would send it.
+const serialBody = `{"workload": "cceh", "model": "asap_rp",
+	"params": {"Threads": 4, "OpsPerThread": 600, "KeyRange": 4096, "ValueSize": 64, "Seed": 1}}`
 
-	one := defaultSpec()
-	one.Shards = 1
-	one.Normalize()
-	c1, err := one.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canon, c1) {
-		t.Fatalf("Shards=1 changed the canonical bytes:\n%s\nvs\n%s", canon, c1)
-	}
-	if one.MustHash() != goldenHash {
-		t.Fatalf("Shards=1 changed the content address: %s", one.MustHash())
-	}
+// shardsBodies are serialBody with the "shards" field of the removed
+// sharded engine. The field is now unknown, so Parse rejects both.
+var shardsBodies = []string{
+	`{"workload": "cceh", "model": "asap_rp", "shards": 1,
+	"params": {"Threads": 4, "OpsPerThread": 600, "KeyRange": 4096, "ValueSize": 64, "Seed": 1}}`,
+	`{"workload": "cceh", "model": "asap_rp", "shards": 2,
+	"params": {"Threads": 4, "OpsPerThread": 600, "KeyRange": 4096, "ValueSize": 64, "Seed": 1}}`,
+}
 
-	two := defaultSpec()
-	two.Shards = 2
-	two.Normalize()
-	if two.MustHash() == goldenHash {
-		t.Fatal("Shards=2 does not participate in the hash")
-	}
-	c2, err := two.Canonical()
+// TestShardFieldRejected: serial specs keep the content address they had
+// while a "shards" field existed (its canonical form never carried the
+// field), and a body that still sends it is an unknown-field error.
+func TestShardFieldRejected(t *testing.T) {
+	s, err := Parse([]byte(serialBody))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(string(c2), `"shards":2`) {
-		t.Fatalf("Shards=2 missing from canonical form: %s", c2)
-	}
-
-	// Parse accepts the field (it is not "unknown"), normalizes 1 back to
-	// the zero value, and rejects negatives.
-	s, err := Parse([]byte(`{"workload": "cceh", "model": "asap_rp", "shards": 1,
-		"params": {"Threads": 4, "OpsPerThread": 600, "KeyRange": 4096, "ValueSize": 64, "Seed": 1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards != 0 {
-		t.Fatalf("parsed Shards = %d, want 0 after normalization", s.Shards)
 	}
 	if s.MustHash() != goldenHash {
-		t.Fatalf("parsed shards:1 spec hashed %s, want %s", s.MustHash(), goldenHash)
+		t.Fatalf("serial body hashed %s, want %s", s.MustHash(), goldenHash)
 	}
-	if _, err := Parse([]byte(`{"workload": "cceh", "model": "asap_rp", "shards": -2,
-		"params": {"Threads": 1, "OpsPerThread": 1}}`)); err == nil ||
-		!strings.Contains(err.Error(), "Shards") {
-		t.Fatalf("err = %v, want Shards complaint", err)
+	for _, body := range shardsBodies {
+		if _, err := Parse([]byte(body)); err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+			t.Errorf("err = %v, want unknown-field error for %s", err, body)
+		}
 	}
 }
 
@@ -263,4 +231,46 @@ func TestString(t *testing.T) {
 	if got := defaultSpec().String(); got != "cceh/asap_rp/4t" {
 		t.Fatalf("String() = %q", got)
 	}
+}
+
+// FuzzParse feeds Parse arbitrary request bodies, as asapd does with raw
+// HTTP input. Parse must never panic, and every spec it accepts must
+// round-trip: its canonical bytes parse back to the same content address.
+// testdata/fuzz/FuzzParse holds seeds every plain `go test` replays.
+// Explore with
+//
+//	go test ./internal/runspec -run '^$' -fuzz FuzzParse -fuzztime 30s
+func FuzzParse(f *testing.F) {
+	canon, err := defaultSpec().Canonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(canon)
+	f.Add([]byte(serialBody))
+	for _, body := range shardsBodies {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"schema": 99, "workload": "cceh", "model": "asap_rp",
+		"params": {"Threads": 1, "OpsPerThread": 1}}`))
+	f.Add([]byte(`{"workload": "cceh", "model": "asap_rp",
+		"params": {"Threads": 8, "OpsPerThread": 100}}`))
+	f.Add([]byte(`{"workload": "cceh", "modle": "asap_rp"}`))
+	f.Add([]byte(`{"workload": `))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := Parse(body)
+		if err != nil {
+			return
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("accepted spec has no canonical form: %v", err)
+		}
+		back, err := Parse(c)
+		if err != nil {
+			t.Fatalf("canonical bytes of an accepted spec rejected: %v\n%s", err, c)
+		}
+		if h, hb := s.MustHash(), back.MustHash(); h != hb {
+			t.Fatalf("round trip changed the content address: %s -> %s\n%s", h, hb, c)
+		}
+	})
 }

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // scheduler is the common surface of Engine and refEngine the differential
@@ -116,15 +118,14 @@ type queueEngine interface {
 	Pending() int
 	NextWhen() (Cycles, bool)
 	Local(when Cycles, typed bool, fn func())
-	Arrive(when Cycles, sub uint64, fn func())
 	RunLimit(limit Cycles) Cycles
 	RunUntil(limit Cycles) Cycles
 	JumpTo(when Cycles)
 	Step() bool
 }
 
-// engineQueue adapts Engine: typed events and arrivals go through
-// ScheduleOp/ArriveOp with the closure's index as the event arg.
+// engineQueue adapts Engine: typed events go through ScheduleOp with the
+// closure's index as the event arg.
 type engineQueue struct {
 	e   *Engine
 	fns []func()
@@ -156,11 +157,6 @@ func (q *engineQueue) Local(when Cycles, typed bool, fn func()) {
 	q.e.ScheduleOp(when, q, 0, uint64(len(q.fns)-1))
 }
 
-func (q *engineQueue) Arrive(when Cycles, sub uint64, fn func()) {
-	q.fns = append(q.fns, fn)
-	q.e.ArriveOp(when, q.e.Now(), q, 0, uint64(len(q.fns)-1), sub)
-}
-
 // refQueue adapts refEngine.
 type refQueue struct{ *refEngine }
 
@@ -182,12 +178,13 @@ var queueDelays = []Cycles{
 // handlers alike, so two engines that dispatch identically read it
 // identically, and the first divergence desynchronizes the records.
 //
-// Driver opcodes (low 3 bits of a byte): 0 schedules a closure event, 1 a
-// typed event, 2 an arrival, each at a delay drawn by the next byte; 3
+// Driver opcodes (low 3 bits of a byte): 0 schedules a closure event, 1
+// and 2 a typed event, each at a delay drawn by the next byte; 3
 // Run(limit), 4 RunUntil and 5 JumpTo at a drawn distance (JumpTo stops at
 // the next pending event, never past it); 6 and 7 Step. A dispatched event
 // reads one byte for its child count (0–3) and one per child for its kind
-// and delay. The program ends with Run(0).
+// (mod 3: 0 closure, 1 and 2 typed) and delay. The program ends with
+// Run(0).
 func runQueueProgram(q queueEngine, prog []byte) []dispatchRecord {
 	var got []dispatchRecord
 	pos := 0
@@ -202,7 +199,7 @@ func runQueueProgram(q queueEngine, prog []byte) []dispatchRecord {
 		b, _ := next()
 		return queueDelays[int(b)%len(queueDelays)]
 	}
-	ids, arrivals := 0, uint64(0)
+	ids := 0
 	var schedule func(kind byte)
 	handler := func(id int) func() {
 		return func() {
@@ -221,15 +218,7 @@ func runQueueProgram(q queueEngine, prog []byte) []dispatchRecord {
 		when := q.Now() + delay()
 		id := ids
 		ids++
-		switch kind {
-		case 0, 1:
-			q.Local(when, kind == 1, handler(id))
-		default:
-			// Distinct ranks below localSub, like an inbox's counter under
-			// its index: ties on (when, seq) are broken, never duplicated.
-			arrivals++
-			q.Arrive(when, uint64(1+id%3)<<subShift|arrivals, handler(id))
-		}
+		q.Local(when, kind != 0, handler(id))
 	}
 	for {
 		op, ok := next()
@@ -281,9 +270,9 @@ func diffQueueProgram(t *testing.T, prog []byte) {
 // TestQueueDifferential drives the engine and the container/heap reference
 // with adversarial random programs: delays at and around the wheel size
 // and far past it, so events cross between the wheel and the overflow
-// heap and tie on the same cycle from both sides; arrivals that tie with
-// local events on (when, seq); and Run(limit), RunUntil and JumpTo
-// interleaved with scheduling. Every dispatch and every clock and pending
+// heap and tie on the same cycle from both sides, closure and typed events
+// interleaved; and Run(limit), RunUntil and JumpTo interleaved with
+// scheduling. Every dispatch and every clock and pending
 // count in between must agree.
 func TestQueueDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -298,8 +287,8 @@ func TestQueueDifferential(t *testing.T) {
 
 // TestQueueOverflowTie pins the case the merge exists for: an event that
 // entered the overflow heap (scheduled wheelSize cycles ahead) and one that
-// entered the wheel later for the same cycle dispatch in seq order, and a
-// same-cycle arrival whose watermark ties the wheel event's seq goes first.
+// entered the wheel later for the same cycle dispatch in seq order, and so
+// do the typed and closure events scheduled for that cycle after them.
 func TestQueueOverflowTie(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -312,13 +301,38 @@ func TestQueueOverflowTie(t *testing.T) {
 		t.Fatalf("want one overflow and one wheel event, have %d overflow of %d pending", len(e.overflow), e.Pending())
 	}
 	q := &engineQueue{e: e}
-	q.fns = append(q.fns, func() { order = append(order, "arrival") })
-	e.ArriveOp(wheelSize, e.Now(), q, 0, 0, 1)
+	q.Local(wheelSize, true, func() { order = append(order, "typed") })
 	e.At(wheelSize, func() { order = append(order, "later") })
 	e.Run(0)
-	want := "[overflow wheel arrival later]"
+	want := "[overflow wheel typed later]"
 	if got := fmt.Sprint(order); got != want {
 		t.Fatalf("dispatch order %s, want %s", got, want)
+	}
+}
+
+// TestEventSize pins the queue element at 40 pointer-free bytes: every
+// schedule and dispatch copies it, and the overflow heap permutes it.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("event is %d bytes, want 40", got)
+	}
+}
+
+// TestCheckQueueRejectsOverflowSeq pins the check that keeps (when, seq) a
+// total order on a restored engine: an overflow event whose seq is at or
+// above the counter could tie the next event scheduled for its cycle.
+func TestCheckQueueRejectsOverflowSeq(t *testing.T) {
+	e := NewEngine()
+	(&engineQueue{e: e}).Local(2*wheelSize, true, func() {})
+	if err := e.CheckQueue(); err != nil {
+		t.Fatalf("valid queue fails its check: %v", err)
+	}
+	for _, seq := range []uint64{e.seq, e.seq + 7} {
+		e.overflow[0].seq = seq
+		err := e.CheckQueue()
+		if err == nil || !strings.Contains(err.Error(), "overflow event seq") {
+			t.Fatalf("overflow seq %d with counter %d: got %v, want an overflow seq error", seq, e.seq, err)
+		}
 	}
 }
 

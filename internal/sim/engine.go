@@ -37,30 +37,17 @@ type EventOp interface {
 // engine's registered receiver table (typed form) or fnIdx into the
 // in-flight closure table (closure form, opIdx < 0), and next links it
 // into its wheel slot's FIFO. next fills what would otherwise be padding,
-// so the element stays a 48-byte pointer-free value: queue moves are plain
+// so the element stays a 40-byte pointer-free value: queue moves are plain
 // memmoves.
 type event struct {
 	when  Cycles
 	seq   uint64
 	arg   uint64
-	sub   uint64
 	kind  int32
 	opIdx int32 // index into Engine.ops; -1 for closure events
 	fnIdx int32 // index into Engine.fns (closure events only)
 	next  int32 // wheel slab index of the next event in this slot; 0 ends the chain
 }
-
-// localSub is the sub-order rank of locally scheduled events. Cross-shard
-// arrivals are merged into the overflow heap with the seq watermark of
-// their send moment (see ArriveOp): an arrival and a local event can
-// therefore carry the same (when, seq), and sub breaks that tie. Arrival
-// ranks are built from (source domain, drain order) and stay below
-// localSub, so an arrival sorts before the first local event scheduled
-// after its send moment — exactly where the serial engine would have
-// dispatched it. In a serial
-// engine every event carries localSub and seq alone is already a total
-// order, so the extra comparison never fires.
-const localSub = 1 << 63
 
 // Engine is a single-threaded discrete-event simulator. Components schedule
 // callbacks at future cycles; Run dispatches them in time order. Engine is
@@ -69,9 +56,9 @@ const localSub = 1 << 63
 //
 // The pending-event queue (queue.go) is a timing wheel of one-cycle slots
 // for the near-future events that make up almost every run, backed by a
-// 4-ary min-heap for events scheduled further ahead and for cross-shard
-// arrivals. Dispatch always takes the global minimum by (when, seq, sub),
-// a total order, so dispatch order is independent of which structure an
+// 4-ary min-heap for events scheduled further ahead. Dispatch always takes
+// the global minimum by (when, seq), a total order because every event
+// takes a fresh seq, so dispatch order is independent of which structure an
 // event sat in: the engine dispatches byte-identically to the
 // container/heap scheduler the repo started with (pinned by
 // TestDifferentialDeterminism and TestQueueDifferential).
@@ -90,9 +77,8 @@ type Engine struct {
 	occ   [wheelWords]uint64
 	nodes []event
 
-	// overflow is the 4-ary min-heap by (when, seq, sub) for events the
-	// wheel cannot hold: local events wheelSize or more cycles ahead, and
-	// every cross-shard arrival.
+	// overflow is the 4-ary min-heap by (when, seq) for the events the
+	// wheel cannot hold: those scheduled wheelSize or more cycles ahead.
 	overflow []event
 
 	// ops holds the typed-event receivers ever scheduled on this engine,
@@ -107,21 +93,6 @@ type Engine struct {
 	// it captures) is collectable as soon as it has run.
 	fns    []func()
 	fnFree []int32
-
-	// marks is the seq watermark ring, maintained only when the engine is
-	// a shard of a Cluster (nil on serial engines, so the serial dispatch
-	// path is untouched). Each entry records "the clock advanced to cycle
-	// at seq count seq": every seq below it was assigned while now was
-	// below cycle. watermark() inverts that to place cross-shard arrivals
-	// into the serial total order by their send moment.
-	marks    []mark
-	markHead int
-}
-
-// mark records one clock advance; see Engine.marks.
-type mark struct {
-	cycle Cycles
-	seq   uint64
 }
 
 // NewEngine returns an engine with the clock at cycle zero.
@@ -316,7 +287,7 @@ func (e *Engine) Step() bool {
 
 // dispatch removes ev, the minimum event peek returned with its slot,
 // advances the clock, and runs the callback. It is the single dispatch
-// path shared by Run, RunUntil, Step and the shard window loop.
+// path shared by Run, RunUntil and Step.
 //
 //asap:hot the event loop: every simulated cycle of work funnels through here
 func (e *Engine) dispatch(ev *event, slot int) {

@@ -12,27 +12,25 @@ import (
 // pending events on average). So, as gem5 does, the engine bins those
 // events per cycle instead of heap-sorting them:
 //
-//   - A timing wheel of wheelSize one-cycle slots holds every locally
-//     scheduled event less than wheelSize cycles ahead of now. Each slot
+//   - A timing wheel of wheelSize one-cycle slots holds every event
+//     scheduled less than wheelSize cycles ahead of now. Each slot
 //     is a FIFO threaded through a pointer-free node slab; a bitmap of
 //     occupied slots finds the next one with a few TrailingZeros64. The
 //     slab stays dense — removing a node moves the last one into its
 //     index — so it holds exactly the wheel's events after the nil
 //     sentinel, and a checkpoint of a quiet engine captures a short slab.
-//   - A 4-ary min-heap (the overflow) holds the rest: local events
-//     wheelSize or more cycles ahead, and every cross-shard arrival.
+//   - A 4-ary min-heap (the overflow) holds the rest: the far-future
+//     events wheelSize or more cycles ahead.
 //
 // Dispatch takes the smaller of the wheel head and the overflow root under
-// the full (when, seq, sub) key, so the order is exactly the one a single
-// heap produces:
+// the (when, seq) key, so the order is exactly the one a single heap
+// produces:
 //
-//   - local seqs grow monotonically, so appending at a slot's tail keeps
-//     each FIFO in seq order;
+//   - seqs grow monotonically, so appending at a slot's tail keeps each
+//     FIFO in seq order, and no two events share a seq;
 //   - every wheel event lies in [now, now+wheelSize), so a slot holds a
 //     single cycle and the first occupied slot at or after now&wheelMask
-//     (circularly) holds the wheel's earliest cycle;
-//   - arrivals carry watermark seqs and sub ranks that may interleave with
-//     local seqs, and the heap's full-key compare places them.
+//     (circularly) holds the wheel's earliest cycle.
 //
 // The clock never moves backwards and never moves past a pending event
 // without dispatching it (Run, RunUntil and JumpTo all respect that), which
@@ -57,18 +55,15 @@ type wheelSlot struct {
 	head, tail int32
 }
 
-// before orders events by (when, seq, sub). Locally scheduled events never
-// share a seq, so for a serial engine the sub comparison is dead code on a
-// branch that never executes; it exists to rank cross-shard arrivals
-// against the local events around their send moment.
+// before orders events by (when, seq).
 func before(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
-	return a.seq < b.seq || (a.seq == b.seq && a.sub < b.sub)
+	return a.seq < b.seq
 }
 
-// enqueue schedules a local event at when (>= now) under the next seq:
+// enqueue schedules an event at when (>= now) under the next seq:
 // onto the wheel when it falls within wheelSize cycles of now, into the
 // overflow heap otherwise. The wheel node's fields are written in place
 // rather than copied from an event value, which the compiler would spill
@@ -78,7 +73,7 @@ func (e *Engine) enqueue(when Cycles, opIdx, fnIdx, kind int32, arg uint64) {
 	seq := e.seq
 	e.seq++
 	if when-e.now >= wheelSize {
-		e.push(event{when: when, seq: seq, arg: arg, sub: localSub, kind: kind, opIdx: opIdx, fnIdx: fnIdx})
+		e.push(event{when: when, seq: seq, arg: arg, kind: kind, opIdx: opIdx, fnIdx: fnIdx})
 		return
 	}
 	i := int32(len(e.nodes))
@@ -88,7 +83,7 @@ func (e *Engine) enqueue(when Cycles, opIdx, fnIdx, kind int32, arg uint64) {
 		e.nodes = e.nodes[:i+1]
 	}
 	n := &e.nodes[i]
-	n.when, n.seq, n.arg, n.sub = when, seq, arg, localSub
+	n.when, n.seq, n.arg = when, seq, arg
 	n.kind, n.opIdx, n.fnIdx, n.next = kind, opIdx, fnIdx, 0
 	slot := when & wheelMask
 	s := &e.slots[slot]
@@ -123,8 +118,8 @@ func (e *Engine) nextSlot() int {
 
 // peek returns the earliest pending event and where it sits: the wheel
 // slot it heads, or -1 for the overflow root. It returns nil when nothing
-// is pending. Every loop that dispatches (Run, RunUntil, Step, runWindow)
-// and every reader of the next event time (minWhen) goes through here.
+// is pending. Every loop that dispatches (Run, RunUntil, Step) and
+// JumpTo's pending-event check go through here.
 func (e *Engine) peek() (*event, int) {
 	if len(e.nodes) == 1 {
 		if len(e.overflow) == 0 {
@@ -242,6 +237,8 @@ func (e *Engine) siftDown(i int) {
 //     [now, now+wheelSize), in increasing seq order;
 //   - occupancy bits match the non-empty slots;
 //   - the overflow heap is heap-ordered and nothing in it precedes now;
+//   - every event's seq is below the engine's counter, so no future
+//     event can tie a queued one on (when, seq);
 //   - every event's receiver or closure index is in range.
 func (e *Engine) CheckQueue() error {
 	if len(e.nodes) == 0 || e.nodes[0] != (event{}) {
@@ -277,8 +274,8 @@ func (e *Engine) CheckQueue() error {
 			if last != 0 && ev.seq <= e.nodes[last].seq {
 				return fmt.Errorf("sim: wheel slot %d out of seq order", s)
 			}
-			if ev.seq >= e.seq || ev.sub != localSub {
-				return fmt.Errorf("sim: wheel event seq %d (counter %d), sub %d is not a local event", ev.seq, e.seq, ev.sub)
+			if ev.seq >= e.seq {
+				return fmt.Errorf("sim: wheel event seq %d not below the counter %d", ev.seq, e.seq)
 			}
 			if err := e.checkTarget(ev); err != nil {
 				return err
@@ -297,6 +294,9 @@ func (e *Engine) CheckQueue() error {
 		ev := &e.overflow[i]
 		if ev.when < e.now {
 			return fmt.Errorf("sim: overflow event at cycle %d precedes the clock %d", ev.when, e.now)
+		}
+		if ev.seq >= e.seq {
+			return fmt.Errorf("sim: overflow event seq %d not below the counter %d", ev.seq, e.seq)
 		}
 		if i > 0 && before(ev, &e.overflow[(i-1)/4]) {
 			return fmt.Errorf("sim: overflow heap out of order at slot %d", i)

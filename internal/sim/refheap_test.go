@@ -11,7 +11,6 @@ import "container/heap"
 type refEvent struct {
 	when Cycles
 	seq  uint64
-	sub  uint64
 	fn   func()
 }
 
@@ -22,10 +21,7 @@ func (h refHeap) Less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
-	if h[i].seq != h[j].seq {
-		return h[i].seq < h[j].seq
-	}
-	return h[i].sub < h[j].sub
+	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refEvent)) }
@@ -50,21 +46,11 @@ func (e *refEngine) At(when Cycles, fn func()) {
 	if when < e.now {
 		panic("refEngine: event scheduled in the past")
 	}
-	heap.Push(&e.events, refEvent{when: when, seq: e.seq, sub: localSub, fn: fn})
+	heap.Push(&e.events, refEvent{when: when, seq: e.seq, fn: fn})
 	e.seq++
 }
 
 func (e *refEngine) After(delay Cycles, fn func()) { e.At(e.now+delay, fn) }
-
-// Arrive mirrors ArriveOp/ArriveFn on a serial engine: the arrival takes
-// the current seq counter as its watermark without consuming it, and sub
-// ranks it against the local event that will take that seq next.
-func (e *refEngine) Arrive(when Cycles, sub uint64, fn func()) {
-	if when < e.now {
-		panic("refEngine: arrival in the past")
-	}
-	heap.Push(&e.events, refEvent{when: when, seq: e.seq, sub: sub, fn: fn})
-}
 
 func (e *refEngine) Pending() int { return len(e.events) }
 
