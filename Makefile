@@ -44,6 +44,7 @@ bench-baseline:
 	$(GO) test -bench 'EventThroughput|EventQueueMachineShape' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/sim >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'HierarchyAccess|DirectoryAccess|SetAssocLookup' -benchtime 1000000x -count 8 -benchmem -run '^$$' ./internal/cache >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'PBFlushCycle|MCFlushCommit' -benchtime 200000x -count 3 -benchmem -run '^$$' ./internal/persist >> /tmp/bench_baseline.txt
+	$(GO) test -bench 'MemSide' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/mem >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'MachineOps' -benchtime 10000x -count 3 -benchmem -run '^$$' ./internal/machine >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'MachineNew' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/machine >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'Generate' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/workload >> /tmp/bench_baseline.txt

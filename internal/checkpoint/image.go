@@ -1027,8 +1027,10 @@ func Save(m *machine.Machine) (img []byte, err error) {
 // same stats, same NVM images (pinned by TestImageRoundtrip). Corrupted,
 // truncated, or wrong-version images return errors, never panic; so does
 // an image whose digest is intact but whose event queue breaks the
-// engine's invariants (sim.Engine.CheckQueue), which would otherwise load
-// into a machine that panics or misorders events in Run.
+// engine's invariants (sim.Engine.CheckQueue) or whose NVM, WPQ or
+// XPBuffer tables break theirs (their Check methods), which would
+// otherwise load into a machine that panics, hangs or misorders events
+// in Run.
 func Load(img []byte) (m *machine.Machine, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1111,6 +1113,14 @@ func Load(img []byte) (m *machine.Machine, err error) {
 	}
 	if err := fresh.Eng.CheckQueue(); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoded event queue is malformed: %w", err)
+	}
+	for i, mc := range fresh.MCs {
+		if mc == nil || mc.NVM == nil || mc.WPQ == nil || mc.XP == nil {
+			return nil, fmt.Errorf("checkpoint: decoded controller %d lacks its memory-side state", i)
+		}
+		if err := errors.Join(mc.NVM.Check(), mc.WPQ.Check(), mc.XP.Check()); err != nil {
+			return nil, fmt.Errorf("checkpoint: decoded controller %d memory state is malformed: %w", i, err)
+		}
 	}
 	return fresh, nil
 }

@@ -355,3 +355,102 @@ func TestImageRejectsMalformedQueue(t *testing.T) {
 	bad[off+n-1] = 0x7f
 	loadRejects(t, bad, "overflow event seq", "overflow seq patched past the counter")
 }
+
+// TestImageRejectsMalformedMem pins that Load checks each controller's
+// decoded NVM, WPQ and XPBuffer tables. Each case corrupts one field of
+// the controller 0 state in a valid image, reseals it and requires Load to
+// fail with the memory check's error. Loaded unchecked, these images give
+// a machine that panics on an out-of-range index, probes forever in a
+// table with no empty slot, or silently loses a line. A field's payload
+// offset is found by saving the machine again with the field's low bit
+// flipped in memory (see diffOffset); the varint there is then rewritten
+// to the bad value at the same length.
+func TestImageRejectsMalformedMem(t *testing.T) {
+	m := goldenMachine(t)
+	img, _, err := SaveNextQuiescent(m, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(img); err != nil {
+		t.Fatalf("clean image: %v", err)
+	}
+	mc := m.MCs[0]
+	nvm := reflect.ValueOf(mc.NVM).Elem()
+	wpq := reflect.ValueOf(mc.WPQ).Elem()
+	xp := reflect.ValueOf(mc.XP).Elem()
+	firstUsed := func(slots reflect.Value) int {
+		for i := 0; i < slots.Len(); i++ {
+			if !slots.Index(i).IsZero() {
+				return i
+			}
+		}
+		t.Fatalf("no occupied %s slot", slots.Type())
+		return -1
+	}
+	nvmSlot := firstUsed(nvm.FieldByName("slots"))
+	xpSlot := firstUsed(xp.FieldByName("index"))
+	if mc.XP.Len() < 2 {
+		t.Fatalf("golden controller 0 caches %d lines; the cases need two", mc.XP.Len())
+	}
+	otherNode := int64(1)
+	if xp.FieldByName("index").Index(xpSlot).Int() == 1 {
+		otherNode = 2
+	}
+
+	for _, c := range []struct {
+		what  string
+		field reflect.Value
+		bad   int64
+		want  string
+	}{
+		// An undercount lets writes fill the table without growing it.
+		{"NVM count", nvm.FieldByName("used"), 1, "count says"},
+		{"NVM line off its probe sequence", nvm.FieldByName("slots").Index(nvmSlot).FieldByName("key"), 1 << 25, "off its probe sequence"},
+		{"WPQ head past the ring", wpq.FieldByName("head"), 16, "outside its 16-slot ring"},
+		{"WPQ negative head", wpq.FieldByName("head"), -1, "outside its 16-slot ring"},
+		{"WPQ length past the ring", wpq.FieldByName("n"), 17, "outside its 16-slot ring"},
+		// More lines than the index has slots for: inserts would fill it.
+		{"XPBuffer capacity past the index", xp.FieldByName("capacity"), 8000, "index of 1024 slots"},
+		{"XPBuffer self-linked LRU node", xp.FieldByName("nodes").Index(1).FieldByName("next"), 1, "LRU link"},
+		{"XPBuffer LRU link past the slab", xp.FieldByName("nodes").Index(1).FieldByName("next"), 60, "LRU link"},
+		{"XPBuffer index past the slab", xp.FieldByName("index").Index(xpSlot), 60, "outside the slab"},
+		{"XPBuffer index naming another line's node", xp.FieldByName("index").Index(xpSlot), otherNode, "off its probe sequence"},
+		{"XPBuffer index missing a line", xp.FieldByName("index").Index(xpSlot), 0, "index holds"},
+	} {
+		f := settable(c.field)
+		flipLow(f)
+		marked, err := Save(m)
+		flipLow(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := diffOffset(t, img, marked)
+		bad := append([]byte(nil), img...)
+		var enc []byte
+		if f.CanInt() {
+			enc = binary.AppendVarint(nil, c.bad)
+		} else {
+			enc = binary.AppendUvarint(nil, uint64(c.bad))
+		}
+		if _, n := binary.Uvarint(img[off:]); n != len(enc) {
+			t.Fatalf("%s: bad value takes %d varint bytes, the field %d", c.what, len(enc), n)
+		}
+		copy(bad[off:], enc)
+		lm, err := Load(reseal(bad))
+		if err == nil || lm != nil {
+			t.Fatalf("%s: Load returned (%v, %v), want an error", c.what, lm != nil, err)
+		}
+		if !strings.Contains(err.Error(), "memory state is malformed") || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: %v, want the memory check's %q error", c.what, err, c.want)
+		}
+	}
+}
+
+// flipLow flips the low bit of an integer field in place.
+func flipLow(f reflect.Value) {
+	if f.CanInt() {
+		f.SetInt(f.Int() ^ 1)
+	} else {
+		f.SetUint(f.Uint() ^ 1)
+	}
+}

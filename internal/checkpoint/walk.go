@@ -9,9 +9,10 @@ package checkpoint
 //
 //   - POD regions and POD slice contents (no pointers, maps, interfaces or
 //     funcs anywhere inside — the bulk of machine state: cache arrays, the
-//     event queue, ledger slabs, NVM tokens) are captured into one shared
-//     byte arena and restored with plain memmoves. This is the fast path
-//     that makes a campaign's thousand rewinds affordable.
+//     event queue, ledger slabs, the memory controllers' NVM, WPQ and
+//     XPBuffer slabs) are captured into one shared byte arena and
+//     restored with plain memmoves. This is the fast path that makes a
+//     campaign's thousand rewinds affordable.
 //   - non-POD pointees are captured as typed shallow copies (reflect.Set —
 //     a typedmemmove with proper write barriers). Restoring the copy puts
 //     back every scalar, every pointer (identity — the graph keeps its
@@ -22,8 +23,9 @@ package checkpoint
 //     preserving aliasing (two slices sharing a backing array keep sharing
 //     it after restore).
 //   - map contents are restored in place (clear + refill), preserving map
-//     identity; the hot simulation maps (mem.Line keyed) restore through
-//     native typed clones instead of reflect's per-entry path.
+//     identity; the mem.Line-keyed POD maps (the baseline model's write
+//     sets, the write-back buffer) restore through native typed clones
+//     instead of reflect's per-entry path.
 //
 // Restore order is regions, then slice contents, then maps. Slice content
 // destinations are the capture-time data pointers, which the captured
@@ -161,7 +163,6 @@ var (
 	tracePtrType = reflect.TypeOf((*trace.Trace)(nil))
 
 	lineTokenMapType = reflect.TypeOf(map[mem.Line]mem.Token(nil))
-	lineBoolMapType  = reflect.TypeOf(map[mem.Line]bool(nil))
 	lineU64MapType   = reflect.TypeOf(map[mem.Line]uint64(nil))
 )
 
@@ -433,15 +434,12 @@ func (w *walker) captureSlice(ptr unsafe.Pointer, t reflect.Type) {
 }
 
 // captureMap records a map's entries and registers pointer values'
-// pointees. The hot simulation maps (mem.Line keyed, POD values) restore
-// through native clones; the generic reflect path covers the rest.
+// pointees. The mem.Line-keyed POD-valued maps restore through native
+// clones; the generic reflect path covers the rest.
 func (w *walker) captureMap(ptr unsafe.Pointer, t reflect.Type) {
 	switch t {
 	case lineTokenMapType:
 		captureTypedMap[mem.Line, mem.Token](w, ptr)
-		return
-	case lineBoolMapType:
-		captureTypedMap[mem.Line, bool](w, ptr)
 		return
 	case lineU64MapType:
 		captureTypedMap[mem.Line, uint64](w, ptr)

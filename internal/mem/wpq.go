@@ -1,6 +1,10 @@
 package mem
 
-import "asap/internal/obs"
+import (
+	"fmt"
+
+	"asap/internal/obs"
+)
 
 // WPQ is the write-pending queue of a memory controller. On platforms with
 // ADR the WPQ is inside the persistence domain: a write is durable the
@@ -8,14 +12,14 @@ import "asap/internal/obs"
 // power failure. The queue coalesces writes to the same line, which the
 // paper observes reduces PM write traffic for concurrent workloads (§VII-A,
 // "Coalescing in the WPQ").
+//
+// The queue is a fixed ring of capacity POD slots holding distinct lines
+// in FIFO order. Lookups scan it: the queue is 16 entries deep on the
+// paper's platform, and a scan of that many slots costs less than hashing.
 type WPQ struct {
-	capacity int
-	// order is the FIFO of distinct lines; head indexes the oldest entry.
-	// Popping advances head instead of reslicing so the backing array is
-	// reused once the queue empties, keeping the drain path allocation-free.
-	order     []Line
-	head      int
-	pending   map[Line]Token
+	ring      []wpqSlot // len is the capacity
+	head      int       // oldest entry
+	n         int       // queued entries
 	coalesced uint64
 	maxOcc    int
 
@@ -23,15 +27,18 @@ type WPQ struct {
 	track obs.TrackID
 }
 
+// wpqSlot is one pending write.
+type wpqSlot struct {
+	line Line
+	tok  Token
+}
+
 // NewWPQ returns a queue holding capacity distinct lines.
 func NewWPQ(capacity int) *WPQ {
 	if capacity <= 0 {
 		panic("mem: WPQ capacity must be positive")
 	}
-	return &WPQ{
-		capacity: capacity,
-		pending:  make(map[Line]Token, capacity),
-	}
+	return &WPQ{ring: make([]wpqSlot, capacity)}
 }
 
 // AttachTracer emits queue-depth counters and coalesce instants on track
@@ -42,10 +49,10 @@ func (w *WPQ) AttachTracer(tr obs.Tracer, track obs.TrackID) {
 }
 
 // Full reports whether a new distinct line cannot currently be accepted.
-func (w *WPQ) Full() bool { return w.Len() >= w.capacity }
+func (w *WPQ) Full() bool { return w.n >= len(w.ring) }
 
 // Len returns the number of distinct queued lines.
-func (w *WPQ) Len() int { return len(w.order) - w.head }
+func (w *WPQ) Len() int { return w.n }
 
 // MaxOccupancy returns the high-water mark of Len.
 func (w *WPQ) MaxOccupancy() int { return w.maxOcc }
@@ -53,18 +60,38 @@ func (w *WPQ) MaxOccupancy() int { return w.maxOcc }
 // Coalesced returns the number of inserts absorbed by an existing entry.
 func (w *WPQ) Coalesced() uint64 { return w.coalesced }
 
+// slot returns the ring index of the i-th oldest entry.
+func (w *WPQ) slot(i int) int {
+	if i += w.head; i >= len(w.ring) {
+		i -= len(w.ring)
+	}
+	return i
+}
+
+// find returns the ring index holding line l, or -1.
+func (w *WPQ) find(l Line) int {
+	for i := 0; i < w.n; i++ {
+		if s := w.slot(i); w.ring[s].line == l {
+			return s
+		}
+	}
+	return -1
+}
+
 // Contains reports whether line l has a pending write, returning its token.
 func (w *WPQ) Contains(l Line) (Token, bool) {
-	t, ok := w.pending[l]
-	return t, ok
+	if s := w.find(l); s >= 0 {
+		return w.ring[s].tok, true
+	}
+	return 0, false
 }
 
 // Insert queues token t for line l. If the line is already pending the
 // write coalesces in place and Insert always succeeds; otherwise it fails
 // when the queue is full. It reports whether the insert was accepted.
 func (w *WPQ) Insert(l Line, t Token) bool {
-	if _, ok := w.pending[l]; ok {
-		w.pending[l] = t //asaplint:ignore alloccheck overwrite of an existing key never allocates
+	if s := w.find(l); s >= 0 {
+		w.ring[s].tok = t
 		w.coalesced++
 		if w.trc != nil {
 			w.trc.Instant(w.track, "wpq coalesce")
@@ -74,13 +101,13 @@ func (w *WPQ) Insert(l Line, t Token) bool {
 	if w.Full() {
 		return false
 	}
-	w.order = append(w.order, l) //asaplint:ignore alloccheck bounded by capacity (Full checked above); backing array reaches it once
-	w.pending[l] = t             //asaplint:ignore alloccheck map bounded by capacity; deleted slots recycle at steady state
-	if w.Len() > w.maxOcc {
-		w.maxOcc = w.Len()
+	w.ring[w.slot(w.n)] = wpqSlot{line: l, tok: t}
+	w.n++
+	if w.n > w.maxOcc {
+		w.maxOcc = w.n
 	}
 	if w.trc != nil {
-		w.trc.Counter(w.track, "wpq", int64(w.Len()))
+		w.trc.Counter(w.track, "wpq", int64(w.n))
 	}
 	return true
 }
@@ -88,27 +115,37 @@ func (w *WPQ) Insert(l Line, t Token) bool {
 // Pop removes and returns the oldest pending write. It panics on an empty
 // queue; callers gate on Len.
 func (w *WPQ) Pop() (Line, Token) {
-	if w.Len() == 0 {
+	if w.n == 0 {
 		panic("mem: Pop on empty WPQ")
 	}
-	l := w.order[w.head]
-	w.head++
-	if w.head == len(w.order) {
-		w.order = w.order[:0]
-		w.head = 0
-	}
-	t := w.pending[l]
-	delete(w.pending, l)
+	s := w.ring[w.head]
+	w.head = w.slot(1)
+	w.n--
 	if w.trc != nil {
-		w.trc.Counter(w.track, "wpq", int64(w.Len()))
+		w.trc.Counter(w.track, "wpq", int64(w.n))
 	}
-	return l, t
+	return s.line, s.tok
 }
 
 // Drain empties the queue into nvm, as the ADR logic does on power failure.
 func (w *WPQ) Drain(nvm *NVM) {
-	for w.Len() > 0 {
+	for w.n > 0 {
 		l, t := w.Pop()
 		nvm.Write(l, t)
 	}
+}
+
+// Check reports the first broken queue invariant: an empty ring, a head or
+// length outside it, or a line queued twice. A queue decoded from a
+// checkpoint image is checked before use.
+func (w *WPQ) Check() error {
+	if len(w.ring) == 0 || w.head < 0 || w.head >= len(w.ring) || w.n < 0 || w.n > len(w.ring) {
+		return fmt.Errorf("mem: WPQ head %d, length %d outside its %d-slot ring", w.head, w.n, len(w.ring))
+	}
+	for i := 0; i < w.n; i++ {
+		if l := w.ring[w.slot(i)].line; w.find(l) != w.slot(i) {
+			return fmt.Errorf("mem: WPQ queues line %d twice", l)
+		}
+	}
+	return nil
 }
