@@ -24,7 +24,7 @@ fmt:
 
 # lint runs the repo's own static-analysis suite (cmd/asaplint): the
 # per-package analyzers (donecheck, detcheck, unitcheck, ledgercheck,
-# obscheck, schedcheck, statcheck) plus the module-wide call-graph pair —
+# obscheck, schedcheck) plus the module-wide call-graph pair —
 # alloccheck (//asap:hot functions are transitively allocation-free) and
 # domaincheck (event callbacks mutate only their own component). Use
 # `go run ./cmd/asaplint -json ./...` for machine-readable findings.
@@ -41,7 +41,7 @@ bench:
 # artifact.
 bench-baseline:
 	$(GO) test -bench 'Fig8|Tab4|RunASAP' -benchtime 1x -count 3 -benchmem -run '^$$' . > /tmp/bench_baseline.txt
-	$(GO) test -bench 'EventThroughput|EventQueueMachineShape' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/sim >> /tmp/bench_baseline.txt
+	$(GO) test -bench 'EventThroughput(Typed|Hooked)|EventQueueMachineShape' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/sim >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'HierarchyAccess|DirectoryAccess|SetAssocLookup' -benchtime 1000000x -count 8 -benchmem -run '^$$' ./internal/cache >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'PBFlushCycle|MCFlushCommit' -benchtime 200000x -count 3 -benchmem -run '^$$' ./internal/persist >> /tmp/bench_baseline.txt
 	$(GO) test -bench 'MemSide' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/mem >> /tmp/bench_baseline.txt

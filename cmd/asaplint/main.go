@@ -1,7 +1,7 @@
 // Command asaplint runs the repository's static-analysis suite
 // (internal/analysis): the per-package analyzers donecheck, detcheck,
-// unitcheck, ledgercheck, obscheck, schedcheck and statcheck, plus the
-// module-wide call-graph analyzers alloccheck and domaincheck.
+// unitcheck, ledgercheck, obscheck and schedcheck, plus the module-wide
+// call-graph analyzers alloccheck and domaincheck.
 // It loads every package of the module from source using only the
 // standard library — no go/packages, no external tools — and exits
 // non-zero if any finding survives //asaplint:ignore filtering.
@@ -32,7 +32,6 @@ import (
 	"asap/internal/analysis/ledgercheck"
 	"asap/internal/analysis/obscheck"
 	"asap/internal/analysis/schedcheck"
-	"asap/internal/analysis/statcheck"
 	"asap/internal/analysis/unitcheck"
 )
 
@@ -44,7 +43,6 @@ func analyzers() []analysis.Analyzer {
 		ledgercheck.New(),
 		obscheck.New(),
 		schedcheck.New(),
-		statcheck.New(),
 	}
 }
 

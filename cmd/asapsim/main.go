@@ -58,7 +58,7 @@ func main() {
 		specIn   = flag.String("spec", "", "load a RunSpec JSON (overrides workload/model/params flags)")
 		specOut  = flag.String("save-spec", "", "write the run's canonical RunSpec JSON to this file and exit")
 		ckptOut  = flag.String("checkpoint", "", "advance to -checkpoint-at, save a checkpoint image to this file, then finish the run")
-		ckptAt   = flag.Uint64("checkpoint-at", 0, "cycle to checkpoint at (the save lands on the first quiescent cycle >= this)")
+		ckptAt   = flag.Uint64("checkpoint-at", 0, "cycle to checkpoint at")
 		ckptIn   = flag.String("restore", "", "restore a checkpoint image and continue the run from it (ignores workload/model flags)")
 	)
 	flag.Parse()
@@ -181,7 +181,7 @@ func main() {
 		if *ckptAt > 0 {
 			m.Advance(*ckptAt)
 		}
-		img, at, err := checkpoint.SaveNextQuiescent(m, 1<<20)
+		img, err := checkpoint.Save(m)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -190,7 +190,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("checkpoint        %s at cycle %d (%d bytes)\n", *ckptOut, at, len(img))
+		fmt.Printf("checkpoint        %s at cycle %d (%d bytes)\n", *ckptOut, m.Eng.Now(), len(img))
 	}
 
 	res := m.Run(0)

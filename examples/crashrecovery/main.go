@@ -37,19 +37,15 @@ func main() {
 	fmt.Println()
 
 	flush := func(tok mem.Token, thread int, ts uint64, early bool) {
-		mc.Receive(persist.FlushPacket{
+		mc.ReceiveOp(persist.FlushPacket{
 			Line: line, Token: tok,
 			Epoch: persist.EpochID{Thread: thread, TS: ts},
 			Early: early,
-		}, func(r persist.FlushResult) {
-			fmt.Printf("  -> flush A=%d from T%d: %s\n", tok, thread, r)
-		})
+		}, printer{}, uint64(tok)<<8|uint64(thread))
 		eng.Run(0)
 	}
 	commit := func(thread int, ts uint64) {
-		mc.Commit(persist.EpochID{Thread: thread, TS: ts}, func() {
-			fmt.Printf("  -> commit T%d/E%d acknowledged\n", thread, ts)
-		})
+		mc.CommitOp(persist.EpochID{Thread: thread, TS: ts}, printer{})
 		eng.Run(0)
 	}
 
@@ -81,15 +77,14 @@ func main() {
 	eng2 := sim.NewEngine()
 	mc2 := persist.NewMC(0, eng2, cfg, true, stats.New())
 	replay := func(tok mem.Token, thread int, ts uint64, early bool) {
-		mc2.Receive(persist.FlushPacket{Line: line, Token: tok,
-			Epoch: persist.EpochID{Thread: thread, TS: ts}, Early: early},
-			func(persist.FlushResult) {})
+		mc2.ReceiveOp(persist.FlushPacket{Line: line, Token: tok,
+			Epoch: persist.EpochID{Thread: thread, TS: ts}, Early: early}, quiet{}, 0)
 		eng2.Run(0)
 	}
 	replay(1, 1, 1, false)
 	replay(3, 3, 1, true)
 	replay(2, 2, 1, true)
-	mc2.Commit(persist.EpochID{Thread: 2, TS: 1}, func() {})
+	mc2.CommitOp(persist.EpochID{Thread: 2, TS: 1}, quiet{})
 	eng2.Run(0)
 	fmt.Printf("pre-crash: memory=%d (speculative), undo safe=2 (T2 committed)\n", mc2.NVM.Peek(line))
 	mc2.CrashFlush()
@@ -97,3 +92,21 @@ func main() {
 	fmt.Println("\nThe ADR drain wrote every undo record's safe value back to NVM (§V-E);")
 	fmt.Println("delay records were discarded: their epochs never committed.")
 }
+
+// printer reports the controller's replies; a flush's reply arg packs the
+// token it carried above its thread.
+type printer struct{}
+
+func (printer) FlushReply(arg uint64, r persist.FlushResult) {
+	fmt.Printf("  -> flush A=%d from T%d: %s\n", arg>>8, arg&0xFF, r) //asaplint:ignore alloccheck demo narration; this example's controller serves a handful of scripted flushes
+}
+
+func (printer) CommitAck(e persist.EpochID) {
+	fmt.Printf("  -> commit T%d/E%d acknowledged\n", e.Thread, e.TS) //asaplint:ignore alloccheck demo narration; this example's controller serves a handful of scripted commits
+}
+
+// quiet discards the controller's replies.
+type quiet struct{}
+
+func (quiet) FlushReply(uint64, persist.FlushResult) {}
+func (quiet) CommitAck(persist.EpochID)              {}

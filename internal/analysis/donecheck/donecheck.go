@@ -1,17 +1,20 @@
-// Package donecheck verifies the Model callback contract: every function
-// that receives a `done func()` parameter must invoke it exactly once on
-// every path (internal/model/model.go: "they must invoke it exactly
-// once"). Zero-call paths hang the simulated core forever; double-call
-// paths double-complete an operation and corrupt timing.
+// Package donecheck verifies the Model continuation contract: every
+// function that receives a `done sim.Cont` parameter must resume it
+// exactly once on every path (internal/model/model.go: "they must resume
+// it exactly once"). Zero-resume paths hang the simulated core forever;
+// double-resume paths double-complete an operation and corrupt timing.
 //
-// A "consumption" of done is a direct call done(), a handoff of done as
-// an argument to another call (the callee inherits the obligation, e.g.
-// m.Dfence(core, done)), a store of done into a variable or field for
-// later invocation (c.dfenceWaiter = done), or a function literal that
-// captures done (the stored closure will invoke it, e.g. the
-// storeWaiters retry pattern that re-enqueues through sim.Engine).
-// Mentions of done in nil-comparisons do not consume it. Paths ending in
-// panic or os.Exit are exempt.
+// A "consumption" of done is any use of it: resuming it
+// (eng.Resume(done)), scheduling it (eng.ScheduleCont(when, done)), a
+// handoff as an argument to another call (the callee inherits the
+// obligation, e.g. m.Dfence(core, done)), a store into a variable or
+// field for later resumption (c.dfence = stall{done: done}), or a
+// function literal that captures done. Comparisons (done == x) and
+// done.IsZero() probes do not consume it. Paths ending in panic or
+// os.Exit are exempt.
+//
+// The continuation type is matched structurally — a named struct type
+// called Cont — so fixtures need no non-stdlib imports.
 package donecheck
 
 import (
@@ -30,7 +33,7 @@ type checker struct{}
 func (checker) Name() string { return "donecheck" }
 
 func (checker) Doc() string {
-	return "every function taking a done func() parameter must invoke or hand off done exactly once on every return path"
+	return "every function taking a done sim.Cont parameter must resume or hand off done exactly once on every return path"
 }
 
 func (checker) Run(pass *analysis.Pass) {
@@ -51,7 +54,7 @@ func (checker) Run(pass *analysis.Pass) {
 				return true
 			}
 			for _, field := range ft.Params.List {
-				if !isNullaryFuncType(field.Type) {
+				if !isCont(pass.TypeOf(field.Type)) {
 					continue
 				}
 				for _, nm := range field.Names {
@@ -73,14 +76,15 @@ func (checker) Run(pass *analysis.Pass) {
 	}
 }
 
-// isNullaryFuncType reports whether t is the literal type func().
-func isNullaryFuncType(t ast.Expr) bool {
-	ft, ok := t.(*ast.FuncType)
-	if !ok {
+// isCont reports whether t is the continuation type: a named struct type
+// called Cont (internal/sim.Cont in the real tree).
+func isCont(t types.Type) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok || n.Obj().Name() != "Cont" {
 		return false
 	}
-	return (ft.Params == nil || len(ft.Params.List) == 0) &&
-		(ft.Results == nil || len(ft.Results.List) == 0)
+	_, ok = n.Underlying().(*types.Struct)
+	return ok
 }
 
 // mask is the set of possible done-consumption counts along the paths
@@ -184,8 +188,8 @@ func (c *funcCheck) mentions(n ast.Node) bool {
 
 // count tallies the consumptions of done in a simple statement or
 // expression: each identifier resolving to the parameter counts once,
-// except bare mentions in ==/!= comparisons (nil guards); a function
-// literal capturing done counts once as a whole.
+// except bare mentions in ==/!= comparisons and done.IsZero() probes; a
+// function literal capturing done counts once as a whole.
 func (c *funcCheck) count(n ast.Node) int {
 	if n == nil {
 		return 0
@@ -208,6 +212,10 @@ func (c *funcCheck) count(n ast.Node) int {
 				cnt++
 			}
 			return false
+		case *ast.SelectorExpr:
+			if id, ok := v.X.(*ast.Ident); ok && v.Sel.Name == "IsZero" && c.isDone(id) {
+				guarded[v.X] = true
+			}
 		case *ast.BinaryExpr:
 			if v.Op == token.EQL || v.Op == token.NEQ {
 				if id, ok := v.X.(*ast.Ident); ok && c.isDone(id) {

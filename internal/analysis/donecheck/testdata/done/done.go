@@ -1,87 +1,113 @@
 // Package donefixture exercises the donecheck analyzer: done must be
-// invoked or handed off exactly once on every path.
+// resumed or handed off exactly once on every path.
 package donefixture
 
-var waiters []func()
+// Cont stands in for sim.Cont, the typed continuation.
+type Cont struct {
+	op, kind int32
+	arg      uint64
+}
 
-// OK: direct invocation on the single path.
-func DirectCall(done func()) {
-	done()
+func (c Cont) IsZero() bool { return c.op == 0 }
+
+type Engine struct{}
+
+func (e *Engine) Resume(c Cont)                    {}
+func (e *Engine) ScheduleCont(when uint64, c Cont) {}
+
+var eng = &Engine{}
+
+// OK: direct resumption on the single path.
+func DirectResume(done Cont) {
+	eng.Resume(done)
 }
 
 // OK: handoff to another call transfers the obligation.
-func Handoff(done func()) {
+func Handoff(done Cont) {
 	helper(done)
 }
 
-func helper(cb func()) { cb() }
+func helper(c Cont) { eng.Resume(c) }
 
-// OK: the sim.Engine retry pattern — a stored closure capturing done
-// counts as the one consumption.
-func Park(full func() bool, done func()) {
-	if full() {
-		waiters = append(waiters, func() { Park(full, done) })
+// OK: scheduling the continuation is its one consumption.
+func Delay(late bool, done Cont) {
+	if late {
+		eng.ScheduleCont(100, done)
 		return
 	}
-	done()
+	eng.Resume(done)
 }
 
-type core struct{ waiter func() }
+type stall struct {
+	done  Cont
+	began uint64
+}
 
-// OK: storing done in a field for later invocation, with a panic path.
-func (c *core) Wait(done func()) {
-	if c.waiter != nil {
+type core struct{ waiter stall }
+
+// OK: parking done in a field for later resumption, with a panic path; the
+// IsZero probe of the field is not a use of done.
+func (c *core) Wait(done Cont) {
+	if !c.waiter.done.IsZero() {
 		panic("busy")
 	}
-	c.waiter = done
+	c.waiter = stall{done: done}
+}
+
+// OK: an IsZero probe of done itself does not consume it.
+func Probe(done Cont) {
+	if done.IsZero() {
+		panic("no continuation")
+	}
+	eng.Resume(done)
 }
 
 // OK: defer fires exactly once.
-func Deferred(done func()) {
-	defer done()
+func Deferred(done Cont) {
+	defer eng.Resume(done)
 }
 
-// Missing: the false branch returns without invoking done.
-func MissingOnBranch(ok bool, done func()) {
+// Missing: the false branch returns without resuming done.
+func MissingOnBranch(ok bool, done Cont) {
 	if ok {
-		done()
+		eng.Resume(done)
 	}
 } // want `MissingOnBranch: done is never invoked on some path returning here`
 
-// Missing: early return skips the invocation.
-func EarlyReturn(n int, done func()) {
+// Missing: early return skips the resumption.
+func EarlyReturn(n int, done Cont) {
 	if n > 0 {
 		return // want `EarlyReturn: done is never invoked on some path returning here`
 	}
-	done()
+	eng.Resume(done)
 }
 
-// Double: unconditional second invocation.
-func Double(done func()) {
-	done()
-	done()
+// Double: unconditional second resumption.
+func Double(done Cont) {
+	eng.Resume(done)
+	eng.Resume(done)
 } // want `Double: done may be invoked more than once on some path returning here`
 
-// Double: one branch adds a second invocation.
-func BranchDouble(ok bool, done func()) {
-	done()
+// Double: one branch parks done after resuming it.
+func BranchDouble(ok bool, c *core, done Cont) {
+	eng.Resume(done)
 	if ok {
-		done()
+		c.waiter = stall{done: done}
 	}
 } // want `BranchDouble: done may be invoked more than once on some path returning here`
 
 // Double: a loop may hand done off on several iterations.
-func LoopHandoff(n int, done func()) {
+func LoopHandoff(n int, done Cont) {
 	for i := 0; i < n; i++ {
 		helper(done)
 	}
 } // want `LoopHandoff: done is never invoked on some path returning here` `LoopHandoff: done may be invoked more than once on some path returning here`
 
-// OK: the controller ack/nack pattern — local closures capturing done
-// are aliases; defining them is free, each use consumes done once.
-func AckNack(ok bool, done func()) {
-	ack := func() { done() }
-	nack := func() { done() }
+// OK: local closures capturing done are aliases; defining them is free,
+// each use consumes done once.
+func AckNack(ok bool, done Cont) {
+	ack := func() { eng.Resume(done) }
+	nack := func() { helper(done) }
 	if ok {
 		ack()
 		return
@@ -90,23 +116,26 @@ func AckNack(ok bool, done func()) {
 }
 
 // Double through an alias: two alias uses on one path.
-func AliasDouble(done func()) {
-	ack := func() { done() }
+func AliasDouble(done Cont) {
+	ack := func() { eng.Resume(done) }
 	ack()
 	ack()
 } // want `AliasDouble: done may be invoked more than once on some path returning here`
 
 // Missing through an alias: one branch never uses it.
-func AliasSkipped(ok bool, done func()) {
-	ack := func() { done() }
+func AliasSkipped(ok bool, done Cont) {
+	ack := func() { eng.Resume(done) }
 	if ok {
 		ack()
 	}
 } // want `AliasSkipped: done is never invoked on some path returning here`
 
+// Not a continuation: a parameter named done of another type is ignored.
+func NotCont(done func()) {}
+
 // Suppressed: the ignore directive on the line above the closing brace
-// silences the zero-call finding.
-func Intentional(done func()) {
-	_ = len(waiters)
+// silences the zero-use finding.
+func Intentional(done Cont) {
+	_ = eng
 	//asaplint:ignore donecheck completion is signalled out of band in this fixture
 }

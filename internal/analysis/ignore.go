@@ -15,7 +15,7 @@ import (
 // analyzers on its own line and on the line immediately below it (so it
 // can sit inline after the flagged code or on its own line above it).
 // The comma form lets one line silence two analyzers that trip on the
-// same construct (a cold-path closure flagged by both schedcheck and
+// same construct (a hot-path map lookup flagged by both detcheck and
 // alloccheck, say) without stacking directives. A directive missing the
 // analyzer or the reason is itself reported as a finding, so
 // suppressions can never silently rot.

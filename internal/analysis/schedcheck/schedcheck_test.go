@@ -7,20 +7,14 @@ import (
 	"asap/internal/analysis/schedcheck"
 )
 
-// TestSchedcheckConverted: in a converted package, closure-form After/At
-// are flagged (unless carrying an ignore directive) and events-appends
-// outside sim are flagged.
+// TestSchedcheckConverted: appends to the engine's queue slices outside
+// the sim package are flagged; scheduling calls and appends to other
+// slices pass.
 func TestSchedcheckConverted(t *testing.T) {
 	analysistest.Run(t, schedcheck.New(), "asap/internal/machine", "testdata/sched")
 }
 
-// TestSchedcheckUnconverted: closure scheduling stays legal in packages
-// not yet converted, but the heap side door is still closed.
-func TestSchedcheckUnconverted(t *testing.T) {
-	analysistest.Run(t, schedcheck.New(), "asap/internal/model", "testdata/unconverted")
-}
-
-// TestSchedcheckSimExempt: the engine appends to its own heap.
+// TestSchedcheckSimExempt: the engine appends to its own queue.
 func TestSchedcheckSimExempt(t *testing.T) {
 	analysistest.Run(t, schedcheck.New(), "asap/internal/sim", "testdata/sim")
 }

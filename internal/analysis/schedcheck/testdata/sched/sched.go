@@ -1,6 +1,7 @@
-// Fixture for schedcheck under a converted package path
-// (asap/internal/machine): closure-form After/At are flagged unless
-// annotated, typed-form scheduling and appends to non-engine slices pass.
+// Fixture for schedcheck outside the engine's package
+// (asap/internal/machine): scheduling through the engine's methods and
+// appends to non-engine slices pass; appends to the engine's queue slices
+// are flagged.
 package machine
 
 type Cycles = uint64
@@ -11,7 +12,7 @@ type EventOp interface {
 
 type event struct {
 	when Cycles
-	fn   func()
+	kind int32
 }
 
 type Engine struct {
@@ -21,9 +22,6 @@ type Engine struct {
 
 // The real scheduling methods live in internal/sim; these stubs only
 // give the fixture the right call-site shapes.
-func (e *Engine) At(when Cycles, fn func())     {}
-func (e *Engine) After(delay Cycles, fn func()) {}
-
 func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {}
 func (e *Engine) AfterOp(delay Cycles, op EventOp, kind int, arg uint64)   {}
 
@@ -34,22 +32,14 @@ type machine struct {
 func (m *machine) RunEvent(kind int, arg uint64) {}
 
 func (m *machine) hotPath() {
-	m.eng.AfterOp(1, m, 0, 7) // typed form: ok
+	m.eng.AfterOp(1, m, 0, 7) // schedule methods: ok
 	m.eng.ScheduleOp(5, m, 1, 7)
-	m.eng.After(1, func() {}) // want `closure-form m\.eng\.After allocates per event`
-	m.eng.At(5, func() {})    // want `closure-form m\.eng\.At allocates per event`
-}
-
-func (m *machine) coldPath() {
-	//asaplint:ignore schedcheck crash scheduling runs once per experiment
-	m.eng.At(100, func() {})
-	m.eng.After(2, func() {}) //asaplint:ignore schedcheck lock handoff is contention-only
 }
 
 func (m *machine) sideDoor() {
-	m.eng.nodes = append(m.eng.nodes, event{0, nil})       // want `direct append to m\.eng\.nodes bypasses the engine's \(when, seq, sub\) event-queue ordering`
-	m.eng.overflow = append(m.eng.overflow, event{0, nil}) // want `direct append to m\.eng\.overflow bypasses`
-	spare := append(m.eng.nodes[:0:0], m.eng.overflow...)  // a copy out of the queue: not an append to it
+	m.eng.nodes = append(m.eng.nodes, event{0, 0})        // want `direct append to m\.eng\.nodes bypasses the engine's \(when, seq\) event-queue ordering`
+	m.eng.overflow = append(m.eng.overflow, event{0, 0})  // want `direct append to m\.eng\.overflow bypasses`
+	spare := append(m.eng.nodes[:0:0], m.eng.overflow...) // a copy out of the queue: not an append to it
 	_ = spare
 }
 

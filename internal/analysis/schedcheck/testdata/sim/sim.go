@@ -7,7 +7,7 @@ type Cycles = uint64
 
 type event struct {
 	when Cycles
-	fn   func()
+	kind int32
 }
 
 type Engine struct {
@@ -15,7 +15,7 @@ type Engine struct {
 	overflow []event
 }
 
-func (e *Engine) After(delay Cycles, fn func()) { e.push(event{delay, fn}) }
+func (e *Engine) ScheduleOp(when Cycles, kind int32) { e.push(event{when, kind}) }
 
 func (e *Engine) push(ev event) {
 	e.overflow = append(e.overflow, ev) // the engine owns its heap

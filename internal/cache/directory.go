@@ -76,6 +76,24 @@ func NewDirectory() *Directory {
 	}
 }
 
+// Reserve sizes an empty table for n lines: the size doubling would reach
+// after n first touches, allocated once so a run never rehashes. Machine
+// construction calls it with the trace's distinct-line count; each doubling
+// would otherwise leave the old table as garbage mid-run.
+func (d *Directory) Reserve(n int) {
+	if d.count != 0 {
+		panic("cache: Reserve on a directory already in use")
+	}
+	size := len(d.slots)
+	for uint64(n)*4 >= uint64(size)*3 {
+		size *= 2
+	}
+	if size > len(d.slots) {
+		d.slots = make([]dirSlot, size)
+		d.mask = uint64(size) - 1
+	}
+}
+
 // dirHash spreads line numbers across the table (Fibonacci hashing).
 // Workload lines are sequential within a structure, so the low bits alone
 // would cluster whole regions onto neighbouring probe chains.
@@ -142,6 +160,9 @@ func (d *Directory) Peek(l mem.Line) (*DirEntry, bool) {
 	}
 	return nil, false
 }
+
+// Capacity reports the table's slot count (tests).
+func (d *Directory) Capacity() int { return len(d.slots) }
 
 // Len reports the number of lines with directory state (tests).
 func (d *Directory) Len() int { return d.count }

@@ -29,8 +29,7 @@ import (
 // Capture and moved to a later instant by Recapture. It rewinds that same
 // machine instance: Fork puts the machine
 // back into the captured state in place, preserving every object identity
-// (pointers, closures, map and slice backing arrays), so in-flight
-// continuations the model holds remain valid. Forks are therefore
+// (pointers, map and slice backing arrays). Forks are therefore
 // sequential — each Fork abandons whatever the previous fork simulated —
 // which is exactly the shape a crash campaign needs: fork, crash, check,
 // fork again.

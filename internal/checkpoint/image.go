@@ -1,7 +1,7 @@
 package checkpoint
 
-// The binary checkpoint image: Save serializes a quiescent machine's full
-// state — caches and directory, persist buffers, epoch/recovery tables,
+// The binary checkpoint image: Save serializes a machine's full state at
+// any cycle — caches and directory, persist buffers, epoch/recovery tables,
 // WPQ and controller rings, model state, trace cursors, and the engine's
 // typed event queue — into a compact, versioned, checksummed byte image;
 // Load rebuilds a machine that continues byte-identically.
@@ -24,15 +24,11 @@ package checkpoint
 //     machine's pointee where construction provides one and allocating
 //     where the state grew past construction (ledger records, delay
 //     records, lock states).
-//   - Func values are construction-time callbacks (stepFn, model done
-//     hooks): the image records only non-nilness, and the decoder keeps
-//     the fresh machine's function. Save co-traverses a pristine machine
-//     built from the same recipe and refuses any func value construction
-//     does not supply — a stored continuation cannot be rebuilt.
 //   - Interfaces hold long-lived components (model, controllers, link):
 //     def/ref over their pointees plus a dynamic type name check.
-//   - The engine must be quiescent (sim.Engine.Quiesce): typed events
-//     serialize by canonical receiver index, closure events cannot.
+//   - The machine holds no func values: queued events and the models'
+//     parked continuations (sim.Cont) are pointer-free values naming a
+//     receiver by its canonical index, so every cycle is serializable.
 //
 // Layout: magic, format version, then a SHA-256 digest of the remainder,
 // then the digested payload: schema fingerprint (a hash of the machine's
@@ -280,18 +276,6 @@ func (e *imgEncoder) encValue(ptr, pr unsafe.Pointer, t reflect.Type) {
 		e.encPtr(ptr, pr, t)
 	case reflect.Interface:
 		e.encIface(ptr, pr, t)
-	case reflect.Func:
-		if v.IsNil() {
-			e.byte(tagNil)
-			return
-		}
-		if pr == nil || reflect.NewAt(t, pr).Elem().IsNil() {
-			// A live closure construction does not supply is a blocked
-			// operation's resume continuation: the machine is mid-operation,
-			// not quiescent. SaveNextQuiescent steps past these instants.
-			panic(codecFail{fmt.Errorf("%w: stored continuation at %s (%v)", ErrNotQuiescent, strings.Join(e.path, "."), t)})
-		}
-		e.byte(tagDef)
 	default:
 		e.fail("unsupported kind %v", t.Kind())
 	}
@@ -347,15 +331,6 @@ func (d *imgDecoder) decValue(ptr unsafe.Pointer, t reflect.Type) {
 		d.decPtr(ptr, t)
 	case reflect.Interface:
 		d.decIface(ptr, t)
-	case reflect.Func:
-		if d.byteVal() == tagNil {
-			v.SetZero()
-			return
-		}
-		if v.IsNil() {
-			d.fail("image has a func value construction did not supply (stored continuation)")
-		}
-		// Keep the fresh machine's construction-time callback.
 	default:
 		d.fail("unsupported kind %v", t.Kind())
 	}
@@ -735,8 +710,8 @@ func (e *imgEncoder) auditSpans() {
 // controller job holds its requesting core through a FlushReplier
 // interface, and the graph walk may meet the core there first — a position
 // where the pristine machine has nothing, so the co-traversal pairing is
-// lost and construction-supplied func fields cannot be validated, and the
-// decoder would not know which fresh object carries the state.
+// lost and the decoder would not know which fresh object carries the
+// state.
 //
 // The spine pass fixes identity up front. Before the graph body, the
 // encoder co-walks the captured and pristine machines over pointer and
@@ -948,12 +923,13 @@ var machineType = reflect.TypeOf(machine.Machine{})
 
 // --- Save / Load ---
 
-// Save serializes m into a checkpoint image. The machine must be serial,
-// unobserved (no tracer/timeline/progress attached), and quiescent: no
-// closure-form events in flight (sim.Engine.Quiesce). Crash campaigns and
-// warm-started sweeps use the in-memory Capture/Fork; Save is the
-// cross-process form — archive a warmed machine, restore it in another
-// process, and continue byte-identically.
+// Save serializes m into a checkpoint image at its current cycle, which may
+// be any cycle between Advance boundaries — mid-stall and mid-drain
+// included. The machine must be unobserved (no tracer, timeline, progress
+// or dispatch hook attached). Crash campaigns and warm-started sweeps use
+// the in-memory Capture/Fork; Save is the cross-process form — archive a
+// warmed machine, restore it in another process, and continue
+// byte-identically.
 func Save(m *machine.Machine) (img []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -964,14 +940,11 @@ func Save(m *machine.Machine) (img []byte, err error) {
 			img, err = nil, fmt.Errorf("checkpoint: save panicked: %v", r)
 		}
 	}()
-	if m.HasObservers() {
-		return nil, fmt.Errorf("checkpoint: cannot save an observed machine (detach tracer/timeline/progress first)")
+	if m.HasObservers() || m.Eng.Hooked() {
+		return nil, fmt.Errorf("checkpoint: cannot save an observed machine (detach tracer/timeline/progress/dispatch hook first)")
 	}
 	if m.Trace() == nil {
 		return nil, fmt.Errorf("checkpoint: machine has no trace to embed")
-	}
-	if qerr := m.Eng.Quiesce(); qerr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotQuiescent, qerr)
 	}
 	pristine, err := machine.New(m.Cfg, m.Model.Name(), m.Trace())
 	if err != nil {
@@ -1123,290 +1096,6 @@ func Load(img []byte) (m *machine.Machine, err error) {
 		}
 	}
 	return fresh, nil
-}
-
-// ErrNotQuiescent reports that Save found live closures — the machine is
-// between instants the image format can represent. Two sources: engine
-// closure events (models that drive flush loops via Eng.After), and
-// blocked-operation continuations inside any model (a stalled store, an
-// ofence waiting on a full epoch table, a dfence mid-drain). Both clear on
-// their own as the run proceeds.
-var ErrNotQuiescent = fmt.Errorf("checkpoint: machine not quiescent")
-
-// hasFuncPath reports whether values of t can reach a func value. The
-// continuation scan prunes by it, which keeps the per-cycle quiescence
-// probe off the big POD regions (caches, directory, ledger).
-var hasFuncPathMemo = map[reflect.Type]bool{}
-
-func hasFuncPathLocked(t reflect.Type) bool {
-	if v, ok := hasFuncPathMemo[t]; ok {
-		return v
-	}
-	hasFuncPathMemo[t] = false // break type cycles
-	var v bool
-	switch t.Kind() {
-	case reflect.Func:
-		v = true
-	case reflect.Interface:
-		v = true // dynamic contents unknown
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		v = hasFuncPathLocked(t.Elem())
-	case reflect.Map:
-		v = hasFuncPathLocked(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField() && !v; i++ {
-			v = hasFuncPathLocked(t.Field(i).Type)
-		}
-	}
-	hasFuncPathMemo[t] = v
-	return v
-}
-
-func hasFuncPath(t reflect.Type) bool {
-	hasRefsMu.Lock()
-	defer hasRefsMu.Unlock()
-	return hasFuncPathLocked(t)
-}
-
-// contScan is the cheap quiescence probe behind SaveNextQuiescent: a
-// func-pruned walk that reports the first live closure construction does
-// not supply, without paying for an encode attempt. pair mirrors the
-// encoder's spine pass (identity for construction-backed objects); scan
-// then visits every captured object that can reach a func.
-type contScan struct {
-	pairs map[seenKey]unsafe.Pointer
-	seen  map[seenKey]bool
-	path  []string
-}
-
-func (s *contScan) pair(cp, pp unsafe.Pointer, t reflect.Type) {
-	if !hasRefs(t) || !hasFuncPath(t) {
-		return
-	}
-	switch t.Kind() {
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			s.pair(unsafe.Add(cp, f.Offset), unsafe.Add(pp, f.Offset), f.Type)
-		}
-	case reflect.Array:
-		sz := t.Elem().Size()
-		for i := 0; i < t.Len(); i++ {
-			s.pair(unsafe.Add(cp, uintptr(i)*sz), unsafe.Add(pp, uintptr(i)*sz), t.Elem())
-		}
-	case reflect.Slice:
-		if t == opSliceType {
-			return
-		}
-		cv := reflect.NewAt(t, cp).Elem()
-		pv := reflect.NewAt(t, pp).Elem()
-		if cv.IsNil() || pv.IsNil() || cv.Len() != pv.Len() {
-			return
-		}
-		cb, pb := cv.UnsafePointer(), pv.UnsafePointer()
-		sz := t.Elem().Size()
-		for i := 0; i < cv.Len(); i++ {
-			s.pair(unsafe.Add(cb, uintptr(i)*sz), unsafe.Add(pb, uintptr(i)*sz), t.Elem())
-		}
-	case reflect.Pointer:
-		if skipType(t) {
-			return
-		}
-		cptr := *(*unsafe.Pointer)(cp)
-		pptr := *(*unsafe.Pointer)(pp)
-		if cptr == nil || pptr == nil {
-			return
-		}
-		s.pairObj(cptr, pptr, t.Elem())
-	case reflect.Interface:
-		if skipType(t) {
-			return
-		}
-		cv := reflect.NewAt(t, cp).Elem()
-		pv := reflect.NewAt(t, pp).Elem()
-		if cv.IsNil() || pv.IsNil() {
-			return
-		}
-		ce, pe := cv.Elem(), pv.Elem()
-		if ce.Kind() != reflect.Pointer || ce.Type() != pe.Type() || skipType(ce.Type()) || ce.IsNil() {
-			return
-		}
-		s.pairObj(ce.UnsafePointer(), pe.UnsafePointer(), ce.Type().Elem())
-	}
-}
-
-func (s *contScan) pairObj(cptr, pptr unsafe.Pointer, et reflect.Type) {
-	key := seenKey{ptr: cptr, typ: et}
-	if _, ok := s.pairs[key]; ok {
-		return
-	}
-	s.pairs[key] = pptr
-	s.pair(cptr, pptr, et)
-}
-
-// scan walks the captured graph; pp is the paired pristine position or nil
-// where construction has no counterpart. Returns non-nil on the first
-// stored continuation.
-func (s *contScan) scan(cp, pp unsafe.Pointer, t reflect.Type) error {
-	if !hasFuncPath(t) {
-		return nil
-	}
-	switch t.Kind() {
-	case reflect.Func:
-		if !reflect.NewAt(t, cp).Elem().IsNil() {
-			if pp == nil || reflect.NewAt(t, pp).Elem().IsNil() {
-				return fmt.Errorf("%w: stored continuation at %s (%v)", ErrNotQuiescent, strings.Join(s.path, "."), t)
-			}
-		}
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			var fpp unsafe.Pointer
-			if pp != nil {
-				fpp = unsafe.Add(pp, f.Offset)
-			}
-			s.path = append(s.path, f.Name)
-			err := s.scan(unsafe.Add(cp, f.Offset), fpp, f.Type)
-			s.path = s.path[:len(s.path)-1]
-			if err != nil {
-				return err
-			}
-		}
-	case reflect.Array:
-		sz := t.Elem().Size()
-		for i := 0; i < t.Len(); i++ {
-			var epp unsafe.Pointer
-			if pp != nil {
-				epp = unsafe.Add(pp, uintptr(i)*sz)
-			}
-			if err := s.scan(unsafe.Add(cp, uintptr(i)*sz), epp, t.Elem()); err != nil {
-				return err
-			}
-		}
-	case reflect.Slice:
-		if t == opSliceType {
-			return nil
-		}
-		cv := reflect.NewAt(t, cp).Elem()
-		if cv.IsNil() {
-			return nil
-		}
-		var pb unsafe.Pointer
-		if pp != nil {
-			pv := reflect.NewAt(t, pp).Elem()
-			if !pv.IsNil() && pv.Len() == cv.Len() {
-				pb = pv.UnsafePointer()
-			}
-		}
-		cb := cv.UnsafePointer()
-		sz := t.Elem().Size()
-		for i := 0; i < cv.Len(); i++ {
-			var epp unsafe.Pointer
-			if pb != nil {
-				epp = unsafe.Add(pb, uintptr(i)*sz)
-			}
-			if err := s.scan(unsafe.Add(cb, uintptr(i)*sz), epp, t.Elem()); err != nil {
-				return err
-			}
-		}
-	case reflect.Map:
-		mv := reflect.NewAt(t, cp).Elem()
-		if mv.IsNil() {
-			return nil
-		}
-		vt := t.Elem()
-		it := mv.MapRange() //asaplint:ignore detcheck scan order does not affect the error/no-error outcome
-		for it.Next() {
-			tmp := reflect.New(vt)
-			tmp.Elem().Set(it.Value())
-			if err := s.scan(tmp.UnsafePointer(), nil, vt); err != nil {
-				return err
-			}
-		}
-	case reflect.Pointer:
-		if skipType(t) {
-			return nil
-		}
-		cptr := *(*unsafe.Pointer)(cp)
-		if cptr == nil {
-			return nil
-		}
-		return s.scanObj(cptr, t.Elem())
-	case reflect.Interface:
-		if skipType(t) {
-			return nil
-		}
-		cv := reflect.NewAt(t, cp).Elem()
-		if cv.IsNil() {
-			return nil
-		}
-		ce := cv.Elem()
-		if ce.Kind() != reflect.Pointer || skipType(ce.Type()) || ce.IsNil() {
-			return nil
-		}
-		return s.scanObj(ce.UnsafePointer(), ce.Type().Elem())
-	}
-	return nil
-}
-
-func (s *contScan) scanObj(cptr unsafe.Pointer, et reflect.Type) error {
-	key := seenKey{ptr: cptr, typ: et}
-	if s.seen[key] {
-		return nil
-	}
-	s.seen[key] = true
-	return s.scan(cptr, s.pairs[key], et)
-}
-
-// scanQuiescent is the cheap form of Save's stored-continuation check.
-func scanQuiescent(m, pristine *machine.Machine) error {
-	s := &contScan{
-		pairs: make(map[seenKey]unsafe.Pointer, 64),
-		seen:  make(map[seenKey]bool, 64),
-	}
-	s.pairs[seenKey{ptr: unsafe.Pointer(m), typ: machineType}] = unsafe.Pointer(pristine)
-	s.pair(unsafe.Pointer(m), unsafe.Pointer(pristine), machineType)
-	return s.scanObj(unsafe.Pointer(m), machineType)
-}
-
-// SaveNextQuiescent advances m cycle by cycle (up to maxAhead cycles past
-// its current clock) until Save succeeds, and returns the image together
-// with the cycle actually captured. The advance is part of the run the
-// caller intended anyway — the restored machine resumes from the returned
-// cycle. Non-quiescence is the only error it retries; each rejected cycle
-// costs a func-pruned scan, not an encode attempt.
-func SaveNextQuiescent(m *machine.Machine, maxAhead uint64) ([]byte, uint64, error) {
-	if m.HasObservers() || m.Trace() == nil {
-		_, err := Save(m) // produce the precise gating error
-		return nil, 0, err
-	}
-	pristine, err := machine.New(m.Cfg, m.Model.Name(), m.Trace())
-	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: rebuilding pristine machine: %w", err)
-	}
-	limit := m.Eng.Now() + maxAhead
-	for {
-		quiet := m.Eng.Quiesce() == nil && scanQuiescent(m, pristine) == nil
-		if quiet {
-			img, err := Save(m)
-			if err == nil {
-				return img, m.Eng.Now(), nil
-			}
-			if !errors.Is(err, ErrNotQuiescent) {
-				return nil, 0, err
-			}
-			// The scan under-approximated; fall through and keep stepping.
-		}
-		if m.Eng.Now() >= limit {
-			return nil, 0, fmt.Errorf("%w after %d extra cycles", ErrNotQuiescent, maxAhead)
-		}
-		prev := m.Eng.Now()
-		m.Advance(prev + 1)
-		if m.Eng.Now() == prev {
-			// Halted with the clock pinned; stepping cannot change anything.
-			return nil, 0, fmt.Errorf("%w and the machine is halted", ErrNotQuiescent)
-		}
-	}
 }
 
 // ImageCycle reads the capture cycle from an image header without decoding

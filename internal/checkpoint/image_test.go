@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,8 +43,8 @@ func newAt(t *testing.T, mn string, c diffCase, at uint64) *machine.Machine {
 // every model × a workload sample, a machine advanced to a randomized
 // mid-run cycle, saved to a binary image, loaded back, and run to
 // completion must reproduce the uninterrupted run byte-identically —
-// Result, stats, and every controller's NVM image. Models that drive
-// flush loops through engine closures save at the next quiescent cycle.
+// Result, stats, and every controller's NVM image. Every cycle is
+// checkpointable, so the image is taken at exactly the requested cycle.
 func TestImageRoundtrip(t *testing.T) {
 	for _, mn := range model.ExtendedNames() {
 		for _, c := range diffWorkloads() {
@@ -58,15 +57,12 @@ func TestImageRoundtrip(t *testing.T) {
 				r := rng.New(uint64(len(mn))*31 + c.p.Seed*17)
 				cut := 1 + r.Uint64n(resA.Cycles)
 				m := newAt(t, mn, c, cut)
-				img, at, err := SaveNextQuiescent(m, resA.Cycles)
+				img, err := Save(m)
 				if err != nil {
 					t.Fatalf("save at cycle %d: %v", cut, err)
 				}
-				if at < cut {
-					t.Fatalf("saved at %d, before requested cycle %d", at, cut)
-				}
-				if gotCycle, err := ImageCycle(img); err != nil || gotCycle != at {
-					t.Fatalf("ImageCycle = %d, %v; want %d", gotCycle, err, at)
+				if gotCycle, err := ImageCycle(img); err != nil || gotCycle != cut {
+					t.Fatalf("ImageCycle = %d, %v; want %d", gotCycle, err, cut)
 				}
 
 				// The machine Save mutated must itself still finish correctly.
@@ -78,8 +74,8 @@ func TestImageRoundtrip(t *testing.T) {
 					if err != nil {
 						t.Fatalf("load: %v", err)
 					}
-					if lm.Eng.Now() != at {
-						t.Fatalf("loaded clock %d, want %d", lm.Eng.Now(), at)
+					if lm.Eng.Now() != cut {
+						t.Fatalf("loaded clock %d, want %d", lm.Eng.Now(), cut)
 					}
 					compare(t, "load-continue", want, summarize(lm, lm.Run(0)))
 				}
@@ -94,16 +90,13 @@ func TestImageRoundtrip(t *testing.T) {
 // or timestamps leak into the encoding).
 func TestImageDeterministic(t *testing.T) {
 	c := diffCase{wl: "cceh", p: workload.Params{Threads: 2, OpsPerThread: 120, Seed: 7}}
-	a, atA, err := SaveNextQuiescent(newAt(t, model.NameASAPEP, c, 500), 1<<20)
+	a, err := Save(newAt(t, model.NameASAPEP, c, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, atB, err := SaveNextQuiescent(newAt(t, model.NameASAPEP, c, 500), 1<<20)
+	b, err := Save(newAt(t, model.NameASAPEP, c, 500))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if atA != atB {
-		t.Fatalf("quiescence search diverged: %d vs %d", atA, atB)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical machine states produced different images")
@@ -116,7 +109,7 @@ func TestImageDeterministic(t *testing.T) {
 // rejected (the digest covers the whole payload).
 func TestImageRejectsBadInput(t *testing.T) {
 	c := diffCase{wl: "echo", p: workload.Params{Threads: 2, OpsPerThread: 60, Seed: 5}}
-	img, _, err := SaveNextQuiescent(newAt(t, model.NameASAPEP, c, 200), 1<<20)
+	img, err := Save(newAt(t, model.NameASAPEP, c, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,33 +144,6 @@ func TestImageRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestImageRejectsUnquiescent pins the gating contract for closure-driven
-// models, and that SaveNextQuiescent reports non-quiescence when the
-// search window is too small.
-func TestImageRejectsUnquiescent(t *testing.T) {
-	c := diffCase{wl: "cceh", p: workload.Params{Threads: 2, OpsPerThread: 200, Seed: 3}}
-	m := newAt(t, model.NameHOPSRP, c, 0)
-	// Find a cycle where hops_rp has a closure in flight: step until Save
-	// refuses, which must happen early in any run with persist traffic.
-	found := false
-	for i := uint64(1); i < 2000; i++ {
-		m.Advance(i)
-		if _, err := Save(m); err != nil {
-			if !errors.Is(err, ErrNotQuiescent) {
-				t.Fatalf("unexpected save error: %v", err)
-			}
-			if _, _, err := SaveNextQuiescent(newAt(t, model.NameHOPSRP, c, i), 0); !errors.Is(err, ErrNotQuiescent) {
-				t.Fatalf("zero-window search: got %v, want ErrNotQuiescent", err)
-			}
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Skip("hops_rp never left quiescence on this workload")
-	}
-}
-
 // goldenImagePath is the committed checkpoint image: asap_ep on the cceh
 // workload, saved at cycle 400. CI's golden job loads it and reruns it.
 func goldenImagePath(t testing.TB) string {
@@ -198,11 +164,11 @@ func goldenMachine(t *testing.T) *machine.Machine {
 // -run TestGoldenImage -update` and review the diff deliberately — old
 // images stop loading when the fingerprint moves.
 func TestGoldenImage(t *testing.T) {
-	img, at, err := SaveNextQuiescent(goldenMachine(t), 1<<20)
+	img, err := Save(goldenMachine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("golden image captured at cycle %d (%d bytes)", at, len(img))
+	t.Logf("golden image captured at cycle 400 (%d bytes)", len(img))
 	path := goldenImagePath(t)
 	if *updateGolden {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
@@ -292,7 +258,7 @@ func loadRejects(t *testing.T, bad []byte, want, what string) {
 // patched to each corrupt value and the image resealed.
 func TestImageRejectsMalformedQueue(t *testing.T) {
 	m := goldenMachine(t)
-	img, _, err := SaveNextQuiescent(m, 1<<20)
+	img, err := Save(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +333,7 @@ func TestImageRejectsMalformedQueue(t *testing.T) {
 // to the bad value at the same length.
 func TestImageRejectsMalformedMem(t *testing.T) {
 	m := goldenMachine(t)
-	img, _, err := SaveNextQuiescent(m, 1<<20)
+	img, err := Save(m)
 	if err != nil {
 		t.Fatal(err)
 	}

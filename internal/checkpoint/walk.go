@@ -7,8 +7,8 @@ package checkpoint
 //
 // The traversal decomposes state into restore actions:
 //
-//   - POD regions and POD slice contents (no pointers, maps, interfaces or
-//     funcs anywhere inside — the bulk of machine state: cache arrays, the
+//   - POD regions and POD slice contents (no pointers, maps or interfaces
+//     anywhere inside — the bulk of machine state: cache arrays, the
 //     event queue, ledger slabs, the memory controllers' NVM, WPQ and
 //     XPBuffer slabs) are captured into one shared byte arena and
 //     restored with plain memmoves. This is the fast path that makes a
@@ -16,9 +16,7 @@ package checkpoint
 //   - non-POD pointees are captured as typed shallow copies (reflect.Set —
 //     a typedmemmove with proper write barriers). Restoring the copy puts
 //     back every scalar, every pointer (identity — the graph keeps its
-//     original objects), every func value (closures are shared, not
-//     cloned: everything they capture is itself rolled back), and every
-//     slice/map header.
+//     original objects), and every slice/map header.
 //   - slice contents are copied back into the original backing array,
 //     preserving aliasing (two slices sharing a backing array keep sharing
 //     it after restore).
@@ -173,8 +171,8 @@ func skipType(t reflect.Type) bool {
 // podCache memoizes isPOD per type; shared by concurrent captures.
 var podCache sync.Map // reflect.Type -> bool
 
-// isPOD reports whether t contains no pointers, slices, maps, interfaces,
-// funcs, or channels — i.e. a bitwise copy of a value of t captures it
+// isPOD reports whether t contains no pointers, slices, maps, interfaces
+// or channels — i.e. a bitwise copy of a value of t captures it
 // completely. Strings count as POD: their bytes are immutable, so restoring
 // the header restores the value.
 func isPOD(t reflect.Type) bool {
@@ -216,13 +214,13 @@ func computePOD(t reflect.Type) bool {
 }
 
 // shallow reports whether t needs no interior walk beyond its own bytes:
-// POD, strings (immutable bytes), or funcs (restored by identity).
+// POD or strings (immutable bytes).
 func shallow(t reflect.Type) bool {
 	if isPOD(t) {
 		return true
 	}
 	switch t.Kind() {
-	case reflect.String, reflect.Func:
+	case reflect.String:
 		return true
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
@@ -387,9 +385,8 @@ func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 		// A non-pointer concrete value boxed in an interface is immutable
 		// through that interface (no pointer-receiver methods in its method
 		// set), so restoring the interface words restores the value.
-	case reflect.Func, reflect.String:
-		// Func values restore by identity, string bytes are immutable; the
-		// enclosing copy owns both headers.
+	case reflect.String:
+		// String bytes are immutable; the enclosing copy owns the header.
 	case reflect.Chan, reflect.UnsafePointer:
 		panic(fmt.Sprintf("checkpoint: cannot snapshot %v (machine state must stay channel-free)", t))
 	}

@@ -21,18 +21,23 @@ import (
 // SampleInterval is the period of the occupancy/blocked-cycles sampler.
 const SampleInterval sim.Cycles = 200
 
-// Typed-event kinds dispatched through Machine.RunEvent. The per-op core
-// tick, persistent-store issue, and fence paths run through these so the
-// steady-state instruction stream schedules no closures.
+// Typed-event kinds dispatched through Machine.RunEvent. The step, dfence,
+// release and drain kinds double as the continuations (sim.Cont) the
+// machine hands the model: the model resumes them, at once or after a
+// stall, exactly once per operation.
 const (
-	mEvStep     = iota // resume core arg's next op
-	mEvPStore          // issue core arg's staged persistent store to the model
-	mEvOfence          // run the model's Ofence for core arg
-	mEvDfence          // run the model's Dfence for core arg
-	mEvSample          // periodic occupancy sampler
-	mEvTimeline        // periodic timeline row
-	mEvRelease         // run the model's Release for core arg's staged lock line
-	mEvHandoff         // finish a contended acquire handed to core arg
+	mEvStep        = iota // resume core arg's next op
+	mEvPStore             // issue core arg's staged persistent store to the model
+	mEvOfence             // run the model's Ofence for core arg
+	mEvDfence             // run the model's Dfence for core arg
+	mEvSample             // periodic occupancy sampler
+	mEvTimeline           // periodic timeline row
+	mEvRelease            // run the model's Release for core arg's staged lock line
+	mEvHandoff            // finish a contended acquire handed to core arg
+	mEvDfenceDone         // core arg's dfence completed: close its trace span, step on
+	mEvReleaseDone        // core arg's release work completed: store, tag and hand off the lock
+	mEvDrained            // core arg's end-of-trace drain completed
+	mEvCrash              // scheduled power failure
 )
 
 // Machine is one runnable system instance. Build with New, run with Run.
@@ -71,9 +76,6 @@ type Machine struct {
 	// link carries the model's flushes and commits to the controllers.
 	link *persist.Link
 
-	// wbbPreds caches per-core ReleaseIf predicates so the sampler does not
-	// close over the loop variable every interval.
-	wbbPreds []func(mem.Line) bool
 	// tlVals is the timeline row scratch, reused across ticks.
 	tlVals []uint64
 
@@ -96,14 +98,6 @@ type coreState struct {
 
 	waitingLock bool // a "lock wait" trace span is open for this core
 
-	// stepFn, dfenceDoneFn and relDoneFn are the core's resume callbacks,
-	// built once at construction and passed to the model as done-callbacks
-	// so the per-op path allocates no closures. Each core has at most one
-	// op in flight, so a single callback per core suffices.
-	stepFn       func()
-	dfenceDoneFn func()
-	relDoneFn    func()
-
 	// pendLine/pendToken stage the persistent store issued when the pending
 	// mEvPStore event fires. Valid because the core is serial: no second
 	// store can be staged before the event dispatches.
@@ -111,7 +105,7 @@ type coreState struct {
 	pendToken mem.Token
 
 	// relLine/relTS stage the lock release in flight (mEvRelease plus the
-	// model's Release continuation); handoffLine stages the lock line of a
+	// mEvReleaseDone continuation); handoffLine stages the lock line of a
 	// contended acquire handed to this core (mEvHandoff). One of each can
 	// be pending per core: releases are ops of the serial core, and a core
 	// receiving a handoff is parked on that acquire.
@@ -167,6 +161,7 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 		cSampledCycles:       st.Counter(kCoreSampledCycles),
 	}
 	m.tr = tr
+	m.Hier.Directory().Reserve(traceLines(tr))
 	spec := model.Speculative(modelName)
 	m.MCs = make([]*persist.MC, cfg.MCs)
 	for i := range m.MCs {
@@ -189,21 +184,9 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 	m.Model = mdl
 	m.cores = make([]*coreState, tr.NumThreads())
 	m.wbbs = make([]*persist.WBB, tr.NumThreads())
-	m.wbbPreds = make([]func(mem.Line) bool, tr.NumThreads())
 	for i := range m.cores {
-		c := &coreState{id: i, ops: tr.Threads[i]}
-		c.stepFn = func() { m.step(c) }
-		c.dfenceDoneFn = func() {
-			if m.trc != nil {
-				m.trc.End(m.coreTracks[c.id])
-			}
-			m.step(c)
-		}
-		c.relDoneFn = func() { m.finishRelease(c) }
-		m.cores[i] = c
+		m.cores[i] = &coreState{id: i, ops: tr.Threads[i]}
 		m.wbbs[i] = persist.NewWBB(16)
-		i := i
-		m.wbbPreds[i] = func(l mem.Line) bool { return !m.Model.PBHasLine(i, l) }
 	}
 	// Fix the engine's typed-event receiver table in construction order
 	// (machine, model, controllers, link) instead of first-schedule order.
@@ -229,18 +212,31 @@ func (m *Machine) RunEvent(kind int, arg uint64) {
 		m.step(m.cores[arg])
 	case mEvPStore:
 		c := m.cores[arg]
-		m.Model.Store(c.id, c.pendLine, c.pendToken, c.stepFn)
+		m.Model.Store(c.id, c.pendLine, c.pendToken, m.Eng.Cont(m, mEvStep, arg))
 	case mEvOfence:
-		m.Model.Ofence(int(arg), m.cores[arg].stepFn)
+		m.Model.Ofence(int(arg), m.Eng.Cont(m, mEvStep, arg))
 	case mEvDfence:
-		c := m.cores[arg]
 		if m.trc != nil {
-			m.trc.Begin(m.coreTracks[c.id], "dfence")
+			m.trc.Begin(m.coreTracks[arg], "dfence")
 		}
-		m.Model.Dfence(c.id, c.dfenceDoneFn)
+		m.Model.Dfence(int(arg), m.Eng.Cont(m, mEvDfenceDone, arg))
+	case mEvDfenceDone:
+		if m.trc != nil {
+			m.trc.End(m.coreTracks[arg])
+		}
+		m.step(m.cores[arg])
 	case mEvRelease:
 		c := m.cores[arg]
-		m.Model.Release(c.id, c.relLine, c.relDoneFn) //asaplint:ignore alloccheck lock release is contention-only, cold next to the per-access path
+		m.Model.Release(c.id, c.relLine, m.Eng.Cont(m, mEvReleaseDone, arg)) //asaplint:ignore alloccheck lock release is contention-only, cold next to the per-access path
+	case mEvReleaseDone:
+		m.finishRelease(m.cores[arg]) //asaplint:ignore alloccheck lock release is contention-only, cold next to the per-access path
+	case mEvDrained:
+		c := m.cores[arg]
+		c.done = true
+		c.finish = m.Eng.Now()
+		m.finished++
+	case mEvCrash:
+		m.crash() //asaplint:ignore alloccheck the ADR power-fail sequence runs once per experiment, then the engine halts
 	case mEvHandoff:
 		c := m.cores[arg]
 		m.finishAcquire(c, c.handoffLine)
@@ -376,17 +372,20 @@ func (m *Machine) timelineTick() {
 // runs (WPQ drain plus undo-record write-back) and the simulation halts.
 func (m *Machine) ScheduleCrash(at sim.Cycles) {
 	m.crashAt = at
-	//asaplint:ignore schedcheck one crash event per experiment, cold
-	m.Eng.At(at, func() {
-		m.Crashed = true
-		if m.trc != nil {
-			m.trc.Instant(m.engTrack, "crash")
-		}
-		for _, mc := range m.MCs {
-			mc.CrashFlush()
-		}
-		m.Eng.Halt()
-	})
+	m.Eng.ScheduleOp(at, m, mEvCrash, 0)
+}
+
+// crash is the ADR power-fail sequence: drain every controller's WPQ, write
+// back its undo records, and halt.
+func (m *Machine) crash() {
+	m.Crashed = true
+	if m.trc != nil {
+		m.trc.Instant(m.engTrack, "crash")
+	}
+	for _, mc := range m.MCs {
+		mc.CrashFlush()
+	}
+	m.Eng.Halt()
 }
 
 // Result summarizes one run.
@@ -456,14 +455,7 @@ func (m *Machine) CrashNow(at sim.Cycles) {
 	m.Advance(at - 1)
 	m.Eng.JumpTo(at)
 	m.crashAt = at
-	m.Crashed = true
-	if m.trc != nil {
-		m.trc.Instant(m.engTrack, "crash")
-	}
-	for _, mc := range m.MCs {
-		mc.CrashFlush()
-	}
-	m.Eng.Halt()
+	m.crash()
 }
 
 func (m *Machine) result() Result {
@@ -504,12 +496,7 @@ func (m *Machine) step(c *coreState) {
 		return
 	}
 	if c.pc >= len(c.ops) {
-		//asaplint:ignore alloccheck drain completion fires once per core at end of trace
-		m.Model.StartDrain(c.id, func() {
-			c.done = true
-			c.finish = m.Eng.Now()
-			m.finished++
-		})
+		m.Model.StartDrain(c.id, m.Eng.Cont(m, mEvDrained, uint64(c.id)))
 		return
 	}
 	op := c.ops[c.pc]
@@ -648,16 +635,15 @@ func (m *Machine) finishAcquire(c *coreState, line mem.Line) {
 // baseline), then performs the lock-line store, tags the release epoch in
 // the directory, and hands the lock to the next waiter. The whole chain is
 // staged in coreState fields and driven by typed events plus the
-// construction-time relDoneFn — lock-heavy workloads release constantly,
-// and the closure form this replaced was a double-digit share of Fig8's
-// allocations.
+// mEvReleaseDone continuation, so lock-heavy workloads release without
+// allocating.
 func (m *Machine) release(c *coreState, line mem.Line) {
 	c.relLine = line
 	c.relTS = m.Model.CurrentTS(c.id)
 	m.Eng.AfterOp(m.Cfg.FenceCost, m, mEvRelease, uint64(c.id))
 }
 
-// finishRelease is the model's release-done continuation: the lock-line
+// finishRelease runs the model's release-done continuation: the lock-line
 // store, directory release tag, and lock handoff.
 func (m *Machine) finishRelease(c *coreState) {
 	line := c.relLine
@@ -702,7 +688,7 @@ func (m *Machine) sample() {
 		if c.done {
 			continue
 		}
-		m.St.Observe("pbOccupancy", uint64(m.Model.PBOccupancy(c.id)))
+		m.St.Observe(kPBOccupancy, uint64(m.Model.PBOccupancy(c.id)))
 		if m.Model.PBBlocked(c.id) {
 			m.cCyclesBlocked.Add(uint64(SampleInterval))
 		}
@@ -716,14 +702,14 @@ func (m *Machine) sample() {
 	}
 	for _, mc := range m.MCs {
 		if mc.RT != nil {
-			m.St.Observe("rtOccupancy", uint64(mc.RT.Occupancy()))
+			m.St.Observe(kRTOccupancy, uint64(mc.RT.Occupancy()))
 		}
 	}
 	// Lazily release parked write-back-buffer evictions whose persist
 	// buffer entries have since flushed.
 	for i, wbb := range m.wbbs {
 		if wbb.Len() > 0 {
-			wbb.ReleaseIf(m.wbbPreds[i])
+			wbb.ReleaseFlushed(m.Model, i)
 		}
 	}
 	m.Eng.AfterOp(SampleInterval, m, mEvSample, 0)

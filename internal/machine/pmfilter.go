@@ -112,3 +112,42 @@ func (f *pmFilter) has(l mem.Line) bool {
 	w := f.word(l)
 	return w != nil && *w&(1<<(l&63)) != 0
 }
+
+// traceLines counts the distinct lines the trace's loads, stores and lock
+// operations touch — the coherence directory's final size, which machine
+// construction reserves up front. It marks them in a throwaway paged
+// bitset of the filter's shape; consecutive ops mostly stay on one page,
+// so the page lookup is cached.
+func traceLines(tr *trace.Trace) int {
+	f := pmFilter{dir: make([]pmPage, pmInitSlots), mask: pmInitSlots - 1}
+	n := 0
+	lastPage, lastOff := ^uint64(0), uint64(0)
+	for _, ops := range tr.Threads {
+		for i := range ops {
+			switch ops[i].Kind {
+			case trace.OpLoad, trace.OpStore, trace.OpAcquire, trace.OpRelease:
+			default:
+				continue
+			}
+			l := uint64(mem.LineOf(ops[i].Addr))
+			if page := l >> pmPageShift; page != lastPage {
+				s := f.slot(page)
+				if s.key == 0 {
+					*s = pmPage{key: page + 1, off: uint32(len(f.bits))}
+					f.bits = append(f.bits, make([]uint64, pmPageWords)...)
+					if pages := len(f.bits) / pmPageWords; 2*pages > len(f.dir) {
+						f.rehash(2 * len(f.dir))
+						s = f.slot(page)
+					}
+				}
+				lastPage, lastOff = page, uint64(s.off)
+			}
+			w := &f.bits[lastOff+l>>6&(pmPageWords-1)]
+			if *w&(1<<(l&63)) == 0 {
+				*w |= 1 << (l & 63)
+				n++
+			}
+		}
+	}
+	return n
+}

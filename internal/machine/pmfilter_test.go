@@ -3,9 +3,11 @@ package machine
 import (
 	"testing"
 
+	"asap/internal/config"
 	"asap/internal/mem"
 	"asap/internal/rng"
 	"asap/internal/trace"
+	"asap/internal/workload"
 )
 
 // pmTrace builds a one-thread trace of persistent stores to lines, with a
@@ -162,5 +164,38 @@ func TestPMFilterZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("mark/has allocate %v times per run", n)
+	}
+}
+
+// TestTraceLinesMatchesOracle pins the directory presize count against a
+// map of the lines every workload's loads, stores and lock ops touch, and
+// checks that the presized directory never grows during the run.
+func TestTraceLinesMatchesOracle(t *testing.T) {
+	for _, wl := range workload.Names() {
+		tr, err := workload.Generate(wl, workload.Params{Threads: 2, OpsPerThread: 150, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[mem.Line]bool{}
+		for _, ops := range tr.Threads {
+			for _, op := range ops {
+				switch op.Kind {
+				case trace.OpLoad, trace.OpStore, trace.OpAcquire, trace.OpRelease:
+					want[mem.LineOf(op.Addr)] = true
+				}
+			}
+		}
+		if got := traceLines(tr); got != len(want) {
+			t.Fatalf("%s: traceLines = %d, want %d", wl, got, len(want))
+		}
+		m, err := New(config.Default(), "hops_rp", tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.Hier.Directory().Capacity()
+		m.Run(0)
+		if after := m.Hier.Directory().Capacity(); after != before {
+			t.Fatalf("%s: presized directory grew from %d to %d slots", wl, before, after)
+		}
 	}
 }

@@ -67,16 +67,11 @@ type asapCore struct {
 
 	flushScheduled bool
 
-	// eligibleFn is the flush-eligibility predicate handed to
-	// PersistBuffer.NextWaiting, built once so the per-flush path does not
-	// recreate the closure.
-	eligibleFn func(*persist.PBEntry) bool
-
-	// stalled operations.
-	storeWaiters []func()
-	fenceWaiter  func() // blocked ofence (epoch table full)
-	dfenceWaiter func() // blocked dfence or drain
-	dfenceStart  sim.Cycles
+	// stalled operations (see stall): a store on a full persist buffer, a
+	// fence on a full epoch table, a dfence or drain waiting for commits.
+	store  stall
+	fence  stall
+	dfence stall
 }
 
 func newASAP(env Env, rp bool) *ASAP {
@@ -89,8 +84,6 @@ func newASAP(env Env, rp bool) *ASAP {
 			pb: persist.NewPersistBuffer(env.Cfg.PBEntries),
 			et: persist.NewEpochTable(i, env.Cfg.ETEntries),
 		}
-		c := m.cores[i]
-		c.eligibleFn = func(e *persist.PBEntry) bool { return m.eligible(c, e) }
 	}
 	return m
 }
@@ -111,8 +104,7 @@ func (m *ASAP) RunEvent(kind int, arg uint64) {
 	}
 }
 
-// CommitAck receives a controller's commit ACK for epoch e (the typed
-// analogue of the per-commit done closure).
+// CommitAck receives a controller's commit ACK for epoch e.
 func (m *ASAP) CommitAck(e persist.EpochID) {
 	c := m.cores[e.Thread]
 	ent, ok := c.et.Get(e.TS)
@@ -126,8 +118,7 @@ func (m *ASAP) CommitAck(e persist.EpochID) {
 }
 
 // FlushReply receives the controller's ACK/NACK for the persist buffer
-// entry identified by arg (the typed analogue of the per-flush reply
-// closure).
+// entry identified by arg.
 func (c *asapCore) FlushReply(arg uint64, res persist.FlushResult) {
 	c.m.onFlushReply(c, arg, res)
 }
@@ -194,21 +185,19 @@ func (m *ASAP) epochSafe(c *asapCore, ts uint64) bool {
 
 // Store enqueues the write in the persist buffer, stalling the core when
 // the buffer is full (cyclesStalled).
-func (m *ASAP) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *ASAP) Store(core int, line mem.Line, token mem.Token, done sim.Cont) {
 	c := m.cores[core]
 	m.tryEnqueue(c, line, token, done)
 }
 
-func (m *ASAP) tryEnqueue(c *asapCore, line mem.Line, token mem.Token, done func()) {
+func (m *ASAP) tryEnqueue(c *asapCore, line mem.Line, token mem.Token, done sim.Cont) {
 	ts := c.et.CurrentTS()
 	coalesced, ok := c.pb.Enqueue(line, token, ts)
 	if !ok {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck PB-full stall continuation; stalls are the cold path by definition
-		c.storeWaiters = append(c.storeWaiters, func() {
-			m.hc.cyclesStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.tryEnqueue(c, line, token, done)
-		})
+		if !c.store.done.IsZero() {
+			panic("asap: overlapping store stalls on one core")
+		}
+		c.store = stall{done: done, began: m.env.Eng.Now(), line: line, token: token}
 		m.kickFlusher(c)
 		return
 	}
@@ -220,58 +209,43 @@ func (m *ASAP) tryEnqueue(c *asapCore, line mem.Line, token mem.Token, done func
 	}
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: c.id, TS: ts}, line, token)
 	m.kickFlusher(c)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Eng.Resume(done)
 }
 
 // Ofence closes the current epoch (§V-A): increment the timestamp and add a
 // new epoch table entry, stalling if the table is full.
-func (m *ASAP) Ofence(core int, done func()) {
+func (m *ASAP) Ofence(core int, done sim.Cont) {
 	c := m.cores[core]
 	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck epoch-table-full stall continuation; stalls are the cold path by definition
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Ofence(core, done)
-		}
+		c.fence = stall{done: done, began: m.env.Eng.Now()}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.traceEpoch(c, "epoch close")
 	m.tryCommit(c, closed)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Eng.Resume(done)
 }
 
 // Dfence waits until every in-flight epoch of the thread has committed.
-func (m *ASAP) Dfence(core int, done func()) {
+func (m *ASAP) Dfence(core int, done sim.Cont) {
 	c := m.cores[core]
 	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck epoch-table-full stall continuation; stalls are the cold path by definition
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Dfence(core, done)
-		}
+		c.fence = stall{done: done, began: m.env.Eng.Now(), dfence: true}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.traceEpoch(c, "epoch close")
 	m.tryCommit(c, closed)
-	m.waitAllCommitted(c, done)
-}
-
-func (m *ASAP) waitAllCommitted(c *asapCore, done func()) {
 	if c.et.AllCommitted() {
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Eng.Resume(done)
 		return
 	}
-	if c.dfenceWaiter != nil {
+	if !c.dfence.done.IsZero() {
 		panic("asap: overlapping dfence waits on one core")
 	}
-	c.dfenceStart = m.env.Eng.Now()
-	c.dfenceWaiter = done
+	c.dfence = stall{done: done, began: m.env.Eng.Now()}
 	m.kickFlusher(c)
 }
 
@@ -279,7 +253,7 @@ func (m *ASAP) waitAllCommitted(c *asapCore, done func()) {
 // it, so the epoch containing those writes is closed. The machine tags the
 // lock line with the closed epoch after performing the release store, so a
 // later acquire can find the release epoch (§IV-A).
-func (m *ASAP) Release(core int, line mem.Line, done func()) {
+func (m *ASAP) Release(core int, line mem.Line, done sim.Cont) {
 	c := m.cores[core]
 	if m.rp && !c.et.Full() {
 		relTS := c.et.CurrentTS()
@@ -291,7 +265,7 @@ func (m *ASAP) Release(core int, line mem.Line, done func()) {
 	// workload's explicit ofences provide intra-thread ordering and the
 	// coherence conflict on the lock line provides the cross-thread
 	// dependency.
-	done()
+	m.env.Eng.Resume(done)
 }
 
 // Acquire needs no direct action: the dependency, if any, arrives through
@@ -360,7 +334,7 @@ func (m *ASAP) addDependency(core int, src persist.EpochID) {
 }
 
 // StartDrain gives end-of-trace dfence semantics.
-func (m *ASAP) StartDrain(core int, done func()) {
+func (m *ASAP) StartDrain(core int, done sim.Cont) {
 	m.Dfence(core, done)
 }
 
@@ -374,8 +348,17 @@ func (m *ASAP) PBBlocked(core int) bool {
 	if c.pb.Empty() {
 		return false
 	}
-	return c.pb.NextWaiting(func(e *persist.PBEntry) bool { return m.eligible(c, e) }) == nil &&
-		c.pb.Inflight() == 0
+	return m.nextFlushable(c) == nil && c.pb.Inflight() == 0
+}
+
+// nextFlushable returns the oldest waiting entry the flush policy admits.
+func (m *ASAP) nextFlushable(c *asapCore) *persist.PBEntry {
+	for _, e := range c.pb.Entries() {
+		if e.State == persist.PBWaiting && m.eligible(c, e) {
+			return e
+		}
+	}
+	return nil
 }
 
 // eligible implements the flush policy: eager mode issues anything not
@@ -403,7 +386,7 @@ func (m *ASAP) flushOne(c *asapCore) {
 	if c.pb.Inflight() >= m.env.Cfg.PBMaxInflight {
 		return // an ACK will kick us again
 	}
-	e := c.pb.NextWaiting(c.eligibleFn)
+	e := m.nextFlushable(c)
 	if e == nil {
 		return
 	}
@@ -470,11 +453,11 @@ func (m *ASAP) onFlushReply(c *asapCore, id uint64, res persist.FlushResult) {
 		}
 		m.tryCommit(c, e.TS)
 	}
-	// Freed buffer space: wake one stalled store.
-	if len(c.storeWaiters) > 0 {
-		w := c.storeWaiters[0]
-		c.storeWaiters = c.storeWaiters[1:]
-		w() //asaplint:ignore alloccheck stall-resume continuation: only runs after a store already stalled (cold by definition)
+	// Freed buffer space: wake the stalled store.
+	if w := c.store; !w.done.IsZero() {
+		c.store = stall{}
+		m.hc.cyclesStalled.Add(uint64(m.env.Eng.Now() - w.began))
+		m.tryEnqueue(c, w.line, w.token, w.done)
 	}
 	m.kickFlusher(c)
 }
@@ -526,8 +509,8 @@ func (m *ASAP) finishCommit(c *asapCore, ent *persist.ETEntry) {
 		}
 	}
 
-	// CDR messages to dependent threads (typed: the dependent EpochID is
-	// packed into the event arg, so no per-message closure).
+	// CDR messages to dependent threads, the dependent EpochID packed
+	// into the event arg.
 	for _, dep := range ent.Dependents {
 		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m, asapEvCDR, packEpochArg(dep))
 	}
@@ -538,16 +521,19 @@ func (m *ASAP) finishCommit(c *asapCore, ent *persist.ETEntry) {
 	// Committing may unblock: the next epoch's commit, a stalled ofence
 	// (table space freed), a dfence, and the flusher (epochs became safe).
 	m.tryCommit(c, ts+1)
-	if c.fenceWaiter != nil && !c.et.Full() {
-		w := c.fenceWaiter
-		c.fenceWaiter = nil
-		w() //asaplint:ignore alloccheck stall-resume continuation: only runs after an ofence already stalled (cold by definition)
+	if w := c.fence; !w.done.IsZero() && !c.et.Full() {
+		c.fence = stall{}
+		m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - w.began))
+		if w.dfence {
+			m.Dfence(c.id, w.done)
+		} else {
+			m.Ofence(c.id, w.done)
+		}
 	}
-	if c.dfenceWaiter != nil && c.et.AllCommitted() {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		w() //asaplint:ignore alloccheck stall-resume continuation: only runs after a dfence already stalled (cold by definition)
+	if w := c.dfence; !w.done.IsZero() && c.et.AllCommitted() {
+		c.dfence = stall{}
+		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - w.began))
+		m.env.Eng.Resume(w.done)
 	}
 	m.kickFlusher(c)
 }

@@ -33,8 +33,7 @@ type baseCore struct {
 
 	outstanding int
 	issueQ      []mem.Line
-	fenceDone   func()
-	fenceStart  sim.Cycles
+	fence       stall // the sfence waiting for the clwbs' ACKs
 }
 
 func newBaseline(env Env) *Baseline {
@@ -61,27 +60,27 @@ func (m *Baseline) EpochCommitted(e persist.EpochID) bool {
 }
 
 // Store marks the line dirty; durability is deferred to the next fence.
-func (m *Baseline) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *Baseline) Store(core int, line mem.Line, token mem.Token, done sim.Cont) {
 	c := m.cores[core]
 	if _, ok := c.writeset[line]; !ok {
 		c.order = append(c.order, line) //asaplint:ignore alloccheck dirty-line list reaches the inter-fence footprint once, then reuses it
 	}
 	c.writeset[line] = token //asaplint:ignore alloccheck write set bounded by dirty footprint; entries deleted at flush recycle
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: core, TS: c.ts}, line, token)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Eng.Resume(done)
 }
 
 // Ofence is clwb-per-dirty-line followed by sfence: the core stalls until
 // every flush is acknowledged.
-func (m *Baseline) Ofence(core int, done func()) { m.fence(core, done) }
+func (m *Baseline) Ofence(core int, done sim.Cont) { m.fence(core, done) }
 
 // Dfence behaves identically: on this hardware the sfence already waits for
 // ADR durability.
-func (m *Baseline) Dfence(core int, done func()) { m.fence(core, done) }
+func (m *Baseline) Dfence(core int, done sim.Cont) { m.fence(core, done) }
 
 // Release flushes and fences before the lock is actually released — the
 // standard recipe for crash-consistent lock-based PM code on Intel hardware.
-func (m *Baseline) Release(core int, line mem.Line, done func()) {
+func (m *Baseline) Release(core int, line mem.Line, done sim.Cont) {
 	m.fence(core, done)
 }
 
@@ -93,25 +92,24 @@ func (m *Baseline) Acquire(core int, line mem.Line) {}
 func (m *Baseline) Conflict(core int, cf *cache.Conflict) {}
 
 // StartDrain issues a final fence.
-func (m *Baseline) StartDrain(core int, done func()) { m.fence(core, done) }
+func (m *Baseline) StartDrain(core int, done sim.Cont) { m.fence(core, done) }
 
 // PBOccupancy and PBBlocked: no persist buffer.
 func (m *Baseline) PBOccupancy(core int) int { return 0 }
 func (m *Baseline) PBBlocked(core int) bool  { return false }
 
-func (m *Baseline) fence(core int, done func()) {
+func (m *Baseline) fence(core int, done sim.Cont) {
 	c := m.cores[core]
-	if c.fenceDone != nil {
+	if !c.fence.done.IsZero() {
 		panic("baseline: overlapping fences on one core")
 	}
 	if len(c.order) == 0 && c.outstanding == 0 {
 		m.commitEpoch(c)
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Eng.Resume(done)
 		return
 	}
 	m.hc.fences.Inc()
-	c.fenceStart = m.env.Eng.Now()
-	c.fenceDone = done
+	c.fence = stall{done: done, began: m.env.Eng.Now()}
 	c.issueQ = append(c.issueQ, c.order...) //asaplint:ignore alloccheck issue queue reaches steady-state capacity, then appends reuse it
 	c.order = c.order[:0]
 	m.issueFlushes(c)
@@ -132,28 +130,26 @@ func (m *Baseline) issueFlushes(c *baseCore) {
 			Token: tok,
 			Epoch: persist.EpochID{Thread: c.id, TS: c.ts},
 		}
-		//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this model is tracked roadmap debt
-		m.env.Link.Flush(m.env.IL.Home(line), pkt, func(res persist.FlushResult) {
-			if res != persist.FlushAck {
-				panic("baseline: controller NACKed a flush")
-			}
-			c.outstanding--
-			m.onAck(c)
-		})
+		m.env.Link.FlushOp(m.env.IL.Home(line), pkt, m, uint64(c.id), false)
 	}
 }
 
-func (m *Baseline) onAck(c *baseCore) {
+// FlushReply receives a clwb's ACK for core arg.
+func (m *Baseline) FlushReply(arg uint64, res persist.FlushResult) {
+	if res != persist.FlushAck {
+		panic("baseline: controller NACKed a flush")
+	}
+	c := m.cores[arg]
+	c.outstanding--
 	if len(c.issueQ) > 0 {
 		m.issueFlushes(c)
 		return
 	}
-	if c.outstanding == 0 && c.fenceDone != nil {
-		done := c.fenceDone
-		c.fenceDone = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.fenceStart))
+	if w := c.fence; c.outstanding == 0 && !w.done.IsZero() {
+		c.fence = stall{}
+		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - w.began))
 		m.commitEpoch(c)
-		done()
+		m.env.Eng.Resume(w.done)
 	}
 }
 

@@ -41,20 +41,20 @@ func TestConformance(t *testing.T) {
 				doneCalls++
 				checkTS()
 				if i >= len(lines) {
-					m.StartDrain(0, func() {
+					m.StartDrain(0, cont(eng, func() {
 						drained = true
 						// A dfence right after a drain has nothing to wait for.
-						m.Dfence(0, func() { refenced = true })
-					})
+						m.Dfence(0, cont(eng, func() { refenced = true }))
+					}))
 					return
 				}
-				m.Store(0, lines[i], mem.Token(i+1), func() {
+				m.Store(0, lines[i], mem.Token(i+1), cont(eng, func() {
 					if i%2 == 0 {
-						m.Ofence(0, func() { step(i + 1) })
+						m.Ofence(0, cont(eng, func() { step(i + 1) }))
 					} else {
 						step(i + 1)
 					}
-				})
+				}))
 			}
 			step(0)
 			eng.Run(20_000_000)
@@ -99,18 +99,18 @@ func TestConformanceReleaseAcquire(t *testing.T) {
 				t.Fatal(err)
 			}
 			done := false
-			m.Store(0, 100, 1, func() {
+			m.Store(0, 100, 1, cont(eng, func() {
 				pre := m.CurrentTS(0)
-				m.Release(0, 900, func() {
+				m.Release(0, 900, cont(eng, func() {
 					if m.CurrentTS(0) < pre {
 						t.Errorf("Release decreased TS")
 					}
 					m.Acquire(1, 900)
-					m.Store(1, 104, 2, func() {
-						m.StartDrain(1, func() { done = true })
-					})
-				})
-			})
+					m.Store(1, 104, 2, cont(eng, func() {
+						m.StartDrain(1, cont(eng, func() { done = true }))
+					}))
+				}))
+			}))
 			eng.Run(20_000_000)
 			if !done {
 				t.Fatal("release/acquire sequence never drained")

@@ -4,6 +4,7 @@ import (
 	"asap/internal/cache"
 	"asap/internal/mem"
 	"asap/internal/persist"
+	"asap/internal/sim"
 	"asap/internal/stats"
 )
 
@@ -40,21 +41,21 @@ func (m *EADR) CurrentTS(core int) uint64 { return m.ts[core] + 1 }
 func (m *EADR) EpochCommitted(e persist.EpochID) bool { return true }
 
 // Store is durable immediately.
-func (m *EADR) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *EADR) Store(core int, line mem.Line, token mem.Token, done sim.Cont) {
 	m.nStores[core]++
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: core, TS: m.ts[core] + 1}, line, token)
 	m.env.Ledger.EpochCommitted(persist.EpochID{Thread: core, TS: m.ts[core] + 1})
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Eng.Resume(done)
 }
 
 // Ofence and Dfence are free beyond their pipeline cost.
-func (m *EADR) Ofence(core int, done func()) { m.ts[core]++; done() } //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
-func (m *EADR) Dfence(core int, done func()) { m.ts[core]++; done() } //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+func (m *EADR) Ofence(core int, done sim.Cont) { m.ts[core]++; m.env.Eng.Resume(done) }
+func (m *EADR) Dfence(core int, done sim.Cont) { m.ts[core]++; m.env.Eng.Resume(done) }
 
 // Release advances the epoch counter; no flush is needed.
-func (m *EADR) Release(core int, line mem.Line, done func()) {
+func (m *EADR) Release(core int, line mem.Line, done sim.Cont) {
 	m.ts[core]++
-	done()
+	m.env.Eng.Resume(done)
 }
 
 // Acquire and Conflict need no action: ordering is trivially satisfied.
@@ -62,7 +63,7 @@ func (m *EADR) Acquire(core int, line mem.Line)       {}
 func (m *EADR) Conflict(core int, cf *cache.Conflict) {}
 
 // StartDrain completes immediately.
-func (m *EADR) StartDrain(core int, done func()) { done() }
+func (m *EADR) StartDrain(core int, done sim.Cont) { m.env.Eng.Resume(done) }
 
 // PBOccupancy and PBBlocked: no persist buffer.
 func (m *EADR) PBOccupancy(core int) int { return 0 }

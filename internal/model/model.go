@@ -56,21 +56,23 @@ type Env struct {
 	Link *persist.Link
 }
 
-// Model is one persistence architecture. Methods taking a done callback may
-// delay it to stall the core; they must invoke it exactly once. Conflict and
-// Acquire/Release bookkeeping never stalls the calling core directly.
+// Model is one persistence architecture. Methods taking a done continuation
+// may delay it to stall the core; they must resume it exactly once — at
+// once through Engine.Resume, or later from a parked stall or through
+// Engine.ScheduleCont. Conflict and Acquire bookkeeping never stalls the
+// calling core directly.
 type Model interface {
 	Name() string
 
 	// Store enters a persistent write into the model's persist path.
-	Store(core int, line mem.Line, token mem.Token, done func())
+	Store(core int, line mem.Line, token mem.Token, done sim.Cont)
 	// Ofence orders earlier writes of the thread before later ones.
-	Ofence(core int, done func())
+	Ofence(core int, done sim.Cont)
 	// Dfence additionally guarantees earlier writes are durable.
-	Dfence(core int, done func())
+	Dfence(core int, done sim.Cont)
 	// Release/Acquire are the one-sided synchronization barriers of
 	// release persistency applied to lock/flag line.
-	Release(core int, line mem.Line, done func())
+	Release(core int, line mem.Line, done sim.Cont)
 	Acquire(core int, line mem.Line)
 
 	// Conflict reports a coherence event where the accessed line was
@@ -83,9 +85,9 @@ type Model interface {
 	// EpochCommitted reports whether epoch e is guaranteed durable.
 	EpochCommitted(e persist.EpochID) bool
 
-	// StartDrain is called at end-of-trace: done fires when everything
+	// StartDrain is called at end-of-trace: done resumes when everything
 	// the core wrote is durable (dfence semantics).
-	StartDrain(core int, done func())
+	StartDrain(core int, done sim.Cont)
 
 	// PBOccupancy and PBBlocked feed the periodic sampler (Figures 3 and
 	// 11). Models without persist buffers report 0/false.

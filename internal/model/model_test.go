@@ -70,12 +70,12 @@ func driveStoreFence(t *testing.T, name string, n int) sim.Cycles {
 	var next func(i int)
 	next = func(i int) {
 		if i >= n {
-			m.Dfence(0, func() { doneCount++ })
+			m.Dfence(0, cont(eng, func() { doneCount++ }))
 			return
 		}
-		m.Store(0, mem.Line(100+i), mem.Token(i+1), func() {
-			m.Ofence(0, func() { next(i + 1) })
-		})
+		m.Store(0, mem.Line(100+i), mem.Token(i+1), cont(eng, func() {
+			m.Ofence(0, cont(eng, func() { next(i + 1) }))
+		}))
 	}
 	next(0)
 	eng.Run(10_000_000)
@@ -98,11 +98,11 @@ func TestDfenceDurability(t *testing.T) {
 				t.Fatal(err)
 			}
 			fenced := false
-			m.Store(0, 100, 1, func() {
-				m.Store(0, 200, 2, func() {
-					m.Dfence(0, func() { fenced = true })
-				})
-			})
+			m.Store(0, 100, 1, cont(eng, func() {
+				m.Store(0, 200, 2, cont(eng, func() {
+					m.Dfence(0, cont(eng, func() { fenced = true }))
+				}))
+			}))
 			eng.Run(10_000_000)
 			if !fenced {
 				t.Fatal("dfence never completed")
@@ -148,12 +148,12 @@ func TestASAPEarlyFlushPath(t *testing.T) {
 	var chain func(i int)
 	chain = func(i int) {
 		if i >= 20 {
-			m.Dfence(0, func() {})
+			m.Dfence(0, cont(eng, func() {}))
 			return
 		}
-		m.Store(0, mem.Line(100+i), mem.Token(i+1), func() {
-			m.Ofence(0, func() { chain(i + 1) })
-		})
+		m.Store(0, mem.Line(100+i), mem.Token(i+1), cont(eng, func() {
+			m.Ofence(0, cont(eng, func() { chain(i + 1) }))
+		}))
 	}
 	chain(0)
 	eng.Run(10_000_000)
@@ -176,12 +176,12 @@ func TestHOPSNoSpeculation(t *testing.T) {
 	var chain func(i int)
 	chain = func(i int) {
 		if i >= 20 {
-			m.Dfence(0, func() {})
+			m.Dfence(0, cont(eng, func() {}))
 			return
 		}
-		m.Store(0, mem.Line(100+i), mem.Token(i+1), func() {
-			m.Ofence(0, func() { chain(i + 1) })
-		})
+		m.Store(0, mem.Line(100+i), mem.Token(i+1), cont(eng, func() {
+			m.Ofence(0, cont(eng, func() { chain(i + 1) }))
+		}))
 	}
 	chain(0)
 	eng.Run(10_000_000)
@@ -211,14 +211,14 @@ func TestPMEMSpecMisspeculation(t *testing.T) {
 		var chain func(i int)
 		chain = func(i int) {
 			if i >= 30 {
-				m.Dfence(0, func() {})
+				m.Dfence(0, cont(eng, func() {}))
 				return
 			}
 			// Alternate controllers between epochs: lines 4 apart map to
 			// different MCs with 256 B interleaving.
-			m.Store(0, mem.Line(i*4), mem.Token(i+1), func() {
-				m.Ofence(0, func() { chain(i + 1) })
-			})
+			m.Store(0, mem.Line(i*4), mem.Token(i+1), cont(eng, func() {
+				m.Ofence(0, cont(eng, func() { chain(i + 1) }))
+			}))
 		}
 		chain(0)
 		eng.Run(0)
@@ -241,8 +241,8 @@ func TestDPOResolvesFasterThanHOPS(t *testing.T) {
 		// Thread 0 writes and releases; thread 1 acquires (dependency),
 		// writes, and dfences.
 		var t1done bool
-		m.Store(0, 100, 1, func() {
-			m.Release(0, 500, func() {
+		m.Store(0, 100, 1, cont(eng, func() {
+			m.Release(0, 500, cont(eng, func() {
 				env.Dir.Write(0, 500, 1) // the release store on the lock line
 				env.Dir.MarkRelease(0, 500, 1)
 				// Thread 1 acquires.
@@ -250,11 +250,11 @@ func TestDPOResolvesFasterThanHOPS(t *testing.T) {
 				if cf != nil {
 					m.Conflict(1, cf)
 				}
-				m.Store(1, 104, 2, func() {
-					m.Dfence(1, func() { t1done = true })
-				})
-			})
-		})
+				m.Store(1, 104, 2, cont(eng, func() {
+					m.Dfence(1, cont(eng, func() { t1done = true }))
+				}))
+			}))
+		}))
 		eng.Run(10_000_000)
 		if !t1done {
 			t.Fatalf("%s: dependent dfence never completed", name)
@@ -276,9 +276,9 @@ func TestEpochCommittedSemantics(t *testing.T) {
 		env, eng := testEnv(t, name)
 		m, _ := New(name, env)
 		fin := false
-		m.Store(0, 100, 1, func() {
-			m.Dfence(0, func() { fin = true })
-		})
+		m.Store(0, 100, 1, cont(eng, func() {
+			m.Dfence(0, cont(eng, func() { fin = true }))
+		}))
 		eng.Run(10_000_000)
 		if !fin {
 			t.Fatalf("%s: dfence stuck", name)
@@ -317,12 +317,12 @@ func TestASAPNackFallback(t *testing.T) {
 	var chain func(i int)
 	chain = func(i int) {
 		if i >= 60 {
-			m.Dfence(0, func() { fenced = true })
+			m.Dfence(0, cont(eng, func() { fenced = true }))
 			return
 		}
-		m.Store(0, mem.Line(100+i), mem.Token(i+1), func() {
-			m.Ofence(0, func() { chain(i + 1) })
-		})
+		m.Store(0, mem.Line(100+i), mem.Token(i+1), cont(eng, func() {
+			m.Ofence(0, cont(eng, func() { chain(i + 1) }))
+		}))
 	}
 	chain(0)
 	eng.Run(50_000_000)
@@ -366,12 +366,12 @@ func TestASAPNoEagerAblation(t *testing.T) {
 	var chain func(i int)
 	chain = func(i int) {
 		if i >= 20 {
-			m.Dfence(0, func() { done = true })
+			m.Dfence(0, cont(eng, func() { done = true }))
 			return
 		}
-		m.Store(0, mem.Line(100+i), mem.Token(i+1), func() {
-			m.Ofence(0, func() { chain(i + 1) })
-		})
+		m.Store(0, mem.Line(100+i), mem.Token(i+1), cont(eng, func() {
+			m.Ofence(0, cont(eng, func() { chain(i + 1) }))
+		}))
 	}
 	chain(0)
 	eng.Run(50_000_000)
@@ -394,12 +394,12 @@ func TestVorpalBroadcastProgress(t *testing.T) {
 	var chain func(i int)
 	chain = func(i int) {
 		if i >= 10 {
-			m.Dfence(0, func() { done = true })
+			m.Dfence(0, cont(eng, func() { done = true }))
 			return
 		}
-		m.Store(0, mem.Line(i*4), mem.Token(i+1), func() { // alternate MCs
-			m.Ofence(0, func() { chain(i + 1) })
-		})
+		m.Store(0, mem.Line(i*4), mem.Token(i+1), cont(eng, func() { // alternate MCs
+			m.Ofence(0, cont(eng, func() { chain(i + 1) }))
+		}))
 	}
 	chain(0)
 	end := eng.Run(50_000_000)
@@ -428,15 +428,15 @@ func TestStrandWeaverConcurrentStrands(t *testing.T) {
 		var chain func(i int)
 		chain = func(i int) {
 			if i >= 40 {
-				m.Dfence(0, func() { done = true })
+				m.Dfence(0, cont(eng, func() { done = true }))
 				return
 			}
 			if strands && i%2 == 0 {
 				sw.Strand(0)
 			}
-			m.Store(0, mem.Line(100+i), mem.Token(i+1), func() {
-				m.Ofence(0, func() { chain(i + 1) })
-			})
+			m.Store(0, mem.Line(100+i), mem.Token(i+1), cont(eng, func() {
+				m.Ofence(0, cont(eng, func() { chain(i + 1) }))
+			}))
 		}
 		chain(0)
 		eng.Run(50_000_000)
@@ -459,19 +459,19 @@ func TestStrandWeaverDependency(t *testing.T) {
 	env, eng := testEnv(t, NameStrandWeaver)
 	m, _ := New(NameStrandWeaver, env)
 	done := false
-	m.Store(0, 100, 1, func() {
-		m.Release(0, 500, func() {
+	m.Store(0, 100, 1, cont(eng, func() {
+		m.Release(0, 500, cont(eng, func() {
 			env.Dir.Write(0, 500, 1) // the release store on the lock line
 			env.Dir.MarkRelease(0, 500, 1)
 			cf, _ := env.Dir.Read(1, 500, true)
 			if cf != nil {
 				m.Conflict(1, cf)
 			}
-			m.Store(1, 104, 2, func() {
-				m.Dfence(1, func() { done = true })
-			})
-		})
-	})
+			m.Store(1, 104, 2, cont(eng, func() {
+				m.Dfence(1, cont(eng, func() { done = true }))
+			}))
+		}))
+	}))
 	eng.Run(50_000_000)
 	if !done {
 		t.Fatal("dependent thread never drained")

@@ -33,6 +33,7 @@ type PMEMSpec struct {
 const specRecoveryCost sim.Cycles = 10_000
 
 type specCore struct {
+	m  *PMEMSpec // back-pointer for the FlushReplier implementation
 	id int
 	ts uint64 // epoch counter (fence-delimited)
 
@@ -43,8 +44,7 @@ type specCore struct {
 	committedTS  uint64
 	recoverUntil sim.Cycles
 
-	dfenceWaiter func()
-	dfenceStart  sim.Cycles
+	dfence stall // dfence waiting for every flush's ACK
 }
 
 type specEpoch struct {
@@ -56,7 +56,7 @@ func newPMEMSpec(env Env) *PMEMSpec {
 	m := &PMEMSpec{env: env, hc: newHotCounters(env.St)}
 	m.cores = make([]*specCore, env.Cfg.Cores)
 	for i := range m.cores {
-		m.cores[i] = &specCore{id: i, ts: 1, outstanding: make(map[uint64]*specEpoch)}
+		m.cores[i] = &specCore{m: m, id: i, ts: 1, outstanding: make(map[uint64]*specEpoch)}
 	}
 	return m
 }
@@ -80,19 +80,18 @@ func (m *PMEMSpec) EpochCommitted(e persist.EpochID) bool {
 }
 
 // delay defers done until any pending software recovery completes.
-func (m *PMEMSpec) delay(c *specCore, done func()) {
+func (m *PMEMSpec) delay(c *specCore, done sim.Cont) {
 	if now := m.env.Eng.Now(); now < c.recoverUntil {
-		m.env.Eng.At(c.recoverUntil, done)
+		m.env.Eng.ScheduleCont(c.recoverUntil, done)
 		return
 	}
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
+	m.env.Eng.Resume(done)
 }
 
 // Store flushes immediately — fire and forget. The core pays no ordering
 // stall; mis-speculation is detected when an older epoch still has traffic
 // in flight to a different controller.
-func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done sim.Cont) {
 	c := m.cores[core]
 	ts := c.ts
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: core, TS: ts}, line, token)
@@ -101,9 +100,9 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) 
 	mcID := m.env.IL.Home(line)
 	ep := c.outstanding[ts]
 	if ep == nil {
-		//asaplint:ignore alloccheck legacy model per-record allocation; typed-event/pooling conversion is tracked roadmap debt
+		//asaplint:ignore alloccheck one record per epoch with flushes in flight, bounded by the live epoch window
 		ep = &specEpoch{perMC: make([]int, m.env.Cfg.MCs)}
-		//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
+		//asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
 		c.outstanding[ts] = ep
 	}
 	ep.perMC[mcID]++
@@ -127,13 +126,20 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) 
 	}
 
 	pkt := persist.FlushPacket{Line: line, Token: token, Epoch: persist.EpochID{Thread: core, TS: ts}}
-	//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Link.Flush(mcID, pkt, func(persist.FlushResult) {
-		ep.perMC[mcID]--
-		ep.pending--
-		m.retire(c)
-	})
+	if mcID > 0xFF {
+		panic("pmem_spec: controller id does not fit a packed reply arg")
+	}
+	m.env.Link.FlushOp(mcID, pkt, c, ts<<8|uint64(mcID), false)
 	m.delay(c, done)
+}
+
+// FlushReply receives the ACK of a flush of epoch arg>>8 to controller
+// arg&0xFF.
+func (c *specCore) FlushReply(arg uint64, _ persist.FlushResult) {
+	ep := c.outstanding[arg>>8]
+	ep.perMC[arg&0xFF]--
+	ep.pending--
+	c.m.retire(c)
 }
 
 // retire advances committedTS over fully-acknowledged epochs.
@@ -151,12 +157,10 @@ func (m *PMEMSpec) retire(c *specCore) {
 		c.committedTS = next
 		m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: next})
 	}
-	if c.dfenceWaiter != nil && m.drained(c) {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
+	if w := c.dfence; !w.done.IsZero() && m.drained(c) {
+		c.dfence = stall{}
+		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - w.began))
+		m.delay(c, w.done)
 	}
 }
 
@@ -171,7 +175,7 @@ func (m *PMEMSpec) drained(c *specCore) bool {
 }
 
 // Ofence only advances the epoch counter — no stall, that is the point.
-func (m *PMEMSpec) Ofence(core int, done func()) {
+func (m *PMEMSpec) Ofence(core int, done sim.Cont) {
 	c := m.cores[core]
 	c.ts++
 	m.retireClosed(c)
@@ -182,7 +186,7 @@ func (m *PMEMSpec) Ofence(core int, done func()) {
 func (m *PMEMSpec) retireClosed(c *specCore) { m.retire(c) }
 
 // Dfence waits until every issued flush is acknowledged (durability).
-func (m *PMEMSpec) Dfence(core int, done func()) {
+func (m *PMEMSpec) Dfence(core int, done sim.Cont) {
 	c := m.cores[core]
 	c.ts++
 	m.retire(c)
@@ -190,16 +194,14 @@ func (m *PMEMSpec) Dfence(core int, done func()) {
 		m.delay(c, done)
 		return
 	}
-	if c.dfenceWaiter != nil {
+	if !c.dfence.done.IsZero() {
 		panic("pmem_spec: overlapping dfence waits on one core")
 	}
-	c.dfenceStart = m.env.Eng.Now()
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	c.dfenceWaiter = func() { m.delay(c, done) }
+	c.dfence = stall{done: done, began: m.env.Eng.Now()}
 }
 
 // Release behaves like an ofence (flushes are already in flight).
-func (m *PMEMSpec) Release(core int, line mem.Line, done func()) {
+func (m *PMEMSpec) Release(core int, line mem.Line, done sim.Cont) {
 	m.Ofence(core, done)
 }
 
@@ -208,7 +210,7 @@ func (m *PMEMSpec) Acquire(core int, line mem.Line)       {}
 func (m *PMEMSpec) Conflict(core int, cf *cache.Conflict) {}
 
 // StartDrain gives end-of-trace dfence semantics.
-func (m *PMEMSpec) StartDrain(core int, done func()) { m.Dfence(core, done) }
+func (m *PMEMSpec) StartDrain(core int, done sim.Cont) { m.Dfence(core, done) }
 
 // PBOccupancy and PBBlocked: no persist buffer.
 func (m *PMEMSpec) PBOccupancy(core int) int { return 0 }

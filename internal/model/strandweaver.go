@@ -5,7 +5,6 @@ import (
 	"asap/internal/mem"
 	"asap/internal/persist"
 	"asap/internal/sim"
-	"asap/internal/stats"
 )
 
 // StrandModel is the optional extension for models that understand strand
@@ -27,26 +26,19 @@ type StrandModel interface {
 // persistency as follow-on work; this model provides the StrandWeaver
 // baseline for that comparison (experiment abl_strands).
 type StrandWeaver struct {
-	env   Env
-	hc    hotCounters
-	cores []*swCore
+	flusher
+	sw []*swCore
 	// waiters[src] lists dependent epochs notified when src commits.
-	waiters   map[persist.EpochID][]persist.EpochID
-	committed map[persist.EpochID]bool
+	waiters map[persist.EpochID][]persist.EpochID
+	retired map[persist.EpochID]bool
 }
 
+// swCore is one core's strands; its persist buffer and stalls live in the
+// flusher's fcore of the same index.
 type swCore struct {
-	id int
-	pb *persist.PersistBuffer
-
 	strands []*swStrand
 	cur     int // active strand index
 	nextTS  uint64
-
-	flushScheduled bool
-	storeWaiters   []func()
-	dfenceWaiter   func()
-	dfenceStart    sim.Cycles
 }
 
 type swStrand struct {
@@ -65,56 +57,45 @@ func (e *swEpoch) depsResolved() bool { return e.resolved >= len(e.deps) }
 
 func newStrandWeaver(env Env) *StrandWeaver {
 	m := &StrandWeaver{
-		env:       env,
-		hc:        newHotCounters(env.St),
-		waiters:   make(map[persist.EpochID][]persist.EpochID),
-		committed: make(map[persist.EpochID]bool),
+		waiters: make(map[persist.EpochID][]persist.EpochID),
+		retired: make(map[persist.EpochID]bool),
 	}
-	m.cores = make([]*swCore, env.Cfg.Cores)
-	for i := range m.cores {
-		m.cores[i] = newSWCore(i, env.Cfg.PBEntries)
+	m.init(env, m, false)
+	m.sw = make([]*swCore, env.Cfg.Cores)
+	for i := range m.sw {
+		m.sw[i] = &swCore{strands: []*swStrand{{epochs: []*swEpoch{{ts: 1}}}}, nextTS: 2}
 	}
 	return m
-}
-
-func newSWCore(id, pbEntries int) *swCore {
-	c := &swCore{id: id, pb: persist.NewPersistBuffer(pbEntries), nextTS: 1}
-	c.strands = []*swStrand{{epochs: []*swEpoch{{ts: 1}}}}
-	c.nextTS = 2
-	return c
 }
 
 // Name returns "strandweaver".
 func (m *StrandWeaver) Name() string { return NameStrandWeaver }
 
-// Stats returns the shared stat set.
-func (m *StrandWeaver) Stats() *stats.Set { return m.env.St }
-
 // Strand opens a fresh strand; its epochs are unordered against the other
 // strands of the thread.
 func (m *StrandWeaver) Strand(core int) {
-	c := m.cores[core]
+	s := m.sw[core]
 	// Close the current strand's open epoch so it can commit.
-	m.closeOpen(c, c.strands[c.cur])
-	//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
-	c.strands = append(c.strands, &swStrand{epochs: []*swEpoch{{ts: c.nextTS}}})
-	c.nextTS++
-	c.cur = len(c.strands) - 1
+	m.closeOpen(s, s.strands[s.cur])
+	//asaplint:ignore alloccheck strand bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
+	s.strands = append(s.strands, &swStrand{epochs: []*swEpoch{{ts: s.nextTS}}})
+	s.nextTS++
+	s.cur = len(s.strands) - 1
 	m.hc.swStrands.Inc()
-	m.tryCommitAll(c)
+	m.tryCommitAll(m.cores[core])
 }
 
-func (c *swCore) open() *swEpoch {
-	s := c.strands[c.cur]
-	return s.epochs[len(s.epochs)-1]
+func (s *swCore) open() *swEpoch {
+	st := s.strands[s.cur]
+	return st.epochs[len(st.epochs)-1]
 }
 
 // epochByTS finds a live epoch by timestamp.
-func (c *swCore) epochByTS(ts uint64) (*swStrand, *swEpoch) {
-	for _, s := range c.strands {
-		for _, e := range s.epochs {
+func (s *swCore) epochByTS(ts uint64) (*swStrand, *swEpoch) {
+	for _, st := range s.strands {
+		for _, e := range st.epochs {
 			if e.ts == ts {
-				return s, e
+				return st, e
 			}
 		}
 	}
@@ -122,89 +103,58 @@ func (c *swCore) epochByTS(ts uint64) (*swStrand, *swEpoch) {
 }
 
 // CurrentTS returns the open epoch of the active strand.
-func (m *StrandWeaver) CurrentTS(core int) uint64 { return m.cores[core].open().ts }
+func (m *StrandWeaver) CurrentTS(core int) uint64 { return m.sw[core].open().ts }
 
 // EpochCommitted reports whether the epoch retired. Strand epochs of one
 // thread are NOT totally ordered, so the crash checker's same-thread prefix
 // assumption does not apply to this model (see DESIGN.md).
-func (m *StrandWeaver) EpochCommitted(e persist.EpochID) bool { return m.committed[e] }
+func (m *StrandWeaver) EpochCommitted(e persist.EpochID) bool { return m.retired[e] }
 
-// Store buffers the write in the active strand's open epoch.
-func (m *StrandWeaver) Store(core int, line mem.Line, token mem.Token, done func()) {
-	c := m.cores[core]
-	m.tryEnqueue(c, line, token, done)
+// openEpoch buffers writes in the active strand's open epoch.
+func (m *StrandWeaver) openEpoch(c *fcore) (uint64, *int) {
+	e := m.sw[c.id].open()
+	return e.ts, &e.unacked
 }
 
-func (m *StrandWeaver) tryEnqueue(c *swCore, line mem.Line, token mem.Token, done func()) {
-	e := c.open()
-	coalesced, ok := c.pb.Enqueue(line, token, e.ts)
-	if !ok {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.storeWaiters = append(c.storeWaiters, func() {
-			m.hc.cyclesStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.tryEnqueue(c, line, token, done)
-		})
-		m.kickFlusher(c)
-		return
-	}
-	m.hc.entriesInserted.Inc()
-	if coalesced {
-		m.hc.pbCoalesced.Inc()
-	} else {
-		e.unacked++
-	}
-	m.env.Ledger.RecordWrite(persist.EpochID{Thread: c.id, TS: e.ts}, line, token)
-	m.kickFlusher(c)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
-}
-
-// closeOpen closes the open epoch of strand s and opens its successor.
-func (m *StrandWeaver) closeOpen(c *swCore, s *swStrand) {
-	open := s.epochs[len(s.epochs)-1]
+// closeOpen closes the open epoch of strand st and opens its successor.
+func (m *StrandWeaver) closeOpen(s *swCore, st *swStrand) {
+	open := st.epochs[len(st.epochs)-1]
 	if open.closed {
 		return
 	}
 	open.closed = true
-	//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
-	s.epochs = append(s.epochs, &swEpoch{ts: c.nextTS})
-	c.nextTS++
+	//asaplint:ignore alloccheck strand bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
+	st.epochs = append(st.epochs, &swEpoch{ts: s.nextTS})
+	s.nextTS++
 }
 
 // Ofence is a strand-local persist barrier.
-func (m *StrandWeaver) Ofence(core int, done func()) {
-	c := m.cores[core]
-	m.closeOpen(c, c.strands[c.cur])
-	m.tryCommitAll(c)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
+func (m *StrandWeaver) Ofence(core int, done sim.Cont) {
+	s := m.sw[core]
+	m.closeOpen(s, s.strands[s.cur])
+	m.tryCommitAll(m.cores[core])
+	m.env.Eng.Resume(done)
 }
 
 // Dfence waits until every strand has drained.
-func (m *StrandWeaver) Dfence(core int, done func()) {
-	c := m.cores[core]
-	for _, s := range c.strands {
-		m.closeOpen(c, s)
+func (m *StrandWeaver) Dfence(core int, done sim.Cont) {
+	s := m.sw[core]
+	for _, st := range s.strands {
+		m.closeOpen(s, st)
 	}
+	c := m.cores[core]
 	m.tryCommitAll(c)
-	if m.drained(c) {
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		done()
+	if s.drained() {
+		m.env.Eng.Resume(done)
 		return
 	}
-	if c.dfenceWaiter != nil {
-		panic("strandweaver: overlapping dfence waits on one core")
-	}
-	c.dfenceStart = m.env.Eng.Now()
-	c.dfenceWaiter = done
-	m.kickFlusher(c)
+	m.waitDrain(c, done)
 }
 
 // drained: every strand holds only its single empty open epoch.
-func (m *StrandWeaver) drained(c *swCore) bool {
-	for _, s := range c.strands {
-		for _, e := range s.epochs {
+func (s *swCore) drained() bool {
+	for _, st := range s.strands {
+		for _, e := range st.epochs {
 			if e.closed || e.unacked > 0 {
 				return false
 			}
@@ -214,15 +164,7 @@ func (m *StrandWeaver) drained(c *swCore) bool {
 }
 
 // Release closes the active strand's epoch (one-sided barrier).
-func (m *StrandWeaver) Release(core int, line mem.Line, done func()) {
-	c := m.cores[core]
-	m.closeOpen(c, c.strands[c.cur])
-	m.tryCommitAll(c)
-	done()
-}
-
-// Acquire needs no direct action; Conflict carries the dependency.
-func (m *StrandWeaver) Acquire(core int, line mem.Line) {}
+func (m *StrandWeaver) Release(core int, line mem.Line, done sim.Cont) { m.Ofence(core, done) }
 
 // Conflict: cross-thread (and hence cross-strand) dependencies are handled
 // conservatively — the dependent epoch's strand blocks until the source
@@ -232,156 +174,75 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 		return
 	}
 	src := persist.EpochID{Thread: cf.Writer, TS: cf.WriterTS}
-	if m.committed[src] {
+	if m.retired[src] {
 		return
 	}
 	m.hc.interTEpochConflict.Inc()
-	w := m.cores[src.Thread]
-	if _, we := w.epochByTS(src.TS); we != nil && !we.closed {
-		m.closeOpen(w, mustStrand(w, src.TS))
-		m.tryCommitAll(w)
+	w := m.sw[src.Thread]
+	if st, we := w.epochByTS(src.TS); we != nil && !we.closed {
+		m.closeOpen(w, st)
+		m.tryCommitAll(m.cores[src.Thread])
 	}
-	c := m.cores[core]
-	m.closeOpen(c, c.strands[c.cur])
-	dst := c.open()
-	if !m.committed[src] {
-		//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
+	s := m.sw[core]
+	m.closeOpen(s, s.strands[s.cur])
+	dst := s.open()
+	if !m.retired[src] {
+		//asaplint:ignore alloccheck strand bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
 		dst.deps = append(dst.deps, src)
 		id := persist.EpochID{Thread: core, TS: dst.ts}
-		//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
+		//asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
 		m.waiters[src] = append(m.waiters[src], id)
 		m.env.Ledger.DepCreated(src, id)
 	}
-	m.tryCommitAll(c)
+	m.tryCommitAll(m.cores[core])
 }
 
-func mustStrand(c *swCore, ts uint64) *swStrand {
-	s, _ := c.epochByTS(ts)
-	if s == nil {
-		panic("strandweaver: strand for epoch not found")
-	}
-	return s
-}
-
-// StartDrain gives end-of-trace dfence semantics.
-func (m *StrandWeaver) StartDrain(core int, done func()) { m.Dfence(core, done) }
-
-// PBOccupancy, PBBlocked, PBHasLine feed the sampler and WBB.
-func (m *StrandWeaver) PBOccupancy(core int) int { return m.cores[core].pb.Len() }
-
-func (m *StrandWeaver) PBBlocked(core int) bool {
-	c := m.cores[core]
-	if c.pb.Empty() {
-		return false
-	}
-	return c.pb.NextWaiting(m.eligible(c)) == nil && c.pb.Inflight() == 0
-}
-
-func (m *StrandWeaver) PBHasLine(core int, line mem.Line) bool {
-	return m.cores[core].pb.HasLine(line)
-}
-
-// eligible: within each strand only the oldest epoch flushes (conservative),
-// but all strands flush concurrently — the design's point.
-func (m *StrandWeaver) eligible(c *swCore) func(*persist.PBEntry) bool {
-	heads := make(map[uint64]bool)
-	for _, s := range c.strands {
-		if len(s.epochs) == 0 {
+// nextFlushable: within each strand only the oldest epoch flushes
+// (conservative), but all strands flush concurrently — the design's point.
+func (m *StrandWeaver) nextFlushable(c *fcore) *persist.PBEntry {
+	s := m.sw[c.id]
+	for _, e := range c.pb.Entries() {
+		if e.State != persist.PBWaiting {
 			continue
 		}
-		head := s.epochs[0]
-		if head.depsResolved() {
-			heads[head.ts] = true
+		for _, st := range s.strands {
+			if len(st.epochs) > 0 && st.epochs[0].ts == e.TS && st.epochs[0].depsResolved() {
+				return e
+			}
 		}
 	}
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	return func(e *persist.PBEntry) bool { return heads[e.TS] }
+	return nil
 }
 
-func (m *StrandWeaver) kickFlusher(c *swCore) {
-	if c.flushScheduled {
-		return
-	}
-	c.flushScheduled = true
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Eng.After(1, func() {
-		c.flushScheduled = false
-		m.flushOne(c)
-	})
-}
-
-func (m *StrandWeaver) flushOne(c *swCore) {
-	if c.pb.Inflight() >= m.env.Cfg.PBMaxInflight {
-		return
-	}
-	e := c.pb.NextWaiting(m.eligible(c))
-	if e == nil {
-		return
-	}
-	c.pb.MarkInflight(e, false)
-	pkt := persist.FlushPacket{
-		Line:  e.Line,
-		Token: e.Token,
-		Epoch: persist.EpochID{Thread: c.id, TS: e.TS},
-	}
-	id := e.ID
-	//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Link.Flush(m.env.IL.Home(e.Line), pkt, func(res persist.FlushResult) {
-		if res != persist.FlushAck {
-			panic("strandweaver: controller NACKed a safe flush")
-		}
-		m.onAck(c, id)
-	})
-	if c.pb.Inflight() < m.env.Cfg.PBMaxInflight {
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		m.env.Eng.After(flushIssuePace, func() { m.flushOne(c) })
-	}
-}
-
-func (m *StrandWeaver) onAck(c *swCore, id uint64) {
-	e, ok := c.pb.Ack(id)
-	if !ok {
-		panic("strandweaver: ACK for unknown persist buffer entry")
-	}
-	if _, ep := c.epochByTS(e.TS); ep != nil {
+// acked accounts an ACKed write to its strand epoch.
+func (m *StrandWeaver) acked(c *fcore, ts uint64) {
+	if _, ep := m.sw[c.id].epochByTS(ts); ep != nil {
 		ep.unacked--
 	}
 	m.tryCommitAll(c)
-	if len(c.storeWaiters) > 0 {
-		w := c.storeWaiters[0]
-		c.storeWaiters = c.storeWaiters[1:]
-		w()
-	}
-	m.kickFlusher(c)
 }
 
 // tryCommitAll retires every strand-head epoch that is closed, drained and
 // dependency-free, then notifies dependents.
-func (m *StrandWeaver) tryCommitAll(c *swCore) {
+func (m *StrandWeaver) tryCommitAll(c *fcore) {
+	s := m.sw[c.id]
 	progress := true
 	for progress {
 		progress = false
-		for _, s := range c.strands {
-			for len(s.epochs) > 0 {
-				head := s.epochs[0]
+		for _, st := range s.strands {
+			for len(st.epochs) > 0 {
+				head := st.epochs[0]
 				// Never retire the strand's open epoch.
 				if !head.closed || head.unacked != 0 || !head.depsResolved() {
 					break
 				}
-				s.epochs = s.epochs[1:]
+				st.epochs = st.epochs[1:]
 				epoch := persist.EpochID{Thread: c.id, TS: head.ts}
-				//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
-				m.committed[epoch] = true
+				//asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
+				m.retired[epoch] = true
 				m.hc.epochsCommitted.Inc()
 				m.env.Ledger.EpochCommitted(epoch)
-				if deps := m.waiters[epoch]; len(deps) > 0 {
-					delete(m.waiters, epoch)
-					for _, dst := range deps {
-						dst := dst
-						//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-						m.env.Eng.After(m.env.Cfg.MsgLat, func() { m.resolve(dst) })
-					}
-				}
+				m.notify(m.waiters, epoch)
 				progress = true
 			}
 		}
@@ -389,42 +250,41 @@ func (m *StrandWeaver) tryCommitAll(c *swCore) {
 	// Garbage-collect fully drained strands (everything committed, only
 	// the empty open epoch left) other than the active one, so long runs
 	// do not accumulate strand state.
-	live := c.strands[:0]
-	for i, s := range c.strands {
-		if i == c.cur || len(s.epochs) != 1 || s.epochs[0].closed || s.epochs[0].unacked != 0 {
-			//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
-			live = append(live, s)
+	live := s.strands[:0]
+	for i, st := range s.strands {
+		if i == s.cur || len(st.epochs) != 1 || st.epochs[0].closed || st.epochs[0].unacked != 0 {
+			live = append(live, st) //asaplint:ignore alloccheck in-place compaction into the slice's own backing array never grows it
 		}
 	}
-	if len(live) != len(c.strands) {
+	if len(live) != len(s.strands) {
 		// Recompute the active index against the compacted slice.
-		cur := c.strands[c.cur]
-		c.strands = live
-		for i, s := range c.strands {
-			if s == cur {
-				c.cur = i
+		cur := s.strands[s.cur]
+		s.strands = live
+		for i, st := range s.strands {
+			if st == cur {
+				s.cur = i
 				break
 			}
 		}
 	}
 
-	if c.dfenceWaiter != nil && m.drained(c) {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
+	if !c.dfence.done.IsZero() && s.drained() {
+		m.wakeDrain(c)
 	}
-	m.kickFlusher(c)
+	m.kick(c)
 }
 
+// resolve delivers a commit notification to the dependent epoch.
 func (m *StrandWeaver) resolve(dst persist.EpochID) {
-	c := m.cores[dst.Thread]
-	if _, e := c.epochByTS(dst.TS); e != nil {
+	if _, e := m.sw[dst.Thread].epochByTS(dst.TS); e != nil {
 		e.resolved++
 	}
-	m.tryCommitAll(c)
+	m.tryCommitAll(m.cores[dst.Thread])
 }
+
+// committed is unused: strand epochs commit in tryCommitAll, not through
+// the epoch-table rule.
+func (m *StrandWeaver) committed(*fcore, persist.EpochID) {}
 
 var _ Model = (*StrandWeaver)(nil)
 var _ StrandModel = (*StrandWeaver)(nil)

@@ -5,7 +5,6 @@ import (
 	"asap/internal/mem"
 	"asap/internal/persist"
 	"asap/internal/sim"
-	"asap/internal/stats"
 )
 
 // Vorpal implements the vector-clock design of Korgaonkar et al. (PODC'19)
@@ -19,9 +18,7 @@ import (
 // flush until its last-broadcast view shows all of the thread's earlier
 // epochs persisted everywhere.
 type Vorpal struct {
-	env   Env
-	hc    hotCounters
-	cores []*vorpalCore
+	flusher
 
 	// persisted[t][mc] = highest epoch of thread t fully persisted at mc.
 	persisted [][]uint64
@@ -34,62 +31,52 @@ type Vorpal struct {
 	// information real Vorpal encodes in the vector timestamps.
 	deps map[persist.EpochID][]persist.EpochID
 
+	// arrivals holds the flushes travelling to their controllers, oldest
+	// at ahead; every one takes FlushLat, so they arrive in FIFO order.
+	arrivals []vorpalFlush
+	ahead    int
+
 	broadcastOn bool
 }
 
 type vorpalFlush struct {
+	mc     int
 	line   mem.Line
 	token  mem.Token
 	epoch  persist.EpochID
 	pbID   uint64
-	core   int
 	parked sim.Cycles
 }
 
-type vorpalCore struct {
-	id int
-	pb *persist.PersistBuffer
-	et *persist.EpochTable
-
-	// unpersisted[ts] counts writes of epoch ts not yet persisted at any
-	// controller (parked or in flight).
-	flushScheduled bool
-	storeWaiters   []func()
-	fenceWaiter    func()
-	dfenceWaiter   func()
-	dfenceStart    sim.Cycles
-}
+// Vorpal's own typed events.
+const (
+	vEvArrive = fEvPolicy + iota // the oldest travelling flush reaches its controller
+	vEvTick                      // inter-controller clock broadcast
+)
 
 // vorpalBroadcastInterval is the inter-controller clock broadcast period;
 // the paper notes it bounds forward progress.
 const vorpalBroadcastInterval sim.Cycles = 500
 
 func newVorpal(env Env) *Vorpal {
-	m := &Vorpal{env: env, hc: newHotCounters(env.St)}
-	m.cores = make([]*vorpalCore, env.Cfg.Cores)
-	m.persisted = make([][]uint64, env.Cfg.Cores)
-	m.visible = make([]uint64, env.Cfg.Cores)
-	m.pending = make([][]vorpalFlush, env.Cfg.MCs)
-	m.deps = make(map[persist.EpochID][]persist.EpochID)
-	for i := range m.cores {
-		m.cores[i] = &vorpalCore{
-			id: i,
-			pb: persist.NewPersistBuffer(env.Cfg.PBEntries),
-			et: persist.NewEpochTable(i, env.Cfg.ETEntries),
-		}
+	m := &Vorpal{
+		persisted: make([][]uint64, env.Cfg.Cores),
+		visible:   make([]uint64, env.Cfg.Cores),
+		pending:   make([][]vorpalFlush, env.Cfg.MCs),
+		deps:      make(map[persist.EpochID][]persist.EpochID),
+	}
+	for i := range m.persisted {
 		m.persisted[i] = make([]uint64, env.Cfg.MCs)
 	}
+	m.init(env, m, true)
+	m.rp = true
+	m.quietCommit = true
+	m.tagBytes = uint64(env.Cfg.Cores * 2) // vector timestamp per store
 	return m
 }
 
 // Name returns "vorpal".
 func (m *Vorpal) Name() string { return NameVorpal }
-
-// Stats returns the shared stat set.
-func (m *Vorpal) Stats() *stats.Set { return m.env.St }
-
-// CurrentTS returns the open epoch of the core.
-func (m *Vorpal) CurrentTS(core int) uint64 { return m.cores[core].et.CurrentTS() }
 
 // EpochCommitted: committed when persisted at every controller.
 func (m *Vorpal) EpochCommitted(e persist.EpochID) bool {
@@ -99,193 +86,83 @@ func (m *Vorpal) EpochCommitted(e persist.EpochID) bool {
 		}
 	}
 	// Persisted counters only advance when the epoch table retires the
-	// epoch, which requires all earlier epochs too; see onPersisted.
+	// epoch, which requires all earlier epochs too; see committed.
 	return true
 }
 
-// Store enqueues into the persist buffer; flushing is eager (the delaying
-// happens controller-side).
-func (m *Vorpal) Store(core int, line mem.Line, token mem.Token, done func()) {
-	c := m.cores[core]
-	m.tryEnqueue(c, line, token, done)
+// committed marks e persisted at every controller.
+func (m *Vorpal) committed(c *fcore, e persist.EpochID) {
+	for mcID := range m.persisted[c.id] {
+		m.persisted[c.id][mcID] = e.TS
+	}
 }
-
-func (m *Vorpal) tryEnqueue(c *vorpalCore, line mem.Line, token mem.Token, done func()) {
-	ts := c.et.CurrentTS()
-	coalesced, ok := c.pb.Enqueue(line, token, ts)
-	if !ok {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.storeWaiters = append(c.storeWaiters, func() {
-			m.hc.cyclesStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.tryEnqueue(c, line, token, done)
-		})
-		m.kickFlusher(c)
-		return
-	}
-	m.hc.entriesInserted.Inc()
-	m.hc.vorpalTagBytes.Add(uint64(m.env.Cfg.Cores * 2)) // vector timestamp per store
-	if coalesced {
-		m.hc.pbCoalesced.Inc()
-	} else {
-		c.et.Current().Unacked++
-	}
-	m.env.Ledger.RecordWrite(persist.EpochID{Thread: c.id, TS: ts}, line, token)
-	m.kickFlusher(c)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
-}
-
-// Ofence closes the epoch.
-func (m *Vorpal) Ofence(core int, done func()) {
-	c := m.cores[core]
-	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Ofence(core, done)
-		}
-		return
-	}
-	closed := c.et.CurrentTS()
-	c.et.Advance()
-	m.tryRetire(c, closed)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
-}
-
-// Dfence waits for everything to persist at the controllers.
-func (m *Vorpal) Dfence(core int, done func()) {
-	c := m.cores[core]
-	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Dfence(core, done)
-		}
-		return
-	}
-	closed := c.et.CurrentTS()
-	c.et.Advance()
-	m.tryRetire(c, closed)
-	if c.et.AllCommitted() {
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		done()
-		return
-	}
-	if c.dfenceWaiter != nil {
-		panic("vorpal: overlapping dfence waits on one core")
-	}
-	c.dfenceStart = m.env.Eng.Now()
-	c.dfenceWaiter = done
-	m.kickFlusher(c)
-}
-
-// Release closes the epoch (release persistency).
-func (m *Vorpal) Release(core int, line mem.Line, done func()) {
-	c := m.cores[core]
-	if !c.et.Full() {
-		relTS := c.et.CurrentTS()
-		c.et.Advance()
-		m.tryRetire(c, relTS)
-	}
-	done()
-}
-
-// Acquire needs no direct action.
-func (m *Vorpal) Acquire(core int, line mem.Line) {}
 
 // Conflict: in Vorpal cross-thread ordering flows through the vector
 // clocks at the controllers; an acquire still splits the source epoch so
 // its clock advances.
 func (m *Vorpal) Conflict(core int, cf *cache.Conflict) {
-	if !cf.AcquireOnRelease {
+	src, ok := m.depSource(cf)
+	if !ok {
 		return
-	}
-	src := persist.EpochID{Thread: cf.Writer, TS: cf.WriterTS}
-	if m.EpochCommitted(src) {
-		return
-	}
-	m.hc.interTEpochConflict.Inc()
-	w := m.cores[src.Thread]
-	if w.et.CurrentTS() == src.TS {
-		w.et.Advance()
-		m.tryRetire(w, src.TS)
 	}
 	// The dependent epoch's writes will park at the controllers until
 	// the broadcast shows the source persisted; record the edge for the
 	// crash checker.
-	c := m.cores[core]
-	prev := c.et.CurrentTS()
-	c.et.Advance()
-	m.tryRetire(c, prev)
-	dst := persist.EpochID{Thread: core, TS: c.et.CurrentTS()}
-	//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
-	m.deps[dst] = append(m.deps[dst], src)
+	cur := m.split(core, src)
+	dst := persist.EpochID{Thread: core, TS: cur.TS}
+	m.deps[dst] = append(m.deps[dst], src) //asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
 	m.env.Ledger.DepCreated(src, dst)
 }
 
-// StartDrain gives end-of-trace dfence semantics.
-func (m *Vorpal) StartDrain(core int, done func()) { m.Dfence(core, done) }
+// PBBlocked: issue is eager, so the buffer never blocks core-side.
+func (m *Vorpal) PBBlocked(core int) bool { return false }
 
-// PBOccupancy, PBBlocked, PBHasLine feed the sampler and WBB.
-func (m *Vorpal) PBOccupancy(core int) int { return m.cores[core].pb.Len() }
+// nextFlushable issues eagerly in FIFO order; the controller does the
+// delaying.
+func (m *Vorpal) nextFlushable(c *fcore) *persist.PBEntry { return c.pb.NextWaiting() }
 
-func (m *Vorpal) PBBlocked(core int) bool { return false } // issue is eager
-
-func (m *Vorpal) PBHasLine(core int, line mem.Line) bool {
-	return m.cores[core].pb.HasLine(line)
-}
-
-func (m *Vorpal) kickFlusher(c *vorpalCore) {
-	if c.flushScheduled {
+// kicked starts the periodic inter-controller clock exchange.
+func (m *Vorpal) kicked() {
+	if m.broadcastOn {
 		return
 	}
-	c.flushScheduled = true
-	m.ensureBroadcast()
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Eng.After(1, func() {
-		c.flushScheduled = false
-		m.flushOne(c)
+	m.broadcastOn = true
+	m.env.Eng.AfterOp(vorpalBroadcastInterval, m, vEvTick, 0)
+}
+
+// send puts the flush on its way to the controller, which parks or
+// persists it on arrival.
+func (m *Vorpal) send(c *fcore, e *persist.PBEntry) {
+	m.arrivals = append(m.arrivals, vorpalFlush{ //asaplint:ignore alloccheck arrival ring reaches steady-state capacity, then appends reuse it
+		mc: m.env.IL.Home(e.Line), line: e.Line, token: e.Token,
+		epoch: persist.EpochID{Thread: c.id, TS: e.TS}, pbID: e.ID,
 	})
+	m.env.Eng.AfterOp(m.env.Cfg.FlushLat, m, vEvArrive, 0)
 }
 
-// flushOne issues eagerly in FIFO order; the controller does the delaying.
-func (m *Vorpal) flushOne(c *vorpalCore) {
-	if c.pb.Inflight() >= m.env.Cfg.PBMaxInflight {
-		return
+// event runs arrivals and broadcast ticks.
+func (m *Vorpal) event(kind int, arg uint64) {
+	switch kind {
+	case vEvArrive:
+		fl := m.arrivals[m.ahead]
+		m.arrivals[m.ahead] = vorpalFlush{}
+		m.ahead++
+		if m.ahead == len(m.arrivals) {
+			m.arrivals = m.arrivals[:0]
+			m.ahead = 0
+		}
+		if m.safeToPersist(fl.epoch) {
+			m.persistNow(fl)
+			return
+		}
+		fl.parked = m.env.Eng.Now()
+		m.pending[fl.mc] = append(m.pending[fl.mc], fl) //asaplint:ignore alloccheck parked-flush queue reaches steady-state capacity, then appends reuse it
+		m.hc.vorpalParked.Inc()
+	case vEvTick:
+		m.tick()
+	default:
+		m.flusher.event(kind, arg)
 	}
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	e := c.pb.NextWaiting(func(*persist.PBEntry) bool { return true })
-	if e == nil {
-		return
-	}
-	c.pb.MarkInflight(e, false)
-	mcID := m.env.IL.Home(e.Line)
-	fl := vorpalFlush{
-		line: e.Line, token: e.Token,
-		epoch: persist.EpochID{Thread: c.id, TS: e.TS},
-		pbID:  e.ID, core: c.id,
-	}
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Eng.After(m.env.Cfg.FlushLat, func() { m.arrive(mcID, fl) })
-	if c.pb.Inflight() < m.env.Cfg.PBMaxInflight {
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		m.env.Eng.After(flushIssuePace, func() { m.flushOne(c) })
-	}
-}
-
-// arrive parks or persists a flush at controller mcID.
-func (m *Vorpal) arrive(mcID int, fl vorpalFlush) {
-	if m.safeToPersist(fl.epoch) {
-		m.persistNow(mcID, fl)
-		return
-	}
-	fl.parked = m.env.Eng.Now()
-	m.pending[mcID] = append(m.pending[mcID], fl)
-	m.hc.vorpalParked.Inc()
 }
 
 // safeToPersist: all earlier epochs of the thread — and every recorded
@@ -303,110 +180,47 @@ func (m *Vorpal) safeToPersist(e persist.EpochID) bool {
 	return true
 }
 
-func (m *Vorpal) persistNow(mcID int, fl vorpalFlush) {
-	mc := m.env.MCs[mcID]
-	mc.Receive(persist.FlushPacket{Line: fl.line, Token: fl.token, Epoch: fl.epoch},
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		func(res persist.FlushResult) {
-			if res != persist.FlushAck {
-				panic("vorpal: controller NACKed a flush")
-			}
-			m.onPersisted(mcID, fl)
-		})
+// persistNow hands the flush to its controller; the ACK reaches the
+// flusher like any other.
+func (m *Vorpal) persistNow(fl vorpalFlush) {
+	pkt := persist.FlushPacket{Line: fl.line, Token: fl.token, Epoch: fl.epoch}
+	m.env.MCs[fl.mc].ReceiveOp(pkt, m, replyArg(fl.epoch.Thread, fl.pbID))
 }
 
-func (m *Vorpal) onPersisted(mcID int, fl vorpalFlush) {
-	c := m.cores[fl.core]
-	e, ok := c.pb.Ack(fl.pbID)
-	if !ok {
-		panic("vorpal: ACK for unknown persist buffer entry")
-	}
-	if ent, ok := c.et.Get(e.TS); ok {
-		ent.Unacked--
-		m.tryRetire(c, e.TS)
-	}
-	if len(c.storeWaiters) > 0 {
-		w := c.storeWaiters[0]
-		c.storeWaiters = c.storeWaiters[1:]
-		w()
-	}
-	m.kickFlusher(c)
-}
-
-// tryRetire marks an epoch persisted once closed, drained and in order.
-func (m *Vorpal) tryRetire(c *vorpalCore, ts uint64) {
-	ent, ok := c.et.Get(ts)
-	if !ok || ent.Committed {
-		return
-	}
-	if !ent.Closed || ent.Unacked != 0 || !c.et.PrevCommitted(ts) {
-		return
-	}
-	ent.Committed = true
-	for mcID := range m.persisted[c.id] {
-		m.persisted[c.id][mcID] = ts
-	}
-	m.hc.epochsCommitted.Inc()
-	m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: ts})
-	c.et.Retire(ts)
-	m.tryRetire(c, ts+1)
-	if c.fenceWaiter != nil && !c.et.Full() {
-		w := c.fenceWaiter
-		c.fenceWaiter = nil
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
-	}
-	if c.dfenceWaiter != nil && c.et.AllCommitted() {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
-	}
-}
-
-// ensureBroadcast starts the periodic inter-controller clock exchange.
-func (m *Vorpal) ensureBroadcast() {
-	if m.broadcastOn {
-		return
-	}
-	m.broadcastOn = true
-	var tick func()
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	tick = func() {
-		m.hc.vorpalBroadcasts.Inc()
-		// Update every thread's globally visible clock.
-		for t := range m.visible {
-			min := ^uint64(0)
-			for _, p := range m.persisted[t] {
-				if p < min {
-					min = p
-				}
+// tick is one clock broadcast: refresh every thread's globally visible
+// clock, release the parked flushes that became safe, and re-arm while
+// work remains.
+func (m *Vorpal) tick() {
+	m.hc.vorpalBroadcasts.Inc()
+	for t := range m.visible {
+		min := ^uint64(0)
+		for _, p := range m.persisted[t] {
+			if p < min {
+				min = p
 			}
-			m.visible[t] = min
 		}
-		// Release parked flushes that became safe.
-		for mcID := range m.pending {
-			var rest []vorpalFlush
-			for _, fl := range m.pending[mcID] {
-				if m.safeToPersist(fl.epoch) {
-					m.hc.vorpalParkCycles.Add(uint64(m.env.Eng.Now() - fl.parked))
-					m.persistNow(mcID, fl)
-				} else {
-					rest = append(rest, fl)
-				}
-			}
-			m.pending[mcID] = rest
-		}
-		if m.busy() {
-			m.env.Eng.After(vorpalBroadcastInterval, tick)
-		} else {
-			// Nothing in flight: stop ticking so the engine can drain;
-			// kickFlusher restarts the broadcast on new work.
-			m.broadcastOn = false
-		}
+		m.visible[t] = min
 	}
-	m.env.Eng.After(vorpalBroadcastInterval, tick)
+	for mcID, pend := range m.pending {
+		rest := pend[:0]
+		for _, fl := range pend {
+			if m.safeToPersist(fl.epoch) {
+				m.hc.vorpalParkCycles.Add(uint64(m.env.Eng.Now() - fl.parked))
+				m.persistNow(fl)
+			} else {
+				rest = append(rest, fl) //asaplint:ignore alloccheck in-place filter into the queue's own backing array never grows it
+			}
+		}
+		clear(pend[len(rest):])
+		m.pending[mcID] = rest
+	}
+	if m.busy() {
+		m.env.Eng.AfterOp(vorpalBroadcastInterval, m, vEvTick, 0)
+	} else {
+		// Nothing in flight: stop ticking so the engine can drain; a
+		// flusher kick restarts the broadcast on new work.
+		m.broadcastOn = false
+	}
 }
 
 // busy reports whether any controller or persist buffer holds work.

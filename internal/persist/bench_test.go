@@ -14,14 +14,13 @@ import (
 // entry free list makes the cycle allocation-free; benchdiff gates that.
 func BenchmarkPBFlushCycle(b *testing.B) {
 	pb := NewPersistBuffer(32)
-	pred := func(e *PBEntry) bool { return true }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := pb.Enqueue(mem.Line(i%64), mem.Token(i), uint64(i)); !ok {
 			b.Fatal("enqueue rejected")
 		}
-		e := pb.NextWaiting(pred)
+		e := pb.NextWaiting()
 		pb.MarkInflight(e, i%2 == 0)
 		if _, ok := pb.Ack(e.ID); !ok {
 			b.Fatal("ack failed")
@@ -31,8 +30,10 @@ func BenchmarkPBFlushCycle(b *testing.B) {
 
 // benchReplier counts controller replies without allocating per flush.
 type benchReplier struct {
-	acks, nacks int
+	acks, nacks, commits int
 }
+
+func (r *benchReplier) CommitAck(EpochID) { r.commits++ }
 
 func (r *benchReplier) FlushReply(arg uint64, res FlushResult) {
 	if res == FlushAck {
@@ -50,13 +51,12 @@ func BenchmarkMCFlushCommit(b *testing.B) {
 	eng := sim.NewEngine()
 	mc := NewMC(0, eng, config.Default(), true, stats.New())
 	r := &benchReplier{}
-	done := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ep := EpochID{Thread: 0, TS: uint64(i + 1)}
 		mc.ReceiveOp(FlushPacket{Line: mem.Line(i % 128), Token: mem.Token(i), Epoch: ep, Early: true}, r, uint64(i))
-		mc.Commit(ep, done)
+		mc.CommitOp(ep, r)
 		eng.Run(0)
 	}
 	if r.acks+r.nacks != b.N {

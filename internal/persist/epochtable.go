@@ -57,17 +57,6 @@ func (e *ETEntry) EarlyMCCount() int {
 	return n
 }
 
-// ForEachEarlyMC calls fn for each controller in ascending ID order — the
-// same order the previous sorted-slice implementation produced, so commit
-// message scheduling (and every downstream tie-break) is unchanged.
-func (e *ETEntry) ForEachEarlyMC(fn func(mc int)) {
-	for id, m := 0, e.EarlyMCs; m != 0; id, m = id+1, m>>1 {
-		if m&1 != 0 {
-			fn(id)
-		}
-	}
-}
-
 // EpochTable tracks the in-flight epochs of one core. Entries are ordered by
 // TS; capacity bounds the number of uncommitted epochs, and an ofence that
 // would exceed it stalls the core (§VI-A).
@@ -253,13 +242,4 @@ func (et *EpochTable) AllCommitted() bool {
 		return false
 	}
 	return true
-}
-
-// Epochs calls fn for each tracked epoch in ascending TS order.
-func (et *EpochTable) Epochs(fn func(*ETEntry)) {
-	for ts := et.oldest; ts <= et.current; ts++ {
-		if e := et.ring[ts&et.mask]; e != nil {
-			fn(e)
-		}
-	}
 }

@@ -8,8 +8,7 @@ import (
 // Link is the model↔controller message fabric: every flush and epoch
 // commit a model issues toward a memory controller goes through it. It
 // schedules one typed event per flush at +FlushLat and one per commit at
-// +MsgLat, and keeps the payloads (packets, repliers, closures) in FIFO
-// queues, because queued engine events are pointer-free and carry none.
+// +MsgLat, and keeps the payloads (packets, repliers) in FIFO queues, because queued engine events are pointer-free and carry none.
 // Deliveries of one kind share one latency, so the FIFOs dequeue in
 // exactly the order the events fire.
 type Link struct {
@@ -29,7 +28,6 @@ type linkFlushSend struct {
 	mc      *MC
 	pkt     FlushPacket
 	replier FlushReplier
-	reply   func(FlushResult)
 	arg     uint64
 	retried bool
 }
@@ -52,21 +50,14 @@ func NewLink(eng *sim.Engine, cfg config.Config, mcs []*MC) *Link {
 	return &Link{eng: eng, cfg: cfg, mcs: mcs}
 }
 
-// FlushOp issues a flush to mcs[mcID], delivered after FlushLat: the
-// typed form used by the ASAP models. retried marks a NACK-retried
-// flush, whose delivery removes the line's Bloom reservation at the
-// controller.
+// FlushOp issues a flush to mcs[mcID], delivered after FlushLat; the
+// controller's ACK/NACK comes back through rp.FlushReply(arg, res).
+// retried marks a NACK-retried flush, whose delivery removes the line's
+// Bloom reservation at the controller.
 //
 //asap:hot flush issue: every persist-buffer drain goes through here
 func (l *Link) FlushOp(mcID int, pkt FlushPacket, rp FlushReplier, arg uint64, retried bool) {
 	l.fq = append(l.fq, linkFlushSend{mc: l.mcs[mcID], pkt: pkt, replier: rp, arg: arg, retried: retried}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
-	l.eng.AfterOp(l.cfg.FlushLat, l, linkEvFlush, 0)
-}
-
-// Flush is the closure-reply form of FlushOp, used by the non-ASAP
-// models.
-func (l *Link) Flush(mcID int, pkt FlushPacket, reply func(FlushResult)) {
-	l.fq = append(l.fq, linkFlushSend{mc: l.mcs[mcID], pkt: pkt, reply: reply})
 	l.eng.AfterOp(l.cfg.FlushLat, l, linkEvFlush, 0)
 }
 
@@ -98,11 +89,7 @@ func (l *Link) RunEvent(kind int, arg uint64) {
 			// the moment the retry reaches the controller.
 			s.mc.Bloom.Remove(s.pkt.Line)
 		}
-		if s.replier != nil {
-			s.mc.ReceiveOp(s.pkt, s.replier, s.arg)
-		} else {
-			s.mc.Receive(s.pkt, s.reply)
-		}
+		s.mc.ReceiveOp(s.pkt, s.replier, s.arg)
 	case linkEvCommit:
 		s := l.cq[l.chead]
 		l.cq[l.chead] = linkCommitSend{}

@@ -14,31 +14,26 @@ import (
 type mcJob struct {
 	isCommit bool
 
-	// flush fields. Exactly one of reply (legacy closure form) or replier
-	// (typed form, arg passed back verbatim) is set.
+	// flush fields: the result goes to replier with replyArg passed back
+	// verbatim.
 	pkt      FlushPacket
-	reply    func(FlushResult)
 	replier  FlushReplier
 	replyArg uint64
 
-	// commit fields. Exactly one of commitDone (legacy closure form) or
-	// commitAcker (typed form) is set.
+	// commit fields: the ACK goes to commitAcker.
 	epoch       EpochID
-	commitDone  func()
 	commitAcker CommitAcker
 }
 
 // CommitAcker receives the controller's commit ACK for an epoch submitted
-// via CommitOp — the typed analogue of Commit's done closure, letting the
-// per-epoch commit path schedule without allocating.
+// via CommitOp.
 type CommitAcker interface {
 	CommitAck(e EpochID)
 }
 
 // FlushReplier receives the controller's ACK/NACK for a flush submitted via
 // ReceiveOp. arg is the caller's value from ReceiveOp, typically a persist
-// buffer entry ID — the typed analogue of Receive's reply closure, letting
-// hot callers avoid a per-flush allocation.
+// buffer entry ID.
 type FlushReplier interface {
 	FlushReply(arg uint64, res FlushResult)
 }
@@ -58,13 +53,11 @@ const (
 	contCommitNext        // continue the commit job's delay replay
 )
 
-// mcReply is one queued ACK/NACK/commit-done delivery. All replies travel
+// mcReply is one queued ACK/NACK/commit-ACK delivery. All replies travel
 // at the same MsgLat delay, so a FIFO ring dispatched by typed events
-// preserves the exact delivery order the per-reply closures produced.
+// delivers them in the order they were sent.
 type mcReply struct {
 	replier  FlushReplier
-	legacy   func(FlushResult)
-	commit   func()
 	acker    CommitAcker
 	ackEpoch EpochID
 	arg      uint64
@@ -166,15 +159,9 @@ func (mc *MC) AttachTracer(tr obs.Tracer) {
 	}
 }
 
-// Receive accepts a flush packet. reply is invoked (after the on-chip
-// message latency) with ACK or NACK. Callers model the PB→MC flush latency
-// before calling Receive.
-func (mc *MC) Receive(pkt FlushPacket, reply func(FlushResult)) {
-	mc.enqueueFlush(mcJob{pkt: pkt, reply: reply})
-}
-
-// ReceiveOp is the typed form of Receive: the result is delivered through
-// rp.FlushReply(arg, res) instead of a per-flush closure.
+// ReceiveOp accepts a flush packet; the ACK or NACK is delivered through
+// rp.FlushReply(arg, res) after the on-chip message latency. Callers model
+// the PB→MC flush latency before calling ReceiveOp.
 func (mc *MC) ReceiveOp(pkt FlushPacket, rp FlushReplier, arg uint64) {
 	mc.enqueueFlush(mcJob{pkt: pkt, replier: rp, replyArg: arg})
 }
@@ -189,16 +176,9 @@ func (mc *MC) enqueueFlush(j mcJob) {
 	mc.serve()
 }
 
-// Commit accepts an epoch-commit message from an epoch table; done is the
-// ACK, invoked after the table has been cleaned and any delay records
-// processed (§V-C).
-func (mc *MC) Commit(e EpochID, done func()) {
-	mc.queue = append(mc.queue, mcJob{isCommit: true, epoch: e, commitDone: done})
-	mc.serve()
-}
-
-// CommitOp is the typed form of Commit: the ACK is delivered through
-// acker.CommitAck(e) instead of a per-commit closure.
+// CommitOp accepts an epoch-commit message from an epoch table; the ACK
+// goes to acker.CommitAck(e) once the table has been cleaned and any delay
+// records processed (§V-C).
 func (mc *MC) CommitOp(e EpochID, acker CommitAcker) {
 	mc.queue = append(mc.queue, mcJob{isCommit: true, epoch: e, commitAcker: acker}) //asaplint:ignore alloccheck job queue reaches steady-state capacity, then appends reuse it
 	mc.serve()
@@ -219,7 +199,7 @@ func (mc *MC) serve() {
 	}
 	mc.serving = true
 	mc.cur = mc.queue[mc.qhead]
-	mc.queue[mc.qhead] = mcJob{} // release the closures for collection
+	mc.queue[mc.qhead] = mcJob{} // drop the interface references
 	mc.qhead++
 	if mc.qhead == len(mc.queue) {
 		mc.queue = mc.queue[:0]
@@ -250,15 +230,10 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 			mc.replies = mc.replies[:0]
 			mc.rhead = 0
 		}
-		switch {
-		case r.acker != nil:
+		if r.acker != nil {
 			r.acker.CommitAck(r.ackEpoch)
-		case r.commit != nil:
-			r.commit() //asaplint:ignore alloccheck legacy closure-form reply, used only by package tests; models use the typed repliers
-		case r.replier != nil:
+		} else {
 			r.replier.FlushReply(r.arg, r.res)
-		default:
-			r.legacy(r.res) //asaplint:ignore alloccheck legacy closure-form reply, used only by package tests; models use the typed repliers
 		}
 	case mcEvXPRead:
 		mc.readDone(mem.Token(arg))
@@ -280,7 +255,7 @@ func (mc *MC) finishJob() {
 		mc.trc.End(mc.track)
 	}
 	mc.serving = false
-	mc.cur = mcJob{} // release the job's closures; also keeps idle controllers checkpointable
+	mc.cur = mcJob{} // drop the job's interface references
 	mc.serve()
 }
 
@@ -293,7 +268,7 @@ func (mc *MC) sendReply(r mcReply) {
 // ack ACKs the flush in service and moves on.
 func (mc *MC) ack() {
 	j := &mc.cur
-	mc.sendReply(mcReply{replier: j.replier, legacy: j.reply, arg: j.replyArg, res: FlushAck})
+	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushAck})
 	mc.finishJob()
 }
 
@@ -307,7 +282,7 @@ func (mc *MC) nack() {
 	if mc.Bloom != nil {
 		mc.Bloom.Add(j.pkt.Line)
 	}
-	mc.sendReply(mcReply{replier: j.replier, legacy: j.reply, arg: j.replyArg, res: FlushNack})
+	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushNack})
 	mc.finishJob()
 }
 
@@ -452,8 +427,7 @@ func (mc *MC) commitNext() {
 				mc.RT.RecycleDelays(mc.delays)
 			}
 			mc.delays = nil
-			mc.sendReply(mcReply{commit: mc.cur.commitDone,
-				acker: mc.cur.commitAcker, ackEpoch: mc.cur.epoch})
+			mc.sendReply(mcReply{acker: mc.cur.commitAcker, ackEpoch: mc.cur.epoch})
 			mc.finishJob()
 			return
 		}

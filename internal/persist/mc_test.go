@@ -15,15 +15,24 @@ func newTestMC(spec bool) (*MC, *sim.Engine) {
 	return NewMC(0, eng, cfg, spec, stats.New()), eng
 }
 
+// replies records controller replies: flush results and commit ACKs.
+type replies struct {
+	res  []FlushResult
+	acks []EpochID
+}
+
+func (r *replies) FlushReply(_ uint64, res FlushResult) { r.res = append(r.res, res) }
+func (r *replies) CommitAck(e EpochID)                  { r.acks = append(r.acks, e) }
+
 func sendFlush(t *testing.T, mc *MC, eng *sim.Engine, pkt FlushPacket) FlushResult {
 	t.Helper()
-	var got FlushResult = -1
-	mc.Receive(pkt, func(r FlushResult) { got = r })
+	r := &replies{}
+	mc.ReceiveOp(pkt, r, 0)
 	eng.Run(0)
-	if got == -1 {
-		t.Fatal("no reply from controller")
+	if len(r.res) != 1 {
+		t.Fatalf("controller sent %d replies, want 1", len(r.res))
 	}
-	return got
+	return r.res[0]
 }
 
 func TestMCSafeFlushPersists(t *testing.T) {
@@ -80,17 +89,17 @@ func TestMCCommitProcessesDelays(t *testing.T) {
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 2, Epoch: e(2, 1), Early: true}) // delayed
 
 	// Commit the delaying epoch first: delay -> undo safe value.
-	done := false
-	mc.Commit(e(2, 1), func() { done = true })
+	r := &replies{}
+	mc.CommitOp(e(2, 1), r)
 	eng.Run(0)
-	if !done {
+	if len(r.acks) != 1 || r.acks[0] != e(2, 1) {
 		t.Fatal("commit not acknowledged")
 	}
 	if u, _ := mc.RT.Undo(5); u.Safe != 2 {
 		t.Fatal("delay did not update the undo record")
 	}
 	// Commit the undo creator: record deleted, memory keeps 3.
-	mc.Commit(e(1, 1), func() {})
+	mc.CommitOp(e(1, 1), &replies{})
 	eng.Run(0)
 	if _, ok := mc.RT.Undo(5); ok {
 		t.Fatal("undo should be gone")
@@ -104,9 +113,9 @@ func TestMCDelayWithoutUndoPersistsOnCommit(t *testing.T) {
 	mc, eng := newTestMC(true)
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 3, Epoch: e(1, 1), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 4, Epoch: e(2, 1), Early: true}) // delayed
-	mc.Commit(e(1, 1), func() {})                                                      // undo deleted
+	mc.CommitOp(e(1, 1), &replies{})                                                   // undo deleted
 	eng.Run(0)
-	mc.Commit(e(2, 1), func() {}) // delay now persists to media
+	mc.CommitOp(e(2, 1), &replies{}) // delay now persists to media
 	eng.Run(0)
 	if mc.NVM.Peek(5) != 4 {
 		t.Fatalf("delayed write lost: %d", mc.NVM.Peek(5))
@@ -149,14 +158,13 @@ func TestMCWPQBackpressure(t *testing.T) {
 	cfg := config.Default()
 	cfg.WPQEntries = 2
 	mc := NewMC(0, eng, cfg, false, stats.New())
-	acks := 0
+	r := &replies{}
 	for i := 0; i < 8; i++ {
-		mc.Receive(FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)},
-			func(FlushResult) { acks++ })
+		mc.ReceiveOp(FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)}, r, uint64(i))
 	}
 	eng.Run(0)
-	if acks != 8 {
-		t.Fatalf("only %d/8 flushes acknowledged", acks)
+	if len(r.res) != 8 {
+		t.Fatalf("only %d/8 flushes acknowledged", len(r.res))
 	}
 	if mc.Stats().Get("mcWpqFullStalls") == 0 {
 		t.Fatal("expected WPQ backpressure with a 2-entry queue")
@@ -172,8 +180,9 @@ func TestMCUndoReadUsesWPQAndXPBuffer(t *testing.T) {
 	mc, eng := newTestMC(true)
 	// Prime: a safe write parks in the WPQ briefly; an immediate early
 	// write to the same line must read the pending value, not media.
-	mc.Receive(FlushPacket{Line: 4, Token: 10, Epoch: e(0, 1)}, func(FlushResult) {})
-	mc.Receive(FlushPacket{Line: 4, Token: 11, Epoch: e(0, 2), Early: true}, func(FlushResult) {})
+	r := &replies{}
+	mc.ReceiveOp(FlushPacket{Line: 4, Token: 10, Epoch: e(0, 1)}, r, 0)
+	mc.ReceiveOp(FlushPacket{Line: 4, Token: 11, Epoch: e(0, 2), Early: true}, r, 1)
 	eng.Run(0)
 	if u, ok := mc.RT.Undo(4); !ok || u.Safe != 10 {
 		t.Fatalf("undo should hold the WPQ value 10: %+v", u)
@@ -206,7 +215,7 @@ func TestMCSameEpochSafeAfterEarly(t *testing.T) {
 	mc, eng := newTestMC(true)
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 100, Epoch: e(0, 5), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 101, Epoch: e(0, 5)}) // safe, same epoch
-	mc.Commit(e(0, 5), func() {})
+	mc.CommitOp(e(0, 5), &replies{})
 	eng.Run(0)
 	if got := mc.NVM.Peek(8); got != 101 {
 		t.Fatalf("memory = %d, want the epoch's newest write 101", got)
@@ -223,12 +232,12 @@ func TestMCStaleDelayReplay(t *testing.T) {
 	E, F := e(0, 1), e(0, 2)
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 10, Epoch: E, Early: true}) // undo(E), mem=10
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 20, Epoch: F, Early: true}) // delayed behind undo(E)
-	mc.Commit(E, func() {})
+	mc.CommitOp(E, &replies{})
 	eng.Run(0)
 	// F writes the line again: must coalesce into F's delay record, not
 	// start a new speculative chain that the stale delay would clobber.
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 30, Epoch: F, Early: true})
-	mc.Commit(F, func() {})
+	mc.CommitOp(F, &replies{})
 	eng.Run(0)
 	if got := mc.NVM.Peek(8); got != 30 {
 		t.Fatalf("memory = %d, want F's newest write 30", got)

@@ -139,15 +139,25 @@ func (pb *PersistBuffer) Enqueue(line mem.Line, token mem.Token, ts uint64) (boo
 	return false, true
 }
 
-// NextWaiting returns the oldest waiting entry satisfying pred, or nil.
-// Models use pred to express their flushing policy: HOPS restricts to the
-// oldest epoch, ASAP's eager mode accepts anything, and ASAP's conservative
-// fallback accepts only safe epochs.
+// NextWaiting returns the oldest waiting entry of any epoch, or nil.
 //
 //asap:hot flush-issue path, polled once per drained entry
-func (pb *PersistBuffer) NextWaiting(pred func(*PBEntry) bool) *PBEntry {
+func (pb *PersistBuffer) NextWaiting() *PBEntry {
 	for _, e := range pb.entries {
-		if e.State == PBWaiting && pred(e) { //asaplint:ignore alloccheck policy predicate call: predicates are pure; their creation sites carry the alloc proof
+		if e.State == PBWaiting {
+			return e
+		}
+	}
+	return nil
+}
+
+// NextWaitingIn returns the oldest waiting entry of epoch ts, or nil: the
+// conservative policies flush only the oldest epoch.
+//
+//asap:hot flush-issue path, polled once per drained entry
+func (pb *PersistBuffer) NextWaitingIn(ts uint64) *PBEntry {
+	for _, e := range pb.entries {
+		if e.State == PBWaiting && e.TS == ts {
 			return e
 		}
 	}

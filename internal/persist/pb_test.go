@@ -39,7 +39,7 @@ func TestPBEnqueueAndCoalesce(t *testing.T) {
 func TestPBInflightNoCoalesce(t *testing.T) {
 	pb := NewPersistBuffer(4)
 	pb.Enqueue(1, 10, 1)
-	e := pb.NextWaiting(func(*PBEntry) bool { return true })
+	e := pb.NextWaiting()
 	pb.MarkInflight(e, false)
 	co, ok := pb.Enqueue(1, 11, 1)
 	if co || !ok {
@@ -54,7 +54,7 @@ func TestPBFullAndAck(t *testing.T) {
 	if _, ok := pb.Enqueue(3, 30, 1); ok {
 		t.Fatal("full buffer accepted an entry")
 	}
-	e := pb.NextWaiting(func(*PBEntry) bool { return true })
+	e := pb.NextWaiting()
 	pb.MarkInflight(e, true)
 	if pb.Inflight() != 1 {
 		t.Fatal("inflight count wrong")
@@ -74,14 +74,14 @@ func TestPBFullAndAck(t *testing.T) {
 func TestPBNack(t *testing.T) {
 	pb := NewPersistBuffer(2)
 	pb.Enqueue(1, 10, 3)
-	e := pb.NextWaiting(func(*PBEntry) bool { return true })
+	e := pb.NextWaiting()
 	pb.MarkInflight(e, true)
 	n := pb.Nack(e.ID)
 	if n == nil || n.State != PBWaiting || !n.Nacked {
 		t.Fatalf("nack state wrong: %+v", n)
 	}
-	// The entry is eligible again under a safe-only predicate.
-	if pb.NextWaiting(func(en *PBEntry) bool { return en.Nacked }) == nil {
+	// The entry is eligible again, marked for a safe reissue.
+	if w := pb.NextWaiting(); w == nil || !w.Nacked {
 		t.Fatal("NACKed entry not re-flushable")
 	}
 }
@@ -92,7 +92,7 @@ func TestPBFIFOOrder(t *testing.T) {
 		pb.Enqueue(mem.Line(i), mem.Token(i), 1)
 	}
 	for i := 0; i < 5; i++ {
-		e := pb.NextWaiting(func(*PBEntry) bool { return true })
+		e := pb.NextWaiting()
 		if e.Line != mem.Line(i) {
 			t.Fatalf("FIFO broken: got line %d, want %d", e.Line, i)
 		}
@@ -105,9 +105,12 @@ func TestPBPredicateSkipsEpochs(t *testing.T) {
 	pb := NewPersistBuffer(8)
 	pb.Enqueue(1, 10, 1)
 	pb.Enqueue(2, 20, 2)
-	e := pb.NextWaiting(func(en *PBEntry) bool { return en.TS == 2 })
+	e := pb.NextWaitingIn(2)
 	if e == nil || e.Line != 2 {
-		t.Fatal("predicate selection wrong")
+		t.Fatal("epoch selection wrong")
+	}
+	if pb.NextWaitingIn(3) != nil {
+		t.Fatal("selected an entry of an epoch with none")
 	}
 }
 
@@ -213,7 +216,11 @@ func TestEpochsIteration(t *testing.T) {
 	et.Advance()
 	et.Advance()
 	var seen []uint64
-	et.Epochs(func(e *ETEntry) { seen = append(seen, e.TS) })
+	for ts := et.OldestTS(); ts <= et.CurrentTS(); ts++ {
+		if e, ok := et.Get(ts); ok {
+			seen = append(seen, e.TS)
+		}
+	}
 	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
 		t.Fatalf("iteration wrong: %v", seen)
 	}

@@ -97,13 +97,20 @@ func (w *WBB) OnFlush(pbEntryID uint64) []mem.Line {
 	return out
 }
 
-// ReleaseIf releases every parked line for which pred reports true (used by
-// machines that poll the persist buffer state instead of receiving per-entry
-// flush notifications) and returns the count released.
-func (w *WBB) ReleaseIf(pred func(mem.Line) bool) int {
+// LineBuffer reports whether a core's persist buffer still holds an
+// unpersisted write to a line; model.Model implements it.
+type LineBuffer interface {
+	PBHasLine(core int, line mem.Line) bool
+}
+
+// ReleaseFlushed releases every parked line that core's persist buffer in
+// pb no longer holds (used by machines that poll the persist buffer state
+// instead of receiving per-entry flush notifications) and returns the
+// count released.
+func (w *WBB) ReleaseFlushed(pb LineBuffer, core int) int {
 	n := 0
 	for _, l := range w.sortedParked() {
-		if pred(l) {
+		if !pb.PBHasLine(core, l) {
 			delete(w.entries, l)
 			w.released++
 			n++

@@ -56,7 +56,7 @@ func TestWBBReleaseIf(t *testing.T) {
 	for l := uint64(1); l <= 6; l++ {
 		w.Park(m.Line(l), l)
 	}
-	n := w.ReleaseIf(func(l m.Line) bool { return uint64(l)%2 == 0 })
+	n := w.ReleaseFlushed(oddLines{}, 0)
 	if n != 3 || w.Len() != 3 {
 		t.Fatalf("released %d, len %d", n, w.Len())
 	}
@@ -66,3 +66,8 @@ func TestWBBReleaseIf(t *testing.T) {
 		}
 	}
 }
+
+// oddLines is a LineBuffer still holding every odd line.
+type oddLines struct{}
+
+func (oddLines) PBHasLine(_ int, l m.Line) bool { return uint64(l)%2 == 1 }

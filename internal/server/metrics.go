@@ -17,10 +17,10 @@ import (
 // for the coarse spans, micros for the fast ones: the registry stores
 // integers, so the unit is chosen to keep one tick meaningful.
 var (
-	_ = stats.RegisterDist("runQueueWaitMillis", "per-run wall milliseconds between admission and simulation start")
-	_ = stats.RegisterDist("runSimulateMillis", "per-run wall milliseconds spent simulating")
-	_ = stats.RegisterDist("runEncodeMicros", "per-run wall microseconds spent encoding the result envelope")
-	_ = stats.RegisterDist("runStoreMicros", "per-run wall microseconds spent persisting the envelope")
+	kRunQueueWait = stats.RegisterDist("runQueueWaitMillis", "per-run wall milliseconds between admission and simulation start")
+	kRunSimulate  = stats.RegisterDist("runSimulateMillis", "per-run wall milliseconds spent simulating")
+	kRunEncode    = stats.RegisterDist("runEncodeMicros", "per-run wall microseconds spent encoding the result envelope")
+	kRunStore     = stats.RegisterDist("runStoreMicros", "per-run wall microseconds spent persisting the envelope")
 )
 
 // recordSpans files one run's span breakdown into the aggregate set.
@@ -29,13 +29,13 @@ var (
 func (s *Server) recordSpans(queueWait, simulate, encode, store time.Duration) {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	s.agg.Observe("runQueueWaitMillis", uint64(queueWait.Milliseconds()))
-	s.agg.Observe("runSimulateMillis", uint64(simulate.Milliseconds()))
+	s.agg.Observe(kRunQueueWait, uint64(queueWait.Milliseconds()))
+	s.agg.Observe(kRunSimulate, uint64(simulate.Milliseconds()))
 	if encode > 0 {
-		s.agg.Observe("runEncodeMicros", uint64(encode.Microseconds()))
+		s.agg.Observe(kRunEncode, uint64(encode.Microseconds()))
 	}
 	if store > 0 {
-		s.agg.Observe("runStoreMicros", uint64(store.Microseconds()))
+		s.agg.Observe(kRunStore, uint64(store.Microseconds()))
 	}
 }
 

@@ -5,49 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkEventThroughput measures raw simulator event dispatch rate — the
-// figure that bounds how much simulated time per wall-second every
-// experiment gets.
-func BenchmarkEventThroughput(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(3, tick)
-		}
-	}
-	e.After(1, tick)
-	b.ResetTimer()
-	e.Run(0)
-}
-
-// BenchmarkEventThroughputHooked is BenchmarkEventThroughput with a
-// dispatch hook attached — the tracing-on configuration. The delta
-// against BenchmarkEventThroughput is the cost tracing adds per
-// dispatched event; CI gates both through benchdiff.
-func BenchmarkEventThroughputHooked(b *testing.B) {
-	e := NewEngine()
-	var dispatched uint64
-	e.SetDispatchHook(func(Cycles) { dispatched++ })
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(3, tick)
-		}
-	}
-	e.After(1, tick)
-	b.ResetTimer()
-	e.Run(0)
-	if dispatched == 0 {
-		b.Fatal("dispatch hook never fired")
-	}
-}
-
-// benchTickOp is the typed-event receiver for BenchmarkEventThroughputTyped.
+// benchTickOp is the typed-event receiver for the EventThroughput rungs: a
+// depth-1 self-rescheduling chain.
 type benchTickOp struct {
 	e *Engine
 	n int
@@ -61,9 +20,9 @@ func (t *benchTickOp) RunEvent(kind int, arg uint64) {
 	}
 }
 
-// BenchmarkEventThroughputTyped is BenchmarkEventThroughput on the typed
-// ScheduleOp/AfterOp path the converted hot layers use — no closure even at
-// schedule time. Gated at 0 allocs/op through benchdiff.
+// BenchmarkEventThroughputTyped measures raw simulator event dispatch
+// rate — the figure that bounds how much simulated time per wall-second
+// every experiment gets. Gated at 0 allocs/op through benchdiff.
 func BenchmarkEventThroughputTyped(b *testing.B) {
 	e := NewEngine()
 	op := &benchTickOp{e: e, N: b.N}
@@ -72,18 +31,46 @@ func BenchmarkEventThroughputTyped(b *testing.B) {
 	e.Run(0)
 }
 
+// BenchmarkEventThroughputHooked is BenchmarkEventThroughputTyped with a
+// dispatch hook attached — the tracing-on configuration. The delta
+// between the two is the cost tracing adds per dispatched event; CI gates
+// both through benchdiff.
+func BenchmarkEventThroughputHooked(b *testing.B) {
+	e := NewEngine()
+	var dispatched dispatchCounter
+	e.SetDispatchHook(&dispatched)
+	op := &benchTickOp{e: e, N: b.N}
+	e.AfterOp(1, op, 0, 0)
+	b.ResetTimer()
+	e.Run(0)
+	if dispatched == 0 {
+		b.Fatal("dispatch hook never fired")
+	}
+}
+
+// dispatchCounter is a DispatchHook counting dispatches.
+type dispatchCounter uint64
+
+func (c *dispatchCounter) Dispatched(Cycles) { *c++ }
+
+// fanoutOp is BenchmarkEventFanout's receiver: event kind 0 carries the
+// scheduling index j in arg, and every tenth one schedules a kind-1 child.
+type fanoutOp struct{ e *Engine }
+
+func (f *fanoutOp) RunEvent(kind int, arg uint64) {
+	if kind == 0 && arg%10 == 0 {
+		f.e.AfterOp(5, f, 1, 0)
+	}
+}
+
 // BenchmarkEventFanout measures dispatch with a deep, wide queue (the
 // pattern MC drain + per-core flushers produce).
 func BenchmarkEventFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
+		op := &fanoutOp{e: e}
 		for j := 0; j < 1000; j++ {
-			j := j
-			e.At(Cycles(j%97+1), func() {
-				if j%10 == 0 {
-					e.After(5, func() {})
-				}
-			})
+			e.ScheduleOp(Cycles(j%97+1), op, 0, uint64(j))
 		}
 		e.Run(0)
 	}

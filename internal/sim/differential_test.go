@@ -12,7 +12,7 @@ import (
 // workload drives.
 type scheduler interface {
 	Now() Cycles
-	After(delay Cycles, fn func())
+	after(delay Cycles, fn func())
 }
 
 // dispatchRecord is one observed dispatch: which logical event fired and at
@@ -43,7 +43,7 @@ func runDifferentialWorkload(s scheduler, seed int64, run func()) []dispatchReco
 	schedule = func(delay Cycles) {
 		id := nextID
 		nextID++
-		s.After(delay, func() {
+		s.after(delay, func() {
 			got = append(got, dispatchRecord{id: id, when: s.Now()})
 			// Fan out 0-3 children with tiny delays (0-4 cycles) so many
 			// events collide on the same cycle and exercise the tie-break.
@@ -72,7 +72,7 @@ func TestDifferentialDeterminism(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			eng := NewEngine()
-			gotNew := runDifferentialWorkload(eng, seed, func() { eng.Run(0) })
+			gotNew := runDifferentialWorkload(newFnTable(eng), seed, func() { eng.Run(0) })
 
 			ref := &refEngine{}
 			gotRef := runDifferentialWorkload(ref, seed, func() { ref.Run() })
@@ -95,7 +95,7 @@ func TestDifferentialDeterminism(t *testing.T) {
 // proven to share dispatch semantics.
 func TestDifferentialDeterminismStepped(t *testing.T) {
 	eng := NewEngine()
-	gotNew := runDifferentialWorkload(eng, 7, func() {
+	gotNew := runDifferentialWorkload(newFnTable(eng), 7, func() {
 		for eng.Step() {
 		}
 	})
@@ -125,13 +125,15 @@ type queueEngine interface {
 }
 
 // engineQueue adapts Engine: typed events go through ScheduleOp with the
-// closure's index as the event arg.
+// closure's index as the event arg; the rest go through a second receiver,
+// an fnTable, so the program interleaves two receivers' events.
 type engineQueue struct {
-	e   *Engine
-	fns []func()
+	e        *Engine
+	closures []func()
+	other    *fnTable
 }
 
-func (q *engineQueue) RunEvent(kind int, arg uint64) { q.fns[arg]() }
+func (q *engineQueue) RunEvent(kind int, arg uint64) { q.closures[arg]() }
 
 func (q *engineQueue) Now() Cycles                  { return q.e.Now() }
 func (q *engineQueue) Pending() int                 { return q.e.Pending() }
@@ -150,17 +152,20 @@ func (q *engineQueue) NextWhen() (Cycles, bool) {
 
 func (q *engineQueue) Local(when Cycles, typed bool, fn func()) {
 	if !typed {
-		q.e.At(when, fn)
+		if q.other == nil {
+			q.other = newFnTable(q.e)
+		}
+		q.other.at(when, fn)
 		return
 	}
-	q.fns = append(q.fns, fn)
-	q.e.ScheduleOp(when, q, 0, uint64(len(q.fns)-1))
+	q.closures = append(q.closures, fn)
+	q.e.ScheduleOp(when, q, 0, uint64(len(q.closures)-1))
 }
 
 // refQueue adapts refEngine.
 type refQueue struct{ *refEngine }
 
-func (q refQueue) Local(when Cycles, _ bool, fn func()) { q.At(when, fn) }
+func (q refQueue) Local(when Cycles, _ bool, fn func()) { q.at(when, fn) }
 
 // queueDelays are the schedule distances the adversarial program draws
 // from: same-cycle and near-future work, every edge of the wheel window
@@ -288,13 +293,14 @@ func TestQueueDifferential(t *testing.T) {
 // TestQueueOverflowTie pins the case the merge exists for: an event that
 // entered the overflow heap (scheduled wheelSize cycles ahead) and one that
 // entered the wheel later for the same cycle dispatch in seq order, and so
-// do the typed and closure events scheduled for that cycle after them.
+// do the events of two receivers scheduled for that cycle after them.
 func TestQueueOverflowTie(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	var order []string
-	e.At(wheelSize, func() { order = append(order, "overflow") })
-	e.At(1, func() {
-		e.At(wheelSize, func() { order = append(order, "wheel") })
+	f.at(wheelSize, func() { order = append(order, "overflow") })
+	f.at(1, func() {
+		f.at(wheelSize, func() { order = append(order, "wheel") })
 	})
 	e.RunUntil(1)
 	if len(e.overflow) != 1 || e.Pending() != 2 {
@@ -302,7 +308,7 @@ func TestQueueOverflowTie(t *testing.T) {
 	}
 	q := &engineQueue{e: e}
 	q.Local(wheelSize, true, func() { order = append(order, "typed") })
-	e.At(wheelSize, func() { order = append(order, "later") })
+	f.at(wheelSize, func() { order = append(order, "later") })
 	e.Run(0)
 	want := "[overflow wheel typed later]"
 	if got := fmt.Sprint(order); got != want {

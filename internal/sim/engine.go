@@ -4,8 +4,6 @@
 // ASAP paper.
 package sim
 
-import "fmt"
-
 // Cycles is the simulation time unit: one cycle of the 2 GHz core clock.
 type Cycles = uint64
 
@@ -15,42 +13,53 @@ const CyclesPerNS = 2
 // NS converts nanoseconds to cycles.
 func NS(ns uint64) Cycles { return ns * CyclesPerNS }
 
-// EventOp is the typed-event form of a scheduled callback: a long-lived
-// component (machine, model, memory controller) implements RunEvent and
-// dispatches on kind, with arg carrying a small payload such as a core
-// index. Scheduling through ScheduleOp/AfterOp stores the receiver in the
-// event slot directly, so the hot paths schedule without allocating the
-// per-event closure the fn form costs. kind values are private to each
-// receiver; the engine never interprets them.
+// EventOp is a receiver of typed events: a long-lived component (machine,
+// model, memory controller, link) implements RunEvent and dispatches on
+// kind, with arg carrying a small payload such as a core index. The engine
+// stores the receiver by index in its receiver table, so scheduling
+// allocates nothing. kind values are private to each receiver; the engine
+// never interprets them.
 type EventOp interface {
 	RunEvent(kind int, arg uint64)
 }
 
-// event is a scheduled callback. seq breaks ties deterministically so that
-// two events scheduled for the same cycle fire in schedule order.
+// Cont is a typed continuation: the (receiver, kind, arg) triple of a typed
+// event, held as a value until an operation completes. Models receive one
+// per stalling call (a store, a fence, a release) and either resume it at
+// once (Engine.Resume), park it until the stall clears, or schedule it
+// (Engine.ScheduleCont). It is pointer-free like a queued event, so a
+// machine holding parked continuations is as serializable as its event
+// queue. The zero Cont names no receiver; IsZero reports it.
+type Cont struct {
+	op   int32 // 1 + index into Engine.ops; 0 for the zero Cont
+	kind int32
+	arg  uint64
+}
+
+// IsZero reports whether c is the zero Cont (no continuation parked).
+func (c Cont) IsZero() bool { return c.op == 0 }
+
+// event is a scheduled typed event. seq breaks ties deterministically so
+// that two events scheduled for the same cycle fire in schedule order.
 //
 // The struct is deliberately pointer-free: the queue copies events on
 // every schedule and dispatch (and the overflow heap permutes them), and
-// if the element held a closure or interface directly, every one of those
-// moves would run a GC write barrier — measured at a double-digit share of
-// whole-machine time. Instead an event holds indices: opIdx into the
-// engine's registered receiver table (typed form) or fnIdx into the
-// in-flight closure table (closure form, opIdx < 0), and next links it
-// into its wheel slot's FIFO. next fills what would otherwise be padding,
-// so the element stays a 40-byte pointer-free value: queue moves are plain
-// memmoves.
+// if the element held an interface directly, every one of those moves
+// would run a GC write barrier — measured at a double-digit share of
+// whole-machine time. Instead an event holds opIdx into the engine's
+// registered receiver table, and next links it into its wheel slot's FIFO,
+// so queue moves are plain memmoves of a 40-byte value.
 type event struct {
 	when  Cycles
 	seq   uint64
 	arg   uint64
 	kind  int32
-	opIdx int32 // index into Engine.ops; -1 for closure events
-	fnIdx int32 // index into Engine.fns (closure events only)
+	opIdx int32 // index into Engine.ops
 	next  int32 // wheel slab index of the next event in this slot; 0 ends the chain
 }
 
 // Engine is a single-threaded discrete-event simulator. Components schedule
-// callbacks at future cycles; Run dispatches them in time order. Engine is
+// typed events at future cycles; Run dispatches them in time order. Engine is
 // not safe for concurrent use: the whole simulated machine runs on one
 // goroutine, which keeps the model deterministic.
 //
@@ -67,7 +76,7 @@ type Engine struct {
 	seq        uint64
 	dispatched uint64 // events dispatched so far (see Dispatched)
 	halted     bool
-	onDispatch func(when Cycles)
+	onDispatch DispatchHook
 
 	// The timing wheel: slot s is the FIFO of events at the one cycle in
 	// [now, now+wheelSize) congruent to s, threaded through the dense
@@ -82,17 +91,11 @@ type Engine struct {
 	overflow []event
 
 	// ops holds the typed-event receivers ever scheduled on this engine,
-	// deduplicated by identity; events reference them by index so the
-	// queued events stay pointer-free. A machine registers only a handful
-	// of receivers (machine, model, controllers), so the lookup in
+	// deduplicated by identity; events and continuations reference them by
+	// index so they stay pointer-free. A machine registers only a handful
+	// of receivers (machine, model, controllers, link), so the lookup in
 	// ScheduleOp is a short pointer-compare scan.
 	ops []EventOp
-
-	// fns holds in-flight closure callbacks; fnFree recycles dispatched
-	// slots. A slot is cleared at dispatch so the closure (and everything
-	// it captures) is collectable as soon as it has run.
-	fns    []func()
-	fnFree []int32
 }
 
 // NewEngine returns an engine with the clock at cycle zero.
@@ -103,38 +106,34 @@ func NewEngine() *Engine {
 // Now reports the current simulation time in cycles.
 func (e *Engine) Now() Cycles { return e.now }
 
-// At schedules fn to run at absolute cycle when. Scheduling in the past is a
-// programming error and panics: it would silently corrupt causality.
-func (e *Engine) At(when Cycles, fn func()) {
-	if when < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	var idx int32
-	if n := len(e.fnFree); n > 0 {
-		idx = e.fnFree[n-1]
-		e.fnFree = e.fnFree[:n-1]
-		e.fns[idx] = fn
-	} else {
-		idx = int32(len(e.fns))
-		e.fns = append(e.fns, fn) //asaplint:ignore alloccheck free-list miss; bounded by peak in-flight closure events
-	}
-	e.enqueue(when, -1, idx, 0, 0)
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycles, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
 // ScheduleOp schedules the typed event (op, kind, arg) at absolute cycle
-// when. It is the allocation-free counterpart of At: op is stored in the
-// event slot as an interface over an existing pointer, so no closure is
-// created. Scheduling in the past panics, as with At.
+// when. Scheduling in the past is a programming error and panics: it would
+// silently corrupt causality.
 func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {
 	if when < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	e.enqueue(when, e.opIndex(op), 0, int32(kind), arg)
+	e.enqueue(when, e.opIndex(op), int32(kind), arg)
+}
+
+// Cont returns the continuation that runs op.RunEvent(kind, arg).
+func (e *Engine) Cont(op EventOp, kind int, arg uint64) Cont {
+	return Cont{op: e.opIndex(op) + 1, kind: int32(kind), arg: arg}
+}
+
+// Resume runs continuation c synchronously: the completed operation's
+// caller continues at once, inside the current event.
+func (e *Engine) Resume(c Cont) {
+	e.ops[c.op-1].RunEvent(int(c.kind), c.arg)
+}
+
+// ScheduleCont schedules continuation c as a typed event at absolute cycle
+// when; scheduling in the past panics, as with ScheduleOp.
+func (e *Engine) ScheduleCont(when Cycles, c Cont) {
+	if when < e.now {
+		panic("sim: event scheduled in the past")
+	}
+	e.enqueue(when, c.op-1, c.kind, c.arg)
 }
 
 // opIndex returns op's slot in the receiver table, registering it on first
@@ -164,10 +163,16 @@ func (e *Engine) Pending() int { return len(e.nodes) - 1 + len(e.overflow) }
 // readers never see zero just because no tracer was attached.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// SetDispatchHook registers fn to be called immediately before each event
-// dispatch (the observability layer counts dispatches through it). A nil fn
-// clears the hook; with no hook set, dispatch pays one pointer comparison.
-func (e *Engine) SetDispatchHook(fn func(when Cycles)) { e.onDispatch = fn }
+// DispatchHook observes the event loop: Dispatched runs immediately before
+// each event dispatch, with the event's cycle.
+type DispatchHook interface {
+	Dispatched(when Cycles)
+}
+
+// SetDispatchHook registers h to observe every dispatch (the observability
+// layer counts dispatches through it). A nil h clears the hook; with no
+// hook set, dispatch pays one nil comparison.
+func (e *Engine) SetDispatchHook(h DispatchHook) { e.onDispatch = h }
 
 // Halt stops Run before the next event is dispatched. It is typically called
 // from within an event handler (e.g. by a crash injector).
@@ -243,34 +248,10 @@ func (e *Engine) JumpTo(when Cycles) {
 // machine that restores it.
 func (e *Engine) RegisterOp(op EventOp) { e.opIndex(op) }
 
-// Quiesce verifies the engine holds no state a checkpoint image cannot
-// carry — pending closure-form events, live closure slots, or a dispatch
-// hook — and canonicalizes the closure tables to empty on success. Closure
-// events capture arbitrary environments the serializer cannot reconstruct;
-// typed events (ScheduleOp) are pointer-free and serialize by receiver
-// index. A machine that schedules closures is still checkpointable at any
-// cycle where none are in flight, which is what the quiescence search in
-// cmd/asapsim looks for.
-func (e *Engine) Quiesce() error {
-	for _, q := range [][]event{e.nodes[1:], e.overflow} {
-		for i := range q {
-			if q[i].opIdx < 0 {
-				return fmt.Errorf("sim: closure event pending at cycle %d (not quiescent)", q[i].when)
-			}
-		}
-	}
-	for i, fn := range e.fns {
-		if fn != nil {
-			return fmt.Errorf("sim: closure slot %d live (not quiescent)", i)
-		}
-	}
-	if e.onDispatch != nil {
-		return fmt.Errorf("sim: dispatch hook attached")
-	}
-	e.fns = e.fns[:0]
-	e.fnFree = e.fnFree[:0]
-	return nil
-}
+// Hooked reports whether a dispatch hook is attached. A checkpoint image
+// cannot carry the hook (it is observer code, not simulation state), so
+// saving a hooked engine is refused.
+func (e *Engine) Hooked() bool { return e.onDispatch != nil }
 
 // Step dispatches exactly one event if available and reports whether it did.
 func (e *Engine) Step() bool {
@@ -286,7 +267,7 @@ func (e *Engine) Step() bool {
 }
 
 // dispatch removes ev, the minimum event peek returned with its slot,
-// advances the clock, and runs the callback. It is the single dispatch
+// advances the clock, and runs the event. It is the single dispatch
 // path shared by Run, RunUntil and Step.
 //
 //asap:hot the event loop: every simulated cycle of work funnels through here
@@ -300,14 +281,7 @@ func (e *Engine) dispatch(ev *event, slot int) {
 	e.now = next.when
 	e.dispatched++
 	if e.onDispatch != nil {
-		e.onDispatch(next.when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
+		e.onDispatch.Dispatched(next.when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
 	}
-	if next.opIdx >= 0 {
-		e.ops[next.opIdx].RunEvent(int(next.kind), next.arg)
-	} else {
-		fn := e.fns[next.fnIdx]
-		e.fns[next.fnIdx] = nil
-		e.fnFree = append(e.fnFree, next.fnIdx) //asaplint:ignore alloccheck free list bounded by peak closure events; backing array reaches it once
-		fn()                                    //asaplint:ignore alloccheck closure-form events are the cold-path API; schedcheck keeps them out of converted packages
-	}
+	e.ops[next.opIdx].RunEvent(int(next.kind), next.arg)
 }

@@ -7,10 +7,11 @@ import (
 
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	var got []int
-	e.After(30, func() { got = append(got, 3) })
-	e.After(10, func() { got = append(got, 1) })
-	e.After(20, func() { got = append(got, 2) })
+	f.after(30, func() { got = append(got, 3) })
+	f.after(10, func() { got = append(got, 1) })
+	f.after(20, func() { got = append(got, 2) })
 	e.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events out of order: %v", got)
@@ -22,10 +23,11 @@ func TestEventOrdering(t *testing.T) {
 
 func TestTieBreakIsScheduleOrder(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		f.at(5, func() { got = append(got, i) })
 	}
 	e.Run(0)
 	for i, v := range got {
@@ -37,13 +39,14 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	var trace []Cycles
-	e.After(1, func() {
+	f.after(1, func() {
 		trace = append(trace, e.Now())
-		e.After(5, func() {
+		f.after(5, func() {
 			trace = append(trace, e.Now())
 		})
-		e.After(0, func() {
+		f.after(0, func() {
 			trace = append(trace, e.Now())
 		})
 	})
@@ -55,8 +58,9 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestRunLimit(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	fired := false
-	e.At(100, func() { fired = true })
+	f.at(100, func() { fired = true })
 	end := e.Run(50)
 	if fired {
 		t.Fatal("event beyond the limit fired")
@@ -75,9 +79,10 @@ func TestRunLimit(t *testing.T) {
 
 func TestHalt(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	count := 0
 	for i := Cycles(1); i <= 10; i++ {
-		e.At(i, func() {
+		f.at(i, func() {
 			count++
 			if count == 3 {
 				e.Halt()
@@ -95,22 +100,24 @@ func TestHalt(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	f := newFnTable(e)
+	f.at(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		f.at(5, func() {})
 	})
 	e.Run(0)
 }
 
 func TestStep(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	n := 0
-	e.After(1, func() { n++ })
-	e.After(2, func() { n++ })
+	f.after(1, func() { n++ })
+	f.after(2, func() { n++ })
 	if !e.Step() || n != 1 {
 		t.Fatal("first Step failed")
 	}
@@ -127,9 +134,10 @@ func TestStep(t *testing.T) {
 func TestMonotonicClock(t *testing.T) {
 	prop := func(delays []uint16) bool {
 		e := NewEngine()
+		f := newFnTable(e)
 		var times []Cycles
 		for _, d := range delays {
-			e.After(Cycles(d), func() { times = append(times, e.Now()) })
+			f.after(Cycles(d), func() { times = append(times, e.Now()) })
 		}
 		e.Run(0)
 		for i := 1; i < len(times); i++ {

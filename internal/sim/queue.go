@@ -69,11 +69,11 @@ func before(a, b *event) bool {
 // rather than copied from an event value, which the compiler would spill
 // and reload with wider loads than it stored (a store-forwarding stall on
 // every schedule).
-func (e *Engine) enqueue(when Cycles, opIdx, fnIdx, kind int32, arg uint64) {
+func (e *Engine) enqueue(when Cycles, opIdx, kind int32, arg uint64) {
 	seq := e.seq
 	e.seq++
 	if when-e.now >= wheelSize {
-		e.push(event{when: when, seq: seq, arg: arg, kind: kind, opIdx: opIdx, fnIdx: fnIdx})
+		e.push(event{when: when, seq: seq, arg: arg, kind: kind, opIdx: opIdx})
 		return
 	}
 	i := int32(len(e.nodes))
@@ -84,7 +84,7 @@ func (e *Engine) enqueue(when Cycles, opIdx, fnIdx, kind int32, arg uint64) {
 	}
 	n := &e.nodes[i]
 	n.when, n.seq, n.arg = when, seq, arg
-	n.kind, n.opIdx, n.fnIdx, n.next = kind, opIdx, fnIdx, 0
+	n.kind, n.opIdx, n.next = kind, opIdx, 0
 	slot := when & wheelMask
 	s := &e.slots[slot]
 	if s.head == 0 {
@@ -189,9 +189,8 @@ func (e *Engine) push(ev event) {
 	}
 }
 
-// popMin removes the overflow root. Events are pointer-free (closures live
-// in Engine.fns and are cleared at dispatch), so the vacated tail slot
-// needs no zeroing for the collector's sake.
+// popMin removes the overflow root. Events are pointer-free, so the
+// vacated tail slot needs no zeroing for the collector's sake.
 func (e *Engine) popMin() {
 	n := len(e.overflow) - 1
 	e.overflow[0] = e.overflow[n]
@@ -239,7 +238,7 @@ func (e *Engine) siftDown(i int) {
 //   - the overflow heap is heap-ordered and nothing in it precedes now;
 //   - every event's seq is below the engine's counter, so no future
 //     event can tie a queued one on (when, seq);
-//   - every event's receiver or closure index is in range.
+//   - every event's receiver index is in range.
 func (e *Engine) CheckQueue() error {
 	if len(e.nodes) == 0 || e.nodes[0] != (event{}) {
 		return fmt.Errorf("sim: wheel slab lacks its zero sentinel node")
@@ -308,17 +307,10 @@ func (e *Engine) CheckQueue() error {
 	return nil
 }
 
-// checkTarget reports an event whose receiver or closure index is out of
-// range.
+// checkTarget reports an event whose receiver index is out of range.
 func (e *Engine) checkTarget(ev *event) error {
-	if ev.opIdx >= 0 {
-		if int(ev.opIdx) >= len(e.ops) {
-			return fmt.Errorf("sim: event at cycle %d names receiver %d of %d", ev.when, ev.opIdx, len(e.ops))
-		}
-		return nil
-	}
-	if ev.opIdx != -1 || ev.fnIdx < 0 || int(ev.fnIdx) >= len(e.fns) || e.fns[ev.fnIdx] == nil {
-		return fmt.Errorf("sim: closure event at cycle %d names no live closure slot (%d)", ev.when, ev.fnIdx)
+	if ev.opIdx < 0 || int(ev.opIdx) >= len(e.ops) {
+		return fmt.Errorf("sim: event at cycle %d names receiver %d of %d", ev.when, ev.opIdx, len(e.ops))
 	}
 	return nil
 }

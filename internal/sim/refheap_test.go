@@ -42,7 +42,7 @@ type refEngine struct {
 
 func (e *refEngine) Now() Cycles { return e.now }
 
-func (e *refEngine) At(when Cycles, fn func()) {
+func (e *refEngine) at(when Cycles, fn func()) {
 	if when < e.now {
 		panic("refEngine: event scheduled in the past")
 	}
@@ -50,7 +50,7 @@ func (e *refEngine) At(when Cycles, fn func()) {
 	e.seq++
 }
 
-func (e *refEngine) After(delay Cycles, fn func()) { e.At(e.now+delay, fn) }
+func (e *refEngine) after(delay Cycles, fn func()) { e.at(e.now+delay, fn) }
 
 func (e *refEngine) Pending() int { return len(e.events) }
 

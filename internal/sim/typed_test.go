@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"runtime"
+	"fmt"
 	"testing"
 )
 
@@ -16,14 +16,15 @@ func (r *recordingOp) RunEvent(kind int, arg uint64) {
 }
 
 // TestTypedEvents checks that ScheduleOp/AfterOp dispatch in (when, seq)
-// order interleaved with closure-form events, carrying kind and arg intact.
+// order interleaved with another receiver's events, carrying kind and arg
+// intact.
 func TestTypedEvents(t *testing.T) {
 	e := NewEngine()
 	r := &recordingOp{eng: e}
 	e.ScheduleOp(20, r, 2, 200)
 	e.AfterOp(10, r, 1, 100)
 	closureRan := false
-	e.At(15, func() { closureRan = true })
+	newFnTable(e).at(15, func() { closureRan = true })
 	e.AfterOp(20, r, 3, 300)
 	e.Run(0)
 	want := [][3]uint64{{1, 100, 10}, {2, 200, 20}, {3, 300, 20}}
@@ -40,16 +41,18 @@ func TestTypedEvents(t *testing.T) {
 	}
 }
 
-// TestTypedTieBreakWithClosures: typed and closure events scheduled for the
-// same cycle fire in schedule order, regardless of form.
+// TestTypedTieBreakWithClosures: events of two receivers (a recorder and
+// the tests' closure table) scheduled for the same cycle fire in schedule
+// order, regardless of receiver.
 func TestTypedTieBreakWithClosures(t *testing.T) {
 	e := NewEngine()
+	f := newFnTable(e)
 	var order []int
 	r := &funcOp{fn: func(kind int, _ uint64) { order = append(order, kind) }}
 	e.ScheduleOp(5, r, 0, 0)
-	e.At(5, func() { order = append(order, 1) })
+	f.at(5, func() { order = append(order, 1) })
 	e.ScheduleOp(5, r, 2, 0)
-	e.At(5, func() { order = append(order, 3) })
+	f.at(5, func() { order = append(order, 3) })
 	e.Run(0)
 	for i, v := range order {
 		if v != i {
@@ -68,7 +71,7 @@ func (f *funcOp) RunEvent(kind int, arg uint64) { f.fn(kind, arg) }
 func TestScheduleOpPastPanics(t *testing.T) {
 	e := NewEngine()
 	r := &recordingOp{eng: e}
-	e.At(10, func() {
+	newFnTable(e).at(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ScheduleOp in the past did not panic")
@@ -106,31 +109,25 @@ func TestTypedEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPopReleasesEventMemory: after dispatch, the queue must not keep the
-// event's closure reachable through the slice's spare capacity. The closure
-// captures a large buffer and sets a finalizer canary on it; if popMin
-// failed to clear the vacated slot, the buffer would survive collection.
-func TestPopReleasesEventMemory(t *testing.T) {
+// TestContResumeAndSchedule: a continuation resumes synchronously through
+// Resume and, scheduled through ScheduleCont, takes its (when, seq) slot
+// like any typed event; the zero Cont is distinguishable.
+func TestContResumeAndSchedule(t *testing.T) {
 	e := NewEngine()
-	collected := make(chan struct{})
-	func() {
-		buf := make([]byte, 1<<20)
-		runtime.SetFinalizer(&buf[0], func(*byte) { close(collected) })
-		e.After(1, func() { buf[0] = 1 })
-	}()
-	// Keep the engine alive (and with it the events slice's spare capacity)
-	// while forcing collection of the dispatched event's closure.
-	e.Run(0)
-	for i := 0; i < 10; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			if e.Pending() != 0 {
-				t.Fatal("queue not empty")
-			}
-			return
-		default:
-		}
+	r := &recordingOp{eng: e}
+	if !(Cont{}).IsZero() {
+		t.Fatal("zero Cont not IsZero")
 	}
-	t.Fatal("dispatched event's closure still reachable: popMin did not clear the vacated slot")
+	c := e.Cont(r, 4, 40)
+	if c.IsZero() {
+		t.Fatal("live Cont reports IsZero")
+	}
+	e.Resume(c)
+	e.AfterOp(7, r, 1, 10)
+	e.ScheduleCont(7, e.Cont(r, 2, 20))
+	e.Run(0)
+	want := [][3]uint64{{4, 40, 0}, {1, 10, 7}, {2, 20, 7}}
+	if fmt.Sprint(r.got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch %v, want %v", r.got, want)
+	}
 }

@@ -72,8 +72,8 @@ func TestWriteDistPromNil(t *testing.T) {
 // a scraper discovers is a property of the binary.
 func TestWritePromFullVocabulary(t *testing.T) {
 	s := New()
-	s.Add("zeta", 7)
-	s.Observe("occ", 3)
+	s.Counter(byName["zeta"]).Add(7)
+	s.Observe(byName["occ"], 3)
 	var b bytes.Buffer
 	WriteProm(&b, "t_", s)
 	out := b.String()
@@ -101,10 +101,10 @@ func TestWritePromFullVocabulary(t *testing.T) {
 // byte-identical output (the /metrics golden-scrape property).
 func TestWritePromByteStable(t *testing.T) {
 	s := New()
-	s.Add("zeta", 7)
-	s.Add("alpha", 2)
-	s.Observe("occ", 3)
-	s.Observe("occ", 9)
+	s.Counter(byName["zeta"]).Add(7)
+	s.Counter(byName["alpha"]).Add(2)
+	s.Observe(byName["occ"], 3)
+	s.Observe(byName["occ"], 9)
 	var b1, b2 bytes.Buffer
 	WriteProm(&b1, "asap_", s)
 	WriteProm(&b2, "asap_", s)
@@ -131,6 +131,6 @@ func TestRegisterKindConflict(t *testing.T) {
 				t.Error("Observe on a counter-kind name did not panic")
 			}
 		}()
-		New().Observe("a", 1)
+		New().Observe(byName["a"], 1)
 	}()
 }

@@ -7,8 +7,8 @@ import (
 
 func TestCheckPromAcceptsOwnOutput(t *testing.T) {
 	s := New()
-	s.Add("zeta", 7)
-	s.Observe("occ", 3)
+	s.Counter(byName["zeta"]).Add(7)
+	s.Observe(byName["occ"], 3)
 	var b strings.Builder
 	WriteProm(&b, "asap_", s)
 	if err := CheckProm(strings.NewReader(b.String())); err != nil {

@@ -57,10 +57,10 @@ func (k Kind) String() string {
 }
 
 // Register records a one-line description for stat name and returns its Key.
-// Every counter or distribution must be registered before the first write;
-// the write methods panic on unregistered names, which keeps the Table VI
-// vocabulary closed — a typo in a stat name fails the first test that
-// touches it instead of silently splitting a counter in two. Call Register
+// Every counter or distribution is written through the Key Register hands
+// out, which keeps the Table VI vocabulary closed — a stat cannot be
+// written under a name nobody registered, so a typo cannot silently split
+// a counter in two. Call Register
 // from the owning package's init. Re-registering a name with the same
 // description is a no-op returning the original Key; conflicting
 // descriptions panic.
@@ -119,25 +119,17 @@ func Description(name string) string {
 	return ""
 }
 
-func keyOf(name string) Key {
-	k, ok := byName[name]
-	if !ok {
-		panic(fmt.Sprintf("stats: counter %q used without stats.Register", name))
-	}
-	return k
-}
-
 // Set is a named collection of counters and distributions. The zero value is
 // not usable; call New.
 //
 // Counters live in a dense slice indexed by Key; touched tracks which
 // entries have ever been written so that printing and Names report exactly
-// the counters a run touched (a write of zero still counts as touched,
-// matching the old map semantics where Add(0) materialized the entry).
+// the counters a run touched (a write of zero still counts as touched).
+// Distributions live in a Key-indexed slice too, nil until first observed.
 type Set struct {
 	counters []uint64
 	touched  []bool
-	dists    map[string]*Dist
+	dists    []*Dist
 }
 
 // New returns an empty stat set sized for every name registered so far;
@@ -146,7 +138,6 @@ func New() *Set {
 	return &Set{
 		counters: make([]uint64, len(names)),
 		touched:  make([]bool, len(names)),
-		dists:    make(map[string]*Dist),
 	}
 }
 
@@ -174,8 +165,12 @@ type Counter struct {
 }
 
 // Counter resolves Key k against the set. Resolving does not mark the
-// counter touched; only a write does.
+// counter touched; only a write does. A key Register never handed out
+// panics, which keeps the vocabulary closed.
 func (s *Set) Counter(k Key) Counter {
+	if k < 0 || int(k) >= len(names) {
+		panic(fmt.Sprintf("stats: counter key %d used without stats.Register", k))
+	}
 	s.ensure(k)
 	return Counter{s: s, k: k}
 }
@@ -195,18 +190,6 @@ func (c Counter) Add(delta uint64) {
 // Value reads the counter.
 func (c Counter) Value() uint64 { return c.s.counters[c.k] }
 
-// Add increments counter name by delta. String-keyed writes remain for cold
-// paths; per-op sites use Counter handles (enforced by asaplint statcheck).
-func (s *Set) Add(name string, delta uint64) {
-	k := keyOf(name)
-	s.ensure(k)
-	s.counters[k] += delta
-	s.touched[k] = true
-}
-
-// Inc increments counter name by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
 // Get returns the value of counter name (zero if never touched or never
 // registered).
 func (s *Set) Get(name string) uint64 {
@@ -217,32 +200,35 @@ func (s *Set) Get(name string) uint64 {
 	return s.counters[k]
 }
 
-// SetMax raises counter name to v if v is larger. Used for high-water marks
-// such as recovery-table max occupancy.
-func (s *Set) SetMax(name string, v uint64) {
-	k := keyOf(name)
-	s.ensure(k)
-	if v > s.counters[k] {
-		s.counters[k] = v
+// Observe records sample v in the distribution registered as k.
+func (s *Set) Observe(k Key, v uint64) {
+	if kinds[k] != KindDist {
+		panic(fmt.Sprintf("stats: Observe on %q, which was registered as a counter (use RegisterDist)", names[k]))
 	}
-	s.touched[k] = true
+	s.dist(k).Observe(v)
 }
 
-// Observe records sample v in the distribution named name.
-func (s *Set) Observe(name string, v uint64) {
-	if k := keyOf(name); kinds[k] != KindDist {
-		panic(fmt.Sprintf("stats: Observe on %q, which was registered as a counter (use RegisterDist)", name))
+// dist returns k's distribution, creating it on first use.
+func (s *Set) dist(k Key) *Dist {
+	if int(k) >= len(s.dists) {
+		d := make([]*Dist, len(names))
+		copy(d, s.dists)
+		s.dists = d
 	}
-	d, ok := s.dists[name]
-	if !ok {
-		d = &Dist{}
-		s.dists[name] = d
+	if s.dists[k] == nil {
+		s.dists[k] = &Dist{}
 	}
-	d.Observe(v)
+	return s.dists[k]
 }
 
 // Dist returns the distribution named name, or nil if never observed.
-func (s *Set) Dist(name string) *Dist { return s.dists[name] }
+func (s *Set) Dist(name string) *Dist {
+	k, ok := byName[name]
+	if !ok || int(k) >= len(s.dists) {
+		return nil
+	}
+	return s.dists[k]
+}
 
 // Names returns the names of all touched counters in sorted order.
 func (s *Set) Names() []string {
@@ -266,13 +252,10 @@ func (s *Set) Merge(other *Set) {
 		s.counters[k] += other.counters[k]
 		s.touched[k] = true
 	}
-	for n, d := range other.dists {
-		mine, ok := s.dists[n]
-		if !ok {
-			mine = &Dist{}
-			s.dists[n] = mine
+	for k, d := range other.dists {
+		if d != nil {
+			s.dist(Key(k)).Merge(d)
 		}
-		mine.Merge(d)
 	}
 }
 
@@ -309,7 +292,7 @@ func (s *Set) DistValues() []DistValue {
 	names := s.distNames()
 	out := make([]DistValue, len(names))
 	for i, n := range names {
-		d := s.dists[n]
+		d := s.Dist(n)
 		out[i] = DistValue{Name: n, Count: d.Count(), Mean: d.Mean(), P99: d.Percentile(0.99), Max: d.Max()}
 	}
 	return out
@@ -323,7 +306,7 @@ func (s *Set) String() string {
 		fmt.Fprintf(&b, "%-28s %d\n", n, s.Get(n))
 	}
 	for _, n := range s.distNames() {
-		d := s.dists[n]
+		d := s.Dist(n)
 		fmt.Fprintf(&b, "%-28s avg=%.2f p99=%d max=%d n=%d\n", n, d.Mean(), d.Percentile(0.99), d.Max(), d.Count())
 	}
 	return b.String()
@@ -338,20 +321,23 @@ func (s *Set) Describe() string {
 		fmt.Fprintf(&b, "%-28s %-12d # %s\n", n, s.Get(n), Description(n))
 	}
 	for _, n := range s.distNames() {
-		d := s.dists[n]
+		d := s.Dist(n)
 		fmt.Fprintf(&b, "%-28s avg=%.2f p99=%d max=%d n=%d # %s\n",
 			n, d.Mean(), d.Percentile(0.99), d.Max(), d.Count(), Description(n))
 	}
 	return b.String()
 }
 
+// distNames lists the observed distributions, sorted by name.
 func (s *Set) distNames() []string {
-	names := make([]string, 0, len(s.dists))
-	for n := range s.dists {
-		names = append(names, n)
+	var out []string
+	for k, d := range s.dists {
+		if d != nil {
+			out = append(out, names[k])
+		}
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(out)
+	return out
 }
 
 // Dist is a bounded-resolution distribution of non-negative integer samples.

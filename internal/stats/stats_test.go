@@ -16,6 +16,8 @@ func init() {
 	}
 }
 
+// TestUnregisteredCounterPanics: a key Register never handed out cannot
+// be written.
 func TestUnregisteredCounterPanics(t *testing.T) {
 	s := New()
 	defer func() {
@@ -23,7 +25,7 @@ func TestUnregisteredCounterPanics(t *testing.T) {
 			t.Fatal("write to unregistered counter did not panic")
 		}
 	}()
-	s.Inc("definitely-not-registered")
+	s.Counter(Key(len(names) + 5)).Inc()
 }
 
 func TestRegisterConflictPanics(t *testing.T) {
@@ -48,8 +50,8 @@ func TestDescription(t *testing.T) {
 
 func TestDescribeOutput(t *testing.T) {
 	s := New()
-	s.Add("a", 3)
-	s.Observe("occ", 5)
+	s.Counter(byName["a"]).Add(3)
+	s.Observe(byName["occ"], 5)
 	out := s.Describe()
 	if !strings.Contains(out, "# test counter a") {
 		t.Fatalf("counter description missing from %q", out)
@@ -61,8 +63,8 @@ func TestDescribeOutput(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	s := New()
-	s.Inc("a")
-	s.Add("a", 4)
+	s.Counter(byName["a"]).Inc()
+	s.Counter(byName["a"]).Add(4)
 	if s.Get("a") != 5 {
 		t.Fatalf("a = %d", s.Get("a"))
 	}
@@ -80,10 +82,10 @@ func TestCounterHandles(t *testing.T) {
 	if c.Value() != 5 || s.Get("a") != 5 {
 		t.Fatalf("handle writes lost: Value=%d Get=%d", c.Value(), s.Get("a"))
 	}
-	// Handle and string writes share the same slot.
-	s.Inc("a")
-	if c.Value() != 6 {
-		t.Fatal("string write invisible through handle")
+	// Two handles on one key share the same slot.
+	s.Counter(kA).Inc()
+	if c.Value() != 6 || s.Get("a") != 6 {
+		t.Fatal("second handle's write invisible through the first")
 	}
 }
 
@@ -112,19 +114,9 @@ func TestUntouchedCountersUnlisted(t *testing.T) {
 	if n := s.Names(); len(n) != 0 {
 		t.Fatalf("resolution alone listed %v", n)
 	}
-	s.Add("a", 0)
+	s.Counter(byName["a"]).Add(0)
 	if n := s.Names(); len(n) != 1 || n[0] != "a" {
 		t.Fatalf("Add(0) should materialize the entry, got %v", n)
-	}
-}
-
-func TestSetMax(t *testing.T) {
-	s := New()
-	s.SetMax("m", 5)
-	s.SetMax("m", 3)
-	s.SetMax("m", 9)
-	if s.Get("m") != 9 {
-		t.Fatalf("m = %d, want 9", s.Get("m"))
 	}
 }
 
@@ -222,8 +214,8 @@ func TestEmptyDist(t *testing.T) {
 
 func TestObserveAndDistLookup(t *testing.T) {
 	s := New()
-	s.Observe("lat", 7)
-	s.Observe("lat", 9)
+	s.Observe(byName["lat"], 7)
+	s.Observe(byName["lat"], 9)
 	d := s.Dist("lat")
 	if d == nil || d.Count() != 2 {
 		t.Fatal("dist not recorded")
@@ -235,11 +227,11 @@ func TestObserveAndDistLookup(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	a, b := New(), New()
-	a.Add("x", 3)
-	b.Add("x", 4)
-	b.Add("y", 1)
-	a.Observe("d", 10)
-	b.Observe("d", 20)
+	a.Counter(byName["x"]).Add(3)
+	b.Counter(byName["x"]).Add(4)
+	b.Counter(byName["y"]).Add(1)
+	a.Observe(byName["d"], 10)
+	b.Observe(byName["d"], 20)
 	a.Merge(b)
 	if a.Get("x") != 7 || a.Get("y") != 1 {
 		t.Fatal("counter merge wrong")
@@ -251,9 +243,9 @@ func TestMerge(t *testing.T) {
 
 func TestStringFormat(t *testing.T) {
 	s := New()
-	s.Add("zeta", 1)
-	s.Add("alpha", 2)
-	s.Observe("occ", 5)
+	s.Counter(byName["zeta"]).Add(1)
+	s.Counter(byName["alpha"]).Add(2)
+	s.Observe(byName["occ"], 5)
 	out := s.String()
 	if !strings.Contains(out, "alpha") || !strings.Contains(out, "zeta") {
 		t.Fatalf("missing counters in %q", out)
@@ -268,8 +260,8 @@ func TestStringFormat(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	s := New()
-	s.Inc("b")
-	s.Inc("a")
+	s.Counter(byName["b"]).Inc()
+	s.Counter(byName["a"]).Inc()
 	n := s.Names()
 	if len(n) != 2 || n[0] != "a" || n[1] != "b" {
 		t.Fatalf("names = %v", n)
@@ -283,7 +275,7 @@ func TestNames(t *testing.T) {
 func TestSnapshotOrderPinned(t *testing.T) {
 	s := New()
 	for _, n := range []string{"zeta", "m", "alpha", "b", "x"} {
-		s.Inc(n)
+		s.Counter(byName[n]).Inc()
 	}
 	cs := s.CounterValues()
 	for i := 1; i < len(cs); i++ {
@@ -294,9 +286,9 @@ func TestSnapshotOrderPinned(t *testing.T) {
 	if len(cs) != 5 || cs[0].Name != "alpha" || cs[4].Name != "zeta" {
 		t.Fatalf("CounterValues = %+v", cs)
 	}
-	s.Observe("occ", 1)
-	s.Observe("lat", 2)
-	s.Observe("d", 3)
+	s.Observe(byName["occ"], 1)
+	s.Observe(byName["lat"], 2)
+	s.Observe(byName["d"], 3)
 	ds := s.DistValues()
 	if len(ds) != 3 || ds[0].Name != "d" || ds[1].Name != "lat" || ds[2].Name != "occ" {
 		t.Fatalf("DistValues not name-sorted: %+v", ds)
@@ -331,10 +323,10 @@ func TestRegistered(t *testing.T) {
 // state, sorted by name, with the same numbers the accessors report.
 func TestSnapshots(t *testing.T) {
 	s := New()
-	s.Add("zeta", 7)
-	s.Add("alpha", 3)
-	s.Observe("occ", 5)
-	s.Observe("occ", 9)
+	s.Counter(byName["zeta"]).Add(7)
+	s.Counter(byName["alpha"]).Add(3)
+	s.Observe(byName["occ"], 5)
+	s.Observe(byName["occ"], 9)
 
 	cs := s.CounterValues()
 	if len(cs) != 2 || cs[0].Name != "alpha" || cs[0].Value != 3 || cs[1].Name != "zeta" || cs[1].Value != 7 {

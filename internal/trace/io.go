@@ -22,6 +22,12 @@ import (
 
 const traceMagic = "ASAPTRC1"
 
+// maxPrealloc caps how many ops a thread's header count preallocates when
+// the input size is unknown: the count comes from outside bytes, so a
+// short input claiming 2^28 ops must not reserve gigabytes before its
+// first op is read. Longer threads grow by append.
+const maxPrealloc = 1 << 12
+
 // Write serializes the trace.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -69,6 +75,13 @@ func (t *Trace) Write(w io.Writer) error {
 
 // Read deserializes a trace written by Write.
 func Read(r io.Reader) (*Trace, error) {
+	// Every op takes at least two bytes, so a reader that knows its
+	// unread length (bytes.Reader, strings.Reader) bounds the ops any
+	// thread can hold.
+	limit := uint64(maxPrealloc)
+	if lr, ok := r.(interface{ Len() int }); ok {
+		limit = uint64(lr.Len()) / 2
+	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(traceMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -104,7 +117,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if nOps > 1<<28 {
 			return nil, fmt.Errorf("trace: unreasonable op count %d", nOps)
 		}
-		ops := make([]Op, 0, nOps)
+		ops := make([]Op, 0, min(nOps, limit))
 		for i := uint64(0); i < nOps; i++ {
 			kb, err := br.ReadByte()
 			if err != nil {

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,5 +110,34 @@ func TestReadRejectsGarbage(t *testing.T) {
 	raw[len(raw)-2] = 0x7f // corrupt the kind byte
 	if _, err := Read(bytes.NewReader(raw)); err == nil {
 		t.Error("corrupted kind accepted")
+	}
+}
+
+// TestReadHugeOpCountShortInput: a header claiming 2^28 ops on a few bytes
+// of input must fail on the missing ops without first reserving the
+// gigabytes the count implies, whether or not the reader knows its length.
+func TestReadHugeOpCountShortInput(t *testing.T) {
+	hdr := []byte(traceMagic)
+	hdr = binary.AppendUvarint(hdr, 0)     // empty name
+	hdr = binary.AppendUvarint(hdr, 1)     // one thread
+	hdr = binary.AppendUvarint(hdr, 1<<28) // claimed op count
+	hdr = append(hdr, byte(OpStore), 0x01) // a single op
+	for _, r := range []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(hdr) }},
+		{"opaque reader", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(hdr)} }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(r.r())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated trace read without error", r.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: reading a %d-byte input allocated %d bytes", r.name, len(hdr), grew)
+		}
 	}
 }
