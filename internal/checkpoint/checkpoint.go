@@ -29,7 +29,7 @@ import (
 // Capture and moved to a later instant by Recapture. It rewinds that same
 // machine instance: Fork puts the machine
 // back into the captured state in place, preserving every object identity
-// (pointers, map and slice backing arrays). Forks are therefore
+// (pointers and slice backing arrays). Forks are therefore
 // sequential — each Fork abandons whatever the previous fork simulated —
 // which is exactly the shape a crash campaign needs: fork, crash, check,
 // fork again.
@@ -52,8 +52,8 @@ func Capture(m *machine.Machine) (*Checkpoint, error) {
 // Recapture re-snapshots the checkpoint's machine at its current cycle,
 // replacing the previous snapshot: after it, Fork rewinds to the new
 // instant and the old one is gone. The snapshot is rebuilt in the storage
-// the previous one used (the byte arena keeps its capacity; region shadows,
-// slice copies and map snapshots of objects still reachable are refilled),
+// the previous one used (the byte arena keeps its capacity; region shadows
+// and slice copies of objects still reachable are refilled),
 // so a caller that moves one checkpoint forward through a run — the crash
 // campaign's frontier — allocates its arena once instead of once per
 // capture. The same preconditions as Capture apply: not mid-dispatch.
@@ -69,8 +69,8 @@ func (c *Checkpoint) Cycle() sim.Cycles { return c.cycle }
 func (c *Checkpoint) Machine() *machine.Machine { return c.m }
 
 // Fork rewinds the captured machine to the snapshot instant and returns it.
-// The rewind is O(state): three linear passes (bitwise region copies, slice
-// contents, map refills) with no serialization and no new object graph.
+// The rewind is O(state): linear passes (typed region copies, arena
+// memmoves, slice contents) with no serialization and no new object graph.
 // After Fork the machine continues byte-identically to how it continued the
 // first time — including a re-fork after running further: the restore also
 // rewinds the engine clock, event queue, and sequence counters.

@@ -12,9 +12,9 @@ package checkpoint
 // construction — machine.New — to obtain a fresh machine whose object
 // graph has the construction-time shape, then decodes the state over it
 // positionally. Both encoder and decoder traverse the graph with the same
-// deterministic walk (struct fields in order, slice elements in order, map
-// entries sorted by encoded key), so "the third pointer of the second
-// core" means the same object on both sides:
+// deterministic walk (struct fields in order, slice elements in order), so
+// "the third pointer of the second core" means the same object on both
+// sides:
 //
 //   - POD leaves encode as varints (field-wise, never raw struct bytes, so
 //     padding can't leak and images are byte-stable across runs).
@@ -29,6 +29,9 @@ package checkpoint
 //   - The machine holds no func values: queued events and the models'
 //     parked continuations (sim.Cont) are pointer-free values naming a
 //     receiver by its canonical index, so every cycle is serializable.
+//   - The machine holds no maps either (their iteration order is not a
+//     position the decoder could pair): a map, like a channel, fails the
+//     encode and the decode.
 //
 // Layout: magic, format version, then a SHA-256 digest of the remainder,
 // then the digested payload: schema fingerprint (a hash of the machine's
@@ -116,8 +119,7 @@ type imgDecoder struct {
 
 // hasRefs reports whether values of t can contain pointer or interface
 // slots the spine pass cares about. Purely type-derived, so encoder and
-// decoder prune identically. Maps are opaque to the spine (their iteration
-// order cannot be paired), so they do not count.
+// decoder prune identically.
 var (
 	hasRefsMu   sync.Mutex
 	hasRefsMemo = map[reflect.Type]bool{}
@@ -270,12 +272,12 @@ func (e *imgEncoder) encValue(ptr, pr unsafe.Pointer, t reflect.Type) {
 		}
 	case reflect.Slice:
 		e.encSlice(ptr, pr, t)
-	case reflect.Map:
-		e.encMap(ptr, t)
 	case reflect.Pointer:
 		e.encPtr(ptr, pr, t)
 	case reflect.Interface:
 		e.encIface(ptr, pr, t)
+	case reflect.Map, reflect.Chan:
+		e.fail("cannot encode %v (machine state must stay map- and channel-free)", t)
 	default:
 		e.fail("unsupported kind %v", t.Kind())
 	}
@@ -325,12 +327,12 @@ func (d *imgDecoder) decValue(ptr unsafe.Pointer, t reflect.Type) {
 		}
 	case reflect.Slice:
 		d.decSlice(ptr, t)
-	case reflect.Map:
-		d.decMap(ptr, t)
 	case reflect.Pointer:
 		d.decPtr(ptr, t)
 	case reflect.Interface:
 		d.decIface(ptr, t)
+	case reflect.Map, reflect.Chan:
+		d.fail("cannot decode %v (machine state must stay map- and channel-free)", t)
 	default:
 		d.fail("unsupported kind %v", t.Kind())
 	}
@@ -397,6 +399,12 @@ func (d *imgDecoder) decSlice(ptr unsafe.Pointer, t reflect.Type) {
 	if n > maxImageElems {
 		d.fail("slice length %d exceeds limit", n)
 	}
+	// Each element of the machine's slices of sized types encodes to at
+	// least one byte, so a longer slice cannot fit the bytes left: reject
+	// it before allocating its backing array.
+	if n > uint64(len(d.data)-d.pos) && t.Elem().Size() > 0 {
+		d.fail("slice length %d overruns the %d bytes left", n, len(d.data)-d.pos)
+	}
 	if uint64(v.Len()) != n {
 		v.Set(reflect.MakeSlice(t, int(n), int(n)))
 	} else if v.IsNil() && n == 0 {
@@ -410,70 +418,6 @@ func (d *imgDecoder) decSlice(ptr unsafe.Pointer, t reflect.Type) {
 	sz := et.Size()
 	for i := uint64(0); i < n; i++ {
 		d.decValue(unsafe.Add(base, uintptr(i)*sz), et)
-	}
-}
-
-// encMap writes entries sorted by their encoded key bytes — the only
-// deterministic order available for arbitrary POD keys. Keys must be POD
-// or strings (every machine map qualifies); values go through the full
-// codec via a temporary, so pointer values join the def/ref graph.
-func (e *imgEncoder) encMap(ptr unsafe.Pointer, t reflect.Type) {
-	mv := reflect.NewAt(t, ptr).Elem()
-	if mv.IsNil() {
-		e.uvarint(0)
-		return
-	}
-	kt, vt := t.Key(), t.Elem()
-	if !isPOD(kt) && kt.Kind() != reflect.String {
-		e.fail("map key type %v is not POD", kt)
-	}
-	n := mv.Len()
-	e.uvarint(uint64(n) + 1)
-	type entry struct {
-		kb  []byte
-		val reflect.Value
-	}
-	entries := make([]entry, 0, n)
-	it := mv.MapRange() //asaplint:ignore detcheck entries are sorted by encoded key before writing
-	for it.Next() {
-		sub := imgEncoder{path: e.path}
-		kTmp := reflect.New(kt)
-		kTmp.Elem().Set(it.Key())
-		sub.encValue(kTmp.UnsafePointer(), nil, kt)
-		vTmp := reflect.New(vt)
-		vTmp.Elem().Set(it.Value())
-		entries = append(entries, entry{kb: sub.buf, val: vTmp})
-	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].kb, entries[j].kb) < 0 })
-	for _, ent := range entries {
-		e.buf = append(e.buf, ent.kb...)
-		e.encValue(ent.val.UnsafePointer(), nil, vt)
-	}
-}
-
-func (d *imgDecoder) decMap(ptr unsafe.Pointer, t reflect.Type) {
-	v := reflect.NewAt(t, ptr).Elem()
-	raw := d.uvarint()
-	if raw == 0 {
-		v.SetZero()
-		return
-	}
-	n := raw - 1
-	if n > maxImageElems {
-		d.fail("map length %d exceeds limit", n)
-	}
-	if v.IsNil() {
-		v.Set(reflect.MakeMapWithSize(t, int(n)))
-	} else {
-		v.Clear()
-	}
-	kt, vt := t.Key(), t.Elem()
-	for i := uint64(0); i < n; i++ {
-		kTmp := reflect.New(kt)
-		d.decValue(kTmp.UnsafePointer(), kt)
-		vTmp := reflect.New(vt)
-		d.decValue(vTmp.UnsafePointer(), vt)
-		v.SetMapIndex(kTmp.Elem(), vTmp.Elem())
 	}
 }
 
@@ -601,6 +545,9 @@ func (e *imgEncoder) encIface(ptr, pr unsafe.Pointer, t reflect.Type) {
 		return
 	}
 	elem := v.Elem()
+	if k := elem.Kind(); k == reflect.Map || k == reflect.Chan {
+		e.fail("cannot encode %v (machine state must stay map- and channel-free)", elem.Type())
+	}
 	if elem.Kind() != reflect.Pointer {
 		e.byte(tagKeep)
 		e.str(elem.Type().String())
@@ -906,9 +853,6 @@ func typeFingerprint(roots ...reflect.Type) [8]byte {
 			}
 		case reflect.Pointer, reflect.Slice, reflect.Array:
 			walk(t.Elem())
-		case reflect.Map:
-			walk(t.Key())
-			walk(t.Elem())
 		}
 	}
 	for _, t := range roots {
@@ -1000,10 +944,10 @@ func Save(m *machine.Machine) (img []byte, err error) {
 // same stats, same NVM images (pinned by TestImageRoundtrip). Corrupted,
 // truncated, or wrong-version images return errors, never panic; so does
 // an image whose digest is intact but whose event queue breaks the
-// engine's invariants (sim.Engine.CheckQueue) or whose NVM, WPQ or
-// XPBuffer tables break theirs (their Check methods), which would
-// otherwise load into a machine that panics, hangs or misorders events
-// in Run.
+// engine's invariants (sim.Engine.CheckQueue) or whose NVM, WPQ,
+// XPBuffer, recovery-table or write-back-buffer records break theirs
+// (their Check methods), which would otherwise load into a machine that
+// panics, hangs or misorders events in Run.
 func Load(img []byte) (m *machine.Machine, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1091,35 +1035,22 @@ func Load(img []byte) (m *machine.Machine, err error) {
 		if mc == nil || mc.NVM == nil || mc.WPQ == nil || mc.XP == nil {
 			return nil, fmt.Errorf("checkpoint: decoded controller %d lacks its memory-side state", i)
 		}
-		if err := errors.Join(mc.NVM.Check(), mc.WPQ.Check(), mc.XP.Check()); err != nil {
+		err := errors.Join(mc.NVM.Check(), mc.WPQ.Check(), mc.XP.Check())
+		if mc.RT != nil {
+			err = errors.Join(err, mc.RT.Check())
+		}
+		if err != nil {
 			return nil, fmt.Errorf("checkpoint: decoded controller %d memory state is malformed: %w", i, err)
 		}
 	}
+	for i := 0; i < fresh.Trace().NumThreads(); i++ {
+		w := fresh.WBB(i)
+		if w == nil {
+			return nil, fmt.Errorf("checkpoint: decoded core %d lacks its write-back buffer", i)
+		}
+		if err := w.Check(); err != nil {
+			return nil, fmt.Errorf("checkpoint: decoded core %d write-back buffer is malformed: %w", i, err)
+		}
+	}
 	return fresh, nil
-}
-
-// ImageCycle reads the capture cycle from an image header without decoding
-// the graph (cmd/asapsim prints it when restoring).
-func ImageCycle(img []byte) (uint64, error) {
-	prefix := len(imageMagic)
-	if len(img) < prefix+1+32+8 {
-		return 0, fmt.Errorf("checkpoint: image truncated")
-	}
-	if string(img[:prefix]) != imageMagic {
-		return 0, fmt.Errorf("checkpoint: bad magic")
-	}
-	rest := img[prefix:]
-	_, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, fmt.Errorf("checkpoint: bad version varint")
-	}
-	rest = rest[n+32:]
-	if len(rest) < 8 {
-		return 0, fmt.Errorf("checkpoint: image truncated")
-	}
-	cycle, n := binary.Uvarint(rest[8:])
-	if n <= 0 {
-		return 0, fmt.Errorf("checkpoint: bad cycle varint")
-	}
-	return cycle, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -60,9 +61,6 @@ func TestImageRoundtrip(t *testing.T) {
 				img, err := Save(m)
 				if err != nil {
 					t.Fatalf("save at cycle %d: %v", cut, err)
-				}
-				if gotCycle, err := ImageCycle(img); err != nil || gotCycle != cut {
-					t.Fatalf("ImageCycle = %d, %v; want %d", gotCycle, err, cut)
 				}
 
 				// The machine Save mutated must itself still finish correctly.
@@ -323,9 +321,10 @@ func TestImageRejectsMalformedQueue(t *testing.T) {
 }
 
 // TestImageRejectsMalformedMem pins that Load checks each controller's
-// decoded NVM, WPQ and XPBuffer tables. Each case corrupts one field of
-// the controller 0 state in a valid image, reseals it and requires Load to
-// fail with the memory check's error. Loaded unchecked, these images give
+// decoded NVM, WPQ, XPBuffer and recovery tables and each core's
+// write-back buffer. Each case corrupts one field of the controller 0 (or
+// core 0) state in a valid image, reseals it and requires Load to fail
+// with the check's error. Loaded unchecked, these images give
 // a machine that panics on an out-of-range index, probes forever in a
 // table with no empty slot, or silently loses a line. A field's payload
 // offset is found by saving the machine again with the field's low bit
@@ -362,6 +361,11 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 	if xp.FieldByName("index").Index(xpSlot).Int() == 1 {
 		otherNode = 2
 	}
+	rt := reflect.ValueOf(mc.RT).Elem()
+	wbb := reflect.ValueOf(m.WBB(0)).Elem()
+	// Raising a count by two past the live records exposes two zeroed
+	// slots, which hold the same line (and epoch) twice.
+	twoMore := func(f reflect.Value) int64 { return f.Int() + 2 }
 
 	for _, c := range []struct {
 		what  string
@@ -382,6 +386,12 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 		{"XPBuffer index past the slab", xp.FieldByName("index").Index(xpSlot), 60, "outside the slab"},
 		{"XPBuffer index naming another line's node", xp.FieldByName("index").Index(xpSlot), otherNode, "off its probe sequence"},
 		{"XPBuffer index missing a line", xp.FieldByName("index").Index(xpSlot), 0, "index holds"},
+		{"recovery table undo count past capacity", rt.FieldByName("nUndo"), 33, "in 32 slots"},
+		{"recovery table negative delay count", rt.FieldByName("nDelay"), -1, "in 32 slots"},
+		{"recovery table duplicate undo line", rt.FieldByName("nUndo"), twoMore(rt.FieldByName("nUndo")), "two undo records"},
+		{"recovery table duplicate delay record", rt.FieldByName("nDelay"), twoMore(rt.FieldByName("nDelay")), "two delay records"},
+		{"WBB count past capacity", wbb.FieldByName("n"), 17, "in 16 slots"},
+		{"WBB duplicate parked line", wbb.FieldByName("n"), twoMore(wbb.FieldByName("n")), "parks line 0 twice"},
 	} {
 		f := settable(c.field)
 		flipLow(f)
@@ -406,8 +416,12 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 		if err == nil || lm != nil {
 			t.Fatalf("%s: Load returned (%v, %v), want an error", c.what, lm != nil, err)
 		}
-		if !strings.Contains(err.Error(), "memory state is malformed") || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: %v, want the memory check's %q error", c.what, err, c.want)
+		check := "memory state is malformed"
+		if strings.HasPrefix(c.what, "WBB") {
+			check = "write-back buffer is malformed"
+		}
+		if !strings.Contains(err.Error(), check) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: %v, want the %s check's %q error", c.what, err, check, c.want)
 		}
 	}
 }
@@ -418,5 +432,59 @@ func flipLow(f reflect.Value) {
 		f.SetInt(f.Int() ^ 1)
 	} else {
 		f.SetUint(f.Uint() ^ 1)
+	}
+}
+
+// overlongSliceImage returns a resealed image of a one-op machine whose
+// event slab claims 1<<20 elements, far more than the bytes left in the
+// image. The slab's length varint is found through imgDebugMarks.
+func overlongSliceImage(t *testing.T) []byte {
+	t.Helper()
+	m := newAt(t, model.NameASAPEP, diffCase{wl: "cceh", p: workload.Params{Threads: 1, OpsPerThread: 1, Seed: 1}}, 0)
+	off := -1
+	imgDebugMarks = func(o int, path string) {
+		if off < 0 && path == "machine.Eng.nodes" {
+			off = o
+		}
+	}
+	img, err := Save(m)
+	imgDebugMarks = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < 0 {
+		t.Fatal("no machine.Eng.nodes mark in the image")
+	}
+	off += len(imageMagic) + 1 + 32
+	_, n := binary.Uvarint(img[off:])
+	bad := append(append(append([]byte(nil), img[:off]...), binary.AppendUvarint(nil, 1<<20+1)...), img[off+n:]...)
+	if len(bad)-off >= 1<<20 {
+		t.Fatalf("the image leaves %d bytes after the slab length; the case needs fewer than 1<<20", len(bad)-off)
+	}
+	return reseal(bad)
+}
+
+// TestImageRejectsOverlongSlice pins the decoder's length bound: an image
+// whose digest is intact but whose slice length exceeds the bytes left
+// (every element takes at least one) must fail Load before the backing
+// array is allocated. The same input is the sealed_slice_overlong seed of
+// FuzzLoad.
+func TestImageRejectsOverlongSlice(t *testing.T) {
+	bad := overlongSliceImage(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lm, err := Load(bad)
+	runtime.ReadMemStats(&after)
+	if err == nil || lm != nil || !strings.Contains(err.Error(), "overruns") {
+		t.Fatalf("Load returned (%v, %v), want the slice-length error", lm != nil, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting the image allocated %d bytes, want under 1 MB", got)
+	}
+	if *updateGolden {
+		path := filepath.Join("testdata", "fuzz", "FuzzLoad", "sealed_slice_overlong")
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bad)), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

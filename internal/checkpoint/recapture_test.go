@@ -19,8 +19,8 @@ import (
 // increasing cuts by Fork → Advance → Recapture. After every Recapture two
 // forks run to completion and must reproduce the uninterrupted run
 // byte-identically (Result, stats, NVM image, PM traffic). The second cut
-// is a busy instant (some captured slice, map or arena extent holds more
-// than at the end of the run) and the third is the drained end, so the
+// is a busy instant (some captured slice or arena extent holds more than
+// at the end of the run) and the third is the drained end, so the
 // last Recapture refills storage with less than it held; the test checks
 // that this happens, which is what shows truncated storage carries no
 // stale state into a fork.
@@ -116,8 +116,8 @@ func busyCut(t *testing.T, cfg config.Config, mn string, c diffCase, from, end s
 	return 0
 }
 
-// lenKey names one captured extent: a non-POD slice, map or typed map by
-// its header address, or a raw arena extent by its destination.
+// lenKey names one captured extent: a non-POD slice by its header
+// address, or a raw arena extent by its destination.
 type lenKey struct {
 	ptr unsafe.Pointer
 	raw bool
@@ -146,20 +146,13 @@ func captureLens(w *walker) map[lenKey]int {
 	for _, s := range w.slices {
 		lens[lenKey{s.ptr, false}] = s.data.Elem().Len()
 	}
-	for _, mc := range w.maps {
-		lens[lenKey{mc.ptr, false}] = mc.keys.Elem().Len()
-	}
-	for _, tm := range w.typed {
-		ts := reflect.ValueOf(tm).Elem()
-		lens[lenKey{ts.FieldByName("ptr").UnsafePointer(), false}] = ts.FieldByName("snap").Len()
-	}
 	return lens
 }
 
 // recaptureAllocBound caps the allocations of one steady-state Recapture.
-// It allocates nothing today — arena, action slices, region shadows, slice
-// and map copies all come from the previous snapshot — and the slack only
-// absorbs runtime-internal map maintenance. A capture from empty allocates
+// It allocates nothing today — arena, action slices, region shadows and
+// slice copies all come from the previous snapshot — and the slack only
+// absorbs runtime-internal maintenance of the walker's pools. A capture from empty allocates
 // hundreds of objects, so any return to fresh per-capture buffers fails.
 const recaptureAllocBound = 4
 
@@ -207,30 +200,25 @@ func TestRecaptureReusesStorage(t *testing.T) {
 }
 
 // shrinkState is a small object graph holding one of each kind of storage
-// a recapture refills: a non-POD slice, pointer- and slice-valued maps on
-// the generic path, a typed fast-path map, and a POD slice in the arena.
+// a recapture refills: a non-POD slice, non-POD slices nested in its
+// pointees, and POD slices in the arena, at top level and in pointees.
 type shrinkState struct {
 	ptrs  []*shrinkNode
-	byKey map[uint64]*shrinkNode
-	lists map[uint64][]*shrinkNode
-	lines map[mem.Line]mem.Token
+	lists [][]*shrinkNode
 	pod   []uint64
 }
 
-type shrinkNode struct{ v int }
+type shrinkNode struct {
+	v     int
+	lines []mem.Line
+}
 
 func newShrinkState(n, tag int) *shrinkState {
-	s := &shrinkState{
-		byKey: make(map[uint64]*shrinkNode),
-		lists: make(map[uint64][]*shrinkNode),
-		lines: make(map[mem.Line]mem.Token),
-	}
+	s := &shrinkState{}
 	for i := 0; i < n; i++ {
-		nd := &shrinkNode{v: tag*100 + i}
+		nd := &shrinkNode{v: tag*100 + i, lines: []mem.Line{mem.Line(tag), mem.Line(i)}}
 		s.ptrs = append(s.ptrs, nd)
-		s.byKey[uint64(i)] = nd
-		s.lists[uint64(i)] = []*shrinkNode{nd, nd}
-		s.lines[mem.Line(i)] = mem.Token(tag*100 + i)
+		s.lists = append(s.lists, []*shrinkNode{nd, nd})
 		s.pod = append(s.pod, uint64(tag*100+i))
 	}
 	return s
@@ -260,10 +248,6 @@ func TestRecaptureShrinks(t *testing.T) {
 	for _, e := range w.slicePool {
 		checkTailZero(t, e.v)
 	}
-	for _, e := range w.mapPool {
-		checkTailZero(t, e.v.keys)
-		checkTailZero(t, e.v.vals)
-	}
 	*root = *newShrinkState(5, 3)
 	w.restore()
 	if !reflect.DeepEqual(root, want) {
@@ -272,13 +256,13 @@ func TestRecaptureShrinks(t *testing.T) {
 }
 
 // actionCounts is the length of each of w's restore action lists.
-func actionCounts(w *walker) [5]int {
-	return [5]int{len(w.raw), len(w.regions), len(w.slices), len(w.maps), len(w.typed)}
+func actionCounts(w *walker) [3]int {
+	return [3]int{len(w.raw), len(w.regions), len(w.slices)}
 }
 
 // poolSizes is the number of objects each of w's pools keeps storage for.
-func poolSizes(w *walker) [4]int {
-	return [4]int{len(w.regionPool), len(w.slicePool), len(w.mapPool), len(w.typedPool)}
+func poolSizes(w *walker) [2]int {
+	return [2]int{len(w.regionPool), len(w.slicePool)}
 }
 
 // checkTailZero fails t unless the kept slice p points to holds only zero

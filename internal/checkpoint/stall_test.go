@@ -1,8 +1,11 @@
 package checkpoint
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"asap/internal/config"
 	"asap/internal/machine"
@@ -121,13 +124,12 @@ func TestImageMidStall(t *testing.T) {
 	}
 }
 
-// TestMachineGraphHasNoFuncs pins what makes every cycle checkpointable:
-// no func value can sit anywhere in a machine's object graph — not in the
-// machine, the engine, the controllers, nor any model — so all pending
-// work is data (typed events and sim.Cont continuations). It walks the
-// static type graph from machine.Machine and from each model's dynamic
-// type.
-func TestMachineGraphHasNoFuncs(t *testing.T) {
+// walkMachineTypes calls visit once for every type in the static type
+// graph reachable from machine.Machine and from each model's dynamic type,
+// with the field path that first reached it. Observability sinks, which
+// the snapshot paths skip, are not entered.
+func walkMachineTypes(t *testing.T, visit func(ty reflect.Type, path string)) {
+	t.Helper()
 	tr, err := workload.Generate("cceh", workload.Params{Threads: 1, OpsPerThread: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +149,8 @@ func TestMachineGraphHasNoFuncs(t *testing.T) {
 			return
 		}
 		seen[ty] = true
+		visit(ty, path)
 		switch ty.Kind() {
-		case reflect.Func:
-			t.Errorf("func value reachable at %s (%v)", path, ty)
 		case reflect.Struct:
 			for i := 0; i < ty.NumField(); i++ {
 				f := ty.Field(i)
@@ -164,5 +165,83 @@ func TestMachineGraphHasNoFuncs(t *testing.T) {
 	}
 	for _, r := range roots {
 		walk(r, r.Name())
+	}
+}
+
+// TestMachineGraphHasNoFuncs pins what makes every cycle checkpointable:
+// no func value can sit anywhere in a machine's object graph — not in the
+// machine, the engine, the controllers, nor any model — so all pending
+// work is data (typed events and sim.Cont continuations).
+func TestMachineGraphHasNoFuncs(t *testing.T) {
+	walkMachineTypes(t, func(ty reflect.Type, path string) {
+		if ty.Kind() == reflect.Func {
+			t.Errorf("func value reachable at %s (%v)", path, ty)
+		}
+	})
+}
+
+// TestMachineGraphHasNoMaps pins what lets the snapshot walker and the
+// image codec do without a map path: every component of the machine and
+// of each model is slices, pointers and plain values. Bookkeeping that a
+// map once held lives on the records it describes (dependents on the
+// source epoch's entry) or in a fixed slice shaped like the hardware
+// structure (recovery table, write-back buffer).
+func TestMachineGraphHasNoMaps(t *testing.T) {
+	walkMachineTypes(t, func(ty reflect.Type, path string) {
+		if ty.Kind() == reflect.Map {
+			t.Errorf("map reachable at %s (%v)", path, ty)
+		}
+	})
+}
+
+// TestSnapshotRejectsMapsAndChannels pins that both snapshot paths refuse
+// a map the way they refuse a channel, with the same message, instead of
+// silently restoring a stale map: the walker panics on capture, and the
+// codec fails the encode and the decode.
+func TestSnapshotRejectsMapsAndChannels(t *testing.T) {
+	type withMap struct{ m map[int]int }
+	type withChan struct{ c chan int }
+	type boxed struct{ v any }
+	const want = "map- and channel-free"
+	for _, c := range []struct {
+		name string
+		root any
+	}{
+		{"map", &withMap{m: map[int]int{1: 2}}},
+		{"channel", &withChan{c: make(chan int)}},
+		{"boxed map", &boxed{v: map[int]int{1: 2}}},
+		{"boxed channel", &boxed{v: make(chan int)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rv := reflect.ValueOf(c.root)
+			ptr, typ := rv.UnsafePointer(), rv.Type().Elem()
+			msg := func(fn func()) (m string) {
+				defer func() {
+					switch r := recover().(type) {
+					case nil:
+					case codecFail:
+						m = r.err.Error()
+					default:
+						m = fmt.Sprint(r)
+					}
+				}()
+				fn()
+				return ""
+			}
+			var w walker
+			if m := msg(func() { w.capture(ptr, typ) }); !strings.Contains(m, want) {
+				t.Errorf("walker capture: %q, want a panic naming %q", m, want)
+			}
+			e := &imgEncoder{ids: map[seenKey]uint64{}, emitted: map[uint64]bool{}, pairs: map[seenKey]unsafe.Pointer{}}
+			if m := msg(func() { e.encValue(ptr, nil, typ) }); !strings.Contains(m, "cannot encode") || !strings.Contains(m, want) {
+				t.Errorf("encode: %q, want a failure naming %q", m, want)
+			}
+			if c.name == "map" || c.name == "channel" {
+				d := &imgDecoder{data: []byte{1, 1, 1, 1}}
+				if m := msg(func() { d.decValue(ptr, typ) }); !strings.Contains(m, "cannot decode") || !strings.Contains(m, want) {
+					t.Errorf("decode: %q, want a failure naming %q", m, want)
+				}
+			}
+		})
 	}
 }

@@ -7,33 +7,33 @@ package checkpoint
 //
 // The traversal decomposes state into restore actions:
 //
-//   - POD regions and POD slice contents (no pointers, maps or interfaces
+//   - POD regions and POD slice contents (no pointers or interfaces
 //     anywhere inside — the bulk of machine state: cache arrays, the
-//     event queue, ledger slabs, the memory controllers' NVM, WPQ and
-//     XPBuffer slabs) are captured into one shared byte arena and
-//     restored with plain memmoves. This is the fast path that makes a
-//     campaign's thousand rewinds affordable.
+//     event queue, ledger slabs, the memory controllers' NVM, WPQ,
+//     XPBuffer and recovery-table slabs, the write-back buffers) are
+//     captured into one shared byte arena and restored with plain
+//     memmoves. This is the fast path that makes a campaign's thousand
+//     rewinds affordable.
 //   - non-POD pointees are captured as typed shallow copies (reflect.Set —
 //     a typedmemmove with proper write barriers). Restoring the copy puts
 //     back every scalar, every pointer (identity — the graph keeps its
-//     original objects), and every slice/map header.
+//     original objects), and every slice header.
 //   - slice contents are copied back into the original backing array,
 //     preserving aliasing (two slices sharing a backing array keep sharing
 //     it after restore).
-//   - map contents are restored in place (clear + refill), preserving map
-//     identity; the mem.Line-keyed POD maps (the baseline model's write
-//     sets, the write-back buffer) restore through native typed clones
-//     instead of reflect's per-entry path.
 //
-// Restore order is regions, then slice contents, then maps. Slice content
+// Machine state holds no maps and no channels, and the walk rejects both
+// with a panic: neither has contents a memmove can put back.
+//
+// Restore order is regions, then slice contents. Slice content
 // destinations are the capture-time data pointers, which the captured
 // headers keep alive, so the passes never depend on each other beyond that.
 //
 // A walker lives as long as its Checkpoint, and each capture after the
 // first (Checkpoint.Recapture) refills the previous capture's storage —
-// arena, action lists, shadows, slice and map copies — instead of
-// allocating new (see capture), so a checkpoint moved forward through a
-// run allocates nothing once its storage has grown to fit.
+// arena, action lists, shadows, slice copies — instead of allocating new
+// (see capture), so a checkpoint moved forward through a run allocates
+// nothing once its storage has grown to fit.
 //
 // Unexported fields are reached through unsafe.Pointer arithmetic
 // (reflect.NewAt over base+offset), which sidesteps reflect's read-only
@@ -47,7 +47,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"asap/internal/mem"
 	"asap/internal/obs"
 	"asap/internal/trace"
 )
@@ -75,34 +74,6 @@ type sliceCopy struct {
 	data reflect.Value  // *typ holding the contents copy, len == captured len
 }
 
-// mapCopy is the captured contents of one map on the generic path. Values
-// are restricted to pointer, POD, or slice-of-(POD|pointer) types (see
-// captureMap), so the entry snapshot is shallow and pointees are rolled
-// back through their own regions.
-type mapCopy struct {
-	ptr        unsafe.Pointer // address of the map header
-	typ        reflect.Type   // map type
-	keys, vals reflect.Value  // pointers to parallel slices of captured entries
-	cloneVals  bool           // slice values: re-clone per restore
-}
-
-// typedMap is one map on the native fast path: a *typedSnap.
-type typedMap interface{ refill() }
-
-// typedSnap is the captured copy of the map[K]V at ptr (see
-// captureTypedMap).
-type typedSnap[K comparable, V any] struct {
-	ptr  unsafe.Pointer
-	snap map[K]V
-}
-
-// refill restores the snapshot into the live map in place.
-func (s *typedSnap[K, V]) refill() {
-	live := *(*map[K]V)(s.ptr)
-	clear(live)
-	maps.Copy(live, s.snap) //asaplint:ignore detcheck in-place map refill; entry order never reaches simulation results
-}
-
 // seenKey dedups pointees. The type is part of the key: distinct views of
 // one address (a struct and its first field) must not alias a region.
 type seenKey struct {
@@ -111,10 +82,11 @@ type seenKey struct {
 }
 
 // kept is one object's entry in a walker pool: the storage that holds the
-// object's copy, stamped with the capture that last reached the object.
-type kept[V any] struct {
+// object's copy (a pointer to it), stamped with the capture that last
+// reached the object.
+type kept struct {
 	gen uint64
-	v   V
+	v   reflect.Value
 }
 
 // walker holds one snapshot: its restore actions, and the storage pools a
@@ -124,22 +96,17 @@ type walker struct {
 	raw     []rawRestore
 	regions []region
 	slices  []sliceCopy
-	maps    []mapCopy
-	typed   []typedMap
 
 	// The pools map every object the last capture reached to the storage
 	// of its copy: regions by seenKey (a non-POD region's shadow; they
-	// double as the dedup set), non-POD slices and generic-path maps by
-	// header address and type, typed fast-path maps by header address.
+	// double as the dedup set), non-POD slices by header address and type.
 	// gen numbers the captures; an entry stamped with the current gen was
 	// reached by this walk already. An object a later capture reaches
 	// again refills its kept storage instead of allocating new, and an
 	// object it no longer reaches is pruned when its walk ends.
 	gen        uint64
-	regionPool map[seenKey]*kept[reflect.Value]
-	slicePool  map[seenKey]*kept[reflect.Value]
-	mapPool    map[seenKey]*kept[mapCopy]
-	typedPool  map[unsafe.Pointer]*kept[typedMap]
+	regionPool map[seenKey]*kept
+	slicePool  map[seenKey]*kept
 }
 
 // Skip rules. Observability sinks accumulate history (trace spans, timeline
@@ -159,9 +126,6 @@ var (
 	timelineType = reflect.TypeOf((*obs.Timeline)(nil))
 	opSliceType  = reflect.TypeOf([]trace.Op(nil))
 	tracePtrType = reflect.TypeOf((*trace.Trace)(nil))
-
-	lineTokenMapType = reflect.TypeOf(map[mem.Line]mem.Token(nil))
-	lineU64MapType   = reflect.TypeOf(map[mem.Line]uint64(nil))
 )
 
 func skipType(t reflect.Type) bool {
@@ -171,10 +135,9 @@ func skipType(t reflect.Type) bool {
 // podCache memoizes isPOD per type; shared by concurrent captures.
 var podCache sync.Map // reflect.Type -> bool
 
-// isPOD reports whether t contains no pointers, slices, maps, interfaces
-// or channels — i.e. a bitwise copy of a value of t captures it
-// completely. Strings count as POD: their bytes are immutable, so restoring
-// the header restores the value.
+// isPOD reports whether t contains no pointers, slices, maps, interfaces,
+// channels or strings — i.e. a bitwise copy of a value of t captures it
+// completely and hides no pointer from the collector.
 func isPOD(t reflect.Type) bool {
 	if v, ok := podCache.Load(t); ok {
 		return v.(bool)
@@ -242,10 +205,8 @@ func shallow(t reflect.Type) bool {
 // object reached again refills the copy its pool entry keeps.
 func (w *walker) capture(root unsafe.Pointer, t reflect.Type) {
 	if w.regionPool == nil {
-		w.regionPool = make(map[seenKey]*kept[reflect.Value], 256)
-		w.slicePool = make(map[seenKey]*kept[reflect.Value])
-		w.mapPool = make(map[seenKey]*kept[mapCopy])
-		w.typedPool = make(map[unsafe.Pointer]*kept[typedMap])
+		w.regionPool = make(map[seenKey]*kept, 256)
+		w.slicePool = make(map[seenKey]*kept)
 	}
 	w.gen++
 	w.arena = w.arena[:0]
@@ -255,37 +216,28 @@ func (w *walker) capture(root unsafe.Pointer, t reflect.Type) {
 	w.regions = w.regions[:0]
 	clear(w.slices)
 	w.slices = w.slices[:0]
-	clear(w.maps)
-	w.maps = w.maps[:0]
-	clear(w.typed)
-	w.typed = w.typed[:0]
 
 	w.walkRegion(root, t)
 
-	prune(w.regionPool, w.gen)
-	prune(w.slicePool, w.gen)
-	prune(w.mapPool, w.gen)
-	prune(w.typedPool, w.gen)
+	// Drop the pool entries this capture did not reach, so the pools pin
+	// nothing the machine no longer holds.
+	stale := func(_ seenKey, e *kept) bool { return e.gen != w.gen }
+	maps.DeleteFunc(w.regionPool, stale)
+	maps.DeleteFunc(w.slicePool, stale)
 }
 
-// keep returns k's pool entry, creating it on first sight, and reports
-// whether the capture gen already reached k; if not, it stamps the entry.
-func keep[K comparable, V any](pool map[K]*kept[V], k K, gen uint64) (e *kept[V], again bool) {
+// keep returns k's entry in pool, creating it on first sight, and reports
+// whether this capture already reached k; if not, it stamps the entry.
+func (w *walker) keep(pool map[seenKey]*kept, k seenKey) (e *kept, again bool) {
 	e = pool[k]
 	if e == nil {
-		e = &kept[V]{}
+		e = &kept{}
 		pool[k] = e
-	} else if e.gen == gen {
+	} else if e.gen == w.gen {
 		return e, true
 	}
-	e.gen = gen
+	e.gen = w.gen
 	return e, false
-}
-
-// prune drops the pool entries the capture gen did not reach, so the pools
-// pin nothing the machine no longer holds.
-func prune[K comparable, V any](pool map[K]*kept[V], gen uint64) {
-	maps.DeleteFunc(pool, func(_ K, e *kept[V]) bool { return e.gen != gen })
 }
 
 // refit resizes the slice p points to (a previous capture's copy, or a
@@ -316,7 +268,7 @@ func (w *walker) captureRaw(ptr unsafe.Pointer, n int) {
 
 // walkRegion captures the pointee at ptr and scans its interior.
 func (w *walker) walkRegion(ptr unsafe.Pointer, t reflect.Type) {
-	e, again := keep(w.regionPool, seenKey{ptr, t}, w.gen)
+	e, again := w.keep(w.regionPool, seenKey{ptr, t})
 	if again {
 		return
 	}
@@ -333,8 +285,8 @@ func (w *walker) walkRegion(ptr unsafe.Pointer, t reflect.Type) {
 }
 
 // walkInterior scans the memory at ptr (type t, already captured by an
-// enclosing copy) for state the shallow copy does not own: pointees, slice
-// contents, map contents.
+// enclosing copy) for state the shallow copy does not own: pointees and
+// slice contents.
 func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 	switch t.Kind() {
 	case reflect.Struct:
@@ -365,8 +317,6 @@ func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 		w.walkRegion(p, t.Elem())
 	case reflect.Slice:
 		w.captureSlice(ptr, t)
-	case reflect.Map:
-		w.captureMap(ptr, t)
 	case reflect.Interface:
 		if skipType(t) {
 			return
@@ -375,21 +325,29 @@ func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 		if v.IsNil() {
 			return
 		}
-		elem := v.Elem()
-		if elem.Kind() == reflect.Pointer {
+		switch elem := v.Elem(); elem.Kind() {
+		case reflect.Pointer:
 			if skipType(elem.Type()) || elem.IsNil() {
 				return
 			}
 			w.walkRegion(elem.UnsafePointer(), elem.Type().Elem())
+		case reflect.Map, reflect.Chan:
+			rejectKind(elem.Type())
 		}
 		// A non-pointer concrete value boxed in an interface is immutable
 		// through that interface (no pointer-receiver methods in its method
 		// set), so restoring the interface words restores the value.
 	case reflect.String:
 		// String bytes are immutable; the enclosing copy owns the header.
-	case reflect.Chan, reflect.UnsafePointer:
-		panic(fmt.Sprintf("checkpoint: cannot snapshot %v (machine state must stay channel-free)", t))
+	case reflect.Map, reflect.Chan, reflect.UnsafePointer:
+		rejectKind(t)
 	}
+}
+
+// rejectKind panics on state no snapshot can hold: maps and channels,
+// whose contents live behind the runtime, and untyped pointers.
+func rejectKind(t reflect.Type) {
+	panic(fmt.Sprintf("checkpoint: cannot snapshot %v (machine state must stay map- and channel-free)", t))
 }
 
 // captureSlice records a slice's contents and scans its elements. POD
@@ -409,7 +367,7 @@ func (w *walker) captureSlice(ptr unsafe.Pointer, t reflect.Type) {
 		w.captureRaw(base, n*int(sz))
 		return
 	}
-	e, again := keep(w.slicePool, seenKey{ptr, t}, w.gen)
+	e, again := w.keep(w.slicePool, seenKey{ptr, t})
 	if again {
 		return
 	}
@@ -430,103 +388,6 @@ func (w *walker) captureSlice(ptr unsafe.Pointer, t reflect.Type) {
 	}
 }
 
-// captureMap records a map's entries and registers pointer values'
-// pointees. The mem.Line-keyed POD-valued maps restore through native
-// clones; the generic reflect path covers the rest.
-func (w *walker) captureMap(ptr unsafe.Pointer, t reflect.Type) {
-	switch t {
-	case lineTokenMapType:
-		captureTypedMap[mem.Line, mem.Token](w, ptr)
-		return
-	case lineU64MapType:
-		captureTypedMap[mem.Line, uint64](w, ptr)
-		return
-	}
-	mv := reflect.NewAt(t, ptr).Elem()
-	if mv.IsNil() {
-		return
-	}
-	vt := t.Elem()
-	ptrVal := vt.Kind() == reflect.Pointer
-	sliceVal := vt.Kind() == reflect.Slice &&
-		(isPOD(vt.Elem()) || vt.Elem().Kind() == reflect.Pointer)
-	if !ptrVal && !sliceVal && !isPOD(vt) {
-		panic(fmt.Sprintf("checkpoint: map value type %v needs deep copy; keep machine maps POD-, pointer-, or slice-valued", vt))
-	}
-	n := mv.Len()
-	e, again := keep(w.mapPool, seenKey{ptr, t}, w.gen)
-	if again {
-		return
-	}
-	if !e.v.keys.IsValid() {
-		e.v = mapCopy{ptr: ptr, typ: t, cloneVals: sliceVal,
-			keys: reflect.New(reflect.SliceOf(t.Key())), vals: reflect.New(reflect.SliceOf(vt))}
-	}
-	mc := e.v
-	keys, vals := refit(mc.keys, n), refit(mc.vals, n)
-	it := mv.MapRange() //asaplint:ignore detcheck snapshot capture; entry order never reaches simulation results
-	for i := 0; it.Next(); i++ {
-		keys.Index(i).SetIterKey(it)
-		v := vals.Index(i)
-		v.SetIterValue(it)
-		if sliceVal && v.Len() > 0 {
-			// Detach slice values: the live slice keeps being appended to
-			// (and mutated in place) after the capture, so the snapshot
-			// needs its own backing array. Restore clones it again — see
-			// restore — so later in-place writes through the map can never
-			// reach the checkpoint's copy.
-			d := reflect.MakeSlice(vt, v.Len(), v.Len())
-			reflect.Copy(d, v)
-			v.Set(d)
-		}
-	}
-	w.maps = append(w.maps, mc)
-	switch {
-	case ptrVal:
-		pt := vt.Elem()
-		for i := 0; i < vals.Len(); i++ {
-			pv := vals.Index(i)
-			if !pv.IsNil() {
-				w.walkRegion(pv.UnsafePointer(), pt)
-			}
-		}
-	case sliceVal && vt.Elem().Kind() == reflect.Pointer:
-		pt := vt.Elem().Elem()
-		for i := 0; i < vals.Len(); i++ {
-			sv := vals.Index(i)
-			for j := 0; j < sv.Len(); j++ {
-				pv := sv.Index(j)
-				if !pv.IsNil() {
-					w.walkRegion(pv.UnsafePointer(), pt)
-				}
-			}
-		}
-	}
-}
-
-// captureTypedMap is the native snapshot of a POD-keyed, POD-valued map:
-// one clone at capture (or a refill of the previous capture's snapshot of
-// the same map), one clear+copy per restore — no reflect per entry.
-func captureTypedMap[K comparable, V any](w *walker, ptr unsafe.Pointer) {
-	m := *(*map[K]V)(ptr)
-	if m == nil {
-		return
-	}
-	e, again := keep(w.typedPool, ptr, w.gen)
-	if again {
-		return
-	}
-	ts, ok := e.v.(*typedSnap[K, V])
-	if ok {
-		clear(ts.snap)
-		maps.Copy(ts.snap, m) //asaplint:ignore detcheck snapshot capture; entry order never reaches simulation results
-	} else {
-		ts = &typedSnap[K, V]{ptr: ptr, snap: maps.Clone(m)} //asaplint:ignore detcheck snapshot capture; entry order never reaches simulation results
-		e.v = ts
-	}
-	w.typed = append(w.typed, ts)
-}
-
 // restore replays the captured actions, rewinding every reached object.
 func (w *walker) restore() {
 	for i := range w.regions {
@@ -540,23 +401,5 @@ func (w *walker) restore() {
 	for i := range w.slices {
 		s := &w.slices[i]
 		reflect.Copy(reflect.NewAt(s.typ, s.ptr).Elem(), s.data.Elem())
-	}
-	for i := range w.maps {
-		mc := &w.maps[i]
-		mv := reflect.NewAt(mc.typ, mc.ptr).Elem()
-		mv.Clear()
-		keys, vals := mc.keys.Elem(), mc.vals.Elem()
-		for j := 0; j < keys.Len(); j++ {
-			v := vals.Index(j)
-			if mc.cloneVals && v.Len() > 0 {
-				d := reflect.MakeSlice(mc.typ.Elem(), v.Len(), v.Len())
-				reflect.Copy(d, v)
-				v = d
-			}
-			mv.SetMapIndex(keys.Index(j), v)
-		}
-	}
-	for _, tm := range w.typed {
-		tm.refill()
 	}
 }

@@ -51,12 +51,15 @@ type Machine struct {
 	St     *stats.Set
 	Ledger *Ledger
 
-	cores    []*coreState
-	locks    map[mem.Line]*lockState
-	pm       pmFilter
-	wbbs     []*persist.WBB
-	tokenSeq mem.Token
-	finished int
+	cores []*coreState
+	// locks[i] is the state of the spinlock at lockLines[i]; lockLines
+	// lists every lock line of the trace in ascending order.
+	locks     []lockState
+	lockLines []mem.Line
+	pm        pmFilter
+	wbbs      []*persist.WBB
+	tokenSeq  mem.Token
+	finished  int
 
 	// Pre-resolved stat handles for the per-access and lock paths.
 	cWbbParked, cWbbFullStalls     stats.Counter
@@ -149,7 +152,6 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 		IL:     mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
 		St:     st,
 		Ledger: NewLedger(pstores),
-		locks:  make(map[mem.Line]*lockState),
 		pm:     pm,
 
 		cWbbParked:           st.Counter(kWbbParked),
@@ -161,7 +163,9 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 		cSampledCycles:       st.Counter(kCoreSampledCycles),
 	}
 	m.tr = tr
-	m.Hier.Directory().Reserve(traceLines(tr))
+	lines, lockLines := traceLines(tr)
+	m.Hier.Directory().Reserve(lines)
+	m.locks, m.lockLines = make([]lockState, len(lockLines)), lockLines
 	spec := model.Speculative(modelName)
 	m.MCs = make([]*persist.MC, cfg.MCs)
 	for i := range m.MCs {
@@ -583,7 +587,7 @@ func (m *Machine) access(core int, line mem.Line, write, acq bool) *cache.Access
 		// second directory probe is needed here.
 		if w := res.LLCEvictedWriter[i]; w >= 0 && w < len(m.wbbs) &&
 			m.Model.PBHasLine(w, ev) {
-			if m.wbbs[w].Park(ev, 0) {
+			if m.wbbs[w].Park(ev) {
 				m.cWbbParked.Inc()
 			} else {
 				m.cWbbFullStalls.Inc()
@@ -666,13 +670,23 @@ func (m *Machine) finishRelease(c *coreState) {
 	m.Eng.AfterOp(res.Latency+m.Cfg.StoreCost, m, mEvStep, uint64(c.id))
 }
 
+// lock returns the state of the spinlock at line, found by binary search
+// in the lock-line table that New builds from the trace. The search is
+// written out because alloccheck cannot prove a call into the standard
+// library allocation-free on this event path.
 func (m *Machine) lock(line mem.Line) *lockState {
-	lk, ok := m.locks[line]
-	if !ok {
-		lk = &lockState{}  //asaplint:ignore alloccheck one lockState per distinct lock line in the workload
-		m.locks[line] = lk //asaplint:ignore alloccheck map bounded by the workload's lock-line footprint
+	lo, hi := 0, len(m.lockLines)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); m.lockLines[mid] < line {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return lk
+	if lo == len(m.lockLines) || m.lockLines[lo] != line {
+		panic("machine: lock line missing from the trace's lock table")
+	}
+	return &m.locks[lo]
 }
 
 // sample periodically records persist-buffer occupancy (Figure 11), blocked

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"asap/internal/mem"
 	"asap/internal/trace"
 )
@@ -115,17 +117,23 @@ func (f *pmFilter) has(l mem.Line) bool {
 
 // traceLines counts the distinct lines the trace's loads, stores and lock
 // operations touch — the coherence directory's final size, which machine
-// construction reserves up front. It marks them in a throwaway paged
-// bitset of the filter's shape; consecutive ops mostly stay on one page,
-// so the page lookup is cached.
-func traceLines(tr *trace.Trace) int {
+// construction reserves up front — and lists the lock lines in ascending
+// order, the index of the machine's lock table. It marks lines in a
+// throwaway paged bitset of the filter's shape; consecutive ops mostly
+// stay on one page, so the page lookup is cached. A lock is acquired
+// before it is released, so the acquires name every lock line.
+func traceLines(tr *trace.Trace) (n int, lockLines []mem.Line) {
 	f := pmFilter{dir: make([]pmPage, pmInitSlots), mask: pmInitSlots - 1}
-	n := 0
 	lastPage, lastOff := ^uint64(0), uint64(0)
 	for _, ops := range tr.Threads {
 		for i := range ops {
 			switch ops[i].Kind {
-			case trace.OpLoad, trace.OpStore, trace.OpAcquire, trace.OpRelease:
+			case trace.OpAcquire:
+				l := mem.LineOf(ops[i].Addr)
+				if j, ok := slices.BinarySearch(lockLines, l); !ok {
+					lockLines = slices.Insert(lockLines, j, l)
+				}
+			case trace.OpLoad, trace.OpStore, trace.OpRelease:
 			default:
 				continue
 			}
@@ -149,5 +157,5 @@ func traceLines(tr *trace.Trace) int {
 			}
 		}
 	}
-	return n
+	return n, lockLines
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"asap/internal/config"
@@ -169,24 +170,40 @@ func TestPMFilterZeroAlloc(t *testing.T) {
 
 // TestTraceLinesMatchesOracle pins the directory presize count against a
 // map of the lines every workload's loads, stores and lock ops touch, and
-// checks that the presized directory never grows during the run.
+// the lock-line table against a map of the lock ops' lines, and checks
+// that the presized directory never grows during the run.
 func TestTraceLinesMatchesOracle(t *testing.T) {
 	for _, wl := range workload.Names() {
 		tr, err := workload.Generate(wl, workload.Params{Threads: 2, OpsPerThread: 150, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[mem.Line]bool{}
+		want, wantLocks := map[mem.Line]bool{}, map[mem.Line]bool{}
 		for _, ops := range tr.Threads {
 			for _, op := range ops {
 				switch op.Kind {
-				case trace.OpLoad, trace.OpStore, trace.OpAcquire, trace.OpRelease:
+				case trace.OpAcquire, trace.OpRelease:
+					wantLocks[mem.LineOf(op.Addr)] = true
+					fallthrough
+				case trace.OpLoad, trace.OpStore:
 					want[mem.LineOf(op.Addr)] = true
 				}
 			}
 		}
-		if got := traceLines(tr); got != len(want) {
+		got, locks := traceLines(tr)
+		if got != len(want) {
 			t.Fatalf("%s: traceLines = %d, want %d", wl, got, len(want))
+		}
+		if !slices.IsSorted(locks) || len(slices.Compact(slices.Clone(locks))) != len(locks) {
+			t.Fatalf("%s: lock lines %v are not strictly ascending", wl, locks)
+		}
+		if len(locks) != len(wantLocks) {
+			t.Fatalf("%s: %d lock lines, want %d", wl, len(locks), len(wantLocks))
+		}
+		for _, l := range locks {
+			if !wantLocks[l] {
+				t.Fatalf("%s: lock line %d is no lock line of the trace", wl, l)
+			}
 		}
 		m, err := New(config.Default(), "hops_rp", tr)
 		if err != nil {

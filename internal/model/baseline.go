@@ -23,24 +23,29 @@ type Baseline struct {
 
 type baseCore struct {
 	id int
-	// writeset holds the dirty persistent lines of the current epoch, in
-	// insertion order for deterministic issue.
-	order    []mem.Line
-	writeset map[mem.Line]mem.Token
+	// dirty holds the dirty persistent lines of the current epoch with
+	// their newest tokens, in first-write order for deterministic issue.
+	dirty []dirtyLine
 
 	ts          uint64 // current epoch timestamp
 	committedTS uint64 // epochs <= this have had their fence complete
 
 	outstanding int
-	issueQ      []mem.Line
+	issueQ      []dirtyLine
 	fence       stall // the sfence waiting for the clwbs' ACKs
+}
+
+// dirtyLine is one line of an epoch's write set and the token it holds.
+type dirtyLine struct {
+	line  mem.Line
+	token mem.Token
 }
 
 func newBaseline(env Env) *Baseline {
 	m := &Baseline{env: env, hc: newHotCounters(env.St)}
 	m.cores = make([]*baseCore, env.Cfg.Cores)
 	for i := range m.cores {
-		m.cores[i] = &baseCore{id: i, ts: 1, writeset: make(map[mem.Line]mem.Token)}
+		m.cores[i] = &baseCore{id: i, ts: 1}
 	}
 	return m
 }
@@ -62,12 +67,22 @@ func (m *Baseline) EpochCommitted(e persist.EpochID) bool {
 // Store marks the line dirty; durability is deferred to the next fence.
 func (m *Baseline) Store(core int, line mem.Line, token mem.Token, done sim.Cont) {
 	c := m.cores[core]
-	if _, ok := c.writeset[line]; !ok {
-		c.order = append(c.order, line) //asaplint:ignore alloccheck dirty-line list reaches the inter-fence footprint once, then reuses it
-	}
-	c.writeset[line] = token //asaplint:ignore alloccheck write set bounded by dirty footprint; entries deleted at flush recycle
+	c.dirty = markDirty(c.dirty, line, token)
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: core, TS: c.ts}, line, token)
 	m.env.Eng.Resume(done)
+}
+
+// markDirty records token as line's newest value in the write set ws: in
+// place if the line is already dirty, else appended. The set spans one
+// epoch, a few lines between fences, so a scan beats hashing.
+func markDirty(ws []dirtyLine, line mem.Line, token mem.Token) []dirtyLine {
+	for i := range ws {
+		if ws[i].line == line {
+			ws[i].token = token
+			return ws
+		}
+	}
+	return append(ws, dirtyLine{line, token}) //asaplint:ignore alloccheck write set reaches the inter-fence footprint once, then reuses its backing array
 }
 
 // Ofence is clwb-per-dirty-line followed by sfence: the core stalls until
@@ -103,15 +118,15 @@ func (m *Baseline) fence(core int, done sim.Cont) {
 	if !c.fence.done.IsZero() {
 		panic("baseline: overlapping fences on one core")
 	}
-	if len(c.order) == 0 && c.outstanding == 0 {
+	if len(c.dirty) == 0 && c.outstanding == 0 {
 		m.commitEpoch(c)
 		m.env.Eng.Resume(done)
 		return
 	}
 	m.hc.fences.Inc()
 	c.fence = stall{done: done, began: m.env.Eng.Now()}
-	c.issueQ = append(c.issueQ, c.order...) //asaplint:ignore alloccheck issue queue reaches steady-state capacity, then appends reuse it
-	c.order = c.order[:0]
+	c.issueQ = append(c.issueQ, c.dirty...) //asaplint:ignore alloccheck issue queue reaches steady-state capacity, then appends reuse it
+	c.dirty = c.dirty[:0]
 	m.issueFlushes(c)
 }
 
@@ -119,18 +134,16 @@ func (m *Baseline) fence(core int, done sim.Cont) {
 // (the write-combining/MSHR limit of the flush path).
 func (m *Baseline) issueFlushes(c *baseCore) {
 	for len(c.issueQ) > 0 && c.outstanding < m.env.Cfg.PBMaxInflight {
-		line := c.issueQ[0]
+		d := c.issueQ[0]
 		c.issueQ = c.issueQ[1:]
-		tok := c.writeset[line]
-		delete(c.writeset, line)
 		c.outstanding++
 		m.hc.clwbIssued.Inc()
 		pkt := persist.FlushPacket{
-			Line:  line,
-			Token: tok,
+			Line:  d.line,
+			Token: d.token,
 			Epoch: persist.EpochID{Thread: c.id, TS: c.ts},
 		}
-		m.env.Link.FlushOp(m.env.IL.Home(line), pkt, m, uint64(c.id), false)
+		m.env.Link.FlushOp(m.env.IL.Home(d.line), pkt, m, uint64(c.id), false)
 	}
 }
 

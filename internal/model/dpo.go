@@ -1,7 +1,6 @@
 package model
 
 import (
-	"asap/internal/cache"
 	"asap/internal/persist"
 )
 
@@ -14,20 +13,15 @@ import (
 // controllers; on this 2-MC machine it falls back to the same
 // wait-for-all-ACKs cross-MC ordering as HOPS, which is exactly the
 // configuration the paper predicts performs "comparable to HOPS and lesser
-// than ASAP".
+// than ASAP". Dependencies follow the flusher's default Conflict rule
+// (DPO is evaluated with the RP policy here, its favourable configuration).
 type DPO struct {
 	flusher
-	// waiters[src] lists dependent epochs to notify when src commits —
-	// the snooped broadcast.
-	waiters     map[persist.EpochID][]persist.EpochID
 	committedTS []uint64
 }
 
 func newDPO(env Env) *DPO {
-	m := &DPO{
-		waiters:     make(map[persist.EpochID][]persist.EpochID),
-		committedTS: make([]uint64, env.Cfg.Cores),
-	}
+	m := &DPO{committedTS: make([]uint64, env.Cfg.Cores)}
 	m.init(env, m, true)
 	m.rp = true
 	return m
@@ -41,22 +35,6 @@ func (m *DPO) EpochCommitted(e persist.EpochID) bool {
 	return m.committedTS[e.Thread] >= e.TS
 }
 
-// Conflict records a dependency under release persistency (DPO is evaluated
-// with the RP policy here, its favourable configuration).
-func (m *DPO) Conflict(core int, cf *cache.Conflict) {
-	src, ok := m.depSource(cf)
-	if !ok {
-		return
-	}
-	cur := m.split(core, src)
-	if !m.EpochCommitted(src) {
-		cur.Deps = append(cur.Deps, src) //asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
-		dst := persist.EpochID{Thread: core, TS: cur.TS}
-		m.waiters[src] = append(m.waiters[src], dst) //asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
-		m.env.Ledger.DepCreated(src, dst)
-	}
-}
-
 // nextFlushable mirrors HOPS: oldest epoch only, once its dependencies
 // have resolved.
 func (m *DPO) nextFlushable(c *fcore) *persist.PBEntry {
@@ -67,14 +45,14 @@ func (m *DPO) nextFlushable(c *fcore) *persist.PBEntry {
 	return c.pb.NextWaitingIn(oldest)
 }
 
-// committed broadcasts e's commit: every dependent sees it after one
-// interconnect hop. The broadcast itself is DPO's scaling cost.
-func (m *DPO) committed(c *fcore, e persist.EpochID) {
-	m.committedTS[c.id] = e.TS
-	if len(m.waiters[e]) > 0 {
+// committed broadcasts ent's commit: every dependent sees it after one
+// interconnect hop — the snooped broadcast, which is DPO's scaling cost.
+func (m *DPO) committed(c *fcore, ent *persist.ETEntry) {
+	m.committedTS[c.id] = ent.TS
+	if len(ent.Dependents) > 0 {
 		m.hc.dpoBroadcasts.Inc()
 	}
-	m.notify(m.waiters, e)
+	m.notify(ent.Dependents)
 }
 
 var _ Model = (*DPO)(nil)

@@ -47,9 +47,10 @@ type flushPolicy interface {
 	// nextFlushable picks the persist-buffer entry core c may flush next,
 	// or nil when the policy forbids every waiting entry.
 	nextFlushable(c *fcore) *persist.PBEntry
-	// committed runs after epoch e of core c commits and retires: the
-	// design's durability bookkeeping and dependent notifications.
-	committed(c *fcore, e persist.EpochID)
+	// committed runs once epoch ent of core c has committed, before the
+	// epoch table retires (and may recycle) ent: the design's durability
+	// bookkeeping and the notification of ent.Dependents.
+	committed(c *fcore, ent *persist.ETEntry)
 
 	// Defaults provided by the flusher.
 	openEpoch(c *fcore) (ts uint64, unacked *int)
@@ -344,11 +345,10 @@ func (f *flusher) tryCommit(c *fcore, ts uint64) {
 		return
 	}
 	ent.Committed = true
-	epoch := persist.EpochID{Thread: c.id, TS: ts}
 	f.hc.epochsCommitted.Inc()
-	f.env.Ledger.EpochCommitted(epoch)
+	f.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: ts})
+	f.pol.committed(c, ent)
 	c.et.Retire(ts)
-	f.pol.committed(c, epoch)
 	f.tryCommit(c, ts+1)
 	if w := c.fence; !w.done.IsZero() && !c.et.Full() {
 		c.fence = stall{}
@@ -379,12 +379,43 @@ func (f *flusher) resolve(dst persist.EpochID) {
 }
 
 // notify schedules a resolution, one MsgLat from now, for every dependent
-// waiters[src] lists, and forgets them.
-func (f *flusher) notify(waiters map[persist.EpochID][]persist.EpochID, src persist.EpochID) {
-	for _, dst := range waiters[src] {
+// epoch in dsts, in order.
+func (f *flusher) notify(dsts []persist.EpochID) {
+	for _, dst := range dsts {
 		f.env.Eng.AfterOp(f.env.Cfg.MsgLat, f.pol, fEvResolve, packEpochArg(dst))
 	}
-	delete(waiters, src)
+}
+
+// Conflict is the default dependency rule (DPO, LB++): split the epochs
+// as split does and, unless the source epoch committed meanwhile, make the
+// new epoch wait on it. The edge is kept on both entries, as ASAP keeps
+// it: Deps on the dependent, Dependents on the source, which notify
+// reads when the source commits.
+func (f *flusher) Conflict(core int, cf *cache.Conflict) {
+	src, ok := f.depSource(cf)
+	if !ok {
+		return
+	}
+	cur := f.split(core, src)
+	if f.pol.EpochCommitted(src) {
+		return
+	}
+	dst := persist.EpochID{Thread: core, TS: cur.TS}
+	ent := f.sourceEntry(src)
+	cur.Deps = append(cur.Deps, src)             //asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
+	ent.Dependents = append(ent.Dependents, dst) //asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
+	f.env.Ledger.DepCreated(src, dst)
+}
+
+// sourceEntry returns the epoch-table entry of an uncommitted dependency
+// source. Epochs commit and retire in timestamp order, and a source is
+// never younger than its thread's open epoch, so the entry is tracked.
+func (f *flusher) sourceEntry(src persist.EpochID) *persist.ETEntry {
+	ent, ok := f.cores[src.Thread].et.Get(src.TS)
+	if !ok {
+		panic(f.pol.Name() + ": dependency on an untracked epoch")
+	}
+	return ent
 }
 
 // depSource extracts the source epoch of a potential dependency under the

@@ -52,7 +52,7 @@ func (m *HOPS) EpochCommitted(e persist.EpochID) bool {
 }
 
 // committed publishes the commit to the global TS register.
-func (m *HOPS) committed(c *fcore, e persist.EpochID) { m.globalTS[c.id] = e.TS }
+func (m *HOPS) committed(c *fcore, ent *persist.ETEntry) { m.globalTS[c.id] = ent.TS }
 
 // Conflict applies the same dependency policy as ASAP but resolution will
 // happen by polling rather than CDR messages.

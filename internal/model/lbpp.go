@@ -1,7 +1,6 @@
 package model
 
 import (
-	"asap/internal/cache"
 	"asap/internal/mem"
 	"asap/internal/persist"
 	"asap/internal/sim"
@@ -15,20 +14,16 @@ import (
 // epochs have fully persisted. The open epoch's writes sit in the cache.
 // Cross-thread dependencies use the same epoch-splitting deadlock avoidance
 // (LB++ is where ASAP borrows it from [14]); resolution is by waiting for
-// the source epoch to persist, observed through coherence. The paper
-// expects LB++ below HOPS and ASAP.
+// the source epoch to persist, observed through coherence — the flusher's
+// default Conflict rule under epoch persistency. The paper expects LB++
+// below HOPS and ASAP.
 type LBPP struct {
 	flusher
-	// waiters[src] lists dependent epochs released when src persists.
-	waiters     map[persist.EpochID][]persist.EpochID
 	committedTS []uint64
 }
 
 func newLBPP(env Env) *LBPP {
-	m := &LBPP{
-		waiters:     make(map[persist.EpochID][]persist.EpochID),
-		committedTS: make([]uint64, env.Cfg.Cores),
-	}
+	m := &LBPP{committedTS: make([]uint64, env.Cfg.Cores)}
 	m.init(env, m, true)
 	m.lazy = true
 	return m
@@ -46,22 +41,6 @@ func (m *LBPP) EpochCommitted(e persist.EpochID) bool {
 // the barrier the workload already issued around it).
 func (m *LBPP) Release(core int, line mem.Line, done sim.Cont) { m.Ofence(core, done) }
 
-// Conflict applies the epoch-persistency dependency policy with the
-// epoch-splitting rule LB++ introduced.
-func (m *LBPP) Conflict(core int, cf *cache.Conflict) {
-	src, ok := m.depSource(cf)
-	if !ok {
-		return
-	}
-	cur := m.split(core, src)
-	if !m.EpochCommitted(src) {
-		cur.Deps = append(cur.Deps, src) //asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
-		dst := persist.EpochID{Thread: core, TS: cur.TS}
-		m.waiters[src] = append(m.waiters[src], dst) //asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
-		m.env.Ledger.DepCreated(src, dst)
-	}
-}
-
 // nextFlushable: strictest discipline — only the oldest epoch flushes, and
 // only once it is closed and its dependencies persisted.
 func (m *LBPP) nextFlushable(c *fcore) *persist.PBEntry {
@@ -73,10 +52,10 @@ func (m *LBPP) nextFlushable(c *fcore) *persist.PBEntry {
 	return c.pb.NextWaitingIn(oldest)
 }
 
-// committed releases the epochs waiting on e.
-func (m *LBPP) committed(c *fcore, e persist.EpochID) {
-	m.committedTS[c.id] = e.TS
-	m.notify(m.waiters, e)
+// committed releases the epochs waiting on ent.
+func (m *LBPP) committed(c *fcore, ent *persist.ETEntry) {
+	m.committedTS[c.id] = ent.TS
+	m.notify(ent.Dependents)
 }
 
 var _ Model = (*LBPP)(nil)

@@ -19,9 +19,6 @@ import (
 // LRP."
 type LRP struct {
 	flusher
-	// stallees[src] lists cores whose acquire is blocked until src
-	// persists.
-	stallees    map[persist.EpochID][]int
 	committedTS []uint64
 	acq         []lrpAcquire
 }
@@ -55,7 +52,6 @@ const lEvUnstall = fEvPolicy
 
 func newLRP(env Env) *LRP {
 	m := &LRP{
-		stallees:    make(map[persist.EpochID][]int),
 		committedTS: make([]uint64, env.Cfg.Cores),
 		acq:         make([]lrpAcquire, env.Cfg.Cores),
 	}
@@ -127,7 +123,10 @@ func (m *LRP) Conflict(core int, cf *cache.Conflict) {
 	if a := &m.acq[core]; !a.stalled {
 		a.stalled = true
 		a.began = m.env.Eng.Now()
-		m.stallees[src] = append(m.stallees[src], core) //asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
+		// The blocked core waits among the source epoch's Dependents;
+		// under LRP a dependent names a core (Thread), not an epoch.
+		ent := m.sourceEntry(src)
+		ent.Dependents = append(ent.Dependents, persist.EpochID{Thread: core}) //asaplint:ignore alloccheck contention-only path; fan-out bounded by core count
 	}
 	// Make sure the source epoch is closed so it can persist.
 	if w := m.cores[src.Thread]; w.et.CurrentTS() == src.TS {
@@ -141,13 +140,12 @@ func (m *LRP) nextFlushable(c *fcore) *persist.PBEntry {
 	return c.pb.NextWaitingIn(c.et.OldestTS())
 }
 
-// committed unblocks the coherence forwards waiting on e.
-func (m *LRP) committed(c *fcore, e persist.EpochID) {
-	m.committedTS[c.id] = e.TS
-	for _, id := range m.stallees[e] {
-		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m, lEvUnstall, uint64(id))
+// committed unblocks the coherence forwards waiting on ent.
+func (m *LRP) committed(c *fcore, ent *persist.ETEntry) {
+	m.committedTS[c.id] = ent.TS
+	for _, d := range ent.Dependents {
+		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m, lEvUnstall, uint64(d.Thread))
 	}
-	delete(m.stallees, e)
 }
 
 // event runs the unstall.

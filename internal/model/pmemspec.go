@@ -37,9 +37,13 @@ type specCore struct {
 	id int
 	ts uint64 // epoch counter (fence-delimited)
 
-	// outstanding[mc] counts un-ACKed flushes per controller for the
-	// *current* epoch window; epochOutstanding tracks older epochs.
-	outstanding map[uint64]*specEpoch // by epoch TS
+	// The un-ACKed flushes of the epochs in the window (committedTS, ts]:
+	// pending[i] counts those of epoch committedTS+1+i, and
+	// perMC[i*MCs+mc] those of them sent to controller mc. Retiring an
+	// epoch shifts the window; an epoch past the end of pending has sent
+	// nothing yet.
+	pending []int
+	perMC   []int
 
 	committedTS  uint64
 	recoverUntil sim.Cycles
@@ -47,16 +51,11 @@ type specCore struct {
 	dfence stall // dfence waiting for every flush's ACK
 }
 
-type specEpoch struct {
-	perMC   []int
-	pending int
-}
-
 func newPMEMSpec(env Env) *PMEMSpec {
 	m := &PMEMSpec{env: env, hc: newHotCounters(env.St)}
 	m.cores = make([]*specCore, env.Cfg.Cores)
 	for i := range m.cores {
-		m.cores[i] = &specCore{m: m, id: i, ts: 1, outstanding: make(map[uint64]*specEpoch)}
+		m.cores[i] = &specCore{m: m, id: i, ts: 1}
 	}
 	return m
 }
@@ -98,24 +97,21 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done sim.Cont
 	m.hc.entriesInserted.Inc()
 
 	mcID := m.env.IL.Home(line)
-	ep := c.outstanding[ts]
-	if ep == nil {
-		//asaplint:ignore alloccheck one record per epoch with flushes in flight, bounded by the live epoch window
-		ep = &specEpoch{perMC: make([]int, m.env.Cfg.MCs)}
-		//asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
-		c.outstanding[ts] = ep
+	mcs := m.env.Cfg.MCs
+	i := int(ts - c.committedTS - 1)
+	for len(c.pending) <= i {
+		c.pending = append(c.pending, 0) //asaplint:ignore alloccheck window reaches the live epoch span once, then reuses its backing array
+		for range mcs {
+			c.perMC = append(c.perMC, 0) //asaplint:ignore alloccheck window reaches the live epoch span once, then reuses its backing array
+		}
 	}
-	ep.perMC[mcID]++
-	ep.pending++
+	c.pending[i]++
+	c.perMC[i*mcs+mcID]++
 
 	// Mis-speculation check: an older epoch has un-ACKed flushes to a
 	// different controller, so this younger write may persist first.
-	//asaplint:ignore detcheck a count increment plus max over all entries is order-independent
-	for old, oep := range c.outstanding {
-		if old >= ts {
-			continue
-		}
-		for mc, n := range oep.perMC {
+	for j := 0; j < i; j++ {
+		for mc, n := range c.perMC[j*mcs : (j+1)*mcs] {
 			if mc != mcID && n > 0 {
 				m.hc.specMisspeculations.Inc()
 				if m.env.Eng.Now()+specRecoveryCost > c.recoverUntil {
@@ -136,9 +132,9 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done sim.Cont
 // FlushReply receives the ACK of a flush of epoch arg>>8 to controller
 // arg&0xFF.
 func (c *specCore) FlushReply(arg uint64, _ persist.FlushResult) {
-	ep := c.outstanding[arg>>8]
-	ep.perMC[arg&0xFF]--
-	ep.pending--
+	i := int(arg>>8 - c.committedTS - 1)
+	c.pending[i]--
+	c.perMC[i*c.m.env.Cfg.MCs+int(arg&0xFF)]--
 	c.m.retire(c)
 }
 
@@ -149,25 +145,29 @@ func (m *PMEMSpec) retire(c *specCore) {
 		if next >= c.ts {
 			break
 		}
-		ep := c.outstanding[next]
-		if ep != nil && ep.pending > 0 {
-			break
+		if len(c.pending) > 0 {
+			if c.pending[0] > 0 {
+				break
+			}
+			// Shift the window: every count of a retired epoch is zero.
+			mcs := m.env.Cfg.MCs
+			c.pending = c.pending[:copy(c.pending, c.pending[1:])]
+			c.perMC = c.perMC[:copy(c.perMC, c.perMC[mcs:])]
 		}
-		delete(c.outstanding, next)
 		c.committedTS = next
 		m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: next})
 	}
-	if w := c.dfence; !w.done.IsZero() && m.drained(c) {
+	if w := c.dfence; !w.done.IsZero() && c.drained() {
 		c.dfence = stall{}
 		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - w.began))
 		m.delay(c, w.done)
 	}
 }
 
-func (m *PMEMSpec) drained(c *specCore) bool {
-	//asaplint:ignore detcheck an any-pending scan over all entries is order-independent
-	for _, ep := range c.outstanding {
-		if ep.pending > 0 {
+// drained reports whether every flush of the window has been ACKed.
+func (c *specCore) drained() bool {
+	for _, n := range c.pending {
+		if n > 0 {
 			return false
 		}
 	}
@@ -190,7 +190,7 @@ func (m *PMEMSpec) Dfence(core int, done sim.Cont) {
 	c := m.cores[core]
 	c.ts++
 	m.retire(c)
-	if m.drained(c) {
+	if c.drained() {
 		m.delay(c, done)
 		return
 	}

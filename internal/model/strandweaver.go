@@ -28,9 +28,6 @@ type StrandModel interface {
 type StrandWeaver struct {
 	flusher
 	sw []*swCore
-	// waiters[src] lists dependent epochs notified when src commits.
-	waiters map[persist.EpochID][]persist.EpochID
-	retired map[persist.EpochID]bool
 }
 
 // swCore is one core's strands; its persist buffer and stalls live in the
@@ -51,15 +48,14 @@ type swEpoch struct {
 	closed   bool
 	deps     []persist.EpochID
 	resolved int
+	// waiters are the dependent epochs notified when this one retires.
+	waiters []persist.EpochID
 }
 
 func (e *swEpoch) depsResolved() bool { return e.resolved >= len(e.deps) }
 
 func newStrandWeaver(env Env) *StrandWeaver {
-	m := &StrandWeaver{
-		waiters: make(map[persist.EpochID][]persist.EpochID),
-		retired: make(map[persist.EpochID]bool),
-	}
+	m := &StrandWeaver{}
 	m.init(env, m, false)
 	m.sw = make([]*swCore, env.Cfg.Cores)
 	for i := range m.sw {
@@ -105,10 +101,23 @@ func (s *swCore) epochByTS(ts uint64) (*swStrand, *swEpoch) {
 // CurrentTS returns the open epoch of the active strand.
 func (m *StrandWeaver) CurrentTS(core int) uint64 { return m.sw[core].open().ts }
 
-// EpochCommitted reports whether the epoch retired. Strand epochs of one
-// thread are NOT totally ordered, so the crash checker's same-thread prefix
-// assumption does not apply to this model (see DESIGN.md).
-func (m *StrandWeaver) EpochCommitted(e persist.EpochID) bool { return m.retired[e] }
+// EpochCommitted reports whether the epoch retired: its timestamp was
+// handed out (below nextTS) and no strand holds it any more. Strand epochs
+// of one thread are NOT totally ordered, so the crash checker's
+// same-thread prefix assumption does not apply to this model (see
+// DESIGN.md).
+//
+// An empty open epoch dropped with its drained strand also reads as
+// retired, though it never committed. No query can tell: dependencies
+// name release epochs, and a release closes its epoch first.
+func (m *StrandWeaver) EpochCommitted(e persist.EpochID) bool {
+	s := m.sw[e.Thread]
+	if e.TS == 0 || e.TS >= s.nextTS {
+		return false
+	}
+	_, ep := s.epochByTS(e.TS)
+	return ep == nil
+}
 
 // openEpoch buffers writes in the active strand's open epoch.
 func (m *StrandWeaver) openEpoch(c *fcore) (uint64, *int) {
@@ -174,7 +183,7 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 		return
 	}
 	src := persist.EpochID{Thread: cf.Writer, TS: cf.WriterTS}
-	if m.retired[src] {
+	if m.EpochCommitted(src) {
 		return
 	}
 	m.hc.interTEpochConflict.Inc()
@@ -186,12 +195,12 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 	s := m.sw[core]
 	m.closeOpen(s, s.strands[s.cur])
 	dst := s.open()
-	if !m.retired[src] {
+	if _, se := w.epochByTS(src.TS); se != nil {
 		//asaplint:ignore alloccheck strand bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
 		dst.deps = append(dst.deps, src)
 		id := persist.EpochID{Thread: core, TS: dst.ts}
-		//asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
-		m.waiters[src] = append(m.waiters[src], id)
+		//asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
+		se.waiters = append(se.waiters, id)
 		m.env.Ledger.DepCreated(src, id)
 	}
 	m.tryCommitAll(m.cores[core])
@@ -237,12 +246,9 @@ func (m *StrandWeaver) tryCommitAll(c *fcore) {
 					break
 				}
 				st.epochs = st.epochs[1:]
-				epoch := persist.EpochID{Thread: c.id, TS: head.ts}
-				//asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
-				m.retired[epoch] = true
 				m.hc.epochsCommitted.Inc()
-				m.env.Ledger.EpochCommitted(epoch)
-				m.notify(m.waiters, epoch)
+				m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: head.ts})
+				m.notify(head.waiters)
 				progress = true
 			}
 		}
@@ -284,7 +290,7 @@ func (m *StrandWeaver) resolve(dst persist.EpochID) {
 
 // committed is unused: strand epochs commit in tryCommitAll, not through
 // the epoch-table rule.
-func (m *StrandWeaver) committed(*fcore, persist.EpochID) {}
+func (m *StrandWeaver) committed(*fcore, *persist.ETEntry) {}
 
 var _ Model = (*StrandWeaver)(nil)
 var _ StrandModel = (*StrandWeaver)(nil)

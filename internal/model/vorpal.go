@@ -27,9 +27,11 @@ type Vorpal struct {
 	visible []uint64
 	// pending flushes parked at each controller.
 	pending [][]vorpalFlush
-	// deps[e] lists cross-thread epochs e's writes must wait for — the
-	// information real Vorpal encodes in the vector timestamps.
-	deps map[persist.EpochID][]persist.EpochID
+	// deps[t] lists the cross-thread epochs that thread t's uncommitted
+	// epochs must wait for, in dependent-TS order — the information real
+	// Vorpal encodes in the vector timestamps. Each conflict opens a new
+	// epoch, so records arrive in TS order; commit trims them.
+	deps [][]vorpalDep
 
 	// arrivals holds the flushes travelling to their controllers, oldest
 	// at ahead; every one takes FlushLat, so they arrive in FIFO order.
@@ -37,6 +39,13 @@ type Vorpal struct {
 	ahead    int
 
 	broadcastOn bool
+}
+
+// vorpalDep is one dependency edge: epoch ts of the owning thread waits
+// for src.
+type vorpalDep struct {
+	ts  uint64
+	src persist.EpochID
 }
 
 type vorpalFlush struct {
@@ -63,7 +72,7 @@ func newVorpal(env Env) *Vorpal {
 		persisted: make([][]uint64, env.Cfg.Cores),
 		visible:   make([]uint64, env.Cfg.Cores),
 		pending:   make([][]vorpalFlush, env.Cfg.MCs),
-		deps:      make(map[persist.EpochID][]persist.EpochID),
+		deps:      make([][]vorpalDep, env.Cfg.Cores),
 	}
 	for i := range m.persisted {
 		m.persisted[i] = make([]uint64, env.Cfg.MCs)
@@ -90,10 +99,20 @@ func (m *Vorpal) EpochCommitted(e persist.EpochID) bool {
 	return true
 }
 
-// committed marks e persisted at every controller.
-func (m *Vorpal) committed(c *fcore, e persist.EpochID) {
+// committed marks ent persisted at every controller and drops the
+// dependency records of ent and the epochs before it: their writes have
+// all persisted, so no flush of theirs is left to order.
+func (m *Vorpal) committed(c *fcore, ent *persist.ETEntry) {
 	for mcID := range m.persisted[c.id] {
-		m.persisted[c.id][mcID] = e.TS
+		m.persisted[c.id][mcID] = ent.TS
+	}
+	d := m.deps[c.id]
+	k := 0
+	for k < len(d) && d[k].ts <= ent.TS {
+		k++
+	}
+	if k > 0 {
+		m.deps[c.id] = d[:copy(d, d[k:])]
 	}
 }
 
@@ -109,9 +128,8 @@ func (m *Vorpal) Conflict(core int, cf *cache.Conflict) {
 	// the broadcast shows the source persisted; record the edge for the
 	// crash checker.
 	cur := m.split(core, src)
-	dst := persist.EpochID{Thread: core, TS: cur.TS}
-	m.deps[dst] = append(m.deps[dst], src) //asaplint:ignore alloccheck bookkeeping map bounded by workload footprint; outside the zero-alloc gate
-	m.env.Ledger.DepCreated(src, dst)
+	m.deps[core] = append(m.deps[core], vorpalDep{ts: cur.TS, src: src}) //asaplint:ignore alloccheck conflict-only path; records trimmed at commit, bounded by live epochs
+	m.env.Ledger.DepCreated(src, persist.EpochID{Thread: core, TS: cur.TS})
 }
 
 // PBBlocked: issue is eager, so the buffer never blocks core-side.
@@ -172,8 +190,11 @@ func (m *Vorpal) safeToPersist(e persist.EpochID) bool {
 	if m.visible[e.Thread] < e.TS-1 {
 		return false
 	}
-	for _, src := range m.deps[e] {
-		if m.visible[src.Thread] < src.TS {
+	for _, d := range m.deps[e.Thread] {
+		if d.ts > e.TS {
+			break
+		}
+		if d.ts == e.TS && m.visible[d.src.Thread] < d.src.TS {
 			return false
 		}
 	}

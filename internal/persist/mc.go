@@ -96,9 +96,11 @@ type MC struct {
 	replies []mcReply // in-flight MsgLat replies; rhead indexes the oldest
 	rhead   int
 
-	// commit replay progress (valid while serving a commit job)
-	delays   []*DelayRecord
-	delayIdx int
+	// commit replay progress (valid while serving a commit job): a copy
+	// of the committed epoch's first nDelays delay records, in a buffer of
+	// table capacity reused by every commit.
+	delays            []DelayRecord
+	nDelays, delayIdx int
 
 	// wpq-full retry state. The controller is single-served, so at most one
 	// insert can be waiting for drain space at a time.
@@ -137,6 +139,7 @@ func NewMC(id int, eng *sim.Engine, cfg config.Config, speculative bool, st *sta
 	}
 	if speculative {
 		mc.RT = NewRecoveryTable(cfg.RTEntries)
+		mc.delays = make([]DelayRecord, cfg.RTEntries)
 		mc.Bloom = NewCountingBloom(1024, 3)
 	}
 	return mc
@@ -297,7 +300,7 @@ func (mc *MC) debugFlush(pkt FlushPacket) {
 // debugCommitDelays prints the delay records a commit replays; test
 // diagnostics behind the DebugLine gate.
 func (mc *MC) debugCommitDelays() {
-	for _, d := range mc.delays {
+	for _, d := range mc.delays[:mc.nDelays] {
 		if d.Line == DebugLine {
 			fmt.Printf("[%d] MC%d commit %v replays delay tok=%d mem=%d\n", mc.eng.Now(), mc.ID, mc.cur.epoch, d.Token, mc.NVM.Peek(d.Line))
 		}
@@ -409,7 +412,7 @@ func (mc *MC) readDone(old mem.Token) {
 // processCommit deletes the epoch's undo records and replays its delay
 // records as freshly arrived flushes (§V-B rules 1 and 2).
 func (mc *MC) processCommit() {
-	mc.delays = mc.RT.Commit(mc.cur.epoch)
+	mc.nDelays = mc.RT.Commit(mc.cur.epoch, mc.delays)
 	mc.delayIdx = 0
 	if DebugLine != 0 {
 		mc.debugCommitDelays() //asaplint:ignore alloccheck test-only diagnostics behind the DebugLine gate, never on a measured run
@@ -422,16 +425,14 @@ func (mc *MC) processCommit() {
 // replays (line has a newer undo record) are absorbed in place.
 func (mc *MC) commitNext() {
 	for {
-		if mc.delayIdx >= len(mc.delays) {
-			if mc.delays != nil {
-				mc.RT.RecycleDelays(mc.delays)
-			}
-			mc.delays = nil
+		if mc.delayIdx >= mc.nDelays {
+			clear(mc.delays[:mc.nDelays])
+			mc.nDelays, mc.delayIdx = 0, 0
 			mc.sendReply(mcReply{acker: mc.cur.commitAcker, ackEpoch: mc.cur.epoch})
 			mc.finishJob()
 			return
 		}
-		d := mc.delays[mc.delayIdx]
+		d := &mc.delays[mc.delayIdx]
 		mc.delayIdx++
 		if _, hasUndo := mc.RT.Undo(d.Line); hasUndo {
 			mc.RT.UpdateUndo(d.Line, d.Token)

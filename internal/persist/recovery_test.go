@@ -9,6 +9,12 @@ import (
 
 func e(th int, ts uint64) EpochID { return EpochID{Thread: th, TS: ts} }
 
+// commitAll commits epoch ep and returns the delay records it released.
+func commitAll(rt *RecoveryTable, ep EpochID) []DelayRecord {
+	buf := make([]DelayRecord, len(rt.undo))
+	return buf[:rt.Commit(ep, buf)]
+}
+
 // TestTableISemantics walks every cell of Table I through the recovery
 // table directly.
 func TestTableISemantics(t *testing.T) {
@@ -51,7 +57,7 @@ func TestFigure5Scenario(t *testing.T) {
 
 	// T2 commits first (T3 depends on it): its delay record emerges and,
 	// per §V-C, updates the undo record's safe value.
-	delays := rt.Commit(e(2, 1))
+	delays := commitAll(rt, e(2, 1))
 	if len(delays) != 1 || delays[0].Token != 2 {
 		t.Fatalf("T2 commit returned %v", delays)
 	}
@@ -62,7 +68,7 @@ func TestFigure5Scenario(t *testing.T) {
 
 	// Crash here would restore A=2 (T2 committed, T3 not): correct.
 	// Instead T3 commits: undo deleted, memory keeps A=3.
-	if ds := rt.Commit(e(3, 1)); len(ds) != 0 {
+	if ds := commitAll(rt, e(3, 1)); len(ds) != 0 {
 		t.Fatalf("T3 commit returned stray delays %v", ds)
 	}
 	if _, ok := rt.Undo(a); ok {
@@ -109,7 +115,7 @@ func TestDelayOrderPreserved(t *testing.T) {
 			t.Fatal("delay rejected")
 		}
 	}
-	ds := rt.Commit(e(1, 4))
+	ds := commitAll(rt, e(1, 4))
 	if len(ds) != 3 || ds[0].Line != 3 || ds[1].Line != 9 || ds[2].Line != 5 {
 		t.Fatalf("delay order lost: %v", ds)
 	}
@@ -169,7 +175,7 @@ func TestRecoveryTableInvariants(t *testing.T) {
 					rt.UpdateUndo(l, mem.Token(o.Token))
 				}
 			case 2: // commit
-				rt.Commit(ep)
+				commitAll(rt, ep)
 				for ln := range undoLines {
 					if _, ok := rt.Undo(ln); !ok {
 						delete(undoLines, ln)
@@ -186,7 +192,7 @@ func TestRecoveryTableInvariants(t *testing.T) {
 		// Committing every possible epoch must empty the table.
 		for th := 0; th < 3; th++ {
 			for ts := uint64(1); ts <= 4; ts++ {
-				rt.Commit(EpochID{Thread: th, TS: ts})
+				commitAll(rt, EpochID{Thread: th, TS: ts})
 			}
 		}
 		return rt.Occupancy() == 0

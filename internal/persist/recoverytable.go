@@ -1,7 +1,9 @@
 package persist
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"asap/internal/mem"
 	"asap/internal/obs"
@@ -27,29 +29,22 @@ type DelayRecord struct {
 
 // RecoveryTable is the CAM in each memory controller holding undo and delay
 // records. Undo and delay records share the table's capacity.
+//
+// Each kind lives in a fixed slice of capacity records, the first nUndo
+// (nDelay) of them live, in arrival order. Lookups scan them: the table
+// holds 32 records on the paper's platform, and a scan of that many costs
+// less than hashing. Within one epoch, delays to the same line coalesce
+// (§VII-A, "Coalescing in the Recovery Table"), and arrival order across
+// lines is preserved.
 type RecoveryTable struct {
-	capacity int
-	undo     map[mem.Line]*UndoRecord
-	// delay records, keyed by epoch for commit processing. Within one
-	// epoch, delays to the same line coalesce (§VII-A, "Coalescing in the
-	// Recovery Table"), and arrival order across lines is preserved.
-	delay     map[EpochID][]*DelayRecord
-	delayLen  int
+	undo      []UndoRecord  // len is the capacity
+	delay     []DelayRecord // len is the capacity
+	nUndo     int
+	nDelay    int
 	maxOcc    int
 	undoMade  uint64
 	delayMade uint64
 	coalesced uint64
-
-	// undoFree recycles records deleted at commit. Callers only hold Undo()
-	// pointers within one controller job, so a record freed by Commit has no
-	// live references; reusing it keeps the early-flush path allocation-free.
-	undoFree []*UndoRecord
-	// delayFree and delaySlabs recycle delay records and the per-epoch
-	// slices backing them. Controllers hand both back via RecycleDelays
-	// once a commit's replay finishes, so steady-state delay traffic
-	// allocates nothing.
-	delayFree  []*DelayRecord
-	delaySlabs [][]*DelayRecord
 
 	trc   obs.Tracer // nil unless tracing; every use must be nil-guarded
 	track obs.TrackID
@@ -61,9 +56,8 @@ func NewRecoveryTable(capacity int) *RecoveryTable {
 		panic("persist: recovery table capacity must be positive")
 	}
 	return &RecoveryTable{
-		capacity: capacity,
-		undo:     make(map[mem.Line]*UndoRecord),
-		delay:    make(map[EpochID][]*DelayRecord),
+		undo:  make([]UndoRecord, capacity),
+		delay: make([]DelayRecord, capacity),
 	}
 }
 
@@ -75,14 +69,14 @@ func (rt *RecoveryTable) AttachTracer(tr obs.Tracer, track obs.TrackID) {
 }
 
 // Occupancy returns the number of live records (undo + delay).
-func (rt *RecoveryTable) Occupancy() int { return len(rt.undo) + rt.delayLen }
+func (rt *RecoveryTable) Occupancy() int { return rt.nUndo + rt.nDelay }
 
 // MaxOccupancy returns the high-water mark of Occupancy, the quantity
 // plotted in Figure 12.
 func (rt *RecoveryTable) MaxOccupancy() int { return rt.maxOcc }
 
 // Full reports whether no new record can be allocated.
-func (rt *RecoveryTable) Full() bool { return rt.Occupancy() >= rt.capacity }
+func (rt *RecoveryTable) Full() bool { return rt.Occupancy() >= len(rt.undo) }
 
 // UndosCreated and DelaysCreated report allocation counts (totalUndo in
 // Table VI).
@@ -92,10 +86,32 @@ func (rt *RecoveryTable) DelaysCreated() uint64 { return rt.delayMade }
 // DelaysCoalesced reports delay-record writes absorbed by an existing record.
 func (rt *RecoveryTable) DelaysCoalesced() uint64 { return rt.coalesced }
 
-// Undo returns the undo record for line l, if present.
-func (rt *RecoveryTable) Undo(l mem.Line) (*UndoRecord, bool) {
-	r, ok := rt.undo[l]
-	return r, ok
+// findUndo returns the index of line l's undo record, or -1.
+func (rt *RecoveryTable) findUndo(l mem.Line) int {
+	for i := range rt.undo[:rt.nUndo] {
+		if rt.undo[i].Line == l {
+			return i
+		}
+	}
+	return -1
+}
+
+// findDelay returns the index of epoch e's delay record for line l, or -1.
+func (rt *RecoveryTable) findDelay(l mem.Line, e EpochID) int {
+	for i := range rt.delay[:rt.nDelay] {
+		if d := &rt.delay[i]; d.Line == l && d.Epoch == e {
+			return i
+		}
+	}
+	return -1
+}
+
+// Undo returns a copy of the undo record for line l, if present.
+func (rt *RecoveryTable) Undo(l mem.Line) (UndoRecord, bool) {
+	if i := rt.findUndo(l); i >= 0 {
+		return rt.undo[i], true
+	}
+	return UndoRecord{}, false
 }
 
 // CreateUndo allocates an undo record storing safe as the pre-speculation
@@ -103,22 +119,14 @@ func (rt *RecoveryTable) Undo(l mem.Line) (*UndoRecord, bool) {
 // full (the controller NACKs the flush). Calling it when a record already
 // exists for l is a controller bug and panics.
 func (rt *RecoveryTable) CreateUndo(l mem.Line, safe mem.Token, e EpochID) bool {
-	if _, ok := rt.undo[l]; ok {
+	if rt.findUndo(l) >= 0 {
 		panic("persist: undo record already exists for line")
 	}
 	if rt.Full() {
 		return false
 	}
-	var r *UndoRecord
-	if n := len(rt.undoFree); n > 0 {
-		r = rt.undoFree[n-1]
-		rt.undoFree[n-1] = nil
-		rt.undoFree = rt.undoFree[:n-1]
-	} else {
-		r = new(UndoRecord) //asaplint:ignore alloccheck free-list miss; bounded by table capacity, then recycled forever
-	}
-	*r = UndoRecord{Line: l, Safe: safe, Creator: e}
-	rt.undo[l] = r //asaplint:ignore alloccheck map bounded by table capacity; deleted slots recycle at steady state
+	rt.undo[rt.nUndo] = UndoRecord{Line: l, Safe: safe, Creator: e}
+	rt.nUndo++
 	rt.undoMade++
 	rt.bumpOcc()
 	if rt.trc != nil {
@@ -133,47 +141,27 @@ func (rt *RecoveryTable) CreateUndo(l mem.Line, safe mem.Token, e EpochID) bool 
 // finds an undo record: memory already holds a newer speculative value, so
 // the incoming value becomes the recorded safe state instead.
 func (rt *RecoveryTable) UpdateUndo(l mem.Line, safe mem.Token) {
-	r, ok := rt.undo[l]
-	if !ok {
+	i := rt.findUndo(l)
+	if i < 0 {
 		panic("persist: UpdateUndo without a record")
 	}
-	r.Safe = safe
+	rt.undo[i].Safe = safe
 }
 
 // CreateDelay records an early write that must wait for its epoch to commit.
 // Writes to the same line from the same epoch coalesce in place. It reports
 // false when a new record is needed but the table is full.
 func (rt *RecoveryTable) CreateDelay(l mem.Line, tok mem.Token, e EpochID) bool {
-	for _, d := range rt.delay[e] {
-		if d.Line == l {
-			d.Token = tok
-			rt.coalesced++
-			return true
-		}
+	if i := rt.findDelay(l, e); i >= 0 {
+		rt.delay[i].Token = tok
+		rt.coalesced++
+		return true
 	}
 	if rt.Full() {
 		return false
 	}
-	var d *DelayRecord
-	if n := len(rt.delayFree); n > 0 {
-		d = rt.delayFree[n-1]
-		rt.delayFree[n-1] = nil
-		rt.delayFree = rt.delayFree[:n-1]
-	} else {
-		d = new(DelayRecord) //asaplint:ignore alloccheck free-list miss; bounded by table capacity, then recycled forever
-	}
-	*d = DelayRecord{Line: l, Token: tok, Epoch: e}
-	ds := rt.delay[e]
-	if ds == nil {
-		if n := len(rt.delaySlabs); n > 0 {
-			ds = rt.delaySlabs[n-1][:0]
-			rt.delaySlabs[n-1] = nil
-			rt.delaySlabs = rt.delaySlabs[:n-1]
-		}
-	}
-	ds = append(ds, d) //asaplint:ignore alloccheck recycled slab; backing array reaches steady-state capacity once
-	rt.delay[e] = ds   //asaplint:ignore alloccheck epoch keys bounded by live epochs; deleted slots recycle
-	rt.delayLen++
+	rt.delay[rt.nDelay] = DelayRecord{Line: l, Token: tok, Epoch: e}
+	rt.nDelay++
 	rt.delayMade++
 	rt.bumpOcc()
 	if rt.trc != nil {
@@ -184,78 +172,80 @@ func (rt *RecoveryTable) CreateDelay(l mem.Line, tok mem.Token, e EpochID) bool 
 }
 
 // HasDelay reports whether epoch e already holds a delay record for line l.
-func (rt *RecoveryTable) HasDelay(l mem.Line, e EpochID) bool {
-	for _, d := range rt.delay[e] {
-		if d.Line == l {
-			return true
-		}
-	}
-	return false
-}
+func (rt *RecoveryTable) HasDelay(l mem.Line, e EpochID) bool { return rt.findDelay(l, e) >= 0 }
 
 // Commit removes all records owned by epoch e: undo records created by e are
 // deleted (their speculative writes are now safe), and e's delay records are
-// removed and returned in arrival order so the controller can process them
-// as if the flushes had just arrived (§V-C).
-func (rt *RecoveryTable) Commit(e EpochID) []*DelayRecord {
-	//asaplint:ignore detcheck deleting the subset owned by e is order-independent
-	for l, r := range rt.undo {
-		if r.Creator == e {
-			delete(rt.undo, l)
-			// Clear the dead record: Insert overwrites it wholesale on
-			// reuse, and zeroed free records keep checkpoint images
-			// byte-identical across processes (the free order follows
-			// this map iteration).
-			*r = UndoRecord{}
-			rt.undoFree = append(rt.undoFree, r) //asaplint:ignore alloccheck free list bounded by table capacity; backing array reaches it once
+// removed and copied to dst in arrival order, so the controller can process
+// them as if the flushes had just arrived (§V-C). dst must hold the table's
+// capacity; Commit returns the number of records copied. The records left
+// behind keep their arrival order, and the freed slots are zeroed, so dead
+// records never reach a checkpoint image.
+func (rt *RecoveryTable) Commit(e EpochID, dst []DelayRecord) int {
+	kept := 0
+	for _, u := range rt.undo[:rt.nUndo] {
+		if u.Creator != e {
+			rt.undo[kept] = u
+			kept++
 		}
 	}
-	ds := rt.delay[e]
-	if ds != nil {
-		delete(rt.delay, e)
-		rt.delayLen -= len(ds)
+	clear(rt.undo[kept:rt.nUndo])
+	rt.nUndo = kept
+	kept, n := 0, 0
+	for _, d := range rt.delay[:rt.nDelay] {
+		if d.Epoch == e {
+			dst[n] = d
+			n++
+		} else {
+			rt.delay[kept] = d
+			kept++
+		}
 	}
+	clear(rt.delay[kept:rt.nDelay])
+	rt.nDelay = kept
 	if rt.trc != nil {
 		rt.trc.Counter(rt.track, "rt", int64(rt.Occupancy()))
 	}
-	return ds
+	return n
 }
 
-// RecycleDelays hands a slice returned by Commit back to the table's
-// free pool once the caller has replayed every record. The caller must
-// drop all references to the slice and its records before calling.
-func (rt *RecoveryTable) RecycleDelays(ds []*DelayRecord) {
-	for i, d := range ds {
-		*d = DelayRecord{}
-		rt.delayFree = append(rt.delayFree, d) //asaplint:ignore alloccheck free list bounded by table capacity; backing array reaches it once
-		ds[i] = nil
-	}
-	if cap(ds) > 0 {
-		rt.delaySlabs = append(rt.delaySlabs, ds[:0]) //asaplint:ignore alloccheck slab pool bounded by live epochs; backing array reaches it once
-	}
-}
-
-// UndoRecords returns all live undo records in ascending line order, so
-// crash replay is deterministic; the crash handler writes their safe
-// values back to NVM (§V-E). Delay records play no role in a crash.
-func (rt *RecoveryTable) UndoRecords() []*UndoRecord {
-	lines := make([]mem.Line, 0, len(rt.undo))
-	for l := range rt.undo {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	out := make([]*UndoRecord, 0, len(lines))
-	for _, l := range lines {
-		out = append(out, rt.undo[l])
-	}
+// UndoRecords returns a copy of the live undo records in ascending line
+// order, so crash replay is deterministic; the crash handler writes their
+// safe values back to NVM (§V-E). Delay records play no role in a crash.
+func (rt *RecoveryTable) UndoRecords() []UndoRecord {
+	out := slices.Clone(rt.undo[:rt.nUndo])
+	slices.SortFunc(out, func(a, b UndoRecord) int { return cmp.Compare(a.Line, b.Line) })
 	return out
 }
 
 // Reset clears the table, as after a post-crash restart.
 func (rt *RecoveryTable) Reset() {
-	rt.undo = make(map[mem.Line]*UndoRecord)
-	rt.delay = make(map[EpochID][]*DelayRecord)
-	rt.delayLen = 0
+	clear(rt.undo)
+	clear(rt.delay)
+	rt.nUndo, rt.nDelay = 0, 0
+}
+
+// Check reports the first broken table invariant: occupancy outside the
+// capacity, two undo records for one line, or two delay records for one
+// line of one epoch. A table decoded from a checkpoint image is checked
+// before use.
+func (rt *RecoveryTable) Check() error {
+	if len(rt.undo) == 0 || len(rt.delay) != len(rt.undo) || rt.nUndo < 0 || rt.nDelay < 0 ||
+		rt.nUndo+rt.nDelay > len(rt.undo) {
+		return fmt.Errorf("persist: recovery table holds %d undo and %d delay records in %d slots",
+			rt.nUndo, rt.nDelay, len(rt.undo))
+	}
+	for i, u := range rt.undo[:rt.nUndo] {
+		if rt.findUndo(u.Line) != i {
+			return fmt.Errorf("persist: recovery table holds two undo records for line %d", u.Line)
+		}
+	}
+	for i, d := range rt.delay[:rt.nDelay] {
+		if rt.findDelay(d.Line, d.Epoch) != i {
+			return fmt.Errorf("persist: recovery table holds two delay records for line %d of epoch %v", d.Line, d.Epoch)
+		}
+	}
+	return nil
 }
 
 func (rt *RecoveryTable) bumpOcc() {

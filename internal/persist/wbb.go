@@ -1,7 +1,7 @@
 package persist
 
 import (
-	"sort"
+	"fmt"
 
 	"asap/internal/mem"
 	"asap/internal/obs"
@@ -12,14 +12,14 @@ import (
 // are still queued in the persist buffer, the eviction parks here instead
 // of propagating, so a later coherence request is still forwarded to the
 // owning core and the cross-thread dependency is not lost. The line leaves
-// the buffer once the persist buffer flushes the corresponding entry.
+// the buffer once the persist buffer no longer holds a write to it.
 //
-// Each entry records the persist-buffer entry ID it waits on ("WBB records
-// the tail index of the persist buffer when the cache initiates the
-// eviction").
+// The buffer is a fixed slice of capacity line slots, the first n of them
+// parked in arrival order. Lookups scan it: the buffer is 16 entries deep,
+// and a scan of that many slots costs less than hashing.
 type WBB struct {
-	capacity int
-	entries  map[mem.Line]uint64 // line -> PB entry ID it waits for
+	lines []mem.Line // len is the capacity
+	n     int        // parked lines
 
 	parked   uint64
 	released uint64
@@ -34,7 +34,7 @@ func NewWBB(capacity int) *WBB {
 	if capacity <= 0 {
 		panic("persist: WBB capacity must be positive")
 	}
-	return &WBB{capacity: capacity, entries: make(map[mem.Line]uint64)}
+	return &WBB{lines: make([]mem.Line, capacity)}
 }
 
 // AttachTracer emits park instants and occupancy counters on track (the
@@ -44,57 +44,37 @@ func (w *WBB) AttachTracer(tr obs.Tracer, track obs.TrackID) {
 	w.track = track
 }
 
-// Park holds an evicted line until PB entry id is flushed. It reports false
-// when the buffer is full (the eviction must then stall, which callers
-// model as a delayed retry).
-func (w *WBB) Park(line mem.Line, pbEntryID uint64) bool {
-	if _, ok := w.entries[line]; ok {
-		return true // already parked; keep the earlier dependency
+// Park holds an evicted line until the persist buffer drains its writes.
+// It reports false when the buffer is full (the eviction must then stall,
+// which callers model as a delayed retry).
+func (w *WBB) Park(line mem.Line) bool {
+	if w.Contains(line) {
+		return true // already parked
 	}
-	if len(w.entries) >= w.capacity {
+	if w.n >= len(w.lines) {
 		return false
 	}
-	w.entries[line] = pbEntryID //asaplint:ignore alloccheck map bounded by WBB capacity (checked above); deleted slots recycle
+	w.lines[w.n] = line
+	w.n++
 	w.parked++
-	if len(w.entries) > w.maxOcc {
-		w.maxOcc = len(w.entries)
+	if w.n > w.maxOcc {
+		w.maxOcc = w.n
 	}
 	if w.trc != nil {
 		w.trc.Instant(w.track, "wbb park")
-		w.trc.Counter(w.track, "wbb", int64(len(w.entries)))
+		w.trc.Counter(w.track, "wbb", int64(w.n))
 	}
 	return true
 }
 
 // Contains reports whether the line is parked.
 func (w *WBB) Contains(line mem.Line) bool {
-	_, ok := w.entries[line]
-	return ok
-}
-
-// sortedParked returns the parked lines in ascending order, so release
-// processing is deterministic across runs.
-func (w *WBB) sortedParked() []mem.Line {
-	lines := make([]mem.Line, 0, len(w.entries))
-	for l := range w.entries {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
-}
-
-// OnFlush releases every line waiting on PB entry id (or any earlier
-// entry), returning the released lines in ascending line order.
-func (w *WBB) OnFlush(pbEntryID uint64) []mem.Line {
-	var out []mem.Line
-	for _, l := range w.sortedParked() {
-		if w.entries[l] <= pbEntryID {
-			out = append(out, l)
-			delete(w.entries, l)
-			w.released++
+	for _, l := range w.lines[:w.n] {
+		if l == line {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // LineBuffer reports whether a core's persist buffer still holds an
@@ -104,26 +84,45 @@ type LineBuffer interface {
 }
 
 // ReleaseFlushed releases every parked line that core's persist buffer in
-// pb no longer holds (used by machines that poll the persist buffer state
-// instead of receiving per-entry flush notifications) and returns the
-// count released.
+// pb no longer holds and returns the count released. The lines still
+// parked keep their arrival order.
 func (w *WBB) ReleaseFlushed(pb LineBuffer, core int) int {
-	n := 0
-	for _, l := range w.sortedParked() {
-		if !pb.PBHasLine(core, l) {
-			delete(w.entries, l)
-			w.released++
-			n++
+	kept := 0
+	for _, l := range w.lines[:w.n] {
+		if pb.PBHasLine(core, l) {
+			w.lines[kept] = l
+			kept++
 		}
 	}
+	clear(w.lines[kept:w.n])
+	n := w.n - kept
+	w.n = kept
+	w.released += uint64(n)
 	if n > 0 && w.trc != nil {
-		w.trc.Counter(w.track, "wbb", int64(len(w.entries)))
+		w.trc.Counter(w.track, "wbb", int64(w.n))
 	}
 	return n
 }
 
+// Check reports the first broken buffer invariant: occupancy outside the
+// capacity, or a line parked twice. A buffer decoded from a checkpoint
+// image is checked before use.
+func (w *WBB) Check() error {
+	if len(w.lines) == 0 || w.n < 0 || w.n > len(w.lines) {
+		return fmt.Errorf("persist: WBB holds %d lines in %d slots", w.n, len(w.lines))
+	}
+	for i, l := range w.lines[:w.n] {
+		for _, o := range w.lines[i+1 : w.n] {
+			if o == l {
+				return fmt.Errorf("persist: WBB parks line %d twice", l)
+			}
+		}
+	}
+	return nil
+}
+
 // Len, MaxOccupancy, Parked and Released report usage.
-func (w *WBB) Len() int          { return len(w.entries) }
+func (w *WBB) Len() int          { return w.n }
 func (w *WBB) MaxOccupancy() int { return w.maxOcc }
 func (w *WBB) Parked() uint64    { return w.parked }
 func (w *WBB) ReleasedN() uint64 { return w.released }

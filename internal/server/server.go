@@ -475,12 +475,14 @@ func (s *Server) execute(ru *run) {
 	s.log.Info("run finished", "run", ru.hash, "spec", ru.spec.String(), "cycles", uint64(res.Cycles),
 		"queueWaitMs", ms(queueWait), "simulateMs", ms(simulate))
 
+	// Drop the run entry before ru.done releases waiters, for the same
+	// reason: the store answers from now on, and a client that saw its
+	// POST return must not find the run still counted as in flight.
 	ru.body = body
-	close(ru.done)
-
 	s.mu.Lock()
 	delete(s.runs, ru.hash)
 	s.mu.Unlock()
+	close(ru.done)
 }
 
 // ms renders a duration as fractional milliseconds for log records.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -143,6 +144,27 @@ func TestStructuredRequestLogs(t *testing.T) {
 	}
 }
 
+// lineDiff lists the lines at which two scrapes differ, as "-first" /
+// "+second" pairs, so a failed byte-stability check names the family that
+// moved.
+func lineDiff(a, b []byte) string {
+	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	var out strings.Builder
+	for i := 0; i < max(len(la), len(lb)); i++ {
+		var x, y string
+		if i < len(la) {
+			x = la[i]
+		}
+		if i < len(lb) {
+			y = lb[i]
+		}
+		if x != y {
+			fmt.Fprintf(&out, "line %d:\n-%s\n+%s\n", i+1, x, y)
+		}
+	}
+	return out.String()
+}
+
 // TestMetricsExposition: after a miss→hit pair, /metrics serves valid
 // Prometheus text covering the server counters, the per-route request
 // metrics, the span distributions, and the full simulator vocabulary —
@@ -190,7 +212,7 @@ func TestMetricsExposition(t *testing.T) {
 	// is excluded from its own metrics), so the pages are identical.
 	_, body2 := get(t, ts.URL+"/metrics")
 	if !bytes.Equal(body1, body2) {
-		t.Fatal("consecutive scrapes of an idle server differ")
+		t.Fatalf("consecutive scrapes of an idle server differ:\n%s", lineDiff(body1, body2))
 	}
 
 	if err := stats.CheckProm(bytes.NewReader(body1)); err != nil {
