@@ -19,6 +19,7 @@ func main() {
 	eng := sim.NewEngine()
 	cfg := config.Default()
 	mc := persist.NewMC(0, eng, cfg, true /* speculative: recovery table */, stats.New())
+	mc.Connect(printer{}) // in a machine, the model receives every reply
 
 	line := mem.LineOf(0x1000)
 	show := func(step string) {
@@ -41,11 +42,11 @@ func main() {
 			Line: line, Token: tok,
 			Epoch: persist.EpochID{Thread: thread, TS: ts},
 			Early: early,
-		}, printer{}, uint64(tok)<<8|uint64(thread))
+		}, uint64(tok)<<8|uint64(thread))
 		eng.Run(0)
 	}
 	commit := func(thread int, ts uint64) {
-		mc.CommitOp(persist.EpochID{Thread: thread, TS: ts}, printer{})
+		mc.CommitOp(persist.EpochID{Thread: thread, TS: ts})
 		eng.Run(0)
 	}
 
@@ -76,15 +77,16 @@ func main() {
 	// Rebuild the same state on a fresh controller.
 	eng2 := sim.NewEngine()
 	mc2 := persist.NewMC(0, eng2, cfg, true, stats.New())
+	mc2.Connect(quiet{})
 	replay := func(tok mem.Token, thread int, ts uint64, early bool) {
 		mc2.ReceiveOp(persist.FlushPacket{Line: line, Token: tok,
-			Epoch: persist.EpochID{Thread: thread, TS: ts}, Early: early}, quiet{}, 0)
+			Epoch: persist.EpochID{Thread: thread, TS: ts}, Early: early}, 0)
 		eng2.Run(0)
 	}
 	replay(1, 1, 1, false)
 	replay(3, 3, 1, true)
 	replay(2, 2, 1, true)
-	mc2.CommitOp(persist.EpochID{Thread: 2, TS: 1}, quiet{})
+	mc2.CommitOp(persist.EpochID{Thread: 2, TS: 1})
 	eng2.Run(0)
 	fmt.Printf("pre-crash: memory=%d (speculative), undo safe=2 (T2 committed)\n", mc2.NVM.Peek(line))
 	mc2.CrashFlush()

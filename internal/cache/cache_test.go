@@ -160,7 +160,7 @@ func TestHierarchyRemoteTransfer(t *testing.T) {
 	if r.Level != LevelRemote {
 		t.Fatalf("expected remote supply, got %q", r.Level)
 	}
-	if r.Conflict == nil || r.Conflict.Writer != 0 {
+	if !r.Conflicted || r.Conflict.Writer != 0 {
 		t.Fatal("conflict not reported")
 	}
 }

@@ -42,12 +42,16 @@ func newBroadcastHierarchy(cfg config.Config) *broadcastHierarchy {
 
 func (h *broadcastHierarchy) Access(core int, l mem.Line, write, acquire bool, ts uint64) AccessResult {
 	var res AccessResult
+	var cf *Conflict
 	var remote bool
 	h.evScratch = h.evScratch[:0]
 	if write {
-		res.Conflict, remote, _ = h.dir.Write(core, l, ts) // mask ignored: broadcast below
+		cf, remote, _ = h.dir.Write(core, l, ts) // mask ignored: broadcast below
 	} else {
-		res.Conflict, remote = h.dir.Read(core, l, acquire)
+		cf, remote = h.dir.Read(core, l, acquire)
+	}
+	if cf != nil {
+		res.Conflicted, res.Conflict = true, *cf
 	}
 
 	switch {
@@ -97,17 +101,18 @@ func (h *broadcastHierarchy) fillLLC(l mem.Line) {
 	}
 }
 
-// conflictCopy is a value snapshot of the scratch-aliased *Conflict.
+// conflictCopy is a value snapshot of a result's conflict (a stale
+// Conflict behind Conflicted == false reads as no conflict).
 type conflictCopy struct {
 	ok bool
 	cf Conflict
 }
 
-func snapConflict(cf *Conflict) conflictCopy {
-	if cf == nil {
+func snapConflict(conflicted bool, cf Conflict) conflictCopy {
+	if !conflicted {
 		return conflictCopy{}
 	}
-	return conflictCopy{ok: true, cf: *cf}
+	return conflictCopy{ok: true, cf: cf}
 }
 
 // TestDifferentialCoherence replays random multi-core access streams
@@ -148,7 +153,7 @@ func TestDifferentialCoherence(t *testing.T) {
 			// Snapshot before the second hierarchy overwrites nothing —
 			// each hierarchy has its own scratch, but copy for clarity.
 			aEv := append([]mem.Line(nil), a.LLCEvicted...)
-			aCf := snapConflict(a.Conflict)
+			aCf := snapConflict(a.Conflicted, a.Conflict)
 
 			b := opt.Access(core, l, write, acquire, ts)
 
@@ -156,7 +161,7 @@ func TestDifferentialCoherence(t *testing.T) {
 				t.Fatalf("seed %d step %d (core %d line %d write %v): ref (%v,%s) vs opt (%v,%s)",
 					seed, i, core, l, write, a.Latency, a.Level, b.Latency, b.Level)
 			}
-			bCf := snapConflict(b.Conflict)
+			bCf := snapConflict(b.Conflicted, b.Conflict)
 			if aCf != bCf {
 				t.Fatalf("seed %d step %d: conflict mismatch ref %+v vs opt %+v", seed, i, aCf, bCf)
 			}

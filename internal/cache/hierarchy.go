@@ -39,16 +39,18 @@ func (l Level) String() string {
 
 // AccessResult summarizes one core access through the hierarchy.
 //
-// Conflict, LLCEvicted and LLCEvictedWriter alias per-hierarchy scratch
-// storage that the next Access (or directory operation) overwrites:
-// callers must consume them before touching the hierarchy again, which
-// keeps the per-access path free of heap allocation.
+// The result is per-hierarchy scratch storage that the next Access
+// overwrites, eviction lists included: callers must consume it before
+// touching the hierarchy again, which keeps the per-access path free of
+// heap allocation.
 type AccessResult struct {
 	Latency sim.Cycles
 	// Level the access was satisfied at.
 	Level Level
-	// Conflict is non-nil when the line was last modified by another core.
-	Conflict *Conflict
+	// Conflicted is true when the line was last modified by another core;
+	// Conflict then describes the conflict.
+	Conflicted bool
+	Conflict   Conflict
 	// LLCEvicted lists lines evicted from the LLC by this access's fills.
 	// Persistent-memory lines are dropped rather than written back — the
 	// persist path owns durability (§V-A) — but the machine consults the
@@ -74,12 +76,10 @@ type Hierarchy struct {
 	llc *SetAssoc
 	dir *Directory
 
-	// res, evScratch and evWriterScratch back the AccessResult returned
-	// by Access, reused across accesses so the steady-state access path
+	// res backs the AccessResult returned by Access, reused (eviction
+	// lists included) across accesses so the steady-state access path
 	// neither allocates nor copies the result struct.
-	res             AccessResult
-	evScratch       []mem.Line
-	evWriterScratch []int
+	res AccessResult
 }
 
 // NewHierarchy builds the hierarchy for cfg.Cores cores.
@@ -107,21 +107,25 @@ func (h *Hierarchy) Directory() *Directory { return h.dir }
 // the access as an acquire operation for release-persistency dependency
 // detection.
 //
-// The returned pointer aliases per-hierarchy scratch (like the Conflict
-// and eviction slices inside it) and is valid only until the next Access.
+// The returned pointer aliases per-hierarchy scratch (like the eviction
+// slices inside it) and is valid only until the next Access.
 //
 //asap:hot per-memory-op: every simulated load/store funnels through here
 func (h *Hierarchy) Access(core int, l mem.Line, write, acquire bool, ts uint64) *AccessResult {
 	res := &h.res
+	var cf *Conflict
 	var remote bool
 	var invalidate uint64
 	l1, l2 := &h.l1[core], &h.l2[core]
-	h.evScratch = h.evScratch[:0]
-	h.evWriterScratch = h.evWriterScratch[:0]
+	res.LLCEvicted = res.LLCEvicted[:0]
+	res.LLCEvictedWriter = res.LLCEvictedWriter[:0]
 	if write {
-		res.Conflict, remote, invalidate = h.dir.Write(core, l, ts)
+		cf, remote, invalidate = h.dir.Write(core, l, ts)
 	} else {
-		res.Conflict, remote = h.dir.Read(core, l, acquire)
+		cf, remote = h.dir.Read(core, l, acquire)
+	}
+	if res.Conflicted = cf != nil; res.Conflicted {
+		res.Conflict = *cf
 	}
 
 	switch {
@@ -152,9 +156,6 @@ func (h *Hierarchy) Access(core int, l mem.Line, write, acquire bool, ts uint64)
 		h.fillPrivate(core, l)
 		h.fillLLC(l)
 	}
-	res.LLCEvicted = h.evScratch
-	res.LLCEvictedWriter = h.evWriterScratch
-
 	if write && invalidate != 0 {
 		// Sharer-directed invalidation: the directory's sharer vector
 		// names exactly the cores that can hold a copy, so only their
@@ -208,16 +209,17 @@ func (h *Hierarchy) fillL1(core int, l mem.Line) {
 }
 
 // fillLLC installs the line in the shared LLC, collecting evictions (and
-// their directory last-writer) into the reused scratch slices.
+// their directory last-writer) into the result's reused eviction lists.
 func (h *Hierarchy) fillLLC(l mem.Line) {
 	if v, had := h.llc.Insert(l); had {
 		writer := -1
 		if e, ok := h.dir.Peek(v); ok {
 			writer = int(e.LastWriter)
 		}
+		res := &h.res
 		//asaplint:ignore alloccheck scratch slices reach steady-state capacity after the first few evictions
-		h.evScratch = append(h.evScratch, v)
-		h.evWriterScratch = append(h.evWriterScratch, writer) //asaplint:ignore alloccheck same scratch contract as the line above
+		res.LLCEvicted = append(res.LLCEvicted, v)
+		res.LLCEvictedWriter = append(res.LLCEvictedWriter, writer) //asaplint:ignore alloccheck same scratch contract as the line above
 	}
 }
 

@@ -19,12 +19,15 @@ type diffCase struct {
 }
 
 // diffWorkloads samples the generator families: a hash table (pure persist
-// traffic), a lock-heavy logger, and a queue with cross-thread dependencies.
+// traffic), a lock-heavy logger, a queue with cross-thread dependencies,
+// and a strand-annotated tree, whose OpStrand boundaries give StrandWeaver
+// many live strands to fork and save.
 func diffWorkloads() []diffCase {
 	return []diffCase{
 		{wl: "cceh", p: workload.Params{Threads: 2, OpsPerThread: 120, Seed: 7}},
 		{wl: "atlas_queue", p: workload.Params{Threads: 3, OpsPerThread: 80, Seed: 11}},
 		{wl: "echo", p: workload.Params{Threads: 2, OpsPerThread: 100, Seed: 3}},
+		{wl: "dash_eh", p: workload.Params{Threads: 2, OpsPerThread: 100, Seed: 5, Strands: true}},
 	}
 }
 

@@ -18,20 +18,23 @@ package checkpoint
 //
 //   - POD leaves encode as varints (field-wise, never raw struct bytes, so
 //     padding can't leak and images are byte-stable across runs).
-//   - Pointers carry def/ref tags: the first visit of a pointee assigns
-//     the next dense id and encodes its contents; later visits reference
-//     the id. The decoder mirrors the numbering, reusing the fresh
-//     machine's pointee where construction provides one and allocating
-//     where the state grew past construction (ledger records, delay
-//     records, lock states).
-//   - Interfaces hold long-lived components (model, controllers, link):
-//     def/ref over their pointees plus a dynamic type name check.
-//   - The machine holds no func values: queued events and the models'
+//   - Every pointer in the machine is a construction-time edge: after
+//     machine.New no pointer slot is written and no pointee allocated
+//     (records live by value in slices; queued messages name components
+//     by index). So a pointer or interface slot encodes only as nil,
+//     first visit (the pointee's contents follow) or seen again, and the
+//     decoder decodes into the fresh machine's pointee at the same
+//     position. Save co-walks a pristine machine built from the same
+//     recipe and fails, naming the path, on a pointee whose pristine twin
+//     at that position is missing or differs from the one an earlier
+//     visit matched: state the decoder could not put back where it belongs.
+//   - Interfaces additionally carry the dynamic type name, checked
+//     against the fresh machine's; a non-pointer boxed value is immutable
+//     through its interface and keeps the fresh machine's copy.
+//   - The machine holds no func values and no maps: queued events and
 //     parked continuations (sim.Cont) are pointer-free values naming a
-//     receiver by its canonical index, so every cycle is serializable.
-//   - The machine holds no maps either (their iteration order is not a
-//     position the decoder could pair): a map, like a channel, fails the
-//     encode and the decode.
+//     receiver by its canonical index, and a map, like a channel, fails
+//     the encode and the decode (its iteration order is no position).
 //
 // Layout: magic, format version, then a SHA-256 digest of the remainder,
 // then the digested payload: schema fingerprint (a hash of the machine's
@@ -51,7 +54,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"unsafe"
 
 	"asap/internal/config"
@@ -61,7 +63,7 @@ import (
 
 const (
 	imageMagic   = "ASAPCKP1"
-	imageVersion = 1
+	imageVersion = 2
 
 	// maxImageElems bounds any decoded collection length; with the digest
 	// already verified this is defense in depth against resource blowups.
@@ -71,11 +73,11 @@ const (
 
 // Tag bytes for pointer-shaped values.
 const (
-	tagNil  = 0
-	tagDef  = 1 // first visit: id assigned implicitly, contents follow
-	tagRef  = 2 // later visit: uvarint id follows
-	tagKeep = 3 // opaque immutable boxed value: keep the fresh machine's
-	tagSkip = 4 // dynamically skipped (observability sink in an interface)
+	tagNil   = 0
+	tagFirst = 1 // first visit of the pointee: its contents follow
+	tagSeen  = 2 // the pointee was visited before: nothing follows
+	tagKeep  = 3 // opaque immutable boxed value: keep the fresh machine's
+	tagSkip  = 4 // dynamically skipped (observability sink in an interface)
 )
 
 // codecFail carries a codec error up through the recursive walk; Save and
@@ -92,63 +94,19 @@ type memSpan struct {
 // imgEncoder is the Save-side state.
 type imgEncoder struct {
 	buf []byte
-	// ids assigns dense ids to pointees: the spine pass (see spine below)
-	// numbers construction-backed objects first, the graph pass numbers
-	// the rest in stream order. emitted marks ids whose contents have been
-	// written; pairs maps a captured pointee to its pristine counterpart
-	// discovered by the spine pass, for positions where the local
-	// co-traversal has lost the pairing (first visit via a transient path).
-	ids     map[seenKey]uint64
-	emitted map[uint64]bool
-	pairs   map[seenKey]unsafe.Pointer
-	next    uint64
-	spans   []memSpan
-	path    []string
+	// seen maps every visited pointee to its pristine twin and back (the
+	// captured and pristine machines share no address).
+	seen  map[seenKey]unsafe.Pointer
+	spans []memSpan
+	path  []string
 }
 
 // imgDecoder is the Load-side state.
 type imgDecoder struct {
 	data []byte
 	pos  int
-	// table maps def ids (dense from 1) to the materialized pointees; the
-	// spine pass pre-fills construction-backed entries from the fresh
-	// machine, the graph pass appends the rest in stream order.
-	table []reflect.Value
-	path  []string
-}
-
-// hasRefs reports whether values of t can contain pointer or interface
-// slots the spine pass cares about. Purely type-derived, so encoder and
-// decoder prune identically.
-var (
-	hasRefsMu   sync.Mutex
-	hasRefsMemo = map[reflect.Type]bool{}
-)
-
-func hasRefs(t reflect.Type) bool {
-	hasRefsMu.Lock()
-	defer hasRefsMu.Unlock()
-	return hasRefsLocked(t)
-}
-
-func hasRefsLocked(t reflect.Type) bool {
-	if v, ok := hasRefsMemo[t]; ok {
-		return v
-	}
-	hasRefsMemo[t] = false // break recursive types; a cycle needs a pointer, caught below
-	var v bool
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Interface:
-		v = true
-	case reflect.Slice, reflect.Array:
-		v = hasRefsLocked(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField() && !v; i++ {
-			v = hasRefsLocked(t.Field(i).Type)
-		}
-	}
-	hasRefsMemo[t] = v
-	return v
+	seen map[seenKey]bool // the fresh machine's pointees decoded so far
+	path []string
 }
 
 func (e *imgEncoder) fail(format string, args ...any) {
@@ -211,7 +169,7 @@ func (d *imgDecoder) str() string {
 
 // --- value codec ---
 
-// imgDebugMarks, when non-nil, receives (buffer offset, path) pairs as the
+// imgDebugMarks, when non-nil, receives a (buffer offset, path) mark as the
 // encoder descends — a test-only hook for attributing image bytes.
 var imgDebugMarks func(off int, path string)
 
@@ -368,8 +326,8 @@ func (e *imgEncoder) encSlice(ptr, pr unsafe.Pointer, t reflect.Type) {
 	}
 	// Pristine-backed equal-length slices decode in place over the fresh
 	// machine's backing, so construction-time aliasing (two headers over
-	// one array) is reproduced; only backings the decoder would rebuild
-	// must prove nothing else points into them.
+	// one array) is reproduced; backings the decoder rebuilds must not
+	// overlap one another.
 	if sz > 0 && prBase == nil {
 		e.spans = append(e.spans, memSpan{base: uintptr(base), size: uintptr(n) * sz, what: "slice " + strings.Join(e.path, ".")})
 	}
@@ -421,127 +379,117 @@ func (d *imgDecoder) decSlice(ptr unsafe.Pointer, t reflect.Type) {
 	}
 }
 
-// defID returns the id for a first-visit pointee (spine-assigned or newly
-// numbered) and the pristine counterpart to co-traverse with — the local
-// one when the current position has it, else the spine pairing.
-func (e *imgEncoder) defID(key seenKey, localPr unsafe.Pointer) (uint64, unsafe.Pointer) {
-	id, ok := e.ids[key]
-	if !ok {
-		e.next++
-		id = e.next
-		e.ids[key] = id
+// encRef writes the tag of a visit to pointee p of type et, whose pristine
+// twin at this position is pp, and reports whether the contents follow.
+func (e *imgEncoder) encRef(p, pp unsafe.Pointer, et reflect.Type) bool {
+	if pp == nil {
+		e.fail("%v pointee has no counterpart in a freshly built machine (only construction-time pointers are serializable)", et)
 	}
-	e.emitted[id] = true
-	prp := localPr
-	if prp == nil {
-		prp = e.pairs[key]
+	k, pk := seenKey{p, et}, seenKey{pp, et}
+	twin, seen := e.seen[k]
+	_, pseen := e.seen[pk]
+	switch {
+	case seen && twin == pp:
+		e.byte(tagSeen)
+		return false
+	case seen || pseen:
+		e.fail("%v pointee matches a different pristine twin than at an earlier visit", et)
 	}
-	// Construction-backed pointees decode into the fresh machine's own
-	// object, so captured-side aliasing (pointers into the middle of the
-	// machine, say) is reproduced and needs no audit span. Only mid-run
-	// allocations — which the decoder rebuilds with reflect.New — must
-	// prove they are not aliased.
-	if prp == nil {
-		if sz := key.typ.Size(); sz > 0 {
-			e.spans = append(e.spans, memSpan{base: uintptr(key.ptr), size: sz, what: "pointee " + strings.Join(e.path, ".")})
-		}
-	}
-	return id, prp
+	e.seen[k], e.seen[pk] = pp, p
+	e.byte(tagFirst)
+	return true
 }
 
-// encPtr writes the def/ref graph structure for one pointer.
+// decRef consumes the tag of a visit to the fresh machine's pointee fp of
+// type et and reports whether the contents follow.
+func (d *imgDecoder) decRef(tag byte, fp unsafe.Pointer, et reflect.Type) bool {
+	if fp == nil {
+		d.fail("image has a %v pointee where the fresh machine has none — construction diverged", et)
+	}
+	k := seenKey{fp, et}
+	switch tag {
+	case tagFirst:
+		if d.seen[k] {
+			d.fail("first visit of a %v pointee decoded before", et)
+		}
+		d.seen[k] = true
+		return true
+	case tagSeen:
+		if !d.seen[k] {
+			d.fail("repeat visit of a %v pointee never decoded", et)
+		}
+		return false
+	}
+	d.fail("bad pointer tag %d", tag)
+	return false
+}
+
+// nilRef writes a nil slot; filled reports whether its pristine twin is
+// non-nil. A slot construction filled stays filled, so the decoder never
+// writes a pointer at all.
+func (e *imgEncoder) nilRef(filled bool, t reflect.Type) {
+	if filled {
+		e.fail("%v cleared since construction", t)
+	}
+	e.byte(tagNil)
+}
+
+// nilRef checks a nil slot against the fresh machine's (filled if non-nil).
+func (d *imgDecoder) nilRef(filled bool, t reflect.Type) {
+	if filled {
+		d.fail("image has a nil %v where the fresh machine has one — construction diverged", t)
+	}
+}
+
+// encPtr writes one pointer slot.
 func (e *imgEncoder) encPtr(ptr, pr unsafe.Pointer, t reflect.Type) {
 	if skipType(t) {
 		return // observability sink: not part of the image
 	}
 	p := *(*unsafe.Pointer)(ptr)
-	if p == nil {
-		e.byte(tagNil)
-		return
-	}
-	et := t.Elem()
-	key := seenKey{ptr: p, typ: et}
-	if id, ok := e.ids[key]; ok && e.emitted[id] {
-		e.byte(tagRef)
-		e.uvarint(id)
-		return
-	}
-	var localPr unsafe.Pointer
+	var pp unsafe.Pointer
 	if pr != nil {
-		localPr = *(*unsafe.Pointer)(pr)
+		pp = *(*unsafe.Pointer)(pr)
 	}
-	id, prp := e.defID(key, localPr)
-	e.byte(tagDef)
-	e.uvarint(id)
-	e.encValue(p, prp, et)
+	if p == nil {
+		e.nilRef(pp != nil, t)
+		return
+	}
+	if e.encRef(p, pp, t.Elem()) {
+		e.encValue(p, pp, t.Elem())
+	}
 }
 
 func (d *imgDecoder) decPtr(ptr unsafe.Pointer, t reflect.Type) {
 	if skipType(t) {
 		return // fresh machine's (nil) sink stands
 	}
-	v := reflect.NewAt(t, ptr).Elem()
-	switch tag := d.byteVal(); tag {
-	case tagNil:
-		v.SetZero()
-	case tagDef:
-		target := d.defTarget(d.uvarint(), v, t)
-		v.Set(target)
-		d.decValue(target.UnsafePointer(), t.Elem())
-	case tagRef:
-		id := d.uvarint()
-		if id == 0 || id > uint64(len(d.table)) {
-			d.fail("dangling pointer ref %d", id)
-		}
-		tv := d.table[id-1]
-		if tv.Type() != t {
-			d.fail("pointer ref %d has type %v, want %v", id, tv.Type(), t)
-		}
-		v.Set(tv)
-	default:
-		d.fail("bad pointer tag %d", tag)
+	fp := *(*unsafe.Pointer)(ptr)
+	tag := d.byteVal()
+	if tag == tagNil {
+		d.nilRef(fp != nil, t)
+		return
 	}
-}
-
-// defTarget resolves a def id to the object that carries the decoded
-// contents: a spine-registered fresh pointee, the fresh machine's pointee
-// at this position, or (for mid-run allocations) a new object. Non-spine
-// ids must arrive in stream order — anything else is a corrupt graph.
-func (d *imgDecoder) defTarget(id uint64, v reflect.Value, t reflect.Type) reflect.Value {
-	if id == 0 {
-		d.fail("def id 0")
+	if d.decRef(tag, fp, t.Elem()) {
+		d.decValue(fp, t.Elem())
 	}
-	if id <= uint64(len(d.table)) {
-		tv := d.table[id-1]
-		if tv.Type() != t {
-			d.fail("def %d has type %v, want %v", id, tv.Type(), t)
-		}
-		return tv
-	}
-	if id != uint64(len(d.table))+1 {
-		d.fail("def id %d out of order (table has %d)", id, len(d.table))
-	}
-	var target reflect.Value
-	if !v.IsNil() {
-		target = reflect.NewAt(t.Elem(), v.UnsafePointer())
-	} else {
-		target = reflect.New(t.Elem())
-	}
-	d.table = append(d.table, target)
-	return target
 }
 
 // encIface handles interface-typed state: long-lived components referenced
-// through interfaces (model, controllers, link) encode as def/ref over
-// their pointees with a dynamic-type check; non-pointer boxed values are
-// immutable through the interface and keep the fresh machine's copy.
+// through interfaces (model, controllers, link) encode like pointers plus
+// their dynamic type name; non-pointer boxed values are immutable through
+// the interface and keep the fresh machine's copy.
 func (e *imgEncoder) encIface(ptr, pr unsafe.Pointer, t reflect.Type) {
 	if skipType(t) {
 		return
 	}
 	v := reflect.NewAt(t, ptr).Elem()
+	var pv reflect.Value
+	if pr != nil {
+		pv = reflect.NewAt(t, pr).Elem()
+	}
 	if v.IsNil() {
-		e.byte(tagNil)
+		e.nilRef(pv.IsValid() && !pv.IsNil(), t)
 		return
 	}
 	elem := v.Elem()
@@ -560,26 +508,15 @@ func (e *imgEncoder) encIface(ptr, pr unsafe.Pointer, t reflect.Type) {
 	if elem.IsNil() {
 		e.fail("typed-nil %v inside interface", elem.Type())
 	}
-	p := elem.UnsafePointer()
+	var pp unsafe.Pointer
+	if pv.IsValid() && !pv.IsNil() && pv.Elem().Type() == elem.Type() {
+		pp = pv.Elem().UnsafePointer()
+	}
 	et := elem.Type().Elem()
-	key := seenKey{ptr: p, typ: et}
-	if id, ok := e.ids[key]; ok && e.emitted[id] {
-		e.byte(tagRef)
-		e.uvarint(id)
-		return
+	if e.encRef(elem.UnsafePointer(), pp, et) {
+		e.str(elem.Type().String())
+		e.encValue(elem.UnsafePointer(), pp, et)
 	}
-	var localPr unsafe.Pointer
-	if pr != nil {
-		pv := reflect.NewAt(t, pr).Elem()
-		if !pv.IsNil() && pv.Elem().Type() == elem.Type() {
-			localPr = pv.Elem().UnsafePointer()
-		}
-	}
-	id, prp := e.defID(key, localPr)
-	e.byte(tagDef)
-	e.uvarint(id)
-	e.str(elem.Type().String())
-	e.encValue(p, prp, et)
 }
 
 func (d *imgDecoder) decIface(ptr unsafe.Pointer, t reflect.Type) {
@@ -589,7 +526,7 @@ func (d *imgDecoder) decIface(ptr unsafe.Pointer, t reflect.Type) {
 	v := reflect.NewAt(t, ptr).Elem()
 	switch tag := d.byteVal(); tag {
 	case tagNil:
-		v.SetZero()
+		d.nilRef(!v.IsNil(), t)
 	case tagKeep:
 		want := d.str()
 		if v.IsNil() || v.Elem().Type().String() != want {
@@ -597,235 +534,32 @@ func (d *imgDecoder) decIface(ptr unsafe.Pointer, t reflect.Type) {
 		}
 	case tagSkip:
 		// Dynamically skipped observability value; fresh machine stands.
-	case tagDef:
-		id := d.uvarint()
-		want := d.str()
-		var target reflect.Value
-		if id >= 1 && id <= uint64(len(d.table)) {
-			target = d.table[id-1]
-		} else if id == uint64(len(d.table))+1 &&
-			!v.IsNil() && v.Elem().Kind() == reflect.Pointer && !v.Elem().IsNil() {
-			pe := v.Elem()
-			target = reflect.NewAt(pe.Type().Elem(), pe.UnsafePointer())
-			d.table = append(d.table, target)
-		} else {
-			d.fail("interface def %s (id %d) has no fresh counterpart — construction diverged", want, id)
-		}
-		if target.Type().String() != want {
-			d.fail("interface def %d is %v, image says %s", id, target.Type(), want)
-		}
-		if !target.Type().Implements(t) {
-			d.fail("interface def %d (%v) does not implement %v", id, target.Type(), t)
-		}
-		v.Set(target)
-		d.decValue(target.UnsafePointer(), target.Type().Elem())
-	case tagRef:
-		id := d.uvarint()
-		if id == 0 || id > uint64(len(d.table)) {
-			d.fail("dangling interface ref %d", id)
-		}
-		tv := d.table[id-1]
-		if !tv.Type().Implements(t) {
-			d.fail("interface ref %d (%v) does not implement %v", id, tv.Type(), t)
-		}
-		v.Set(tv)
 	default:
-		d.fail("bad interface tag %d", tag)
+		if v.IsNil() || v.Elem().Kind() != reflect.Pointer || v.Elem().IsNil() {
+			d.fail("image has a pointee behind %v where the fresh machine has none — construction diverged", t)
+		}
+		fe := v.Elem()
+		if !d.decRef(tag, fe.UnsafePointer(), fe.Type().Elem()) {
+			return
+		}
+		if want := d.str(); fe.Type().String() != want {
+			d.fail("interface holds %v in the fresh machine, image says %s", fe.Type(), want)
+		}
+		d.decValue(fe.UnsafePointer(), fe.Type().Elem())
 	}
 }
 
-// auditSpans rejects captures whose pointer graph aliases memory in ways
-// the positional decode cannot reproduce: a pointee inside a slice backing
-// (the decoder may reallocate the backing) or overlapping pointees
-// (pointers into the middle of another object). Construction-time aliasing
-// is reproduced by pointee reuse; this audit catches the mid-run kind.
+// auditSpans rejects captures whose rebuilt slice backings overlap: two
+// slices over one array that the decoder would give separate backings.
 func (e *imgEncoder) auditSpans() {
 	spans := e.spans
 	sort.Slice(spans, func(i, j int) bool { return spans[i].base < spans[j].base })
 	for i := 1; i < len(spans); i++ {
 		prev, cur := &spans[i-1], &spans[i]
 		if cur.base < prev.base+prev.size {
-			panic(codecFail{fmt.Errorf("checkpoint: encode: %s overlaps %s — interior pointers are not serializable", cur.what, prev.what)})
+			panic(codecFail{fmt.Errorf("checkpoint: encode: %s overlaps %s — aliased slices are not serializable", cur.what, prev.what)})
 		}
 	}
-}
-
-// --- spine pass ---
-//
-// Objects allocated at construction (cores, model internals, controllers,
-// the engine) can be reached through transient state too: an in-flight
-// controller job holds its requesting core through a FlushReplier
-// interface, and the graph walk may meet the core there first — a position
-// where the pristine machine has nothing, so the co-traversal pairing is
-// lost and the decoder would not know which fresh object carries the
-// state.
-//
-// The spine pass fixes identity up front. Before the graph body, the
-// encoder co-walks the captured and pristine machines over pointer and
-// interface slots; wherever both sides are populated compatibly it assigns
-// the next dense id to the captured pointee, records the pristine pairing,
-// and recurses. Each slot visited emits one bit — paired or not — into the
-// image, and the decoder replays the identical walk over the fresh machine,
-// consuming the bits and pre-filling its id table with the fresh pointees.
-// Construction determinism makes the three walks isomorphic; the bitstream
-// carries the only information the decoder cannot reconstruct (which slots
-// the *captured* machine had populated).
-
-func (e *imgEncoder) spine(cp, pp unsafe.Pointer, t reflect.Type) {
-	switch t.Kind() {
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !hasRefs(f.Type) {
-				continue
-			}
-			e.spine(unsafe.Add(cp, f.Offset), unsafe.Add(pp, f.Offset), f.Type)
-		}
-	case reflect.Array:
-		et := t.Elem()
-		if !hasRefs(et) {
-			return
-		}
-		sz := et.Size()
-		for i := 0; i < t.Len(); i++ {
-			e.spine(unsafe.Add(cp, uintptr(i)*sz), unsafe.Add(pp, uintptr(i)*sz), et)
-		}
-	case reflect.Slice:
-		et := t.Elem()
-		if t == opSliceType || !hasRefs(et) {
-			return
-		}
-		cv := reflect.NewAt(t, cp).Elem()
-		pv := reflect.NewAt(t, pp).Elem()
-		if cv.IsNil() || pv.IsNil() || cv.Len() != pv.Len() {
-			e.byte(0)
-			return
-		}
-		e.byte(1)
-		cb, pb := cv.UnsafePointer(), pv.UnsafePointer()
-		sz := et.Size()
-		for i := 0; i < cv.Len(); i++ {
-			e.spine(unsafe.Add(cb, uintptr(i)*sz), unsafe.Add(pb, uintptr(i)*sz), et)
-		}
-	case reflect.Pointer:
-		if skipType(t) {
-			return
-		}
-		cptr := *(*unsafe.Pointer)(cp)
-		pptr := *(*unsafe.Pointer)(pp)
-		if cptr == nil || pptr == nil {
-			e.byte(0)
-			return
-		}
-		e.byte(1)
-		e.spinePair(cptr, pptr, t.Elem())
-	case reflect.Interface:
-		if skipType(t) {
-			return
-		}
-		cv := reflect.NewAt(t, cp).Elem()
-		pv := reflect.NewAt(t, pp).Elem()
-		if cv.IsNil() || pv.IsNil() {
-			e.byte(0)
-			return
-		}
-		ce, pe := cv.Elem(), pv.Elem()
-		if ce.Kind() != reflect.Pointer || ce.Type() != pe.Type() ||
-			skipType(ce.Type()) || ce.IsNil() || pe.IsNil() {
-			e.byte(0)
-			return
-		}
-		e.byte(1)
-		e.spinePair(ce.UnsafePointer(), pe.UnsafePointer(), ce.Type().Elem())
-	}
-}
-
-// spinePair registers one captured/pristine pointee pair and recurses into
-// it on first registration (later sightings keep the earlier id, and the
-// decoder makes the same already-seen decision on its side).
-func (e *imgEncoder) spinePair(cptr, pptr unsafe.Pointer, et reflect.Type) {
-	key := seenKey{ptr: cptr, typ: et}
-	if _, ok := e.ids[key]; ok {
-		return
-	}
-	e.next++
-	e.ids[key] = e.next
-	e.pairs[key] = pptr
-	e.spine(cptr, pptr, et)
-}
-
-func (d *imgDecoder) spineWalk(fp unsafe.Pointer, t reflect.Type, seen map[seenKey]bool) {
-	switch t.Kind() {
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !hasRefs(f.Type) {
-				continue
-			}
-			d.spineWalk(unsafe.Add(fp, f.Offset), f.Type, seen)
-		}
-	case reflect.Array:
-		et := t.Elem()
-		if !hasRefs(et) {
-			return
-		}
-		sz := et.Size()
-		for i := 0; i < t.Len(); i++ {
-			d.spineWalk(unsafe.Add(fp, uintptr(i)*sz), et, seen)
-		}
-	case reflect.Slice:
-		et := t.Elem()
-		if t == opSliceType || !hasRefs(et) {
-			return
-		}
-		if d.byteVal() == 0 {
-			return
-		}
-		fv := reflect.NewAt(t, fp).Elem()
-		if fv.IsNil() {
-			d.fail("spine: image pairs a slice the fresh machine does not have")
-		}
-		fb := fv.UnsafePointer()
-		sz := et.Size()
-		for i := 0; i < fv.Len(); i++ {
-			d.spineWalk(unsafe.Add(fb, uintptr(i)*sz), et, seen)
-		}
-	case reflect.Pointer:
-		if skipType(t) {
-			return
-		}
-		if d.byteVal() == 0 {
-			return
-		}
-		fptr := *(*unsafe.Pointer)(fp)
-		if fptr == nil {
-			d.fail("spine: image pairs a pointer the fresh machine does not have — construction diverged")
-		}
-		d.spineSeen(fptr, t.Elem(), seen)
-	case reflect.Interface:
-		if skipType(t) {
-			return
-		}
-		if d.byteVal() == 0 {
-			return
-		}
-		fv := reflect.NewAt(t, fp).Elem()
-		if fv.IsNil() || fv.Elem().Kind() != reflect.Pointer || fv.Elem().IsNil() {
-			d.fail("spine: image pairs an interface the fresh machine does not have — construction diverged")
-		}
-		fe := fv.Elem()
-		d.spineSeen(fe.UnsafePointer(), fe.Type().Elem(), seen)
-	}
-}
-
-func (d *imgDecoder) spineSeen(fptr unsafe.Pointer, et reflect.Type, seen map[seenKey]bool) {
-	key := seenKey{ptr: fptr, typ: et}
-	if seen[key] {
-		return
-	}
-	seen[key] = true
-	d.table = append(d.table, reflect.NewAt(et, fptr))
-	d.spineWalk(fptr, et, seen)
 }
 
 // --- fingerprint ---
@@ -895,11 +629,8 @@ func Save(m *machine.Machine) (img []byte, err error) {
 		return nil, fmt.Errorf("checkpoint: rebuilding pristine machine: %w", err)
 	}
 
-	e := &imgEncoder{
-		ids:     make(map[seenKey]uint64, 256),
-		emitted: make(map[uint64]bool, 256),
-		pairs:   make(map[seenKey]unsafe.Pointer, 256),
-	}
+	root, proot := seenKey{unsafe.Pointer(m), machineType}, seenKey{unsafe.Pointer(pristine), machineType}
+	e := &imgEncoder{seen: map[seenKey]unsafe.Pointer{root: proot.ptr, proot: root.ptr}}
 	fp := typeFingerprint(machineType, reflect.TypeOf(m.Model).Elem())
 	e.buf = append(e.buf, fp[:]...)
 	e.uvarint(m.Eng.Now())
@@ -915,16 +646,6 @@ func Save(m *machine.Machine) (img []byte, err error) {
 	e.uvarint(uint64(tb.Len()))
 	e.buf = append(e.buf, tb.Bytes()...)
 
-	// Spine pass: pin identities of construction-backed objects (the root
-	// machine is id 1), then encode the graph body over them.
-	rootKey := seenKey{ptr: unsafe.Pointer(m), typ: machineType}
-	e.next = 1
-	e.ids[rootKey] = 1
-	e.emitted[1] = true // root contents are the graph body itself
-	e.pairs[rootKey] = unsafe.Pointer(pristine)
-	e.push("spine")
-	e.spine(unsafe.Pointer(m), unsafe.Pointer(pristine), machineType)
-	e.pop()
 	e.push("machine")
 	e.encValue(unsafe.Pointer(m), unsafe.Pointer(pristine), machineType)
 	e.pop()
@@ -995,6 +716,9 @@ func Load(img []byte) (m *machine.Machine, err error) {
 	d.push("config")
 	d.decValue(unsafe.Pointer(&cfg), reflect.TypeOf(cfg))
 	d.pop()
+	if err := cfg.Check(); err != nil {
+		return nil, fmt.Errorf("checkpoint: image config: %w", err)
+	}
 	tn := d.uvarint()
 	if tn > uint64(len(d.data)-d.pos) {
 		return nil, fmt.Errorf("checkpoint: trace block overruns image")
@@ -1014,11 +738,7 @@ func Load(img []byte) (m *machine.Machine, err error) {
 		return nil, fmt.Errorf("checkpoint: schema fingerprint mismatch — image was saved by a different build")
 	}
 
-	d.table = append(d.table, reflect.ValueOf(fresh)) // id 1 = the machine
-	seen := map[seenKey]bool{{ptr: unsafe.Pointer(fresh), typ: machineType}: true}
-	d.push("spine")
-	d.spineWalk(unsafe.Pointer(fresh), machineType, seen)
-	d.pop()
+	d.seen = map[seenKey]bool{{unsafe.Pointer(fresh), machineType}: true}
 	d.push("machine")
 	d.decValue(unsafe.Pointer(fresh), machineType)
 	d.pop()
@@ -1032,9 +752,6 @@ func Load(img []byte) (m *machine.Machine, err error) {
 		return nil, fmt.Errorf("checkpoint: decoded event queue is malformed: %w", err)
 	}
 	for i, mc := range fresh.MCs {
-		if mc == nil || mc.NVM == nil || mc.WPQ == nil || mc.XP == nil {
-			return nil, fmt.Errorf("checkpoint: decoded controller %d lacks its memory-side state", i)
-		}
 		err := errors.Join(mc.NVM.Check(), mc.WPQ.Check(), mc.XP.Check())
 		if mc.RT != nil {
 			err = errors.Join(err, mc.RT.Check())
@@ -1044,12 +761,13 @@ func Load(img []byte) (m *machine.Machine, err error) {
 		}
 	}
 	for i := 0; i < fresh.Trace().NumThreads(); i++ {
-		w := fresh.WBB(i)
-		if w == nil {
-			return nil, fmt.Errorf("checkpoint: decoded core %d lacks its write-back buffer", i)
-		}
-		if err := w.Check(); err != nil {
+		if err := fresh.WBB(i).Check(); err != nil {
 			return nil, fmt.Errorf("checkpoint: decoded core %d write-back buffer is malformed: %w", i, err)
+		}
+	}
+	if pm, ok := fresh.Model.(interface{ Check() error }); ok {
+		if err := pm.Check(); err != nil {
+			return nil, fmt.Errorf("checkpoint: decoded persist buffers or epoch tables are malformed: %w", err)
 		}
 	}
 	return fresh, nil

@@ -322,8 +322,8 @@ func TestImageRejectsMalformedQueue(t *testing.T) {
 
 // TestImageRejectsMalformedMem pins that Load checks each controller's
 // decoded NVM, WPQ, XPBuffer and recovery tables and each core's
-// write-back buffer. Each case corrupts one field of the controller 0 (or
-// core 0) state in a valid image, reseals it and requires Load to fail
+// write-back buffer, persist buffer and epoch table. Each case corrupts one
+// field of the controller 0 (or core 0) state in a valid image, reseals it and requires Load to fail
 // with the check's error. Loaded unchecked, these images give
 // a machine that panics on an out-of-range index, probes forever in a
 // table with no empty slot, or silently loses a line. A field's payload
@@ -363,6 +363,11 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 	}
 	rt := reflect.ValueOf(mc.RT).Elem()
 	wbb := reflect.ValueOf(m.WBB(0)).Elem()
+	core := modelField(m, "cores").Index(0).Elem()
+	pb, et := core.FieldByName("pb").Elem(), core.FieldByName("et").Elem()
+	if pb.FieldByName("entries").Len() == 0 {
+		t.Fatal("golden core 0 buffers no write; the PB cases need one")
+	}
 	// Raising a count by two past the live records exposes two zeroed
 	// slots, which hold the same line (and epoch) twice.
 	twoMore := func(f reflect.Value) int64 { return f.Int() + 2 }
@@ -392,6 +397,12 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 		{"recovery table duplicate delay record", rt.FieldByName("nDelay"), twoMore(rt.FieldByName("nDelay")), "two delay records"},
 		{"WBB count past capacity", wbb.FieldByName("n"), 17, "in 16 slots"},
 		{"WBB duplicate parked line", wbb.FieldByName("n"), twoMore(wbb.FieldByName("n")), "parks line 0 twice"},
+		{"PB inflight count off", pb.FieldByName("inflight"), twoMore(pb.FieldByName("inflight")), "inflight entries"},
+		{"PB entry ID past the last issued", pb.FieldByName("nextID"), 0, "out of order"},
+		{"PB entry in an unknown state", pb.FieldByName("entries").Index(0).FieldByName("State"), 5, "unknown state"},
+		{"ET ring mask not its length", et.FieldByName("mask"), 6, "not a power of two"},
+		{"ET window past the open epoch", et.FieldByName("oldest"), 60, "does not fit"},
+		{"ET count off", et.FieldByName("count"), twoMore(et.FieldByName("count")), "tracked epochs"},
 	} {
 		f := settable(c.field)
 		flipLow(f)
@@ -417,8 +428,11 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 			t.Fatalf("%s: Load returned (%v, %v), want an error", c.what, lm != nil, err)
 		}
 		check := "memory state is malformed"
-		if strings.HasPrefix(c.what, "WBB") {
+		switch c.what[:3] {
+		case "WBB":
 			check = "write-back buffer is malformed"
+		case "PB ", "ET ":
+			check = "persist buffers or epoch tables are malformed"
 		}
 		if !strings.Contains(err.Error(), check) || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: %v, want the %s check's %q error", c.what, err, check, c.want)
@@ -486,5 +500,142 @@ func TestImageRejectsOverlongSlice(t *testing.T) {
 		if err := os.WriteFile(path, []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bad)), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// configPatchedImage returns a resealed image of a one-op machine whose
+// embedded config has field set to v. The field's varint is found through
+// imgDebugMarks; v must encode to the same length as the saved value.
+func configPatchedImage(t *testing.T, field string, v int64) []byte {
+	t.Helper()
+	m := newAt(t, model.NameASAPEP, diffCase{wl: "cceh", p: workload.Params{Threads: 1, OpsPerThread: 1, Seed: 1}}, 0)
+	off := -1
+	imgDebugMarks = func(o int, path string) {
+		if off < 0 && path == "config."+field {
+			off = o
+		}
+	}
+	img, err := Save(m)
+	imgDebugMarks = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < 0 {
+		t.Fatalf("no config.%s mark in the image", field)
+	}
+	off += len(imageMagic) + 1 + 32
+	enc := binary.AppendVarint(nil, v)
+	if _, n := binary.Varint(img[off:]); n != len(enc) {
+		t.Fatalf("config.%s: %d takes %d varint bytes, the saved value %d", field, v, len(enc), n)
+	}
+	bad := append([]byte(nil), img...)
+	copy(bad[off:], enc)
+	return reseal(bad)
+}
+
+// TestImageRejectsBadConfig pins that Load checks the embedded config
+// (config.Check) before building a machine from it: a config machine.New
+// cannot build, such as one with no cores or zero-way caches, fails Load
+// with the check's error, not with a recovered panic. The same inputs are
+// FuzzLoad seeds.
+func TestImageRejectsBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		field, seed string
+		v           int64
+	}{
+		{"Cores", "sealed_config_zero_cores", 0},
+		{"L1Ways", "sealed_config_zero_l1ways", 0},
+	} {
+		bad := configPatchedImage(t, c.field, c.v)
+		lm, err := Load(bad)
+		if err == nil || lm != nil || strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%s=%d: Load returned (%v, %v), want the config check's error", c.field, c.v, lm != nil, err)
+		}
+		if *updateGolden {
+			path := filepath.Join("testdata", "fuzz", "FuzzLoad", c.seed)
+			if err := os.WriteFile(path, []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bad)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSaveRejectsMidRunPointers pins the encoder's pairing rule: a pointer
+// slot must hold the pristine machine's pointee at the same position (or
+// stay nil where it is nil), since the decoder only ever decodes into the
+// fresh machine's own objects. A pointee allocated mid-run, a pointee
+// shared where construction built two, and a slot cleared since
+// construction all fail the encode, naming the field.
+func TestSaveRejectsMidRunPointers(t *testing.T) {
+	type pair struct{ A, B *int }
+	x, y, z := 1, 2, 3
+	for _, c := range []struct {
+		name               string
+		captured, pristine pair
+		want               string
+	}{
+		{"allocated mid-run", pair{A: &x}, pair{}, "no counterpart"},
+		{"shared where construction built two", pair{A: &x, B: &x}, pair{A: &y, B: &z}, "different pristine twin"},
+		{"two where construction shared one", pair{A: &x, B: &y}, pair{A: &z, B: &z}, "different pristine twin"},
+		{"cleared since construction", pair{B: nil}, pair{B: &z}, "cleared since construction"},
+	} {
+		e := &imgEncoder{seen: map[seenKey]unsafe.Pointer{}}
+		var err error
+		func() {
+			defer func() {
+				if cf, ok := recover().(codecFail); ok {
+					err = cf.err
+				}
+			}()
+			e.encValue(unsafe.Pointer(&c.captured), unsafe.Pointer(&c.pristine), reflect.TypeOf(pair{}))
+		}()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: encode error %v, want %q", c.name, err, c.want)
+		}
+	}
+	e := &imgEncoder{seen: map[seenKey]unsafe.Pointer{}}
+	e.encValue(unsafe.Pointer(&pair{A: &x, B: &x}), unsafe.Pointer(&pair{A: &y, B: &y}), reflect.TypeOf(pair{}))
+	if want := []byte{tagFirst, 2, tagSeen}; !bytes.Equal(e.buf, want) {
+		t.Errorf("construction-shared pointee encodes as % x, want % x", e.buf, want)
+	}
+}
+
+// TestImageWithLLCEvictions pins Save on a machine whose last access
+// evicted from the LLC: the eviction lists the hierarchy keeps must not
+// alias another slice the decoder rebuilds separately (they once did, and
+// Save failed at every cycle of a small-LLC run). The restored machines
+// must still finish like the uninterrupted run.
+func TestImageWithLLCEvictions(t *testing.T) {
+	tr, err := workload.Generate("cceh", workload.Params{Threads: 2, OpsPerThread: 200, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	cfg.LLCSize, cfg.LLCWays = 64*32, 2 // 32 lines: nearly every fill evicts
+	oracle, err := machine.New(cfg, model.NameASAPEP, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := summarize(oracle, oracle.Run(0))
+	pending := false
+	for _, at := range []uint64{500, 5000, 20000} {
+		m, err := machine.New(cfg, model.NameASAPEP, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Advance(at)
+		pending = pending || reflect.ValueOf(m.Hier).Elem().FieldByName("res").FieldByName("LLCEvicted").Len() > 0
+		img, err := Save(m)
+		if err != nil {
+			t.Fatalf("save at cycle %d: %v", at, err)
+		}
+		lm, err := Load(img)
+		if err != nil {
+			t.Fatalf("load at cycle %d: %v", at, err)
+		}
+		compare(t, "load-continue", want, summarize(lm, lm.Run(0)))
+	}
+	if !pending {
+		t.Fatal("no cut held a pending LLC eviction list")
 	}
 }

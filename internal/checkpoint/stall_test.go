@@ -232,7 +232,7 @@ func TestSnapshotRejectsMapsAndChannels(t *testing.T) {
 			if m := msg(func() { w.capture(ptr, typ) }); !strings.Contains(m, want) {
 				t.Errorf("walker capture: %q, want a panic naming %q", m, want)
 			}
-			e := &imgEncoder{ids: map[seenKey]uint64{}, emitted: map[uint64]bool{}, pairs: map[seenKey]unsafe.Pointer{}}
+			e := &imgEncoder{seen: map[seenKey]unsafe.Pointer{}}
 			if m := msg(func() { e.encValue(ptr, nil, typ) }); !strings.Contains(m, "cannot encode") || !strings.Contains(m, want) {
 				t.Errorf("encode: %q, want a failure naming %q", m, want)
 			}

@@ -198,6 +198,27 @@ func shallow(t reflect.Type) bool {
 	return false
 }
 
+// interiorCache memoizes interiorFields per struct type.
+var interiorCache sync.Map // reflect.Type -> []reflect.StructField
+
+// interiorFields lists the fields of struct type t that shallow does not
+// cover: the only ones walkInterior must visit. Slabs of records (an epoch
+// table's ring, a stats set's distributions) walk each element, so the
+// per-field type tests are paid once per type, not once per element.
+func interiorFields(t reflect.Type) []reflect.StructField {
+	if v, ok := interiorCache.Load(t); ok {
+		return v.([]reflect.StructField)
+	}
+	var fs []reflect.StructField
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); !shallow(f.Type) {
+			fs = append(fs, f)
+		}
+	}
+	interiorCache.Store(t, fs)
+	return fs
+}
+
 // capture replaces the walker's snapshot with one of the object graph
 // rooted at the t-typed value at root. It reuses the previous snapshot's
 // storage: the arena and action lists keep their capacity (entries are
@@ -290,11 +311,7 @@ func (w *walker) walkRegion(ptr unsafe.Pointer, t reflect.Type) {
 func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 	switch t.Kind() {
 	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if shallow(f.Type) {
-				continue
-			}
+		for _, f := range interiorFields(t) {
 			w.walkInterior(unsafe.Add(ptr, f.Offset), f.Type)
 		}
 	case reflect.Array:

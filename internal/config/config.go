@@ -3,7 +3,12 @@
 // (4 cores @2 GHz, 2 memory controllers, Optane-like NVM timing).
 package config
 
-import "asap/internal/sim"
+import (
+	"errors"
+	"fmt"
+
+	"asap/internal/sim"
+)
 
 // Config describes one simulated machine. All latencies are in cycles of the
 // 2 GHz core clock (1 ns = 2 cycles).
@@ -106,21 +111,79 @@ func Default() Config {
 	}
 }
 
-// Validate panics if the configuration is internally inconsistent. Call it
-// after hand-editing a Config.
+// Ceilings on the sizes that drive allocation at machine construction.
+// They sit far above every experiment (Table II and the ablation sweeps),
+// so a config beyond them is a corrupt or hostile input, not a study.
+const (
+	// MaxCores is the directory's sharer bitmask width (one uint64).
+	MaxCores = 64
+	// MaxMCs is the epoch table's early-controller bitmask width.
+	MaxMCs = 64
+
+	maxPrivateCacheBytes = 1 << 26 // per-core L1/L2
+	maxLLCBytes          = 1 << 30
+	maxWays              = 1 << 10
+	maxEntries           = 1 << 12 // PB, ET, RT and WPQ entries
+	maxXPBufLines        = 1 << 14
+)
+
+// Check reports whether the configuration is internally consistent and
+// within the ceilings above. machine.New's callers that take a Config from
+// outside (RunSpec decoding, checkpoint images) call it to get an error
+// instead of a panic. RTEntries is bounded above only: models without a
+// recovery table ignore it, and machine.New rejects a non-positive size
+// for the speculative ones.
+func (c Config) Check() error {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf("config: "+format, args...)) }
+	if c.Cores < 1 || c.Cores > MaxCores {
+		bad("Cores %d outside 1..%d (the directory's sharer bitmask)", c.Cores, MaxCores)
+	}
+	if c.MCs < 1 || c.MCs > MaxMCs {
+		bad("MCs %d outside 1..%d (the epoch table's controller bitmask)", c.MCs, MaxMCs)
+	}
+	if c.InterleaveBytes == 0 || c.InterleaveBytes%64 != 0 {
+		bad("InterleaveBytes %d must be a positive multiple of the line size", c.InterleaveBytes)
+	}
+	for _, cache := range []struct {
+		name      string
+		size, max int
+		ways      int
+	}{
+		{"L1", c.L1Size, maxPrivateCacheBytes, c.L1Ways},
+		{"L2", c.L2Size, maxPrivateCacheBytes, c.L2Ways},
+		{"LLC", c.LLCSize, maxLLCBytes, c.LLCWays},
+	} {
+		if cache.size < 1 || cache.size > cache.max {
+			bad("%sSize %d outside 1..%d bytes", cache.name, cache.size, cache.max)
+		}
+		if cache.ways < 1 || cache.ways > maxWays {
+			bad("%sWays %d outside 1..%d", cache.name, cache.ways, maxWays)
+		}
+	}
+	for _, s := range []struct {
+		name string
+		n    int
+	}{{"PBEntries", c.PBEntries}, {"ETEntries", c.ETEntries}, {"WPQEntries", c.WPQEntries}} {
+		if s.n < 1 || s.n > maxEntries {
+			bad("%s %d outside 1..%d", s.name, s.n, maxEntries)
+		}
+	}
+	if c.RTEntries > maxEntries {
+		bad("RTEntries %d above %d", c.RTEntries, maxEntries)
+	}
+	if c.XPBufLines < 0 || c.XPBufLines > maxXPBufLines {
+		bad("XPBufLines %d outside 0..%d", c.XPBufLines, maxXPBufLines)
+	}
+	if c.PBMaxInflight < 1 {
+		bad("PBMaxInflight %d must be positive", c.PBMaxInflight)
+	}
+	return errors.Join(errs...)
+}
+
+// Validate panics if Check fails. Call it after hand-editing a Config.
 func (c Config) Validate() {
-	switch {
-	case c.Cores <= 0:
-		panic("config: Cores must be positive")
-	case c.MCs <= 0:
-		panic("config: MCs must be positive")
-	case c.MCs > 64:
-		panic("config: MCs must fit the epoch table's controller bitmask (max 64)")
-	case c.PBEntries <= 0 || c.ETEntries <= 0 || c.WPQEntries <= 0:
-		panic("config: structure sizes must be positive")
-	case c.PBMaxInflight <= 0:
-		panic("config: PBMaxInflight must be positive")
-	case c.InterleaveBytes == 0 || c.InterleaveBytes%64 != 0:
-		panic("config: InterleaveBytes must be a positive multiple of the line size")
+	if err := c.Check(); err != nil {
+		panic(err.Error())
 	}
 }

@@ -120,7 +120,7 @@ type coreState struct {
 type lockState struct {
 	held    bool
 	holder  int
-	waiters []*coreState
+	waiters []int // parked cores, in arrival order
 }
 
 // Trace returns the trace this machine replays. Machines only read it, and
@@ -138,7 +138,13 @@ func (m *Machine) HasObservers() bool {
 // New builds a machine running the named model over the trace. The trace
 // may use at most cfg.Cores threads.
 func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error) {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
+	spec := model.Speculative(modelName)
+	if spec && cfg.RTEntries <= 0 {
+		return nil, fmt.Errorf("machine: %s needs a recovery table of positive size (RTEntries %d)", modelName, cfg.RTEntries)
+	}
 	if tr.NumThreads() > cfg.Cores {
 		return nil, fmt.Errorf("machine: trace has %d threads but config has %d cores", tr.NumThreads(), cfg.Cores)
 	}
@@ -166,7 +172,6 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 	lines, lockLines := traceLines(tr)
 	m.Hier.Directory().Reserve(lines)
 	m.locks, m.lockLines = make([]lockState, len(lockLines)), lockLines
-	spec := model.Speculative(modelName)
 	m.MCs = make([]*persist.MC, cfg.MCs)
 	for i := range m.MCs {
 		m.MCs[i] = persist.NewMC(i, eng, cfg, spec, st)
@@ -571,8 +576,8 @@ func (m *Machine) access(core int, line mem.Line, write, acq bool) *cache.Access
 		// read traffic baseline against which undo reads add ~5%).
 		m.MCs[m.IL.Home(line)].NVM.Read(line)
 	}
-	if res.Conflict != nil {
-		m.Model.Conflict(core, res.Conflict)
+	if res.Conflicted {
+		m.Model.Conflict(core, &res.Conflict)
 	}
 	for i, ev := range res.LLCEvicted {
 		if !m.pm.has(ev) {
@@ -613,8 +618,8 @@ func (m *Machine) acquire(c *coreState, line mem.Line) {
 			m.trc.Begin(m.coreTracks[c.id], "lock wait")
 			c.waitingLock = true
 		}
-		lk.waiters = append(lk.waiters, c) //asaplint:ignore alloccheck contention-only; bounded by core count, backing array reaches it once
-		return                             // release hands off and resumes us
+		lk.waiters = append(lk.waiters, c.id) //asaplint:ignore alloccheck contention-only; bounded by core count, backing array reaches it once
+		return                                // release hands off and resumes us
 	}
 	lk.held = true
 	lk.holder = c.id
@@ -659,7 +664,7 @@ func (m *Machine) finishRelease(c *coreState) {
 		panic("machine: release of a lock not held by this core")
 	}
 	if len(lk.waiters) > 0 {
-		next := lk.waiters[0]
+		next := m.cores[lk.waiters[0]]
 		lk.waiters = lk.waiters[1:]
 		lk.holder = next.id
 		next.handoffLine = line

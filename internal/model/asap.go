@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 
 	"asap/internal/cache"
@@ -57,7 +58,6 @@ func unpackEpochArg(arg uint64) persist.EpochID {
 
 type asapCore struct {
 	id int
-	m  *ASAP // back-pointer for the FlushReplier implementation
 	pb *persist.PersistBuffer
 	et *persist.EpochTable
 
@@ -80,7 +80,6 @@ func newASAP(env Env, rp bool) *ASAP {
 	for i := range m.cores {
 		m.cores[i] = &asapCore{
 			id: i,
-			m:  m,
 			pb: persist.NewPersistBuffer(env.Cfg.PBEntries),
 			et: persist.NewEpochTable(i, env.Cfg.ETEntries),
 		}
@@ -118,9 +117,10 @@ func (m *ASAP) CommitAck(e persist.EpochID) {
 }
 
 // FlushReply receives the controller's ACK/NACK for the persist buffer
-// entry identified by arg.
-func (c *asapCore) FlushReply(arg uint64, res persist.FlushResult) {
-	c.m.onFlushReply(c, arg, res)
+// entry identified by arg (see replyArg).
+func (m *ASAP) FlushReply(arg uint64, res persist.FlushResult) {
+	core, id := unpackReplyArg(arg)
+	m.onFlushReply(m.cores[core], id, res)
 }
 
 // Name returns asap_ep or asap_rp.
@@ -133,6 +133,16 @@ func (m *ASAP) Name() string {
 
 // Stats returns the shared stat set.
 func (m *ASAP) Stats() *stats.Set { return m.env.St }
+
+// Check verifies every core's persist buffer and epoch table;
+// checkpoint.Load runs it on a decoded machine.
+func (m *ASAP) Check() error {
+	var errs []error
+	for _, c := range m.cores {
+		errs = append(errs, checkCore(c.id, c.pb, c.et))
+	}
+	return errors.Join(errs...)
+}
 
 // AttachTracer wires tr into the persist path: one "core<i> pb" track per
 // core (sorted under the machine's core track) carries persist-buffer
@@ -353,8 +363,9 @@ func (m *ASAP) PBBlocked(core int) bool {
 
 // nextFlushable returns the oldest waiting entry the flush policy admits.
 func (m *ASAP) nextFlushable(c *asapCore) *persist.PBEntry {
-	for _, e := range c.pb.Entries() {
-		if e.State == persist.PBWaiting && m.eligible(c, e) {
+	es := c.pb.Entries()
+	for i := range es {
+		if e := &es[i]; e.State == persist.PBWaiting && m.eligible(c, e) {
 			return e
 		}
 	}
@@ -411,7 +422,7 @@ func (m *ASAP) flushOne(c *asapCore) {
 	}
 	// retried clears the MC's NACK Bloom filter entry on arrival, releasing
 	// any delayed LLC eviction (§V-F); the Link applies that at delivery.
-	m.env.Link.FlushOp(mcID, pkt, c, e.ID, retried)
+	m.env.Link.FlushOp(mcID, pkt, replyArg(c.id, e.ID), retried)
 	if c.pb.Inflight() < m.env.Cfg.PBMaxInflight {
 		m.env.Eng.AfterOp(flushIssuePace, m, asapEvPace, uint64(c.id))
 	}
@@ -490,7 +501,7 @@ func (m *ASAP) tryCommit(c *asapCore, ts uint64) {
 		if mask&1 == 0 {
 			continue
 		}
-		m.env.Link.CommitOp(id, epoch, m)
+		m.env.Link.CommitOp(id, epoch)
 	}
 }
 

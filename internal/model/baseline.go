@@ -143,7 +143,7 @@ func (m *Baseline) issueFlushes(c *baseCore) {
 			Token: d.token,
 			Epoch: persist.EpochID{Thread: c.id, TS: c.ts},
 		}
-		m.env.Link.FlushOp(m.env.IL.Home(d.line), pkt, m, uint64(c.id), false)
+		m.env.Link.FlushOp(m.env.IL.Home(d.line), pkt, uint64(c.id), false)
 	}
 }
 

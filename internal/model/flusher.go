@@ -1,6 +1,9 @@
 package model
 
 import (
+	"errors"
+	"fmt"
+
 	"asap/internal/cache"
 	"asap/internal/mem"
 	"asap/internal/persist"
@@ -178,23 +181,27 @@ func (f *flusher) flushOne(c *fcore) {
 // through FlushReply.
 func (f *flusher) send(c *fcore, e *persist.PBEntry) {
 	pkt := persist.FlushPacket{Line: e.Line, Token: e.Token, Epoch: persist.EpochID{Thread: c.id, TS: e.TS}}
-	f.env.Link.FlushOp(f.env.IL.Home(e.Line), pkt, f.pol, replyArg(c.id, e.ID), false)
+	f.env.Link.FlushOp(f.env.IL.Home(e.Line), pkt, replyArg(c.id, e.ID), false)
 }
 
 // replyArg packs a flush's core and persist-buffer entry ID into the
-// reply arg: core in the low byte (config caps cores at 64), ID above.
+// reply arg: core in the low byte (config.Check caps cores at 64), ID
+// above. unpackReplyArg inverts it.
 func replyArg(core int, id uint64) uint64 {
-	if id >= 1<<56 {
-		panic("model: persist buffer entry id does not fit a packed reply arg")
+	if core < 0 || core > 0xFF || id >= 1<<56 {
+		panic("model: core or persist buffer entry id does not fit a packed reply arg")
 	}
 	return id<<8 | uint64(core)
 }
+
+func unpackReplyArg(arg uint64) (core int, id uint64) { return int(arg & 0xFF), arg >> 8 }
 
 // FlushReply receives the controller's answer for a flush sent with
 // replyArg: it retires the acknowledged entry, runs the commit rule,
 // resumes a store stalled on the full buffer, and wakes the flusher.
 func (f *flusher) FlushReply(arg uint64, res persist.FlushResult) {
-	c, id := f.cores[arg&0xFF], arg>>8
+	core, id := unpackReplyArg(arg)
+	c := f.cores[core]
 	if res != persist.FlushAck {
 		panic(f.pol.Name() + ": controller NACKed a safe flush")
 	}
@@ -220,6 +227,8 @@ func (f *flusher) acked(c *fcore, ts uint64) {
 }
 
 // openEpoch is the default write target: the epoch table's open epoch.
+// The count it returns is a borrow into the table's ring, written before
+// the next Advance.
 func (f *flusher) openEpoch(c *fcore) (uint64, *int) {
 	return c.et.CurrentTS(), &c.et.Current().Unacked
 }
@@ -450,6 +459,29 @@ func (f *flusher) split(core int, src persist.EpochID) *persist.ETEntry {
 
 // Stats returns the shared stat set.
 func (f *flusher) Stats() *stats.Set { return f.env.St }
+
+// Check verifies every core's persist buffer and epoch table;
+// checkpoint.Load runs it on a decoded machine.
+func (f *flusher) Check() error {
+	var errs []error
+	for _, c := range f.cores {
+		errs = append(errs, checkCore(c.id, c.pb, c.et))
+	}
+	return errors.Join(errs...)
+}
+
+// checkCore runs the Check of one core's persist buffer and (if it has
+// one) epoch table, naming the core in a failure.
+func checkCore(core int, pb *persist.PersistBuffer, et *persist.EpochTable) error {
+	err := pb.Check()
+	if et != nil {
+		err = errors.Join(err, et.Check())
+	}
+	if err != nil {
+		return fmt.Errorf("core %d: %w", core, err)
+	}
+	return nil
+}
 
 // CurrentTS returns the open epoch of the core.
 func (f *flusher) CurrentTS(core int) uint64 { return f.cores[core].et.CurrentTS() }

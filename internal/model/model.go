@@ -159,34 +159,43 @@ func New(name string, env Env) (Model, error) {
 	if env.Link == nil {
 		env.Link = persist.NewLink(env.Eng, env.Cfg, env.MCs)
 	}
+	var m Model
 	switch name {
 	case NameBaseline:
-		return newBaseline(env), nil
+		m = newBaseline(env)
 	case NameHOPSEP:
-		return newHOPS(env, false), nil
+		m = newHOPS(env, false)
 	case NameHOPSRP:
-		return newHOPS(env, true), nil
+		m = newHOPS(env, true)
 	case NameASAPEP:
-		return newASAP(env, false), nil
+		m = newASAP(env, false)
 	case NameASAPRP:
-		return newASAP(env, true), nil
+		m = newASAP(env, true)
 	case NameEADR:
-		return newEADR(env), nil
+		m = newEADR(env)
 	case NameDPO:
-		return newDPO(env), nil
+		m = newDPO(env)
 	case NamePMEMSpec:
-		return newPMEMSpec(env), nil
+		m = newPMEMSpec(env)
 	case NameLBPP:
-		return newLBPP(env), nil
+		m = newLBPP(env)
 	case NameLRP:
-		return newLRP(env), nil
+		m = newLRP(env)
 	case NameVorpal:
-		return newVorpal(env), nil
+		m = newVorpal(env)
 	case NameStrandWeaver:
-		return newStrandWeaver(env), nil
+		m = newStrandWeaver(env)
 	default:
 		return nil, fmt.Errorf("model: unknown model %q (have %v)", name, AllNames())
 	}
+	// The model is the one replier of its machine: every controller
+	// answers flushes (and commits) to it.
+	if rp, ok := m.(persist.FlushReplier); ok {
+		for _, mc := range env.MCs {
+			mc.Connect(rp)
+		}
+	}
+	return m, nil
 }
 
 // AllNames lists the six models the paper evaluates, in its presentation

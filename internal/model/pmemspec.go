@@ -33,7 +33,6 @@ type PMEMSpec struct {
 const specRecoveryCost sim.Cycles = 10_000
 
 type specCore struct {
-	m  *PMEMSpec // back-pointer for the FlushReplier implementation
 	id int
 	ts uint64 // epoch counter (fence-delimited)
 
@@ -55,7 +54,7 @@ func newPMEMSpec(env Env) *PMEMSpec {
 	m := &PMEMSpec{env: env, hc: newHotCounters(env.St)}
 	m.cores = make([]*specCore, env.Cfg.Cores)
 	for i := range m.cores {
-		m.cores[i] = &specCore{m: m, id: i, ts: 1}
+		m.cores[i] = &specCore{id: i, ts: 1}
 	}
 	return m
 }
@@ -122,20 +121,21 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done sim.Cont
 	}
 
 	pkt := persist.FlushPacket{Line: line, Token: token, Epoch: persist.EpochID{Thread: core, TS: ts}}
-	if mcID > 0xFF {
-		panic("pmem_spec: controller id does not fit a packed reply arg")
+	if core > 0xFF || mcID > 0xFF || ts >= 1<<48 {
+		panic("pmem_spec: core, controller or epoch does not fit a packed reply arg")
 	}
-	m.env.Link.FlushOp(mcID, pkt, c, ts<<8|uint64(mcID), false)
+	m.env.Link.FlushOp(mcID, pkt, ts<<16|uint64(mcID)<<8|uint64(core), false)
 	m.delay(c, done)
 }
 
-// FlushReply receives the ACK of a flush of epoch arg>>8 to controller
-// arg&0xFF.
-func (c *specCore) FlushReply(arg uint64, _ persist.FlushResult) {
-	i := int(arg>>8 - c.committedTS - 1)
+// FlushReply receives the ACK of a flush of epoch arg>>16 to controller
+// arg>>8&0xFF from core arg&0xFF.
+func (m *PMEMSpec) FlushReply(arg uint64, _ persist.FlushResult) {
+	c := m.cores[arg&0xFF]
+	i := int(arg>>16 - c.committedTS - 1)
 	c.pending[i]--
-	c.perMC[i*c.m.env.Cfg.MCs+int(arg&0xFF)]--
-	c.m.retire(c)
+	c.perMC[i*m.env.Cfg.MCs+int(arg>>8&0xFF)]--
+	m.retire(c)
 }
 
 // retire advances committedTS over fully-acknowledged epochs.

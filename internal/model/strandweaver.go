@@ -31,15 +31,17 @@ type StrandWeaver struct {
 }
 
 // swCore is one core's strands; its persist buffer and stalls live in the
-// flusher's fcore of the same index.
+// flusher's fcore of the same index. Strands and their epochs are slabs of
+// values: a *swStrand or *swEpoch (from open or epochByTS) is a borrow,
+// valid until the next strand opens, epoch closes or commit pass runs.
 type swCore struct {
-	strands []*swStrand
+	strands []swStrand
 	cur     int // active strand index
 	nextTS  uint64
 }
 
 type swStrand struct {
-	epochs []*swEpoch // FIFO: oldest first; last entry is open
+	epochs []swEpoch // FIFO: oldest first; last entry is open
 }
 
 type swEpoch struct {
@@ -59,7 +61,7 @@ func newStrandWeaver(env Env) *StrandWeaver {
 	m.init(env, m, false)
 	m.sw = make([]*swCore, env.Cfg.Cores)
 	for i := range m.sw {
-		m.sw[i] = &swCore{strands: []*swStrand{{epochs: []*swEpoch{{ts: 1}}}}, nextTS: 2}
+		m.sw[i] = &swCore{strands: []swStrand{{epochs: []swEpoch{{ts: 1}}}}, nextTS: 2}
 	}
 	return m
 }
@@ -72,9 +74,9 @@ func (m *StrandWeaver) Name() string { return NameStrandWeaver }
 func (m *StrandWeaver) Strand(core int) {
 	s := m.sw[core]
 	// Close the current strand's open epoch so it can commit.
-	m.closeOpen(s, s.strands[s.cur])
+	m.closeOpen(s, &s.strands[s.cur])
 	//asaplint:ignore alloccheck strand bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
-	s.strands = append(s.strands, &swStrand{epochs: []*swEpoch{{ts: s.nextTS}}})
+	s.strands = append(s.strands, swStrand{epochs: []swEpoch{{ts: s.nextTS}}})
 	s.nextTS++
 	s.cur = len(s.strands) - 1
 	m.hc.swStrands.Inc()
@@ -82,16 +84,17 @@ func (m *StrandWeaver) Strand(core int) {
 }
 
 func (s *swCore) open() *swEpoch {
-	st := s.strands[s.cur]
-	return st.epochs[len(st.epochs)-1]
+	st := &s.strands[s.cur]
+	return &st.epochs[len(st.epochs)-1]
 }
 
 // epochByTS finds a live epoch by timestamp.
 func (s *swCore) epochByTS(ts uint64) (*swStrand, *swEpoch) {
-	for _, st := range s.strands {
-		for _, e := range st.epochs {
-			if e.ts == ts {
-				return st, e
+	for i := range s.strands {
+		st := &s.strands[i]
+		for j := range st.epochs {
+			if st.epochs[j].ts == ts {
+				return st, &st.epochs[j]
 			}
 		}
 	}
@@ -119,7 +122,8 @@ func (m *StrandWeaver) EpochCommitted(e persist.EpochID) bool {
 	return ep == nil
 }
 
-// openEpoch buffers writes in the active strand's open epoch.
+// openEpoch buffers writes in the active strand's open epoch; the count
+// it returns is a borrow, written before any strand or epoch changes.
 func (m *StrandWeaver) openEpoch(c *fcore) (uint64, *int) {
 	e := m.sw[c.id].open()
 	return e.ts, &e.unacked
@@ -127,20 +131,20 @@ func (m *StrandWeaver) openEpoch(c *fcore) (uint64, *int) {
 
 // closeOpen closes the open epoch of strand st and opens its successor.
 func (m *StrandWeaver) closeOpen(s *swCore, st *swStrand) {
-	open := st.epochs[len(st.epochs)-1]
+	open := &st.epochs[len(st.epochs)-1]
 	if open.closed {
 		return
 	}
 	open.closed = true
 	//asaplint:ignore alloccheck strand bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
-	st.epochs = append(st.epochs, &swEpoch{ts: s.nextTS})
+	st.epochs = append(st.epochs, swEpoch{ts: s.nextTS})
 	s.nextTS++
 }
 
 // Ofence is a strand-local persist barrier.
 func (m *StrandWeaver) Ofence(core int, done sim.Cont) {
 	s := m.sw[core]
-	m.closeOpen(s, s.strands[s.cur])
+	m.closeOpen(s, &s.strands[s.cur])
 	m.tryCommitAll(m.cores[core])
 	m.env.Eng.Resume(done)
 }
@@ -148,8 +152,8 @@ func (m *StrandWeaver) Ofence(core int, done sim.Cont) {
 // Dfence waits until every strand has drained.
 func (m *StrandWeaver) Dfence(core int, done sim.Cont) {
 	s := m.sw[core]
-	for _, st := range s.strands {
-		m.closeOpen(s, st)
+	for i := range s.strands {
+		m.closeOpen(s, &s.strands[i])
 	}
 	c := m.cores[core]
 	m.tryCommitAll(c)
@@ -162,8 +166,8 @@ func (m *StrandWeaver) Dfence(core int, done sim.Cont) {
 
 // drained: every strand holds only its single empty open epoch.
 func (s *swCore) drained() bool {
-	for _, st := range s.strands {
-		for _, e := range st.epochs {
+	for i := range s.strands {
+		for _, e := range s.strands[i].epochs {
 			if e.closed || e.unacked > 0 {
 				return false
 			}
@@ -193,7 +197,7 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 		m.tryCommitAll(m.cores[src.Thread])
 	}
 	s := m.sw[core]
-	m.closeOpen(s, s.strands[s.cur])
+	m.closeOpen(s, &s.strands[s.cur])
 	dst := s.open()
 	if _, se := w.epochByTS(src.TS); se != nil {
 		//asaplint:ignore alloccheck strand bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
@@ -210,11 +214,14 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 // (conservative), but all strands flush concurrently — the design's point.
 func (m *StrandWeaver) nextFlushable(c *fcore) *persist.PBEntry {
 	s := m.sw[c.id]
-	for _, e := range c.pb.Entries() {
+	es := c.pb.Entries()
+	for i := range es {
+		e := &es[i]
 		if e.State != persist.PBWaiting {
 			continue
 		}
-		for _, st := range s.strands {
+		for j := range s.strands {
+			st := &s.strands[j]
 			if len(st.epochs) > 0 && st.epochs[0].ts == e.TS && st.epochs[0].depsResolved() {
 				return e
 			}
@@ -238,14 +245,19 @@ func (m *StrandWeaver) tryCommitAll(c *fcore) {
 	progress := true
 	for progress {
 		progress = false
-		for _, st := range s.strands {
+		for i := range s.strands {
+			st := &s.strands[i]
 			for len(st.epochs) > 0 {
 				head := st.epochs[0]
 				// Never retire the strand's open epoch.
 				if !head.closed || head.unacked != 0 || !head.depsResolved() {
 					break
 				}
-				st.epochs = st.epochs[1:]
+				// Pop by shifting, so the slab's backing array is reused
+				// by the next closeOpen; the vacated slot is zeroed.
+				n := copy(st.epochs, st.epochs[1:])
+				st.epochs[n] = swEpoch{}
+				st.epochs = st.epochs[:n]
 				m.hc.epochsCommitted.Inc()
 				m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: head.ts})
 				m.notify(head.waiters)
@@ -256,22 +268,21 @@ func (m *StrandWeaver) tryCommitAll(c *fcore) {
 	// Garbage-collect fully drained strands (everything committed, only
 	// the empty open epoch left) other than the active one, so long runs
 	// do not accumulate strand state.
-	live := s.strands[:0]
-	for i, st := range s.strands {
+	live, cur := 0, s.cur
+	for i := range s.strands {
+		st := &s.strands[i]
 		if i == s.cur || len(st.epochs) != 1 || st.epochs[0].closed || st.epochs[0].unacked != 0 {
-			live = append(live, st) //asaplint:ignore alloccheck in-place compaction into the slice's own backing array never grows it
+			if i == s.cur {
+				cur = live // the active index in the compacted slab
+			}
+			s.strands[live] = *st
+			live++
 		}
 	}
-	if len(live) != len(s.strands) {
-		// Recompute the active index against the compacted slice.
-		cur := s.strands[s.cur]
-		s.strands = live
-		for i, st := range s.strands {
-			if st == cur {
-				s.cur = i
-				break
-			}
-		}
+	if live != len(s.strands) {
+		clear(s.strands[live:]) // the dropped tail must not alias live epochs
+		s.strands = s.strands[:live]
+		s.cur = cur
 	}
 
 	if !c.dfence.done.IsZero() && s.drained() {

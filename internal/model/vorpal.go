@@ -205,7 +205,7 @@ func (m *Vorpal) safeToPersist(e persist.EpochID) bool {
 // flusher like any other.
 func (m *Vorpal) persistNow(fl vorpalFlush) {
 	pkt := persist.FlushPacket{Line: fl.line, Token: fl.token, Epoch: fl.epoch}
-	m.env.MCs[fl.mc].ReceiveOp(pkt, m, replyArg(fl.epoch.Thread, fl.pbID))
+	m.env.MCs[fl.mc].ReceiveOp(pkt, replyArg(fl.epoch.Thread, fl.pbID))
 }
 
 // tick is one clock broadcast: refresh every thread's globally visible

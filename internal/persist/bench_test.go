@@ -51,12 +51,13 @@ func BenchmarkMCFlushCommit(b *testing.B) {
 	eng := sim.NewEngine()
 	mc := NewMC(0, eng, config.Default(), true, stats.New())
 	r := &benchReplier{}
+	mc.Connect(r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ep := EpochID{Thread: 0, TS: uint64(i + 1)}
-		mc.ReceiveOp(FlushPacket{Line: mem.Line(i % 128), Token: mem.Token(i), Epoch: ep, Early: true}, r, uint64(i))
-		mc.CommitOp(ep, r)
+		mc.ReceiveOp(FlushPacket{Line: mem.Line(i % 128), Token: mem.Token(i), Epoch: ep, Early: true}, uint64(i))
+		mc.CommitOp(ep)
 		eng.Run(0)
 	}
 	if r.acks+r.nacks != b.N {

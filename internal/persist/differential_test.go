@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"asap/internal/mem"
@@ -175,5 +176,171 @@ func compareRT(t *testing.T, step string, got *RecoveryTable, want *refRecoveryT
 		if g[i] != *w[i] {
 			t.Fatalf("%s: undo record %d is %+v, want %+v", step, i, g[i], *w[i])
 		}
+	}
+}
+
+// TestPersistBufferDifferential drives the value-slab persist buffer and
+// the pointer reference with the same random enqueues (coalescing ones
+// and ones into a full buffer too), flush picks of either policy, ACKs and
+// NACKs, and compares every entry in FIFO order after each step.
+func TestPersistBufferDifferential(t *testing.T) {
+	for _, capacity := range diffCapacities {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			r := rand.New(rand.NewPCG(uint64(capacity), 11))
+			got, want := NewPersistBuffer(capacity), newRefPersistBuffer(capacity)
+			lines := uint64(capacity + 3)
+			ts := uint64(1)
+			for i := 0; i < 4000; i++ {
+				var step string
+				switch op := r.IntN(8); {
+				case op < 3:
+					l, tok := mem.Line(r.Uint64N(lines)), mem.Token(i)
+					gc, ga := got.Enqueue(l, tok, ts)
+					wc, wa := want.Enqueue(l, tok, ts)
+					if gc != wc || ga != wa {
+						t.Fatalf("op %d Enqueue(%d) = %v/%v, want %v/%v", i, l, gc, ga, wc, wa)
+					}
+					step = fmt.Sprintf("op %d Enqueue(%d, ts %d)", i, l, ts)
+				case op == 3:
+					ts++
+					continue
+				case op < 6:
+					anyEpoch := op == 4
+					pick := ts - r.Uint64N(3)
+					g := got.NextWaitingIn(pick)
+					if anyEpoch {
+						g = got.NextWaiting()
+					}
+					w := want.NextWaitingIn(pick, anyEpoch)
+					if (g == nil) != (w == nil) || (g != nil && *g != *w) {
+						t.Fatalf("op %d pick (any epoch %v, ts %d) = %+v, want %+v", i, anyEpoch, pick, g, w)
+					}
+					if g == nil {
+						continue
+					}
+					early := r.IntN(2) == 0
+					got.MarkInflight(g, early)
+					want.MarkInflight(w, early)
+					step = fmt.Sprintf("op %d flush %d", i, g.ID)
+				default:
+					var ids []uint64
+					for _, e := range want.entries {
+						if e.State == PBInflight {
+							ids = append(ids, e.ID)
+						}
+					}
+					if len(ids) == 0 {
+						continue
+					}
+					id := ids[r.IntN(len(ids))]
+					if op == 6 {
+						g, gok := got.Ack(id)
+						w, wok := want.Ack(id)
+						if g != w || gok != wok {
+							t.Fatalf("op %d Ack(%d) = %+v/%v, want %+v/%v", i, id, g, gok, w, wok)
+						}
+						step = fmt.Sprintf("op %d Ack(%d)", i, id)
+					} else {
+						if g, w := got.Nack(id), want.Nack(id); *g != *w {
+							t.Fatalf("op %d Nack(%d) = %+v, want %+v", i, id, g, w)
+						}
+						step = fmt.Sprintf("op %d Nack(%d)", i, id)
+					}
+				}
+				if err := got.Check(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if got.Len() != len(want.entries) || got.Inflight() != want.inflight || got.Full() != (len(want.entries) >= capacity) ||
+					got.Inserted() != want.inserted || got.Coalesced() != want.coalesced || got.MaxOccupancy() != want.maxOcc {
+					t.Fatalf("%s: counters differ from the reference", step)
+				}
+				for j, e := range got.Entries() {
+					if e != *want.entries[j] {
+						t.Fatalf("%s: entry %d is %+v, want %+v", step, j, e, *want.entries[j])
+					}
+				}
+				for l := mem.Line(0); l < mem.Line(lines); l++ {
+					if got.HasLine(l) != slices.ContainsFunc(want.entries, func(e *PBEntry) bool { return e.Line == l }) {
+						t.Fatalf("%s: HasLine(%d) = %v", step, l, got.HasLine(l))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEpochTableDifferential drives the value ring and the pointer
+// reference with the same random advances (past nominal capacity, so the
+// ring grows), dependency edges, ACK accounting, commits and retirements,
+// and compares every tracked entry and query after each step.
+func TestEpochTableDifferential(t *testing.T) {
+	for _, capacity := range diffCapacities {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			r := rand.New(rand.NewPCG(uint64(capacity), 13))
+			got, want := NewEpochTable(0, capacity), newRefEpochTable(capacity)
+			grew := false
+			for i := 0; i < 4000; i++ {
+				var step string
+				// Bursts of advances without retirement push the window
+				// past the ring; retirement runs in timestamp order.
+				switch op := r.IntN(10); {
+				case op < 4:
+					g, w := got.Advance(), want.Advance()
+					if g.TS != w.TS {
+						t.Fatalf("op %d Advance = %d, want %d", i, g.TS, w.TS)
+					}
+					step = fmt.Sprintf("op %d Advance to %d", i, g.TS)
+				case op < 6:
+					ts := want.oldest + r.Uint64N(want.current-want.oldest+1)
+					g, gok := got.Get(ts)
+					w, wok := want.Get(ts)
+					if gok != wok {
+						t.Fatalf("op %d Get(%d) = %v, want %v", i, ts, gok, wok)
+					}
+					if !gok {
+						continue
+					}
+					src := EpochID{Thread: 1, TS: uint64(i)}
+					g.Deps, w.Deps = append(g.Deps, src), append(w.Deps, src)
+					g.Dependents, w.Dependents = append(g.Dependents, src), append(w.Dependents, src)
+					g.Unacked++
+					w.Unacked++
+					step = fmt.Sprintf("op %d edges on %d", i, ts)
+				default:
+					ts := want.oldest
+					g, _ := got.Get(ts)
+					w, _ := want.Get(ts)
+					if !w.Closed {
+						continue
+					}
+					g.Committed, w.Committed = true, true
+					got.Retire(ts)
+					want.Retire(ts)
+					step = fmt.Sprintf("op %d Retire(%d)", i, ts)
+				}
+				grew = grew || len(got.ring) > etRingSize(capacity)
+				if err := got.Check(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if got.CurrentTS() != want.current || got.OldestTS() != want.oldest || got.Len() != want.count ||
+					got.MaxOccupancy() != want.maxOcc || got.Full() != (want.count >= capacity) ||
+					got.AllCommitted() != want.AllCommitted() || got.Current().TS != want.current {
+					t.Fatalf("%s: table state differs from the reference", step)
+				}
+				for ts := want.oldest; ts <= want.current+1; ts++ {
+					g, gok := got.Get(ts)
+					w, wok := want.Get(ts)
+					if gok != wok || got.PrevCommitted(ts) != want.PrevCommitted(ts) {
+						t.Fatalf("%s: Get/PrevCommitted(%d) differ", step, ts)
+					}
+					if gok && fmt.Sprint(*g) != fmt.Sprint(*w) {
+						t.Fatalf("%s: entry %d is %+v, want %+v", step, ts, *g, *w)
+					}
+				}
+			}
+			if !grew {
+				t.Errorf("the ring never grew past its initial %d slots", etRingSize(capacity))
+			}
+		})
 	}
 }

@@ -1,5 +1,7 @@
 package persist
 
+import "fmt"
+
 // ETEntry is the metadata the epoch table keeps for one in-flight epoch
 // (§V-A): outstanding write counts, cross-thread dependencies in both
 // directions, the set of controllers that received early flushes, and the
@@ -26,14 +28,16 @@ type ETEntry struct {
 	// bitmask over controller IDs (config caps MCs at 64), which keeps
 	// epoch bookkeeping allocation-free.
 	EarlyMCs uint64
+	// CommitAcks counts commit ACKs still outstanding.
+	CommitAcks int
+
+	// The flags come last, packed into one word of the ring slot.
 
 	// Closed: the thread has started a later epoch; no new writes will
 	// join this one.
 	Closed bool
 	// CommitSent: commit messages are in flight to the controllers.
 	CommitSent bool
-	// CommitAcks counts commit ACKs still outstanding.
-	CommitAcks int
 	// Committed: safe, complete, and all controllers acknowledged.
 	Committed bool
 	// Nacked: an early flush of this epoch was NACKed; the persist buffer
@@ -62,30 +66,35 @@ func (e *ETEntry) EarlyMCCount() int {
 // would exceed it stalls the core (§VI-A).
 //
 // Tracked timestamps always lie in the window [oldest, current], whose span
-// is bounded by the table's occupancy, so the TS → entry index is a
-// power-of-two ring addressed by ts&mask rather than a map: the Get on
-// every flush ACK, commit attempt and CDR is two compares and an indexed
-// load. The ring doubles in the rare case a burst of coherence-triggered
-// splits pushes the window past its length (Advance may exceed nominal
-// capacity; hardware reserves entries for this).
+// is bounded by the table's occupancy, so the entries live by value in a
+// power-of-two ring addressed by ts&mask: the Get on every flush ACK,
+// commit attempt and CDR is two compares and an indexed load. A slot holds
+// epoch ts while its TS field equals ts; a retired slot has TS 0 and keeps
+// its Deps/Dependents backing arrays for the epoch that reuses it. The
+// ring doubles in the rare case a burst of coherence-triggered splits
+// pushes the window past its length (Advance may exceed nominal capacity;
+// hardware reserves entries for this).
+//
+// A *ETEntry returned by Current, Get or Advance is a borrow into the
+// ring: it stays valid until the next Advance or Retire on the table.
 type EpochTable struct {
 	capacity int
 	thread   int
 	current  uint64 // TS of the open epoch
 	oldest   uint64 // lowest TS not yet retired
-	ring     []*ETEntry
+	ring     []ETEntry
 	mask     uint64 // len(ring) - 1
 	count    int    // tracked (unretired) epochs
 	maxOcc   int
-	free     []*ETEntry // retired entries, recycled by Advance
 }
 
-// etRingSize returns the initial ring length: a power of two comfortably
-// above the nominal capacity so transient over-capacity windows rarely
-// force a grow.
+// etRingSize returns the initial ring length: the smallest power of two
+// (at least 16) holding the nominal capacity. Only a coherence-split
+// burst on a full table takes the window past it, and the first one grows
+// the ring for the rest of the run.
 func etRingSize(capacity int) int {
 	n := 16
-	for n < 2*capacity {
+	for n < capacity {
 		n *= 2
 	}
 	return n
@@ -103,10 +112,10 @@ func NewEpochTable(thread, capacity int) *EpochTable {
 		thread:   thread,
 		current:  1,
 		oldest:   1,
-		ring:     make([]*ETEntry, n),
+		ring:     make([]ETEntry, n),
 		mask:     uint64(n) - 1,
 	}
-	et.ring[1&et.mask] = &ETEntry{TS: 1}
+	et.ring[1&et.mask].TS = 1
 	et.count = 1
 	et.maxOcc = 1
 	return et
@@ -119,17 +128,17 @@ func (et *EpochTable) Thread() int { return et.thread }
 func (et *EpochTable) CurrentTS() uint64 { return et.current }
 
 // Current returns the open epoch's entry.
-func (et *EpochTable) Current() *ETEntry { return et.ring[et.current&et.mask] }
+func (et *EpochTable) Current() *ETEntry { return &et.ring[et.current&et.mask] }
 
 // Get returns the entry for epoch ts, if still tracked. Within the window
 // [oldest, current] ring slots are collision-free (the window never exceeds
-// the ring length), so a slot holds either ts's entry or nil (retired).
+// the ring length), so a slot holds either ts's entry or a retired one.
 func (et *EpochTable) Get(ts uint64) (*ETEntry, bool) {
 	if ts < et.oldest || ts > et.current {
 		return nil, false
 	}
-	e := et.ring[ts&et.mask]
-	if e == nil {
+	e := &et.ring[ts&et.mask]
+	if e.TS != ts {
 		return nil, false
 	}
 	return e, true
@@ -147,13 +156,15 @@ func (et *EpochTable) Full() bool { return et.count >= et.capacity }
 // OldestTS returns the lowest unretired epoch timestamp.
 func (et *EpochTable) OldestTS() uint64 { return et.oldest }
 
-// grow doubles the ring and re-places the tracked window.
+// grow doubles the ring and re-places the tracked window up to the epoch
+// Advance is opening: that one's old slot is the oldest epoch's, whose
+// Deps/Dependents arrays the new epoch must not share.
 func (et *EpochTable) grow() {
 	old := et.ring
 	oldMask := et.mask
-	et.ring = make([]*ETEntry, 2*len(old)) //asaplint:ignore alloccheck amortized doubling on transient over-capacity; steady state never grows
+	et.ring = make([]ETEntry, 2*len(old)) //asaplint:ignore alloccheck amortized doubling on transient over-capacity; steady state never grows
 	et.mask = uint64(len(et.ring)) - 1
-	for ts := et.oldest; ts <= et.current; ts++ {
+	for ts := et.oldest; ts < et.current; ts++ {
 		et.ring[ts&et.mask] = old[ts&oldMask]
 	}
 }
@@ -173,17 +184,8 @@ func (et *EpochTable) Advance() *ETEntry {
 	if et.current-et.oldest+1 > uint64(len(et.ring)) {
 		et.grow()
 	}
-	var e *ETEntry
-	if n := len(et.free); n > 0 {
-		e = et.free[n-1]
-		et.free[n-1] = nil
-		et.free = et.free[:n-1]
-		deps, dependents := e.Deps[:0], e.Dependents[:0]
-		*e = ETEntry{TS: et.current, Deps: deps, Dependents: dependents}
-	} else {
-		e = &ETEntry{TS: et.current} //asaplint:ignore alloccheck free-list miss; bounded by the table's live window, then recycled forever
-	}
-	et.ring[et.current&et.mask] = e
+	e := &et.ring[et.current&et.mask]
+	*e = ETEntry{TS: et.current, Deps: e.Deps[:0], Dependents: e.Dependents[:0]}
 	et.count++
 	if et.count > et.maxOcc {
 		et.maxOcc = et.count
@@ -202,13 +204,11 @@ func (et *EpochTable) Retire(ts uint64) {
 	if !e.Committed {
 		panic("persist: retiring uncommitted epoch")
 	}
-	et.ring[ts&et.mask] = nil
+	// The slot keeps its Deps/Dependents backing arrays; Advance reuses
+	// them for the epoch that next lands here.
+	e.TS = 0
 	et.count--
-	// Recycle the entry; Advance reuses it (and its Deps/Dependents
-	// backing arrays) for a future epoch. Callers must not retain
-	// *ETEntry pointers across Retire.
-	et.free = append(et.free, e) //asaplint:ignore alloccheck free list bounded by the table's live window; backing array reaches it once
-	for et.oldest <= et.current && et.ring[et.oldest&et.mask] == nil {
+	for et.oldest <= et.current && et.ring[et.oldest&et.mask].TS != et.oldest {
 		et.oldest++
 	}
 }
@@ -230,8 +230,8 @@ func (et *EpochTable) PrevCommitted(ts uint64) bool {
 // an empty open epoch with no writes. This is the dfence condition (§V-A).
 func (et *EpochTable) AllCommitted() bool {
 	for ts := et.oldest; ts <= et.current; ts++ {
-		e := et.ring[ts&et.mask]
-		if e == nil || e.Committed {
+		e := &et.ring[ts&et.mask]
+		if e.TS != ts || e.Committed {
 			continue
 		}
 		if !e.Closed && e.Unacked == 0 && len(e.Deps) == 0 {
@@ -242,4 +242,36 @@ func (et *EpochTable) AllCommitted() bool {
 		return false
 	}
 	return true
+}
+
+// Check verifies the table's invariants: a power-of-two ring covering the
+// window [oldest, current], the open epoch tracked, every tracked slot at
+// its own timestamp's position, and a count matching the tracked slots.
+// checkpoint.Load runs it on every decoded table.
+func (et *EpochTable) Check() error {
+	n := uint64(len(et.ring))
+	if et.capacity <= 0 || n == 0 || n&(n-1) != 0 || et.mask != n-1 {
+		return fmt.Errorf("persist: epoch table ring of %d slots (mask %#x, capacity %d) is not a power of two", n, et.mask, et.capacity)
+	}
+	if et.oldest == 0 || et.oldest > et.current || et.current-et.oldest >= n {
+		return fmt.Errorf("persist: epoch table window [%d, %d] does not fit its %d-slot ring", et.oldest, et.current, n)
+	}
+	if et.ring[et.current&et.mask].TS != et.current || et.ring[et.oldest&et.mask].TS != et.oldest {
+		return fmt.Errorf("persist: epoch table does not track the ends of its window [%d, %d]", et.oldest, et.current)
+	}
+	count := 0
+	for i := range et.ring {
+		ts := et.ring[i].TS
+		if ts == 0 {
+			continue
+		}
+		if ts < et.oldest || ts > et.current || ts&et.mask != uint64(i) {
+			return fmt.Errorf("persist: epoch table slot %d holds epoch %d outside its position in [%d, %d]", i, ts, et.oldest, et.current)
+		}
+		count++
+	}
+	if count != et.count || et.count > et.maxOcc {
+		return fmt.Errorf("persist: epoch table counts %d tracked epochs (max %d), holds %d", et.count, et.maxOcc, count)
+	}
+	return nil
 }

@@ -8,8 +8,10 @@ import (
 // Link is the model↔controller message fabric: every flush and epoch
 // commit a model issues toward a memory controller goes through it. It
 // schedules one typed event per flush at +FlushLat and one per commit at
-// +MsgLat, and keeps the payloads (packets, repliers) in FIFO queues, because queued engine events are pointer-free and carry none.
-// Deliveries of one kind share one latency, so the FIFOs dequeue in
+// +MsgLat, and keeps the payloads in pointer-free FIFO queues: a queued
+// engine event carries only a kind and an arg, a payload names its
+// controller by index, and the controllers reply to the model connected
+// to them (MC.Connect). Deliveries of one kind share one latency, so the FIFOs dequeue in
 // exactly the order the events fire.
 type Link struct {
 	eng *sim.Engine
@@ -25,18 +27,16 @@ type Link struct {
 
 // linkFlushSend is one queued flush delivery.
 type linkFlushSend struct {
-	mc      *MC
+	mc      int
 	pkt     FlushPacket
-	replier FlushReplier
 	arg     uint64
 	retried bool
 }
 
 // linkCommitSend is one queued commit delivery.
 type linkCommitSend struct {
-	mc    *MC
+	mc    int
 	epoch EpochID
-	acker CommitAcker
 }
 
 // Typed-event kinds dispatched through Link.RunEvent.
@@ -51,22 +51,22 @@ func NewLink(eng *sim.Engine, cfg config.Config, mcs []*MC) *Link {
 }
 
 // FlushOp issues a flush to mcs[mcID], delivered after FlushLat; the
-// controller's ACK/NACK comes back through rp.FlushReply(arg, res).
-// retried marks a NACK-retried flush, whose delivery removes the line's
-// Bloom reservation at the controller.
+// controller's ACK/NACK comes back through its connected replier's
+// FlushReply(arg, res). retried marks a NACK-retried flush, whose delivery
+// removes the line's Bloom reservation at the controller.
 //
 //asap:hot flush issue: every persist-buffer drain goes through here
-func (l *Link) FlushOp(mcID int, pkt FlushPacket, rp FlushReplier, arg uint64, retried bool) {
-	l.fq = append(l.fq, linkFlushSend{mc: l.mcs[mcID], pkt: pkt, replier: rp, arg: arg, retried: retried}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
+func (l *Link) FlushOp(mcID int, pkt FlushPacket, arg uint64, retried bool) {
+	l.fq = append(l.fq, linkFlushSend{mc: mcID, pkt: pkt, arg: arg, retried: retried}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
 	l.eng.AfterOp(l.cfg.FlushLat, l, linkEvFlush, 0)
 }
 
 // CommitOp sends an epoch-commit message to mcs[mcID], delivered after
-// MsgLat; the ACK comes back through acker.CommitAck.
+// MsgLat; the ACK comes back through the controller's connected CommitAck.
 //
 //asap:hot commit issue: every epoch commit goes through here
-func (l *Link) CommitOp(mcID int, e EpochID, acker CommitAcker) {
-	l.cq = append(l.cq, linkCommitSend{mc: l.mcs[mcID], epoch: e, acker: acker}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
+func (l *Link) CommitOp(mcID int, e EpochID) {
+	l.cq = append(l.cq, linkCommitSend{mc: mcID, epoch: e}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
 	l.eng.AfterOp(l.cfg.MsgLat, l, linkEvCommit, 0)
 }
 
@@ -83,13 +83,14 @@ func (l *Link) RunEvent(kind int, arg uint64) {
 			l.fq = l.fq[:0]
 			l.fhead = 0
 		}
-		if s.retried && s.mc.Bloom != nil {
+		mc := l.mcs[s.mc]
+		if s.retried && mc.Bloom != nil {
 			// The retry carries the newest value for the line; the Bloom
 			// reservation that protected it from LLC-eviction drops lifts
 			// the moment the retry reaches the controller.
-			s.mc.Bloom.Remove(s.pkt.Line)
+			mc.Bloom.Remove(s.pkt.Line)
 		}
-		s.mc.ReceiveOp(s.pkt, s.replier, s.arg)
+		mc.ReceiveOp(s.pkt, s.arg)
 	case linkEvCommit:
 		s := l.cq[l.chead]
 		l.cq[l.chead] = linkCommitSend{}
@@ -98,7 +99,7 @@ func (l *Link) RunEvent(kind int, arg uint64) {
 			l.cq = l.cq[:0]
 			l.chead = 0
 		}
-		s.mc.CommitOp(s.epoch, s.acker)
+		l.mcs[s.mc].CommitOp(s.epoch)
 	default:
 		panic("persist: unknown Link event kind")
 	}

@@ -14,15 +14,13 @@ import (
 type mcJob struct {
 	isCommit bool
 
-	// flush fields: the result goes to replier with replyArg passed back
-	// verbatim.
+	// flush fields: the result goes to the replier with replyArg passed
+	// back verbatim.
 	pkt      FlushPacket
-	replier  FlushReplier
 	replyArg uint64
 
-	// commit fields: the ACK goes to commitAcker.
-	epoch       EpochID
-	commitAcker CommitAcker
+	// commit field: the epoch whose ACK goes to the acker.
+	epoch EpochID
 }
 
 // CommitAcker receives the controller's commit ACK for an epoch submitted
@@ -32,8 +30,8 @@ type CommitAcker interface {
 }
 
 // FlushReplier receives the controller's ACK/NACK for a flush submitted via
-// ReceiveOp. arg is the caller's value from ReceiveOp, typically a persist
-// buffer entry ID.
+// ReceiveOp. arg is the caller's value from ReceiveOp: a packed core and
+// persist-buffer entry ID, or whatever else names the flush to its sender.
 type FlushReplier interface {
 	FlushReply(arg uint64, res FlushResult)
 }
@@ -57,8 +55,7 @@ const (
 // at the same MsgLat delay, so a FIFO ring dispatched by typed events
 // delivers them in the order they were sent.
 type mcReply struct {
-	replier  FlushReplier
-	acker    CommitAcker
+	commit   bool // a commit ACK for ackEpoch; else a flush reply
 	ackEpoch EpochID
 	arg      uint64
 	res      FlushResult
@@ -81,6 +78,12 @@ type MC struct {
 	ID  int
 	eng *sim.Engine
 	cfg config.Config
+
+	// rp and acker receive every reply: the machine's model, wired once
+	// by Connect at construction (acker is nil for a model that never
+	// commits epochs at the controllers).
+	rp    FlushReplier
+	acker CommitAcker
 
 	WPQ   *mem.WPQ
 	RT    *RecoveryTable // nil for models without speculative persistence
@@ -145,6 +148,15 @@ func NewMC(id int, eng *sim.Engine, cfg config.Config, speculative bool, st *sta
 	return mc
 }
 
+// Connect names the component every reply of this controller goes to:
+// flush ACK/NACKs to rp.FlushReply and, when rp is also a CommitAcker,
+// commit ACKs to its CommitAck. A machine connects its model once, at
+// construction.
+func (mc *MC) Connect(rp FlushReplier) {
+	mc.rp = rp
+	mc.acker, _ = rp.(CommitAcker)
+}
+
 // Stats returns the stat set the controller reports into.
 func (mc *MC) Stats() *stats.Set { return mc.st }
 
@@ -163,10 +175,10 @@ func (mc *MC) AttachTracer(tr obs.Tracer) {
 }
 
 // ReceiveOp accepts a flush packet; the ACK or NACK is delivered through
-// rp.FlushReply(arg, res) after the on-chip message latency. Callers model
-// the PB→MC flush latency before calling ReceiveOp.
-func (mc *MC) ReceiveOp(pkt FlushPacket, rp FlushReplier, arg uint64) {
-	mc.enqueueFlush(mcJob{pkt: pkt, replier: rp, replyArg: arg})
+// the connected replier's FlushReply(arg, res) after the on-chip message
+// latency. Callers model the PB→MC flush latency before calling ReceiveOp.
+func (mc *MC) ReceiveOp(pkt FlushPacket, arg uint64) {
+	mc.enqueueFlush(mcJob{pkt: pkt, replyArg: arg})
 }
 
 func (mc *MC) enqueueFlush(j mcJob) {
@@ -180,10 +192,10 @@ func (mc *MC) enqueueFlush(j mcJob) {
 }
 
 // CommitOp accepts an epoch-commit message from an epoch table; the ACK
-// goes to acker.CommitAck(e) once the table has been cleaned and any delay
-// records processed (§V-C).
-func (mc *MC) CommitOp(e EpochID, acker CommitAcker) {
-	mc.queue = append(mc.queue, mcJob{isCommit: true, epoch: e, commitAcker: acker}) //asaplint:ignore alloccheck job queue reaches steady-state capacity, then appends reuse it
+// goes to the connected CommitAck(e) once the table has been cleaned and
+// any delay records processed (§V-C).
+func (mc *MC) CommitOp(e EpochID) {
+	mc.queue = append(mc.queue, mcJob{isCommit: true, epoch: e}) //asaplint:ignore alloccheck job queue reaches steady-state capacity, then appends reuse it
 	mc.serve()
 }
 
@@ -202,7 +214,7 @@ func (mc *MC) serve() {
 	}
 	mc.serving = true
 	mc.cur = mc.queue[mc.qhead]
-	mc.queue[mc.qhead] = mcJob{} // drop the interface references
+	mc.queue[mc.qhead] = mcJob{} // consumed slots hold no stale bytes
 	mc.qhead++
 	if mc.qhead == len(mc.queue) {
 		mc.queue = mc.queue[:0]
@@ -233,10 +245,10 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 			mc.replies = mc.replies[:0]
 			mc.rhead = 0
 		}
-		if r.acker != nil {
-			r.acker.CommitAck(r.ackEpoch)
+		if r.commit {
+			mc.acker.CommitAck(r.ackEpoch)
 		} else {
-			r.replier.FlushReply(r.arg, r.res)
+			mc.rp.FlushReply(r.arg, r.res)
 		}
 	case mcEvXPRead:
 		mc.readDone(mem.Token(arg))
@@ -258,7 +270,7 @@ func (mc *MC) finishJob() {
 		mc.trc.End(mc.track)
 	}
 	mc.serving = false
-	mc.cur = mcJob{} // drop the job's interface references
+	mc.cur = mcJob{}
 	mc.serve()
 }
 
@@ -271,7 +283,7 @@ func (mc *MC) sendReply(r mcReply) {
 // ack ACKs the flush in service and moves on.
 func (mc *MC) ack() {
 	j := &mc.cur
-	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushAck})
+	mc.sendReply(mcReply{arg: j.replyArg, res: FlushAck})
 	mc.finishJob()
 }
 
@@ -285,7 +297,7 @@ func (mc *MC) nack() {
 	if mc.Bloom != nil {
 		mc.Bloom.Add(j.pkt.Line)
 	}
-	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushNack})
+	mc.sendReply(mcReply{arg: j.replyArg, res: FlushNack})
 	mc.finishJob()
 }
 
@@ -428,7 +440,7 @@ func (mc *MC) commitNext() {
 		if mc.delayIdx >= mc.nDelays {
 			clear(mc.delays[:mc.nDelays])
 			mc.nDelays, mc.delayIdx = 0, 0
-			mc.sendReply(mcReply{acker: mc.cur.commitAcker, ackEpoch: mc.cur.epoch})
+			mc.sendReply(mcReply{commit: true, ackEpoch: mc.cur.epoch})
 			mc.finishJob()
 			return
 		}

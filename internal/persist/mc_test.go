@@ -12,7 +12,9 @@ import (
 func newTestMC(spec bool) (*MC, *sim.Engine) {
 	eng := sim.NewEngine()
 	cfg := config.Default()
-	return NewMC(0, eng, cfg, spec, stats.New()), eng
+	mc := NewMC(0, eng, cfg, spec, stats.New())
+	connect(mc)
+	return mc, eng
 }
 
 // replies records controller replies: flush results and commit ACKs.
@@ -24,10 +26,17 @@ type replies struct {
 func (r *replies) FlushReply(_ uint64, res FlushResult) { r.res = append(r.res, res) }
 func (r *replies) CommitAck(e EpochID)                  { r.acks = append(r.acks, e) }
 
+// connect makes a fresh recorder the controller's replier.
+func connect(mc *MC) *replies {
+	r := &replies{}
+	mc.Connect(r)
+	return r
+}
+
 func sendFlush(t *testing.T, mc *MC, eng *sim.Engine, pkt FlushPacket) FlushResult {
 	t.Helper()
-	r := &replies{}
-	mc.ReceiveOp(pkt, r, 0)
+	r := connect(mc)
+	mc.ReceiveOp(pkt, 0)
 	eng.Run(0)
 	if len(r.res) != 1 {
 		t.Fatalf("controller sent %d replies, want 1", len(r.res))
@@ -89,8 +98,8 @@ func TestMCCommitProcessesDelays(t *testing.T) {
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 2, Epoch: e(2, 1), Early: true}) // delayed
 
 	// Commit the delaying epoch first: delay -> undo safe value.
-	r := &replies{}
-	mc.CommitOp(e(2, 1), r)
+	r := connect(mc)
+	mc.CommitOp(e(2, 1))
 	eng.Run(0)
 	if len(r.acks) != 1 || r.acks[0] != e(2, 1) {
 		t.Fatal("commit not acknowledged")
@@ -99,7 +108,7 @@ func TestMCCommitProcessesDelays(t *testing.T) {
 		t.Fatal("delay did not update the undo record")
 	}
 	// Commit the undo creator: record deleted, memory keeps 3.
-	mc.CommitOp(e(1, 1), &replies{})
+	mc.CommitOp(e(1, 1))
 	eng.Run(0)
 	if _, ok := mc.RT.Undo(5); ok {
 		t.Fatal("undo should be gone")
@@ -113,9 +122,9 @@ func TestMCDelayWithoutUndoPersistsOnCommit(t *testing.T) {
 	mc, eng := newTestMC(true)
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 3, Epoch: e(1, 1), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 4, Epoch: e(2, 1), Early: true}) // delayed
-	mc.CommitOp(e(1, 1), &replies{})                                                   // undo deleted
+	mc.CommitOp(e(1, 1))                                                               // undo deleted
 	eng.Run(0)
-	mc.CommitOp(e(2, 1), &replies{}) // delay now persists to media
+	mc.CommitOp(e(2, 1)) // delay now persists to media
 	eng.Run(0)
 	if mc.NVM.Peek(5) != 4 {
 		t.Fatalf("delayed write lost: %d", mc.NVM.Peek(5))
@@ -158,9 +167,9 @@ func TestMCWPQBackpressure(t *testing.T) {
 	cfg := config.Default()
 	cfg.WPQEntries = 2
 	mc := NewMC(0, eng, cfg, false, stats.New())
-	r := &replies{}
+	r := connect(mc)
 	for i := 0; i < 8; i++ {
-		mc.ReceiveOp(FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)}, r, uint64(i))
+		mc.ReceiveOp(FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)}, uint64(i))
 	}
 	eng.Run(0)
 	if len(r.res) != 8 {
@@ -180,9 +189,8 @@ func TestMCUndoReadUsesWPQAndXPBuffer(t *testing.T) {
 	mc, eng := newTestMC(true)
 	// Prime: a safe write parks in the WPQ briefly; an immediate early
 	// write to the same line must read the pending value, not media.
-	r := &replies{}
-	mc.ReceiveOp(FlushPacket{Line: 4, Token: 10, Epoch: e(0, 1)}, r, 0)
-	mc.ReceiveOp(FlushPacket{Line: 4, Token: 11, Epoch: e(0, 2), Early: true}, r, 1)
+	mc.ReceiveOp(FlushPacket{Line: 4, Token: 10, Epoch: e(0, 1)}, 0)
+	mc.ReceiveOp(FlushPacket{Line: 4, Token: 11, Epoch: e(0, 2), Early: true}, 1)
 	eng.Run(0)
 	if u, ok := mc.RT.Undo(4); !ok || u.Safe != 10 {
 		t.Fatalf("undo should hold the WPQ value 10: %+v", u)
@@ -215,7 +223,7 @@ func TestMCSameEpochSafeAfterEarly(t *testing.T) {
 	mc, eng := newTestMC(true)
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 100, Epoch: e(0, 5), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 101, Epoch: e(0, 5)}) // safe, same epoch
-	mc.CommitOp(e(0, 5), &replies{})
+	mc.CommitOp(e(0, 5))
 	eng.Run(0)
 	if got := mc.NVM.Peek(8); got != 101 {
 		t.Fatalf("memory = %d, want the epoch's newest write 101", got)
@@ -232,12 +240,12 @@ func TestMCStaleDelayReplay(t *testing.T) {
 	E, F := e(0, 1), e(0, 2)
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 10, Epoch: E, Early: true}) // undo(E), mem=10
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 20, Epoch: F, Early: true}) // delayed behind undo(E)
-	mc.CommitOp(E, &replies{})
+	mc.CommitOp(E)
 	eng.Run(0)
 	// F writes the line again: must coalesce into F's delay record, not
 	// start a new speculative chain that the stale delay would clobber.
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 30, Epoch: F, Early: true})
-	mc.CommitOp(F, &replies{})
+	mc.CommitOp(F)
 	eng.Run(0)
 	if got := mc.NVM.Peek(8); got != 30 {
 		t.Fatalf("memory = %d, want F's newest write 30", got)

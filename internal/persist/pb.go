@@ -1,12 +1,14 @@
 package persist
 
 import (
+	"fmt"
+
 	"asap/internal/mem"
 	"asap/internal/obs"
 )
 
 // PBState is the lifecycle of one persist buffer entry.
-type PBState int
+type PBState uint8
 
 const (
 	// PBWaiting: enqueued, not yet flushed (or NACKed and awaiting retry).
@@ -34,11 +36,15 @@ type PBEntry struct {
 // alongside the private caches. Writes to the same line within the same
 // epoch coalesce while still waiting, which both reduces NVM traffic and
 // models the coalescing the paper credits for write-endurance gains.
+//
+// The entries are a slab of values sized to the hardware buffer at
+// construction. A *PBEntry returned by NextWaiting, NextWaitingIn or Nack
+// (or taken from Entries) is a borrow into that slab: it stays valid until
+// the next Enqueue or Ack on the buffer.
 type PersistBuffer struct {
 	capacity int
 	nextID   uint64
-	entries  []*PBEntry // FIFO order, arbitrary removal on ACK
-	free     []*PBEntry // recycled entries, reused by Enqueue
+	entries  []PBEntry // FIFO order, arbitrary removal on ACK; allocated at capacity
 	inflight int
 
 	inserted  uint64
@@ -54,7 +60,7 @@ func NewPersistBuffer(capacity int) *PersistBuffer {
 	if capacity <= 0 {
 		panic("persist: persist buffer capacity must be positive")
 	}
-	return &PersistBuffer{capacity: capacity}
+	return &PersistBuffer{capacity: capacity, entries: make([]PBEntry, 0, capacity)}
 }
 
 // AttachTracer emits occupancy counters and insert/flush events on track
@@ -94,7 +100,7 @@ func (pb *PersistBuffer) MaxOccupancy() int { return pb.maxOcc }
 //asap:hot every persistent store enqueues here
 func (pb *PersistBuffer) Enqueue(line mem.Line, token mem.Token, ts uint64) (bool, bool) {
 	for i := len(pb.entries) - 1; i >= 0; i-- {
-		e := pb.entries[i]
+		e := &pb.entries[i]
 		if e.Line == line && e.TS == ts && e.State == PBWaiting {
 			e.Token = token
 			pb.coalesced++
@@ -113,22 +119,14 @@ func (pb *PersistBuffer) Enqueue(line mem.Line, token mem.Token, ts uint64) (boo
 		return false, false
 	}
 	pb.nextID++
-	var e *PBEntry
-	if n := len(pb.free); n > 0 {
-		e = pb.free[n-1]
-		pb.free[n-1] = nil
-		pb.free = pb.free[:n-1]
-	} else {
-		e = new(PBEntry) //asaplint:ignore alloccheck free-list miss; at most capacity allocations per run, then recycled forever
-	}
-	*e = PBEntry{
+	//asaplint:ignore alloccheck bounded by capacity (Full checked above); the slab is allocated at construction
+	pb.entries = append(pb.entries, PBEntry{
 		ID:    pb.nextID,
 		Line:  line,
 		Token: token,
 		TS:    ts,
 		State: PBWaiting,
-	}
-	pb.entries = append(pb.entries, e) //asaplint:ignore alloccheck bounded by capacity (Full checked above); backing array reaches it once
+	})
 	pb.inserted++
 	if len(pb.entries) > pb.maxOcc {
 		pb.maxOcc = len(pb.entries)
@@ -143,8 +141,8 @@ func (pb *PersistBuffer) Enqueue(line mem.Line, token mem.Token, ts uint64) (boo
 //
 //asap:hot flush-issue path, polled once per drained entry
 func (pb *PersistBuffer) NextWaiting() *PBEntry {
-	for _, e := range pb.entries {
-		if e.State == PBWaiting {
+	for i := range pb.entries {
+		if e := &pb.entries[i]; e.State == PBWaiting {
 			return e
 		}
 	}
@@ -156,8 +154,8 @@ func (pb *PersistBuffer) NextWaiting() *PBEntry {
 //
 //asap:hot flush-issue path, polled once per drained entry
 func (pb *PersistBuffer) NextWaitingIn(ts uint64) *PBEntry {
-	for _, e := range pb.entries {
-		if e.State == PBWaiting && e.TS == ts {
+	for i := range pb.entries {
+		if e := &pb.entries[i]; e.State == PBWaiting && e.TS == ts {
 			return e
 		}
 	}
@@ -179,13 +177,12 @@ func (pb *PersistBuffer) MarkInflight(e *PBEntry, early bool) {
 
 // Ack removes the entry with the given ID, returning a copy of it and true
 // (false if the ID is unknown, which indicates a protocol bug upstream).
-// The slot itself is recycled onto the free list — returning by value means
-// no caller can hold a pointer into a slot a later Enqueue reuses.
+// Later entries shift down one slot, keeping FIFO order in the slab.
 //
 //asap:hot runs once per completed flush
 func (pb *PersistBuffer) Ack(id uint64) (PBEntry, bool) {
-	for i, e := range pb.entries {
-		if e.ID == id {
+	for i := range pb.entries {
+		if e := &pb.entries[i]; e.ID == id {
 			if e.State != PBInflight {
 				panic("persist: ACK for entry that was not inflight")
 			}
@@ -193,10 +190,8 @@ func (pb *PersistBuffer) Ack(id uint64) (PBEntry, bool) {
 			out := *e
 			n := len(pb.entries) - 1
 			copy(pb.entries[i:], pb.entries[i+1:])
-			pb.entries[n] = nil // drop the duplicate tail reference
+			pb.entries[n] = PBEntry{}
 			pb.entries = pb.entries[:n]
-			*e = PBEntry{}
-			pb.free = append(pb.free, e) //asaplint:ignore alloccheck free list bounded by capacity; backing array reaches it once
 			if pb.trc != nil {
 				pb.trc.Counter(pb.track, "pb", int64(len(pb.entries)))
 			}
@@ -211,8 +206,8 @@ func (pb *PersistBuffer) Ack(id uint64) (PBEntry, bool) {
 //
 //asap:hot misspeculation recovery path
 func (pb *PersistBuffer) Nack(id uint64) *PBEntry {
-	for _, e := range pb.entries {
-		if e.ID == id {
+	for i := range pb.entries {
+		if e := &pb.entries[i]; e.ID == id {
 			if e.State != PBInflight {
 				panic("persist: NACK for entry that was not inflight")
 			}
@@ -228,8 +223,8 @@ func (pb *PersistBuffer) Nack(id uint64) *PBEntry {
 // PendingForEpoch counts live entries belonging to epoch ts.
 func (pb *PersistBuffer) PendingForEpoch(ts uint64) int {
 	n := 0
-	for _, e := range pb.entries {
-		if e.TS == ts {
+	for i := range pb.entries {
+		if pb.entries[i].TS == ts {
 			n++
 		}
 	}
@@ -241,13 +236,43 @@ func (pb *PersistBuffer) PendingForEpoch(ts uint64) int {
 //
 //asap:hot probed on every LLC eviction
 func (pb *PersistBuffer) HasLine(line mem.Line) bool {
-	for _, e := range pb.entries {
-		if e.Line == line {
+	for i := range pb.entries {
+		if pb.entries[i].Line == line {
 			return true
 		}
 	}
 	return false
 }
 
-// Entries returns the live entries in FIFO order (read-only use).
-func (pb *PersistBuffer) Entries() []*PBEntry { return pb.entries }
+// Entries returns the live entries in FIFO order (read-only use, a borrow
+// like the entry pointers).
+func (pb *PersistBuffer) Entries() []PBEntry { return pb.entries }
+
+// Check verifies the buffer's invariants: occupancy within capacity, entry
+// IDs strictly increasing in FIFO order and never above the last one handed
+// out, known states, and an inflight count matching the inflight entries.
+// checkpoint.Load runs it on every decoded buffer.
+func (pb *PersistBuffer) Check() error {
+	if pb.capacity <= 0 || len(pb.entries) > pb.capacity {
+		return fmt.Errorf("persist: persist buffer holds %d entries for capacity %d", len(pb.entries), pb.capacity)
+	}
+	var prev uint64
+	inflight := 0
+	for _, e := range pb.entries {
+		if e.ID <= prev || e.ID > pb.nextID {
+			return fmt.Errorf("persist: persist buffer entry ID %d out of order (previous %d, last issued %d)", e.ID, prev, pb.nextID)
+		}
+		prev = e.ID
+		switch e.State {
+		case PBWaiting:
+		case PBInflight:
+			inflight++
+		default:
+			return fmt.Errorf("persist: persist buffer entry %d has unknown state %d", e.ID, e.State)
+		}
+	}
+	if inflight != pb.inflight {
+		return fmt.Errorf("persist: persist buffer counts %d inflight entries, holds %d", pb.inflight, inflight)
+	}
+	return nil
+}

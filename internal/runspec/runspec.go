@@ -99,19 +99,9 @@ func (s RunSpec) Validate() error {
 	case s.Params.Threads > s.Config.Cores:
 		return fmt.Errorf("runspec: %d threads exceed %d cores (normalize the spec)", s.Params.Threads, s.Config.Cores)
 	}
-	return validateConfig(s.Config)
-}
-
-// validateConfig adapts config.Validate's panic-on-inconsistency
-// contract (built for hand-edited test configs) into an error, so a bad
-// spec arriving over HTTP is a 400, not a crashed service.
-func validateConfig(c config.Config) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("runspec: %v", r)
-		}
-	}()
-	c.Validate()
+	if err := s.Config.Check(); err != nil {
+		return fmt.Errorf("runspec: %w", err)
+	}
 	return nil
 }
 

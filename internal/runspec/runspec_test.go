@@ -166,6 +166,9 @@ func TestParseRejects(t *testing.T) {
 		{"missing model", `{"workload": "cceh", "params": {"Threads": 1, "OpsPerThread": 1}}`, "missing model"},
 		{"zero threads", `{"workload": "cceh", "model": "asap_rp", "params": {"OpsPerThread": 1}}`, "Threads"},
 		{"zero ops", `{"workload": "cceh", "model": "asap_rp", "params": {"Threads": 1}}`, "OpsPerThread"},
+		// Normalization raises Cores to the thread count; 65 cores would
+		// overflow the directory's 64-bit sharer mask.
+		{"65 cores", `{"workload": "cceh", "model": "asap_rp", "params": {"Threads": 65, "OpsPerThread": 1}}`, "Cores 65"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -175,7 +178,7 @@ func TestParseRejects(t *testing.T) {
 }
 
 // TestValidateBadConfig: an internally inconsistent machine configuration
-// is an error (not a panic — config.Validate's contract is adapted).
+// is an error (config.Check), not a panic.
 func TestValidateBadConfig(t *testing.T) {
 	s := defaultSpec()
 	s.Config.InterleaveBytes = 100 // not a multiple of the line size

@@ -125,11 +125,13 @@ func Description(name string) string {
 // Counters live in a dense slice indexed by Key; touched tracks which
 // entries have ever been written so that printing and Names report exactly
 // the counters a run touched (a write of zero still counts as touched).
-// Distributions live in a Key-indexed slice too, nil until first observed.
+// Distributions live by value in a Key-indexed slice too; each one's
+// bucket array is allocated on its first sample, so a never-observed
+// distribution costs a few words and reads as absent.
 type Set struct {
 	counters []uint64
 	touched  []bool
-	dists    []*Dist
+	dists    []Dist
 }
 
 // New returns an empty stat set sized for every name registered so far;
@@ -138,6 +140,7 @@ func New() *Set {
 	return &Set{
 		counters: make([]uint64, len(names)),
 		touched:  make([]bool, len(names)),
+		dists:    make([]Dist, len(names)),
 	}
 }
 
@@ -151,6 +154,9 @@ func (s *Set) ensure(k Key) {
 		t := make([]bool, len(names))
 		copy(t, s.touched)
 		s.touched = t
+		d := make([]Dist, len(names))
+		copy(d, s.dists)
+		s.dists = d
 	}
 }
 
@@ -205,29 +211,19 @@ func (s *Set) Observe(k Key, v uint64) {
 	if kinds[k] != KindDist {
 		panic(fmt.Sprintf("stats: Observe on %q, which was registered as a counter (use RegisterDist)", names[k]))
 	}
-	s.dist(k).Observe(v)
+	s.ensure(k)
+	s.dists[k].Observe(v)
 }
 
-// dist returns k's distribution, creating it on first use.
-func (s *Set) dist(k Key) *Dist {
-	if int(k) >= len(s.dists) {
-		d := make([]*Dist, len(names))
-		copy(d, s.dists)
-		s.dists = d
-	}
-	if s.dists[k] == nil {
-		s.dists[k] = &Dist{}
-	}
-	return s.dists[k]
-}
-
-// Dist returns the distribution named name, or nil if never observed.
+// Dist returns the distribution named name, or nil if never observed. The
+// pointer is a borrow, valid until a name registered after New is first
+// used on the set.
 func (s *Set) Dist(name string) *Dist {
 	k, ok := byName[name]
-	if !ok || int(k) >= len(s.dists) {
+	if !ok || int(k) >= len(s.dists) || !s.dists[k].observed() {
 		return nil
 	}
-	return s.dists[k]
+	return &s.dists[k]
 }
 
 // Names returns the names of all touched counters in sorted order.
@@ -252,9 +248,10 @@ func (s *Set) Merge(other *Set) {
 		s.counters[k] += other.counters[k]
 		s.touched[k] = true
 	}
-	for k, d := range other.dists {
-		if d != nil {
-			s.dist(Key(k)).Merge(d)
+	for k := range other.dists {
+		if d := &other.dists[k]; d.observed() {
+			s.ensure(Key(k))
+			s.dists[k].Merge(d)
 		}
 	}
 }
@@ -331,8 +328,8 @@ func (s *Set) Describe() string {
 // distNames lists the observed distributions, sorted by name.
 func (s *Set) distNames() []string {
 	var out []string
-	for k, d := range s.dists {
-		if d != nil {
+	for k := range s.dists {
+		if s.dists[k].observed() {
 			out = append(out, names[k])
 		}
 	}
@@ -342,9 +339,11 @@ func (s *Set) distNames() []string {
 
 // Dist is a bounded-resolution distribution of non-negative integer samples.
 // Samples up to distBuckets-1 are counted exactly; larger samples share the
-// overflow bucket but still contribute exactly to mean and max.
+// overflow bucket but still contribute exactly to mean and max. The zero
+// value is an empty distribution; its buckets are allocated by the first
+// sample (or merge of a non-empty one).
 type Dist struct {
-	buckets [distBuckets]uint64
+	buckets []uint64 // nil until observed, then distBuckets long
 	over    uint64
 	count   uint64
 	sum     uint64
@@ -353,8 +352,14 @@ type Dist struct {
 
 const distBuckets = 4096
 
+// observed reports whether d ever took a sample or a non-empty merge.
+func (d *Dist) observed() bool { return d.buckets != nil }
+
 // Observe records one sample.
 func (d *Dist) Observe(v uint64) {
+	if d.buckets == nil {
+		d.buckets = make([]uint64, distBuckets)
+	}
 	d.count++
 	d.sum += v
 	if v > d.max {
@@ -369,6 +374,12 @@ func (d *Dist) Observe(v uint64) {
 
 // Merge folds other into d.
 func (d *Dist) Merge(other *Dist) {
+	if !other.observed() {
+		return
+	}
+	if d.buckets == nil {
+		d.buckets = make([]uint64, distBuckets)
+	}
 	for i, c := range other.buckets {
 		d.buckets[i] += c
 	}
