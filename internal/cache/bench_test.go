@@ -52,7 +52,7 @@ func sharingMix(cores, steps, shared, private int, writeFrac float64) []benchSte
 // benchdiff gates it at zero allocations per access.
 func BenchmarkHierarchyAccess(b *testing.B) {
 	cfg := config.Default()
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cfg, 0)
 	mix := sharingMix(cfg.Cores, 1<<14, 64, 256, 0.6)
 	// One warm-up pass: directory growth and scratch-slice sizing happen
 	// here so the timed loop measures the steady state the machine sees.
@@ -69,14 +69,14 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 }
 
 // BenchmarkDirectoryAccess isolates the open-addressed directory: a mixed
-// Read/Write stream across a line universe large enough to have forced
-// several table doublings, so the measured cost includes realistic probe
+// Read/Write stream across a line universe that loads the table as fully
+// as a presized run's does, so the measured cost includes realistic probe
 // distances rather than a half-empty table's best case.
 func BenchmarkDirectoryAccess(b *testing.B) {
-	d := NewDirectory()
 	const cores = 8
 	const lines = 1 << 15
-	// Populate up front: growth happens here, not in the timed loop.
+	d := NewDirectory(lines)
+	// Populate up front, so the timed loop probes a loaded table.
 	for l := 0; l < lines; l++ {
 		d.Read(l%cores, mem.Line(l), false)
 	}

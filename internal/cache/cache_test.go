@@ -72,7 +72,7 @@ func TestSetAssocNeverExceedsCapacity(t *testing.T) {
 }
 
 func TestDirectoryWriteConflict(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(0)
 	if cf, remote, inv := d.Write(0, 7, 5); cf != nil || remote || inv != 0 {
 		t.Fatal("first write should not conflict or invalidate")
 	}
@@ -92,7 +92,7 @@ func TestDirectoryWriteConflict(t *testing.T) {
 }
 
 func TestDirectoryReadDowngrade(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(0)
 	d.Write(0, 7, 5)
 	cf, remote := d.Read(1, 7, false)
 	if cf == nil || !remote {
@@ -110,7 +110,7 @@ func TestDirectoryReadDowngrade(t *testing.T) {
 }
 
 func TestDirectoryAcquireRelease(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(0)
 	d.Write(0, 7, 5)
 	d.MarkRelease(0, 7, 5)
 	cf, _ := d.Read(1, 7, true)
@@ -132,7 +132,7 @@ func TestDirectoryAcquireRelease(t *testing.T) {
 
 func TestHierarchyLevels(t *testing.T) {
 	cfg := config.Default()
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cfg, 0)
 	l := mem.Line(100)
 
 	r1 := h.Access(0, l, false, false, 1)
@@ -153,7 +153,7 @@ func TestHierarchyLevels(t *testing.T) {
 
 func TestHierarchyRemoteTransfer(t *testing.T) {
 	cfg := config.Default()
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cfg, 0)
 	l := mem.Line(200)
 	h.Access(0, l, true, false, 1) // core 0 dirties the line
 	r := h.Access(1, l, false, false, 1)
@@ -167,7 +167,7 @@ func TestHierarchyRemoteTransfer(t *testing.T) {
 
 func TestHierarchyWriteInvalidates(t *testing.T) {
 	cfg := config.Default()
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cfg, 0)
 	l := mem.Line(300)
 	h.Access(0, l, false, false, 1)
 	h.Access(1, l, true, false, 1) // core 1 writes: invalidates core 0
@@ -218,8 +218,8 @@ func TestContainsDoesNotCount(t *testing.T) {
 // be conflated with the zero key. (Entries live inline in the table, so
 // pointers are transient by contract; it is the values that must persist.)
 func TestDirectoryGrowth(t *testing.T) {
-	d := NewDirectory()
-	const n = 10 * dirInitSlots
+	d := NewDirectory(0)
+	const n = 10 * 1024
 	for i := 0; i < n; i++ {
 		l := mem.Line(i * 7)
 		d.Entry(l).LastWriter = int32(i % 8)
@@ -248,7 +248,7 @@ func TestSharerTrimming(t *testing.T) {
 	cfg.L1Ways = 2
 	cfg.L2Size = 64 * 2
 	cfg.L2Ways = 2
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cfg, 0)
 
 	h.Access(0, 100, false, false, 1)
 	if e, ok := h.Directory().Peek(100); !ok || e.Sharers&1 == 0 {
@@ -274,7 +274,7 @@ func TestHierarchyLLCEviction(t *testing.T) {
 	cfg := config.Default()
 	cfg.LLCSize = 64 * 16 // 16 lines
 	cfg.LLCWays = 2
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cfg, 0)
 	var evicted int
 	for i := 0; i < 64; i++ {
 		r := h.Access(0, mem.Line(i*9+1), false, false, 1)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func newBroadcastHierarchy(cfg config.Config) *broadcastHierarchy {
 		l1:  make([]*SetAssoc, cfg.Cores),
 		l2:  make([]*SetAssoc, cfg.Cores),
 		llc: NewSetAssoc(cfg.LLCSize, cfg.LLCWays),
-		dir: NewDirectory(),
+		dir: NewDirectory(0),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1[i] = NewSetAssoc(cfg.L1Size, cfg.L1Ways)
@@ -137,7 +138,7 @@ func TestDifferentialCoherence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ref := newBroadcastHierarchy(cfg)
-		opt := NewHierarchy(cfg)
+		opt := NewHierarchy(cfg, 0)
 		ts := uint64(1)
 
 		for i := 0; i < steps; i++ {
@@ -215,7 +216,7 @@ func TestDifferentialSharerSuperset(t *testing.T) {
 
 	const lines = 64
 	rng := rand.New(rand.NewSource(7))
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cfg, 0)
 	for i := 0; i < 4000; i++ {
 		core := rng.Intn(cfg.Cores)
 		l := mem.Line(rng.Intn(lines))
@@ -233,5 +234,180 @@ func TestDifferentialSharerSuperset(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refSetAssoc is the dense reference cache: every set's lines in a slice
+// ordered most- to least-recently used, with the classic move-to-front
+// LRU. The sparse SetAssoc must make the same decisions whatever its
+// storage layout.
+type refSetAssoc struct {
+	sets                    [][]mem.Line
+	ways                    int
+	hits, misses, evictions uint64
+}
+
+func newRefSetAssoc(sets, ways int) *refSetAssoc {
+	return &refSetAssoc{sets: make([][]mem.Line, sets), ways: ways}
+}
+
+func (r *refSetAssoc) set(l mem.Line) *[]mem.Line { return &r.sets[uint64(l)%uint64(len(r.sets))] }
+
+// find returns l's position in its set, or -1.
+func (r *refSetAssoc) find(l mem.Line) int {
+	for i, x := range *r.set(l) {
+		if x == l {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refSetAssoc) toFront(l mem.Line, i int) {
+	s := *r.set(l)
+	copy(s[1:i+1], s[:i])
+	s[0] = l
+}
+
+func (r *refSetAssoc) Lookup(l mem.Line) bool {
+	if i := r.find(l); i >= 0 {
+		r.toFront(l, i)
+		r.hits++
+		return true
+	}
+	r.misses++
+	return false
+}
+
+func (r *refSetAssoc) Insert(l mem.Line) (mem.Line, bool) {
+	if i := r.find(l); i >= 0 {
+		r.toFront(l, i)
+		return 0, false
+	}
+	s := r.set(l)
+	if len(*s) < r.ways {
+		*s = append(*s, l)
+		r.toFront(l, len(*s)-1)
+		return 0, false
+	}
+	v := (*s)[r.ways-1]
+	(*s)[r.ways-1] = l
+	r.toFront(l, r.ways-1)
+	r.evictions++
+	return v, true
+}
+
+func (r *refSetAssoc) Invalidate(l mem.Line) {
+	if i := r.find(l); i >= 0 {
+		s := r.set(l)
+		*s = append((*s)[:i], (*s)[i+1:]...)
+	}
+}
+
+// TestDifferentialSparseSetAssoc replays random streams of lookups,
+// inserts and invalidations through the sparse SetAssoc and the dense
+// reference, for a power-of-two and a non-power-of-two set count, with a
+// reservation of zero, one too small and the exact count of sets the
+// stream reaches, and once across a recency-stamp wrap. Every outcome,
+// counter and final content must match; with the exact reservation the
+// slab is allocated once and never moves.
+func TestDifferentialSparseSetAssoc(t *testing.T) {
+	const lines, steps = 400, 6000
+	for _, g := range []struct{ sets, ways int }{{64, 4}, {48, 2}} {
+		rng := rand.New(rand.NewSource(int64(g.sets)))
+		stream := make([]mem.Line, steps)
+		for i := range stream {
+			stream[i] = mem.Line(rng.Intn(lines)) * 3 // every third line: sets reached unevenly
+		}
+		count := NewSetCounter(g.sets*g.ways*mem.LineSize, g.ways)
+		for _, l := range stream {
+			count.Add(l)
+		}
+		exact := count.Count()
+		for _, c := range []struct {
+			name    string
+			reserve int
+			wrap    bool
+		}{
+			{"none", 0, false}, {"too small", exact / 3, false}, {"exact", exact, false}, {"exact across a stamp wrap", exact, true},
+		} {
+			what := fmt.Sprintf("%d sets/%s", g.sets, c.name)
+			sa := NewSetAssoc(g.sets*g.ways*mem.LineSize, g.ways)
+			sa.Reserve(c.reserve)
+			if c.wrap {
+				sa.tick = ^uint32(0) - steps/20
+			}
+			ref := newRefSetAssoc(g.sets, g.ways)
+			var slab *slot
+			for i, l := range stream {
+				switch op := rng.Intn(10); {
+				case op < 4:
+					if got, want := sa.Lookup(l), ref.Lookup(l); got != want {
+						t.Fatalf("%s step %d: Lookup(%d) = %v, reference %v", what, i, l, got, want)
+					}
+				case op < 8:
+					var v, rv mem.Line
+					var had, rhad bool
+					if op < 6 || ref.find(l) >= 0 {
+						v, had = sa.Insert(l)
+					} else {
+						v, had = sa.InsertAbsent(l)
+					}
+					rv, rhad = ref.Insert(l)
+					if v != rv || had != rhad {
+						t.Fatalf("%s step %d: Insert(%d) evicts (%d, %v), reference (%d, %v)", what, i, l, v, had, rv, rhad)
+					}
+				default:
+					sa.Invalidate(l)
+					ref.Invalidate(l)
+				}
+				if c.reserve == exact && len(sa.slots) > 0 {
+					if slab == nil {
+						slab = &sa.slots[:1][0]
+					} else if &sa.slots[:1][0] != slab {
+						t.Fatalf("%s step %d: the slab moved under an exact reservation", what, i)
+					}
+				}
+			}
+			if sa.hits != ref.hits || sa.misses != ref.misses || sa.evictions != ref.evictions {
+				t.Fatalf("%s: counters %d/%d/%d, reference %d/%d/%d", what,
+					sa.hits, sa.misses, sa.evictions, ref.hits, ref.misses, ref.evictions)
+			}
+			for l := mem.Line(0); l < 3*lines; l++ {
+				if sa.Contains(l) != (ref.find(l) >= 0) {
+					t.Fatalf("%s: final contents diverge on line %d", what, l)
+				}
+			}
+			if err := sa.Check(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if c.reserve == exact && sa.Used() != exact {
+				t.Fatalf("%s: reached %d sets, the stream's count is %d", what, sa.Used(), exact)
+			}
+			if c.wrap && sa.tick > steps {
+				t.Fatalf("%s: the stamp never wrapped (tick %d)", what, sa.tick)
+			}
+		}
+	}
+}
+
+// TestSparseProbesDoNotAllocate pins that probes of sets no insert has
+// reached — in a cache with no storage yet, and beside a reached set —
+// miss without allocating storage.
+func TestSparseProbesDoNotAllocate(t *testing.T) {
+	c := NewSetAssoc(64*64*8, 8)
+	probe := func() {
+		for l := mem.Line(1); l < 64; l++ {
+			c.Lookup(l)
+			c.Contains(l)
+			c.Invalidate(l)
+		}
+	}
+	if n := testing.AllocsPerRun(10, probe); n != 0 || c.index != nil {
+		t.Fatalf("probes of an empty cache allocate %v times (index allocated: %v)", n, c.index != nil)
+	}
+	c.Insert(0)
+	if n := testing.AllocsPerRun(10, probe); n != 0 || c.Used() != 1 {
+		t.Fatalf("probes of untouched sets allocate %v times and reach %d sets", n, c.Used())
 	}
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "asap/internal/mem"
+import (
+	"fmt"
+
+	"asap/internal/mem"
+)
 
 // DirEntry is the directory's coherence and persistence metadata for one
 // line. Beyond MESI owner/sharer state, it carries the last writer and the
@@ -37,8 +41,8 @@ type dirSlot struct {
 	e    DirEntry
 }
 
-// dirInitSlots is the initial table size; must be a power of two.
-const dirInitSlots = 1024
+// dirMinSlots is the smallest table; must be a power of two.
+const dirMinSlots = 16
 
 // Directory tracks coherence state for every line touched by the machine.
 //
@@ -68,30 +72,17 @@ type Directory struct {
 	invalidations   uint64
 }
 
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{
-		slots: make([]dirSlot, dirInitSlots),
-		mask:  dirInitSlots - 1,
-	}
-}
-
-// Reserve sizes an empty table for n lines: the size doubling would reach
-// after n first touches, allocated once so a run never rehashes. Machine
-// construction calls it with the trace's distinct-line count; each doubling
-// would otherwise leave the old table as garbage mid-run.
-func (d *Directory) Reserve(n int) {
-	if d.count != 0 {
-		panic("cache: Reserve on a directory already in use")
-	}
-	size := len(d.slots)
-	for uint64(n)*4 >= uint64(size)*3 {
+// NewDirectory returns an empty directory whose table holds lines lines
+// without growing: the size doubling would reach after lines first
+// touches. Machine construction passes the trace's distinct-line count, so
+// a run allocates its table once and never rehashes; more lines than that
+// still fit, by doubling.
+func NewDirectory(lines int) *Directory {
+	size := dirMinSlots
+	for uint64(max(lines, 0))*4 >= uint64(size)*3 {
 		size *= 2
 	}
-	if size > len(d.slots) {
-		d.slots = make([]dirSlot, size)
-		d.mask = uint64(size) - 1
-	}
+	return &Directory{slots: make([]dirSlot, size), mask: uint64(size) - 1}
 }
 
 // dirHash spreads line numbers across the table (Fibonacci hashing).
@@ -159,6 +150,33 @@ func (d *Directory) Peek(l mem.Line) (*DirEntry, bool) {
 		return &s.e, true
 	}
 	return nil, false
+}
+
+// Check reports whether the table is one find can probe: a power-of-two
+// table that mask indexes, a count of its used slots that leaves one free
+// (find stops at the first empty slot), and every line on its own probe
+// sequence. A checkpoint image decodes all of it; a mask past the table
+// would panic and a full table would probe forever.
+func (d *Directory) Check() error {
+	n := len(d.slots)
+	if n == 0 || n&(n-1) != 0 || d.mask != uint64(n-1) {
+		return fmt.Errorf("cache: directory mask %#x does not index a power-of-two table of %d slots", d.mask, n)
+	}
+	used := 0
+	for i := range d.slots {
+		if d.slots[i].used {
+			used++
+		}
+	}
+	if used != d.count || d.count >= n {
+		return fmt.Errorf("cache: directory holds %d lines in %d slots, count says %d", used, n, d.count)
+	}
+	for i := range d.slots {
+		if s := &d.slots[i]; s.used && d.find(s.line) != i {
+			return fmt.Errorf("cache: directory line %d sits in slot %d, off its probe sequence", s.line, i)
+		}
+	}
+	return nil
 }
 
 // Capacity reports the table's slot count (tests).

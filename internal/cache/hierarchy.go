@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 
 	"asap/internal/config"
@@ -82,20 +84,66 @@ type Hierarchy struct {
 	res AccessResult
 }
 
-// NewHierarchy builds the hierarchy for cfg.Cores cores.
-func NewHierarchy(cfg config.Config) *Hierarchy {
+// NewHierarchy builds the hierarchy for cfg.Cores cores, with a directory
+// sized for lines distinct lines (NewDirectory). It allocates no cache way
+// state: each cache allocates its slab on its first insert, sized by
+// Reserve.
+func NewHierarchy(cfg config.Config, lines int) *Hierarchy {
 	h := &Hierarchy{
 		cfg: cfg,
 		l1:  make([]SetAssoc, cfg.Cores),
 		l2:  make([]SetAssoc, cfg.Cores),
 		llc: NewSetAssoc(cfg.LLCSize, cfg.LLCWays),
-		dir: NewDirectory(),
+		dir: NewDirectory(lines),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1[i] = *NewSetAssoc(cfg.L1Size, cfg.L1Ways)
 		h.l2[i] = *NewSetAssoc(cfg.L2Size, cfg.L2Ways)
 	}
 	return h
+}
+
+// Reserve sizes each cache's slab for the sets a complete run reaches:
+// l1[i] and l2[i] in core i's private caches (cores past the slices reach
+// none), llc in the shared cache. Every line a thread touches is filled
+// into its core's L1 and L2 on the first access, and every distinct line
+// into the LLC, so counting the distinct sets the trace's lines map to is
+// exact.
+func (h *Hierarchy) Reserve(l1, l2 []int, llc int) {
+	for i, n := range l1 {
+		h.l1[i].Reserve(n)
+	}
+	for i, n := range l2 {
+		h.l2[i].Reserve(n)
+	}
+	h.llc.Reserve(llc)
+}
+
+// Check reports whether the hierarchy's state is one Access can run on
+// under cfg, the config its machine was built from: one L1 and one L2 per
+// core, every cache with cfg's geometry and consistent storage
+// (SetAssoc.Check), and a probeable directory (Directory.Check).
+func (h *Hierarchy) Check(cfg config.Config) error {
+	if len(h.l1) != cfg.Cores || len(h.l2) != cfg.Cores {
+		return fmt.Errorf("cache: %d L1 and %d L2 caches for %d cores", len(h.l1), len(h.l2), cfg.Cores)
+	}
+	check := func(name string, c *SetAssoc, size, ways int) error {
+		if c.geom != newGeom(size, ways) || c.ways != ways {
+			return fmt.Errorf("cache: %s has %d sets of %d ways, the config %d of %d", name, c.sets, c.ways, newGeom(size, ways).sets, ways)
+		}
+		if err := c.Check(); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
+	}
+	for i := range h.l1 {
+		if err := errors.Join(
+			check(fmt.Sprintf("L1[%d]", i), &h.l1[i], cfg.L1Size, cfg.L1Ways),
+			check(fmt.Sprintf("L2[%d]", i), &h.l2[i], cfg.L2Size, cfg.L2Ways)); err != nil {
+			return err
+		}
+	}
+	return errors.Join(check("LLC", h.llc, cfg.LLCSize, cfg.LLCWays), h.dir.Check())
 }
 
 // Directory exposes the coherence directory (the machine marks releases and

@@ -2,18 +2,19 @@
 // directory of Table II. Only presence and coherence metadata are tracked —
 // data values travel through the persist path (package persist) — but
 // placement is a real set-associative LRU model so that hit rates, remote
-// transfers and LLC evictions behave realistically.
+// transfers and LLC evictions behave realistically. Storage is sized from
+// the trace, not from the capacity: each cache holds way state only for the
+// sets a run reaches, in one slab reserved from the machine's pass over the
+// trace, and the directory's table is sized for the trace's distinct lines.
 package cache
 
-import "asap/internal/mem"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
 
-// setsPerChunk is the granularity of lazy slot-state allocation. Building a
-// cache no longer allocates (and zeroes) arrays for its full capacity;
-// state materializes one chunk of sets at a time on first insert. Workloads
-// whose footprint covers a fraction of the LLC — the common case for the
-// experiment sweeps, which construct thousands of machines — only ever pay
-// for the chunks they touch.
-const setsPerChunk = 64
+	"asap/internal/mem"
+)
 
 // invalidLine marks an empty way. Line keys are stored as uint32 (see
 // slot), and the all-ones value would be a byte address past 2^37 — the
@@ -37,22 +38,31 @@ type slot struct {
 	stamp uint32
 }
 
-// setChunk holds the way state for setsPerChunk consecutive sets. A nil
-// slots slice marks a chunk no insert has reached yet.
-type setChunk struct {
-	slots []slot
-}
-
 // SetAssoc is a set-associative cache of line presence with LRU replacement.
+//
+// Way state is sparse: a set gets its ways slots on the first insert that
+// reaches it, appended to one slab, and index maps each set to its place
+// there. A run touches a small fraction of a Table II cache's sets — its
+// lines land far apart, about one per 64 consecutive sets — so storage
+// follows the touched sets rather than the capacity. Machine construction
+// counts, in its pass over the trace, the distinct sets a complete run
+// reaches in each cache (Reserve), and the first insert sizes the slab
+// for exactly that many; a cache that is never inserted into allocates
+// nothing.
 type SetAssoc struct {
-	sets int
+	geom
 	ways int
-	// mask indexes sets without a divide when sets is a power of two
-	// (pow2 true) — every Table II geometry. Other set counts fall back
-	// to the modulo path.
-	mask   uint64
-	pow2   bool
-	chunks []setChunk
+
+	// index has one entry per set once the first insert allocates it
+	// (nil before): 0 while no insert has reached the set, otherwise 1 +
+	// the set's position in slots, in whole sets. slots holds ways
+	// consecutive slots per reached set, in the order the sets were
+	// reached.
+	index []uint32
+	slots []slot
+	// reserve is the number of sets the slab is sized for when it
+	// (re)allocates: the trace's count, so a complete run never grows it.
+	reserve int
 
 	// tick is the source of recency stamps: every touch assigns the next
 	// value, making LRU selection a single min-scan instead of the
@@ -65,27 +75,86 @@ type SetAssoc struct {
 
 // NewSetAssoc builds a cache of sizeBytes capacity with the given
 // associativity over 64-byte lines. Sizes that do not divide evenly are
-// rounded down to a whole number of sets (minimum one).
+// rounded down to a whole number of sets (minimum one). It allocates no
+// way state; see Reserve.
 func NewSetAssoc(sizeBytes, ways int) *SetAssoc {
+	return &SetAssoc{geom: newGeom(sizeBytes, ways), ways: ways}
+}
+
+// geom is a cache's set mapping.
+type geom struct {
+	sets int
+	// mask indexes sets without a divide when sets is a power of two
+	// (pow2 true) — every Table II geometry. Other set counts fall back
+	// to the modulo path.
+	mask uint64
+	pow2 bool
+}
+
+// newGeom returns the set mapping of a cache of sizeBytes capacity with
+// the given associativity.
+func newGeom(sizeBytes, ways int) geom {
 	if ways <= 0 || sizeBytes <= 0 {
 		panic("cache: size and ways must be positive")
 	}
-	numLines := sizeBytes / mem.LineSize
-	sets := numLines / ways
-	if sets == 0 {
-		sets = 1
+	g := geom{sets: max(sizeBytes/mem.LineSize/ways, 1)}
+	if g.sets&(g.sets-1) == 0 {
+		g.pow2, g.mask = true, uint64(g.sets-1)
 	}
-	c := &SetAssoc{
-		sets:   sets,
-		ways:   ways,
-		chunks: make([]setChunk, (sets+setsPerChunk-1)/setsPerChunk),
-	}
-	if sets&(sets-1) == 0 {
-		c.pow2 = true
-		c.mask = uint64(sets - 1)
-	}
-	return c
+	return g
 }
+
+// setOf maps line l to its set index.
+func (g *geom) setOf(l mem.Line) uint {
+	if g.pow2 {
+		return uint(uint64(l) & g.mask)
+	}
+	return uint(uint64(l) % uint64(g.sets))
+}
+
+// SetCounter counts the distinct sets of one cache geometry that a stream
+// of lines maps to: the sets a cache filled with exactly those lines
+// reaches. Machine construction feeds it the trace's lines to size each
+// cache's slab (Reserve).
+type SetCounter struct {
+	geom
+	seen []uint64 // bit per set
+}
+
+// NewSetCounter returns a counter for a cache of sizeBytes capacity with
+// the given associativity.
+func NewSetCounter(sizeBytes, ways int) SetCounter {
+	g := newGeom(sizeBytes, ways)
+	return SetCounter{geom: g, seen: make([]uint64, (g.sets+63)/64)}
+}
+
+// Add marks line l's set.
+func (s *SetCounter) Add(l mem.Line) {
+	i := s.setOf(l)
+	s.seen[i/64] |= 1 << (i % 64)
+}
+
+// Count reports the distinct sets added since the last Reset.
+func (s *SetCounter) Count() int {
+	n := 0
+	for _, w := range s.seen {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Reset forgets every set, for the next stream.
+func (s *SetCounter) Reset() { clear(s.seen) }
+
+// Reserve sizes the slab's next allocation for sets distinct sets: the
+// number a complete run reaches. Inserts past it still succeed; the slab
+// then grows like an append.
+func (c *SetAssoc) Reserve(sets int) { c.reserve = min(max(sets, 0), c.sets) }
+
+// Reserved reports the number of sets Reserve sized the slab for, and
+// Used the number of sets inserts have reached.
+func (c *SetAssoc) Reserved() int { return c.reserve }
+func (c *SetAssoc) Used() int     { return len(c.slots) / c.ways }
 
 // key32 narrows a line to the packed key width, enforcing the
 // representation cap. The address map keeps every real line far below
@@ -102,30 +171,54 @@ func key32(l mem.Line) uint32 {
 	return uint32(l)
 }
 
-// setOf maps line l to its set index.
-func (c *SetAssoc) setOf(l mem.Line) int {
-	if c.pow2 {
-		return int(uint64(l) & c.mask)
+// resident returns the ways of line l's set, or nil if no insert has
+// reached the set: a probe of an untouched set misses without allocating.
+// The single bounds test covers both a cache that has no storage yet and
+// the index load itself.
+func (c *SetAssoc) resident(l mem.Line) []slot {
+	s := c.setOf(l)
+	if s >= uint(len(c.index)) {
+		return nil
 	}
-	return int(uint64(l) % uint64(c.sets))
+	p := int(c.index[s])
+	if p == 0 {
+		return nil
+	}
+	base := (p - 1) * c.ways
+	return c.slots[base : base+c.ways]
 }
 
-// slotBase locates the chunk holding line l's set and the set's base index
-// within that chunk. The unsigned arithmetic matters: set is provably
-// non-negative, and telling the compiler so turns the /64 and %64 into a
-// shift and a mask instead of signed-division fix-up sequences — this
-// helper is inlined into every probe the simulator makes.
-func (c *SetAssoc) slotBase(l mem.Line) (*setChunk, int) {
-	set := uint(c.setOf(l))
-	return &c.chunks[set/setsPerChunk], int(set%setsPerChunk) * c.ways
+// set returns the ways of line l's set, giving the set its slots on the
+// first insert that reaches it.
+func (c *SetAssoc) set(l mem.Line) []slot {
+	s := c.setOf(l)
+	if s >= uint(len(c.index)) || c.index[s] == 0 {
+		c.take(s)
+	}
+	base := (int(c.index[s]) - 1) * c.ways
+	return c.slots[base : base+c.ways]
 }
 
-// materialize allocates a chunk's way state with every way empty.
-func (ch *setChunk) materialize(n int) {
-	ch.slots = make([]slot, n) //asaplint:ignore alloccheck lazy one-time materialization, at most once per chunk
-	for i := range ch.slots {
-		ch.slots[i].line = invalidLine
+// take appends set s's ways to the slab, every way empty, and points the
+// set's index entry at them. The cache's first insert allocates the index,
+// and the slab is allocated at the reservation when a set first needs it —
+// on the first insert, or after a checkpoint load whose slab has no spare
+// capacity — and past the reservation grows like an append. A set's ways
+// are cleared here rather than at allocation: a checkpoint restore
+// truncates the slab without zeroing what lies past its length.
+func (c *SetAssoc) take(s uint) {
+	if len(c.index) == 0 {
+		c.index = make([]uint32, c.sets) //asaplint:ignore alloccheck first insert allocates the cache's set index, once per run
 	}
+	n := len(c.slots)
+	if n+c.ways > cap(c.slots) {
+		c.slots = slices.Grow(c.slots, max(c.reserve*c.ways, n+c.ways)-n) //asaplint:ignore alloccheck the slab is sized from the trace on first insert; a complete run never grows it
+	}
+	c.slots = c.slots[:n+c.ways]
+	for w := n; w < n+c.ways; w++ {
+		c.slots[w] = slot{line: invalidLine}
+	}
+	c.index[s] = uint32(n/c.ways + 1)
 }
 
 // Lookup reports whether line l is present, updating recency and the
@@ -133,15 +226,12 @@ func (ch *setChunk) materialize(n int) {
 // cache accesses (invalidation filters, tests) so hit rates stay honest.
 func (c *SetAssoc) Lookup(l mem.Line) bool {
 	k := uint64(l)
-	ch, base := c.slotBase(l)
-	if ch.slots != nil {
-		set := ch.slots[base : base+c.ways]
-		for w := range set {
-			if uint64(set[w].line) == k {
-				c.touch(&set[w])
-				c.hits++
-				return true
-			}
+	set := c.resident(l)
+	for w := range set {
+		if uint64(set[w].line) == k {
+			c.touch(&set[w])
+			c.hits++
+			return true
 		}
 	}
 	c.misses++
@@ -151,11 +241,7 @@ func (c *SetAssoc) Lookup(l mem.Line) bool {
 // Contains reports presence without updating recency or hit counters.
 func (c *SetAssoc) Contains(l mem.Line) bool {
 	k := uint64(l)
-	ch, base := c.slotBase(l)
-	if ch.slots == nil {
-		return false
-	}
-	set := ch.slots[base : base+c.ways]
+	set := c.resident(l)
 	for w := range set {
 		if uint64(set[w].line) == k {
 			return true
@@ -169,11 +255,7 @@ func (c *SetAssoc) Contains(l mem.Line) bool {
 // line only refreshes recency.
 func (c *SetAssoc) Insert(l mem.Line) (mem.Line, bool) {
 	k := key32(l)
-	ch, base := c.slotBase(l)
-	if ch.slots == nil {
-		ch.materialize(setsPerChunk * c.ways)
-	}
-	set := ch.slots[base : base+c.ways]
+	set := c.set(l)
 	// Hit scan first: refreshing a resident line is the common case on
 	// fill paths (the lower levels usually already hold it), and this
 	// loop is a single compare per way.
@@ -212,11 +294,7 @@ func (c *SetAssoc) Insert(l mem.Line) (mem.Line, bool) {
 // fill paths. Returns the evicted line and whether an eviction happened.
 func (c *SetAssoc) InsertAbsent(l mem.Line) (mem.Line, bool) {
 	k := key32(l)
-	ch, base := c.slotBase(l)
-	if ch.slots == nil {
-		ch.materialize(setsPerChunk * c.ways)
-	}
-	set := ch.slots[base : base+c.ways]
+	set := c.set(l)
 	victim := 0
 	oldest := ^uint32(0)
 	for w := range set {
@@ -240,11 +318,7 @@ func (c *SetAssoc) InsertAbsent(l mem.Line) (mem.Line, bool) {
 // Invalidate removes line l if present.
 func (c *SetAssoc) Invalidate(l mem.Line) {
 	k := uint64(l)
-	ch, base := c.slotBase(l)
-	if ch.slots == nil {
-		return
-	}
-	set := ch.slots[base : base+c.ways]
+	set := c.resident(l)
 	for w := range set {
 		if uint64(set[w].line) == k {
 			set[w].line = invalidLine
@@ -277,25 +351,22 @@ func (c *SetAssoc) touch(s *slot) {
 func (c *SetAssoc) compact() uint32 {
 	ranks := make([]uint32, c.ways) //asaplint:ignore alloccheck stamp-wrap renormalization runs once per 2^32 touches
 	max := uint32(0)
-	for ci := range c.chunks {
-		ch := &c.chunks[ci]
-		for base := 0; base+c.ways <= len(ch.slots); base += c.ways {
-			set := ch.slots[base : base+c.ways]
-			for w := 0; w < c.ways; w++ {
-				r := uint32(1)
-				for v := 0; v < c.ways; v++ {
-					if v != w && set[v].line != invalidLine && set[v].stamp < set[w].stamp {
-						r++
-					}
+	for base := 0; base+c.ways <= len(c.slots); base += c.ways {
+		set := c.slots[base : base+c.ways]
+		for w := 0; w < c.ways; w++ {
+			r := uint32(1)
+			for v := 0; v < c.ways; v++ {
+				if v != w && set[v].line != invalidLine && set[v].stamp < set[w].stamp {
+					r++
 				}
-				ranks[w] = r
 			}
-			for w := 0; w < c.ways; w++ {
-				if set[w].line != invalidLine {
-					set[w].stamp = ranks[w]
-					if ranks[w] > max {
-						max = ranks[w]
-					}
+			ranks[w] = r
+		}
+		for w := 0; w < c.ways; w++ {
+			if set[w].line != invalidLine {
+				set[w].stamp = ranks[w]
+				if ranks[w] > max {
+					max = ranks[w]
 				}
 			}
 		}
@@ -307,3 +378,58 @@ func (c *SetAssoc) compact() uint32 {
 func (c *SetAssoc) Hits() uint64      { return c.hits }
 func (c *SetAssoc) Misses() uint64    { return c.misses }
 func (c *SetAssoc) Evictions() uint64 { return c.evictions }
+
+// Check reports whether the cache's state is one its methods can run on:
+// a set mask that indexes the set count, an index with one entry per set
+// (or none before the first insert), a slab of whole sets, each reached
+// by exactly one index entry, and every resident line in its own set, at
+// most once. A checkpoint image decodes all of it, and a malformed index
+// or slab would panic on the first probe.
+func (c *SetAssoc) Check() error {
+	switch {
+	case c.sets <= 0 || c.ways <= 0:
+		return fmt.Errorf("cache: %d sets of %d ways", c.sets, c.ways)
+	case c.pow2 != (c.sets&(c.sets-1) == 0), c.pow2 && c.mask != uint64(c.sets-1):
+		return fmt.Errorf("cache: set mask %#x (pow2 %v) does not index %d sets", c.mask, c.pow2, c.sets)
+	case c.reserve < 0 || c.reserve > c.sets:
+		return fmt.Errorf("cache: reservation of %d sets in a %d-set cache", c.reserve, c.sets)
+	case len(c.index) != 0 && len(c.index) != c.sets:
+		return fmt.Errorf("cache: set index of %d entries for %d sets", len(c.index), c.sets)
+	case len(c.slots)%c.ways != 0:
+		return fmt.Errorf("cache: slab of %d slots is not whole sets of %d ways", len(c.slots), c.ways)
+	}
+	used := len(c.slots) / c.ways
+	reached := make([]bool, used)
+	n := 0
+	for s, p := range c.index {
+		if p == 0 {
+			continue
+		}
+		if int(p) > used {
+			return fmt.Errorf("cache: set %d names slab set %d of %d", s, p, used)
+		}
+		if reached[p-1] {
+			return fmt.Errorf("cache: two sets name slab set %d", p)
+		}
+		reached[p-1] = true
+		n++
+		set := c.slots[int(p-1)*c.ways : int(p)*c.ways]
+		for w, sl := range set {
+			if sl.line == invalidLine {
+				continue
+			}
+			if c.setOf(mem.Line(sl.line)) != uint(s) {
+				return fmt.Errorf("cache: line %d sits in set %d, not its own", sl.line, s)
+			}
+			for _, o := range set[w+1:] {
+				if o.line == sl.line {
+					return fmt.Errorf("cache: set %d holds line %d twice", s, sl.line)
+				}
+			}
+		}
+	}
+	if n != used {
+		return fmt.Errorf("cache: the index reaches %d of the slab's %d sets", n, used)
+	}
+	return nil
+}

@@ -20,14 +20,15 @@ type diffCase struct {
 
 // diffWorkloads samples the generator families: a hash table (pure persist
 // traffic), a lock-heavy logger, a queue with cross-thread dependencies,
-// and a strand-annotated tree, whose OpStrand boundaries give StrandWeaver
-// many live strands to fork and save.
+// and a strand-annotated hash table and tree, whose OpStrand boundaries
+// give StrandWeaver strands to fork and save.
 func diffWorkloads() []diffCase {
 	return []diffCase{
 		{wl: "cceh", p: workload.Params{Threads: 2, OpsPerThread: 120, Seed: 7}},
 		{wl: "atlas_queue", p: workload.Params{Threads: 3, OpsPerThread: 80, Seed: 11}},
 		{wl: "echo", p: workload.Params{Threads: 2, OpsPerThread: 100, Seed: 3}},
 		{wl: "dash_eh", p: workload.Params{Threads: 2, OpsPerThread: 100, Seed: 5, Strands: true}},
+		{wl: "p_art", p: workload.Params{Threads: 2, OpsPerThread: 100, Seed: 5, Strands: true}},
 	}
 }
 
@@ -102,6 +103,58 @@ func TestForkDifferential(t *testing.T) {
 				for fork := 0; fork < 2; fork++ {
 					fm := cp.Fork()
 					compare(t, "fork", want, summarize(fm, fm.Run(0)))
+				}
+			})
+		}
+	}
+}
+
+// TestForkFromCycleZero pins forks of a checkpoint captured before any
+// cache storage exists (each cache allocates its slab on its first
+// insert): the restore drops the storage the run since allocated, and the
+// next first insert allocates it again. Two forks of the cycle-0 capture,
+// and two of a Recapture moved from it to mid-run, must each reproduce the
+// uninterrupted run.
+func TestForkFromCycleZero(t *testing.T) {
+	cfg := config.Default()
+	for _, mn := range model.ExtendedNames() {
+		for _, c := range diffWorkloads() {
+			t.Run(mn+"/"+c.wl, func(t *testing.T) {
+				t.Parallel()
+				tr, err := workload.Generate(c.wl, c.p)
+				if err != nil {
+					t.Fatalf("generate: %v", err)
+				}
+				mA, err := machine.New(cfg, mn, tr)
+				if err != nil {
+					t.Fatalf("new: %v", err)
+				}
+				resA := mA.Run(0)
+				want := summarize(mA, resA)
+
+				mB, err := machine.New(cfg, mn, tr)
+				if err != nil {
+					t.Fatalf("new: %v", err)
+				}
+				if n := mB.Hier.LLC().Used(); n != 0 {
+					t.Fatalf("a new machine's LLC holds %d sets", n)
+				}
+				cp, err := Capture(mB)
+				if err != nil {
+					t.Fatalf("capture: %v", err)
+				}
+				for fork := 0; fork < 2; fork++ {
+					fm := cp.Fork()
+					if n := fm.Hier.LLC().Used(); n != 0 {
+						t.Fatalf("fork %d of the cycle-0 capture starts with %d LLC sets", fork, n)
+					}
+					compare(t, "fork from cycle 0", want, summarize(fm, fm.Run(0)))
+				}
+				cp.Fork().Advance(resA.Cycles / 2)
+				cp.Recapture()
+				for fork := 0; fork < 2; fork++ {
+					fm := cp.Fork()
+					compare(t, "fork after recapture from cycle 0", want, summarize(fm, fm.Run(0)))
 				}
 			})
 		}

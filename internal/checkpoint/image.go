@@ -665,10 +665,10 @@ func Save(m *machine.Machine) (img []byte, err error) {
 // same stats, same NVM images (pinned by TestImageRoundtrip). Corrupted,
 // truncated, or wrong-version images return errors, never panic; so does
 // an image whose digest is intact but whose event queue breaks the
-// engine's invariants (sim.Engine.CheckQueue) or whose NVM, WPQ,
-// XPBuffer, recovery-table or write-back-buffer records break theirs
-// (their Check methods), which would otherwise load into a machine that
-// panics, hangs or misorders events in Run.
+// engine's invariants (sim.Engine.CheckQueue) or whose caches, directory,
+// NVM, WPQ, XPBuffer, recovery-table or write-back-buffer records break
+// theirs (their Check methods), which would otherwise load into a machine
+// that panics, hangs or misorders events in Run.
 func Load(img []byte) (m *machine.Machine, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -750,6 +750,9 @@ func Load(img []byte) (m *machine.Machine, err error) {
 	}
 	if err := fresh.Eng.CheckQueue(); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoded event queue is malformed: %w", err)
+	}
+	if err := fresh.Hier.Check(cfg); err != nil {
+		return nil, fmt.Errorf("checkpoint: decoded cache state is malformed: %w", err)
 	}
 	for i, mc := range fresh.MCs {
 		err := errors.Join(mc.NVM.Check(), mc.WPQ.Check(), mc.XP.Check())

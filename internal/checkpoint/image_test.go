@@ -404,26 +404,7 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 		{"ET window past the open epoch", et.FieldByName("oldest"), 60, "does not fit"},
 		{"ET count off", et.FieldByName("count"), twoMore(et.FieldByName("count")), "tracked epochs"},
 	} {
-		f := settable(c.field)
-		flipLow(f)
-		marked, err := Save(m)
-		flipLow(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := diffOffset(t, img, marked)
-		bad := append([]byte(nil), img...)
-		var enc []byte
-		if f.CanInt() {
-			enc = binary.AppendVarint(nil, c.bad)
-		} else {
-			enc = binary.AppendUvarint(nil, uint64(c.bad))
-		}
-		if _, n := binary.Uvarint(img[off:]); n != len(enc) {
-			t.Fatalf("%s: bad value takes %d varint bytes, the field %d", c.what, len(enc), n)
-		}
-		copy(bad[off:], enc)
-		lm, err := Load(reseal(bad))
+		lm, err := Load(patchField(t, m, img, c.field, c.bad, c.what))
 		if err == nil || lm != nil {
 			t.Fatalf("%s: Load returned (%v, %v), want an error", c.what, lm != nil, err)
 		}
@@ -437,6 +418,104 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 		if !strings.Contains(err.Error(), check) || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: %v, want the %s check's %q error", c.what, err, check, c.want)
 		}
+	}
+}
+
+// patchField returns img, a valid image of m, with the integer field f of
+// m's state rewritten to bad and the digest resealed. The field's payload
+// offset is found by saving m again with f's low bit flipped in memory
+// (see diffOffset); bad must encode to a varint of the same length as the
+// field's value.
+func patchField(t *testing.T, m *machine.Machine, img []byte, f reflect.Value, bad int64, what string) []byte {
+	t.Helper()
+	f = settable(f)
+	flipLow(f)
+	marked, err := Save(m)
+	flipLow(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := diffOffset(t, img, marked)
+	var enc []byte
+	if f.CanInt() {
+		enc = binary.AppendVarint(nil, bad)
+	} else {
+		enc = binary.AppendUvarint(nil, uint64(bad))
+	}
+	if _, n := binary.Uvarint(img[off:]); n != len(enc) {
+		t.Fatalf("%s: bad value takes %d varint bytes, the field %d", what, len(enc), n)
+	}
+	out := append([]byte(nil), img...)
+	copy(out[off:], enc)
+	return reseal(out)
+}
+
+// TestImageRejectsMalformedCache pins that Load checks the decoded cache
+// hierarchy (Hierarchy.Check): each case rewrites one field of a cache or
+// the directory in a valid image (patchField) and requires Load to fail
+// with the check's error. Loaded unchecked, these images give a machine
+// whose first probe indexes past the set index or the slab, that probes
+// forever in a directory with no free slot, or that misses a line it
+// holds.
+func TestImageRejectsMalformedCache(t *testing.T) {
+	m := goldenMachine(t)
+	img, err := Save(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := reflect.ValueOf(m.Hier).Elem()
+	llc, l1, dir := h.FieldByName("llc").Elem(), h.FieldByName("l1").Index(0), h.FieldByName("dir").Elem()
+	index, slots := llc.FieldByName("index"), llc.FieldByName("slots")
+	// The first two sets the LLC reached, and a resident line of the first.
+	var used []int
+	for s := 0; s < index.Len() && len(used) < 2; s++ {
+		if index.Index(s).Uint() != 0 {
+			used = append(used, s)
+		}
+	}
+	if len(used) < 2 {
+		t.Fatalf("the golden LLC reached %d sets; the cases need two", len(used))
+	}
+	ways := int(llc.FieldByName("ways").Int())
+	first := int(index.Index(used[0]).Uint()-1) * ways
+	if slots.Index(first).FieldByName("line").Uint() == uint64(^uint32(0)) {
+		t.Fatal("the golden LLC's first reached set holds no line in its first way")
+	}
+	dirSlot := -1
+	for i := 0; i < dir.FieldByName("slots").Len(); i++ {
+		if dir.FieldByName("slots").Index(i).FieldByName("used").Bool() {
+			dirSlot = i
+			break
+		}
+	}
+	if dirSlot < 0 {
+		t.Fatal("the golden directory holds no line")
+	}
+	for _, c := range []struct {
+		what  string
+		field reflect.Value
+		bad   int64
+		want  string
+	}{
+		{"LLC set count off the config", llc.FieldByName("sets"), 16383, "the config"},
+		{"L1 negative reservation", l1.FieldByName("reserve"), -1, "reservation of -1"},
+		{"LLC index past the slab", index.Index(used[0]), int64(slots.Len()/ways + 1), "names slab set"},
+		{"LLC index naming another set's ways", index.Index(used[1]), int64(index.Index(used[0]).Uint()), "two sets name"},
+		{"LLC index missing a set", index.Index(used[0]), 0, "reaches"},
+		{"LLC line in another set", slots.Index(first).FieldByName("line"), int64(slots.Index(first).FieldByName("line").Uint() + 1), "not its own"},
+		{"directory mask past the table", dir.FieldByName("mask"), int64(2*dir.FieldByName("slots").Len() - 1), "does not index"},
+		{"directory count off", dir.FieldByName("count"), dir.FieldByName("count").Int() + 1, "count says"},
+		{"directory line off its probe sequence", dir.FieldByName("slots").Index(dirSlot).FieldByName("line"),
+			int64(dir.FieldByName("slots").Index(dirSlot).FieldByName("line").Uint() + 1), "off its probe sequence"},
+	} {
+		lm, err := Load(patchField(t, m, img, c.field, c.bad, c.what))
+		if err == nil || lm != nil {
+			t.Fatalf("%s: Load returned (%v, %v), want an error", c.what, lm != nil, err)
+		}
+		if !strings.Contains(err.Error(), "cache state is malformed") || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: %v, want the cache check's %q error", c.what, err, c.want)
+		}
+		t.Logf("%s: %v", c.what, err)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // increasing cuts by Fork → Advance → Recapture. After every Recapture two
 // forks run to completion and must reproduce the uninterrupted run
 // byte-identically (Result, stats, NVM image, PM traffic). The second cut
-// is a busy instant (some captured slice or arena extent holds more than
+// is a busy instant (some captured slice holds more than
 // at the end of the run) and the third is the drained end, so the
 // last Recapture refills storage with less than it held; the test checks
 // that this happens, which is what shows truncated storage carries no
@@ -71,7 +71,7 @@ func TestRecaptureDifferential(t *testing.T) {
 					}
 				}
 				if !shrank {
-					t.Errorf("no captured extent shrank between recaptures (cuts %d then %v)", first, cuts)
+					t.Errorf("no captured slice shrank between recaptures (cuts %d then %v)", first, cuts)
 				}
 			})
 		}
@@ -79,7 +79,7 @@ func TestRecaptureDifferential(t *testing.T) {
 }
 
 // busyCut returns the first cycle at or after from, probed in steps of
-// about end/64, at which some captured extent of the run is longer
+// about end/64, at which some captured slice of the run is longer
 // than at its end. The run is deterministic, so the instant found on this
 // probe machine is busy on every machine built from the same inputs.
 func busyCut(t *testing.T, cfg config.Config, mn string, c diffCase, from, end sim.Cycles) sim.Cycles {
@@ -112,39 +112,33 @@ func busyCut(t *testing.T, cfg config.Config, mn string, c diffCase, from, end s
 			return at
 		}
 	}
-	t.Fatalf("no instant in [%d, %d) holds more in any captured extent than the end of the run", from, end)
+	t.Fatalf("no instant in [%d, %d) holds more in any captured slice than the end of the run", from, end)
 	return 0
 }
 
-// lenKey names one captured extent: a non-POD slice by its header
-// address, or a raw arena extent by its destination.
-type lenKey struct {
-	ptr unsafe.Pointer
-	raw bool
-}
-
-// longer reports whether some captured extent in a is longer than in b.
-// A raw extent only counts if b has it too: a POD slice that grew into a
-// new backing array leaves its old destination behind, which is no shrink.
-func longer(a, b map[lenKey]int) bool {
+// longer reports whether some captured slice in a is longer than in b.
+func longer(a, b map[unsafe.Pointer]int) bool {
 	for k, n := range a {
-		m, ok := b[k]
-		if n > m && (ok || !k.raw) {
+		if n > b[k] {
 			return true
 		}
 	}
 	return false
 }
 
-// captureLens maps each captured extent of w's snapshot to its length;
-// absent means empty.
-func captureLens(w *walker) map[lenKey]int {
-	lens := make(map[lenKey]int)
+// captureLens maps each slice w's snapshot captured, by the address of
+// its header, to its captured length (bytes for POD contents, elements
+// otherwise). An empty POD slice is listed with length 0; a non-POD one is
+// absent, which reads as 0 too.
+func captureLens(w *walker) map[unsafe.Pointer]int {
+	lens := make(map[unsafe.Pointer]int)
 	for _, r := range w.raw {
-		lens[lenKey{r.dst, true}] = r.n
+		if r.hdr != nil {
+			lens[r.hdr] = r.n
+		}
 	}
 	for _, s := range w.slices {
-		lens[lenKey{s.ptr, false}] = s.data.Elem().Len()
+		lens[s.ptr] = s.data.Elem().Len()
 	}
 	return lens
 }

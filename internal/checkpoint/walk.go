@@ -56,6 +56,12 @@ import (
 // never hide a pointer from the garbage collector.
 type rawRestore struct {
 	dst unsafe.Pointer
+	// hdr is the header of the POD slice whose contents these are, nil
+	// for a POD region. Every POD slice the walk reaches gets an entry,
+	// an empty one too, so a snapshot lists each slice's captured length
+	// under an address that stays put when the slice moves to a new
+	// backing array.
+	hdr unsafe.Pointer
 	off int
 	n   int
 }
@@ -277,14 +283,16 @@ func refit(p reflect.Value, n int) reflect.Value {
 	return s
 }
 
-// captureRaw stages n bytes at ptr in the arena for a memmove restore.
-func (w *walker) captureRaw(ptr unsafe.Pointer, n int) {
-	if n == 0 {
+// captureRaw stages n bytes at ptr in the arena for a memmove restore:
+// the contents of the POD slice whose header is at hdr, or a POD region
+// if hdr is nil.
+func (w *walker) captureRaw(ptr, hdr unsafe.Pointer, n int) {
+	if n == 0 && hdr == nil {
 		return
 	}
 	off := len(w.arena)
 	w.arena = append(w.arena, unsafe.Slice((*byte)(ptr), n)...)
-	w.raw = append(w.raw, rawRestore{dst: ptr, off: off, n: n})
+	w.raw = append(w.raw, rawRestore{dst: ptr, hdr: hdr, off: off, n: n})
 }
 
 // walkRegion captures the pointee at ptr and scans its interior.
@@ -294,7 +302,7 @@ func (w *walker) walkRegion(ptr unsafe.Pointer, t reflect.Type) {
 		return
 	}
 	if isPOD(t) {
-		w.captureRaw(ptr, int(t.Size()))
+		w.captureRaw(ptr, nil, int(t.Size()))
 		return
 	}
 	if !e.v.IsValid() {
@@ -381,7 +389,7 @@ func (w *walker) captureSlice(ptr unsafe.Pointer, t reflect.Type) {
 	base := sv.UnsafePointer()
 	sz := et.Size()
 	if isPOD(et) {
-		w.captureRaw(base, n*int(sz))
+		w.captureRaw(base, ptr, n*int(sz))
 		return
 	}
 	e, again := w.keep(w.slicePool, seenKey{ptr, t})

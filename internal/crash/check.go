@@ -93,6 +93,7 @@ func (t *epochMemo) reset() {
 // thousands of checks reuse it instead of allocating per call.
 type checkScratch struct {
 	lines                     []mem.Line
+	preds                     []persist.EpochID // checkAncestry's stack of dependency sources
 	durable, ancestry, seenEp epochMemo
 }
 
@@ -112,6 +113,7 @@ func Check(m *machine.Machine) Report {
 	lg := m.Ledger
 	sc := scratchPool.Get().(*checkScratch)
 	defer scratchPool.Put(sc)
+	sc.preds = sc.preds[:0]
 	sc.durable.reset()
 	sc.ancestry.reset()
 	sc.seenEp.reset()
@@ -186,8 +188,13 @@ func Check(m *machine.Machine) Report {
 				ok = false
 			}
 		}
-		// Cross-thread dependencies.
-		for _, src := range lg.Predecessors(e) {
+		// Cross-thread dependencies. sc.preds is a stack shared by the
+		// recursion: this call's sources sit above start until it returns,
+		// and are re-read by index because deeper calls may move the array.
+		start := len(sc.preds)
+		sc.preds = lg.AppendPredecessors(sc.preds, e)
+		for i, end := start, len(sc.preds); i < end; i++ {
+			src := sc.preds[i]
 			if !fullyDurable(src) {
 				rep.fail("epoch %v survived but dependency source %v is not durable", e, src)
 				ok = false
@@ -195,6 +202,7 @@ func Check(m *machine.Machine) Report {
 				ok = false
 			}
 		}
+		sc.preds = sc.preds[:start]
 		if ok {
 			sc.ancestry.set(e, 1)
 		} else {

@@ -65,18 +65,21 @@ func (r *tokenRec) origin() (Origin, bool) {
 }
 
 // epochRec is one epoch's ground truth: the ends of its write chain
-// through the token slab, and its commit flag.
+// through the token slab and of its dependency chain through the edge
+// slab, and its commit flag.
 type epochRec struct {
-	head, tail uint32 // first and last token recorded in the epoch (0: none)
-	committed  bool
+	head, tail       uint32 // first and last token recorded in the epoch (0: none)
+	depHead, depTail uint32 // first and last edge into the epoch, 1 + its index in deps (0: none)
+	committed        bool
 }
 
-// threadEpochs is one thread's epoch-keyed ground truth. Epoch timestamps
-// are small dense per-thread sequences, so TS indexes a slice directly —
-// no EpochID hashing on the write path.
-type threadEpochs struct {
-	epochs []epochRec
-	deps   [][]persist.EpochID
+// depRec is one cross-thread dependency edge, filed under its destination
+// epoch: the source epoch, and the destination's next edge in creation
+// order (1 + its index; 0 ends the chain).
+type depRec struct {
+	srcTS     uint64
+	srcThread int32
+	next      uint32
 }
 
 // Ledger is the machine's ground-truth log: every persistent write with
@@ -88,17 +91,21 @@ type threadEpochs struct {
 // RecordWrite is called once per persistent store, making it one of the
 // hottest functions of a full run; the representation is therefore flat:
 // one token-indexed slab, presized from the trace, holds each write, and
-// each epoch chains its writes through the slab. A line's write order is
-// not stored: its writes are the slab entries on that line, ordered by
-// seq. The per-line views (Writes, Lines, TokenPos) derive it on demand,
-// and the Ledger keeps no cached index, so a checkpoint image never
-// depends on which queries ran.
+// each epoch chains its writes through the slab; the dependency edges sit
+// in a second slab, each epoch chaining the edges into it the same way. A
+// line's write order is not stored: its writes are the slab entries on
+// that line, ordered by seq. The per-line views (Writes, Lines, TokenPos)
+// derive it on demand, and the Ledger keeps no cached index, so a
+// checkpoint image never depends on which queries ran.
 type Ledger struct {
-	recs     []tokenRec // indexed by token; index 0 unused (token 0 = "never written")
-	nWrites  uint32     // writes recorded so far; the last write's seq
-	byThread []threadEpochs
+	recs    []tokenRec // indexed by token; index 0 unused (token 0 = "never written")
+	nWrites uint32     // writes recorded so far; the last write's seq
+	// byThread[th][ts] is epoch (th, ts)'s record. Epoch timestamps are
+	// small dense per-thread sequences, so TS indexes a slice directly —
+	// no EpochID hashing on the write path.
+	byThread [][]epochRec
+	deps     []depRec // every dependency edge, in creation order
 
-	nDeps      uint64
 	nCommitted int
 }
 
@@ -117,22 +124,16 @@ func (lg *Ledger) rec(token mem.Token) *tokenRec {
 	return &lg.recs[token]
 }
 
-// thread returns thread th's epoch log, growing the per-thread slice to
-// cover it.
-func (lg *Ledger) thread(th int) *threadEpochs {
-	for len(lg.byThread) <= th {
-		lg.byThread = append(lg.byThread, threadEpochs{}) //asaplint:ignore alloccheck grows once to the machine's thread count
-	}
-	return &lg.byThread[th]
-}
-
-// epoch returns e's record, growing its thread's epoch slice to cover it.
+// epoch returns e's record, growing the per-thread slices to cover it.
 func (lg *Ledger) epoch(e persist.EpochID) *epochRec {
-	te := lg.thread(e.Thread)
-	for uint64(len(te.epochs)) <= e.TS {
-		te.epochs = append(te.epochs, epochRec{}) //asaplint:ignore alloccheck one slot per epoch; epochs are dense per thread
+	for len(lg.byThread) <= e.Thread {
+		lg.byThread = append(lg.byThread, nil) //asaplint:ignore alloccheck grows once to the machine's thread count
 	}
-	return &te.epochs[e.TS]
+	te := &lg.byThread[e.Thread]
+	for uint64(len(*te)) <= e.TS {
+		*te = append(*te, epochRec{}) //asaplint:ignore alloccheck one slot per epoch; epochs are dense per thread
+	}
+	return &(*te)[e.TS]
 }
 
 // lookup returns e's record, or nil if the ledger has never seen e.
@@ -140,11 +141,11 @@ func (lg *Ledger) lookup(e persist.EpochID) *epochRec {
 	if e.Thread < 0 || e.Thread >= len(lg.byThread) {
 		return nil
 	}
-	te := &lg.byThread[e.Thread]
-	if e.TS >= uint64(len(te.epochs)) {
+	te := lg.byThread[e.Thread]
+	if e.TS >= uint64(len(te)) {
 		return nil
 	}
-	return &te.epochs[e.TS]
+	return &te[e.TS]
 }
 
 // recorded returns token's record if RecordWrite has seen it.
@@ -172,14 +173,18 @@ func (lg *Ledger) RecordWrite(e persist.EpochID, line mem.Line, token mem.Token)
 	ep.tail = uint32(token)
 }
 
-// DepCreated implements model.Ledger.
+// DepCreated implements model.Ledger. The edge joins the slab and the end
+// of dst's chain.
 func (lg *Ledger) DepCreated(src, dst persist.EpochID) {
-	te := lg.thread(dst.Thread)
-	for uint64(len(te.deps)) <= dst.TS {
-		te.deps = append(te.deps, nil) //asaplint:ignore alloccheck one slot per epoch; epochs are dense per thread
+	lg.deps = append(lg.deps, depRec{srcTS: src.TS, srcThread: int32(src.Thread)}) //asaplint:ignore alloccheck the ledger is an append-only audit log; dependency edges are part of the record
+	i := uint32(len(lg.deps))
+	ep := lg.epoch(dst)
+	if ep.depTail == 0 {
+		ep.depHead = i
+	} else {
+		lg.deps[ep.depTail-1].next = i
 	}
-	te.deps[dst.TS] = append(te.deps[dst.TS], src) //asaplint:ignore alloccheck the ledger is an append-only audit log; dependency edges are part of the record
-	lg.nDeps++
+	ep.depTail = i
 }
 
 // EpochCommitted implements model.Ledger.
@@ -317,17 +322,20 @@ func (lg *Ledger) IsCommitted(e persist.EpochID) bool {
 	return ep != nil && ep.committed
 }
 
-// Predecessors returns the recorded dependency sources of epoch e; the
-// intra-thread predecessor (TS-1) is implicit and not included.
-func (lg *Ledger) Predecessors(e persist.EpochID) []persist.EpochID {
-	if e.Thread < 0 || e.Thread >= len(lg.byThread) {
-		return nil
+// AppendPredecessors appends the recorded dependency sources of epoch e to
+// dst, in creation order, and returns the extended slice; the intra-thread
+// predecessor (TS-1) is implicit and not included. It allocates only if
+// dst lacks room.
+func (lg *Ledger) AppendPredecessors(dst []persist.EpochID, e persist.EpochID) []persist.EpochID {
+	ep := lg.lookup(e)
+	if ep == nil {
+		return dst
 	}
-	te := &lg.byThread[e.Thread]
-	if e.TS >= uint64(len(te.deps)) {
-		return nil
+	for i := ep.depHead; i != 0; i = lg.deps[i-1].next {
+		d := &lg.deps[i-1]
+		dst = append(dst, persist.EpochID{Thread: int(d.srcThread), TS: d.srcTS})
 	}
-	return te.deps[e.TS]
+	return dst
 }
 
 // EpochWrites returns the writes attributed to epoch e in record order
@@ -353,8 +361,7 @@ func (lg *Ledger) TokenLine(token mem.Token) (mem.Line, bool) {
 // then timestamp so downstream reports are reproducible. The per-thread
 // logs store epochs in exactly that order, so no sort is needed.
 func (lg *Ledger) CommittedEpochs(fn func(persist.EpochID)) {
-	for th := range lg.byThread {
-		epochs := lg.byThread[th].epochs
+	for th, epochs := range lg.byThread {
 		for ts := range epochs {
 			if epochs[ts].committed {
 				fn(persist.EpochID{Thread: th, TS: uint64(ts)})
@@ -392,7 +399,7 @@ func (lg *Ledger) TokenForOrigin(o Origin) mem.Token {
 
 // NumDeps returns the number of cross-thread dependency edges recorded —
 // the quantity plotted in Figure 2.
-func (lg *Ledger) NumDeps() uint64 { return lg.nDeps }
+func (lg *Ledger) NumDeps() uint64 { return uint64(len(lg.deps)) }
 
 // NumCommitted returns the number of committed epochs.
 func (lg *Ledger) NumCommitted() int { return lg.nCommitted }

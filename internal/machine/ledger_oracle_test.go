@@ -208,8 +208,8 @@ func compareLedger(t *testing.T, lg *Ledger, o *ledgerOracle, tokens int) {
 		if got, want := lg.IsCommitted(e), o.committed[e]; got != want {
 			t.Fatalf("IsCommitted(%v) = %v, want %v", e, got, want)
 		}
-		if got, want := lg.Predecessors(e), o.deps[e]; !slices.Equal(got, want) {
-			t.Fatalf("Predecessors(%v) = %v, want %v", e, got, want)
+		if got, want := lg.AppendPredecessors(nil, e), o.deps[e]; !slices.Equal(got, want) {
+			t.Fatalf("AppendPredecessors(%v) = %v, want %v", e, got, want)
 		}
 	}
 	var wantCommitted []persist.EpochID

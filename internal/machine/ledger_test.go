@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"asap/internal/persist"
@@ -40,9 +41,19 @@ func TestLedgerDepsAndCommits(t *testing.T) {
 	if lg.NumDeps() != 1 {
 		t.Fatal("dep not counted")
 	}
-	preds := lg.Predecessors(dst)
-	if len(preds) != 1 || preds[0] != src {
-		t.Fatalf("predecessors = %v", preds)
+	lg.DepCreated(dst, src) // an edge into another epoch stays off dst's chain
+	src2 := persist.EpochID{Thread: 2, TS: 1}
+	lg.DepCreated(src2, dst)
+	if lg.NumDeps() != 3 {
+		t.Fatalf("NumDeps = %d, want 3", lg.NumDeps())
+	}
+	head := persist.EpochID{Thread: 9, TS: 9}
+	preds := lg.AppendPredecessors([]persist.EpochID{head}, dst)
+	if !slices.Equal(preds, []persist.EpochID{head, src, src2}) {
+		t.Fatalf("AppendPredecessors = %v, want the sources after the given prefix in creation order", preds)
+	}
+	if preds := lg.AppendPredecessors(nil, persist.EpochID{Thread: 7, TS: 1}); len(preds) != 0 {
+		t.Fatalf("AppendPredecessors of an unknown epoch = %v", preds)
 	}
 	if lg.IsCommitted(src) {
 		t.Fatal("uncommitted epoch reported committed")

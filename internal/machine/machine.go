@@ -151,10 +151,11 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 	eng := sim.NewEngine()
 	st := stats.New()
 	pm, pstores := newPMFilter(tr)
+	fp, lockLines := traceLines(tr, cfg)
 	m := &Machine{
 		Eng:    eng,
 		Cfg:    cfg,
-		Hier:   cache.NewHierarchy(cfg),
+		Hier:   cache.NewHierarchy(cfg, fp.lines),
 		IL:     mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
 		St:     st,
 		Ledger: NewLedger(pstores),
@@ -169,8 +170,7 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 		cSampledCycles:       st.Counter(kCoreSampledCycles),
 	}
 	m.tr = tr
-	lines, lockLines := traceLines(tr)
-	m.Hier.Directory().Reserve(lines)
+	m.Hier.Reserve(fp.l1Sets, fp.l2Sets, fp.llcSets)
 	m.locks, m.lockLines = make([]lockState, len(lockLines)), lockLines
 	m.MCs = make([]*persist.MC, cfg.MCs)
 	for i := range m.MCs {

@@ -3,6 +3,8 @@ package machine
 import (
 	"slices"
 
+	"asap/internal/cache"
+	"asap/internal/config"
 	"asap/internal/mem"
 	"asap/internal/trace"
 )
@@ -115,17 +117,43 @@ func (f *pmFilter) has(l mem.Line) bool {
 	return w != nil && *w&(1<<(l&63)) != 0
 }
 
-// traceLines counts the distinct lines the trace's loads, stores and lock
-// operations touch — the coherence directory's final size, which machine
-// construction reserves up front — and lists the lock lines in ascending
-// order, the index of the machine's lock table. It marks lines in a
-// throwaway paged bitset of the filter's shape; consecutive ops mostly
-// stay on one page, so the page lookup is cached. A lock is acquired
-// before it is released, so the acquires name every lock line.
-func traceLines(tr *trace.Trace) (n int, lockLines []mem.Line) {
+// footprint is what a complete run of a trace fills in the cache
+// hierarchy: the distinct lines the trace's loads, stores and lock
+// operations touch (the coherence directory's entries) and the distinct
+// sets those lines reach in each cache — per thread in its core's L1 and
+// L2, over all threads in the LLC. Machine construction sizes the
+// directory and every cache's slab from it up front.
+type footprint struct {
+	lines          int
+	l1Sets, l2Sets []int // by thread
+	llcSets        int
+}
+
+// traceLines counts the trace's footprint under cfg's cache geometry and
+// lists the lock lines in ascending order, the index of the machine's lock
+// table. It marks lines in a throwaway paged bitset of the filter's shape
+// whose pages hold two bitsets: the lines of the whole trace, and the
+// lines of the thread being scanned (cleared between threads). An op on a
+// line its thread has touched before costs one bit test; only a line new
+// to its thread counts its L1 and L2 sets, and only a line new to the
+// trace its LLC set. Consecutive ops mostly stay on one page, so the page
+// lookup is cached. A lock is acquired before it is released, so the
+// acquires name every lock line.
+func traceLines(tr *trace.Trace, cfg config.Config) (fp footprint, lockLines []mem.Line) {
+	const pageWords = 2 * pmPageWords // trace bits, then thread bits
 	f := pmFilter{dir: make([]pmPage, pmInitSlots), mask: pmInitSlots - 1}
+	l1 := cache.NewSetCounter(cfg.L1Size, cfg.L1Ways)
+	l2 := cache.NewSetCounter(cfg.L2Size, cfg.L2Ways)
+	llc := cache.NewSetCounter(cfg.LLCSize, cfg.LLCWays)
+	fp.l1Sets, fp.l2Sets = make([]int, len(tr.Threads)), make([]int, len(tr.Threads))
 	lastPage, lastOff := ^uint64(0), uint64(0)
-	for _, ops := range tr.Threads {
+	for th, ops := range tr.Threads {
+		for off := pmPageWords; off < len(f.bits); off += pageWords {
+			clear(f.bits[off : off+pmPageWords])
+		}
+		l1.Reset()
+		l2.Reset()
+		prev := ^uint64(0) // the thread's previous line, already counted
 		for i := range ops {
 			switch ops[i].Kind {
 			case trace.OpAcquire:
@@ -138,24 +166,38 @@ func traceLines(tr *trace.Trace) (n int, lockLines []mem.Line) {
 				continue
 			}
 			l := uint64(mem.LineOf(ops[i].Addr))
+			if l == prev {
+				continue
+			}
+			prev = l
 			if page := l >> pmPageShift; page != lastPage {
 				s := f.slot(page)
 				if s.key == 0 {
 					*s = pmPage{key: page + 1, off: uint32(len(f.bits))}
-					f.bits = append(f.bits, make([]uint64, pmPageWords)...)
-					if pages := len(f.bits) / pmPageWords; 2*pages > len(f.dir) {
+					f.bits = append(f.bits, make([]uint64, pageWords)...)
+					if pages := len(f.bits) / pageWords; 2*pages > len(f.dir) {
 						f.rehash(2 * len(f.dir))
 						s = f.slot(page)
 					}
 				}
 				lastPage, lastOff = page, uint64(s.off)
 			}
-			w := &f.bits[lastOff+l>>6&(pmPageWords-1)]
-			if *w&(1<<(l&63)) == 0 {
-				*w |= 1 << (l & 63)
-				n++
+			w := lastOff + l>>6&(pmPageWords-1)
+			bit := uint64(1) << (l & 63)
+			if f.bits[w+pmPageWords]&bit != 0 {
+				continue // the thread touched the line before
+			}
+			f.bits[w+pmPageWords] |= bit
+			l1.Add(mem.Line(l))
+			l2.Add(mem.Line(l))
+			if f.bits[w]&bit == 0 {
+				f.bits[w] |= bit
+				fp.lines++
+				llc.Add(mem.Line(l))
 			}
 		}
+		fp.l1Sets[th], fp.l2Sets[th] = l1.Count(), l2.Count()
 	}
-	return n, lockLines
+	fp.llcSets = llc.Count()
+	return fp, lockLines
 }

@@ -1,11 +1,14 @@
 package machine
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"asap/internal/cache"
 	"asap/internal/config"
 	"asap/internal/mem"
+	"asap/internal/model"
 	"asap/internal/rng"
 	"asap/internal/trace"
 	"asap/internal/workload"
@@ -168,31 +171,47 @@ func TestPMFilterZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTraceLinesMatchesOracle pins the directory presize count against a
-// map of the lines every workload's loads, stores and lock ops touch, and
-// the lock-line table against a map of the lock ops' lines, and checks
-// that the presized directory never grows during the run.
+// TestTraceLinesMatchesOracle pins the footprint against maps of the
+// lines every workload's loads, stores and lock ops touch — the directory
+// presize count, and the distinct sets of each thread's lines in its L1
+// and L2 and of all lines in the LLC — and the lock-line table against a
+// map of the lock ops' lines. After a complete run the presized directory
+// has not grown and every cache has reached exactly the sets reserved.
 func TestTraceLinesMatchesOracle(t *testing.T) {
+	cfg := config.Default()
+	setsOf := func(size, ways int) uint64 { return uint64(size / mem.LineSize / ways) }
 	for _, wl := range workload.Names() {
 		tr, err := workload.Generate(wl, workload.Params{Threads: 2, OpsPerThread: 150, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantLocks := map[mem.Line]bool{}, map[mem.Line]bool{}
+		want, wantLocks, llcSets := map[mem.Line]bool{}, map[mem.Line]bool{}, map[uint64]bool{}
+		var l1Sets, l2Sets []int
 		for _, ops := range tr.Threads {
+			l1, l2 := map[uint64]bool{}, map[uint64]bool{}
 			for _, op := range ops {
 				switch op.Kind {
 				case trace.OpAcquire, trace.OpRelease:
 					wantLocks[mem.LineOf(op.Addr)] = true
-					fallthrough
 				case trace.OpLoad, trace.OpStore:
-					want[mem.LineOf(op.Addr)] = true
+				default:
+					continue
 				}
+				l := mem.LineOf(op.Addr)
+				want[l] = true
+				l1[uint64(l)%setsOf(cfg.L1Size, cfg.L1Ways)] = true
+				l2[uint64(l)%setsOf(cfg.L2Size, cfg.L2Ways)] = true
+				llcSets[uint64(l)%setsOf(cfg.LLCSize, cfg.LLCWays)] = true
 			}
+			l1Sets, l2Sets = append(l1Sets, len(l1)), append(l2Sets, len(l2))
 		}
-		got, locks := traceLines(tr)
-		if got != len(want) {
-			t.Fatalf("%s: traceLines = %d, want %d", wl, got, len(want))
+		got, locks := traceLines(tr, cfg)
+		if got.lines != len(want) {
+			t.Fatalf("%s: traceLines counts %d lines, want %d", wl, got.lines, len(want))
+		}
+		if !slices.Equal(got.l1Sets, l1Sets) || !slices.Equal(got.l2Sets, l2Sets) || got.llcSets != len(llcSets) {
+			t.Fatalf("%s: traceLines counts L1 sets %v, L2 sets %v, LLC sets %d; want %v, %v, %d",
+				wl, got.l1Sets, got.l2Sets, got.llcSets, l1Sets, l2Sets, len(llcSets))
 		}
 		if !slices.IsSorted(locks) || len(slices.Compact(slices.Clone(locks))) != len(locks) {
 			t.Fatalf("%s: lock lines %v are not strictly ascending", wl, locks)
@@ -205,7 +224,7 @@ func TestTraceLinesMatchesOracle(t *testing.T) {
 				t.Fatalf("%s: lock line %d is no lock line of the trace", wl, l)
 			}
 		}
-		m, err := New(config.Default(), "hops_rp", tr)
+		m, err := New(cfg, "hops_rp", tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,6 +232,50 @@ func TestTraceLinesMatchesOracle(t *testing.T) {
 		m.Run(0)
 		if after := m.Hier.Directory().Capacity(); after != before {
 			t.Fatalf("%s: presized directory grew from %d to %d slots", wl, before, after)
+		}
+		checkReservations(t, wl+"/hops_rp", m, true)
+	}
+}
+
+// checkReservations fails t if a cache of m's hierarchy reached more sets
+// than machine construction reserved, or, when exact is set (a complete
+// run), fewer.
+func checkReservations(t *testing.T, what string, m *Machine, exact bool) {
+	t.Helper()
+	check := func(name string, c *cache.SetAssoc) {
+		if used, res := c.Used(), c.Reserved(); used > res || exact && used != res {
+			t.Fatalf("%s: %s reached %d sets, reserved %d", what, name, used, res)
+		}
+	}
+	for core := 0; core < m.Cfg.Cores; core++ {
+		check(fmt.Sprintf("L1[%d]", core), m.Hier.L1(core))
+		check(fmt.Sprintf("L2[%d]", core), m.Hier.L2(core))
+	}
+	check("LLC", m.Hier.LLC())
+}
+
+// TestSlabsStayWithinReservation runs every Figure 8 workload under every
+// model at the Figure 8 scale (four threads of 80 operations): no cache's
+// slab may grow past what construction reserved from the trace, and a
+// complete run reaches exactly the reserved sets.
+func TestSlabsStayWithinReservation(t *testing.T) {
+	p := workload.Default()
+	p.OpsPerThread = 80
+	for _, wl := range workload.Names() {
+		if wl == "bandwidth" {
+			continue // the microbenchmark of Figure 10, not a Figure 8 workload
+		}
+		tr, err := workload.Generate(wl, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mn := range model.ExtendedNames() {
+			m, err := New(config.Default(), mn, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run(0)
+			checkReservations(t, wl+"/"+mn, m, true)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func testEnv(t *testing.T, name string) (Env, *sim.Engine) {
 		Cfg:    cfg,
 		MCs:    mcs,
 		IL:     mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
-		Dir:    cache.NewDirectory(),
+		Dir:    cache.NewDirectory(0),
 		St:     st,
 		Ledger: NopLedger{},
 	}, eng
@@ -205,7 +205,7 @@ func TestPMEMSpecMisspeculation(t *testing.T) {
 		env := Env{
 			Eng: eng, Cfg: cfg, MCs: mcsArr,
 			IL:  mem.NewInterleaver(mcs, cfg.InterleaveBytes),
-			Dir: cache.NewDirectory(), St: st, Ledger: NopLedger{},
+			Dir: cache.NewDirectory(0), St: st, Ledger: NopLedger{},
 		}
 		m, _ := New(NamePMEMSpec, env)
 		var chain func(i int)
@@ -307,7 +307,7 @@ func TestASAPNackFallback(t *testing.T) {
 	env := Env{
 		Eng: eng, Cfg: cfg, MCs: mcs,
 		IL:  mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
-		Dir: cache.NewDirectory(), St: st, Ledger: NopLedger{},
+		Dir: cache.NewDirectory(0), St: st, Ledger: NopLedger{},
 	}
 	m, _ := New(NameASAPRP, env)
 
@@ -359,7 +359,7 @@ func TestASAPNoEagerAblation(t *testing.T) {
 	env := Env{
 		Eng: eng, Cfg: cfg, MCs: mcs,
 		IL:  mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
-		Dir: cache.NewDirectory(), St: st, Ledger: NopLedger{},
+		Dir: cache.NewDirectory(0), St: st, Ledger: NopLedger{},
 	}
 	m, _ := New(NameASAPRP, env)
 	done := false
