@@ -515,7 +515,6 @@ func TestImageRejectsMalformedCache(t *testing.T) {
 		if !strings.Contains(err.Error(), "cache state is malformed") || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: %v, want the cache check's %q error", c.what, err, c.want)
 		}
-		t.Logf("%s: %v", c.what, err)
 	}
 }
 
