@@ -60,7 +60,8 @@ bench:
 # - MachineNew/<workload> and Generate/<workload> are the construction
 #   rungs of a cold Figure 8 run (machine.New and trace generation at
 #   -ops 80), where the B/op gate holds per-run memory to what the trace
-#   touches.
+#   touches; MachineReset/<workload> is the construction rung of a run on
+#   a machine the harness pool reuses (Machine.Reset).
 BENCH_OUT ?= /tmp/bench_subset.txt
 bench-subset:
 	$(GO) test -bench 'Fig8|Tab4|RunASAP' -benchtime 1x -count 3 -benchmem -run '^$$' . > $(BENCH_OUT)
@@ -69,7 +70,7 @@ bench-subset:
 	$(GO) test -bench 'PBFlushCycle|MCFlushCommit' -benchtime 200000x -count 3 -benchmem -run '^$$' ./internal/persist >> $(BENCH_OUT)
 	$(GO) test -bench 'MemSide' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/mem >> $(BENCH_OUT)
 	$(GO) test -bench 'MachineOps' -benchtime 10000x -count 3 -benchmem -run '^$$' ./internal/machine >> $(BENCH_OUT)
-	$(GO) test -bench 'MachineNew' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/machine >> $(BENCH_OUT)
+	$(GO) test -bench 'MachineNew|MachineReset' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/machine >> $(BENCH_OUT)
 	$(GO) test -bench 'Generate' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/workload >> $(BENCH_OUT)
 	$(GO) test -bench 'CrashCampaignForked' -benchtime 1x -count 3 -benchmem -run '^$$' ./internal/crash >> $(BENCH_OUT)
 	$(GO) test -bench 'CrashCheck' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/crash >> $(BENCH_OUT)

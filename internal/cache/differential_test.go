@@ -308,9 +308,10 @@ func (r *refSetAssoc) Invalidate(l mem.Line) {
 // inserts and invalidations through the sparse SetAssoc and the dense
 // reference, for a power-of-two and a non-power-of-two set count, with a
 // reservation of zero, one too small and the exact count of sets the
-// stream reaches, and once across a recency-stamp wrap. Every outcome,
-// counter and final content must match; with the exact reservation the
-// slab is allocated once and never moves.
+// stream reaches, once across a recency-stamp wrap, and once in a cache
+// Reset after another stream. Every outcome, counter and final content
+// must match; with the exact reservation the slab is allocated once and
+// never moves.
 func TestDifferentialSparseSetAssoc(t *testing.T) {
 	const lines, steps = 400, 6000
 	for _, g := range []struct{ sets, ways int }{{64, 4}, {48, 2}} {
@@ -325,15 +326,27 @@ func TestDifferentialSparseSetAssoc(t *testing.T) {
 		}
 		exact := count.Count()
 		for _, c := range []struct {
-			name    string
-			reserve int
-			wrap    bool
+			name         string
+			reserve      int
+			wrap, reused bool
 		}{
-			{"none", 0, false}, {"too small", exact / 3, false}, {"exact", exact, false}, {"exact across a stamp wrap", exact, true},
+			{"none", 0, false, false}, {"too small", exact / 3, false, false}, {"exact", exact, false, false},
+			{"exact across a stamp wrap", exact, true, false}, {"exact after a reset", exact, false, true},
 		} {
 			what := fmt.Sprintf("%d sets/%s", g.sets, c.name)
 			sa := NewSetAssoc(g.sets*g.ways*mem.LineSize, g.ways)
-			sa.Reserve(c.reserve)
+			if c.reused {
+				// An earlier run on other lines leaves storage, index
+				// entries and invalidated ways behind.
+				sa.Reset(exact)
+				for i, l := range stream {
+					sa.Insert(l + 1)
+					if i%5 == 0 {
+						sa.Invalidate(stream[i/2] + 1)
+					}
+				}
+			}
+			sa.Reset(c.reserve)
 			if c.wrap {
 				sa.tick = ^uint32(0) - steps/20
 			}

@@ -78,11 +78,26 @@ type Directory struct {
 // a run allocates its table once and never rehashes; more lines than that
 // still fit, by doubling.
 func NewDirectory(lines int) *Directory {
+	d := &Directory{}
+	d.reset(lines)
+	return d
+}
+
+// reset empties the directory and sizes its table for lines lines, as
+// NewDirectory does, in the table of its last run when that is large
+// enough: only the slots of the new size are cleared.
+func (d *Directory) reset(lines int) {
 	size := dirMinSlots
 	for uint64(max(lines, 0))*4 >= uint64(size)*3 {
 		size *= 2
 	}
-	return &Directory{slots: make([]dirSlot, size), mask: uint64(size) - 1}
+	if cap(d.slots) >= size {
+		d.slots = d.slots[:size]
+		clear(d.slots)
+	} else {
+		d.slots = make([]dirSlot, size)
+	}
+	*d = Directory{slots: d.slots, mask: uint64(size) - 1}
 }
 
 // dirHash spreads line numbers across the table (Fibonacci hashing).

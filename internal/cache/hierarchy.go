@@ -86,37 +86,44 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy for cfg.Cores cores, with a directory
 // sized for lines distinct lines (NewDirectory). It allocates no cache way
-// state: each cache allocates its slab on its first insert, sized by
-// Reserve.
+// state: each cache allocates its slab on its first insert, unless Reset
+// sizes it first.
 func NewHierarchy(cfg config.Config, lines int) *Hierarchy {
 	h := &Hierarchy{
 		cfg: cfg,
 		l1:  make([]SetAssoc, cfg.Cores),
 		l2:  make([]SetAssoc, cfg.Cores),
 		llc: NewSetAssoc(cfg.LLCSize, cfg.LLCWays),
-		dir: NewDirectory(lines),
+		dir: &Directory{},
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1[i] = *NewSetAssoc(cfg.L1Size, cfg.L1Ways)
 		h.l2[i] = *NewSetAssoc(cfg.L2Size, cfg.L2Ways)
 	}
+	h.Reset(lines, nil, nil, 0)
 	return h
 }
 
-// Reserve sizes each cache's slab for the sets a complete run reaches:
-// l1[i] and l2[i] in core i's private caches (cores past the slices reach
-// none), llc in the shared cache. Every line a thread touches is filled
-// into its core's L1 and L2 on the first access, and every distinct line
-// into the LLC, so counting the distinct sets the trace's lines map to is
-// exact.
-func (h *Hierarchy) Reserve(l1, l2 []int, llc int) {
-	for i, n := range l1 {
-		h.l1[i].Reserve(n)
+// Reset empties the hierarchy for a run that touches lines distinct lines
+// and sizes each cache's slab for the sets that run reaches: l1[i] and
+// l2[i] in core i's private caches (cores past the slices reach none), llc
+// in the shared cache. Every line a thread touches is filled into its
+// core's L1 and L2 on the first access, and every distinct line into the
+// LLC, so counting the distinct sets the trace's lines map to is exact.
+// The directory and the caches keep the storage of their last run where
+// it is large enough (Directory, SetAssoc.Reset).
+func (h *Hierarchy) Reset(lines int, l1, l2 []int, llc int) {
+	h.dir.reset(lines)
+	for i := range h.l1 {
+		n1, n2 := 0, 0
+		if i < len(l1) {
+			n1, n2 = l1[i], l2[i]
+		}
+		h.l1[i].Reset(n1)
+		h.l2[i].Reset(n2)
 	}
-	for i, n := range l2 {
-		h.l2[i].Reserve(n)
-	}
-	h.llc.Reserve(llc)
+	h.llc.Reset(llc)
+	h.res = AccessResult{}
 }
 
 // Check reports whether the hierarchy's state is one Access can run on

@@ -46,15 +46,15 @@ type slot struct {
 // lines land far apart, about one per 64 consecutive sets — so storage
 // follows the touched sets rather than the capacity. Machine construction
 // counts, in its pass over the trace, the distinct sets a complete run
-// reaches in each cache (Reserve), and the first insert sizes the slab
-// for exactly that many; a cache that is never inserted into allocates
-// nothing.
+// reaches in each cache (Reset), and the first insert sizes the slab for
+// exactly that many; a cache that is never inserted into allocates
+// nothing, and a cache reset for another run reuses the storage it has.
 type SetAssoc struct {
 	geom
 	ways int
 
 	// index has one entry per set once the first insert allocates it
-	// (nil before): 0 while no insert has reached the set, otherwise 1 +
+	// (empty before): 0 while no insert has reached the set, otherwise 1 +
 	// the set's position in slots, in whole sets. slots holds ways
 	// consecutive slots per reached set, in the order the sets were
 	// reached.
@@ -76,7 +76,7 @@ type SetAssoc struct {
 // NewSetAssoc builds a cache of sizeBytes capacity with the given
 // associativity over 64-byte lines. Sizes that do not divide evenly are
 // rounded down to a whole number of sets (minimum one). It allocates no
-// way state; see Reserve.
+// way state; see Reset.
 func NewSetAssoc(sizeBytes, ways int) *SetAssoc {
 	return &SetAssoc{geom: newGeom(sizeBytes, ways), ways: ways}
 }
@@ -115,7 +115,7 @@ func (g *geom) setOf(l mem.Line) uint {
 // SetCounter counts the distinct sets of one cache geometry that a stream
 // of lines maps to: the sets a cache filled with exactly those lines
 // reaches. Machine construction feeds it the trace's lines to size each
-// cache's slab (Reserve).
+// cache's slab (Reset).
 type SetCounter struct {
 	geom
 	seen []uint64 // bit per set
@@ -146,12 +146,33 @@ func (s *SetCounter) Count() int {
 // Reset forgets every set, for the next stream.
 func (s *SetCounter) Reset() { clear(s.seen) }
 
-// Reserve sizes the slab's next allocation for sets distinct sets: the
-// number a complete run reaches. Inserts past it still succeed; the slab
-// then grows like an append.
-func (c *SetAssoc) Reserve(sets int) { c.reserve = min(max(sets, 0), c.sets) }
+// Reset empties the cache and sizes it for sets distinct sets: the number
+// a complete run reaches. The index and the slab keep the storage of the
+// cache's last run, and the slab is allocated for exactly sets sets on the
+// first insert when it has less; inserts past the reservation still
+// succeed, the slab then growing like an append. A cache reset for no set
+// drops its storage, as a new cache has none.
+func (c *SetAssoc) Reset(sets int) {
+	c.reserve = min(max(sets, 0), c.sets)
+	c.tick, c.hits, c.misses, c.evictions = 0, 0, 0, 0
+	if c.reserve == 0 {
+		c.index, c.slots = nil, nil
+		return
+	}
+	// Empty but not nil, whether storage was kept or is still to come, so
+	// a checkpoint image reads the same either way.
+	c.index, c.slots = emptied(c.index), emptied(c.slots)
+}
 
-// Reserved reports the number of sets Reserve sized the slab for, and
+// emptied returns s at length zero, in its storage, and never nil.
+func emptied[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s[:0]
+}
+
+// Reserved reports the number of sets Reset sized the slab for, and
 // Used the number of sets inserts have reached.
 func (c *SetAssoc) Reserved() int { return c.reserve }
 func (c *SetAssoc) Used() int     { return len(c.slots) / c.ways }
@@ -203,12 +224,21 @@ func (c *SetAssoc) set(l mem.Line) []slot {
 // set's index entry at them. The cache's first insert allocates the index,
 // and the slab is allocated at the reservation when a set first needs it —
 // on the first insert, or after a checkpoint load whose slab has no spare
-// capacity — and past the reservation grows like an append. A set's ways
-// are cleared here rather than at allocation: a checkpoint restore
-// truncates the slab without zeroing what lies past its length.
+// capacity — and past the reservation grows like an append; storage a
+// Reset kept is reused instead. A set's ways are cleared here rather than
+// at allocation: a checkpoint restore truncates the slab without zeroing
+// what lies past its length.
 func (c *SetAssoc) take(s uint) {
 	if len(c.index) == 0 {
-		c.index = make([]uint32, c.sets) //asaplint:ignore alloccheck first insert allocates the cache's set index, once per run
+		if cap(c.index) < c.sets {
+			c.index = make([]uint32, c.sets) //asaplint:ignore alloccheck first insert allocates the cache's set index, once per machine
+		} else {
+			// Storage a Reset kept is cleared whole: after a checkpoint
+			// restore of an instant before this insert it holds what a
+			// later run wrote, which its length no longer covers.
+			c.index = c.index[:c.sets]
+			clear(c.index)
+		}
 	}
 	n := len(c.slots)
 	if n+c.ways > cap(c.slots) {

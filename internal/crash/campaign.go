@@ -133,10 +133,12 @@ func Campaign(cfg config.Config, modelName string, tr *trace.Trace, runs int, se
 	return res, nil
 }
 
-// CampaignRebuild is the pre-checkpoint formulation — a fresh machine and a
-// full from-zero simulation per injection point. It is retained as the
-// differential oracle for the forked campaign and as the baseline side of
-// BenchmarkCrashCampaign; new callers want Campaign.
+// CampaignRebuild is the pre-checkpoint formulation — a full from-zero
+// simulation per injection point, each on the reference machine Reset for
+// the trace, crashed as the last injection left it. It is retained as the
+// differential oracle for the forked campaign (and so of Reset after a
+// crash) and as the baseline side of BenchmarkCrashCampaign; new callers
+// want Campaign.
 func CampaignRebuild(cfg config.Config, modelName string, tr *trace.Trace, runs int, seed uint64) (CampaignResult, error) {
 	res := CampaignResult{Model: modelName, Runs: runs}
 	r := rng.New(seed)
@@ -157,9 +159,9 @@ func CampaignRebuild(cfg config.Config, modelName string, tr *trace.Trace, runs 
 		res.Failures = append(res.Failures, rep)
 	}
 
+	m := ref
 	for i := 0; i < runs; i++ {
-		m, err := machine.New(cfg, modelName, tr)
-		if err != nil {
+		if err := m.Reset(tr); err != nil {
 			return res, err
 		}
 		at := 1 + r.Uint64n(uint64(refRes.Cycles)+1)

@@ -2,7 +2,8 @@ package harness
 
 // The experiment engine: a concurrency-safe, singleflight-deduplicated
 // cache of workload traces and simulation runs, executed by a bounded
-// worker pool.
+// worker pool on machines it resets and reuses across the runs of one
+// (config, model).
 //
 // Every simulation in the evaluation is a pure function of its
 // runspec.RunSpec — (workload, generator params, model, machine config)
@@ -24,15 +25,37 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"asap/internal/config"
 	"asap/internal/machine"
 	"asap/internal/obs"
 	"asap/internal/runspec"
 	"asap/internal/trace"
 	"asap/internal/workload"
 )
+
+// poolKey names the runs an idle machine can serve: Reset keeps a
+// machine's config and model and replaces its trace.
+type poolKey struct {
+	cfg   config.Config
+	model string
+}
+
+// maxIdleMachines bounds the engine's pool of idle machines. Figure 8
+// rotates through six (config, model) keys per workload — the baseline and
+// five models — so a serial figure builds six machines and resets them for
+// every later run; sweeps that rotate through more keys than the pool
+// holds evict the least recently used machine.
+const maxIdleMachines = 8
+
+// idleMachine is one pooled machine, ready for Reset.
+type idleMachine struct {
+	key poolKey
+	m   *machine.Machine
+}
 
 // traceKey identifies one generated trace. workload.Params is a flat
 // comparable struct, so the key is directly usable in a map.
@@ -67,6 +90,9 @@ type engine struct {
 
 	mu    sync.Mutex
 	calls map[any]*call
+	// idle holds machines whose run completed, least recently used first,
+	// for build to Reset instead of constructing anew.
+	idle []idleMachine
 
 	// traceGens and runExecs count leader executions (not cache hits);
 	// the plan-coverage test uses them to prove prefetch plans request
@@ -76,6 +102,9 @@ type engine struct {
 	traceGens atomic.Int64
 	runExecs  atomic.Int64
 	simCycles atomic.Uint64
+	// builds and resets count the machines build constructed and the
+	// pooled machines it reset.
+	builds, resets atomic.Int64
 }
 
 // newEngine builds an engine from the harness options; Parallel <= 0
@@ -174,7 +203,10 @@ func (e *engine) trace(k traceKey) (*trace.Trace, error) {
 	return v.(*trace.Trace), nil
 }
 
-// run executes the simulation for spec, computing it at most once.
+// run executes the simulation for spec, computing it at most once. After
+// a successful run and artifact flush the machine goes back to the pool,
+// and the cached Result holds its own copy of the stats; a machine whose
+// run failed or panicked is dropped.
 func (e *engine) run(k runspec.RunSpec) (machine.Result, error) {
 	v, err := e.once(k, func() (any, error) {
 		return e.protect(k.String(), func() (any, error) {
@@ -192,6 +224,8 @@ func (e *engine) run(k runspec.RunSpec) (machine.Result, error) {
 			if err := flush(); err != nil {
 				return nil, err
 			}
+			r.Stats = r.Stats.Clone()
+			e.release(poolKey{k.Config, k.Model}, m)
 			return r, nil
 		})
 	})
@@ -203,7 +237,8 @@ func (e *engine) run(k runspec.RunSpec) (machine.Result, error) {
 
 // machine executes the simulation for spec and caches the whole run
 // machine, for experiments that inspect ledger or engine state after the
-// run (Fig2). Cached machines are read-only once their run completes.
+// run (Fig2). Cached machines are read-only once their run completes, and
+// never go back to the pool.
 func (e *engine) machine(k runspec.RunSpec) (*machine.Machine, error) {
 	v, err := e.once(machineKey(k), func() (any, error) {
 		return e.protect(k.String(), func() (any, error) {
@@ -232,14 +267,23 @@ func (e *engine) machine(k runspec.RunSpec) (*machine.Machine, error) {
 
 // build assembles the machine for spec (trace generation is singleflighted
 // separately: runs of the same workload under different models share one
-// trace, which machines only read). The Observe hook fires here, before
-// Run, so callers can attach obs sinks — asapd attaches a progress gauge.
+// trace, which machines only read): an idle machine of the spec's config
+// and model Reset for the trace, or a new one. The Observe hook fires
+// here, before Run, so callers can attach obs sinks — asapd attaches a
+// progress gauge.
 func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
 	tr, err := e.trace(traceKey{wl: k.Workload, p: k.Params})
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.New(k.Config, k.Model, tr)
+	m := e.acquire(poolKey{k.Config, k.Model})
+	if m != nil {
+		err = m.Reset(tr)
+		e.resets.Add(1)
+	} else {
+		m, err = machine.New(k.Config, k.Model, tr)
+		e.builds.Add(1)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", k, err)
 	}
@@ -249,10 +293,42 @@ func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
 	return m, nil
 }
 
+// acquire takes the most recently pooled machine of key out of the pool,
+// or returns nil if none is idle.
+func (e *engine) acquire(key poolKey) *machine.Machine {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := len(e.idle) - 1; i >= 0; i-- {
+		if e.idle[i].key == key {
+			m := e.idle[i].m
+			e.idle = slices.Delete(e.idle, i, i+1)
+			return m
+		}
+	}
+	return nil
+}
+
+// release pools m, idle after a completed run, under key, evicting the
+// least recently pooled machine past maxIdleMachines.
+func (e *engine) release(key poolKey, m *machine.Machine) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.idle = append(e.idle, idleMachine{key, m})
+	if len(e.idle) > maxIdleMachines {
+		e.idle = slices.Delete(e.idle, 0, 1)
+	}
+}
+
 // execs reports leader executions so far (traces generated, runs
 // simulated) — cache hits excluded.
 func (e *engine) execs() (traces, runs int64) {
 	return e.traceGens.Load(), e.runExecs.Load()
+}
+
+// machines reports how many machines build has constructed and how many
+// pooled machines it has reset.
+func (e *engine) machines() (builds, resets int64) {
+	return e.builds.Load(), e.resets.Load()
 }
 
 // artifactKey dedups trace-artifact writes: the Result cache and the

@@ -115,7 +115,10 @@ type Options struct {
 	// observability sinks (asapd attaches an obs.Gauge for progress
 	// reporting). It runs on worker goroutines — implementations must be
 	// safe for concurrent calls — and must only observe: scheduling model
-	// work from here would perturb the simulation.
+	// work from here would perturb the simulation. The machine is reused
+	// for a later simulation once its run completes (Machine.Reset
+	// detaches what the hook attached), so a hook must not retain it, or
+	// read it, past that run.
 	Observe func(runspec.RunSpec, *machine.Machine)
 }
 

@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"asap/internal/config"
+	"asap/internal/trace"
 	"asap/internal/workload"
 )
 
@@ -47,6 +49,51 @@ func BenchmarkMachineNew(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := New(config.Default(), "asap_ep", tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMachineReset measures resetting one asap_ep machine for each
+// workload of BenchmarkMachineNew, at its scale: the construction cost a
+// run pays on a machine the harness pool reuses. Before timing, the
+// machine runs every trace once, so its storage fits the largest, as in a
+// pool that has served a figure; each measured Reset follows an untimed
+// complete run of the trace it resets for and a GC, so no collection of
+// the run's garbage lands in the timed reset.
+func BenchmarkMachineReset(b *testing.B) {
+	p := workload.Default()
+	p.OpsPerThread = 80
+	names := workload.Names()
+	traces := make([]*trace.Trace, len(names))
+	for i, name := range names {
+		tr, err := workload.Generate(name, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces[i] = tr
+	}
+	m, err := New(config.Default(), "asap_ep", traces[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tr := range traces {
+		if err := m.Reset(tr); err != nil {
+			b.Fatal(err)
+		}
+		m.Run(0)
+	}
+	for i, name := range names {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				m.Run(0)
+				runtime.GC()
+				b.StartTimer()
+				if err := m.Reset(traces[i]); err != nil {
 					b.Fatal(err)
 				}
 			}

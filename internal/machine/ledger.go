@@ -112,7 +112,31 @@ type Ledger struct {
 // NewLedger returns an empty ledger with room for tokens tokens (a
 // machine issues one per persistent store of its trace).
 func NewLedger(tokens int) *Ledger {
-	return &Ledger{recs: make([]tokenRec, 0, tokens+1)}
+	lg := &Ledger{}
+	lg.Reset(tokens, nil)
+	return lg
+}
+
+// Reset empties the ledger for a run of tokens tokens in which thread th
+// opens epochs below epochs[th]: the token slab has room for every token
+// and each thread's epoch records room for its epochs, so recording them
+// allocates nothing. Tokens and epochs past the counts still record; their
+// slices then grow by appending. The slab and the epoch records keep the
+// storage of the ledger's last run where it is large enough; the
+// dependency log goes back to nil, as a new ledger has none.
+func (lg *Ledger) Reset(tokens int, epochs []int) {
+	recs := lg.recs[:0]
+	if cap(recs) < tokens+1 {
+		recs = make([]tokenRec, 0, tokens+1)
+	}
+	byThread := resize(lg.byThread, len(epochs))
+	for th, n := range epochs {
+		if cap(byThread[th]) < n {
+			byThread[th] = make([]epochRec, 0, n)
+		}
+		byThread[th] = byThread[th][:0]
+	}
+	*lg = Ledger{recs: recs, byThread: byThread}
 }
 
 // rec returns the record for token, growing the slab to cover it. Tokens

@@ -58,14 +58,24 @@ func (o *ledgerOracle) record(e persist.EpochID, l mem.Line, tok mem.Token) {
 //   - a tail of tokens that get an origin but are never recorded, as when
 //     a crash lands between issue and RecordWrite.
 func ledgerScript(seed uint64, tokens int) (*Ledger, *ledgerOracle) {
-	r := rng.New(seed)
 	presize := tokens
 	if seed%2 == 0 {
 		presize = 0 // exercise slab growth too
 	}
-	lg, o := NewLedger(presize), newLedgerOracle()
+	lg := NewLedger(presize)
+	return lg, runLedgerScript(lg, seed, tokens)
+}
 
-	const threads = 4
+// scriptThreads is the thread count of ledgerScript's sequences.
+const scriptThreads = 4
+
+// runLedgerScript drives lg through ledgerScript's sequence and returns
+// the oracle of that sequence.
+func runLedgerScript(lg *Ledger, seed uint64, tokens int) *ledgerOracle {
+	r := rng.New(seed)
+	o := newLedgerOracle()
+
+	const threads = scriptThreads
 	var ts [threads]uint64
 	for th := range ts {
 		ts[th] = 1 + r.Uint64n(3)
@@ -118,7 +128,7 @@ func ledgerScript(seed uint64, tokens int) (*Ledger, *ledgerOracle) {
 			o.nDeps++
 		}
 	}
-	return lg, o
+	return o
 }
 
 // compareLedger checks every read-side query of lg against the oracle.
@@ -246,6 +256,76 @@ func TestLedgerMatchesOracle(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d/tokens%d", seed, tokens), func(t *testing.T) {
 				lg, o := ledgerScript(seed, tokens)
 				compareLedger(t, lg, o, tokens)
+			})
+		}
+	}
+}
+
+// epochCounts returns, per thread, one more than the highest epoch
+// timestamp the oracle's sequence gave a ledger record: a write, an
+// incoming dependency or a commit.
+func (o *ledgerOracle) epochCounts(threads int) []int {
+	n := make([]int, threads)
+	note := func(e persist.EpochID) { n[e.Thread] = max(n[e.Thread], int(e.TS)+1) }
+	for e := range o.epochWrites {
+		note(e)
+	}
+	for e := range o.deps {
+		note(e)
+	}
+	for e := range o.committed {
+		note(e)
+	}
+	return n
+}
+
+// TestLedgerResetPresized replays the oracle's sequences into ledgers
+// Reset with each thread's epoch records sized from the exact count (on a
+// new ledger), a short count and none (both on a ledger an earlier
+// sequence ran in). Every query must match the oracle; with the exact
+// counts neither the token slab nor any thread's epoch records move, and
+// short counts grow by appending.
+func TestLedgerResetPresized(t *testing.T) {
+	const tokens = 400
+	reused := NewLedger(0)
+	runLedgerScript(reused, 99, tokens)
+	for seed := uint64(1); seed <= 6; seed++ {
+		exact := runLedgerScript(NewLedger(0), seed, tokens).epochCounts(scriptThreads)
+		short := make([]int, len(exact))
+		for th, n := range exact {
+			short[th] = n / 2
+		}
+		for _, c := range []struct {
+			name   string
+			lg     *Ledger
+			epochs []int
+		}{{"exact", &Ledger{}, exact}, {"short", reused, short}, {"none", reused, nil}} {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, c.name), func(t *testing.T) {
+				lg := c.lg
+				lg.Reset(tokens, c.epochs)
+				for th, n := range c.epochs {
+					if len(lg.byThread[th]) != 0 || cap(lg.byThread[th]) < n {
+						t.Fatalf("thread %d's epoch records hold %d of %d slots, want 0 of at least %d",
+							th, len(lg.byThread[th]), cap(lg.byThread[th]), n)
+					}
+				}
+				slab := &lg.recs[:1][0]
+				var starts []*epochRec
+				if c.name == "exact" {
+					for th := range c.epochs {
+						starts = append(starts, &lg.byThread[th][:1][0])
+					}
+				}
+				o := runLedgerScript(lg, seed, tokens)
+				compareLedger(t, lg, o, tokens)
+				if &lg.recs[0] != slab {
+					t.Error("the token slab moved although Reset sized it for every token")
+				}
+				for th, p := range starts {
+					if &lg.byThread[th][0] != p {
+						t.Errorf("thread %d's epoch records moved although Reset sized them exactly", th)
+					}
+				}
 			})
 		}
 	}

@@ -40,7 +40,8 @@ const (
 	mEvCrash              // scheduled power failure
 )
 
-// Machine is one runnable system instance. Build with New, run with Run.
+// Machine is one runnable system instance. Build with New, run with Run,
+// and Reset it to run another trace under the same config and model.
 type Machine struct {
 	Eng    *sim.Engine
 	Cfg    config.Config
@@ -137,6 +138,12 @@ func (m *Machine) HasObservers() bool {
 
 // New builds a machine running the named model over the trace. The trace
 // may use at most cfg.Cores threads.
+//
+// Construction is two steps. build makes the parts whose shape the config
+// alone fixes — engine, cache hierarchy, memory controllers, link, ledger
+// and stat set — and reset does everything the trace and the run decide,
+// the model included. Reset runs the same reset on a built machine, so a
+// machine reused for another trace is in exactly the state New leaves.
 func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
@@ -145,21 +152,28 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 	if spec && cfg.RTEntries <= 0 {
 		return nil, fmt.Errorf("machine: %s needs a recovery table of positive size (RTEntries %d)", modelName, cfg.RTEntries)
 	}
-	if tr.NumThreads() > cfg.Cores {
-		return nil, fmt.Errorf("machine: trace has %d threads but config has %d cores", tr.NumThreads(), cfg.Cores)
+	m := build(cfg, spec)
+	if err := m.reset(modelName, tr); err != nil {
+		return nil, err
 	}
+	return m, nil
+}
+
+// build makes the config-shaped graph of a machine: the engine, the
+// hierarchy's caches, the controllers (with recovery tables and Bloom
+// filters when spec), the link, the ledger and the stat set with the
+// machine's counter handles. None of it is sized for a trace yet.
+func build(cfg config.Config, spec bool) *Machine {
 	eng := sim.NewEngine()
 	st := stats.New()
-	pm, pstores := newPMFilter(tr)
-	fp, lockLines := traceLines(tr, cfg)
 	m := &Machine{
 		Eng:    eng,
 		Cfg:    cfg,
-		Hier:   cache.NewHierarchy(cfg, fp.lines),
+		Hier:   cache.NewHierarchy(cfg, 0),
 		IL:     mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
 		St:     st,
-		Ledger: NewLedger(pstores),
-		pm:     pm,
+		Ledger: &Ledger{},
+		MCs:    make([]*persist.MC, cfg.MCs),
 
 		cWbbParked:           st.Counter(kWbbParked),
 		cWbbFullStalls:       st.Counter(kWbbFullStalls),
@@ -169,33 +183,85 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 		cCyclesBlocked:       st.Counter(kCyclesBlocked),
 		cSampledCycles:       st.Counter(kCoreSampledCycles),
 	}
-	m.tr = tr
-	m.Hier.Reserve(fp.l1Sets, fp.l2Sets, fp.llcSets)
-	m.locks, m.lockLines = make([]lockState, len(lockLines)), lockLines
-	m.MCs = make([]*persist.MC, cfg.MCs)
 	for i := range m.MCs {
 		m.MCs[i] = persist.NewMC(i, eng, cfg, spec, st)
 	}
 	m.link = persist.NewLink(eng, cfg, m.MCs)
+	return m
+}
+
+// Reset returns the machine to the state New builds for the same config
+// and model over trace tr, whatever its last run left: finished, cut at a
+// limit, or crashed. Storage sized by the last trace is kept where it is
+// large enough for tr — cache slabs and set indexes, the directory table,
+// the ledger's records, the engine's node slab, the controllers' buffers —
+// and only what the last run used is cleared. The model is built anew,
+// the observers are detached, and the stat set is emptied in place, so a
+// Result of the last run must copy its Stats (stats.Set.Clone) before the
+// machine runs again.
+func (m *Machine) Reset(tr *trace.Trace) error {
+	return m.reset(m.Model.Name(), tr)
+}
+
+// reset is the initialisation New and Reset share: everything the trace or
+// the run decides, over a built machine.
+func (m *Machine) reset(modelName string, tr *trace.Trace) error {
+	if tr.NumThreads() > m.Cfg.Cores {
+		return fmt.Errorf("machine: trace has %d threads but config has %d cores", tr.NumThreads(), m.Cfg.Cores)
+	}
+	pm, pstores := newPMFilter(tr)
+	fp, lockLines := traceLines(tr, m.Cfg)
+	m.Eng.Reset()
+	if m.MCs[0].RT != nil {
+		m.St.Reset(kPBOccupancy, kRTOccupancy)
+	} else {
+		m.St.Reset(kPBOccupancy)
+	}
+	m.Hier.Reset(fp.lines, fp.l1Sets, fp.l2Sets, fp.llcSets)
+	m.Ledger.Reset(pstores, fp.epochs)
+	for _, mc := range m.MCs {
+		mc.Reset()
+	}
+	m.link.Reset()
 	mdl, err := model.New(modelName, model.Env{
-		Eng:    eng,
-		Cfg:    cfg,
+		Eng:    m.Eng,
+		Cfg:    m.Cfg,
 		MCs:    m.MCs,
 		IL:     m.IL,
 		Dir:    m.Hier.Directory(),
-		St:     st,
+		St:     m.St,
 		Ledger: m.Ledger,
 		Link:   m.link,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m.Model = mdl
-	m.cores = make([]*coreState, tr.NumThreads())
-	m.wbbs = make([]*persist.WBB, tr.NumThreads())
-	for i := range m.cores {
-		m.cores[i] = &coreState{id: i, ops: tr.Threads[i]}
-		m.wbbs[i] = persist.NewWBB(16)
+
+	threads := tr.NumThreads()
+	cores, wbbs := resize(m.cores, threads), resize(m.wbbs, threads)
+	for i := range cores {
+		if cores[i] == nil {
+			cores[i] = &coreState{}
+		}
+		*cores[i] = coreState{id: i, ops: tr.Threads[i]}
+		if wbbs[i] == nil {
+			wbbs[i] = persist.NewWBB(16)
+		} else {
+			wbbs[i].Reset()
+		}
+	}
+	locks := resize(m.locks, len(lockLines))
+	clear(locks)
+	*m = Machine{
+		Eng: m.Eng, Cfg: m.Cfg, Model: mdl, Hier: m.Hier, MCs: m.MCs, IL: m.IL, St: m.St, Ledger: m.Ledger,
+		cores: cores, locks: locks, lockLines: lockLines, pm: pm, wbbs: wbbs,
+
+		cWbbParked: m.cWbbParked, cWbbFullStalls: m.cWbbFullStalls,
+		cLLCEvictionsDelayed: m.cLLCEvictionsDelayed, cPMLinesDropped: m.cPMLinesDropped,
+		cLockContended: m.cLockContended, cCyclesBlocked: m.cCyclesBlocked, cSampledCycles: m.cSampledCycles,
+
+		tr:   tr,
+		link: m.link,
 	}
 	// Fix the engine's typed-event receiver table in construction order
 	// (machine, model, controllers, link) instead of first-schedule order.
@@ -203,15 +269,27 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 	// affect results — but checkpoint images reference receivers by index,
 	// and a canonical order makes the table identical between the machine
 	// that saved an image and the machine restoring it.
-	eng.RegisterOp(m)
+	m.Eng.RegisterOp(m)
 	if op, ok := mdl.(sim.EventOp); ok {
-		eng.RegisterOp(op)
+		m.Eng.RegisterOp(op)
 	}
 	for _, mc := range m.MCs {
-		eng.RegisterOp(mc)
+		m.Eng.RegisterOp(mc)
 	}
-	eng.RegisterOp(m.link)
-	return m, nil
+	m.Eng.RegisterOp(m.link)
+	return nil
+}
+
+// resize returns s at length n, keeping its elements, those past its
+// length included, in its storage when that holds n, else in a new array
+// (allocated for a nil s too, as make would).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n || s == nil {
+		grown := make([]T, n)
+		copy(grown, s[:cap(s)])
+		return grown
+	}
+	return s[:n]
 }
 
 // RunEvent dispatches the machine's typed events.

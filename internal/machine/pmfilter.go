@@ -127,6 +127,18 @@ type footprint struct {
 	lines          int
 	l1Sets, l2Sets []int // by thread
 	llcSets        int
+	// epochs[th] counts the epoch timestamps thread th's fences and lock
+	// and strand ops can reach: the first is 1, and each such op opens at
+	// most one more. The ledger sizes the thread's epoch records from it;
+	// epochs a model splits off at a cross-thread dependency come on top.
+	epochs []int
+}
+
+// opensEpoch marks the op kinds that can open an epoch: fences, lock ops
+// and strand boundaries. Indexed by kind, it adds to the trace pass's
+// epoch count without a branch.
+var opensEpoch = [256]uint8{
+	trace.OpOfence: 1, trace.OpDfence: 1, trace.OpAcquire: 1, trace.OpRelease: 1, trace.OpStrand: 1,
 }
 
 // traceLines counts the trace's footprint under cfg's cache geometry and
@@ -146,6 +158,7 @@ func traceLines(tr *trace.Trace, cfg config.Config) (fp footprint, lockLines []m
 	l2 := cache.NewSetCounter(cfg.L2Size, cfg.L2Ways)
 	llc := cache.NewSetCounter(cfg.LLCSize, cfg.LLCWays)
 	fp.l1Sets, fp.l2Sets = make([]int, len(tr.Threads)), make([]int, len(tr.Threads))
+	fp.epochs = make([]int, len(tr.Threads))
 	lastPage, lastOff := ^uint64(0), uint64(0)
 	for th, ops := range tr.Threads {
 		for off := pmPageWords; off < len(f.bits); off += pageWords {
@@ -154,7 +167,9 @@ func traceLines(tr *trace.Trace, cfg config.Config) (fp footprint, lockLines []m
 		l1.Reset()
 		l2.Reset()
 		prev := ^uint64(0) // the thread's previous line, already counted
+		epochs := 2        // timestamps 0 (unused) and 1
 		for i := range ops {
+			epochs += int(opensEpoch[ops[i].Kind])
 			switch ops[i].Kind {
 			case trace.OpAcquire:
 				l := mem.LineOf(ops[i].Addr)
@@ -197,6 +212,7 @@ func traceLines(tr *trace.Trace, cfg config.Config) (fp footprint, lockLines []m
 			}
 		}
 		fp.l1Sets[th], fp.l2Sets[th] = l1.Count(), l2.Count()
+		fp.epochs[th] = epochs
 	}
 	fp.llcSets = llc.Count()
 	return fp, lockLines

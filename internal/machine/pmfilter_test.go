@@ -174,8 +174,9 @@ func TestPMFilterZeroAlloc(t *testing.T) {
 // TestTraceLinesMatchesOracle pins the footprint against maps of the
 // lines every workload's loads, stores and lock ops touch — the directory
 // presize count, and the distinct sets of each thread's lines in its L1
-// and L2 and of all lines in the LLC — and the lock-line table against a
-// map of the lock ops' lines. After a complete run the presized directory
+// and L2 and of all lines in the LLC — each thread's epoch count against
+// its fence, lock and strand ops, and the lock-line table against a map
+// of the lock ops' lines. After a complete run the presized directory
 // has not grown and every cache has reached exactly the sets reserved.
 func TestTraceLinesMatchesOracle(t *testing.T) {
 	cfg := config.Default()
@@ -186,14 +187,19 @@ func TestTraceLinesMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, wantLocks, llcSets := map[mem.Line]bool{}, map[mem.Line]bool{}, map[uint64]bool{}
-		var l1Sets, l2Sets []int
+		var l1Sets, l2Sets, epochs []int
 		for _, ops := range tr.Threads {
 			l1, l2 := map[uint64]bool{}, map[uint64]bool{}
+			epochs = append(epochs, 2)
 			for _, op := range ops {
 				switch op.Kind {
 				case trace.OpAcquire, trace.OpRelease:
+					epochs[len(epochs)-1]++
 					wantLocks[mem.LineOf(op.Addr)] = true
 				case trace.OpLoad, trace.OpStore:
+				case trace.OpOfence, trace.OpDfence, trace.OpStrand:
+					epochs[len(epochs)-1]++
+					continue
 				default:
 					continue
 				}
@@ -208,6 +214,9 @@ func TestTraceLinesMatchesOracle(t *testing.T) {
 		got, locks := traceLines(tr, cfg)
 		if got.lines != len(want) {
 			t.Fatalf("%s: traceLines counts %d lines, want %d", wl, got.lines, len(want))
+		}
+		if !slices.Equal(got.epochs, epochs) {
+			t.Fatalf("%s: traceLines counts epochs %v, want %v", wl, got.epochs, epochs)
 		}
 		if !slices.Equal(got.l1Sets, l1Sets) || !slices.Equal(got.l2Sets, l2Sets) || got.llcSets != len(llcSets) {
 			t.Fatalf("%s: traceLines counts L1 sets %v, L2 sets %v, LLC sets %d; want %v, %v, %d",

@@ -51,6 +51,11 @@ func lineHash(l Line) uint64 { return uint64(l) * 0x9E3779B97F4A7C15 >> 32 }
 // NewNVM returns an empty device.
 func NewNVM() *NVM { return &NVM{} }
 
+// Reset empties the device and detaches its tracer. The table is dropped,
+// not kept: a new device has none until its first write, and the table's
+// size, which doubling reaches from that first write, places every line.
+func (n *NVM) Reset() { *n = NVM{} }
+
 // AttachTracer emits a media-write instant and cumulative write counter on
 // track (the owning memory controller's track).
 func (n *NVM) AttachTracer(tr obs.Tracer, track obs.TrackID) {

@@ -38,7 +38,15 @@ func NewWPQ(capacity int) *WPQ {
 	if capacity <= 0 {
 		panic("mem: WPQ capacity must be positive")
 	}
-	return &WPQ{ring: make([]wpqSlot, capacity)}
+	w := &WPQ{ring: make([]wpqSlot, capacity)}
+	w.Reset()
+	return w
+}
+
+// Reset empties the queue and detaches its tracer, keeping its ring.
+func (w *WPQ) Reset() {
+	clear(w.ring)
+	*w = WPQ{ring: w.ring}
 }
 
 // AttachTracer emits queue-depth counters and coalesce instants on track

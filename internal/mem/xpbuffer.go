@@ -47,11 +47,21 @@ func NewXPBuffer(capacity int) *XPBuffer {
 	for size < 2*capacity {
 		size <<= 1
 	}
-	return &XPBuffer{
+	x := &XPBuffer{
 		capacity: capacity,
 		nodes:    make([]xpNode, 1, capacity+1),
 		index:    make([]int32, size),
 	}
+	x.Reset()
+	return x
+}
+
+// Reset empties the buffer and detaches its tracer, keeping its storage.
+func (x *XPBuffer) Reset() {
+	clear(x.index)
+	x.nodes = x.nodes[:1]
+	x.nodes[0] = xpNode{}
+	*x = XPBuffer{capacity: x.capacity, nodes: x.nodes, index: x.index}
 }
 
 // AttachTracer emits hit/miss instants on track (the owning memory

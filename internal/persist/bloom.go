@@ -23,7 +23,16 @@ func NewCountingBloom(m, k int) *CountingBloom {
 	if m <= 0 || k <= 0 {
 		panic("persist: bloom filter needs positive size and hash count")
 	}
-	return &CountingBloom{counters: make([]uint8, m), hashes: k, scratch: make([]int, k)}
+	b := &CountingBloom{counters: make([]uint8, m), hashes: k, scratch: make([]int, k)}
+	b.Reset()
+	return b
+}
+
+// Reset empties the filter, keeping its storage.
+func (b *CountingBloom) Reset() {
+	clear(b.counters)
+	clear(b.scratch)
+	*b = CountingBloom{counters: b.counters, hashes: b.hashes, scratch: b.scratch}
 }
 
 // indices derives k counter indices from the line address with a

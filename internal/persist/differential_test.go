@@ -119,9 +119,9 @@ func TestRecoveryTableDifferential(t *testing.T) {
 						}
 					}
 				default:
-					step = fmt.Sprintf("op %d Reset", i)
-					got.Reset()
-					want.Reset()
+					step = fmt.Sprintf("op %d Clear", i)
+					got.Clear()
+					want.Clear()
 				}
 				compareRT(t, step, got, want, lines)
 			}

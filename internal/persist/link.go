@@ -50,6 +50,10 @@ func NewLink(eng *sim.Engine, cfg config.Config, mcs []*MC) *Link {
 	return &Link{eng: eng, cfg: cfg, mcs: mcs}
 }
 
+// Reset drops every message in flight. The delivery queues go back to nil,
+// as a new link has none.
+func (l *Link) Reset() { *l = Link{eng: l.eng, cfg: l.cfg, mcs: l.mcs} }
+
 // FlushOp issues a flush to mcs[mcID], delivered after FlushLat; the
 // controller's ACK/NACK comes back through its connected replier's
 // FlushReply(arg, res). retried marks a NACK-retried flush, whose delivery

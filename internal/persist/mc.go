@@ -145,7 +145,30 @@ func NewMC(id int, eng *sim.Engine, cfg config.Config, speculative bool, st *sta
 		mc.delays = make([]DelayRecord, cfg.RTEntries)
 		mc.Bloom = NewCountingBloom(1024, 3)
 	}
+	mc.Reset()
 	return mc
+}
+
+// Reset returns the controller to its state after NewMC, crash-flushed or
+// mid-run as it may be: no job queued, in service or waiting for the WPQ,
+// no reply in flight, empty WPQ, XPBuffer, NVM, recovery table and Bloom
+// filter, no tracer and no replier (Connect wires the next one). It keeps
+// its engine and stat set; the job and reply queues go back to nil, as a
+// new controller has none.
+func (mc *MC) Reset() {
+	mc.WPQ.Reset()
+	mc.XP.Reset()
+	mc.NVM.Reset()
+	if mc.RT != nil {
+		mc.RT.Reset()
+		mc.Bloom.Reset()
+	}
+	clear(mc.delays)
+	*mc = MC{
+		ID: mc.ID, eng: mc.eng, cfg: mc.cfg,
+		WPQ: mc.WPQ, RT: mc.RT, XP: mc.XP, NVM: mc.NVM, Bloom: mc.Bloom,
+		delays: mc.delays, st: mc.st, hc: mc.hc,
+	}
 }
 
 // Connect names the component every reply of this controller goes to:
@@ -555,7 +578,7 @@ func (mc *MC) CrashFlush() {
 		for _, u := range mc.RT.UndoRecords() {
 			mc.NVM.Write(u.Line, u.Safe)
 		}
-		mc.RT.Reset()
+		mc.RT.Clear()
 	}
 }
 

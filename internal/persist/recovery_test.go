@@ -129,7 +129,7 @@ func TestUndoRecordsAndReset(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("got %d undo records", len(recs))
 	}
-	rt.Reset()
+	rt.Clear()
 	if rt.Occupancy() != 0 {
 		t.Fatal("reset left records")
 	}

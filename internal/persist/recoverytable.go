@@ -55,10 +55,19 @@ func NewRecoveryTable(capacity int) *RecoveryTable {
 	if capacity <= 0 {
 		panic("persist: recovery table capacity must be positive")
 	}
-	return &RecoveryTable{
+	rt := &RecoveryTable{
 		undo:  make([]UndoRecord, capacity),
 		delay: make([]DelayRecord, capacity),
 	}
+	rt.Reset()
+	return rt
+}
+
+// Reset returns the table to its state after NewRecoveryTable: no record,
+// zero statistics and no tracer, in the same record slices.
+func (rt *RecoveryTable) Reset() {
+	rt.Clear()
+	*rt = RecoveryTable{undo: rt.undo, delay: rt.delay}
 }
 
 // AttachTracer emits record-creation instants and occupancy counters on
@@ -218,8 +227,9 @@ func (rt *RecoveryTable) UndoRecords() []UndoRecord {
 	return out
 }
 
-// Reset clears the table, as after a post-crash restart.
-func (rt *RecoveryTable) Reset() {
+// Clear drops every record, as after a post-crash restart; the table's
+// statistics stand.
+func (rt *RecoveryTable) Clear() {
 	clear(rt.undo)
 	clear(rt.delay)
 	rt.nUndo, rt.nDelay = 0, 0

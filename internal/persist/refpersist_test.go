@@ -146,7 +146,7 @@ func (rt *refRecoveryTable) UndoRecords() []*UndoRecord {
 	return out
 }
 
-func (rt *refRecoveryTable) Reset() {
+func (rt *refRecoveryTable) Clear() {
 	rt.undo = make(map[mem.Line]*UndoRecord)
 	rt.delay = make(map[EpochID][]*DelayRecord)
 	rt.delayLen = 0

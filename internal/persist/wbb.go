@@ -34,7 +34,15 @@ func NewWBB(capacity int) *WBB {
 	if capacity <= 0 {
 		panic("persist: WBB capacity must be positive")
 	}
-	return &WBB{lines: make([]mem.Line, capacity)}
+	w := &WBB{lines: make([]mem.Line, capacity)}
+	w.Reset()
+	return w
+}
+
+// Reset empties the buffer and detaches its tracer, keeping its storage.
+func (w *WBB) Reset() {
+	clear(w.lines)
+	*w = WBB{lines: w.lines}
 }
 
 // AttachTracer emits park instants and occupancy counters on track (the

@@ -4,6 +4,8 @@
 // ASAP paper.
 package sim
 
+import "math/bits"
+
 // Cycles is the simulation time unit: one cycle of the 2 GHz core clock.
 type Cycles = uint64
 
@@ -100,7 +102,32 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at cycle zero.
 func NewEngine() *Engine {
-	return &Engine{nodes: make([]event, 1, wheelSlabCap)}
+	e := &Engine{}
+	e.Reset()
+	return e
+}
+
+// Reset returns the engine to its state after NewEngine — clock at cycle
+// zero, nothing queued or dispatched, not halted, no hook and no receiver
+// registered — whatever state a run, a halt or a crash left it in. Only
+// the occupied wheel slots are cleared (an empty slot is all zero); the
+// node slab keeps its capacity, and the overflow heap goes back to nil,
+// as a new engine has none.
+func (e *Engine) Reset() {
+	for w, word := range e.occ {
+		for ; word != 0; word &= word - 1 {
+			e.slots[w<<6|bits.TrailingZeros64(word)] = wheelSlot{}
+		}
+	}
+	e.occ = [wheelWords]uint64{}
+	nodes := e.nodes[:0]
+	if cap(nodes) == 0 {
+		nodes = make([]event, 0, wheelSlabCap)
+	}
+	e.nodes, e.overflow = append(nodes, event{}), nil
+	clear(e.ops) // drop the last run's receivers
+	e.ops = e.ops[:0]
+	e.now, e.seq, e.dispatched, e.halted, e.onDispatch = 0, 0, 0, false, nil
 }
 
 // Now reports the current simulation time in cycles.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,52 @@ func TestHalt(t *testing.T) {
 		t.Fatal("Halted() false after Halt")
 	}
 }
+
+// TestResetAfterHalt: an engine halted with events pending on the wheel
+// and in the overflow heap, hooked and past cycle zero, resets to the
+// state NewEngine makes, and then dispatches a schedule exactly as a new
+// engine does.
+func TestResetAfterHalt(t *testing.T) {
+	schedule := func(e *Engine) (got []Cycles) {
+		f := newFnTable(e)
+		for _, at := range []Cycles{7, 3, 3, 2500, 40, 9000} {
+			f.at(at, func() { got = append(got, e.Now()) })
+		}
+		e.Run(0)
+		return got
+	}
+	e := NewEngine()
+	f := newFnTable(e)
+	for i := Cycles(1); i <= 20; i++ {
+		f.at(i*97, func() {
+			if e.Now() > 500 {
+				e.Halt()
+			}
+		})
+	}
+	e.SetDispatchHook(nopHook{})
+	e.Run(0)
+	if e.Pending() == 0 || !e.Halted() {
+		t.Fatal("the run left nothing pending to reset")
+	}
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.Dispatched() != 0 || e.Halted() || e.Hooked() || len(e.ops) != 0 {
+		t.Fatalf("reset engine: now %d, %d pending, %d dispatched, halted %v, hooked %v, %d receivers",
+			e.Now(), e.Pending(), e.Dispatched(), e.Halted(), e.Hooked(), len(e.ops))
+	}
+	if err := e.CheckQueue(); err != nil {
+		t.Fatal(err)
+	}
+	want := schedule(NewEngine())
+	if got := schedule(e); !slices.Equal(got, want) {
+		t.Fatalf("reset engine dispatched at %v, a new one at %v", got, want)
+	}
+}
+
+// nopHook observes dispatches and does nothing.
+type nopHook struct{}
+
+func (nopHook) Dispatched(Cycles) {}
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()

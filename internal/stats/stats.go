@@ -13,6 +13,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -126,8 +127,8 @@ func Description(name string) string {
 // entries have ever been written so that printing and Names report exactly
 // the counters a run touched (a write of zero still counts as touched).
 // Distributions live by value in a Key-indexed slice too; each one's
-// bucket array is allocated on its first sample, so a never-observed
-// distribution costs a few words and reads as absent.
+// bucket array is allocated on its first sample (or kept by Reset), so a
+// never-observed distribution costs a few words and reads as absent.
 type Set struct {
 	counters []uint64
 	touched  []bool
@@ -142,6 +143,46 @@ func New() *Set {
 		touched:  make([]bool, len(names)),
 		dists:    make([]Dist, len(names)),
 	}
+}
+
+// Reset zeroes every counter and empties every distribution, keeping the
+// set's storage. The distributions named in keep hold on to their bucket
+// storage, so a run that samples them again allocates none; every other
+// distribution drops its own. Either way an empty distribution reads as
+// absent, as in a new set.
+func (s *Set) Reset(keep ...Key) {
+	for _, k := range keep {
+		s.ensure(k)
+	}
+	clear(s.counters)
+	clear(s.touched)
+	for k := range s.dists {
+		b := s.dists[k].buckets
+		s.dists[k] = Dist{}
+		if slices.Contains(keep, Key(k)) {
+			// Empty but not nil, whether storage was kept or is still to
+			// come, so a checkpoint image reads the same either way.
+			if b == nil {
+				b = []uint64{}
+			}
+			s.dists[k].buckets = b[:0]
+		}
+	}
+}
+
+// Clone returns a copy of s that shares no storage with it, for a result
+// that outlives the run that filled s. A cloned distribution keeps its
+// buckets only up to its largest sample (it gets the rest back if it takes
+// another sample).
+func (s *Set) Clone() *Set {
+	c := &Set{counters: slices.Clone(s.counters), touched: slices.Clone(s.touched), dists: make([]Dist, len(s.dists))}
+	for k := range s.dists {
+		if d := &s.dists[k]; d.observed() {
+			c.dists[k] = *d
+			c.dists[k].buckets = slices.Clone(d.buckets[:min(d.max+1, uint64(len(d.buckets)))])
+		}
+	}
+	return c
 }
 
 // ensure grows the dense storage to cover k (only needed when a name was
@@ -341,9 +382,12 @@ func (s *Set) distNames() []string {
 // Samples up to distBuckets-1 are counted exactly; larger samples share the
 // overflow bucket but still contribute exactly to mean and max. The zero
 // value is an empty distribution; its buckets are allocated by the first
-// sample (or merge of a non-empty one).
+// sample (or merge of a non-empty one), unless a Set's Reset kept them.
 type Dist struct {
-	buckets []uint64 // nil until observed, then distBuckets long
+	// buckets is empty until observed, then distBuckets long (a clone's
+	// may be shorter, ending at its largest sample). Empty buckets are nil,
+	// or a Reset's kept storage of length zero.
+	buckets []uint64
 	over    uint64
 	count   uint64
 	sum     uint64
@@ -353,12 +397,27 @@ type Dist struct {
 const distBuckets = 4096
 
 // observed reports whether d ever took a sample or a non-empty merge.
-func (d *Dist) observed() bool { return d.buckets != nil }
+func (d *Dist) observed() bool { return len(d.buckets) != 0 }
+
+// fill makes d's buckets distBuckets long: in the storage a Reset kept,
+// zeroed past what d held, when it has room, else in a new array that
+// keeps the counts d holds.
+func (d *Dist) fill() {
+	if cap(d.buckets) >= distBuckets {
+		n := len(d.buckets)
+		d.buckets = d.buckets[:distBuckets]
+		clear(d.buckets[n:])
+		return
+	}
+	b := make([]uint64, distBuckets)
+	copy(b, d.buckets)
+	d.buckets = b
+}
 
 // Observe records one sample.
 func (d *Dist) Observe(v uint64) {
-	if d.buckets == nil {
-		d.buckets = make([]uint64, distBuckets)
+	if len(d.buckets) < distBuckets {
+		d.fill()
 	}
 	d.count++
 	d.sum += v
@@ -377,8 +436,8 @@ func (d *Dist) Merge(other *Dist) {
 	if !other.observed() {
 		return
 	}
-	if d.buckets == nil {
-		d.buckets = make([]uint64, distBuckets)
+	if len(d.buckets) < distBuckets {
+		d.fill()
 	}
 	for i, c := range other.buckets {
 		d.buckets[i] += c

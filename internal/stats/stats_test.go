@@ -340,3 +340,72 @@ func TestSnapshots(t *testing.T) {
 		t.Fatalf("P99 snapshot %d != live %d", ds[0].P99, s.Dist("occ").Percentile(0.99))
 	}
 }
+
+// TestResetKeepsStorage: Reset zeroes counters and empties every
+// distribution; a kept distribution reuses its buckets, zeroed, without
+// allocating, and reads as absent until its next sample, like one never
+// kept.
+func TestResetKeepsStorage(t *testing.T) {
+	s := New()
+	lat, occ := byName["lat"], byName["occ"]
+	s.Counter(byName["x"]).Add(5)
+	s.Observe(lat, 3)
+	s.Observe(occ, 4)
+	s.Reset(lat)
+	if s.Get("x") != 0 || len(s.Names()) != 0 || s.String() != "" {
+		t.Fatalf("reset set still reports:\n%s", s)
+	}
+	if s.Dist("lat") != nil || s.Dist("occ") != nil {
+		t.Fatal("a reset distribution reads as observed")
+	}
+	if s.dists[occ].buckets != nil {
+		t.Fatal("a distribution Reset did not keep still holds its buckets")
+	}
+	if n := testing.AllocsPerRun(10, func() { s.Observe(lat, 9); s.Reset(lat) }); n != 0 {
+		t.Fatalf("sampling a kept distribution allocates %v times per run", n)
+	}
+	s.Observe(lat, 9)
+	if d := s.Dist("lat"); d.Count() != 1 || d.Percentile(0) != 9 || d.Max() != 9 {
+		t.Fatalf("kept buckets carried counts over: count %d, p0 %d", d.Count(), d.Percentile(0))
+	}
+}
+
+// TestCloneIsIndependent: a clone reports what its source did, shares no
+// storage with it, keeps its buckets only up to the largest sample, and
+// takes further samples and merges as a full distribution.
+func TestCloneIsIndependent(t *testing.T) {
+	s := New()
+	lat := byName["lat"]
+	s.Counter(byName["x"]).Add(2)
+	for _, v := range []uint64{1, 5, 5, 9, 5000} {
+		s.Observe(lat, v)
+	}
+	c := s.Clone()
+	if c.String() != s.String() {
+		t.Fatalf("clone reports\n%s\nsource\n%s", c, s)
+	}
+	if n := len(c.dists[lat].buckets); n != distBuckets {
+		t.Fatalf("a clone with an overflow sample keeps %d buckets, want %d", n, distBuckets)
+	}
+	s.Reset()
+	s.Observe(lat, 7)
+	if c.Get("x") != 2 || c.Dist("lat").Count() != 5 {
+		t.Fatal("the clone changed with its source")
+	}
+
+	s.Reset()
+	s.Observe(lat, 3)
+	s.Observe(lat, 1)
+	c = s.Clone()
+	if n := len(c.dists[lat].buckets); n != 4 {
+		t.Fatalf("a clone whose largest sample is 3 keeps %d buckets, want 4", n)
+	}
+	if d := c.Dist("lat"); d.Percentile(0.5) != 1 || d.Percentile(0.99) != 3 {
+		t.Fatalf("clone percentiles p50 %d p99 %d, want 1 and 3", d.Percentile(0.5), d.Percentile(0.99))
+	}
+	c.Observe(lat, 100)
+	c.Merge(s)
+	if d := c.Dist("lat"); d.Count() != 5 || d.Percentile(0.4) != 1 || d.Percentile(0.8) != 3 || d.Max() != 100 {
+		t.Fatalf("clone after a sample and a merge: count %d p40 %d p80 %d max %d", d.Count(), d.Percentile(0.4), d.Percentile(0.8), d.Max())
+	}
+}
