@@ -19,6 +19,7 @@ func main() {
 	eng := sim.NewEngine()
 	cfg := config.Default()
 	mc := persist.NewMC(0, eng, cfg, true /* speculative: recovery table */, stats.New())
+	mc.Reset(1)           // size the NVM for the one line this walk writes
 	mc.Connect(printer{}) // in a machine, the model receives every reply
 
 	line := mem.LineOf(0x1000)
@@ -77,6 +78,7 @@ func main() {
 	// Rebuild the same state on a fresh controller.
 	eng2 := sim.NewEngine()
 	mc2 := persist.NewMC(0, eng2, cfg, true, stats.New())
+	mc2.Reset(1)
 	mc2.Connect(quiet{})
 	replay := func(tok mem.Token, thread int, ts uint64, early bool) {
 		mc2.ReceiveOp(persist.FlushPacket{Line: line, Token: tok,

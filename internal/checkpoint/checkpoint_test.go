@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -179,32 +180,59 @@ func compare(t *testing.T, phase string, want, got runSummary) {
 }
 
 // TestCaptureSkipsSharedTrace pins that a snapshot never covers the
-// *trace.Trace: machines built from one trace share it, so restoring it
-// would race between campaigns forked concurrently (the -race run of
-// TestCampaignForkedMatchesRebuild is where that shows).
+// *machine.Plan or the trace it holds: machines reset from one plan share
+// both, so restoring either would race between machines forked
+// concurrently. Two machines of different models are built from one plan
+// and captured mid-run; their forks then run at the same time (under
+// -race a write to the shared plan shows), and each must reproduce the
+// run of a machine New builds alone.
 func TestCaptureSkipsSharedTrace(t *testing.T) {
 	tr, err := workload.Generate("cceh", workload.Params{Threads: 2, OpsPerThread: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(config.Default(), model.NameASAPEP, tr)
+	p, err := machine.Compile(config.Default(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Advance(500)
-	cp, err := Capture(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceType := reflect.TypeOf(*tr)
-	for _, r := range cp.w.regions {
-		if r.typ == traceType {
-			t.Fatal("the shared trace was captured as a region")
+	models := []string{model.NameASAPEP, model.NameHOPSRP}
+	cps := make([]*Checkpoint, len(models))
+	for i, mn := range models {
+		m, err := machine.NewFromPlan(p, mn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Advance(500)
+		if cps[i], err = Capture(m); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cps[i].w.regions {
+			if r.typ == reflect.TypeOf(*p) || r.typ == reflect.TypeOf(*tr) {
+				t.Fatalf("%s: the shared %v was captured as a region", mn, r.typ)
+			}
+		}
+		for _, s := range cps[i].w.slices {
+			if s.ptr == unsafe.Pointer(&tr.Threads) {
+				t.Fatalf("%s: the shared trace's thread list was captured", mn)
+			}
 		}
 	}
-	for _, s := range cp.w.slices {
-		if s.ptr == unsafe.Pointer(&tr.Threads) {
-			t.Fatal("the shared trace's thread list was captured")
+	got := make([]runSummary, len(models))
+	var wg sync.WaitGroup
+	for i := range models {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fm := cps[i].Fork()
+			got[i] = summarize(fm, fm.Run(0))
+		}()
+	}
+	wg.Wait()
+	for i, mn := range models {
+		m, err := machine.New(config.Default(), mn, tr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		compare(t, mn+" fork beside another model's", summarize(m, m.Run(0)), got[i])
 	}
 }

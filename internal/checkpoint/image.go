@@ -11,10 +11,12 @@ package checkpoint
 // recipe (config, model name, trace) next to the state, and Load replays
 // construction — machine.New — to obtain a fresh machine whose object
 // graph has the construction-time shape, then decodes the state over it
-// positionally. Both encoder and decoder traverse the graph with the same
-// deterministic walk (struct fields in order, slice elements in order), so
-// "the third pointer of the second core" means the same object on both
-// sides:
+// positionally. What the machine derives from its trace, its machine.Plan,
+// is not encoded: Load compiles it again from the embedded trace, and
+// machine.Check holds the decoded run state to it. Both encoder and
+// decoder traverse the graph with the same deterministic walk (struct
+// fields in order, slice elements in order), so "the third pointer of the
+// second core" means the same object on both sides:
 //
 //   - POD leaves encode as varints (field-wise, never raw struct bytes, so
 //     padding can't leak and images are byte-stable across runs).
@@ -63,7 +65,7 @@ import (
 
 const (
 	imageMagic   = "ASAPCKP1"
-	imageVersion = 2
+	imageVersion = 3
 
 	// maxImageElems bounds any decoded collection length; with the digest
 	// already verified this is defense in depth against resource blowups.
@@ -296,15 +298,9 @@ func (d *imgDecoder) decValue(ptr unsafe.Pointer, t reflect.Type) {
 	}
 }
 
-// encSlice writes nil-ness, length, and elements. []trace.Op headers are
-// windows into the immutable replayed program: only the length is written,
-// and the decoder keeps the fresh machine's own window.
+// encSlice writes nil-ness, length, and elements.
 func (e *imgEncoder) encSlice(ptr, pr unsafe.Pointer, t reflect.Type) {
 	sv := reflect.NewAt(t, ptr).Elem()
-	if t == opSliceType {
-		e.uvarint(uint64(sv.Len()))
-		return
-	}
 	if sv.IsNil() {
 		e.uvarint(0)
 		return
@@ -342,12 +338,6 @@ func (e *imgEncoder) encSlice(ptr, pr unsafe.Pointer, t reflect.Type) {
 
 func (d *imgDecoder) decSlice(ptr unsafe.Pointer, t reflect.Type) {
 	v := reflect.NewAt(t, ptr).Elem()
-	if t == opSliceType {
-		if n := d.uvarint(); n != uint64(v.Len()) {
-			d.fail("trace window length %d does not match the embedded trace (%d)", v.Len(), n)
-		}
-		return
-	}
 	raw := d.uvarint()
 	if raw == 0 {
 		v.SetZero()
@@ -444,7 +434,7 @@ func (d *imgDecoder) nilRef(filled bool, t reflect.Type) {
 // encPtr writes one pointer slot.
 func (e *imgEncoder) encPtr(ptr, pr unsafe.Pointer, t reflect.Type) {
 	if skipType(t) {
-		return // observability sink: not part of the image
+		return // observability sink or the shared plan: not part of the image
 	}
 	p := *(*unsafe.Pointer)(ptr)
 	var pp unsafe.Pointer
@@ -462,7 +452,7 @@ func (e *imgEncoder) encPtr(ptr, pr unsafe.Pointer, t reflect.Type) {
 
 func (d *imgDecoder) decPtr(ptr unsafe.Pointer, t reflect.Type) {
 	if skipType(t) {
-		return // fresh machine's (nil) sink stands
+		return // fresh machine's (nil) sink or compiled plan stands
 	}
 	fp := *(*unsafe.Pointer)(ptr)
 	tag := d.byteVal()
@@ -624,7 +614,7 @@ func Save(m *machine.Machine) (img []byte, err error) {
 	if m.Trace() == nil {
 		return nil, fmt.Errorf("checkpoint: machine has no trace to embed")
 	}
-	pristine, err := machine.New(m.Cfg, m.Model.Name(), m.Trace())
+	pristine, err := machine.NewFromPlan(m.Plan(), m.Model.Name())
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: rebuilding pristine machine: %w", err)
 	}
@@ -665,10 +655,12 @@ func Save(m *machine.Machine) (img []byte, err error) {
 // same stats, same NVM images (pinned by TestImageRoundtrip). Corrupted,
 // truncated, or wrong-version images return errors, never panic; so does
 // an image whose digest is intact but whose event queue breaks the
-// engine's invariants (sim.Engine.CheckQueue) or whose caches, directory,
-// NVM, WPQ, XPBuffer, recovery-table or write-back-buffer records break
-// theirs (their Check methods), which would otherwise load into a machine
-// that panics, hangs or misorders events in Run.
+// engine's invariants (sim.Engine.CheckQueue), whose run state does not
+// fit the plan compiled from its trace (machine.Check), or whose caches,
+// directory, NVM, WPQ, XPBuffer, recovery-table or write-back-buffer
+// records break their invariants (their Check methods), which would
+// otherwise load into a machine that panics, hangs or misorders events in
+// Run.
 func Load(img []byte) (m *machine.Machine, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -753,6 +745,9 @@ func Load(img []byte) (m *machine.Machine, err error) {
 	}
 	if err := fresh.Hier.Check(cfg); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoded cache state is malformed: %w", err)
+	}
+	if err := fresh.Check(); err != nil {
+		return nil, fmt.Errorf("checkpoint: decoded run state does not fit the trace: %w", err)
 	}
 	for i, mc := range fresh.MCs {
 		err := errors.Join(mc.NVM.Check(), mc.WPQ.Check(), mc.XP.Check())

@@ -322,14 +322,17 @@ func TestImageRejectsMalformedQueue(t *testing.T) {
 
 // TestImageRejectsMalformedMem pins that Load checks each controller's
 // decoded NVM, WPQ, XPBuffer and recovery tables and each core's
-// write-back buffer, persist buffer and epoch table. Each case corrupts one
-// field of the controller 0 (or core 0) state in a valid image, reseals it and requires Load to fail
-// with the check's error. Loaded unchecked, these images give
-// a machine that panics on an out-of-range index, probes forever in a
-// table with no empty slot, or silently loses a line. A field's payload
-// offset is found by saving the machine again with the field's low bit
-// flipped in memory (see diffOffset); the varint there is then rewritten
-// to the bad value at the same length.
+// write-back buffer, persist buffer and epoch table, and the run state the
+// trace's plan sizes (machine.Check). Each case corrupts one field of the
+// controller 0 (or core 0, or lock 0) state in a valid image, reseals it
+// and requires Load to fail with the check's error. Loaded unchecked,
+// these images give a machine that panics on an out-of-range index,
+// probes forever in a table with no empty slot, or silently loses a line.
+// A field's payload offset is found by saving the machine again with the
+// field's low bit flipped in memory (see diffOffset); the varint there is
+// then rewritten to the bad value at the same length. A slice length
+// cannot be patched so without shifting what follows it, so those cases
+// save a golden machine whose slice was changed in memory instead.
 func TestImageRejectsMalformedMem(t *testing.T) {
 	m := goldenMachine(t)
 	img, err := Save(m)
@@ -371,7 +374,38 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 	// Raising a count by two past the live records exposes two zeroed
 	// slots, which hold the same line (and epoch) twice.
 	twoMore := func(f reflect.Value) int64 { return f.Int() + 2 }
+	machineField := func(m *machine.Machine, name string) reflect.Value {
+		return settable(reflect.ValueOf(m).Elem().FieldByName(name))
+	}
+	if machineField(m, "locks").Len() == 0 {
+		t.Fatal("the golden trace has no lock; the lock cases need one")
+	}
+	shorten := func(name string) func(*machine.Machine) {
+		return func(m *machine.Machine) {
+			f := machineField(m, name)
+			f.Set(f.Slice(0, f.Len()-1))
+		}
+	}
 
+	rejects := func(what string, bad []byte, want string) {
+		t.Helper()
+		lm, err := Load(bad)
+		if err == nil || lm != nil {
+			t.Fatalf("%s: Load returned (%v, %v), want an error", what, lm != nil, err)
+		}
+		check := "memory state is malformed"
+		switch what[:3] {
+		case "WBB":
+			check = "write-back buffer is malformed"
+		case "PB ", "ET ":
+			check = "persist buffers or epoch tables are malformed"
+		case "run":
+			check = "run state does not fit the trace"
+		}
+		if !strings.Contains(err.Error(), check) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want the %s check's %q error", what, err, check, want)
+		}
+	}
 	for _, c := range []struct {
 		what  string
 		field reflect.Value
@@ -403,21 +437,31 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 		{"ET ring mask not its length", et.FieldByName("mask"), 6, "not a power of two"},
 		{"ET window past the open epoch", et.FieldByName("oldest"), 60, "does not fit"},
 		{"ET count off", et.FieldByName("count"), twoMore(et.FieldByName("count")), "tracked epochs"},
+		{"run state: lock holder past the cores", machineField(m, "locks").Index(0).FieldByName("holder"), 2, "held by core 2 of 2"},
+		{"run state: core id past the cores", machineField(m, "cores").Index(1).Elem().FieldByName("id"), 7, "core 1 has id 7"},
+		{"run state: core before its first op", machineField(m, "cores").Index(0).Elem().FieldByName("pc"), -5, "op -5 of"},
 	} {
-		lm, err := Load(patchField(t, m, img, c.field, c.bad, c.what))
-		if err == nil || lm != nil {
-			t.Fatalf("%s: Load returned (%v, %v), want an error", c.what, lm != nil, err)
+		rejects(c.what, patchField(t, m, img, c.field, c.bad, c.what), c.want)
+	}
+	for _, c := range []struct {
+		what   string
+		change func(*machine.Machine)
+		want   string
+	}{
+		{"run state: lock waiter past the cores", func(m *machine.Machine) {
+			settable(machineField(m, "locks").Index(0).FieldByName("waiters")).Set(reflect.ValueOf([]int{0, 3}))
+		}, "awaited by core 3 of 2"},
+		{"run state: lock table one state short", shorten("locks"), "lock states for the plan's"},
+		{"run state: PM mark bits one word short", shorten("pm"), "words of PM mark bits"},
+		{"run state: NVM table sized for more lines", func(m *machine.Machine) { m.MCs[0].NVM.Reset(1000) }, "controller 0: mem: NVM table has"},
+	} {
+		cm := goldenMachine(t)
+		c.change(cm)
+		bad, err := Save(cm)
+		if err != nil {
+			t.Fatalf("%s: %v", c.what, err)
 		}
-		check := "memory state is malformed"
-		switch c.what[:3] {
-		case "WBB":
-			check = "write-back buffer is malformed"
-		case "PB ", "ET ":
-			check = "persist buffers or epoch tables are malformed"
-		}
-		if !strings.Contains(err.Error(), check) || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: %v, want the %s check's %q error", c.what, err, check, c.want)
-		}
+		rejects(c.what, bad, c.want)
 	}
 }
 

@@ -57,9 +57,11 @@ func resetTraces(t *testing.T, ops int) []*trace.Trace {
 // one machine is reset through the Figure 8 workloads and a strand case,
 // from the smallest footprint to the largest and back, so storage left
 // behind by a larger trace meets a smaller one and a smaller trace's
-// storage must grow. At every step the reset machine must save to the
-// same image as a machine New builds for the trace, before Run and after,
-// and produce the same Result, stats and NVM image. Every third trace is
+// storage must grow. Each trace is compiled once per config, and its one
+// plan is reset into the machines of all models, which run in parallel.
+// At every step the reset machine must save to the same image as a
+// machine New builds for the trace, before Run and after, and produce the
+// same Result, stats and NVM image. Every third trace is
 // cut by CrashNow at mid-run instead, so the next Reset starts from a
 // halted engine, crash-flushed controllers and a set Crashed flag; on
 // another third, a fork of the reset machine captured at cycle 0 must
@@ -79,30 +81,37 @@ func TestResetDifferential(t *testing.T) {
 		name string
 		cfg  config.Config
 	}{{"default", config.Default()}, {"small", small}} {
+		plans := make([]*machine.Plan, len(order))
+		for i, tr := range order {
+			var err error
+			if plans[i], err = machine.Compile(mc.cfg, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, mn := range model.ExtendedNames() {
 			t.Run(mc.name+"/"+mn, func(t *testing.T) {
-				resetSequence(t, mc.cfg, mn, order)
+				resetSequence(t, mc.cfg, mn, order, plans)
 			})
 		}
 	}
 }
 
 // resetSequence runs TestResetDifferential's sequence for one config and
-// model.
-func resetSequence(t *testing.T, cfg config.Config, mn string, order []*trace.Trace) {
+// model, over the plans of order compiled for that config.
+func resetSequence(t *testing.T, cfg config.Config, mn string, order []*trace.Trace, plans []*machine.Plan) {
 	t.Parallel()
 	var reused *machine.Machine
 	for i, tr := range order {
-		step := fmt.Sprintf("step %d", i)
+		step, p := fmt.Sprintf("step %d", i), plans[i]
 		fresh, err := machine.New(cfg, mn, tr)
 		if err != nil {
 			t.Fatalf("%s: new: %v", step, err)
 		}
 		if reused == nil {
-			if reused, err = machine.New(cfg, mn, tr); err != nil {
+			if reused, err = machine.NewFromPlan(p, mn); err != nil {
 				t.Fatalf("%s: new: %v", step, err)
 			}
-		} else if err := reused.Reset(tr); err != nil {
+		} else if err := reused.Reset(p); err != nil {
 			t.Fatalf("%s: reset: %v", step, err)
 		}
 		sameImage(t, step+" before run", fresh, reused)

@@ -47,8 +47,8 @@ import (
 	"sync"
 	"unsafe"
 
+	"asap/internal/machine"
 	"asap/internal/obs"
-	"asap/internal/trace"
 )
 
 // rawRestore is one memmove: n bytes of the arena (at off) back to dst.
@@ -119,23 +119,19 @@ type walker struct {
 // rows, progress snapshots) that describes the run so far; rolling them back
 // would falsify it, and nothing in the simulation reads them, so the walker
 // restores the *references* (bitwise, via the enclosing region) but never
-// descends into the objects. []trace.Op is the replayed program: immutable
-// by contract, shared between machine and trace, and far too large to copy
-// per capture. The same holds for the
-// *trace.Trace that owns it, which machines built from one trace share: the
-// walker keeps the machine's reference and never descends, because
-// restoring it would write the shared trace (a data race between machines
-// forked concurrently, even though the bytes written are equal).
+// descends into the objects. Nor into the *machine.Plan (the trace and its
+// derived tables): immutable, shared by machines reset from one plan, and
+// restoring it would race between machines forked concurrently. The image
+// codec skips the same types; Load compiles the plan again.
 var (
 	tracerType   = reflect.TypeOf((*obs.Tracer)(nil)).Elem()
 	progressType = reflect.TypeOf((*obs.Progress)(nil))
 	timelineType = reflect.TypeOf((*obs.Timeline)(nil))
-	opSliceType  = reflect.TypeOf([]trace.Op(nil))
-	tracePtrType = reflect.TypeOf((*trace.Trace)(nil))
+	planPtrType  = reflect.TypeOf((*machine.Plan)(nil))
 )
 
 func skipType(t reflect.Type) bool {
-	return t == tracerType || t == progressType || t == timelineType
+	return t == tracerType || t == progressType || t == timelineType || t == planPtrType
 }
 
 // podCache memoizes isPOD per type; shared by concurrent captures.
@@ -332,7 +328,7 @@ func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 			w.walkInterior(unsafe.Add(ptr, uintptr(i)*sz), et)
 		}
 	case reflect.Pointer:
-		if skipType(t) || t == tracePtrType {
+		if skipType(t) {
 			return
 		}
 		p := *(*unsafe.Pointer)(ptr)
@@ -378,9 +374,6 @@ func rejectKind(t reflect.Type) {
 // captureSlice records a slice's contents and scans its elements. POD
 // contents go to the byte arena; everything else gets a typed copy.
 func (w *walker) captureSlice(ptr unsafe.Pointer, t reflect.Type) {
-	if t == opSliceType {
-		return // replayed program: immutable, shared, header-only
-	}
 	// An empty slice needs no contents: its header (incl. nil-ness) is
 	// restored by the enclosing copy.
 	sv := reflect.NewAt(t, ptr).Elem()

@@ -134,8 +134,8 @@ func Campaign(cfg config.Config, modelName string, tr *trace.Trace, runs int, se
 }
 
 // CampaignRebuild is the pre-checkpoint formulation — a full from-zero
-// simulation per injection point, each on the reference machine Reset for
-// the trace, crashed as the last injection left it. It is retained as the
+// simulation per injection point, each on the reference machine Reset from
+// its own plan, crashed as the last injection left it. It is retained as the
 // differential oracle for the forked campaign (and so of Reset after a
 // crash) and as the baseline side of BenchmarkCrashCampaign; new callers
 // want Campaign.
@@ -159,9 +159,9 @@ func CampaignRebuild(cfg config.Config, modelName string, tr *trace.Trace, runs 
 		res.Failures = append(res.Failures, rep)
 	}
 
-	m := ref
+	m, plan := ref, ref.Plan()
 	for i := 0; i < runs; i++ {
-		if err := m.Reset(tr); err != nil {
+		if err := m.Reset(plan); err != nil {
 			return res, err
 		}
 		at := 1 + r.Uint64n(uint64(refRes.Cycles)+1)

@@ -38,7 +38,7 @@ import (
 )
 
 // poolKey names the runs an idle machine can serve: Reset keeps a
-// machine's config and model and replaces its trace.
+// machine's config and model and replaces its plan.
 type poolKey struct {
 	cfg   config.Config
 	model string
@@ -68,6 +68,9 @@ type traceKey struct {
 // and engine state, not just the Result summary) under a distinct type so
 // it never collides with the Result cache for the same spec.
 type machineKey runspec.RunSpec
+
+// planKey caches a trace's plan under a config: a spec without its model.
+type planKey runspec.RunSpec
 
 // call is one singleflight computation: the first requester of a key
 // becomes the leader and computes; everyone else waits on ready.
@@ -102,9 +105,9 @@ type engine struct {
 	traceGens atomic.Int64
 	runExecs  atomic.Int64
 	simCycles atomic.Uint64
-	// builds and resets count the machines build constructed and the
-	// pooled machines it reset.
-	builds, resets atomic.Int64
+	// plans counts the plans compiled; builds and resets count the
+	// machines build constructed and the pooled machines it reset.
+	plans, builds, resets atomic.Int64
 }
 
 // newEngine builds an engine from the harness options; Parallel <= 0
@@ -265,23 +268,33 @@ func (e *engine) machine(k runspec.RunSpec) (*machine.Machine, error) {
 	return v.(*machine.Machine), nil
 }
 
-// build assembles the machine for spec (trace generation is singleflighted
-// separately: runs of the same workload under different models share one
-// trace, which machines only read): an idle machine of the spec's config
-// and model Reset for the trace, or a new one. The Observe hook fires
-// here, before Run, so callers can attach obs sinks — asapd attaches a
-// progress gauge.
+// build assembles the machine for spec: an idle machine of the spec's
+// config and model Reset from the plan of the spec's trace under its
+// config, or a new one. The plan is compiled once per engine, keyed by the
+// spec without its model, and shared by the runs of every model. The
+// Observe hook fires here, before Run, so callers can attach obs sinks —
+// asapd attaches a progress gauge.
 func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
-	tr, err := e.trace(traceKey{wl: k.Workload, p: k.Params})
+	pk := planKey(k)
+	pk.Model = ""
+	v, err := e.once(pk, func() (any, error) {
+		tr, err := e.trace(traceKey{wl: k.Workload, p: k.Params})
+		if err != nil {
+			return nil, err
+		}
+		e.plans.Add(1)
+		return capture("plan "+k.Workload, func() (any, error) { return machine.Compile(k.Config, tr) })
+	})
 	if err != nil {
 		return nil, err
 	}
+	p := v.(*machine.Plan)
 	m := e.acquire(poolKey{k.Config, k.Model})
 	if m != nil {
-		err = m.Reset(tr)
+		err = m.Reset(p)
 		e.resets.Add(1)
 	} else {
-		m, err = machine.New(k.Config, k.Model, tr)
+		m, err = machine.NewFromPlan(p, k.Model)
 		e.builds.Add(1)
 	}
 	if err != nil {
@@ -325,10 +338,10 @@ func (e *engine) execs() (traces, runs int64) {
 	return e.traceGens.Load(), e.runExecs.Load()
 }
 
-// machines reports how many machines build has constructed and how many
-// pooled machines it has reset.
-func (e *engine) machines() (builds, resets int64) {
-	return e.builds.Load(), e.resets.Load()
+// machines reports how many plans the engine has compiled, machines build
+// has constructed and pooled machines it has reset.
+func (e *engine) machines() (plans, builds, resets int64) {
+	return e.plans.Load(), e.builds.Load(), e.resets.Load()
 }
 
 // artifactKey dedups trace-artifact writes: the Result cache and the

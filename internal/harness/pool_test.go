@@ -43,7 +43,7 @@ func TestPooledResultKeepsItsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if builds, resets := h.eng.machines(); builds != 1 || resets != 1 {
+	if _, builds, resets := h.eng.machines(); builds != 1 || resets != 1 {
 		t.Fatalf("built %d and reset %d machines, want spec B to reset spec A's", builds, resets)
 	}
 	if a.Stats == b.Stats {
@@ -70,9 +70,10 @@ func TestPooledResultKeepsItsStats(t *testing.T) {
 	}
 }
 
-// TestFig8MachineReuse pins the pool's traffic: a serial Figure 8 builds
-// one machine per (config, model) key it rotates through — the baseline
-// and five models — and resets those for the other 78 of its 84 runs.
+// TestFig8MachineReuse pins the pool's traffic: a serial Figure 8 compiles
+// one plan per trace (its 14 workloads share one config), builds one
+// machine per (config, model) key it rotates through — the baseline and
+// five models — and resets those for the other 78 of its 84 runs.
 func TestFig8MachineReuse(t *testing.T) {
 	h := New(Options{Ops: 30, Seed: 1, Parallel: 1})
 	if _, err := h.Experiment("fig8"); err != nil {
@@ -81,8 +82,8 @@ func TestFig8MachineReuse(t *testing.T) {
 	if _, runs := h.eng.execs(); runs != 84 {
 		t.Fatalf("Figure 8 ran %d simulations, want 84", runs)
 	}
-	if builds, resets := h.eng.machines(); builds != 6 || resets != 78 {
-		t.Fatalf("Figure 8 built %d machines and reset %d, want 6 and 78", builds, resets)
+	if plans, builds, resets := h.eng.machines(); plans != 14 || builds != 6 || resets != 78 {
+		t.Fatalf("Figure 8 compiled %d plans, built %d machines and reset %d, want 14, 6 and 78", plans, builds, resets)
 	}
 }
 
@@ -98,7 +99,7 @@ func TestInspectedMachinesStayOut(t *testing.T) {
 	if _, err := h.Run("dash_eh", model.NameASAPEP, 4); err != nil {
 		t.Fatal(err)
 	}
-	if builds, resets := h.eng.machines(); builds != 2 || resets != 0 {
+	if _, builds, resets := h.eng.machines(); builds != 2 || resets != 0 {
 		t.Fatalf("built %d and reset %d machines, want the run to build its own", builds, resets)
 	}
 	if m.Ledger.NumDeps() != deps || m.Eng.Now() != cycles {
@@ -134,7 +135,7 @@ func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("the pool holds the machines of keys %v, want %v", got, want)
 	}
-	if builds, resets := h.eng.machines(); builds != maxIdleMachines+1 || resets != 1 {
+	if _, builds, resets := h.eng.machines(); builds != maxIdleMachines+1 || resets != 1 {
 		t.Fatalf("built %d and reset %d machines, want %d and 1", builds, resets, maxIdleMachines+1)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"asap/internal/config"
-	"asap/internal/trace"
 	"asap/internal/workload"
 )
 
@@ -35,8 +34,9 @@ func BenchmarkMachineOps(b *testing.B) {
 // BenchmarkMachineNew measures building one asap_ep machine per Table III
 // workload (and the bandwidth micro) at Figure 8 scale: four threads of 80
 // operations, as asapfig -ops 80 runs them. The trace is generated once
-// outside the loop, so this is the construction cost every run pays —
-// cache hierarchy, controllers, model, ledger and PM-line filter.
+// outside the loop, so this is the construction cost a run on a new
+// machine pays — the trace's plan, cache hierarchy, controllers, model
+// and ledger.
 func BenchmarkMachineNew(b *testing.B) {
 	p := workload.Default()
 	p.OpsPerThread = 80
@@ -58,29 +58,32 @@ func BenchmarkMachineNew(b *testing.B) {
 
 // BenchmarkMachineReset measures resetting one asap_ep machine for each
 // workload of BenchmarkMachineNew, at its scale: the construction cost a
-// run pays on a machine the harness pool reuses. Before timing, the
-// machine runs every trace once, so its storage fits the largest, as in a
-// pool that has served a figure; each measured Reset follows an untimed
-// complete run of the trace it resets for and a GC, so no collection of
-// the run's garbage lands in the timed reset.
+// run pays on a machine the harness pool reuses, from a plan the harness
+// compiled once for the trace. Before timing, the machine runs every
+// trace once, so its storage fits the largest, as in a pool that has
+// served a figure; each measured Reset follows an untimed complete run of
+// the trace it resets for and a GC, so no collection of the run's garbage
+// lands in the timed reset.
 func BenchmarkMachineReset(b *testing.B) {
 	p := workload.Default()
 	p.OpsPerThread = 80
 	names := workload.Names()
-	traces := make([]*trace.Trace, len(names))
+	plans := make([]*Plan, len(names))
 	for i, name := range names {
 		tr, err := workload.Generate(name, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		traces[i] = tr
+		if plans[i], err = Compile(config.Default(), tr); err != nil {
+			b.Fatal(err)
+		}
 	}
-	m, err := New(config.Default(), "asap_ep", traces[0])
+	m, err := NewFromPlan(plans[0], "asap_ep")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tr := range traces {
-		if err := m.Reset(tr); err != nil {
+	for _, pl := range plans {
+		if err := m.Reset(pl); err != nil {
 			b.Fatal(err)
 		}
 		m.Run(0)
@@ -93,7 +96,7 @@ func BenchmarkMachineReset(b *testing.B) {
 				m.Run(0)
 				runtime.GC()
 				b.StartTimer()
-				if err := m.Reset(traces[i]); err != nil {
+				if err := m.Reset(plans[i]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -52,15 +52,16 @@ type Machine struct {
 	St     *stats.Set
 	Ledger *Ledger
 
+	plan  *Plan // what the trace and config decide; the rest is run state
 	cores []*coreState
-	// locks[i] is the state of the spinlock at lockLines[i]; lockLines
-	// lists every lock line of the trace in ascending order.
-	locks     []lockState
-	lockLines []mem.Line
-	pm        pmFilter
-	wbbs      []*persist.WBB
-	tokenSeq  mem.Token
-	finished  int
+	// locks[i] is the state of the spinlock at the plan's lockLines[i].
+	locks []lockState
+	// pm marks each line of the plan's PM pages once a persistent store to
+	// it issues (see Plan.pmWord).
+	pm       []uint64
+	wbbs     []*persist.WBB
+	tokenSeq mem.Token
+	finished int
 
 	// Pre-resolved stat handles for the per-access and lock paths.
 	cWbbParked, cWbbFullStalls     stats.Counter
@@ -72,10 +73,6 @@ type Machine struct {
 	crashAt sim.Cycles
 	Crashed bool
 	started bool // initial per-core/sampler events scheduled (see Start)
-
-	// tr is the trace this machine replays, kept so a checkpoint image can
-	// embed the full run recipe (config, model, trace) next to the state.
-	tr *trace.Trace
 
 	// link carries the model's flushes and commits to the controllers.
 	link *persist.Link
@@ -94,8 +91,7 @@ type Machine struct {
 
 type coreState struct {
 	id      int
-	ops     []trace.Op
-	pc      int
+	pc      int // index of the next op in the core's thread of the plan's trace
 	pstores int // persistent stores issued so far (token origin index)
 	finish  sim.Cycles
 	done    bool
@@ -126,7 +122,10 @@ type lockState struct {
 
 // Trace returns the trace this machine replays. Machines only read it, and
 // checkpoint images embed it so a restored machine replays the same ops.
-func (m *Machine) Trace() *trace.Trace { return m.tr }
+func (m *Machine) Trace() *trace.Trace { return m.plan.tr }
+
+// Plan returns the plan the machine was last built or reset from.
+func (m *Machine) Plan() *Plan { return m.plan }
 
 // HasObservers reports whether any observability sink (tracer, timeline,
 // progress gauge) is attached. Checkpoint images exclude observer history —
@@ -136,24 +135,31 @@ func (m *Machine) HasObservers() bool {
 	return m.trc != nil || m.timeline != nil || m.progress != nil
 }
 
-// New builds a machine running the named model over the trace. The trace
-// may use at most cfg.Cores threads.
+// New builds a machine running the named model over the trace, which may
+// use at most cfg.Cores threads: NewFromPlan over the trace's Compile.
+func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error) {
+	p, err := Compile(cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromPlan(p, modelName)
+}
+
+// NewFromPlan builds a machine running the named model over the plan's
+// trace, under the plan's config.
 //
 // Construction is two steps. build makes the parts whose shape the config
 // alone fixes — engine, cache hierarchy, memory controllers, link, ledger
-// and stat set — and reset does everything the trace and the run decide,
+// and stat set — and reset does everything the plan and the run decide,
 // the model included. Reset runs the same reset on a built machine, so a
 // machine reused for another trace is in exactly the state New leaves.
-func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error) {
-	if err := cfg.Check(); err != nil {
-		return nil, err
-	}
+func NewFromPlan(p *Plan, modelName string) (*Machine, error) {
 	spec := model.Speculative(modelName)
-	if spec && cfg.RTEntries <= 0 {
-		return nil, fmt.Errorf("machine: %s needs a recovery table of positive size (RTEntries %d)", modelName, cfg.RTEntries)
+	if spec && p.cfg.RTEntries <= 0 {
+		return nil, fmt.Errorf("machine: %s needs a recovery table of positive size (RTEntries %d)", modelName, p.cfg.RTEntries)
 	}
-	m := build(cfg, spec)
-	if err := m.reset(modelName, tr); err != nil {
+	m := build(p.cfg, spec)
+	if err := m.reset(modelName, p); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -191,36 +197,35 @@ func build(cfg config.Config, spec bool) *Machine {
 }
 
 // Reset returns the machine to the state New builds for the same config
-// and model over trace tr, whatever its last run left: finished, cut at a
-// limit, or crashed. Storage sized by the last trace is kept where it is
-// large enough for tr — cache slabs and set indexes, the directory table,
-// the ledger's records, the engine's node slab, the controllers' buffers —
-// and only what the last run used is cleared. The model is built anew,
-// the observers are detached, and the stat set is emptied in place, so a
-// Result of the last run must copy its Stats (stats.Set.Clone) before the
-// machine runs again.
-func (m *Machine) Reset(tr *trace.Trace) error {
-	return m.reset(m.Model.Name(), tr)
+// and model over the plan's trace, whatever its last run left: finished,
+// cut at a limit, or crashed. The plan must be compiled for the machine's
+// config. Storage sized by the last plan is kept where it is large enough
+// for p — cache slabs and set indexes, the directory table, the ledger's
+// records, the engine's node slab, the controllers' buffers and NVM
+// tables — and only what the last run used is cleared. The model is built
+// anew, the observers are detached, and the stat set is emptied in place,
+// so a Result of the last run must copy its Stats (stats.Set.Clone) before
+// the machine runs again.
+func (m *Machine) Reset(p *Plan) error {
+	if p.cfg != m.Cfg {
+		return fmt.Errorf("machine: plan compiled for another config")
+	}
+	return m.reset(m.Model.Name(), p)
 }
 
-// reset is the initialisation New and Reset share: everything the trace or
-// the run decides, over a built machine.
-func (m *Machine) reset(modelName string, tr *trace.Trace) error {
-	if tr.NumThreads() > m.Cfg.Cores {
-		return fmt.Errorf("machine: trace has %d threads but config has %d cores", tr.NumThreads(), m.Cfg.Cores)
-	}
-	pm, pstores := newPMFilter(tr)
-	fp, lockLines := traceLines(tr, m.Cfg)
+// reset is the initialisation NewFromPlan and Reset share: everything the
+// plan or the run decides, over a built machine.
+func (m *Machine) reset(modelName string, p *Plan) error {
 	m.Eng.Reset()
 	if m.MCs[0].RT != nil {
 		m.St.Reset(kPBOccupancy, kRTOccupancy)
 	} else {
 		m.St.Reset(kPBOccupancy)
 	}
-	m.Hier.Reset(fp.lines, fp.l1Sets, fp.l2Sets, fp.llcSets)
-	m.Ledger.Reset(pstores, fp.epochs)
-	for _, mc := range m.MCs {
-		mc.Reset()
+	m.Hier.Reset(p.lines, p.l1Sets, p.l2Sets, p.llcSets)
+	m.Ledger.Reset(p.tokens, p.epochs)
+	for i, mc := range m.MCs {
+		mc.Reset(p.pmLines[i])
 	}
 	m.link.Reset()
 	mdl, err := model.New(modelName, model.Env{
@@ -237,30 +242,31 @@ func (m *Machine) reset(modelName string, tr *trace.Trace) error {
 		return err
 	}
 
-	threads := tr.NumThreads()
+	threads := p.tr.NumThreads()
 	cores, wbbs := resize(m.cores, threads), resize(m.wbbs, threads)
 	for i := range cores {
 		if cores[i] == nil {
 			cores[i] = &coreState{}
 		}
-		*cores[i] = coreState{id: i, ops: tr.Threads[i]}
+		*cores[i] = coreState{id: i}
 		if wbbs[i] == nil {
 			wbbs[i] = persist.NewWBB(16)
 		} else {
 			wbbs[i].Reset()
 		}
 	}
-	locks := resize(m.locks, len(lockLines))
+	locks := resize(m.locks, len(p.lockLines))
 	clear(locks)
+	pm := resize(m.pm, p.pmPages*pmPageWords)
+	clear(pm)
 	*m = Machine{
 		Eng: m.Eng, Cfg: m.Cfg, Model: mdl, Hier: m.Hier, MCs: m.MCs, IL: m.IL, St: m.St, Ledger: m.Ledger,
-		cores: cores, locks: locks, lockLines: lockLines, pm: pm, wbbs: wbbs,
+		plan: p, cores: cores, locks: locks, pm: pm, wbbs: wbbs,
 
 		cWbbParked: m.cWbbParked, cWbbFullStalls: m.cWbbFullStalls,
 		cLLCEvictionsDelayed: m.cLLCEvictionsDelayed, cPMLinesDropped: m.cPMLinesDropped,
 		cLockContended: m.cLockContended, cCyclesBlocked: m.cCyclesBlocked, cSampledCycles: m.cSampledCycles,
 
-		tr:   tr,
 		link: m.link,
 	}
 	// Fix the engine's typed-event receiver table in construction order
@@ -582,11 +588,12 @@ func (m *Machine) step(c *coreState) {
 	if m.Eng.Halted() || c.done {
 		return
 	}
-	if c.pc >= len(c.ops) {
+	ops := m.plan.tr.Threads[c.id]
+	if c.pc >= len(ops) {
 		m.Model.StartDrain(c.id, m.Eng.Cont(m, mEvDrained, uint64(c.id)))
 		return
 	}
-	op := c.ops[c.pc]
+	op := ops[c.pc]
 	c.pc++
 	core := uint64(c.id)
 
@@ -609,7 +616,7 @@ func (m *Machine) step(c *coreState) {
 		// path sees the write immediately.
 		lat := m.Cfg.L1Hit + m.Cfg.StoreCost
 		if op.Persistent {
-			m.pm.mark(line)
+			*m.plan.pmWord(m.pm, line) |= 1 << (line & 63) // the plan gave its page mark bits
 			m.tokenSeq++
 			m.Ledger.SetOrigin(m.tokenSeq, Origin{Thread: c.id, Seq: c.pstores})
 			c.pstores++
@@ -658,7 +665,7 @@ func (m *Machine) access(core int, line mem.Line, write, acq bool) *cache.Access
 		m.Model.Conflict(core, &res.Conflict)
 	}
 	for i, ev := range res.LLCEvicted {
-		if !m.pm.has(ev) {
+		if w := m.plan.pmWord(m.pm, ev); w == nil || *w&(1<<(ev&63)) == 0 {
 			continue // volatile line: ordinary DRAM write-back, not modelled
 		}
 		// Persistent lines are dropped on LLC eviction (the persist path
@@ -754,22 +761,62 @@ func (m *Machine) finishRelease(c *coreState) {
 }
 
 // lock returns the state of the spinlock at line, found by binary search
-// in the lock-line table that New builds from the trace. The search is
-// written out because alloccheck cannot prove a call into the standard
-// library allocation-free on this event path.
+// in the plan's lock lines. The search is written out because alloccheck
+// cannot prove a call into the standard library allocation-free on this
+// event path.
 func (m *Machine) lock(line mem.Line) *lockState {
-	lo, hi := 0, len(m.lockLines)
+	lines := m.plan.lockLines
+	lo, hi := 0, len(lines)
 	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); m.lockLines[mid] < line {
+		if mid := int(uint(lo+hi) >> 1); lines[mid] < line {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(m.lockLines) || m.lockLines[lo] != line {
+	if lo == len(lines) || lines[lo] != line {
 		panic("machine: lock line missing from the trace's lock table")
 	}
 	return &m.locks[lo]
+}
+
+// Check reports the first way the machine's run state does not fit its
+// plan: a core out of place or past the end of its thread, PM mark bits of
+// another length, a lock table of another size, a lock holder or waiter
+// that is no core of the trace, or an NVM table not sized for its
+// controller's PM lines. A machine decoded from a checkpoint image is
+// checked before use; unchecked, these states panic in Run.
+func (m *Machine) Check() error {
+	p := m.plan
+	for i, c := range m.cores {
+		if c.id != i || c.pc < 0 || c.pc > len(p.tr.Threads[i]) {
+			return fmt.Errorf("machine: core %d has id %d and op %d of %d", i, c.id, c.pc, len(p.tr.Threads[i]))
+		}
+	}
+	if len(m.pm) != p.pmPages*pmPageWords {
+		return fmt.Errorf("machine: %d words of PM mark bits, the plan's %d pages need %d", len(m.pm), p.pmPages, p.pmPages*pmPageWords)
+	}
+	if len(m.locks) != len(p.lockLines) {
+		return fmt.Errorf("machine: %d lock states for the plan's %d lock lines", len(m.locks), len(p.lockLines))
+	}
+	threads := p.tr.NumThreads()
+	for i := range m.locks {
+		lk := &m.locks[i]
+		if lk.holder < 0 || lk.holder >= threads {
+			return fmt.Errorf("machine: lock %d held by core %d of %d", i, lk.holder, threads)
+		}
+		for _, w := range lk.waiters {
+			if w < 0 || w >= threads {
+				return fmt.Errorf("machine: lock %d awaited by core %d of %d", i, w, threads)
+			}
+		}
+	}
+	for i, mc := range m.MCs {
+		if err := mc.NVM.CheckSize(p.pmLines[i]); err != nil {
+			return fmt.Errorf("machine: controller %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // sample periodically records persist-buffer occupancy (Figure 11), blocked

@@ -15,7 +15,7 @@ var memSideSink Token
 // so the mix has WPQ coalesces, XPBuffer hits and evictions, and NVM
 // rewrites.
 func BenchmarkMemSide(b *testing.B) {
-	w, x, n := NewWPQ(16), NewXPBuffer(512), NewNVM()
+	w, x, n := NewWPQ(16), NewXPBuffer(512), NewNVM(4096)
 	var lines [4096]Line
 	for i := range lines {
 		r := Line(uint64(i) * 0x9E3779B97F4A7C15 >> 40)

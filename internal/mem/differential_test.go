@@ -31,15 +31,14 @@ func checkNVM(t *testing.T, step string, got *NVM, want *refNVM) {
 	}
 }
 
-// TestNVMDifferential drives the slab NVM and the map reference with the
-// same random writes (a fifth of them token 0, which must still create
-// a line), reads and peeks over a footprint that forces the table through
-// several doublings.
+// TestNVMDifferential drives the slab NVM, sized for the footprint's
+// lines, and the map reference with the same random writes (a fifth of
+// them token 0, which must still create a line), reads and peeks.
 func TestNVMDifferential(t *testing.T) {
 	for _, lines := range []uint64{8, 200, 3000} {
 		t.Run(fmt.Sprint(lines), func(t *testing.T) {
 			r := rand.New(rand.NewPCG(lines, 1))
-			got, want := NewNVM(), newRefNVM()
+			got, want := NewNVM(int(lines)), newRefNVM()
 			checkNVM(t, "empty", got, want)
 			for i := 0; i < int(2*lines)+200; i++ {
 				l := Line(r.Uint64N(lines) * 977) // spread, so probe runs interleave
@@ -66,8 +65,8 @@ func TestNVMDifferential(t *testing.T) {
 				}
 				checkNVM(t, step, got, want)
 			}
-			if lines == 3000 && len(got.slots) < 8*nvmInitSlots {
-				t.Fatalf("table reached only %d slots; the footprint should force several doublings", len(got.slots))
+			if len(got.slots) != nvmSlots(int(lines)) {
+				t.Fatalf("the table for %d lines grew to %d slots", lines, len(got.slots))
 			}
 		})
 	}
@@ -80,7 +79,7 @@ func TestWPQDifferential(t *testing.T) {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			r := rand.New(rand.NewPCG(uint64(capacity), 2))
 			got, want := NewWPQ(capacity), newRefWPQ(capacity)
-			gotNVM, wantNVM := NewNVM(), newRefNVM()
+			gotNVM, wantNVM := NewNVM(2*capacity+2), newRefNVM()
 			for i := 0; i < 3000; i++ {
 				l := Line(r.IntN(2*capacity + 2))
 				switch op := r.IntN(16); {
@@ -167,7 +166,7 @@ func TestXPBufferDifferential(t *testing.T) {
 func TestMemSteadyStateAllocs(t *testing.T) {
 	w := NewWPQ(16)
 	x := NewXPBuffer(512)
-	n := NewNVM()
+	n := NewNVM(1024)
 	for l := Line(0); l < 1024; l++ {
 		x.Insert(l, Token(l))
 		n.Write(l, Token(l))

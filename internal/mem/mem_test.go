@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -65,8 +67,11 @@ func TestInterleaverValidation(t *testing.T) {
 	}
 }
 
+// TestNVM covers reads, writes, the counters and Snapshot on a table
+// sized for three lines, which holds them at its 3/4 load bound, takes
+// rewrites, and panics on a fourth line, naming it.
 func TestNVM(t *testing.T) {
-	n := NewNVM()
+	n := NewNVM(3)
 	if n.Read(5) != 0 {
 		t.Fatal("unwritten line not zero")
 	}
@@ -85,6 +90,19 @@ func TestNVM(t *testing.T) {
 	if snap[5] != 99 {
 		t.Fatal("snapshot aliases live state")
 	}
+	n.Write(6, 1)
+	n.Write(7, 2)
+	n.Write(6, 3)
+	if err := n.Check(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "line 8 ") {
+			t.Fatalf("a fourth line panicked with %v, want the line named", r)
+		}
+	}()
+	n.Write(8, 4)
+	t.Fatal("a fourth line fit a table sized for three")
 }
 
 func TestXPBufferLRU(t *testing.T) {
@@ -162,7 +180,7 @@ func TestWPQBasics(t *testing.T) {
 
 func TestWPQDrain(t *testing.T) {
 	w := NewWPQ(4)
-	n := NewNVM()
+	n := NewNVM(2)
 	w.Insert(1, 10)
 	w.Insert(2, 20)
 	w.Drain(n)

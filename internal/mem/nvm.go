@@ -24,8 +24,8 @@ type Token uint64
 // written holds a slot even when its token is 0: the crash flush writes
 // undo values of lines that were never written, and Snapshot reports them.
 type NVM struct {
-	slots  []nvmSlot // power-of-two length, or nil before the first write
-	used   int       // occupied slots; the table grows past 3/4 load
+	slots  []nvmSlot // power-of-two length, fixed by Reset
+	used   int       // occupied slots; at most 3/4 of the table
 	writes uint64
 	reads  uint64
 
@@ -40,21 +40,40 @@ type nvmSlot struct {
 	tok Token
 }
 
-// nvmInitSlots is the table size made by the first write.
-const nvmInitSlots = 64
-
 // lineHash spreads line numbers across a power-of-two table (Fibonacci
 // hashing). Workload lines are sequential within a structure, so the low
 // bits alone would cluster whole regions onto neighbouring probe chains.
 func lineHash(l Line) uint64 { return uint64(l) * 0x9E3779B97F4A7C15 >> 32 }
 
-// NewNVM returns an empty device.
-func NewNVM() *NVM { return &NVM{} }
+// NewNVM returns an empty device sized for lines distinct lines.
+func NewNVM(lines int) *NVM {
+	n := &NVM{}
+	n.Reset(lines)
+	return n
+}
 
-// Reset empties the device and detaches its tracer. The table is dropped,
-// not kept: a new device has none until its first write, and the table's
-// size, which doubling reaches from that first write, places every line.
-func (n *NVM) Reset() { *n = NVM{} }
+// nvmSlots returns the table size for lines distinct lines: the smallest
+// power of two they fill to at most 3/4, which always leaves an empty slot.
+func nvmSlots(lines int) int {
+	size := 1
+	for 4*lines > 3*size {
+		size *= 2
+	}
+	return size
+}
+
+// Reset empties the device, sizes its table for lines distinct lines and
+// detaches its tracer. The table keeps its storage where that is large
+// enough; its length, which places every line, follows from lines alone.
+func (n *NVM) Reset(lines int) {
+	size := nvmSlots(lines)
+	if cap(n.slots) < size {
+		n.slots = make([]nvmSlot, size)
+	}
+	slots := n.slots[:size]
+	clear(slots)
+	*n = NVM{slots: slots}
+}
 
 // AttachTracer emits a media-write instant and cumulative write counter on
 // track (the owning memory controller's track).
@@ -64,7 +83,7 @@ func (n *NVM) AttachTracer(tr obs.Tracer, track obs.TrackID) {
 }
 
 // find returns the slot holding line l, or the empty slot where l would go.
-// The table is non-empty and always keeps an empty slot, so the probe ends.
+// The table always keeps an empty slot, so the probe ends.
 func (n *NVM) find(l Line) int {
 	mask := uint64(len(n.slots) - 1)
 	for i := lineHash(l) & mask; ; i = (i + 1) & mask {
@@ -74,13 +93,14 @@ func (n *NVM) find(l Line) int {
 	}
 }
 
-// Write persists token t to line l.
+// Write persists token t to line l. A new line past the 3/4 load bound of
+// a table sized for every line of the run is a bug, and panics.
 func (n *NVM) Write(l Line, t Token) {
-	if (n.used+1)*4 > len(n.slots)*3 {
-		n.grow()
-	}
 	i := n.find(l)
 	if n.slots[i].key == 0 {
+		if (n.used+1)*4 > len(n.slots)*3 {
+			panic(fmt.Sprintf("mem: NVM write of line %d past the %d lines its %d-slot table was sized for", l, n.used, len(n.slots)))
+		}
 		n.slots[i].key = l + 1
 		n.used++
 	}
@@ -88,19 +108,6 @@ func (n *NVM) Write(l Line, t Token) {
 	n.writes++
 	if n.trc != nil {
 		n.trc.Counter(n.track, "nvmWrites", int64(n.writes))
-	}
-}
-
-// grow doubles the table (or makes the first one) and re-places every
-// occupied slot. It runs once the table could pass 3/4 load, so a write
-// of a line already held can grow it too, a slot early.
-func (n *NVM) grow() {
-	old := n.slots
-	n.slots = make([]nvmSlot, max(2*len(old), nvmInitSlots)) //asaplint:ignore alloccheck amortized doubling to the workload footprint
-	for _, s := range old {
-		if s.key != 0 {
-			n.slots[n.find(s.key-1)] = s
-		}
 	}
 }
 
@@ -113,9 +120,6 @@ func (n *NVM) Read(l Line) Token {
 // Peek returns the token at line l without counting a media access. Used by
 // the crash checker.
 func (n *NVM) Peek(l Line) Token {
-	if len(n.slots) == 0 {
-		return 0
-	}
 	return n.slots[n.find(l)].tok
 }
 
@@ -145,7 +149,7 @@ func (n *NVM) Snapshot() map[Line]Token {
 // from a checkpoint image is checked before use.
 func (n *NVM) Check() error {
 	size := len(n.slots)
-	if size&(size-1) != 0 {
+	if size == 0 || size&(size-1) != 0 {
 		return fmt.Errorf("mem: NVM table size %d is not a power of two", size)
 	}
 	occupied := 0
@@ -161,6 +165,16 @@ func (n *NVM) Check() error {
 		if s.key != 0 && n.find(s.key-1) != i {
 			return fmt.Errorf("mem: NVM line %d sits in slot %d, off its probe sequence", s.key-1, i)
 		}
+	}
+	return nil
+}
+
+// CheckSize reports whether the table has the size Reset gives it for
+// lines distinct lines. A device decoded from a checkpoint image must, or
+// a write of a line its run can make could find the table full.
+func (n *NVM) CheckSize(lines int) error {
+	if want := nvmSlots(lines); len(n.slots) != want {
+		return fmt.Errorf("mem: NVM table has %d slots, %d lines need %d", len(n.slots), lines, want)
 	}
 	return nil
 }

@@ -11,16 +11,26 @@ import (
 	"asap/internal/stats"
 )
 
+// newMCs builds cfg.MCs controllers with their NVM sized for testLines
+// lines each: more than any test writes.
+func newMCs(eng *sim.Engine, cfg config.Config, spec bool, st *stats.Set) []*persist.MC {
+	mcs := make([]*persist.MC, cfg.MCs)
+	for i := range mcs {
+		mcs[i] = persist.NewMC(i, eng, cfg, spec, st)
+		mcs[i].Reset(testLines)
+	}
+	return mcs
+}
+
+const testLines = 1 << 12
+
 // testEnv builds a minimal environment with real controllers.
 func testEnv(t *testing.T, name string) (Env, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := config.Default()
 	st := stats.New()
-	mcs := make([]*persist.MC, cfg.MCs)
-	for i := range mcs {
-		mcs[i] = persist.NewMC(i, eng, cfg, Speculative(name), st)
-	}
+	mcs := newMCs(eng, cfg, Speculative(name), st)
 	return Env{
 		Eng:    eng,
 		Cfg:    cfg,
@@ -198,10 +208,7 @@ func TestPMEMSpecMisspeculation(t *testing.T) {
 		cfg := config.Default()
 		cfg.MCs = mcs
 		st := stats.New()
-		mcsArr := make([]*persist.MC, mcs)
-		for i := range mcsArr {
-			mcsArr[i] = persist.NewMC(i, eng, cfg, false, st)
-		}
+		mcsArr := newMCs(eng, cfg, false, st)
 		env := Env{
 			Eng: eng, Cfg: cfg, MCs: mcsArr,
 			IL:  mem.NewInterleaver(mcs, cfg.InterleaveBytes),
@@ -300,10 +307,7 @@ func TestASAPNackFallback(t *testing.T) {
 	cfg := config.Default()
 	cfg.RTEntries = 2 // force pressure
 	st := stats.New()
-	mcs := make([]*persist.MC, cfg.MCs)
-	for i := range mcs {
-		mcs[i] = persist.NewMC(i, eng, cfg, true, st)
-	}
+	mcs := newMCs(eng, cfg, true, st)
 	env := Env{
 		Eng: eng, Cfg: cfg, MCs: mcs,
 		IL:  mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
@@ -352,10 +356,7 @@ func TestASAPNoEagerAblation(t *testing.T) {
 	cfg := config.Default()
 	cfg.ASAPNoEager = true
 	st := stats.New()
-	mcs := make([]*persist.MC, cfg.MCs)
-	for i := range mcs {
-		mcs[i] = persist.NewMC(i, eng, cfg, true, st)
-	}
+	mcs := newMCs(eng, cfg, true, st)
 	env := Env{
 		Eng: eng, Cfg: cfg, MCs: mcs,
 		IL:  mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),

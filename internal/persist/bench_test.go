@@ -50,6 +50,7 @@ func (r *benchReplier) FlushReply(arg uint64, res FlushResult) {
 func BenchmarkMCFlushCommit(b *testing.B) {
 	eng := sim.NewEngine()
 	mc := NewMC(0, eng, config.Default(), true, stats.New())
+	mc.Reset(128)
 	r := &benchReplier{}
 	mc.Connect(r)
 	b.ReportAllocs()

@@ -136,7 +136,7 @@ func NewMC(id int, eng *sim.Engine, cfg config.Config, speculative bool, st *sta
 		cfg: cfg,
 		WPQ: mem.NewWPQ(cfg.WPQEntries),
 		XP:  mem.NewXPBuffer(cfg.XPBufLines),
-		NVM: mem.NewNVM(),
+		NVM: mem.NewNVM(0),
 		st:  st,
 		hc:  newMCCounters(st),
 	}
@@ -145,20 +145,20 @@ func NewMC(id int, eng *sim.Engine, cfg config.Config, speculative bool, st *sta
 		mc.delays = make([]DelayRecord, cfg.RTEntries)
 		mc.Bloom = NewCountingBloom(1024, 3)
 	}
-	mc.Reset()
+	mc.Reset(0)
 	return mc
 }
 
 // Reset returns the controller to its state after NewMC, crash-flushed or
 // mid-run as it may be: no job queued, in service or waiting for the WPQ,
 // no reply in flight, empty WPQ, XPBuffer, NVM, recovery table and Bloom
-// filter, no tracer and no replier (Connect wires the next one). It keeps
-// its engine and stat set; the job and reply queues go back to nil, as a
-// new controller has none.
-func (mc *MC) Reset() {
+// filter, no tracer and no replier (Connect wires the next one), the NVM
+// sized for the pmLines lines the next run writes here. It keeps its
+// engine and stat set; the job and reply queues go back to nil.
+func (mc *MC) Reset(pmLines int) {
 	mc.WPQ.Reset()
 	mc.XP.Reset()
-	mc.NVM.Reset()
+	mc.NVM.Reset(pmLines)
 	if mc.RT != nil {
 		mc.RT.Reset()
 		mc.Bloom.Reset()

@@ -13,9 +13,14 @@ func newTestMC(spec bool) (*MC, *sim.Engine) {
 	eng := sim.NewEngine()
 	cfg := config.Default()
 	mc := NewMC(0, eng, cfg, spec, stats.New())
+	mc.Reset(testLines)
 	connect(mc)
 	return mc, eng
 }
+
+// testLines sizes the test controllers' NVM: more lines than any test
+// writes.
+const testLines = 16
 
 // replies records controller replies: flush results and commit ACKs.
 type replies struct {
@@ -136,6 +141,7 @@ func TestMCNackWhenRTFull(t *testing.T) {
 	cfg := config.Default()
 	cfg.RTEntries = 2
 	mc := NewMC(0, eng, cfg, true, stats.New())
+	mc.Reset(testLines)
 	sendFlush(t, mc, eng, FlushPacket{Line: 1, Token: 1, Epoch: e(0, 2), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 2, Token: 2, Epoch: e(0, 3), Early: true})
 	if r := sendFlush(t, mc, eng, FlushPacket{Line: 3, Token: 3, Epoch: e(0, 4), Early: true}); r != FlushNack {
@@ -167,6 +173,7 @@ func TestMCWPQBackpressure(t *testing.T) {
 	cfg := config.Default()
 	cfg.WPQEntries = 2
 	mc := NewMC(0, eng, cfg, false, stats.New())
+	mc.Reset(testLines)
 	r := connect(mc)
 	for i := 0; i < 8; i++ {
 		mc.ReceiveOp(FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)}, uint64(i))
