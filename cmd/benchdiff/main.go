@@ -6,6 +6,13 @@
 //	benchdiff -tojson bench.txt > BENCH_ci.json
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 0.25
 //
+// With -count N the summary keeps each benchmark's minimum; -spread shows
+// what that hides, printing every benchmark's sample count and the min,
+// median and max of its ns/op:
+//
+//	go test -bench MachineOps -count 10 -run '^$' ./internal/machine > bench.txt
+//	benchdiff -spread bench.txt
+//
 // The comparison is asymmetric by design: regressions fail — current
 // slower than baseline by more than -threshold, allocating more than
 // -alloc-threshold over baseline allocs/op, or using more than
@@ -94,6 +101,49 @@ func parse(r io.Reader) (*Summary, error) {
 		return nil, fmt.Errorf("benchdiff: no benchmark result lines found")
 	}
 	return s, nil
+}
+
+// spread writes, for each benchmark in go test -bench output r in name
+// order, its sample count and the min, median and max of its ns/op, and
+// the max-min range relative to the median.
+func spread(r io.Reader, w io.Writer) error {
+	samples := map[string][]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			return fmt.Errorf("benchdiff: bad ns/op in %q: %w", sc.Text(), err)
+		}
+		samples[m[1]] = append(samples[m[1]], ns)
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if len(samples) == 0 {
+		return fmt.Errorf("benchdiff: no benchmark result lines found")
+	}
+	names := make([]string, 0, len(samples))
+	for n := range samples {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-32s %3s %12s %12s %12s %7s\n", "ns/op", "n", "min", "median", "max", "range")
+	for _, n := range names {
+		xs := samples[n]
+		sort.Float64s(xs)
+		med := xs[len(xs)/2]
+		if len(xs)%2 == 0 {
+			med = (xs[len(xs)/2-1] + med) / 2
+		}
+		lo, hi := xs[0], xs[len(xs)-1]
+		fmt.Fprintf(w, "%-32s %3d %12.1f %12.1f %12.1f %6.1f%%\n", n, len(xs), lo, med, hi, (hi-lo)/med*100)
+	}
+	return nil
 }
 
 func load(path string) (*Summary, error) {
@@ -192,22 +242,39 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		threshold = fs.Float64("threshold", 0.25, "fail when current exceeds baseline by more than this fraction")
 		allocTh   = fs.Float64("alloc-threshold", 0.10, "fail when allocs/op exceeds baseline by more than this fraction (a 0 allocs/op baseline fails on any allocation)")
 		bytesTh   = fs.Float64("bytes-threshold", 0.10, "fail when B/op exceeds baseline by more than this fraction (a 0 B/op baseline fails on any byte)")
+		spreadIn  = fs.String("spread", "", "print each benchmark's sample count and min, median and max ns/op from `go test -bench` output in this file ('-' = stdin)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	switch {
-	case *tojson != "":
-		in := io.Reader(os.Stdin)
-		if *tojson != "-" {
-			f, err := os.Open(*tojson)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			defer f.Close()
-			in = f
+	// open opens a bench-output argument, '-' meaning stdin.
+	open := func(path string) (io.ReadCloser, error) {
+		if path == "-" {
+			return io.NopCloser(os.Stdin), nil
 		}
+		return os.Open(path)
+	}
+	switch {
+	case *spreadIn != "":
+		in, err := open(*spreadIn)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer in.Close()
+		if err := spread(in, stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
+
+	case *tojson != "":
+		in, err := open(*tojson)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer in.Close()
 		s, err := parse(in)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -241,7 +308,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 0
 
 	default:
-		fmt.Fprintln(stderr, "usage: benchdiff -tojson BENCH.txt | benchdiff -baseline A.json -current B.json [-threshold 0.25]")
+		fmt.Fprintln(stderr, "usage: benchdiff -tojson BENCH.txt | benchdiff -spread BENCH.txt | benchdiff -baseline A.json -current B.json [-threshold 0.25]")
 		return 2
 	}
 }

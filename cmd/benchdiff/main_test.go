@@ -203,6 +203,40 @@ func TestToJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpread: -spread keeps every repeat of a benchmark, and prints its
+// sample count with the min, median (the mean of the middle two for an
+// even count) and max of its ns/op, one line per benchmark in name order.
+func TestSpread(t *testing.T) {
+	in := sampleBench + `BenchmarkRunASAPCCEH-8         	       2	  60000000 ns/op
+BenchmarkRunASAPCCEH-8         	       2	  49000000 ns/op
+`
+	want := []string{
+		"Fig8 1 123000000.0 123000000.0 123000000.0 0.0%",
+		"RunASAPCCEH 4 48000000.0 49500000.0 60000000.0 24.2%",
+		"Tab4 1 456000000.0 456000000.0 456000000.0 0.0%",
+	}
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb strings.Builder
+	if code := run([]string{"-spread", path}, &out, &errb); code != 0 {
+		t.Fatalf("benchdiff -spread: exit %d: %s", code, errb.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 1+len(want) {
+		t.Fatalf("spread printed %d lines, want a header and %d rows:\n%s", len(lines), len(want), out.String())
+	}
+	for i, w := range want {
+		if got := strings.Join(strings.Fields(lines[1+i]), " "); got != w {
+			t.Errorf("row %d = %q, want %q", i, got, w)
+		}
+	}
+	if err := spread(strings.NewReader("PASS\n"), &out); err == nil {
+		t.Error("spread accepted output with no benchmarks")
+	}
+}
+
 func TestUsageError(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run(nil, &out, &errb); code != 2 {

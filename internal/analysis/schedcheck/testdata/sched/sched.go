@@ -10,6 +10,8 @@ type EventOp interface {
 	RunEvent(kind int, arg uint64)
 }
 
+type Op int32
+
 type event struct {
 	when Cycles
 	kind int32
@@ -22,18 +24,20 @@ type Engine struct {
 
 // The real scheduling methods live in internal/sim; these stubs only
 // give the fixture the right call-site shapes.
-func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {}
-func (e *Engine) AfterOp(delay Cycles, op EventOp, kind int, arg uint64)   {}
+func (e *Engine) RegisterOp(op EventOp) Op                            { return 0 }
+func (e *Engine) ScheduleOp(when Cycles, op Op, kind int, arg uint64) {}
+func (e *Engine) AfterOp(delay Cycles, op Op, kind int, arg uint64)   {}
 
 type machine struct {
 	eng *Engine
+	op  Op
 }
 
 func (m *machine) RunEvent(kind int, arg uint64) {}
 
 func (m *machine) hotPath() {
-	m.eng.AfterOp(1, m, 0, 7) // schedule methods: ok
-	m.eng.ScheduleOp(5, m, 1, 7)
+	m.eng.AfterOp(1, m.op, 0, 7) // schedule methods: ok
+	m.eng.ScheduleOp(5, m.op, 1, 7)
 }
 
 func (m *machine) sideDoor() {

@@ -289,10 +289,11 @@ func TestImageRejectsMalformedQueue(t *testing.T) {
 
 	// An overflow event whose seq is not below the engine's counter could
 	// tie a later event on (when, seq). The machine has no far-future
-	// event at this cycle, so schedule one (never dispatched); its seq's
+	// event at this cycle, so schedule one (never dispatched, so its
+	// receiver, handle 0, is immaterial); its seq's
 	// offset is found by saving again with the seq's low bit flipped, and
 	// the uvarint there is patched to the largest value of its length.
-	m.Eng.AfterOp(4096, m, 0, 0)
+	m.Eng.AfterOp(4096, 0, 0, 0)
 	img, err = Save(m)
 	if err != nil {
 		t.Fatal(err)
@@ -440,6 +441,9 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 		{"run state: lock holder past the cores", machineField(m, "locks").Index(0).FieldByName("holder"), 2, "held by core 2 of 2"},
 		{"run state: core id past the cores", machineField(m, "cores").Index(1).Elem().FieldByName("id"), 7, "core 1 has id 7"},
 		{"run state: core before its first op", machineField(m, "cores").Index(0).Elem().FieldByName("pc"), -5, "op -5 of"},
+		// A controller's ID is its receiver handle: a wrong one would
+		// dispatch its events to another receiver.
+		{"run state: controller id not its index", reflect.ValueOf(m.MCs[1]).Elem().FieldByName("ID"), 0, "controller 1 has id 0"},
 	} {
 		rejects(c.what, patchField(t, m, img, c.field, c.bad, c.what), c.want)
 	}

@@ -226,8 +226,10 @@ func (m *Machine) reset(modelName string, p *Plan) error {
 	m.Ledger.Reset(p.tokens, p.epochs)
 	for i, mc := range m.MCs {
 		mc.Reset(p.pmLines[i])
+		mc.Register()
 	}
 	m.link.Reset()
+	m.link.Register()
 	mdl, err := model.New(modelName, model.Env{
 		Eng:    m.Eng,
 		Cfg:    m.Cfg,
@@ -269,22 +271,20 @@ func (m *Machine) reset(modelName string, p *Plan) error {
 
 		link: m.link,
 	}
-	// Fix the engine's typed-event receiver table in construction order
-	// (machine, model, controllers, link) instead of first-schedule order.
-	// Dispatch is ordered by (when, seq) alone, so slot indices never
-	// affect results — but checkpoint images reference receivers by index,
-	// and a canonical order makes the table identical between the machine
-	// that saved an image and the machine restoring it.
-	m.Eng.RegisterOp(m)
-	if op, ok := mdl.(sim.EventOp); ok {
-		m.Eng.RegisterOp(op)
+	// The receiver table is in one fixed order: the controllers by ID and
+	// the link (registered above), the model (by model.New), then the
+	// machine. Each receiver derives its handle from its place, so none is
+	// stored, and the table is identical between the machine that saved a
+	// checkpoint image and the machine restoring it.
+	if m.Eng.RegisterOp(m) != m.op() {
+		panic("machine: registered other than right after its model")
 	}
-	for _, mc := range m.MCs {
-		m.Eng.RegisterOp(mc)
-	}
-	m.Eng.RegisterOp(m.link)
 	return nil
 }
+
+// op is the machine's receiver handle: it registers right after the
+// controllers, the link and the model (see reset).
+func (m *Machine) op() sim.Op { return sim.Op(len(m.MCs) + 2) }
 
 // resize returns s at length n, keeping its elements, those past its
 // length included, in its storage when that holds n, else in a new array
@@ -305,14 +305,14 @@ func (m *Machine) RunEvent(kind int, arg uint64) {
 		m.step(m.cores[arg])
 	case mEvPStore:
 		c := m.cores[arg]
-		m.Model.Store(c.id, c.pendLine, c.pendToken, m.Eng.Cont(m, mEvStep, arg))
+		m.Model.Store(c.id, c.pendLine, c.pendToken, m.Eng.Cont(m.op(), mEvStep, arg))
 	case mEvOfence:
-		m.Model.Ofence(int(arg), m.Eng.Cont(m, mEvStep, arg))
+		m.Model.Ofence(int(arg), m.Eng.Cont(m.op(), mEvStep, arg))
 	case mEvDfence:
 		if m.trc != nil {
 			m.trc.Begin(m.coreTracks[arg], "dfence")
 		}
-		m.Model.Dfence(int(arg), m.Eng.Cont(m, mEvDfenceDone, arg))
+		m.Model.Dfence(int(arg), m.Eng.Cont(m.op(), mEvDfenceDone, arg))
 	case mEvDfenceDone:
 		if m.trc != nil {
 			m.trc.End(m.coreTracks[arg])
@@ -320,7 +320,7 @@ func (m *Machine) RunEvent(kind int, arg uint64) {
 		m.step(m.cores[arg])
 	case mEvRelease:
 		c := m.cores[arg]
-		m.Model.Release(c.id, c.relLine, m.Eng.Cont(m, mEvReleaseDone, arg)) //asaplint:ignore alloccheck lock release is contention-only, cold next to the per-access path
+		m.Model.Release(c.id, c.relLine, m.Eng.Cont(m.op(), mEvReleaseDone, arg)) //asaplint:ignore alloccheck lock release is contention-only, cold next to the per-access path
 	case mEvReleaseDone:
 		m.finishRelease(m.cores[arg]) //asaplint:ignore alloccheck lock release is contention-only, cold next to the per-access path
 	case mEvDrained:
@@ -458,14 +458,14 @@ func (m *Machine) timelineTick() {
 	}
 	m.tlVals = vals
 	m.timeline.Append(m.Eng.Now(), vals...)
-	m.Eng.AfterOp(m.timeline.Interval(), m, mEvTimeline, 0)
+	m.Eng.AfterOp(m.timeline.Interval(), m.op(), mEvTimeline, 0)
 }
 
 // ScheduleCrash arranges a power failure at the given cycle: the ADR logic
 // runs (WPQ drain plus undo-record write-back) and the simulation halts.
 func (m *Machine) ScheduleCrash(at sim.Cycles) {
 	m.crashAt = at
-	m.Eng.ScheduleOp(at, m, mEvCrash, 0)
+	m.Eng.ScheduleOp(at, m.op(), mEvCrash, 0)
 }
 
 // crash is the ADR power-fail sequence: drain every controller's WPQ, write
@@ -505,11 +505,11 @@ func (m *Machine) Start() {
 	}
 	m.started = true
 	for _, c := range m.cores {
-		m.Eng.AfterOp(0, m, mEvStep, uint64(c.id))
+		m.Eng.AfterOp(0, m.op(), mEvStep, uint64(c.id))
 	}
-	m.Eng.AfterOp(SampleInterval, m, mEvSample, 0)
+	m.Eng.AfterOp(SampleInterval, m.op(), mEvSample, 0)
 	if m.timeline != nil {
-		m.Eng.AfterOp(m.timeline.Interval(), m, mEvTimeline, 0)
+		m.Eng.AfterOp(m.timeline.Interval(), m.op(), mEvTimeline, 0)
 	}
 }
 
@@ -590,7 +590,7 @@ func (m *Machine) step(c *coreState) {
 	}
 	ops := m.plan.tr.Threads[c.id]
 	if c.pc >= len(ops) {
-		m.Model.StartDrain(c.id, m.Eng.Cont(m, mEvDrained, uint64(c.id)))
+		m.Model.StartDrain(c.id, m.Eng.Cont(m.op(), mEvDrained, uint64(c.id)))
 		return
 	}
 	op := ops[c.pc]
@@ -599,12 +599,12 @@ func (m *Machine) step(c *coreState) {
 
 	switch op.Kind {
 	case trace.OpCompute:
-		m.Eng.AfterOp(sim.Cycles(op.N), m, mEvStep, core)
+		m.Eng.AfterOp(sim.Cycles(op.N), m.op(), mEvStep, core)
 
 	case trace.OpLoad:
 		line := mem.LineOf(op.Addr)
 		res := m.access(c.id, line, false, false)
-		m.Eng.AfterOp(res.Latency+m.Cfg.LoadCost, m, mEvStep, core)
+		m.Eng.AfterOp(res.Latency+m.Cfg.LoadCost, m.op(), mEvStep, core)
 
 	case trace.OpStore:
 		line := mem.LineOf(op.Addr)
@@ -621,16 +621,16 @@ func (m *Machine) step(c *coreState) {
 			m.Ledger.SetOrigin(m.tokenSeq, Origin{Thread: c.id, Seq: c.pstores})
 			c.pstores++
 			c.pendLine, c.pendToken = line, m.tokenSeq
-			m.Eng.AfterOp(lat, m, mEvPStore, core)
+			m.Eng.AfterOp(lat, m.op(), mEvPStore, core)
 		} else {
-			m.Eng.AfterOp(lat, m, mEvStep, core)
+			m.Eng.AfterOp(lat, m.op(), mEvStep, core)
 		}
 
 	case trace.OpOfence:
-		m.Eng.AfterOp(m.Cfg.FenceCost, m, mEvOfence, core)
+		m.Eng.AfterOp(m.Cfg.FenceCost, m.op(), mEvOfence, core)
 
 	case trace.OpDfence:
-		m.Eng.AfterOp(m.Cfg.FenceCost, m, mEvDfence, core)
+		m.Eng.AfterOp(m.Cfg.FenceCost, m.op(), mEvDfence, core)
 
 	case trace.OpAcquire:
 		m.acquire(c, mem.LineOf(op.Addr))
@@ -644,7 +644,7 @@ func (m *Machine) step(c *coreState) {
 		if sm, ok := m.Model.(model.StrandModel); ok {
 			sm.Strand(c.id)
 		}
-		m.Eng.AfterOp(1, m, mEvStep, core)
+		m.Eng.AfterOp(1, m.op(), mEvStep, core)
 
 	default:
 		panic(fmt.Sprintf("machine: unknown op kind %v", op.Kind))
@@ -722,7 +722,7 @@ func (m *Machine) finishAcquire(c *coreState, line mem.Line) {
 	}
 	res := m.access(c.id, line, false, true)
 	m.Model.Acquire(c.id, line)
-	m.Eng.AfterOp(res.Latency+m.Cfg.LoadCost, m, mEvStep, uint64(c.id))
+	m.Eng.AfterOp(res.Latency+m.Cfg.LoadCost, m.op(), mEvStep, uint64(c.id))
 }
 
 // release runs the model's release work (epoch close, or flush+fence on the
@@ -734,7 +734,7 @@ func (m *Machine) finishAcquire(c *coreState, line mem.Line) {
 func (m *Machine) release(c *coreState, line mem.Line) {
 	c.relLine = line
 	c.relTS = m.Model.CurrentTS(c.id)
-	m.Eng.AfterOp(m.Cfg.FenceCost, m, mEvRelease, uint64(c.id))
+	m.Eng.AfterOp(m.Cfg.FenceCost, m.op(), mEvRelease, uint64(c.id))
 }
 
 // finishRelease runs the model's release-done continuation: the lock-line
@@ -753,11 +753,11 @@ func (m *Machine) finishRelease(c *coreState) {
 		lk.waiters = lk.waiters[1:]
 		lk.holder = next.id
 		next.handoffLine = line
-		m.Eng.AfterOp(m.Cfg.RemoteXfer, m, mEvHandoff, uint64(next.id))
+		m.Eng.AfterOp(m.Cfg.RemoteXfer, m.op(), mEvHandoff, uint64(next.id))
 	} else {
 		lk.held = false
 	}
-	m.Eng.AfterOp(res.Latency+m.Cfg.StoreCost, m, mEvStep, uint64(c.id))
+	m.Eng.AfterOp(res.Latency+m.Cfg.StoreCost, m.op(), mEvStep, uint64(c.id))
 }
 
 // lock returns the state of the spinlock at line, found by binary search
@@ -783,8 +783,8 @@ func (m *Machine) lock(line mem.Line) *lockState {
 // Check reports the first way the machine's run state does not fit its
 // plan: a core out of place or past the end of its thread, PM mark bits of
 // another length, a lock table of another size, a lock holder or waiter
-// that is no core of the trace, or an NVM table not sized for its
-// controller's PM lines. A machine decoded from a checkpoint image is
+// that is no core of the trace, a controller whose ID is not its index,
+// or an NVM table not sized for its controller's PM lines. A machine decoded from a checkpoint image is
 // checked before use; unchecked, these states panic in Run.
 func (m *Machine) Check() error {
 	p := m.plan
@@ -812,6 +812,9 @@ func (m *Machine) Check() error {
 		}
 	}
 	for i, mc := range m.MCs {
+		if mc.ID != i {
+			return fmt.Errorf("machine: controller %d has id %d, which must be its index: it is its receiver handle", i, mc.ID)
+		}
 		if err := mc.NVM.CheckSize(p.pmLines[i]); err != nil {
 			return fmt.Errorf("machine: controller %d: %w", i, err)
 		}
@@ -856,5 +859,5 @@ func (m *Machine) sample() {
 			wbb.ReleaseFlushed(m.Model, i)
 		}
 	}
-	m.Eng.AfterOp(SampleInterval, m, mEvSample, 0)
+	m.Eng.AfterOp(SampleInterval, m.op(), mEvSample, 0)
 }

@@ -388,7 +388,7 @@ func (m *ASAP) kickFlusher(c *asapCore) {
 		return
 	}
 	c.flushScheduled = true
-	m.env.Eng.AfterOp(1, m, asapEvKick, uint64(c.id))
+	m.env.Eng.AfterOp(1, m.env.op(), asapEvKick, uint64(c.id))
 }
 
 // flushOne issues at most one flush, then reschedules itself while work
@@ -424,7 +424,7 @@ func (m *ASAP) flushOne(c *asapCore) {
 	// any delayed LLC eviction (§V-F); the Link applies that at delivery.
 	m.env.Link.FlushOp(mcID, pkt, replyArg(c.id, e.ID), retried)
 	if c.pb.Inflight() < m.env.Cfg.PBMaxInflight {
-		m.env.Eng.AfterOp(flushIssuePace, m, asapEvPace, uint64(c.id))
+		m.env.Eng.AfterOp(flushIssuePace, m.env.op(), asapEvPace, uint64(c.id))
 	}
 }
 
@@ -523,7 +523,7 @@ func (m *ASAP) finishCommit(c *asapCore, ent *persist.ETEntry) {
 	// CDR messages to dependent threads, the dependent EpochID packed
 	// into the event arg.
 	for _, dep := range ent.Dependents {
-		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m, asapEvCDR, packEpochArg(dep))
+		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m.env.op(), asapEvCDR, packEpochArg(dep))
 	}
 
 	c.et.Retire(ts)

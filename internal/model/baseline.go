@@ -172,6 +172,9 @@ func (m *Baseline) commitEpoch(c *baseCore) {
 	c.ts++
 }
 
+// RunEvent: the baseline schedules no events of its own.
+func (m *Baseline) RunEvent(kind int, arg uint64) { panic("model: baseline schedules no events") }
+
 var _ Model = (*Baseline)(nil)
 
 // PBHasLine: the baseline has no persist buffer; pending lines live in the

@@ -6,6 +6,7 @@ import "asap/internal/sim"
 // continuation's kind indexes the closure. One table serves one engine.
 type testConts struct {
 	eng      *sim.Engine
+	op       sim.Op
 	closures []func()
 }
 
@@ -18,8 +19,9 @@ func cont(eng *sim.Engine, fn func()) sim.Cont {
 	t := contTables[eng]
 	if t == nil {
 		t = &testConts{eng: eng}
+		t.op = eng.RegisterOp(t)
 		contTables[eng] = t
 	}
 	t.closures = append(t.closures, fn)
-	return eng.Cont(t, len(t.closures)-1, 0)
+	return eng.Cont(t.op, len(t.closures)-1, 0)
 }

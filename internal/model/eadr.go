@@ -69,6 +69,9 @@ func (m *EADR) StartDrain(core int, done sim.Cont) { m.env.Eng.Resume(done) }
 func (m *EADR) PBOccupancy(core int) int { return 0 }
 func (m *EADR) PBBlocked(core int) bool  { return false }
 
+// RunEvent: eADR schedules no events of its own.
+func (m *EADR) RunEvent(kind int, arg uint64) { panic("model: eadr schedules no events") }
+
 var _ Model = (*EADR)(nil)
 
 // PBHasLine: eADR needs no persist buffer.

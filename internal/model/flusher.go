@@ -44,7 +44,6 @@ const (
 // its fences, so StartDrain must reach LRP's Dfence).
 type flushPolicy interface {
 	Model
-	sim.EventOp
 	persist.FlushReplier
 
 	// nextFlushable picks the persist-buffer entry core c may flush next,
@@ -153,7 +152,7 @@ func (f *flusher) kick(c *fcore) {
 	}
 	c.flushScheduled = true
 	f.pol.kicked()
-	f.env.Eng.AfterOp(1, f.pol, fEvKick, uint64(c.id))
+	f.env.Eng.AfterOp(1, f.env.op(), fEvKick, uint64(c.id))
 }
 
 // kicked is the default wake-up hook: nothing to do.
@@ -173,7 +172,7 @@ func (f *flusher) flushOne(c *fcore) {
 	c.pb.MarkInflight(e, false)
 	f.pol.send(c, e)
 	if c.pb.Inflight() < f.env.Cfg.PBMaxInflight {
-		f.env.Eng.AfterOp(flushIssuePace, f.pol, fEvPace, uint64(c.id))
+		f.env.Eng.AfterOp(flushIssuePace, f.env.op(), fEvPace, uint64(c.id))
 	}
 }
 
@@ -391,7 +390,7 @@ func (f *flusher) resolve(dst persist.EpochID) {
 // epoch in dsts, in order.
 func (f *flusher) notify(dsts []persist.EpochID) {
 	for _, dst := range dsts {
-		f.env.Eng.AfterOp(f.env.Cfg.MsgLat, f.pol, fEvResolve, packEpochArg(dst))
+		f.env.Eng.AfterOp(f.env.Cfg.MsgLat, f.env.op(), fEvResolve, packEpochArg(dst))
 	}
 }
 

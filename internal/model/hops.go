@@ -89,14 +89,14 @@ func (m *HOPS) schedulePoll(c *fcore) {
 		return
 	}
 	m.polling[c.id] = true
-	m.env.Eng.AfterOp(m.env.Cfg.HOPSPollInterval, m, hEvPollWait, uint64(c.id))
+	m.env.Eng.AfterOp(m.env.Cfg.HOPSPollInterval, m.env.op(), hEvPollWait, uint64(c.id))
 }
 
 // event runs the poll events.
 func (m *HOPS) event(kind int, arg uint64) {
 	switch kind {
 	case hEvPollWait:
-		m.env.Eng.AfterOp(m.env.Cfg.HOPSPollCost, m, hEvPoll, arg)
+		m.env.Eng.AfterOp(m.env.Cfg.HOPSPollCost, m.env.op(), hEvPoll, arg)
 	case hEvPoll:
 		m.polling[arg] = false
 		m.hc.hopsPolls.Inc()

@@ -144,7 +144,7 @@ func (m *LRP) nextFlushable(c *fcore) *persist.PBEntry {
 func (m *LRP) committed(c *fcore, ent *persist.ETEntry) {
 	m.committedTS[c.id] = ent.TS
 	for _, d := range ent.Dependents {
-		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m, lEvUnstall, uint64(d.Thread))
+		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m.env.op(), lEvUnstall, uint64(d.Thread))
 	}
 }
 

@@ -56,6 +56,11 @@ type Env struct {
 	Link *persist.Link
 }
 
+// op is the model's receiver handle. New registers the model right after
+// the controllers and the link (persist.MC.Register), so the handle is the
+// controller count plus one and no model stores it.
+func (env *Env) op() sim.Op { return sim.Op(len(env.MCs) + 1) }
+
 // Model is one persistence architecture. Methods taking a done continuation
 // may delay it to stall the core; they must resume it exactly once — at
 // once through Engine.Resume, or later from a parked stall or through
@@ -63,6 +68,10 @@ type Env struct {
 // calling core directly.
 type Model interface {
 	Name() string
+
+	// RunEvent dispatches the model's typed events. Every model is its
+	// machine's model receiver, so one that schedules none panics here.
+	sim.EventOp
 
 	// Store enters a persistent write into the model's persist path.
 	Store(core int, line mem.Line, token mem.Token, done sim.Cont)
@@ -151,12 +160,15 @@ func Speculative(name string) bool {
 	return name == NameASAPEP || name == NameASAPRP
 }
 
-// New builds the named model.
+// New builds the named model and registers it on env.Eng, whose receiver
+// table must hold env's controllers and link and nothing else. When
+// env.Link is nil, New builds the link and registers it first.
 func New(name string, env Env) (Model, error) {
 	if env.Ledger == nil {
 		env.Ledger = NopLedger{}
 	}
-	if env.Link == nil {
+	ownLink := env.Link == nil
+	if ownLink {
 		env.Link = persist.NewLink(env.Eng, env.Cfg, env.MCs)
 	}
 	var m Model
@@ -187,6 +199,12 @@ func New(name string, env Env) (Model, error) {
 		m = newStrandWeaver(env)
 	default:
 		return nil, fmt.Errorf("model: unknown model %q (have %v)", name, AllNames())
+	}
+	if ownLink {
+		env.Link.Register()
+	}
+	if env.Eng.RegisterOp(m) != env.op() {
+		panic("model: " + name + " registered other than right after its controllers and link")
 	}
 	// The model is the one replier of its machine: every controller
 	// answers flushes (and commits) to it.

@@ -18,6 +18,7 @@ func newMCs(eng *sim.Engine, cfg config.Config, spec bool, st *stats.Set) []*per
 	for i := range mcs {
 		mcs[i] = persist.NewMC(i, eng, cfg, spec, st)
 		mcs[i].Reset(testLines)
+		mcs[i].Register()
 	}
 	return mcs
 }

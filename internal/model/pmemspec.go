@@ -219,4 +219,7 @@ func (m *PMEMSpec) PBBlocked(core int) bool  { return false }
 // PBHasLine: no persist buffer.
 func (m *PMEMSpec) PBHasLine(core int, line mem.Line) bool { return false }
 
+// RunEvent: PMEM-Spec schedules no events of its own.
+func (m *PMEMSpec) RunEvent(kind int, arg uint64) { panic("model: pmem_spec schedules no events") }
+
 var _ Model = (*PMEMSpec)(nil)

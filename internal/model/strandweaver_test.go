@@ -76,6 +76,7 @@ func (s *swShadow) check(step string) {
 type swDriver struct {
 	s       *swShadow
 	env     Env
+	op      sim.Op
 	ops     [][]trace.Op
 	pc      []int
 	relLine []mem.Line
@@ -98,11 +99,11 @@ func (d *swDriver) RunEvent(kind int, arg uint64) {
 	case swStep:
 		d.step(core)
 	case swNext:
-		d.env.Eng.AfterOp(1, d, swStep, arg)
+		d.env.Eng.AfterOp(1, d.op, swStep, arg)
 	case swRelease:
 		d.access(core, d.relLine[core], true, false)
 		d.env.Dir.MarkRelease(core, d.relLine[core], d.relTS[core])
-		d.env.Eng.AfterOp(1, d, swStep, arg)
+		d.env.Eng.AfterOp(1, d.op, swStep, arg)
 	case swDone:
 		d.done++
 	}
@@ -134,9 +135,9 @@ func (d *swDriver) access(core int, line mem.Line, write, acq bool) {
 func (d *swDriver) step(core int) {
 	d.s.check(fmt.Sprintf("cycle %d core %d op %d", d.env.Eng.Now(), core, d.pc[core]))
 	m, eng := d.s.m, d.env.Eng
-	next := eng.Cont(d, swNext, uint64(core))
+	next := eng.Cont(d.op, swNext, uint64(core))
 	if d.pc[core] >= len(d.ops[core]) {
-		m.StartDrain(core, eng.Cont(d, swDone, uint64(core)))
+		m.StartDrain(core, eng.Cont(d.op, swDone, uint64(core)))
 		return
 	}
 	op := d.ops[core][d.pc[core]]
@@ -144,7 +145,7 @@ func (d *swDriver) step(core int) {
 	line := mem.LineOf(op.Addr)
 	switch op.Kind {
 	case trace.OpCompute:
-		eng.AfterOp(sim.Cycles(op.N), d, swStep, uint64(core))
+		eng.AfterOp(sim.Cycles(op.N), d.op, swStep, uint64(core))
 	case trace.OpLoad:
 		d.access(core, line, false, false)
 		eng.Resume(next)
@@ -166,7 +167,7 @@ func (d *swDriver) step(core int) {
 		eng.Resume(next)
 	case trace.OpRelease:
 		d.relLine[core], d.relTS[core] = line, m.CurrentTS(core)
-		m.Release(core, line, eng.Cont(d, swRelease, uint64(core)))
+		m.Release(core, line, eng.Cont(d.op, swRelease, uint64(core)))
 	case trace.OpStrand:
 		m.Strand(core)
 		eng.Resume(next)
@@ -196,8 +197,9 @@ func TestStrandWeaverDifferential(t *testing.T) {
 			s.m = mdl.(*StrandWeaver)
 			d := &swDriver{s: s, env: env, ops: tr.Threads, pc: make([]int, tr.NumThreads()),
 				relLine: make([]mem.Line, tr.NumThreads()), relTS: make([]uint64, tr.NumThreads())}
+			d.op = eng.RegisterOp(d)
 			for c := range tr.Threads {
-				eng.AfterOp(0, d, swStep, uint64(c))
+				eng.AfterOp(0, d.op, swStep, uint64(c))
 			}
 			eng.Run(0)
 			if d.done != tr.NumThreads() {

@@ -145,7 +145,7 @@ func (m *Vorpal) kicked() {
 		return
 	}
 	m.broadcastOn = true
-	m.env.Eng.AfterOp(vorpalBroadcastInterval, m, vEvTick, 0)
+	m.env.Eng.AfterOp(vorpalBroadcastInterval, m.env.op(), vEvTick, 0)
 }
 
 // send puts the flush on its way to the controller, which parks or
@@ -155,7 +155,7 @@ func (m *Vorpal) send(c *fcore, e *persist.PBEntry) {
 		mc: m.env.IL.Home(e.Line), line: e.Line, token: e.Token,
 		epoch: persist.EpochID{Thread: c.id, TS: e.TS}, pbID: e.ID,
 	})
-	m.env.Eng.AfterOp(m.env.Cfg.FlushLat, m, vEvArrive, 0)
+	m.env.Eng.AfterOp(m.env.Cfg.FlushLat, m.env.op(), vEvArrive, 0)
 }
 
 // event runs arrivals and broadcast ticks.
@@ -236,7 +236,7 @@ func (m *Vorpal) tick() {
 		m.pending[mcID] = rest
 	}
 	if m.busy() {
-		m.env.Eng.AfterOp(vorpalBroadcastInterval, m, vEvTick, 0)
+		m.env.Eng.AfterOp(vorpalBroadcastInterval, m.env.op(), vEvTick, 0)
 	} else {
 		// Nothing in flight: stop ticking so the engine can drain; a
 		// flusher kick restarts the broadcast on new work.

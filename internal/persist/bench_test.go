@@ -51,6 +51,7 @@ func BenchmarkMCFlushCommit(b *testing.B) {
 	eng := sim.NewEngine()
 	mc := NewMC(0, eng, config.Default(), true, stats.New())
 	mc.Reset(128)
+	mc.Register()
 	r := &benchReplier{}
 	mc.Connect(r)
 	b.ReportAllocs()

@@ -50,6 +50,17 @@ func NewLink(eng *sim.Engine, cfg config.Config, mcs []*MC) *Link {
 	return &Link{eng: eng, cfg: cfg, mcs: mcs}
 }
 
+// Register adds the link to its engine's receiver table, right after its
+// controllers (see MC.Register).
+func (l *Link) Register() {
+	if l.eng.RegisterOp(l) != l.op() {
+		panic("persist: link registered other than right after its controllers")
+	}
+}
+
+// op is the link's receiver handle: the controller count.
+func (l *Link) op() sim.Op { return sim.Op(len(l.mcs)) }
+
 // Reset drops every message in flight. The delivery queues go back to nil,
 // as a new link has none.
 func (l *Link) Reset() { *l = Link{eng: l.eng, cfg: l.cfg, mcs: l.mcs} }
@@ -62,7 +73,7 @@ func (l *Link) Reset() { *l = Link{eng: l.eng, cfg: l.cfg, mcs: l.mcs} }
 //asap:hot flush issue: every persist-buffer drain goes through here
 func (l *Link) FlushOp(mcID int, pkt FlushPacket, arg uint64, retried bool) {
 	l.fq = append(l.fq, linkFlushSend{mc: mcID, pkt: pkt, arg: arg, retried: retried}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
-	l.eng.AfterOp(l.cfg.FlushLat, l, linkEvFlush, 0)
+	l.eng.AfterOp(l.cfg.FlushLat, l.op(), linkEvFlush, 0)
 }
 
 // CommitOp sends an epoch-commit message to mcs[mcID], delivered after
@@ -71,7 +82,7 @@ func (l *Link) FlushOp(mcID int, pkt FlushPacket, arg uint64, retried bool) {
 //asap:hot commit issue: every epoch commit goes through here
 func (l *Link) CommitOp(mcID int, e EpochID) {
 	l.cq = append(l.cq, linkCommitSend{mc: mcID, epoch: e}) //asaplint:ignore alloccheck send queue reaches steady-state capacity, then appends reuse it
-	l.eng.AfterOp(l.cfg.MsgLat, l, linkEvCommit, 0)
+	l.eng.AfterOp(l.cfg.MsgLat, l.op(), linkEvCommit, 0)
 }
 
 // RunEvent dispatches the delivery queues.

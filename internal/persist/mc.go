@@ -149,6 +149,20 @@ func NewMC(id int, eng *sim.Engine, cfg config.Config, speculative bool, st *sta
 	return mc
 }
 
+// Register adds the controller to its engine's receiver table. Controllers
+// register first on their engine, in ID order, and the link right after
+// them (Link.Register), so a controller's handle is its ID and the link's
+// the controller count: neither stores one, and a checkpoint image holds
+// no handle to validate. The model and the machine register after them.
+func (mc *MC) Register() {
+	if mc.eng.RegisterOp(mc) != mc.op() {
+		panic(fmt.Sprintf("persist: controller %d registered out of ID order", mc.ID))
+	}
+}
+
+// op is the controller's receiver handle: its ID (see Register).
+func (mc *MC) op() sim.Op { return sim.Op(mc.ID) }
+
 // Reset returns the controller to its state after NewMC, crash-flushed or
 // mid-run as it may be: no job queued, in service or waiting for the WPQ,
 // no reply in flight, empty WPQ, XPBuffer, NVM, recovery table and Bloom
@@ -243,7 +257,7 @@ func (mc *MC) serve() {
 		mc.queue = mc.queue[:0]
 		mc.qhead = 0
 	}
-	mc.eng.AfterOp(mcServeCost, mc, mcEvServe, 0)
+	mc.eng.AfterOp(mcServeCost, mc.op(), mcEvServe, 0)
 }
 
 // RunEvent dispatches the controller's typed events.
@@ -300,7 +314,7 @@ func (mc *MC) finishJob() {
 // sendReply queues r for delivery MsgLat cycles from now.
 func (mc *MC) sendReply(r mcReply) {
 	mc.replies = append(mc.replies, r) //asaplint:ignore alloccheck reply ring: head compaction keeps it at steady-state capacity
-	mc.eng.AfterOp(mc.cfg.MsgLat, mc, mcEvReply, 0)
+	mc.eng.AfterOp(mc.cfg.MsgLat, mc.op(), mcEvReply, 0)
 }
 
 // ack ACKs the flush in service and moves on.
@@ -500,7 +514,7 @@ func (mc *MC) readCurrent(l mem.Line) {
 		return
 	}
 	if t, ok := mc.XP.Lookup(l); ok {
-		mc.eng.AfterOp(mc.cfg.XPBufHit, mc, mcEvXPRead, uint64(t))
+		mc.eng.AfterOp(mc.cfg.XPBufHit, mc.op(), mcEvXPRead, uint64(t))
 		return
 	}
 	mc.hc.undoMediaReads.Inc()
@@ -513,7 +527,7 @@ func (mc *MC) readCurrent(l mem.Line) {
 	if gap == 0 {
 		gap = mc.cfg.NVMRead
 	}
-	mc.eng.AfterOp(gap, mc, mcEvMediaRead, 0)
+	mc.eng.AfterOp(gap, mc.op(), mcEvMediaRead, 0)
 }
 
 // insertWrite places a write in the WPQ, waiting for drain space if full,
@@ -549,7 +563,7 @@ func (mc *MC) pumpDrain() {
 		gap = mc.cfg.NVMWrite
 	}
 	mc.draining = true
-	mc.eng.AfterOp(gap, mc, mcEvDrain, 0)
+	mc.eng.AfterOp(gap, mc.op(), mcEvDrain, 0)
 }
 
 // drainOne is the mcEvDrain handler: retire one entry, wake a stalled

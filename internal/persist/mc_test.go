@@ -14,6 +14,7 @@ func newTestMC(spec bool) (*MC, *sim.Engine) {
 	cfg := config.Default()
 	mc := NewMC(0, eng, cfg, spec, stats.New())
 	mc.Reset(testLines)
+	mc.Register()
 	connect(mc)
 	return mc, eng
 }
@@ -142,6 +143,7 @@ func TestMCNackWhenRTFull(t *testing.T) {
 	cfg.RTEntries = 2
 	mc := NewMC(0, eng, cfg, true, stats.New())
 	mc.Reset(testLines)
+	mc.Register()
 	sendFlush(t, mc, eng, FlushPacket{Line: 1, Token: 1, Epoch: e(0, 2), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 2, Token: 2, Epoch: e(0, 3), Early: true})
 	if r := sendFlush(t, mc, eng, FlushPacket{Line: 3, Token: 3, Epoch: e(0, 4), Early: true}); r != FlushNack {
@@ -174,6 +176,7 @@ func TestMCWPQBackpressure(t *testing.T) {
 	cfg.WPQEntries = 2
 	mc := NewMC(0, eng, cfg, false, stats.New())
 	mc.Reset(testLines)
+	mc.Register()
 	r := connect(mc)
 	for i := 0; i < 8; i++ {
 		mc.ReceiveOp(FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)}, uint64(i))

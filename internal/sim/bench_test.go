@@ -8,15 +8,22 @@ import (
 // benchTickOp is the typed-event receiver for the EventThroughput rungs: a
 // depth-1 self-rescheduling chain.
 type benchTickOp struct {
-	e *Engine
-	n int
-	N int
+	e  *Engine
+	op Op
+	n  int
+	N  int
+}
+
+func newBenchTickOp(e *Engine, n int) *benchTickOp {
+	t := &benchTickOp{e: e, N: n}
+	t.op = e.RegisterOp(t)
+	return t
 }
 
 func (t *benchTickOp) RunEvent(kind int, arg uint64) {
 	t.n++
 	if t.n < t.N {
-		t.e.AfterOp(3, t, 0, 0)
+		t.e.AfterOp(3, t.op, 0, 0)
 	}
 }
 
@@ -25,8 +32,8 @@ func (t *benchTickOp) RunEvent(kind int, arg uint64) {
 // every experiment gets. Gated at 0 allocs/op through benchdiff.
 func BenchmarkEventThroughputTyped(b *testing.B) {
 	e := NewEngine()
-	op := &benchTickOp{e: e, N: b.N}
-	e.AfterOp(1, op, 0, 0)
+	op := newBenchTickOp(e, b.N)
+	e.AfterOp(1, op.op, 0, 0)
 	b.ResetTimer()
 	e.Run(0)
 }
@@ -39,8 +46,8 @@ func BenchmarkEventThroughputHooked(b *testing.B) {
 	e := NewEngine()
 	var dispatched dispatchCounter
 	e.SetDispatchHook(&dispatched)
-	op := &benchTickOp{e: e, N: b.N}
-	e.AfterOp(1, op, 0, 0)
+	op := newBenchTickOp(e, b.N)
+	e.AfterOp(1, op.op, 0, 0)
 	b.ResetTimer()
 	e.Run(0)
 	if dispatched == 0 {
@@ -55,11 +62,14 @@ func (c *dispatchCounter) Dispatched(Cycles) { *c++ }
 
 // fanoutOp is BenchmarkEventFanout's receiver: event kind 0 carries the
 // scheduling index j in arg, and every tenth one schedules a kind-1 child.
-type fanoutOp struct{ e *Engine }
+type fanoutOp struct {
+	e  *Engine
+	op Op
+}
 
 func (f *fanoutOp) RunEvent(kind int, arg uint64) {
 	if kind == 0 && arg%10 == 0 {
-		f.e.AfterOp(5, f, 1, 0)
+		f.e.AfterOp(5, f.op, 1, 0)
 	}
 }
 
@@ -69,8 +79,9 @@ func BenchmarkEventFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
 		op := &fanoutOp{e: e}
+		op.op = e.RegisterOp(op)
 		for j := 0; j < 1000; j++ {
-			e.ScheduleOp(Cycles(j%97+1), op, 0, uint64(j))
+			e.ScheduleOp(Cycles(j%97+1), op.op, 0, uint64(j))
 		}
 		e.Run(0)
 	}
@@ -111,6 +122,7 @@ func machineShapeDelays() []Cycles {
 // one replacement until the budget runs out.
 type shapeOp struct {
 	e      *Engine
+	op     Op
 	delays []Cycles
 	next   int
 	left   int
@@ -121,7 +133,7 @@ func (s *shapeOp) RunEvent(kind int, arg uint64) {
 		return
 	}
 	s.left--
-	s.e.AfterOp(s.delays[s.next&(len(s.delays)-1)], s, 0, 0)
+	s.e.AfterOp(s.delays[s.next&(len(s.delays)-1)], s.op, 0, 0)
 	s.next++
 }
 
@@ -133,6 +145,7 @@ func (s *shapeOp) RunEvent(kind int, arg uint64) {
 func BenchmarkEventQueueMachineShape(b *testing.B) {
 	e := NewEngine()
 	op := &shapeOp{e: e, delays: machineShapeDelays(), left: b.N}
+	op.op = e.RegisterOp(op)
 	for k := 0; k < machineShapeDepth && op.left > 0; k++ {
 		op.RunEvent(0, 0)
 	}

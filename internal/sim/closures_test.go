@@ -6,11 +6,16 @@ package sim
 // engine itself.
 type fnTable struct {
 	e        *Engine
+	op       Op
 	closures []func()
 	free     []int
 }
 
-func newFnTable(e *Engine) *fnTable { return &fnTable{e: e} }
+func newFnTable(e *Engine) *fnTable {
+	t := &fnTable{e: e}
+	t.op = e.RegisterOp(t)
+	return t
+}
 
 func (t *fnTable) RunEvent(kind int, _ uint64) {
 	fn := t.closures[kind]
@@ -30,7 +35,7 @@ func (t *fnTable) at(when Cycles, fn func()) {
 		k = len(t.closures)
 		t.closures = append(t.closures, fn)
 	}
-	t.e.ScheduleOp(when, t, k, 0)
+	t.e.ScheduleOp(when, t.op, k, 0)
 }
 
 // after schedules fn delay cycles from now.

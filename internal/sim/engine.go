@@ -17,13 +17,18 @@ func NS(ns uint64) Cycles { return ns * CyclesPerNS }
 
 // EventOp is a receiver of typed events: a long-lived component (machine,
 // model, memory controller, link) implements RunEvent and dispatches on
-// kind, with arg carrying a small payload such as a core index. The engine
-// stores the receiver by index in its receiver table, so scheduling
-// allocates nothing. kind values are private to each receiver; the engine
-// never interprets them.
+// kind, with arg carrying a small payload such as a core index. kind values
+// are private to each receiver; the engine never interprets them. A
+// receiver is registered once (RegisterOp) and scheduled through the Op
+// handle that returns, so scheduling allocates nothing and looks nothing up.
 type EventOp interface {
 	RunEvent(kind int, arg uint64)
 }
+
+// Op is a typed-event receiver's handle: its index in the engine's receiver
+// table, assigned by RegisterOp in registration order. Events and
+// continuations carry it, and dispatch indexes the table with it.
+type Op int32
 
 // Cont is a typed continuation: the (receiver, kind, arg) triple of a typed
 // event, held as a value until an operation completes. Models receive one
@@ -33,7 +38,7 @@ type EventOp interface {
 // machine holding parked continuations is as serializable as its event
 // queue. The zero Cont names no receiver; IsZero reports it.
 type Cont struct {
-	op   int32 // 1 + index into Engine.ops; 0 for the zero Cont
+	op   int32 // 1 + the receiver's Op; 0 for the zero Cont
 	kind int32
 	arg  uint64
 }
@@ -56,7 +61,7 @@ type event struct {
 	seq   uint64
 	arg   uint64
 	kind  int32
-	opIdx int32 // index into Engine.ops
+	opIdx int32 // the receiver's Op: its index in Engine.ops
 	next  int32 // wheel slab index of the next event in this slot; 0 ends the chain
 }
 
@@ -67,11 +72,12 @@ type event struct {
 //
 // The pending-event queue (queue.go) is a timing wheel of one-cycle slots
 // for the near-future events that make up almost every run, backed by a
-// 4-ary min-heap for events scheduled further ahead. Dispatch always takes
-// the global minimum by (when, seq), a total order because every event
-// takes a fresh seq, so dispatch order is independent of which structure an
-// event sat in: the engine dispatches byte-identically to the
-// container/heap scheduler the repo started with (pinned by
+// 4-ary min-heap for events scheduled further ahead, and fronted during a
+// run by a one-event register for the event that will be dispatched next.
+// Dispatch always takes the global minimum by (when, seq), a total order
+// because every event takes a fresh seq, so dispatch order is independent
+// of which structure an event sat in: the engine dispatches byte-identically
+// to the container/heap scheduler the repo started with (pinned by
 // TestDifferentialDeterminism and TestQueueDifferential).
 type Engine struct {
 	now        Cycles
@@ -92,11 +98,21 @@ type Engine struct {
 	// wheel cannot hold: those scheduled wheelSize or more cycles ahead.
 	overflow []event
 
-	// ops holds the typed-event receivers ever scheduled on this engine,
-	// deduplicated by identity; events and continuations reference them by
-	// index so they stay pointer-free. A machine registers only a handful
-	// of receivers (machine, model, controllers, link), so the lookup in
-	// ScheduleOp is a short pointer-compare scan.
+	// The direct-successor register, live only inside Run, RunUntil and
+	// Step (queue.go). While holding, held precedes every queued event and
+	// is dispatched next without entering the queue. floor is the cycle of
+	// the queue's earliest event (maxCycles when the queue is empty) and
+	// minSlot where that event sits: its wheel slot, overflowRoot, or
+	// noSlot. Between runs all four are zero, and a zero floor keeps every
+	// schedule out of the register.
+	held    event
+	holding bool
+	floor   Cycles
+	minSlot int
+
+	// ops is the receiver table: RegisterOp appends a receiver, and its
+	// index is the Op handle events and continuations carry, so they stay
+	// pointer-free and dispatch is one indexed load.
 	ops []EventOp
 }
 
@@ -125,6 +141,7 @@ func (e *Engine) Reset() {
 		nodes = make([]event, 0, wheelSlabCap)
 	}
 	e.nodes, e.overflow = append(nodes, event{}), nil
+	e.held, e.holding, e.floor, e.minSlot = event{}, false, 0, 0
 	clear(e.ops) // drop the last run's receivers
 	e.ops = e.ops[:0]
 	e.now, e.seq, e.dispatched, e.halted, e.onDispatch = 0, 0, 0, false, nil
@@ -133,19 +150,36 @@ func (e *Engine) Reset() {
 // Now reports the current simulation time in cycles.
 func (e *Engine) Now() Cycles { return e.now }
 
+// RegisterOp adds op to the receiver table and returns its handle, the
+// table index, which the receiver keeps for scheduling itself. Register
+// each receiver once. A checkpoint image stores queued events and parked
+// continuations by handle, so a machine registers its receivers in one
+// fixed construction order, and the table is identical between the
+// machine that saved an image and the fresh machine that restores it. The
+// handle never influences dispatch order: (when, seq) does.
+func (e *Engine) RegisterOp(op EventOp) Op {
+	e.ops = append(e.ops, op)
+	return Op(len(e.ops) - 1)
+}
+
 // ScheduleOp schedules the typed event (op, kind, arg) at absolute cycle
 // when. Scheduling in the past is a programming error and panics: it would
 // silently corrupt causality.
-func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {
+func (e *Engine) ScheduleOp(when Cycles, op Op, kind int, arg uint64) {
 	if when < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	e.enqueue(when, e.opIndex(op), int32(kind), arg)
+	e.enqueue(when, int32(op), int32(kind), arg)
 }
 
-// Cont returns the continuation that runs op.RunEvent(kind, arg).
-func (e *Engine) Cont(op EventOp, kind int, arg uint64) Cont {
-	return Cont{op: e.opIndex(op) + 1, kind: int32(kind), arg: arg}
+// AfterOp schedules the typed event (op, kind, arg) delay cycles from now.
+func (e *Engine) AfterOp(delay Cycles, op Op, kind int, arg uint64) {
+	e.ScheduleOp(e.now+delay, op, kind, arg)
+}
+
+// Cont returns the continuation that runs op's RunEvent(kind, arg).
+func (e *Engine) Cont(op Op, kind int, arg uint64) Cont {
+	return Cont{op: int32(op) + 1, kind: int32(kind), arg: arg}
 }
 
 // Resume runs continuation c synchronously: the completed operation's
@@ -163,26 +197,14 @@ func (e *Engine) ScheduleCont(when Cycles, c Cont) {
 	e.enqueue(when, c.op-1, c.kind, c.arg)
 }
 
-// opIndex returns op's slot in the receiver table, registering it on first
-// use. Identity comparison of the interface pair is exact: receivers are
-// long-lived pointers (machine, model, controllers).
-func (e *Engine) opIndex(op EventOp) int32 {
-	for i, o := range e.ops {
-		if o == op {
-			return int32(i)
-		}
-	}
-	e.ops = append(e.ops, op) //asaplint:ignore alloccheck registers each long-lived receiver once; a handful of appends per run
-	return int32(len(e.ops) - 1)
-}
-
-// AfterOp schedules the typed event (op, kind, arg) delay cycles from now.
-func (e *Engine) AfterOp(delay Cycles, op EventOp, kind int, arg uint64) {
-	e.ScheduleOp(e.now+delay, op, kind, arg)
-}
-
 // Pending reports the number of scheduled events not yet dispatched.
-func (e *Engine) Pending() int { return len(e.nodes) - 1 + len(e.overflow) }
+func (e *Engine) Pending() int {
+	n := len(e.nodes) - 1 + len(e.overflow)
+	if e.holding {
+		n++
+	}
+	return n
+}
 
 // Dispatched reports the number of events dispatched since construction.
 // The machine's periodic sampler publishes it as a progress metric; unlike
@@ -213,17 +235,19 @@ func (e *Engine) Halted() bool { return e.halted }
 // the cycle at which it stopped: limit when the next event lies past it,
 // unless limit is already behind the clock, which never moves backwards.
 func (e *Engine) Run(limit Cycles) Cycles {
+	e.refresh()
 	for !e.halted {
-		ev, slot := e.peek()
-		if ev == nil {
+		when, ok := e.next()
+		if !ok {
 			break
 		}
-		if limit != 0 && ev.when > limit {
+		if limit != 0 && when > limit {
 			e.now = max(e.now, limit)
-			return e.now
+			break
 		}
-		e.dispatch(ev, slot)
+		e.dispatch()
 	}
+	e.closeRegister()
 	return e.now
 }
 
@@ -235,13 +259,15 @@ func (e *Engine) Run(limit Cycles) Cycles {
 // after RunUntil(c) always observes the state the machine has at cycle c,
 // with every pre-c event retired.
 func (e *Engine) RunUntil(limit Cycles) Cycles {
+	e.refresh()
 	for !e.halted {
-		ev, slot := e.peek()
-		if ev == nil || ev.when > limit {
+		when, ok := e.next()
+		if !ok || when > limit {
 			break
 		}
-		e.dispatch(ev, slot)
+		e.dispatch()
 	}
+	e.closeRegister()
 	if !e.halted && e.now < limit {
 		e.now = limit
 	}
@@ -266,15 +292,6 @@ func (e *Engine) JumpTo(when Cycles) {
 	e.now = when
 }
 
-// RegisterOp pre-registers a typed-event receiver, fixing its slot in the
-// receiver table at construction time instead of first-schedule time. The
-// slot index never influences dispatch order — (when, seq) does — but a
-// checkpoint image stores queued events by receiver index, so machines
-// register their receivers in one canonical construction order to make the
-// table reproducible between the machine that saved an image and the fresh
-// machine that restores it.
-func (e *Engine) RegisterOp(op EventOp) { e.opIndex(op) }
-
 // Hooked reports whether a dispatch hook is attached. A checkpoint image
 // cannot carry the hook (it is observer code, not simulation state), so
 // saving a hooked engine is refused.
@@ -285,30 +302,46 @@ func (e *Engine) Step() bool {
 	if e.halted {
 		return false
 	}
-	ev, slot := e.peek()
-	if ev == nil {
-		return false
+	e.refresh()
+	_, ok := e.next()
+	if ok {
+		e.dispatch()
 	}
-	e.dispatch(ev, slot)
-	return true
+	e.closeRegister()
+	return ok
 }
 
-// dispatch removes ev, the minimum event peek returned with its slot,
-// advances the clock, and runs the event. It is the single dispatch
-// path shared by Run, RunUntil and Step.
+// dispatch removes the next event — the held one, else the queue's
+// earliest — advances the clock, and runs the event. It is the single
+// dispatch path shared by Run, RunUntil and Step. It reads the event
+// field by field, as enqueue wrote it: a whole-struct copy would reload
+// the just-stored fields with wider loads (a store-forwarding stall).
 //
 //asap:hot the event loop: every simulated cycle of work funnels through here
-func (e *Engine) dispatch(ev *event, slot int) {
-	next := *ev
-	if slot >= 0 {
-		e.unlinkHead(slot)
+func (e *Engine) dispatch() {
+	var ev *event
+	if e.holding {
+		e.holding = false
+		ev = &e.held
+	} else if e.minSlot >= 0 {
+		ev = &e.nodes[e.slots[e.minSlot].head]
 	} else {
-		e.popMin()
+		ev = &e.overflow[0]
 	}
-	e.now = next.when
+	when, arg, kind, op := ev.when, ev.arg, ev.kind, ev.opIdx
+	if ev != &e.held {
+		if e.minSlot >= 0 {
+			e.unlinkHead(e.minSlot)
+		} else {
+			e.popMin()
+		}
+		e.now = when
+		e.refresh()
+	}
+	e.now = when
 	e.dispatched++
 	if e.onDispatch != nil {
-		e.onDispatch.Dispatched(next.when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
+		e.onDispatch.Dispatched(when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
 	}
-	e.ops[next.opIdx].RunEvent(int(next.kind), next.arg)
+	e.ops[op].RunEvent(int(kind), arg)
 }

@@ -36,12 +36,44 @@ import (
 // without dispatching it (Run, RunUntil and JumpTo all respect that), which
 // is what keeps the wheel window invariant true between dispatches.
 //
+// In front of both sits the direct-successor register. A handler often
+// schedules an event strictly earlier, by when, than every queued one (a
+// core's next step, a one-cycle flusher kick): that event is dispatched
+// next whatever else is pending, so the engine holds it in one slot
+// instead of linking it into the wheel and unlinking it again.
+//
+//   - Each dispatch from the queue caches the queue's next minimum: its
+//     cycle (floor) and its place (minSlot), found by the one peek the
+//     dispatch pays anyway. A schedule at or after floor cannot become the
+//     minimum, so deciding costs one compare and no second peek.
+//   - A schedule strictly earlier than floor and than the held event takes
+//     the register. The event it displaces precedes every queued one, with
+//     the lower seq, so it spills into the queue at the head of its wheel
+//     slot (or the overflow root) and becomes the queue's minimum.
+//   - A schedule in [held.when, floor) goes into the queue and becomes its
+//     minimum, after the held event; seqs keep ties in schedule order.
+//
+// The register lives only inside Run, RunUntil and Step, which open it by
+// caching the queue's minimum and close it by spilling the held event
+// through the same path before they return. Between runs the register is
+// empty and floor is 0, so schedules from outside a run go straight to the
+// queue, and Save, CheckQueue, Pending and JumpTo only ever see the wheel
+// and the overflow heap. Dispatch order is unchanged: it is still the
+// total (when, seq) order.
+//
 // wheelSize must be a power of two, and a multiple of 64 so the occupancy
 // bitmap's words tile the wheel; wheelWords must be a power of two too.
 const (
 	wheelSize  = 1024
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64
+)
+
+// minSlot values besides a wheel slot, and floor's value for an empty queue.
+const (
+	overflowRoot = -1 // the queue's minimum is the overflow heap's root
+	noSlot       = -2 // the queue is empty
+	maxCycles    = ^Cycles(0)
 )
 
 // wheelSlabCap is the node slab's initial capacity, above the average
@@ -63,37 +95,111 @@ func before(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// enqueue schedules an event at when (>= now) under the next seq:
-// onto the wheel when it falls within wheelSize cycles of now, into the
-// overflow heap otherwise. The wheel node's fields are written in place
-// rather than copied from an event value, which the compiler would spill
-// and reload with wider loads than it stored (a store-forwarding stall on
-// every schedule).
+// enqueue schedules an event at when (>= now) under the next seq: into the
+// register when it precedes every pending event, else onto the wheel when
+// it falls within wheelSize cycles of now, into the overflow heap
+// otherwise. The event's fields are written in place rather than copied
+// from an event value, which the compiler would spill and reload with
+// wider loads than it stored (a store-forwarding stall on every schedule).
 func (e *Engine) enqueue(when Cycles, opIdx, kind int32, arg uint64) {
 	seq := e.seq
 	e.seq++
-	if when-e.now >= wheelSize {
-		e.push(event{when: when, seq: seq, arg: arg, kind: kind, opIdx: opIdx})
+	if when < e.floor && (!e.holding || when < e.held.when) {
+		if e.holding {
+			e.spill()
+		}
+		h := &e.held
+		h.when, h.seq, h.arg = when, seq, arg
+		h.kind, h.opIdx = kind, opIdx
+		e.holding = true
 		return
 	}
+	slot := overflowRoot
+	if when-e.now >= wheelSize {
+		e.push(event{when: when, seq: seq, arg: arg, kind: kind, opIdx: opIdx})
+	} else {
+		i := e.newNode()
+		n := &e.nodes[i]
+		n.when, n.seq, n.arg = when, seq, arg
+		n.kind, n.opIdx, n.next = kind, opIdx, 0
+		slot = int(when & wheelMask)
+		s := &e.slots[slot]
+		if s.head == 0 {
+			s.head = i
+			e.occ[slot>>6] |= 1 << (slot & 63)
+		} else {
+			e.nodes[s.tail].next = i
+		}
+		s.tail = i
+	}
+	if when < e.floor || e.minSlot == noSlot {
+		e.floor, e.minSlot = when, slot
+	}
+}
+
+// newNode extends the wheel slab by one node and returns its index.
+func (e *Engine) newNode() int32 {
 	i := int32(len(e.nodes))
 	if int(i) == cap(e.nodes) {
 		e.nodes = append(e.nodes, event{}) //asaplint:ignore alloccheck slab growth: reaches the peak wheel depth once, then reuses it
 	} else {
 		e.nodes = e.nodes[:i+1]
 	}
-	n := &e.nodes[i]
-	n.when, n.seq, n.arg = when, seq, arg
-	n.kind, n.opIdx, n.next = kind, opIdx, 0
-	slot := when & wheelMask
-	s := &e.slots[slot]
-	if s.head == 0 {
-		s.head = i
-		e.occ[slot>>6] |= 1 << (slot & 63)
-	} else {
-		e.nodes[s.tail].next = i
+	return i
+}
+
+// spill empties the register into the queue. The held event precedes
+// every queued one, so it goes in at the head of its wheel slot, or
+// reaches the overflow root, and is the queue's new minimum.
+func (e *Engine) spill() {
+	e.holding = false
+	ev := &e.held
+	if ev.when-e.now >= wheelSize {
+		e.push(*ev)
+		e.floor, e.minSlot = ev.when, overflowRoot
+		return
 	}
-	s.tail = i
+	i := e.newNode()
+	slot := int(ev.when & wheelMask)
+	s := &e.slots[slot]
+	n := &e.nodes[i]
+	*n = *ev
+	n.next = s.head
+	if s.head == 0 {
+		s.tail = i
+		e.occ[slot>>6] |= 1 << (slot & 63)
+	}
+	s.head = i
+	e.floor, e.minSlot = ev.when, slot
+}
+
+// closeRegister ends a run: it spills the held event and disables the
+// register, leaving the zero register state a checkpoint image holds.
+func (e *Engine) closeRegister() {
+	if e.holding {
+		e.spill()
+	}
+	e.held, e.floor, e.minSlot = event{}, 0, 0
+}
+
+// refresh caches the queue's minimum in floor and minSlot. A run calls it
+// first, which opens the register, and after each dispatch from the queue.
+func (e *Engine) refresh() {
+	ev, slot := e.peek()
+	if ev == nil {
+		e.floor, e.minSlot = maxCycles, noSlot
+		return
+	}
+	e.floor, e.minSlot = ev.when, slot
+}
+
+// next reports the cycle of the event dispatch would run next, and false
+// when nothing is pending. It is valid only inside a run.
+func (e *Engine) next() (Cycles, bool) {
+	if e.holding {
+		return e.held.when, true
+	}
+	return e.floor, e.minSlot != noSlot
 }
 
 // nextSlot returns the first occupied wheel slot at or after now&wheelMask,
@@ -117,20 +223,20 @@ func (e *Engine) nextSlot() int {
 }
 
 // peek returns the earliest pending event and where it sits: the wheel
-// slot it heads, or -1 for the overflow root. It returns nil when nothing
-// is pending. Every loop that dispatches (Run, RunUntil, Step) and
-// JumpTo's pending-event check go through here.
+// slot it heads, or overflowRoot. It returns nil when nothing is queued.
+// Runs call it through refresh, once per dispatch from the queue, and
+// JumpTo's pending-event check calls it directly.
 func (e *Engine) peek() (*event, int) {
 	if len(e.nodes) == 1 {
 		if len(e.overflow) == 0 {
-			return nil, -1
+			return nil, noSlot
 		}
-		return &e.overflow[0], -1
+		return &e.overflow[0], overflowRoot
 	}
 	slot := e.nextSlot()
 	ev := &e.nodes[e.slots[slot].head]
 	if len(e.overflow) > 0 && before(&e.overflow[0], ev) {
-		return &e.overflow[0], -1
+		return &e.overflow[0], overflowRoot
 	}
 	return ev, slot
 }
@@ -238,8 +344,12 @@ func (e *Engine) siftDown(i int) {
 //   - the overflow heap is heap-ordered and nothing in it precedes now;
 //   - every event's seq is below the engine's counter, so no future
 //     event can tie a queued one on (when, seq);
-//   - every event's receiver index is in range.
+//   - every event's receiver index is in range;
+//   - the direct-successor register is empty, as it is between runs.
 func (e *Engine) CheckQueue() error {
+	if e.holding || e.held != (event{}) || e.floor != 0 || e.minSlot != 0 {
+		return fmt.Errorf("sim: direct-successor register not empty between runs")
+	}
 	if len(e.nodes) == 0 || e.nodes[0] != (event{}) {
 		return fmt.Errorf("sim: wheel slab lacks its zero sentinel node")
 	}

@@ -38,6 +38,7 @@ type refEngine struct {
 	now    Cycles
 	seq    uint64
 	events refHeap
+	halted bool
 }
 
 func (e *refEngine) Now() Cycles { return e.now }
@@ -63,7 +64,7 @@ func (e *refEngine) NextWhen() (Cycles, bool) {
 }
 
 func (e *refEngine) Step() bool {
-	if len(e.events) == 0 {
+	if e.halted || len(e.events) == 0 {
 		return false
 	}
 	next := heap.Pop(&e.events).(refEvent)
@@ -76,7 +77,7 @@ func (e *refEngine) Run() { e.RunLimit(0) }
 
 // RunLimit mirrors Engine.Run(limit).
 func (e *refEngine) RunLimit(limit Cycles) Cycles {
-	for len(e.events) > 0 {
+	for !e.halted && len(e.events) > 0 {
 		if limit != 0 && e.events[0].when > limit {
 			e.now = max(e.now, limit)
 			return e.now
@@ -88,10 +89,12 @@ func (e *refEngine) RunLimit(limit Cycles) Cycles {
 
 // RunUntil mirrors Engine.RunUntil.
 func (e *refEngine) RunUntil(limit Cycles) Cycles {
-	for len(e.events) > 0 && e.events[0].when <= limit {
+	for !e.halted && len(e.events) > 0 && e.events[0].when <= limit {
 		e.Step()
 	}
-	e.now = max(e.now, limit)
+	if !e.halted {
+		e.now = max(e.now, limit)
+	}
 	return e.now
 }
 

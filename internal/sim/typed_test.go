@@ -8,7 +8,14 @@ import (
 // recordingOp is a typed-event receiver that logs (kind, arg, cycle).
 type recordingOp struct {
 	eng *Engine
+	op  Op
 	got [][3]uint64
+}
+
+func newRecordingOp(e *Engine) *recordingOp {
+	r := &recordingOp{eng: e}
+	r.op = e.RegisterOp(r)
+	return r
 }
 
 func (r *recordingOp) RunEvent(kind int, arg uint64) {
@@ -20,12 +27,12 @@ func (r *recordingOp) RunEvent(kind int, arg uint64) {
 // intact.
 func TestTypedEvents(t *testing.T) {
 	e := NewEngine()
-	r := &recordingOp{eng: e}
-	e.ScheduleOp(20, r, 2, 200)
-	e.AfterOp(10, r, 1, 100)
+	r := newRecordingOp(e)
+	e.ScheduleOp(20, r.op, 2, 200)
+	e.AfterOp(10, r.op, 1, 100)
 	closureRan := false
 	newFnTable(e).at(15, func() { closureRan = true })
-	e.AfterOp(20, r, 3, 300)
+	e.AfterOp(20, r.op, 3, 300)
 	e.Run(0)
 	want := [][3]uint64{{1, 100, 10}, {2, 200, 20}, {3, 300, 20}}
 	if len(r.got) != len(want) {
@@ -48,7 +55,7 @@ func TestTypedTieBreakWithClosures(t *testing.T) {
 	e := NewEngine()
 	f := newFnTable(e)
 	var order []int
-	r := &funcOp{fn: func(kind int, _ uint64) { order = append(order, kind) }}
+	r := e.RegisterOp(&funcOp{fn: func(kind int, _ uint64) { order = append(order, kind) }})
 	e.ScheduleOp(5, r, 0, 0)
 	f.at(5, func() { order = append(order, 1) })
 	e.ScheduleOp(5, r, 2, 0)
@@ -70,14 +77,14 @@ func (f *funcOp) RunEvent(kind int, arg uint64) { f.fn(kind, arg) }
 // TestScheduleOpPastPanics mirrors TestSchedulePastPanics for the typed form.
 func TestScheduleOpPastPanics(t *testing.T) {
 	e := NewEngine()
-	r := &recordingOp{eng: e}
+	r := newRecordingOp(e)
 	newFnTable(e).at(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ScheduleOp in the past did not panic")
 			}
 		}()
-		e.ScheduleOp(5, r, 0, 0)
+		e.ScheduleOp(5, r.op, 0, 0)
 	})
 	e.Run(0)
 }
@@ -87,14 +94,14 @@ func TestScheduleOpPastPanics(t *testing.T) {
 // allocate at all.
 func TestTypedEventZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	var op *funcOp
+	var op Op
 	n := 0
-	op = &funcOp{fn: func(int, uint64) {
+	op = e.RegisterOp(&funcOp{fn: func(int, uint64) {
 		n++
 		if n < 1000 {
 			e.AfterOp(3, op, 0, 0)
 		}
-	}}
+	}})
 	// Warm up so the event slice reaches steady-state capacity.
 	e.AfterOp(1, op, 0, 0)
 	e.Run(0)
@@ -114,17 +121,17 @@ func TestTypedEventZeroAlloc(t *testing.T) {
 // like any typed event; the zero Cont is distinguishable.
 func TestContResumeAndSchedule(t *testing.T) {
 	e := NewEngine()
-	r := &recordingOp{eng: e}
+	r := newRecordingOp(e)
 	if !(Cont{}).IsZero() {
 		t.Fatal("zero Cont not IsZero")
 	}
-	c := e.Cont(r, 4, 40)
+	c := e.Cont(r.op, 4, 40)
 	if c.IsZero() {
 		t.Fatal("live Cont reports IsZero")
 	}
 	e.Resume(c)
-	e.AfterOp(7, r, 1, 10)
-	e.ScheduleCont(7, e.Cont(r, 2, 20))
+	e.AfterOp(7, r.op, 1, 10)
+	e.ScheduleCont(7, e.Cont(r.op, 2, 20))
 	e.Run(0)
 	want := [][3]uint64{{4, 40, 0}, {1, 10, 7}, {2, 20, 7}}
 	if fmt.Sprint(r.got) != fmt.Sprint(want) {
