@@ -23,8 +23,8 @@ fmt:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
 # lint runs the repo's own static-analysis suite (cmd/asaplint): the
-# per-package analyzers (donecheck, detcheck, unitcheck, ledgercheck,
-# obscheck, schedcheck) plus the module-wide call-graph pair —
+# per-package analyzers (donecheck, detcheck, unitcheck, obscheck) plus
+# the module-wide call-graph pair —
 # alloccheck (//asap:hot functions are transitively allocation-free) and
 # domaincheck (event callbacks mutate only their own component). Use
 # `go run ./cmd/asaplint -json ./...` for machine-readable findings.

@@ -1,7 +1,7 @@
 // Command asaplint runs the repository's static-analysis suite
 // (internal/analysis): the per-package analyzers donecheck, detcheck,
-// unitcheck, ledgercheck, obscheck and schedcheck, plus the module-wide
-// call-graph analyzers alloccheck and domaincheck.
+// unitcheck and obscheck, plus the module-wide call-graph analyzers
+// alloccheck and domaincheck.
 // It loads every package of the module from source using only the
 // standard library — no go/packages, no external tools — and exits
 // non-zero if any finding survives //asaplint:ignore filtering.
@@ -29,9 +29,7 @@ import (
 	"asap/internal/analysis/detcheck"
 	"asap/internal/analysis/domaincheck"
 	"asap/internal/analysis/donecheck"
-	"asap/internal/analysis/ledgercheck"
 	"asap/internal/analysis/obscheck"
-	"asap/internal/analysis/schedcheck"
 	"asap/internal/analysis/unitcheck"
 )
 
@@ -40,9 +38,7 @@ func analyzers() []analysis.Analyzer {
 		donecheck.New(),
 		detcheck.New(),
 		unitcheck.New(),
-		ledgercheck.New(),
 		obscheck.New(),
-		schedcheck.New(),
 	}
 }
 

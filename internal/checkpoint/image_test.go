@@ -367,7 +367,7 @@ func TestImageRejectsMalformedMem(t *testing.T) {
 	}
 	rt := reflect.ValueOf(mc.RT).Elem()
 	wbb := reflect.ValueOf(m.WBB(0)).Elem()
-	core := modelField(m, "cores").Index(0).Elem()
+	core := modelField(m, "cores").Index(0)
 	pb, et := core.FieldByName("pb").Elem(), core.FieldByName("et").Elem()
 	if pb.FieldByName("entries").Len() == 0 {
 		t.Fatal("golden core 0 buffers no write; the PB cases need one")

@@ -17,11 +17,10 @@ import (
 // (DPO is evaluated with the RP policy here, its favourable configuration).
 type DPO struct {
 	flusher
-	committedTS []uint64
 }
 
 func newDPO(env Env) *DPO {
-	m := &DPO{committedTS: make([]uint64, env.Cfg.Cores)}
+	m := &DPO{}
 	m.init(env, m, true)
 	m.rp = true
 	return m
@@ -29,11 +28,6 @@ func newDPO(env Env) *DPO {
 
 // Name returns "dpo".
 func (m *DPO) Name() string { return NameDPO }
-
-// EpochCommitted reports whether epoch e has committed.
-func (m *DPO) EpochCommitted(e persist.EpochID) bool {
-	return m.committedTS[e.Thread] >= e.TS
-}
 
 // nextFlushable mirrors HOPS: oldest epoch only, once its dependencies
 // have resolved.
@@ -48,7 +42,6 @@ func (m *DPO) nextFlushable(c *fcore) *persist.PBEntry {
 // committed broadcasts ent's commit: every dependent sees it after one
 // interconnect hop — the snooped broadcast, which is DPO's scaling cost.
 func (m *DPO) committed(c *fcore, ent *persist.ETEntry) {
-	m.committedTS[c.id] = ent.TS
 	if len(ent.Dependents) > 0 {
 		m.hc.dpoBroadcasts.Inc()
 	}

@@ -13,13 +13,13 @@ import (
 // HOPSPollInterval cycles at HOPSPollCost per access (the paper's updated,
 // realistic polling parameters). All flushes are safe; the controllers need
 // no recovery table.
+//
+// HOPS's global TS register, the shared structure the paper calls a
+// scaling bottleneck, holds each thread's highest committed epoch: the
+// flusher's EpochCommitted.
 type HOPS struct {
 	flusher
 
-	// globalTS[t] is the highest committed epoch timestamp of thread t —
-	// HOPS's global TS register, the shared structure the paper calls a
-	// scaling bottleneck.
-	globalTS []uint64
 	// polling[c] marks a poll in progress for core c.
 	polling []bool
 }
@@ -32,7 +32,7 @@ const (
 )
 
 func newHOPS(env Env, rp bool) *HOPS {
-	m := &HOPS{globalTS: make([]uint64, env.Cfg.Cores), polling: make([]bool, env.Cfg.Cores)}
+	m := &HOPS{polling: make([]bool, env.Cfg.Cores)}
 	m.init(env, m, true)
 	m.rp = rp
 	return m
@@ -46,14 +46,6 @@ func (m *HOPS) Name() string {
 	return NameHOPSEP
 }
 
-// EpochCommitted consults the global TS register.
-func (m *HOPS) EpochCommitted(e persist.EpochID) bool {
-	return m.globalTS[e.Thread] >= e.TS
-}
-
-// committed publishes the commit to the global TS register.
-func (m *HOPS) committed(c *fcore, ent *persist.ETEntry) { m.globalTS[c.id] = ent.TS }
-
 // Conflict applies the same dependency policy as ASAP but resolution will
 // happen by polling rather than CDR messages.
 func (m *HOPS) Conflict(core int, cf *cache.Conflict) {
@@ -65,7 +57,7 @@ func (m *HOPS) Conflict(core int, cf *cache.Conflict) {
 	if !m.EpochCommitted(src) {
 		cur.Deps = append(cur.Deps, src) //asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
 		m.env.Ledger.DepCreated(src, persist.EpochID{Thread: core, TS: cur.TS})
-		m.schedulePoll(m.cores[core])
+		m.schedulePoll(&m.cores[core])
 	}
 }
 
@@ -100,7 +92,7 @@ func (m *HOPS) event(kind int, arg uint64) {
 	case hEvPoll:
 		m.polling[arg] = false
 		m.hc.hopsPolls.Inc()
-		m.pollOnce(m.cores[arg])
+		m.pollOnce(&m.cores[arg])
 	default:
 		m.flusher.event(kind, arg)
 	}
@@ -115,7 +107,7 @@ func (m *HOPS) pollOnce(c *fcore) {
 		ent, ok := c.et.Get(ts)
 		for ok && ent.Resolved < len(ent.Deps) {
 			src := ent.Deps[ent.Resolved]
-			if m.globalTS[src.Thread] < src.TS {
+			if !m.EpochCommitted(src) {
 				remaining = true
 				break
 			}

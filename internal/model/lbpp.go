@@ -19,11 +19,10 @@ import (
 // below HOPS and ASAP.
 type LBPP struct {
 	flusher
-	committedTS []uint64
 }
 
 func newLBPP(env Env) *LBPP {
-	m := &LBPP{committedTS: make([]uint64, env.Cfg.Cores)}
+	m := &LBPP{}
 	m.init(env, m, true)
 	m.lazy = true
 	return m
@@ -31,11 +30,6 @@ func newLBPP(env Env) *LBPP {
 
 // Name returns "lbpp".
 func (m *LBPP) Name() string { return NameLBPP }
-
-// EpochCommitted reports whether epoch e has fully persisted.
-func (m *LBPP) EpochCommitted(e persist.EpochID) bool {
-	return m.committedTS[e.Thread] >= e.TS
-}
 
 // Release closes the epoch (epoch persistency: the release is ordered by
 // the barrier the workload already issued around it).
@@ -54,7 +48,6 @@ func (m *LBPP) nextFlushable(c *fcore) *persist.PBEntry {
 
 // committed releases the epochs waiting on ent.
 func (m *LBPP) committed(c *fcore, ent *persist.ETEntry) {
-	m.committedTS[c.id] = ent.TS
 	m.notify(ent.Dependents)
 }
 

@@ -19,8 +19,7 @@ import (
 // LRP."
 type LRP struct {
 	flusher
-	committedTS []uint64
-	acq         []lrpAcquire
+	acq []lrpAcquire
 }
 
 // lrpAcquire is one core's blocked coherence forward: while stalled, the
@@ -51,10 +50,7 @@ const (
 const lEvUnstall = fEvPolicy
 
 func newLRP(env Env) *LRP {
-	m := &LRP{
-		committedTS: make([]uint64, env.Cfg.Cores),
-		acq:         make([]lrpAcquire, env.Cfg.Cores),
-	}
+	m := &LRP{acq: make([]lrpAcquire, env.Cfg.Cores)}
 	m.init(env, m, true)
 	m.rp = true
 	return m
@@ -62,11 +58,6 @@ func newLRP(env Env) *LRP {
 
 // Name returns "lrp".
 func (m *LRP) Name() string { return NameLRP }
-
-// EpochCommitted reports whether epoch e has fully persisted.
-func (m *LRP) EpochCommitted(e persist.EpochID) bool {
-	return m.committedTS[e.Thread] >= e.TS
-}
 
 // hold parks op behind core's blocked acquire.
 func (m *LRP) hold(core int, op lrpHeld) {
@@ -129,8 +120,8 @@ func (m *LRP) Conflict(core int, cf *cache.Conflict) {
 		ent.Dependents = append(ent.Dependents, persist.EpochID{Thread: core}) //asaplint:ignore alloccheck contention-only path; fan-out bounded by core count
 	}
 	// Make sure the source epoch is closed so it can persist.
-	if w := m.cores[src.Thread]; w.et.CurrentTS() == src.TS {
-		m.advance(w)
+	if w := &m.cores[src.Thread]; w.et.CurrentTS() == src.TS {
+		m.advance(w, evEpochSplit)
 		m.kick(w)
 	}
 }
@@ -142,7 +133,6 @@ func (m *LRP) nextFlushable(c *fcore) *persist.PBEntry {
 
 // committed unblocks the coherence forwards waiting on ent.
 func (m *LRP) committed(c *fcore, ent *persist.ETEntry) {
-	m.committedTS[c.id] = ent.TS
 	for _, d := range ent.Dependents {
 		m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m.env.op(), lEvUnstall, uint64(d.Thread))
 	}

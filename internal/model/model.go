@@ -1,13 +1,18 @@
 // Package model implements the persistence architectures the ASAP paper
 // evaluates (§VII): the synchronous Intel baseline (clwb+sfence), HOPS with
 // epoch or release persistency, ASAP with epoch or release persistency, and
-// an eADR/BBB ideal. All models sit behind one Model interface driven by the
-// machine (package machine), which feeds them the program's stores, fences
-// and synchronization operations and reports coherence conflicts.
+// an eADR/BBB ideal, plus the related-work designs of Table IV. All models
+// sit behind one Model interface driven by the machine (package machine),
+// which feeds them the program's stores, fences and synchronization
+// operations and reports coherence conflicts. Every persist-buffered
+// design — ASAP, HOPS, LB++, DPO, LRP, StrandWeaver and Vorpal — embeds
+// the one epoch flusher (flusher.go) and supplies only its policy: ASAP
+// differs from HOPS in the few flushPolicy methods it overrides.
 package model
 
 import (
 	"fmt"
+	"slices"
 
 	"asap/internal/cache"
 	"asap/internal/config"
@@ -143,16 +148,9 @@ const (
 )
 
 // Known reports whether name is one of the implemented designs (the
-// evaluated six plus the related-work set) without building a model —
-// asapd validates request specs against it.
-func Known(name string) bool {
-	for _, n := range ExtendedNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
+// evaluated six plus the related-work set) without building a model or
+// allocating — asapd validates request specs against it.
+func Known(name string) bool { return slices.Contains(names[:], name) }
 
 // Speculative reports whether the named model needs recovery tables at the
 // memory controllers.
@@ -216,17 +214,24 @@ func New(name string, env Env) (Model, error) {
 	return m, nil
 }
 
-// AllNames lists the six models the paper evaluates, in its presentation
-// order (Figure 8, left to right).
-func AllNames() []string {
-	return []string{NameBaseline, NameHOPSEP, NameHOPSRP, NameASAPEP, NameASAPRP, NameEADR}
+// names lists every implemented design: the six the paper evaluates, in
+// its presentation order (Figure 8, left to right), then the related-work
+// designs built for the quantitative Table IV comparison.
+var names = [...]string{
+	NameBaseline, NameHOPSEP, NameHOPSRP, NameASAPEP, NameASAPRP, NameEADR,
+	NameLBPP, NameDPO, NameLRP, NameVorpal, NameStrandWeaver, NamePMEMSpec,
 }
 
+// numEvaluated is the number of names the paper evaluates.
+const numEvaluated = 6
+
+// AllNames lists the six models the paper evaluates, in its presentation
+// order (Figure 8, left to right).
+func AllNames() []string { return slices.Clone(names[:numEvaluated]) }
+
 // ExtendedNames adds the related-work designs built for the quantitative
-// Table IV comparison (lbpp, dpo, lrp, vorpal, pmem_spec).
-func ExtendedNames() []string {
-	return append(AllNames(), NameLBPP, NameDPO, NameLRP, NameVorpal, NameStrandWeaver, NamePMEMSpec)
-}
+// Table IV comparison (lbpp, dpo, lrp, vorpal, strandweaver, pmem_spec).
+func ExtendedNames() []string { return slices.Clone(names[:]) }
 
 // flushIssuePace is the minimum spacing between flush issues from one
 // persist buffer (models a single flush port).

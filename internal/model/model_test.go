@@ -280,7 +280,7 @@ func TestDPOResolvesFasterThanHOPS(t *testing.T) {
 // TestEpochCommittedSemantics: committed queries answer correctly across
 // retirement for the buffered models.
 func TestEpochCommittedSemantics(t *testing.T) {
-	for _, name := range []string{NameHOPSRP, NameASAPRP, NameDPO} {
+	for _, name := range []string{NameHOPSRP, NameASAPRP, NameDPO, NameLBPP, NameLRP, NameVorpal} {
 		env, eng := testEnv(t, name)
 		m, _ := New(name, env)
 		fin := false
@@ -294,7 +294,7 @@ func TestEpochCommittedSemantics(t *testing.T) {
 		if !m.EpochCommitted(persist.EpochID{Thread: 0, TS: 1}) {
 			t.Errorf("%s: epoch 1 should be committed after dfence", name)
 		}
-		if m.EpochCommitted(persist.EpochID{Thread: 0, TS: m.CurrentTS(0)}) && name != NameDPO {
+		if m.EpochCommitted(persist.EpochID{Thread: 0, TS: m.CurrentTS(0)}) {
 			// The open epoch is never committed for table-based models.
 			t.Errorf("%s: open epoch reported committed", name)
 		}
@@ -480,5 +480,23 @@ func TestStrandWeaverDependency(t *testing.T) {
 	}
 	if env.St.Get("interTEpochConflict") != 1 {
 		t.Fatalf("deps = %d, want 1", env.St.Get("interTEpochConflict"))
+	}
+}
+
+// TestKnownAllocFree: asapd validates every request's model name with
+// Known, so it must not allocate.
+func TestKnownAllocFree(t *testing.T) {
+	for _, name := range append(ExtendedNames(), "bogus") {
+		if allocs := testing.AllocsPerRun(100, func() { Known(name) }); allocs != 0 {
+			t.Errorf("Known(%q): %.0f allocations per call", name, allocs)
+		}
+	}
+	for _, name := range ExtendedNames() {
+		if !Known(name) {
+			t.Errorf("Known(%q) = false", name)
+		}
+	}
+	if Known("bogus") {
+		t.Error(`Known("bogus") = true`)
 	}
 }

@@ -80,7 +80,7 @@ func (m *StrandWeaver) Strand(core int) {
 	s.nextTS++
 	s.cur = len(s.strands) - 1
 	m.hc.swStrands.Inc()
-	m.tryCommitAll(m.cores[core])
+	m.tryCommitAll(&m.cores[core])
 }
 
 func (s *swCore) open() *swEpoch {
@@ -145,7 +145,7 @@ func (m *StrandWeaver) closeOpen(s *swCore, st *swStrand) {
 func (m *StrandWeaver) Ofence(core int, done sim.Cont) {
 	s := m.sw[core]
 	m.closeOpen(s, &s.strands[s.cur])
-	m.tryCommitAll(m.cores[core])
+	m.tryCommitAll(&m.cores[core])
 	m.env.Eng.Resume(done)
 }
 
@@ -155,7 +155,7 @@ func (m *StrandWeaver) Dfence(core int, done sim.Cont) {
 	for i := range s.strands {
 		m.closeOpen(s, &s.strands[i])
 	}
-	c := m.cores[core]
+	c := &m.cores[core]
 	m.tryCommitAll(c)
 	if s.drained() {
 		m.env.Eng.Resume(done)
@@ -194,7 +194,7 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 	w := m.sw[src.Thread]
 	if st, we := w.epochByTS(src.TS); we != nil && !we.closed {
 		m.closeOpen(w, st)
-		m.tryCommitAll(m.cores[src.Thread])
+		m.tryCommitAll(&m.cores[src.Thread])
 	}
 	s := m.sw[core]
 	m.closeOpen(s, &s.strands[s.cur])
@@ -207,7 +207,7 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 		se.waiters = append(se.waiters, id)
 		m.env.Ledger.DepCreated(src, id)
 	}
-	m.tryCommitAll(m.cores[core])
+	m.tryCommitAll(&m.cores[core])
 }
 
 // nextFlushable: within each strand only the oldest epoch flushes
@@ -296,12 +296,8 @@ func (m *StrandWeaver) resolve(dst persist.EpochID) {
 	if _, e := m.sw[dst.Thread].epochByTS(dst.TS); e != nil {
 		e.resolved++
 	}
-	m.tryCommitAll(m.cores[dst.Thread])
+	m.tryCommitAll(&m.cores[dst.Thread])
 }
-
-// committed is unused: strand epochs commit in tryCommitAll, not through
-// the epoch-table rule.
-func (m *StrandWeaver) committed(*fcore, *persist.ETEntry) {}
 
 var _ Model = (*StrandWeaver)(nil)
 var _ StrandModel = (*StrandWeaver)(nil)

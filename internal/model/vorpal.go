@@ -20,10 +20,10 @@ import (
 type Vorpal struct {
 	flusher
 
-	// persisted[t][mc] = highest epoch of thread t fully persisted at mc.
-	persisted [][]uint64
-	// visible[t] = min over controllers of persisted as of the last
-	// broadcast — the view each controller orders against.
+	// visible[t] is thread t's highest epoch persisted at every
+	// controller as of the last broadcast — the view each controller
+	// orders against. An epoch has persisted everywhere once it commits
+	// (the flusher's EpochCommitted).
 	visible []uint64
 	// pending flushes parked at each controller.
 	pending [][]vorpalFlush
@@ -69,13 +69,9 @@ const vorpalBroadcastInterval sim.Cycles = 500
 
 func newVorpal(env Env) *Vorpal {
 	m := &Vorpal{
-		persisted: make([][]uint64, env.Cfg.Cores),
-		visible:   make([]uint64, env.Cfg.Cores),
-		pending:   make([][]vorpalFlush, env.Cfg.MCs),
-		deps:      make([][]vorpalDep, env.Cfg.Cores),
-	}
-	for i := range m.persisted {
-		m.persisted[i] = make([]uint64, env.Cfg.MCs)
+		visible: make([]uint64, env.Cfg.Cores),
+		pending: make([][]vorpalFlush, env.Cfg.MCs),
+		deps:    make([][]vorpalDep, env.Cfg.Cores),
 	}
 	m.init(env, m, true)
 	m.rp = true
@@ -87,25 +83,10 @@ func newVorpal(env Env) *Vorpal {
 // Name returns "vorpal".
 func (m *Vorpal) Name() string { return NameVorpal }
 
-// EpochCommitted: committed when persisted at every controller.
-func (m *Vorpal) EpochCommitted(e persist.EpochID) bool {
-	for _, p := range m.persisted[e.Thread] {
-		if p < e.TS {
-			return false
-		}
-	}
-	// Persisted counters only advance when the epoch table retires the
-	// epoch, which requires all earlier epochs too; see committed.
-	return true
-}
-
-// committed marks ent persisted at every controller and drops the
-// dependency records of ent and the epochs before it: their writes have
-// all persisted, so no flush of theirs is left to order.
+// committed drops the dependency records of ent and the epochs before
+// it: their writes have all persisted, so no flush of theirs is left to
+// order.
 func (m *Vorpal) committed(c *fcore, ent *persist.ETEntry) {
-	for mcID := range m.persisted[c.id] {
-		m.persisted[c.id][mcID] = ent.TS
-	}
 	d := m.deps[c.id]
 	k := 0
 	for k < len(d) && d[k].ts <= ent.TS {
@@ -151,6 +132,7 @@ func (m *Vorpal) kicked() {
 // send puts the flush on its way to the controller, which parks or
 // persists it on arrival.
 func (m *Vorpal) send(c *fcore, e *persist.PBEntry) {
+	c.pb.MarkInflight(e, false)
 	m.arrivals = append(m.arrivals, vorpalFlush{ //asaplint:ignore alloccheck arrival ring reaches steady-state capacity, then appends reuse it
 		mc: m.env.IL.Home(e.Line), line: e.Line, token: e.Token,
 		epoch: persist.EpochID{Thread: c.id, TS: e.TS}, pbID: e.ID,
@@ -213,14 +195,8 @@ func (m *Vorpal) persistNow(fl vorpalFlush) {
 // work remains.
 func (m *Vorpal) tick() {
 	m.hc.vorpalBroadcasts.Inc()
-	for t := range m.visible {
-		min := ^uint64(0)
-		for _, p := range m.persisted[t] {
-			if p < min {
-				min = p
-			}
-		}
-		m.visible[t] = min
+	for t := range m.cores {
+		m.visible[t] = m.cores[t].et.OldestTS() - 1 // the highest committed epoch
 	}
 	for mcID, pend := range m.pending {
 		rest := pend[:0]
@@ -251,8 +227,8 @@ func (m *Vorpal) busy() bool {
 			return true
 		}
 	}
-	for _, c := range m.cores {
-		if !c.pb.Empty() {
+	for i := range m.cores {
+		if !m.cores[i].pb.Empty() {
 			return true
 		}
 	}
