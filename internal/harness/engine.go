@@ -186,10 +186,9 @@ func (e *engine) protect(what string, fn func() (any, error)) (any, error) {
 }
 
 // trace returns the generated trace for key, computing it at most once per
-// engine and consulting the process-global compiled-trace cache so repeat
-// engines share one arena (traceGens still counts this engine's leader
-// executions — the plan-coverage test reasons about engine-local work).
-// Trace generation deliberately does not take a pool slot: it is always
+// engine, which holds it for as long as the engine lives: no trace is
+// shared across harnesses or outlives its own. Trace generation
+// deliberately does not take a pool slot: it is always
 // invoked either inline by a run leader that already holds one, or
 // directly from a serial experiment body, so a slot-per-trace would risk
 // leaders deadlocking behind runs that wait for their traces.
@@ -197,7 +196,7 @@ func (e *engine) trace(k traceKey) (*trace.Trace, error) {
 	v, err := e.once(k, func() (any, error) {
 		return capture("workload "+k.wl, func() (any, error) {
 			e.traceGens.Add(1)
-			return lookupTrace(k)
+			return workload.Generate(k.wl, k.p)
 		})
 	})
 	if err != nil {

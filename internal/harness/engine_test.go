@@ -3,10 +3,12 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"asap/internal/machine"
 	"asap/internal/model"
@@ -252,4 +254,32 @@ func TestRunMachineCached(t *testing.T) {
 	if m1 != m2 {
 		t.Fatal("RunMachine re-ran instead of returning the cached machine")
 	}
+}
+
+// TestHarnessReleasesTraces: a harness holds its traces only as long as
+// it lives. Once the harness is unreachable, the trace its run replayed
+// is collected, so a process that builds harness after harness (asapd
+// serving request after request) holds no trace of a harness it dropped.
+func TestHarnessReleasesTraces(t *testing.T) {
+	collected := make(chan struct{})
+	var once sync.Once
+	h := New(Options{Ops: 20, Seed: 0x7e1ea5e, Parallel: 1,
+		Observe: func(_ runspec.RunSpec, m *machine.Machine) {
+			once.Do(func() {
+				runtime.SetFinalizer(m.Trace(), func(*trace.Trace) { close(collected) })
+			})
+		}})
+	if _, err := h.Run("cceh", model.NameASAPRP, 2); err != nil {
+		t.Fatal(err)
+	}
+	h = nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("trace still reachable after its harness was dropped")
 }

@@ -156,9 +156,6 @@ func (m *ASAP) FlushReply(arg uint64, res persist.FlushResult) {
 	if m.trc != nil {
 		m.trc.Instant(m.pbTracks[c.id], "nack")
 	}
-	if ent, ok := c.et.Get(e.TS); ok {
-		ent.Nacked = true
-	}
 	if cons := &m.cons[core]; !cons.on || e.TS < cons.ts {
 		if !cons.on && m.trc != nil {
 			// Entering conservative flushing (§V-D): span lasts until

@@ -40,9 +40,6 @@ type ETEntry struct {
 	CommitSent bool
 	// Committed: safe, complete, and all controllers acknowledged.
 	Committed bool
-	// Nacked: an early flush of this epoch was NACKed; the persist buffer
-	// is in conservative mode until this epoch commits.
-	Nacked bool
 }
 
 // DepsResolved reports whether every cross-thread dependency has been

@@ -13,7 +13,6 @@ package pmds
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"asap/internal/trace"
 )
@@ -33,16 +32,17 @@ const (
 // operations; generation is single-goroutine, so no synchronization is
 // needed even though the recorded trace is multi-threaded.
 //
-// The heap spans size bytes from PMBase, but only the prefix that has been
-// written is backed by host memory: data grows on demand, and in-heap bytes
-// past it read as zero. A short run therefore costs what it touches, not
-// the cap it was given.
+// The heap spans size bytes from PMBase, but only the pages that have been
+// written are backed by host memory: a page is allocated on its first
+// write and never moved or copied, and bytes on unbacked pages read as
+// zero. A short run therefore costs what it touches, not the cap it was
+// given.
 type Heap struct {
-	data []byte // backed prefix of the heap; never longer than size
-	size uint64 // the heap's extent in bytes
-	brk  uint64 // allocation offset
+	pages [][]byte // pages[i] backs offsets from i*pageSize; nil reads as zero
+	size  uint64   // the heap's extent in bytes
+	brk   uint64   // allocation offset
 
-	builders []*trace.Builder
+	builders []trace.Builder
 	cur      int
 
 	nextLock uint64
@@ -53,28 +53,29 @@ type Heap struct {
 	images map[int][]LineImage
 }
 
-// heapPage is the initial backing (the reserved first page) and the
-// granularity data grows in.
+// heapPage is the reserved first page of the heap's address space, where
+// the allocator's metadata lines live.
 const heapPage = 4096
 
+// pageShift sizes the pages that back the heap: 16 KiB, a multiple of the
+// line size, so a line never straddles two pages.
+const (
+	pageShift = 14
+	pageSize  = 1 << pageShift
+)
+
 // NewHeap returns a heap of size bytes recording nthreads trace streams.
-// Only the reserved first page is allocated up front; size is the cap the
-// heap grows to.
+// No bytes are backed up front; size is the cap the heap may touch.
 func NewHeap(size int, nthreads int) *Heap {
 	if nthreads <= 0 {
 		panic("pmds: need at least one thread")
 	}
-	h := &Heap{
-		data:     make([]byte, min(size, heapPage)),
+	return &Heap{
 		size:     uint64(size),
 		brk:      heapPage, // first page reserved for allocator metadata
-		builders: make([]*trace.Builder, nthreads),
+		builders: make([]trace.Builder, nthreads),
 		nextLock: LockBase,
 	}
-	for i := range h.builders {
-		h.builders[i] = &trace.Builder{}
-	}
-	return h
 }
 
 // SetThread attributes subsequent operations to logical thread t.
@@ -84,16 +85,10 @@ func (h *Heap) SetThread(t int) { h.cur = t }
 func (h *Heap) Thread() int { return h.cur }
 
 // b returns the active builder.
-func (h *Heap) b() *trace.Builder { return h.builders[h.cur] }
+func (h *Heap) b() *trace.Builder { return &h.builders[h.cur] }
 
-// Trace assembles the recorded per-thread streams.
-func (h *Heap) Trace(name string) *trace.Trace {
-	tr := &trace.Trace{Name: name}
-	for _, b := range h.builders {
-		tr.Threads = append(tr.Threads, b.Ops())
-	}
-	return tr
-}
+// Trace compiles the streams recorded so far into a trace (trace.Compile).
+func (h *Heap) Trace(name string) *trace.Trace { return trace.Compile(name, h.builders) }
 
 // Alloc reserves n bytes aligned to align (power of two) and returns the
 // address. One metadata store models allocator persistence.
@@ -131,30 +126,59 @@ func (h *Heap) off(addr uint64) uint64 {
 	return addr - PMBase
 }
 
-// load reads the word at heap offset off; bytes past the backed prefix
-// read as zero.
+// page returns the page holding heap offset off, or nil if it is not
+// backed.
+func (h *Heap) page(off uint64) []byte {
+	if i := off >> pageShift; i < uint64(len(h.pages)) {
+		return h.pages[i]
+	}
+	return nil
+}
+
+// backPage returns the page holding heap offset off, backing it first if
+// needed. The heap's last page is clipped to size.
+func (h *Heap) backPage(off uint64) []byte {
+	i := off >> pageShift
+	for uint64(len(h.pages)) <= i {
+		h.pages = append(h.pages, nil)
+	}
+	if h.pages[i] == nil {
+		h.pages[i] = make([]byte, min(pageSize, h.size-i<<pageShift))
+	}
+	return h.pages[i]
+}
+
+// load reads the word at heap offset off; bytes on unbacked pages read as
+// zero.
 func (h *Heap) load(off uint64) uint64 {
-	if off+8 <= uint64(len(h.data)) {
-		return binary.LittleEndian.Uint64(h.data[off:])
+	if in := off & (pageSize - 1); in+8 <= pageSize {
+		if pg := h.page(off); pg != nil {
+			return binary.LittleEndian.Uint64(pg[in:])
+		}
+		return 0
 	}
 	var w [8]byte
-	if off < uint64(len(h.data)) {
-		copy(w[:], h.data[off:])
+	for i := range w {
+		o := off + uint64(i)
+		if pg := h.page(o); pg != nil {
+			w[i] = pg[o&(pageSize-1)]
+		}
 	}
 	return binary.LittleEndian.Uint64(w[:])
 }
 
-// grow backs at least the first end bytes of the heap. The backing at
-// least doubles on each growth, so a run copies O(final length) bytes in
-// total, and it never grows past size.
-func (h *Heap) grow(end uint64) {
-	if end <= uint64(len(h.data)) {
+// store writes the word at heap offset off, backing its pages.
+func (h *Heap) store(off, v uint64) {
+	if in := off & (pageSize - 1); in+8 <= pageSize {
+		binary.LittleEndian.PutUint64(h.backPage(off)[in:], v)
 		return
 	}
-	n := max(2*uint64(len(h.data)), (end+heapPage-1)&^(heapPage-1))
-	data := make([]byte, min(n, h.size))
-	copy(data, h.data)
-	h.data = data
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	for i, c := range w {
+		o := off + uint64(i)
+		h.backPage(o)[o&(pageSize-1)] = c
+	}
 }
 
 // Read64 loads a uint64, recording the access.
@@ -166,9 +190,7 @@ func (h *Heap) Read64(addr uint64) uint64 {
 // Write64 stores a uint64 persistently, recording the access.
 func (h *Heap) Write64(addr uint64, v uint64) {
 	h.b().StoreP(addr)
-	off := h.off(addr)
-	h.grow(off + 8)
-	binary.LittleEndian.PutUint64(h.data[off:], v)
+	h.store(h.off(addr), v)
 	h.recordImage(addr)
 }
 
@@ -221,7 +243,9 @@ func (h *Heap) PStoreCount(t int) int { return h.builders[t].PersistentStores() 
 // updated in place but cannot allocate.
 func ReopenHeap(data []byte, nthreads int) *Heap {
 	h := NewHeap(len(data), nthreads)
-	h.data = slices.Clone(data)
+	for off := 0; off < len(data); off += pageSize {
+		copy(h.backPage(uint64(off)), data[off:])
+	}
 	h.brk = uint64(len(data))
 	return h
 }
@@ -249,15 +273,17 @@ func (h *Heap) Images(t int) []LineImage { return h.images[t] }
 
 // recordImage captures the line containing addr for the current thread.
 // Metadata stores outside the heap capture as zero lines, as do in-heap
-// lines past the backed prefix (their bytes are zero).
+// lines on unbacked pages (their bytes are zero).
 func (h *Heap) recordImage(addr uint64) {
 	if h.images == nil {
 		return
 	}
 	lineAddr := addr &^ uint64(lineSize-1)
 	img := LineImage{LineAddr: lineAddr}
-	if off := lineAddr - PMBase; lineAddr >= PMBase && off+lineSize <= h.size && off < uint64(len(h.data)) {
-		copy(img.Data[:], h.data[off:])
+	if off := lineAddr - PMBase; lineAddr >= PMBase && off+lineSize <= h.size {
+		if pg := h.page(off); pg != nil {
+			copy(img.Data[:], pg[off&(pageSize-1):])
+		}
 	}
 	h.images[h.cur] = append(h.images[h.cur], img)
 }

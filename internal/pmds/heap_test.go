@@ -170,9 +170,18 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// TestHeapCapBounds: the heap grows on demand, but Alloc still exhausts
-// and accesses still fall outside at exactly size bytes, however little of
-// it is backed.
+// backed returns the bytes of host memory backing h.
+func (h *Heap) backed() int {
+	n := 0
+	for _, pg := range h.pages {
+		n += len(pg)
+	}
+	return n
+}
+
+// TestHeapCapBounds: the heap is backed on demand, but Alloc still
+// exhausts and accesses still fall outside at exactly size bytes, however
+// little of it is backed.
 func TestHeapCapBounds(t *testing.T) {
 	const size = 1 << 20
 	h := NewHeap(size, 1)
@@ -183,12 +192,12 @@ func TestHeapCapBounds(t *testing.T) {
 	}
 	mustPanic(t, "heap exhausted", func() { h.Alloc(1, 1) })
 
-	h.Write64(PMBase+size-8, 5) // the last word grows the backing to the cap
+	h.Write64(PMBase+size-8, 5) // the last word backs the last page only
 	if h.Peek64(PMBase+size-8) != 5 || h.Read64(PMBase+size-8) != 5 {
 		t.Fatal("last word lost")
 	}
-	if len(h.data) != size {
-		t.Fatalf("backing %d bytes, want the cap %d", len(h.data), size)
+	if h.backed() != pageSize {
+		t.Fatalf("backing %d bytes, want the last page's %d", h.backed(), pageSize)
 	}
 	for _, addr := range []uint64{PMBase + size - 7, PMBase + size, PMBase - 8, PMBase - 1} {
 		mustPanic(t, "outside heap", func() { h.Read64(addr) })
@@ -196,13 +205,13 @@ func TestHeapCapBounds(t *testing.T) {
 		mustPanic(t, "outside heap", func() { h.Peek64(addr) })
 	}
 
-	// Doubling stops at the cap: 8 KiB backed, then a write at the end of
-	// a 12 KiB heap backs 12 KiB, not 16.
+	// The last page is clipped to the cap: a 12 KiB heap, smaller than
+	// one page, backs 12 KiB, not a whole page.
 	odd := NewHeap(3*4096, 1)
 	odd.Write64(PMBase+8184, 1)
 	odd.Write64(PMBase+3*4096-8, 2)
-	if len(odd.data) != 3*4096 {
-		t.Fatalf("backing grew to %d bytes past the %d-byte cap", len(odd.data), 3*4096)
+	if odd.backed() != 3*4096 {
+		t.Fatalf("backing grew to %d bytes past the %d-byte cap", odd.backed(), 3*4096)
 	}
 
 	fresh := NewHeap(size, 1)
@@ -210,33 +219,57 @@ func TestHeapCapBounds(t *testing.T) {
 	mustPanic(t, "heap exhausted", func() { fresh.Alloc(size-4096+1, 1) })
 }
 
-// TestHeapUnbackedReadsZero: bytes inside the cap but past the backed
-// prefix read as zero, including a word that straddles its end, and
-// growth keeps what was written.
+// TestHeapUnbackedReadsZero: bytes inside the cap but on unbacked pages
+// read as zero, including a word that straddles a backed page's end, and
+// backing a new page keeps what was written.
 func TestHeapUnbackedReadsZero(t *testing.T) {
 	const size = 1 << 20
 	h := NewHeap(size, 1)
-	if len(h.data) != 4096 {
-		t.Fatalf("fresh heap backs %d bytes, want the reserved page", len(h.data))
+	if h.backed() != 0 {
+		t.Fatalf("fresh heap backs %d bytes, want none", h.backed())
 	}
 	for _, off := range []uint64{4096, 8192, size / 2, size - 8} {
 		if v := h.Peek64(PMBase + off); v != 0 {
 			t.Fatalf("unbacked word at +%d reads %#x", off, v)
 		}
 	}
-	h.Write64(PMBase+8184, 0x1122334455667788) // ends the backed prefix
-	if len(h.data) != 8192 {
-		t.Fatalf("backing %d bytes after a write ending at 8192", len(h.data))
+	h.Write64(PMBase+pageSize-8, 0x1122334455667788) // ends the first page
+	if h.backed() != pageSize {
+		t.Fatalf("backing %d bytes after a write in the first page", h.backed())
 	}
-	if v := h.Peek64(PMBase + 8188); v != 0x11223344 {
+	if v := h.Peek64(PMBase + pageSize - 4); v != 0x11223344 {
 		t.Fatalf("straddling word reads %#x, want %#x", v, 0x11223344)
 	}
 	h.Write64(PMBase+size/2, 9)
-	if h.Peek64(PMBase+8184) != 0x1122334455667788 || h.Peek64(PMBase+size/2) != 9 {
-		t.Fatal("growth lost a written word")
+	if h.Peek64(PMBase+pageSize-8) != 0x1122334455667788 || h.Peek64(PMBase+size/2) != 9 {
+		t.Fatal("backing a page lost a written word")
 	}
 	if v := h.Peek64(PMBase + size/2 + 8); v != 0 {
 		t.Fatalf("word past the last write reads %#x", v)
+	}
+	if h.backed() != 2*pageSize {
+		t.Fatalf("backing %d bytes after writes in two pages", h.backed())
+	}
+}
+
+// TestHeapWordStraddlesPages: a word written across a page boundary backs
+// both pages and reads back whole, and its halves read back from each
+// page.
+func TestHeapWordStraddlesPages(t *testing.T) {
+	h := NewHeap(1<<20, 1)
+	at := PMBase + 3*pageSize - 4
+	h.Write64(at, 0x1122334455667788)
+	if h.backed() != 2*pageSize {
+		t.Fatalf("straddling write backs %d bytes, want two pages", h.backed())
+	}
+	if v := h.Read64(at); v != 0x1122334455667788 {
+		t.Fatalf("straddling word reads %#x", v)
+	}
+	if v := h.Peek64(at - 4); v != 0x5566778800000000 {
+		t.Fatalf("low half reads %#x from the first page", v)
+	}
+	if v := h.Peek64(at + 4); v != 0x11223344 {
+		t.Fatalf("high half reads %#x from the second page", v)
 	}
 }
 
@@ -265,8 +298,8 @@ func TestReopenHeapRoundTrip(t *testing.T) {
 }
 
 // TestCaptureImagesMetadataLines: with more than eight threads, allocator
-// metadata lines fall past the reserved page. One past the backed prefix
-// records a zero line, and one inside it records the line's current bytes,
+// metadata lines fall past the reserved page. One on an unbacked page
+// records a zero line, and one on a backed page records the line's bytes,
 // exactly as when the whole heap was allocated up front.
 func TestCaptureImagesMetadataLines(t *testing.T) {
 	h := NewHeap(1<<20, 16)
@@ -277,8 +310,8 @@ func TestCaptureImagesMetadataLines(t *testing.T) {
 	if len(imgs) != 1 || imgs[0].LineAddr != PMBase+7744 || imgs[0].Data != [64]byte{} {
 		t.Fatalf("unbacked metadata line image = %+v", imgs)
 	}
-	if len(h.data) != 4096 {
-		t.Fatalf("metadata store grew the backing to %d bytes", len(h.data))
+	if h.backed() != 0 {
+		t.Fatalf("metadata store backed %d bytes", h.backed())
 	}
 
 	h.SetThread(0)

@@ -54,7 +54,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	prop := func(name string, raw []rawOp) bool {
 		tr := &Trace{Name: name}
-		var b Builder
+		var ops []Op
 		for _, r := range raw {
 			op := Op{Kind: Kind(r.Kind % 7), Persistent: r.Persistent}
 			if op.Kind == OpCompute {
@@ -62,9 +62,9 @@ func TestRoundTripProperty(t *testing.T) {
 			} else {
 				op.Addr = uint64(r.Arg)
 			}
-			b.ops = append(b.ops, op)
+			ops = append(ops, op)
 		}
-		tr.Threads = append(tr.Threads, b.Ops())
+		tr.Threads = append(tr.Threads, ops)
 
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {

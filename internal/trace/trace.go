@@ -52,12 +52,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Op is one operation of one thread.
+// Op is one operation of one thread. The fields run from widest to
+// narrowest, so an Op packs into 16 bytes.
 type Op struct {
-	Kind       Kind
 	Addr       uint64 // byte address for memory ops and locks
 	N          uint32 // compute cycles for OpCompute
-	Persistent bool   // store targets persistent memory
+	Kind       Kind
+	Persistent bool // store targets persistent memory
 }
 
 // Trace holds one op stream per thread.
@@ -70,13 +71,11 @@ type Trace struct {
 func (t *Trace) NumThreads() int { return len(t.Threads) }
 
 // Compile repacks the per-thread streams into one flat op arena: a single
-// backing []Op with each thread's stream a three-index window into it. A
-// generated trace arrives as one heap allocation per thread builder (plus
-// the builders' growth garbage); the compiled form is one allocation total,
-// contiguous in replay order, so a harness replaying the same trace across
-// many models touches one cache-friendly slab. The windows are capacity-
-// clipped, so an append through one thread's slice can never bleed into the
-// next thread's ops. Compiling is idempotent; it returns t for chaining.
+// backing []Op with each thread's stream a three-index window into it, the
+// form the package-level Compile builds directly from builders. The
+// windows are capacity-clipped, so an append through one thread's slice
+// can never bleed into the next thread's ops. Compiling is idempotent; it
+// returns t for chaining.
 func (t *Trace) Compile() *Trace {
 	arena := make([]Op, 0, t.TotalOps())
 	for _, th := range t.Threads {
@@ -89,6 +88,26 @@ func (t *Trace) Compile() *Trace {
 		off = end
 	}
 	return t
+}
+
+// Compile copies one builder per thread into a compiled trace: each
+// thread's stream is a capacity-clipped window of one arena, contiguous
+// in replay order, so a harness replaying the trace across many models
+// touches one cache-friendly slab. Each op is copied exactly once, from
+// its builder chunk into the arena; the builders are left as they were.
+func Compile(name string, bs []Builder) *Trace {
+	n := 0
+	for i := range bs {
+		n += bs[i].Len()
+	}
+	arena := make([]Op, 0, n)
+	tr := &Trace{Name: name, Threads: make([][]Op, len(bs))}
+	for i := range bs {
+		start := len(arena)
+		arena = bs[i].appendTo(arena)
+		tr.Threads[i] = arena[start:len(arena):len(arena)]
+	}
+	return tr
 }
 
 // TotalOps returns the op count across all threads.
@@ -111,43 +130,76 @@ func (t *Trace) Counts() map[Kind]int {
 	return out
 }
 
-// Builder accumulates a per-thread stream with convenience emitters.
+// chunkOps is the op capacity of one Builder chunk (16 KiB).
+const chunkOps = 1024
+
+// Builder accumulates a per-thread stream with convenience emitters. Ops
+// go into fixed-size chunks that are never copied or regrown, so building
+// a stream of n ops allocates n ops rounded up to a chunk, not the
+// doubling garbage of one growing slice.
 type Builder struct {
-	ops     []Op
+	full    [][]Op // filled chunks, chunkOps ops each, in order
+	cur     []Op   // the chunk being filled
 	pstores int
 }
 
+// add appends op, starting a new chunk when the current one is full.
+func (b *Builder) add(op Op) {
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]Op, 0, chunkOps)
+	}
+	b.cur = append(b.cur, op)
+}
+
+// appendTo appends the accumulated stream to dst.
+func (b *Builder) appendTo(dst []Op) []Op {
+	for _, c := range b.full {
+		dst = append(dst, c...)
+	}
+	return append(dst, b.cur...)
+}
+
 // Compute appends n cycles of computation.
-func (b *Builder) Compute(n uint32) { b.ops = append(b.ops, Op{Kind: OpCompute, N: n}) }
+func (b *Builder) Compute(n uint32) { b.add(Op{Kind: OpCompute, N: n}) }
 
 // Load appends a load of addr.
-func (b *Builder) Load(addr uint64) { b.ops = append(b.ops, Op{Kind: OpLoad, Addr: addr}) }
+func (b *Builder) Load(addr uint64) { b.add(Op{Kind: OpLoad, Addr: addr}) }
 
 // StoreP appends a persistent store to addr.
 func (b *Builder) StoreP(addr uint64) {
-	b.ops = append(b.ops, Op{Kind: OpStore, Addr: addr, Persistent: true})
+	b.add(Op{Kind: OpStore, Addr: addr, Persistent: true})
 	b.pstores++
 }
 
 // StoreV appends a volatile store to addr.
-func (b *Builder) StoreV(addr uint64) { b.ops = append(b.ops, Op{Kind: OpStore, Addr: addr}) }
+func (b *Builder) StoreV(addr uint64) { b.add(Op{Kind: OpStore, Addr: addr}) }
 
 // Ofence / Dfence append persist barriers.
-func (b *Builder) Ofence() { b.ops = append(b.ops, Op{Kind: OpOfence}) }
-func (b *Builder) Dfence() { b.ops = append(b.ops, Op{Kind: OpDfence}) }
+func (b *Builder) Ofence() { b.add(Op{Kind: OpOfence}) }
+func (b *Builder) Dfence() { b.add(Op{Kind: OpDfence}) }
 
 // Acquire / Release append lock operations on lock address addr.
-func (b *Builder) Acquire(addr uint64) { b.ops = append(b.ops, Op{Kind: OpAcquire, Addr: addr}) }
-func (b *Builder) Release(addr uint64) { b.ops = append(b.ops, Op{Kind: OpRelease, Addr: addr}) }
+func (b *Builder) Acquire(addr uint64) { b.add(Op{Kind: OpAcquire, Addr: addr}) }
+func (b *Builder) Release(addr uint64) { b.add(Op{Kind: OpRelease, Addr: addr}) }
 
 // NewStrand appends a strand boundary (strand persistency).
-func (b *Builder) NewStrand() { b.ops = append(b.ops, Op{Kind: OpStrand}) }
+func (b *Builder) NewStrand() { b.add(Op{Kind: OpStrand}) }
 
-// Ops returns the accumulated stream.
-func (b *Builder) Ops() []Op { return b.ops }
+// Ops returns the accumulated stream: the builder's only chunk, or a
+// contiguous copy once the stream spans several. Compile builds a trace
+// without the copy.
+func (b *Builder) Ops() []Op {
+	if len(b.full) == 0 {
+		return b.cur
+	}
+	return b.appendTo(make([]Op, 0, b.Len()))
+}
 
 // Len returns the number of accumulated ops.
-func (b *Builder) Len() int { return len(b.ops) }
+func (b *Builder) Len() int { return len(b.full)*chunkOps + len(b.cur) }
 
 // PersistentStores returns the number of persistent stores accumulated —
 // the same sequence numbering the machine's token origins use.

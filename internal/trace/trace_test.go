@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -108,5 +109,118 @@ func TestKindString(t *testing.T) {
 	}
 	if !strings.HasPrefix(Kind(99).String(), "kind(") {
 		t.Fatal("unknown kind should fall back")
+	}
+}
+
+// TestOpIs16Bytes pins Op's packed layout: the widest field first, so an
+// op takes 16 bytes in every builder chunk, arena and plan.
+func TestOpIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 16 {
+		t.Fatalf("Op takes %d bytes, want 16", n)
+	}
+}
+
+// refBuilder is the plain-append builder the chunked Builder must match.
+type refBuilder struct {
+	ops     []Op
+	pstores int
+}
+
+// emit appends the i-th op of a fixed kind rotation to both builders.
+func emit(b *Builder, ref *refBuilder, i int) {
+	addr := uint64(i) * 64
+	var op Op
+	switch i % 9 {
+	case 0:
+		b.Compute(uint32(i))
+		op = Op{Kind: OpCompute, N: uint32(i)}
+	case 1:
+		b.Load(addr)
+		op = Op{Kind: OpLoad, Addr: addr}
+	case 2, 3:
+		b.StoreP(addr)
+		op = Op{Kind: OpStore, Addr: addr, Persistent: true}
+		ref.pstores++
+	case 4:
+		b.StoreV(addr)
+		op = Op{Kind: OpStore, Addr: addr}
+	case 5:
+		b.Ofence()
+		op = Op{Kind: OpOfence}
+	case 6:
+		b.Dfence()
+		op = Op{Kind: OpDfence}
+	case 7:
+		if i%2 == 0 {
+			b.Acquire(addr)
+			op = Op{Kind: OpAcquire, Addr: addr}
+		} else {
+			b.Release(addr)
+			op = Op{Kind: OpRelease, Addr: addr}
+		}
+	case 8:
+		b.NewStrand()
+		op = Op{Kind: OpStrand}
+	}
+	ref.ops = append(ref.ops, op)
+}
+
+// TestBuilderMatchesAppend: at every chunk boundary, the chunked Builder's
+// Ops, Len and PersistentStores equal a plain append builder's after each
+// op, and Compile lays the same streams out in one arena.
+func TestBuilderMatchesAppend(t *testing.T) {
+	sizes := []int{0, 1, chunkOps - 1, chunkOps, chunkOps + 1, 2*chunkOps + 1}
+	bs := make([]Builder, len(sizes))
+	refs := make([]refBuilder, len(sizes))
+	for k, n := range sizes {
+		b, ref := &bs[k], &refs[k]
+		for i := 0; i < n; i++ {
+			emit(b, ref, i)
+			if i+1 >= chunkOps-1 || i < 3 { // every boundary, and a short prefix
+				if b.Len() != len(ref.ops) || b.PersistentStores() != ref.pstores {
+					t.Fatalf("size %d after %d ops: Len %d PersistentStores %d, want %d %d",
+						n, i+1, b.Len(), b.PersistentStores(), len(ref.ops), ref.pstores)
+				}
+			}
+		}
+		if !slices.Equal(b.Ops(), ref.ops) {
+			t.Fatalf("size %d: Ops differ from the append builder's", n)
+		}
+		if b.Len() != n || b.PersistentStores() != ref.pstores {
+			t.Fatalf("size %d: Len %d PersistentStores %d, want %d %d",
+				n, b.Len(), b.PersistentStores(), n, ref.pstores)
+		}
+		if n == 0 && b.Ops() != nil {
+			t.Fatal("empty builder returned a non-nil stream")
+		}
+	}
+	tr := Compile("chunks", bs)
+	if tr.Name != "chunks" || tr.NumThreads() != len(sizes) {
+		t.Fatalf("Compile: name %q, %d threads", tr.Name, tr.NumThreads())
+	}
+	want := &Trace{Name: "chunks"}
+	for _, ref := range refs {
+		want.Threads = append(want.Threads, ref.ops)
+	}
+	want.Compile()
+	for i, th := range tr.Threads {
+		if !slices.Equal(th, want.Threads[i]) {
+			t.Fatalf("thread %d: compiled stream differs from the append builder's", i)
+		}
+		if cap(th) != len(th) {
+			t.Fatalf("thread %d window not capacity-clipped", i)
+		}
+		if i > 0 && len(th) > 0 && len(tr.Threads[i-1]) > 0 {
+			prev := tr.Threads[i-1]
+			if unsafe.Pointer(&th[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*unsafe.Sizeof(Op{})) {
+				t.Fatalf("thread %d does not follow thread %d in the arena", i, i-1)
+			}
+		}
+	}
+	// The builders are left as they were: compiling again copies the same
+	// streams into a fresh arena.
+	again := Compile("chunks", bs)
+	if &again.Threads[1][0] == &tr.Threads[1][0] || !slices.Equal(again.Threads[5], tr.Threads[5]) {
+		t.Fatal("a second Compile shared or changed the first's arena")
 	}
 }

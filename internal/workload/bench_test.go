@@ -11,9 +11,9 @@ func fig8Params() Params {
 }
 
 // BenchmarkGenerate measures building one workload's trace at Figure 8
-// scale — the per-workload cost a figure with a cold trace cache pays
-// before any simulation (pmds heap, structure, recorded and compiled
-// trace). B/op is the rung that shows the heap's footprint.
+// scale — the per-workload cost every harness pays before any simulation
+// (pmds heap, structure, recorded and compiled trace). B/op is the rung
+// that shows the heap's footprint.
 func BenchmarkGenerate(b *testing.B) {
 	p := fig8Params()
 	for _, name := range Names() {

@@ -7,8 +7,8 @@ import (
 )
 
 // heapSize is the simulated PM heap's cap for a run of p: it scales with
-// the op count. The heap grows on demand up to it (pmds.NewHeap), so the
-// cap bounds a run's footprint but is not allocated up front.
+// the op count. The heap backs the pages a run writes (pmds.NewHeap), so
+// the cap bounds a run's footprint but is not allocated up front.
 func heapSize(p Params) int {
 	sz := 8 << 20
 	need := p.Threads * p.OpsPerThread * (p.ValueSize + 512)

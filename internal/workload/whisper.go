@@ -31,9 +31,9 @@ func wVolatile(t int, slot uint64) uint64 {
 // cross-thread dependencies rare.
 func genNstore(p Params) *trace.Trace {
 	r := rng.New(p.Seed)
-	tr := &trace.Trace{Name: "nstore"}
+	bs := make([]trace.Builder, p.Threads)
 	for t := 0; t < p.Threads; t++ {
-		var b trace.Builder
+		b := &bs[t]
 		logHead := uint64(0)
 		for i := 0; i < p.OpsPerThread; i++ {
 			b.Compute(uint32(200 + r.Intn(400))) // query processing
@@ -58,9 +58,8 @@ func genNstore(p Params) *trace.Trace {
 			b.Dfence()
 		}
 		b.Dfence()
-		tr.Threads = append(tr.Threads, b.Ops())
 	}
-	return tr
+	return trace.Compile("nstore", bs)
 }
 
 // genEcho models Echo, a scalable key-value store with per-thread local
@@ -68,10 +67,10 @@ func genNstore(p Params) *trace.Trace {
 // occasional cross-thread dependencies at the batch boundary.
 func genEcho(p Params) *trace.Trace {
 	r := rng.New(p.Seed)
-	tr := &trace.Trace{Name: "echo"}
+	bs := make([]trace.Builder, p.Threads)
 	masterLock := wLockBase
 	for t := 0; t < p.Threads; t++ {
-		var b trace.Builder
+		b := &bs[t]
 		local := uint64(0)
 		for i := 0; i < p.OpsPerThread; i++ {
 			b.Compute(uint32(120 + r.Intn(240)))
@@ -95,9 +94,8 @@ func genEcho(p Params) *trace.Trace {
 			}
 		}
 		b.Dfence()
-		tr.Threads = append(tr.Threads, b.Ops())
 	}
-	return tr
+	return trace.Compile("echo", bs)
 }
 
 // genVacation models the PMDK-based STAMP Vacation port: a coarse-grained
@@ -108,10 +106,10 @@ func genEcho(p Params) *trace.Trace {
 // the lock the writes have drained.
 func genVacation(p Params) *trace.Trace {
 	r := rng.New(p.Seed)
-	tr := &trace.Trace{Name: "vacation"}
+	bs := make([]trace.Builder, p.Threads)
 	tableLock := wLockBase + 2*wLine
 	for t := 0; t < p.Threads; t++ {
-		var b trace.Builder
+		b := &bs[t]
 		for i := 0; i < p.OpsPerThread; i++ {
 			b.Compute(uint32(250 + r.Intn(500))) // query planning
 			b.Acquire(tableLock)
@@ -132,9 +130,8 @@ func genVacation(p Params) *trace.Trace {
 			b.Release(tableLock)
 		}
 		b.Dfence()
-		tr.Threads = append(tr.Threads, b.Ops())
 	}
-	return tr
+	return trace.Compile("vacation", bs)
 }
 
 // genMemcached models PM-Memcached: per-bucket locks on a large hash table
@@ -142,10 +139,10 @@ func genVacation(p Params) *trace.Trace {
 // volatile LRU bookkeeping.
 func genMemcached(p Params) *trace.Trace {
 	r := rng.New(p.Seed)
-	tr := &trace.Trace{Name: "memcached"}
+	bs := make([]trace.Builder, p.Threads)
 	const buckets = 64
 	for t := 0; t < p.Threads; t++ {
-		var b trace.Builder
+		b := &bs[t]
 		for i := 0; i < p.OpsPerThread; i++ {
 			b.Compute(uint32(150 + r.Intn(300))) // request parsing, hashing
 			bkt := uint64(r.Intn(buckets))
@@ -166,18 +163,17 @@ func genMemcached(p Params) *trace.Trace {
 			b.Release(wLockBase + (4+bkt)*wLine)
 		}
 		b.Dfence()
-		tr.Threads = append(tr.Threads, b.Ops())
 	}
-	return tr
+	return trace.Compile("memcached", bs)
 }
 
 // genBandwidth is the Figure 13 microbenchmark: 256-byte writes (four
 // lines) alternating across the two controllers, each write ordered with an
 // ofence.
 func genBandwidth(p Params) *trace.Trace {
-	tr := &trace.Trace{Name: "bandwidth"}
+	bs := make([]trace.Builder, p.Threads)
 	for t := 0; t < p.Threads; t++ {
-		var b trace.Builder
+		b := &bs[t]
 		base := wPMBase + uint64(t)<<26
 		block := uint64(0)
 		for i := 0; i < p.OpsPerThread; i++ {
@@ -191,9 +187,8 @@ func genBandwidth(p Params) *trace.Trace {
 			block++
 		}
 		b.Dfence()
-		tr.Threads = append(tr.Threads, b.Ops())
 	}
-	return tr
+	return trace.Compile("bandwidth", bs)
 }
 
 // BandwidthBytes returns the payload bytes written by one bandwidth-trace

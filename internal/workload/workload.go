@@ -58,7 +58,8 @@ func Default() Params {
 	}
 }
 
-// Generator builds a trace for the given parameters.
+// Generator builds a compiled trace (trace.Compile) for the given
+// parameters.
 type Generator func(Params) *trace.Trace
 
 var registry = map[string]Generator{}
@@ -97,7 +98,7 @@ func Known(name string) bool {
 
 // Generate builds the named workload's trace, compiled into a flat op
 // arena (trace.Compile): the machine replays a single contiguous slab
-// instead of one heap object per thread builder.
+// instead of one heap object per thread.
 //
 // Generate is safe for concurrent callers: the registry is immutable
 // after package init, and every generator builds a private heap, data
@@ -111,7 +112,7 @@ func Generate(name string, p Params) (*trace.Trace, error) {
 	if p.Threads <= 0 || p.OpsPerThread <= 0 {
 		return nil, fmt.Errorf("workload: Threads and OpsPerThread must be positive")
 	}
-	return g(p.Normalized()).Compile(), nil
+	return g(p.Normalized()), nil
 }
 
 func init() {
