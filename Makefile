@@ -42,10 +42,9 @@ bench:
 # - Fig8 also matches Fig8Parallel (the worker pool; it skips itself on
 #   single-CPU machines) and RunASAP matches RunASAPTraced (the
 #   tracing-on overhead gate).
-# - EventThroughputTyped/EventThroughputHooked pin the dispatch fast path
-#   with tracing off and on, and EventQueueMachineShape pins typed
-#   dispatch at a machine's queue depth, at fixed iterations so ns/op is
-#   comparable across runs.
+# - EventThroughputTyped pins the dispatch fast path, and
+#   EventQueueMachineShape pins typed dispatch at a machine's queue depth,
+#   at fixed iterations so ns/op is comparable across runs.
 # - The per-subsystem microbenchmarks (cache access, PB flush cycle, MC
 #   flush+commit, machine op dispatch) are the zero-alloc hot paths the
 #   alloc gate protects. DirectoryAccess/SetAssocLookup isolate the
@@ -65,7 +64,7 @@ bench:
 BENCH_OUT ?= /tmp/bench_subset.txt
 bench-subset:
 	$(GO) test -bench 'Fig8|Tab4|RunASAP' -benchtime 1x -count 3 -benchmem -run '^$$' . > $(BENCH_OUT)
-	$(GO) test -bench 'EventThroughput(Typed|Hooked)|EventQueueMachineShape' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/sim >> $(BENCH_OUT)
+	$(GO) test -bench 'EventThroughputTyped|EventQueueMachineShape' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/sim >> $(BENCH_OUT)
 	$(GO) test -bench 'HierarchyAccess|DirectoryAccess|SetAssocLookup' -benchtime 1000000x -count 8 -benchmem -run '^$$' ./internal/cache >> $(BENCH_OUT)
 	$(GO) test -bench 'PBFlushCycle|MCFlushCommit' -benchtime 200000x -count 3 -benchmem -run '^$$' ./internal/persist >> $(BENCH_OUT)
 	$(GO) test -bench 'MemSide' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/mem >> $(BENCH_OUT)

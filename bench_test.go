@@ -136,7 +136,7 @@ func BenchmarkAllParallel(b *testing.B) {
 }
 
 // BenchmarkFig8Parallel regenerates the headline figure alone on a
-// GOMAXPROCS pool (its ~84 simulations fan out via the prefetch plan).
+// GOMAXPROCS pool (its 84 simulations fan out from its one run list).
 func BenchmarkFig8Parallel(b *testing.B) {
 	requireParallelHW(b)
 	for i := 0; i < b.N; i++ {

@@ -593,8 +593,8 @@ var machineType = reflect.TypeOf(machine.Machine{})
 
 // Save serializes m into a checkpoint image at its current cycle, which may
 // be any cycle between Advance boundaries — mid-stall and mid-drain
-// included. The machine must be unobserved (no tracer, timeline, progress
-// or dispatch hook attached). Crash campaigns and warm-started sweeps use
+// included. The machine must be unobserved (no tracer, timeline or
+// progress attached). Crash campaigns and warm-started sweeps use
 // the in-memory Capture/Fork; Save is the cross-process form — archive a
 // warmed machine, restore it in another process, and continue
 // byte-identically.
@@ -608,8 +608,8 @@ func Save(m *machine.Machine) (img []byte, err error) {
 			img, err = nil, fmt.Errorf("checkpoint: save panicked: %v", r)
 		}
 	}()
-	if m.HasObservers() || m.Eng.Hooked() {
-		return nil, fmt.Errorf("checkpoint: cannot save an observed machine (detach tracer/timeline/progress/dispatch hook first)")
+	if m.HasObservers() {
+		return nil, fmt.Errorf("checkpoint: cannot save an observed machine (detach tracer/timeline/progress first)")
 	}
 	if m.Trace() == nil {
 		return nil, fmt.Errorf("checkpoint: machine has no trace to embed")

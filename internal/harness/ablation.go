@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"asap/internal/config"
 	"asap/internal/model"
@@ -16,8 +17,11 @@ import (
 // structure, one fence-heavy tree, one WHISPER app.
 var ablationWorkloads = []string{"cceh", "fast_fair", "nstore"}
 
-// ablStructSizes is the structure-size sweep shared by AblRT and AblPB.
+// ablStructSizes is the structure-size sweep shared by AblRT and AblPB;
+// both normalize cycles to the 32-entry run, at index ablRef.
 var ablStructSizes = []int{4, 8, 16, 32, 64}
+
+var ablRef = slices.Index(ablStructSizes, 32)
 
 // rtCfg is the recovery-table size sweep's machine configuration.
 func rtCfg(entries int) config.Config {
@@ -34,38 +38,27 @@ func (h *Harness) AblRT() (*Table, error) {
 		Title:  "Ablation: recovery table size (ASAP_RP cycles normalized to 32 entries)",
 		Header: []string{"workload", "4", "8", "16", "32", "64"},
 	}
+	var specs []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
-		ref := float64(0)
-		row := []string{wl}
-		var vals []float64
 		for _, sz := range ablStructSizes {
-			r, err := h.RunCfg(rtCfg(sz), wl, model.NameASAPRP, 4)
-			if err != nil {
-				return nil, err
-			}
-			c := float64(r.Cycles)
-			if sz == 32 {
-				ref = c
-			}
-			vals = append(vals, c)
+			specs = append(specs, h.jobCfg(rtCfg(sz), wl, model.NameASAPRP, 4))
 		}
-		for _, v := range vals {
-			row = append(row, f2(v/ref))
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for w, wl := range ablationWorkloads {
+		runs := rs[w*len(ablStructSizes):]
+		ref := float64(runs[ablRef].Cycles)
+		row := []string{wl}
+		for i := range ablStructSizes {
+			row = append(row, f2(float64(runs[i].Cycles)/ref))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes, "NACK fallback keeps small tables functional; expect mild slowdown below 16")
 	return t, nil
-}
-
-func (h *Harness) planAblRT() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range ablationWorkloads {
-		for _, sz := range ablStructSizes {
-			keys = append(keys, h.jobCfg(rtCfg(sz), wl, model.NameASAPRP, 4))
-		}
-	}
-	return jobs(keys...)
 }
 
 // pbCfg is the persist-buffer size sweep's machine configuration.
@@ -83,42 +76,32 @@ func (h *Harness) AblPB() (*Table, error) {
 		Title:  "Ablation: persist buffer size (cycles normalized to 32 entries)",
 		Header: []string{"workload", "model", "4", "8", "16", "32", "64"},
 	}
+	models := []string{model.NameHOPSRP, model.NameASAPRP}
+	var specs []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
-		for _, mdl := range []string{model.NameHOPSRP, model.NameASAPRP} {
-			row := []string{wl, mdl}
-			var vals []float64
-			ref := 0.0
+		for _, mdl := range models {
 			for _, sz := range ablStructSizes {
-				r, err := h.RunCfg(pbCfg(sz), wl, mdl, 4)
-				if err != nil {
-					return nil, err
-				}
-				c := float64(r.Cycles)
-				if sz == 32 {
-					ref = c
-				}
-				vals = append(vals, c)
+				specs = append(specs, h.jobCfg(pbCfg(sz), wl, mdl, 4))
 			}
-			for _, v := range vals {
-				row = append(row, f2(v/ref))
+		}
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for w, wl := range ablationWorkloads {
+		for m, mdl := range models {
+			runs := rs[(w*len(models)+m)*len(ablStructSizes):]
+			ref := float64(runs[ablRef].Cycles)
+			row := []string{wl, mdl}
+			for i := range ablStructSizes {
+				row = append(row, f2(float64(runs[i].Cycles)/ref))
 			}
 			t.Rows = append(t.Rows, row)
 		}
 	}
 	t.Notes = append(t.Notes, "paper (§VII-B): \"we expect to observe similar performance with smaller PBs\" for ASAP")
 	return t, nil
-}
-
-func (h *Harness) planAblPB() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range ablationWorkloads {
-		for _, mdl := range []string{model.NameHOPSRP, model.NameASAPRP} {
-			for _, sz := range ablStructSizes {
-				keys = append(keys, h.jobCfg(pbCfg(sz), wl, mdl, 4))
-			}
-		}
-	}
-	return jobs(keys...)
 }
 
 // noEagerCfg disables eager flushing (safe flushes only).
@@ -136,15 +119,16 @@ func (h *Harness) AblEager() (*Table, error) {
 		Title:  "Ablation: ASAP_RP with eager flushing disabled (safe flushes only)",
 		Header: []string{"workload", "eager cycles", "no-eager cycles", "eager gain"},
 	}
+	var specs []runspec.RunSpec
 	for _, wl := range Workloads() {
-		er, err := h.Run(wl, model.NameASAPRP, 4)
-		if err != nil {
-			return nil, err
-		}
-		cr, err := h.RunCfg(noEagerCfg(), wl, model.NameASAPRP, 4)
-		if err != nil {
-			return nil, err
-		}
+		specs = append(specs, h.job(wl, model.NameASAPRP, 4), h.jobCfg(noEagerCfg(), wl, model.NameASAPRP, 4))
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for w, wl := range Workloads() {
+		er, cr := rs[2*w], rs[2*w+1]
 		eager := float64(er.Cycles)
 		cons := float64(cr.Cycles)
 		t.Rows = append(t.Rows, []string{
@@ -153,16 +137,6 @@ func (h *Harness) AblEager() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "no-eager ASAP ~= HOPS with CDR messages instead of polling")
 	return t, nil
-}
-
-func (h *Harness) planAblEager() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range Workloads() {
-		keys = append(keys,
-			h.job(wl, model.NameASAPRP, 4),
-			h.jobCfg(noEagerCfg(), wl, model.NameASAPRP, 4))
-	}
-	return jobs(keys...)
 }
 
 // ablXPBufSizes is the XPBuffer sweep (lines per MC).
@@ -183,14 +157,21 @@ func (h *Harness) AblXPBuf() (*Table, error) {
 		Title:  "Ablation: XPBuffer lines vs undo-read media traffic (ASAP_RP)",
 		Header: []string{"workload", "xp=0 reads", "xp=16", "xp=64", "xp=256", "cycles xp0/xp64"},
 	}
+	var specs []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
+		for _, sz := range ablXPBufSizes {
+			specs = append(specs, h.jobCfg(xpBufCfg(sz), wl, model.NameASAPRP, 4))
+		}
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for w, wl := range ablationWorkloads {
 		row := []string{wl}
 		var cyc0, cyc64 float64
-		for _, sz := range ablXPBufSizes {
-			res, err := h.RunCfg(xpBufCfg(sz), wl, model.NameASAPRP, 4)
-			if err != nil {
-				return nil, err
-			}
+		for i, sz := range ablXPBufSizes {
+			res := rs[w*len(ablXPBufSizes)+i]
 			row = append(row, fmt.Sprintf("%d", res.Stats.Get("mcUndoMediaReads")))
 			switch sz {
 			case 0:
@@ -203,16 +184,6 @@ func (h *Harness) AblXPBuf() (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
-}
-
-func (h *Harness) planAblXPBuf() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range ablationWorkloads {
-		for _, sz := range ablXPBufSizes {
-			keys = append(keys, h.jobCfg(xpBufCfg(sz), wl, model.NameASAPRP, 4))
-		}
-	}
-	return jobs(keys...)
 }
 
 // interleaveCfg sets the MC interleave granularity.
@@ -231,16 +202,21 @@ func (h *Harness) AblInterleave() (*Table, error) {
 		Title:  "Ablation: MC interleave granularity (cycles, 4 threads)",
 		Header: []string{"workload", "model", "256B", "4KB", "256B/4KB"},
 	}
+	models := []string{model.NameHOPSRP, model.NameASAPRP}
+	var specs []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
-		for _, mdl := range []string{model.NameHOPSRP, model.NameASAPRP} {
-			fr, err := h.RunCfg(interleaveCfg(256), wl, mdl, 4)
-			if err != nil {
-				return nil, err
-			}
-			cr, err := h.RunCfg(interleaveCfg(4096), wl, mdl, 4)
-			if err != nil {
-				return nil, err
-			}
+		for _, mdl := range models {
+			specs = append(specs, h.jobCfg(interleaveCfg(256), wl, mdl, 4), h.jobCfg(interleaveCfg(4096), wl, mdl, 4))
+		}
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for w, wl := range ablationWorkloads {
+		for m, mdl := range models {
+			i := 2 * (w*len(models) + m)
+			fr, cr := rs[i], rs[i+1]
 			fine := float64(fr.Cycles)
 			coarse := float64(cr.Cycles)
 			t.Rows = append(t.Rows, []string{
@@ -251,22 +227,10 @@ func (h *Harness) AblInterleave() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblInterleave() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range ablationWorkloads {
-		for _, mdl := range []string{model.NameHOPSRP, model.NameASAPRP} {
-			keys = append(keys,
-				h.jobCfg(interleaveCfg(256), wl, mdl, 4),
-				h.jobCfg(interleaveCfg(4096), wl, mdl, 4))
-		}
-	}
-	return jobs(keys...)
-}
-
 func init() {
-	experiments["abl_rt"] = experiment{run: (*Harness).AblRT, plan: (*Harness).planAblRT}
-	experiments["abl_pb"] = experiment{run: (*Harness).AblPB, plan: (*Harness).planAblPB}
-	experiments["abl_eager"] = experiment{run: (*Harness).AblEager, plan: (*Harness).planAblEager}
-	experiments["abl_xpbuf"] = experiment{run: (*Harness).AblXPBuf, plan: (*Harness).planAblXPBuf}
-	experiments["abl_interleave"] = experiment{run: (*Harness).AblInterleave, plan: (*Harness).planAblInterleave}
+	experiments["abl_rt"] = (*Harness).AblRT
+	experiments["abl_pb"] = (*Harness).AblPB
+	experiments["abl_eager"] = (*Harness).AblEager
+	experiments["abl_xpbuf"] = (*Harness).AblXPBuf
+	experiments["abl_interleave"] = (*Harness).AblInterleave
 }

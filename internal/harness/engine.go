@@ -9,10 +9,13 @@ package harness
 // runspec.RunSpec — (workload, generator params, model, machine config)
 // — and each machine.Machine instance is single-goroutine deterministic,
 // so independent simulations may run concurrently without changing any
-// result: parallel output is byte-identical to serial output. The engine
-// guarantees each spec is computed exactly once (fig8/fig9/fig10 request
-// heavily overlapping runs), bounds concurrently executing simulations to
-// the pool size, converts panics on worker goroutines into errors, and —
+// result: parallel output is byte-identical to serial output. Each
+// experiment hands the engine its whole run list in one runAll call, which
+// runs the list in order on a serial engine and fans it out on a parallel
+// one. The engine guarantees each spec is computed exactly once
+// (fig8/fig9/fig10 request heavily overlapping runs), bounds concurrently
+// executing simulations to the pool size, converts panics on worker
+// goroutines into errors, and —
 // unless Options.KeepGoing is set (asapd serves unrelated requests; one
 // bad spec must not poison the service) — cancels outstanding work when
 // any simulation fails (first error wins and is reported as the cause
@@ -64,11 +67,6 @@ type traceKey struct {
 	p  workload.Params
 }
 
-// machineKey caches a fully-run Machine (RunMachine callers need ledger
-// and engine state, not just the Result summary) under a distinct type so
-// it never collides with the Result cache for the same spec.
-type machineKey runspec.RunSpec
-
 // planKey caches a trace's plan under a config: a spec without its model.
 type planKey runspec.RunSpec
 
@@ -98,9 +96,8 @@ type engine struct {
 	idle []idleMachine
 
 	// traceGens and runExecs count leader executions (not cache hits);
-	// the plan-coverage test uses them to prove prefetch plans request
-	// everything the experiment bodies consume, and asapd's /v1/stats
-	// reports them. simCycles accumulates the simulated cycles of
+	// the tests use them to prove every spec runs once, and asapd's
+	// /v1/stats reports them. simCycles accumulates the simulated cycles of
 	// executed runs for cycles/sec reporting.
 	traceGens atomic.Int64
 	runExecs  atomic.Int64
@@ -237,34 +234,39 @@ func (e *engine) run(k runspec.RunSpec) (machine.Result, error) {
 	return v.(machine.Result), nil
 }
 
-// machine executes the simulation for spec and caches the whole run
-// machine, for experiments that inspect ledger or engine state after the
-// run (Fig2). Cached machines are read-only once their run completes, and
-// never go back to the pool.
-func (e *engine) machine(k runspec.RunSpec) (*machine.Machine, error) {
-	v, err := e.once(machineKey(k), func() (any, error) {
-		return e.protect(k.String(), func() (any, error) {
-			m, err := e.build(k)
+// runAll executes specs and returns their results in list order. A serial
+// engine runs them in that order on the calling goroutine and stops at the
+// first error. A parallel engine fans them out across the worker pool and
+// reports the error of the first failing spec in list order (a spec
+// cancelled by an earlier failure reports that failure's root cause).
+func (e *engine) runAll(specs []runspec.RunSpec) ([]machine.Result, error) {
+	out := make([]machine.Result, len(specs))
+	if e.workers() == 1 {
+		for i, k := range specs {
+			r, err := e.run(k)
 			if err != nil {
 				return nil, err
 			}
-			flush := e.instrument(k, m)
-			e.runExecs.Add(1)
-			r := m.Run(0)
-			if r.Cycles == 0 {
-				return nil, fmt.Errorf("harness: %s produced zero cycles", k)
-			}
-			e.simCycles.Add(uint64(r.Cycles))
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			return m, nil
-		})
-	})
-	if err != nil {
-		return nil, err
+			out[i] = r
+		}
+		return out, nil
 	}
-	return v.(*machine.Machine), nil
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	wg.Add(len(specs))
+	for i, k := range specs {
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = e.run(k)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // build assembles the machine for spec: an idle machine of the spec's
@@ -343,11 +345,6 @@ func (e *engine) machines() (plans, builds, resets int64) {
 	return e.plans.Load(), e.builds.Load(), e.resets.Load()
 }
 
-// artifactKey dedups trace-artifact writes: the Result cache and the
-// Machine cache may both execute the same spec, and the artifacts are
-// deterministic, so whichever leader finishes first writes the files.
-type artifactKey string
-
 // instrument attaches a fresh collector and default-interval timeline to
 // m when trace capture is enabled, and returns the function that
 // serializes both artifacts after the run. Each leader owns its own
@@ -364,27 +361,25 @@ func (e *engine) instrument(k runspec.RunSpec, m *machine.Machine) func() error 
 }
 
 // writeArtifacts serializes one run's Chrome trace and occupancy timeline
-// into the engine's trace directory, at most once per artifact name.
+// into the engine's trace directory. Only a spec's leader runs it, so each
+// artifact is written once.
 func (e *engine) writeArtifacts(k runspec.RunSpec, col *obs.Collector, tl *obs.Timeline) error {
 	name := artifactName(k)
-	_, err := e.once(artifactKey(name), func() (any, error) {
-		if err := os.MkdirAll(e.traceDir, 0o755); err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := col.WriteChromeTrace(&buf); err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(filepath.Join(e.traceDir, name+".trace.json"), buf.Bytes(), 0o644); err != nil {
-			return nil, err
-		}
-		buf.Reset()
-		if err := tl.WriteCSV(&buf); err != nil {
-			return nil, err
-		}
-		return nil, os.WriteFile(filepath.Join(e.traceDir, name+".timeline.csv"), buf.Bytes(), 0o644)
-	})
-	return err
+	if err := os.MkdirAll(e.traceDir, 0o755); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf); err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(e.traceDir, name+".trace.json"), buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	buf.Reset()
+	if err := tl.WriteCSV(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(e.traceDir, name+".timeline.csv"), buf.Bytes(), 0o644)
 }
 
 // artifactName derives a stable, filesystem-safe name for a run's trace

@@ -239,23 +239,6 @@ func TestPoolBound(t *testing.T) {
 	}
 }
 
-// TestRunMachineCached: RunMachine returns the identical machine for
-// repeated requests (it is cached for Fig2's ledger inspection).
-func TestRunMachineCached(t *testing.T) {
-	h := New(Options{Ops: 30, Seed: 1, Parallel: 2})
-	m1, err := h.RunMachine("cceh", model.NameASAPRP, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := h.RunMachine("cceh", model.NameASAPRP, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 != m2 {
-		t.Fatal("RunMachine re-ran instead of returning the cached machine")
-	}
-}
-
 // TestHarnessReleasesTraces: a harness holds its traces only as long as
 // it lives. Once the harness is unreachable, the trace its run replayed
 // is collected, so a process that builds harness after harness (asapd

@@ -2,11 +2,25 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"asap/internal/model"
 	"asap/internal/runspec"
 	"asap/internal/workload"
 )
+
+// workloadRuns lists the 4-thread run of every Table III workload under
+// each of models, workload-major: workload w's run under models[m] sits at
+// w*len(models)+m.
+func (h *Harness) workloadRuns(models ...string) []runspec.RunSpec {
+	var specs []runspec.RunSpec
+	for _, wl := range Workloads() {
+		for _, mn := range models {
+			specs = append(specs, h.job(wl, mn, 4))
+		}
+	}
+	return specs
+}
 
 // msCycles is one millisecond at 2 GHz, the window Figure 2 counts over.
 const msCycles = 2_000_000.0
@@ -21,15 +35,14 @@ func (h *Harness) Fig2() (*Table, error) {
 		Title:  "Epochs and cross-thread dependencies per 1 ms (4 threads, release persistency)",
 		Header: []string{"workload", "epochs/ms", "crossdeps/ms", "epochs", "crossdeps"},
 	}
-	for _, wl := range Workloads() {
-		m, err := h.RunMachine(wl, model.NameASAPRP, 4)
-		if err != nil {
-			return nil, err
-		}
-		cyc := float64(m.Eng.Now())
-		epochs := float64(m.St.Get("epochsCommitted"))
-		deps := float64(m.Ledger.NumDeps())
-		scale := msCycles / cyc
+	rs, err := h.eng.runAll(h.workloadRuns(model.NameASAPRP))
+	if err != nil {
+		return nil, err
+	}
+	for i, wl := range Workloads() {
+		epochs := float64(rs[i].Stats.Get("epochsCommitted"))
+		deps := float64(rs[i].CrossDeps)
+		scale := msCycles / float64(rs[i].Clock)
 		t.Rows = append(t.Rows, []string{
 			wl, f1(epochs * scale), f1(deps * scale),
 			fmt.Sprintf("%.0f", epochs), fmt.Sprintf("%.0f", deps),
@@ -40,14 +53,6 @@ func (h *Harness) Fig2() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig2() []prefetchJob {
-	var plan []prefetchJob
-	for _, wl := range Workloads() {
-		plan = append(plan, prefetchJob{key: h.job(wl, model.NameASAPRP, 4), machine: true})
-	}
-	return plan
-}
-
 // Fig3 measures the percentage of cycles the HOPS persist buffers are
 // blocked from flushing (Figure 3; paper average 26%).
 func (h *Harness) Fig3() (*Table, error) {
@@ -56,12 +61,13 @@ func (h *Harness) Fig3() (*Table, error) {
 		Title:  "Persist buffer stall cycles under HOPS_RP (4 threads)",
 		Header: []string{"workload", "blocked%"},
 	}
+	rs, err := h.eng.runAll(h.workloadRuns(model.NameHOPSRP))
+	if err != nil {
+		return nil, err
+	}
 	var sum float64
-	for _, wl := range Workloads() {
-		r, err := h.Run(wl, model.NameHOPSRP, 4)
-		if err != nil {
-			return nil, err
-		}
+	for i, wl := range Workloads() {
+		r := rs[i]
 		blocked := float64(r.Stats.Get("cyclesBlocked"))
 		total := float64(r.Stats.Get("coreSampledCycles"))
 		frac := 0.0
@@ -76,16 +82,8 @@ func (h *Harness) Fig3() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig3() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range Workloads() {
-		keys = append(keys, h.job(wl, model.NameHOPSRP, 4))
-	}
-	return jobs(keys...)
-}
-
-// fig8Models are the evaluated models of Figure 8, paper order, with the
-// baseline prepended where the speedup denominator needs it.
+// fig8Models are the evaluated models of Figure 8, paper order. Each
+// workload runs the baseline, the speedup denominator, first.
 var fig8Models = []string{
 	model.NameHOPSEP, model.NameHOPSRP,
 	model.NameASAPEP, model.NameASAPRP, model.NameEADR,
@@ -101,19 +99,17 @@ func (h *Harness) Fig8() (*Table, error) {
 		Title:  "Speedup over baseline (4 cores, 2 MCs)",
 		Header: append([]string{"workload"}, fig8Models...),
 	}
+	models := append([]string{model.NameBaseline}, fig8Models...)
+	rs, err := h.eng.runAll(h.workloadRuns(models...))
+	if err != nil {
+		return nil, err
+	}
 	sums := make([]float64, len(fig8Models))
-	for _, wl := range Workloads() {
-		base, err := h.Run(wl, model.NameBaseline, 4)
-		if err != nil {
-			return nil, err
-		}
+	for w, wl := range Workloads() {
+		runs := rs[w*len(models):]
 		row := []string{wl}
-		for i, mn := range fig8Models {
-			r, err := h.Run(wl, mn, 4)
-			if err != nil {
-				return nil, err
-			}
-			sp := float64(base.Cycles) / float64(r.Cycles)
+		for i := range fig8Models {
+			sp := float64(runs[0].Cycles) / float64(runs[1+i].Cycles)
 			sums[i] += sp
 			row = append(row, f2(sp))
 		}
@@ -129,17 +125,6 @@ func (h *Harness) Fig8() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig8() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range Workloads() {
-		keys = append(keys, h.job(wl, model.NameBaseline, 4))
-		for _, mn := range fig8Models {
-			keys = append(keys, h.job(wl, mn, 4))
-		}
-	}
-	return jobs(keys...)
-}
-
 // Fig9 compares PM media write operations, ASAP vs HOPS, normalized to HOPS
 // (Figure 9), plus the PM read increase from undo-record creation (paper:
 // +5.3% reads on average).
@@ -149,16 +134,13 @@ func (h *Harness) Fig9() (*Table, error) {
 		Title:  "PM write operations, ASAP_RP normalized to HOPS_RP (4 threads)",
 		Header: []string{"workload", "writes(norm)", "reads(norm)", "hopsWrites", "asapWrites"},
 	}
+	rs, err := h.eng.runAll(h.workloadRuns(model.NameHOPSRP, model.NameASAPRP))
+	if err != nil {
+		return nil, err
+	}
 	var wsum, rsum float64
-	for _, wl := range Workloads() {
-		hops, err := h.Run(wl, model.NameHOPSRP, 4)
-		if err != nil {
-			return nil, err
-		}
-		asap, err := h.Run(wl, model.NameASAPRP, 4)
-		if err != nil {
-			return nil, err
-		}
+	for w, wl := range Workloads() {
+		hops, asap := rs[2*w], rs[2*w+1]
 		wn := float64(asap.PMWrites) / float64(hops.PMWrites)
 		rn := 1.0
 		if hops.PMReads > 0 {
@@ -180,16 +162,6 @@ func (h *Harness) Fig9() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig9() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range Workloads() {
-		keys = append(keys,
-			h.job(wl, model.NameHOPSRP, 4),
-			h.job(wl, model.NameASAPRP, 4))
-	}
-	return jobs(keys...)
-}
-
 // fig10Threads is Figure 10's thread sweep.
 var fig10Threads = []int{1, 2, 4, 8}
 
@@ -203,69 +175,54 @@ func (h *Harness) Fig10() (*Table, error) {
 		Header: []string{"workload", "model",
 			"1t", "2t", "4t", "8t"},
 	}
-	focus := []string{"p_art", "atlas_skiplist"}
-	addRows := func(wl string) error {
-		// Throughput scaling: ops are proportional to threads, so
-		// speedup = (cycles_hops_1t * threads) / cycles.
-		b, err := h.Run(wl, model.NameHOPSRP, 1)
-		if err != nil {
-			return err
-		}
-		base := float64(b.Cycles)
-		for _, mn := range []string{model.NameHOPSRP, model.NameASAPRP} {
-			row := []string{wl, mn}
+	wls := Workloads()
+	models := []string{model.NameHOPSRP, model.NameASAPRP}
+	var specs []runspec.RunSpec
+	for _, wl := range wls {
+		for _, mn := range models {
 			for _, th := range fig10Threads {
-				r, err := h.Run(wl, mn, th)
-				if err != nil {
-					return err
-				}
-				row = append(row, f2(base*float64(th)/float64(r.Cycles)))
+				specs = append(specs, h.job(wl, mn, th))
+			}
+		}
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	// Throughput scaling: ops are proportional to threads, so the speedup
+	// of workload w under models[m] at fig10Threads[k] is
+	// (cycles_hops_1t * threads) / cycles.
+	cycles := func(w, m, k int) float64 {
+		return float64(rs[(w*len(models)+m)*len(fig10Threads)+k].Cycles)
+	}
+	speedup := func(w, m, k int) float64 {
+		return cycles(w, 0, 0) * float64(fig10Threads[k]) / cycles(w, m, k)
+	}
+	for _, wl := range []string{"p_art", "atlas_skiplist"} {
+		w := slices.Index(wls, wl)
+		for m, mn := range models {
+			row := []string{wl, mn}
+			for k := range fig10Threads {
+				row = append(row, f2(speedup(w, m, k)))
 			}
 			t.Rows = append(t.Rows, row)
 		}
-		return nil
-	}
-	for _, wl := range focus {
-		if err := addRows(wl); err != nil {
-			return nil, err
-		}
 	}
 	// Average over all workloads.
-	for _, mn := range []string{model.NameHOPSRP, model.NameASAPRP} {
+	for m, mn := range models {
 		row := []string{"average", mn}
-		for _, th := range fig10Threads {
+		for k := range fig10Threads {
 			var sum float64
-			for _, wl := range Workloads() {
-				b, err := h.Run(wl, model.NameHOPSRP, 1)
-				if err != nil {
-					return nil, err
-				}
-				r, err := h.Run(wl, mn, th)
-				if err != nil {
-					return nil, err
-				}
-				sum += float64(b.Cycles) * float64(th) / float64(r.Cycles)
+			for w := range wls {
+				sum += speedup(w, m, k)
 			}
-			row = append(row, f2(sum/float64(len(Workloads()))))
+			row = append(row, f2(sum/float64(len(wls))))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"paper: ASAP 1.18/1.79/2.51/2.85x at 1/2/4/8 threads vs HOPS-1t; HOPS only 1/1.36/1.94/2.15x")
 	return t, nil
-}
-
-func (h *Harness) planFig10() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range Workloads() {
-		keys = append(keys, h.job(wl, model.NameHOPSRP, 1))
-		for _, mn := range []string{model.NameHOPSRP, model.NameASAPRP} {
-			for _, th := range fig10Threads {
-				keys = append(keys, h.job(wl, mn, th))
-			}
-		}
-	}
-	return jobs(keys...)
 }
 
 // Fig11 reports persist-buffer occupancy (average and 99th percentile) for
@@ -277,16 +234,13 @@ func (h *Harness) Fig11() (*Table, error) {
 		Title:  "Persist buffer occupancy (4 threads)",
 		Header: []string{"workload", "hops avg", "hops p99", "asap avg", "asap p99"},
 	}
+	rs, err := h.eng.runAll(h.workloadRuns(model.NameHOPSRP, model.NameASAPRP))
+	if err != nil {
+		return nil, err
+	}
 	var hsum, asum float64
-	for _, wl := range Workloads() {
-		hr, err := h.Run(wl, model.NameHOPSRP, 4)
-		if err != nil {
-			return nil, err
-		}
-		ar, err := h.Run(wl, model.NameASAPRP, 4)
-		if err != nil {
-			return nil, err
-		}
+	for w, wl := range Workloads() {
+		hr, ar := rs[2*w], rs[2*w+1]
 		hd := hr.Stats.Dist("pbOccupancy")
 		ad := ar.Stats.Dist("pbOccupancy")
 		t.Rows = append(t.Rows, []string{
@@ -302,8 +256,6 @@ func (h *Harness) Fig11() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig11() []prefetchJob { return h.planFig9() }
-
 // Fig12 reports the maximum recovery-table occupancy at 4 and 8 threads
 // (Figure 12): occupancy stays small and grows little with threads.
 func (h *Harness) Fig12() (*Table, error) {
@@ -312,16 +264,17 @@ func (h *Harness) Fig12() (*Table, error) {
 		Title:  "Recovery table max occupancy (ASAP_RP; 32-entry RT per MC)",
 		Header: []string{"workload", "4 threads", "8 threads"},
 	}
-	var s4, s8 float64
+	var specs []runspec.RunSpec
 	for _, wl := range Workloads() {
-		r4, err := h.Run(wl, model.NameASAPRP, 4)
-		if err != nil {
-			return nil, err
-		}
-		r8, err := h.Run(wl, model.NameASAPRP, 8)
-		if err != nil {
-			return nil, err
-		}
+		specs = append(specs, h.job(wl, model.NameASAPRP, 4), h.job(wl, model.NameASAPRP, 8))
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	var s4, s8 float64
+	for w, wl := range Workloads() {
+		r4, r8 := rs[2*w], rs[2*w+1]
 		s4 += float64(r4.RTMaxOcc)
 		s8 += float64(r8.RTMaxOcc)
 		t.Rows = append(t.Rows, []string{
@@ -333,16 +286,6 @@ func (h *Harness) Fig12() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: max occupancy small, grows little 4->8 threads; Nstore occasionally fills the RT (NACKs)")
 	return t, nil
-}
-
-func (h *Harness) planFig12() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range Workloads() {
-		keys = append(keys,
-			h.job(wl, model.NameASAPRP, 4),
-			h.job(wl, model.NameASAPRP, 8))
-	}
-	return jobs(keys...)
 }
 
 // fig13Params scales the bandwidth micro's op count up so the controllers
@@ -362,16 +305,24 @@ func (h *Harness) Fig13() (*Table, error) {
 		Title:  "System write bandwidth utilization (256 B ofence-ordered writes across 2 MCs)",
 		Header: []string{"threads", "baseline GB/s", "hops GB/s", "asap GB/s", "asap/hops"},
 	}
-	for _, th := range []int{1, 2, 4} {
-		p := h.fig13Params(th)
-		bytes := float64(workload.BandwidthBytes(p))
+	threads := []int{1, 2, 4}
+	models := []string{model.NameBaseline, model.NameHOPSRP, model.NameASAPRP}
+	var specs []runspec.RunSpec
+	for _, th := range threads {
+		for _, mn := range models {
+			specs = append(specs, h.jobParams(h.cfgFor(th), h.fig13Params(th), "bandwidth", mn))
+		}
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, th := range threads {
+		bytes := float64(workload.BandwidthBytes(h.fig13Params(th)))
 		row := []string{fmt.Sprintf("%d", th)}
 		var hopsBW, asapBW float64
-		for _, mn := range []string{model.NameBaseline, model.NameHOPSRP, model.NameASAPRP} {
-			r, err := h.RunParams(h.cfgFor(th), p, "bandwidth", mn)
-			if err != nil {
-				return nil, err
-			}
+		for j, mn := range models {
+			r := rs[i*len(models)+j]
 			secs := float64(r.Cycles) / 2e9 // 2 GHz
 			gbs := bytes / secs / 1e9
 			switch mn {
@@ -387,15 +338,4 @@ func (h *Harness) Fig13() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "paper: ASAP ~2x HOPS by overlapping writes to both controllers")
 	return t, nil
-}
-
-func (h *Harness) planFig13() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, th := range []int{1, 2, 4} {
-		p := h.fig13Params(th)
-		for _, mn := range []string{model.NameBaseline, model.NameHOPSRP, model.NameASAPRP} {
-			keys = append(keys, h.jobParams(h.cfgFor(th), p, "bandwidth", mn))
-		}
-	}
-	return jobs(keys...)
 }

@@ -18,7 +18,6 @@ import (
 	"asap/internal/config"
 	"asap/internal/machine"
 	"asap/internal/runspec"
-	"asap/internal/trace"
 	"asap/internal/workload"
 )
 
@@ -111,7 +110,8 @@ type Options struct {
 	// their own spec, and unrelated requests keep working.
 	KeepGoing bool
 	// Observe, when non-nil, is invoked on each leader simulation's
-	// machine after construction and before Run, so callers can attach
+	// machine after construction and before Run — once per executed spec,
+	// in run-list order on a serial engine — so callers can attach
 	// observability sinks (asapd attaches an obs.Gauge for progress
 	// reporting). It runs on worker goroutines — implementations must be
 	// safe for concurrent calls — and must only observe: scheduling model
@@ -206,32 +206,10 @@ func (h *Harness) jobParams(cfg config.Config, p workload.Params, wl, mdl string
 	return s
 }
 
-func (h *Harness) traceFor(wl string, threads int) (*trace.Trace, error) {
-	return h.eng.trace(traceKey{wl: wl, p: h.params(threads)})
-}
-
 // Run executes workload wl under the named model with `threads` threads on
 // a machine with max(threads, 4) cores and 2 MCs, caching the result.
 func (h *Harness) Run(wl, mdl string, threads int) (machine.Result, error) {
 	return h.eng.run(h.job(wl, mdl, threads))
-}
-
-// RunCfg is Run with an explicit machine configuration.
-func (h *Harness) RunCfg(cfg config.Config, wl, mdl string, threads int) (machine.Result, error) {
-	return h.eng.run(h.jobCfg(cfg, wl, mdl, threads))
-}
-
-// RunParams is Run with explicit machine configuration and workload
-// parameters (the bandwidth micro and strand-annotated traces).
-func (h *Harness) RunParams(cfg config.Config, p workload.Params, wl, mdl string) (machine.Result, error) {
-	return h.eng.run(h.jobParams(cfg, p, wl, mdl))
-}
-
-// RunMachine builds and runs a machine, returning it for inspection (used
-// by experiments needing ledger access). The run machine is cached; it
-// must not be mutated.
-func (h *Harness) RunMachine(wl, mdl string, threads int) (*machine.Machine, error) {
-	return h.eng.machine(h.job(wl, mdl, threads))
 }
 
 // Spec builds the RunSpec for the standard configuration — the spec Run
@@ -249,32 +227,6 @@ func (h *Harness) RunSpec(spec runspec.RunSpec) (machine.Result, error) {
 	return h.eng.run(spec)
 }
 
-// experiment couples a table builder with the prefetch plan that lists
-// the simulations the builder will request. The plan is an optimization
-// contract, not a correctness one: the body always goes through the
-// engine cache, so a drifted plan only costs parallelism (the
-// plan-coverage test keeps plans honest).
-type experiment struct {
-	run  func(*Harness) (*Table, error)
-	plan func(*Harness) []prefetchJob
-}
-
-// prefetchJob is one planned simulation; machine marks RunMachine users
-// whose whole machine must be cached, not just the Result.
-type prefetchJob struct {
-	key     runspec.RunSpec
-	machine bool
-}
-
-// jobs converts plain run specs into prefetch jobs.
-func jobs(keys ...runspec.RunSpec) []prefetchJob {
-	out := make([]prefetchJob, len(keys))
-	for i, k := range keys {
-		out[i] = prefetchJob{key: k}
-	}
-	return out
-}
-
 // Experiments lists the available experiment IDs in paper order.
 func Experiments() []string {
 	ids := make([]string, 0, len(experiments))
@@ -285,51 +237,31 @@ func Experiments() []string {
 	return ids
 }
 
-var experiments = map[string]experiment{
-	"fig2":  {run: (*Harness).Fig2, plan: (*Harness).planFig2},
-	"fig3":  {run: (*Harness).Fig3, plan: (*Harness).planFig3},
-	"fig8":  {run: (*Harness).Fig8, plan: (*Harness).planFig8},
-	"fig9":  {run: (*Harness).Fig9, plan: (*Harness).planFig9},
-	"fig10": {run: (*Harness).Fig10, plan: (*Harness).planFig10},
-	"fig11": {run: (*Harness).Fig11, plan: (*Harness).planFig11},
-	"fig12": {run: (*Harness).Fig12, plan: (*Harness).planFig12},
-	"fig13": {run: (*Harness).Fig13, plan: (*Harness).planFig13},
-	"tab5":  {run: (*Harness).Tab5},
+// experiments maps each experiment ID to its table builder. A builder
+// hands the engine every simulation it needs in one runAll call, then
+// formats the results.
+var experiments = map[string]func(*Harness) (*Table, error){
+	"fig2":  (*Harness).Fig2,
+	"fig3":  (*Harness).Fig3,
+	"fig8":  (*Harness).Fig8,
+	"fig9":  (*Harness).Fig9,
+	"fig10": (*Harness).Fig10,
+	"fig11": (*Harness).Fig11,
+	"fig12": (*Harness).Fig12,
+	"fig13": (*Harness).Fig13,
+	"tab5":  (*Harness).Tab5,
 }
 
-// Experiment runs one experiment by ID. With a parallel engine the
-// experiment's planned simulations fan out across the worker pool first;
-// the body then assembles the table serially from the cache, so output
-// does not depend on the pool size.
+// Experiment runs one experiment by ID. Its simulations run in list order
+// on a serial engine and fan out across the worker pool on a parallel one;
+// the table is assembled from the results in list order either way, so
+// output does not depend on the pool size.
 func (h *Harness) Experiment(id string) (*Table, error) {
-	exp, ok := experiments[id]
+	run, ok := experiments[id]
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
 	}
-	if exp.plan != nil && h.Parallelism() > 1 {
-		h.prefetch(exp.plan(h))
-	}
-	return exp.run(h)
-}
-
-// prefetch fans the planned simulations out across the engine's worker
-// pool and waits for them. Individual failures are not reported here: the
-// experiment body hits the same cached error (or the first failure's
-// root cause, once cancellation fires) in its deterministic serial order.
-func (h *Harness) prefetch(plan []prefetchJob) {
-	var wg sync.WaitGroup
-	wg.Add(len(plan))
-	for _, j := range plan {
-		go func(j prefetchJob) {
-			defer wg.Done()
-			if j.machine {
-				h.eng.machine(j.key) //nolint:errcheck // body re-reads from cache
-			} else {
-				h.eng.run(j.key) //nolint:errcheck // body re-reads from cache
-			}
-		}(j)
-	}
-	wg.Wait()
+	return run(h)
 }
 
 // Tables runs the given experiments — concurrently when the engine is

@@ -2,8 +2,14 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"asap/internal/machine"
+	"asap/internal/model"
+	"asap/internal/runspec"
 )
 
 func TestTableText(t *testing.T) {
@@ -191,28 +197,118 @@ func TestTablesOrder(t *testing.T) {
 	}
 }
 
-// TestPlansCoverBodies: after a prefetch of an experiment's plan, the
-// body must find every simulation it needs already in the cache. A drift
-// between plan and body is invisible in output (the cache serves both
-// paths identically) but silently serializes the drifted runs — this test
-// pins the contract.
-func TestPlansCoverBodies(t *testing.T) {
-	for _, id := range Experiments() {
-		exp := experiments[id]
-		if exp.plan == nil {
-			continue
+// countRuns builds a harness whose Observe hook counts the distinct specs
+// it sees; the returned function reports that count.
+func countRuns(opts Options) (*Harness, func() int) {
+	var mu sync.Mutex
+	seen := make(map[string]bool)
+	opts.Observe = func(spec runspec.RunSpec, _ *machine.Machine) {
+		mu.Lock()
+		seen[spec.MustHash()] = true
+		mu.Unlock()
+	}
+	return New(opts), func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen)
+	}
+}
+
+// TestExperimentsRunEachSpecOnce: the whole campaign, serial and on eight
+// workers, and each experiment on its own, executes exactly one
+// simulation per distinct spec. A second path to a spec's run (a cache
+// beside the Result cache, or a body that runs what its list missed)
+// shows up here as an execution the distinct specs do not account for.
+func TestExperimentsRunEachSpecOnce(t *testing.T) {
+	check := func(t *testing.T, h *Harness, distinct func() int) {
+		t.Helper()
+		if runs, _ := h.Perf(); runs != int64(distinct()) {
+			t.Errorf("executed %d simulations for %d distinct specs", runs, distinct())
 		}
-		t.Run(id, func(t *testing.T) {
-			h := New(Options{Ops: 20, Seed: 1, Parallel: 2})
-			h.prefetch(exp.plan(h))
-			_, preRuns := h.eng.execs()
-			if _, err := exp.run(h); err != nil {
+	}
+	for _, parallel := range []int{1, 8} {
+		t.Run(fmt.Sprintf("all_parallel%d", parallel), func(t *testing.T) {
+			h, distinct := countRuns(Options{Ops: 80, Seed: 1, Parallel: parallel})
+			if _, err := h.Tables(Experiments()); err != nil {
 				t.Fatal(err)
 			}
-			if _, postRuns := h.eng.execs(); postRuns != preRuns {
-				t.Errorf("body executed %d simulations the plan missed", postRuns-preRuns)
-			}
+			check(t, h, distinct)
 		})
+	}
+	for _, id := range Experiments() {
+		t.Run(id, func(t *testing.T) {
+			h, distinct := countRuns(Options{Ops: 20, Seed: 1, Parallel: 2})
+			if _, err := h.Experiment(id); err != nil {
+				t.Fatal(err)
+			}
+			check(t, h, distinct)
+		})
+	}
+}
+
+// TestRunAllSerialOrder: a serial engine runs the list in order on the
+// calling goroutine (Observe sees the specs in list order, a repeated
+// spec once) and returns the results in list order.
+func TestRunAllSerialOrder(t *testing.T) {
+	var order []string
+	h := New(Options{Ops: 20, Seed: 1, Parallel: 1,
+		Observe: func(spec runspec.RunSpec, _ *machine.Machine) { order = append(order, spec.String()) }})
+	specs := []runspec.RunSpec{
+		h.Spec("cceh", model.NameASAPRP, 2),
+		h.Spec("nstore", model.NameBaseline, 4),
+		h.Spec("cceh", model.NameASAPRP, 2),
+		h.Spec("cceh", model.NameHOPSRP, 1),
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{specs[0].String(), specs[1].String(), specs[3].String()}
+	if !slices.Equal(order, want) {
+		t.Fatalf("Observe saw %v, want %v", order, want)
+	}
+	for i, spec := range specs {
+		r, err := h.RunSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[i].ModelName != spec.Model || rs[i].Cycles != r.Cycles || !slices.Equal(rs[i].PerCore, r.PerCore) {
+			t.Errorf("result %d is not %s's", i, spec)
+		}
+	}
+}
+
+// TestRunAllErrors: a serial engine returns the first failing spec's
+// error and runs nothing after it; a parallel engine returns the error of
+// the first failing spec in list order, whichever failed first in time.
+func TestRunAllErrors(t *testing.T) {
+	var ran []string
+	h := New(Options{Ops: 20, Seed: 1, Parallel: 1,
+		Observe: func(spec runspec.RunSpec, _ *machine.Machine) { ran = append(ran, spec.Workload) }})
+	_, err := h.eng.runAll([]runspec.RunSpec{
+		h.Spec("cceh", model.NameASAPRP, 2),
+		h.Spec("no_such_workload", model.NameASAPRP, 2),
+		h.Spec("nstore", model.NameASAPRP, 2),
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown workload "no_such_workload"`) {
+		t.Fatalf("serial: err = %v, want the unknown-workload error", err)
+	}
+	if !slices.Equal(ran, []string{"cceh"}) {
+		t.Fatalf("serial: ran %v, want only the spec before the failure", ran)
+	}
+	// KeepGoing keeps each failure under its own spec, so the two
+	// failures stay distinct and the list order alone picks the error.
+	for i := 0; i < 5; i++ {
+		h := New(Options{Ops: 20, Seed: 1, Parallel: 4, KeepGoing: true})
+		_, err := h.eng.runAll([]runspec.RunSpec{
+			h.Spec("cceh", model.NameASAPRP, 2),
+			h.Spec("no_such_a", model.NameASAPRP, 2),
+			h.Spec("nstore", model.NameASAPRP, 2),
+			h.Spec("no_such_b", model.NameASAPRP, 2),
+		})
+		if err == nil || !strings.Contains(err.Error(), `"no_such_a"`) {
+			t.Fatalf("parallel: err = %v, want no_such_a's error", err)
+		}
 	}
 }
 

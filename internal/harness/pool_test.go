@@ -87,34 +87,14 @@ func TestFig8MachineReuse(t *testing.T) {
 	}
 }
 
-// TestInspectedMachinesStayOut: a machine RunMachine hands out stays as
-// its run left it, so it never joins the pool.
-func TestInspectedMachinesStayOut(t *testing.T) {
-	h := New(Options{Ops: 30, Seed: 1, Parallel: 1})
-	m, err := h.RunMachine("cceh", model.NameASAPEP, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deps, cycles := m.Ledger.NumDeps(), m.Eng.Now()
-	if _, err := h.Run("dash_eh", model.NameASAPEP, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, builds, resets := h.eng.machines(); builds != 2 || resets != 0 {
-		t.Fatalf("built %d and reset %d machines, want the run to build its own", builds, resets)
-	}
-	if m.Ledger.NumDeps() != deps || m.Eng.Now() != cycles {
-		t.Fatal("the inspected machine changed after another run")
-	}
-}
-
 // TestPoolEvictsLeastRecentlyUsed: past maxIdleMachines the pool drops
 // the machine whose key was used longest ago, not the one pooled first.
 func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
 	h := New(Options{Ops: 30, Seed: 1, Parallel: 1})
 	run := func(key int, wl string) {
-		cfg := config.Default()
-		cfg.RTEntries += key
-		if _, err := h.RunCfg(cfg, wl, model.NameASAPEP, 4); err != nil {
+		spec := h.Spec(wl, model.NameASAPEP, 4)
+		spec.Config.RTEntries += key
+		if _, err := h.RunSpec(spec); err != nil {
 			t.Fatal(err)
 		}
 	}

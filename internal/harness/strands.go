@@ -11,7 +11,8 @@ import (
 // strandWorkloads are the structures annotated for the strand extension.
 var strandWorkloads = []string{"cceh", "fast_fair", "dash_eh", "p_masstree"}
 
-// strandModels run per workload, baseline first (the speedup denominator).
+// strandModels run per workload, in the order AblStrands reads them:
+// baseline (the speedup denominator), HOPS_RP, StrandWeaver, ASAP_RP.
 var strandModels = []string{
 	model.NameBaseline, model.NameHOPSRP, model.NameStrandWeaver, model.NameASAPRP,
 }
@@ -36,21 +37,22 @@ func (h *Harness) AblStrands() (*Table, error) {
 		Title:  "Strand persistency extension (strand-annotated traces, 4 threads; speedup vs baseline)",
 		Header: []string{"workload", "hops_rp", "strandweaver", "asap_rp", "sw/hops", "asap/sw"},
 	}
+	var specs []runspec.RunSpec
 	for _, wl := range strandWorkloads {
-		p := h.strandParams()
-		cfg := h.cfgFor(4)
-		cycles := make(map[string]float64, len(strandModels))
 		for _, mn := range strandModels {
-			r, err := h.RunParams(cfg, p, wl, mn)
-			if err != nil {
-				return nil, err
-			}
-			cycles[mn] = float64(r.Cycles)
+			specs = append(specs, h.jobParams(h.cfgFor(4), h.strandParams(), wl, mn))
 		}
-		base := cycles[model.NameBaseline]
-		hops := cycles[model.NameHOPSRP]
-		sw := cycles[model.NameStrandWeaver]
-		asap := cycles[model.NameASAPRP]
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for w, wl := range strandWorkloads {
+		runs := rs[w*len(strandModels):]
+		base := float64(runs[0].Cycles)
+		hops := float64(runs[1].Cycles)
+		sw := float64(runs[2].Cycles)
+		asap := float64(runs[3].Cycles)
 		t.Rows = append(t.Rows, []string{
 			wl,
 			fmt.Sprintf("%.2f", base/hops),
@@ -66,16 +68,6 @@ func (h *Harness) AblStrands() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblStrands() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range strandWorkloads {
-		for _, mn := range strandModels {
-			keys = append(keys, h.jobParams(h.cfgFor(4), h.strandParams(), wl, mn))
-		}
-	}
-	return jobs(keys...)
-}
-
 func init() {
-	experiments["abl_strands"] = experiment{run: (*Harness).AblStrands, plan: (*Harness).planAblStrands}
+	experiments["abl_strands"] = (*Harness).AblStrands
 }

@@ -40,35 +40,33 @@ func (h *Harness) Tab4() (*Table, error) {
 		Header: append(append([]string{"workload"}, tab4Models...),
 			"pmem_spec@1mc", "asap_rp@1mc"),
 	}
+	// Per workload: the baseline and tab4Models at 2 MCs, then the
+	// single-controller runs, where PMEM-Spec never mis-speculates.
+	models := append([]string{model.NameBaseline}, tab4Models...)
+	oneMC := []string{model.NameBaseline, model.NamePMEMSpec, model.NameASAPRP}
+	var specs []runspec.RunSpec
 	for _, wl := range tab4Workloads {
-		br, err := h.Run(wl, model.NameBaseline, 4)
-		if err != nil {
-			return nil, err
+		for _, mn := range models {
+			specs = append(specs, h.job(wl, mn, 4))
 		}
-		base := float64(br.Cycles)
+		for _, mn := range oneMC {
+			specs = append(specs, h.jobCfg(oneMCCfg(), wl, mn, 4))
+		}
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for w, wl := range tab4Workloads {
+		runs := rs[w*(len(models)+len(oneMC)):]
+		base := float64(runs[0].Cycles)
 		row := []string{wl}
-		for _, mn := range tab4Models {
-			r, err := h.Run(wl, mn, 4)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f2(base/float64(r.Cycles)))
+		for i := range tab4Models {
+			row = append(row, f2(base/float64(runs[1+i].Cycles)))
 		}
-		// Single-controller runs: PMEM-Spec never mis-speculates there.
-		base1r, err := h.RunCfg(oneMCCfg(), wl, model.NameBaseline, 4)
-		if err != nil {
-			return nil, err
-		}
-		spec1r, err := h.RunCfg(oneMCCfg(), wl, model.NamePMEMSpec, 4)
-		if err != nil {
-			return nil, err
-		}
-		asap1r, err := h.RunCfg(oneMCCfg(), wl, model.NameASAPRP, 4)
-		if err != nil {
-			return nil, err
-		}
-		base1 := float64(base1r.Cycles)
-		row = append(row, f2(base1/float64(spec1r.Cycles)), f2(base1/float64(asap1r.Cycles)))
+		one := runs[len(models):]
+		base1 := float64(one[0].Cycles)
+		row = append(row, f2(base1/float64(one[1].Cycles)), f2(base1/float64(one[2].Cycles)))
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
@@ -79,20 +77,6 @@ func (h *Harness) Tab4() (*Table, error) {
 		"vorpal pays a 500-cycle clock broadcast before any epoch's successor may persist, so dfence-heavy",
 		"workloads fall below even the synchronous baseline — the paper's broadcast-frequency criticism")
 	return t, nil
-}
-
-func (h *Harness) planTab4() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, wl := range tab4Workloads {
-		keys = append(keys, h.job(wl, model.NameBaseline, 4))
-		for _, mn := range tab4Models {
-			keys = append(keys, h.job(wl, mn, 4))
-		}
-		for _, mn := range []string{model.NameBaseline, model.NamePMEMSpec, model.NameASAPRP} {
-			keys = append(keys, h.jobCfg(oneMCCfg(), wl, mn, 4))
-		}
-	}
-	return jobs(keys...)
 }
 
 // ablNVMBWGaps is the NVMDrainGap sweep in ns; the header labels the
@@ -117,19 +101,26 @@ func (h *Harness) AblNVMBW() (*Table, error) {
 		Title:  "Sensitivity: NVM write bandwidth per MC vs ASAP's advantage over HOPS (bandwidth micro)",
 		Header: []string{"threads", "1.1GB/s", "2.3GB/s", "4.6GB/s", "9.1GB/s"},
 	}
-	for _, th := range []int{1, 2} {
+	threads := []int{1, 2}
+	var specs []runspec.RunSpec
+	for _, th := range threads {
 		p := h.fig13Params(th)
-		row := []string{fmt.Sprintf("%d", th)}
 		for _, gapNS := range ablNVMBWGaps {
 			cfg := h.nvmBWCfg(th, gapNS)
-			hr, err := h.RunParams(cfg, p, "bandwidth", model.NameHOPSRP)
-			if err != nil {
-				return nil, err
-			}
-			ar, err := h.RunParams(cfg, p, "bandwidth", model.NameASAPRP)
-			if err != nil {
-				return nil, err
-			}
+			specs = append(specs,
+				h.jobParams(cfg, p, "bandwidth", model.NameHOPSRP),
+				h.jobParams(cfg, p, "bandwidth", model.NameASAPRP))
+		}
+	}
+	rs, err := h.eng.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for ti, th := range threads {
+		row := []string{fmt.Sprintf("%d", th)}
+		for g := range ablNVMBWGaps {
+			i := 2 * (ti*len(ablNVMBWGaps) + g)
+			hr, ar := rs[i], rs[i+1]
 			row = append(row, f2(float64(hr.Cycles)/float64(ar.Cycles)))
 		}
 		t.Rows = append(t.Rows, row)
@@ -140,21 +131,7 @@ func (h *Harness) AblNVMBW() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblNVMBW() []prefetchJob {
-	var keys []runspec.RunSpec
-	for _, th := range []int{1, 2} {
-		p := h.fig13Params(th)
-		for _, gapNS := range ablNVMBWGaps {
-			cfg := h.nvmBWCfg(th, gapNS)
-			keys = append(keys,
-				h.jobParams(cfg, p, "bandwidth", model.NameHOPSRP),
-				h.jobParams(cfg, p, "bandwidth", model.NameASAPRP))
-		}
-	}
-	return jobs(keys...)
-}
-
 func init() {
-	experiments["tab4"] = experiment{run: (*Harness).Tab4, plan: (*Harness).planTab4}
-	experiments["abl_nvmbw"] = experiment{run: (*Harness).AblNVMBW, plan: (*Harness).planAblNVMBW}
+	experiments["tab4"] = (*Harness).Tab4
+	experiments["abl_nvmbw"] = (*Harness).AblNVMBW
 }

@@ -492,6 +492,8 @@ type Result struct {
 	RTMaxOcc  int // max recovery-table occupancy across MCs (Figure 12)
 	WPQMaxOcc int
 	Crashed   bool
+	Clock     sim.Cycles // engine clock when Run returned; the sampler may fire past Cycles
+	CrossDeps uint64     // cross-thread dependency edges in the ledger (Figure 2)
 }
 
 // Start schedules the initial events — one step per core, the sampler, and
@@ -557,6 +559,8 @@ func (m *Machine) result() Result {
 		Stats:     m.St,
 		PerCore:   make([]sim.Cycles, len(m.cores)),
 		Crashed:   m.Crashed,
+		Clock:     m.Eng.Now(),
+		CrossDeps: m.Ledger.NumDeps(),
 	}
 	for i, c := range m.cores {
 		res.PerCore[i] = c.finish

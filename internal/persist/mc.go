@@ -338,24 +338,6 @@ func (mc *MC) nack() {
 	mc.finishJob()
 }
 
-// debugFlush prints one flush's recovery-table and media state; test
-// diagnostics behind the DebugLine gate.
-func (mc *MC) debugFlush(pkt FlushPacket) {
-	u, hu := mc.RT.Undo(pkt.Line)
-	fmt.Printf("[%d] MC%d flush tok=%d epoch=%v early=%v hasUndo=%v undo=%+v mem=%d\n",
-		mc.eng.Now(), mc.ID, pkt.Token, pkt.Epoch, pkt.Early, hu, u, mc.NVM.Peek(pkt.Line))
-}
-
-// debugCommitDelays prints the delay records a commit replays; test
-// diagnostics behind the DebugLine gate.
-func (mc *MC) debugCommitDelays() {
-	for _, d := range mc.delays[:mc.nDelays] {
-		if d.Line == DebugLine {
-			fmt.Printf("[%d] MC%d commit %v replays delay tok=%d mem=%d\n", mc.eng.Now(), mc.ID, mc.cur.epoch, d.Token, mc.NVM.Peek(d.Line))
-		}
-	}
-}
-
 // jobName labels a controller job's service span in the trace.
 func jobName(j mcJob) string {
 	switch {
@@ -371,10 +353,6 @@ func jobName(j mcJob) string {
 // processFlush applies Table I to the flush in service.
 func (mc *MC) processFlush() {
 	pkt := mc.cur.pkt
-	if DebugLine != 0 && pkt.Line == DebugLine && mc.RT != nil {
-		mc.debugFlush(pkt) //asaplint:ignore alloccheck test-only diagnostics behind the DebugLine gate, never on a measured run
-	}
-
 	if mc.RT == nil {
 		// Plain ADR controller: every flush is a memory write.
 		mc.insertWrite(pkt.Line, pkt.Token, contAck)
@@ -463,9 +441,6 @@ func (mc *MC) readDone(old mem.Token) {
 func (mc *MC) processCommit() {
 	mc.nDelays = mc.RT.Commit(mc.cur.epoch, mc.delays)
 	mc.delayIdx = 0
-	if DebugLine != 0 {
-		mc.debugCommitDelays() //asaplint:ignore alloccheck test-only diagnostics behind the DebugLine gate, never on a measured run
-	}
 	mc.hc.commits.Inc()
 	mc.commitNext()
 }
@@ -595,10 +570,3 @@ func (mc *MC) CrashFlush() {
 		mc.RT.Clear()
 	}
 }
-
-// DebugLine, when non-zero, makes controllers print every event touching
-// that line (test diagnostics only).
-var DebugLine mem.Line
-
-// DebugLineFrom converts a raw line number for test diagnostics.
-func DebugLineFrom(l uint64) mem.Line { return mem.Line(l) }

@@ -38,28 +38,6 @@ func BenchmarkEventThroughputTyped(b *testing.B) {
 	e.Run(0)
 }
 
-// BenchmarkEventThroughputHooked is BenchmarkEventThroughputTyped with a
-// dispatch hook attached — the tracing-on configuration. The delta
-// between the two is the cost tracing adds per dispatched event; CI gates
-// both through benchdiff.
-func BenchmarkEventThroughputHooked(b *testing.B) {
-	e := NewEngine()
-	var dispatched dispatchCounter
-	e.SetDispatchHook(&dispatched)
-	op := newBenchTickOp(e, b.N)
-	e.AfterOp(1, op.op, 0, 0)
-	b.ResetTimer()
-	e.Run(0)
-	if dispatched == 0 {
-		b.Fatal("dispatch hook never fired")
-	}
-}
-
-// dispatchCounter is a DispatchHook counting dispatches.
-type dispatchCounter uint64
-
-func (c *dispatchCounter) Dispatched(Cycles) { *c++ }
-
 // fanoutOp is BenchmarkEventFanout's receiver: event kind 0 carries the
 // scheduling index j in arg, and every tenth one schedules a kind-1 child.
 type fanoutOp struct {

@@ -84,7 +84,6 @@ type Engine struct {
 	seq        uint64
 	dispatched uint64 // events dispatched so far (see Dispatched)
 	halted     bool
-	onDispatch DispatchHook
 
 	// The timing wheel: slot s is the FIFO of events at the one cycle in
 	// [now, now+wheelSize) congruent to s, threaded through the dense
@@ -124,7 +123,7 @@ func NewEngine() *Engine {
 }
 
 // Reset returns the engine to its state after NewEngine — clock at cycle
-// zero, nothing queued or dispatched, not halted, no hook and no receiver
+// zero, nothing queued or dispatched, not halted and no receiver
 // registered — whatever state a run, a halt or a crash left it in. Only
 // the occupied wheel slots are cleared (an empty slot is all zero); the
 // node slab keeps its capacity, and the overflow heap goes back to nil,
@@ -144,7 +143,7 @@ func (e *Engine) Reset() {
 	e.held, e.holding, e.floor, e.minSlot = event{}, false, 0, 0
 	clear(e.ops) // drop the last run's receivers
 	e.ops = e.ops[:0]
-	e.now, e.seq, e.dispatched, e.halted, e.onDispatch = 0, 0, 0, false, nil
+	e.now, e.seq, e.dispatched, e.halted = 0, 0, 0, false
 }
 
 // Now reports the current simulation time in cycles.
@@ -207,21 +206,9 @@ func (e *Engine) Pending() int {
 }
 
 // Dispatched reports the number of events dispatched since construction.
-// The machine's periodic sampler publishes it as a progress metric; unlike
-// the dispatch hook, the native counter is always on, so observability
-// readers never see zero just because no tracer was attached.
+// The machine's periodic sampler publishes it as a progress metric, and
+// the observability layer counts events through it.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
-
-// DispatchHook observes the event loop: Dispatched runs immediately before
-// each event dispatch, with the event's cycle.
-type DispatchHook interface {
-	Dispatched(when Cycles)
-}
-
-// SetDispatchHook registers h to observe every dispatch (the observability
-// layer counts dispatches through it). A nil h clears the hook; with no
-// hook set, dispatch pays one nil comparison.
-func (e *Engine) SetDispatchHook(h DispatchHook) { e.onDispatch = h }
 
 // Halt stops Run before the next event is dispatched. It is typically called
 // from within an event handler (e.g. by a crash injector).
@@ -292,11 +279,6 @@ func (e *Engine) JumpTo(when Cycles) {
 	e.now = when
 }
 
-// Hooked reports whether a dispatch hook is attached. A checkpoint image
-// cannot carry the hook (it is observer code, not simulation state), so
-// saving a hooked engine is refused.
-func (e *Engine) Hooked() bool { return e.onDispatch != nil }
-
 // Step dispatches exactly one event if available and reports whether it did.
 func (e *Engine) Step() bool {
 	if e.halted {
@@ -340,8 +322,5 @@ func (e *Engine) dispatch() {
 	}
 	e.now = when
 	e.dispatched++
-	if e.onDispatch != nil {
-		e.onDispatch.Dispatched(when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
-	}
 	e.ops[op].RunEvent(int(kind), arg)
 }

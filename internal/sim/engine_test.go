@@ -100,7 +100,7 @@ func TestHalt(t *testing.T) {
 }
 
 // TestResetAfterHalt: an engine halted with events pending on the wheel
-// and in the overflow heap, hooked and past cycle zero, resets to the
+// and in the overflow heap and past cycle zero, resets to the
 // state NewEngine makes, and then dispatches a schedule exactly as a new
 // engine does.
 func TestResetAfterHalt(t *testing.T) {
@@ -121,15 +121,14 @@ func TestResetAfterHalt(t *testing.T) {
 			}
 		})
 	}
-	e.SetDispatchHook(nopHook{})
 	e.Run(0)
 	if e.Pending() == 0 || !e.Halted() {
 		t.Fatal("the run left nothing pending to reset")
 	}
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Dispatched() != 0 || e.Halted() || e.Hooked() || len(e.ops) != 0 {
-		t.Fatalf("reset engine: now %d, %d pending, %d dispatched, halted %v, hooked %v, %d receivers",
-			e.Now(), e.Pending(), e.Dispatched(), e.Halted(), e.Hooked(), len(e.ops))
+	if e.Now() != 0 || e.Pending() != 0 || e.Dispatched() != 0 || e.Halted() || len(e.ops) != 0 {
+		t.Fatalf("reset engine: now %d, %d pending, %d dispatched, halted %v, %d receivers",
+			e.Now(), e.Pending(), e.Dispatched(), e.Halted(), len(e.ops))
 	}
 	if err := e.CheckQueue(); err != nil {
 		t.Fatal(err)
@@ -139,11 +138,6 @@ func TestResetAfterHalt(t *testing.T) {
 		t.Fatalf("reset engine dispatched at %v, a new one at %v", got, want)
 	}
 }
-
-// nopHook observes dispatches and does nothing.
-type nopHook struct{}
-
-func (nopHook) Dispatched(Cycles) {}
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
