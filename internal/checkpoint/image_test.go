@@ -705,7 +705,7 @@ func TestSaveRejectsMidRunPointers(t *testing.T) {
 		{"two where construction shared one", pair{A: &x, B: &y}, pair{A: &z, B: &z}, "different pristine twin"},
 		{"cleared since construction", pair{B: nil}, pair{B: &z}, "cleared since construction"},
 	} {
-		e := &imgEncoder{seen: map[seenKey]unsafe.Pointer{}}
+		cd := &codec{enc: true, seen: map[seenKey]unsafe.Pointer{}}
 		var err error
 		func() {
 			defer func() {
@@ -713,16 +713,77 @@ func TestSaveRejectsMidRunPointers(t *testing.T) {
 					err = cf.err
 				}
 			}()
-			e.encValue(unsafe.Pointer(&c.captured), unsafe.Pointer(&c.pristine), reflect.TypeOf(pair{}))
+			cd.value(unsafe.Pointer(&c.captured), unsafe.Pointer(&c.pristine), reflect.TypeOf(pair{}))
 		}()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: encode error %v, want %q", c.name, err, c.want)
 		}
 	}
-	e := &imgEncoder{seen: map[seenKey]unsafe.Pointer{}}
-	e.encValue(unsafe.Pointer(&pair{A: &x, B: &x}), unsafe.Pointer(&pair{A: &y, B: &y}), reflect.TypeOf(pair{}))
-	if want := []byte{tagFirst, 2, tagSeen}; !bytes.Equal(e.buf, want) {
-		t.Errorf("construction-shared pointee encodes as % x, want % x", e.buf, want)
+	cd := &codec{enc: true, seen: map[seenKey]unsafe.Pointer{}}
+	cd.value(unsafe.Pointer(&pair{A: &x, B: &x}), unsafe.Pointer(&pair{A: &y, B: &y}), reflect.TypeOf(pair{}))
+	if want := []byte{tagFirst, 2, tagSeen}; !bytes.Equal(cd.buf, want) {
+		t.Errorf("construction-shared pointee encodes as % x, want % x", cd.buf, want)
+	}
+}
+
+// TestImageRejectsResizedRefSlice pins the construction-length rule for
+// slices whose elements hold pointers or interfaces. Save refuses such a
+// slice grown since construction; and an image whose digest is intact but
+// whose write-back-buffer list (a []*persist.WBB) has one element more
+// than the fresh machine's, all nil, fails Load with an error. Decoded,
+// those nil buffers panicked machine.Check. The image is patched: the
+// list's bytes, found through imgDebugMarks, are replaced by a longer run
+// of nil tags. Its payload is the sealed_wbbs_grown seed of FuzzLoadSealed.
+func TestImageRejectsResizedRefSlice(t *testing.T) {
+	type refs struct{ S []*int }
+	x := 1
+	var err error
+	func() {
+		defer func() {
+			if cf, ok := recover().(codecFail); ok {
+				err = cf.err
+			}
+		}()
+		c := &codec{enc: true, seen: map[seenKey]unsafe.Pointer{}}
+		c.value(unsafe.Pointer(&refs{S: []*int{nil, nil}}), unsafe.Pointer(&refs{S: []*int{&x}}), reflect.TypeOf(refs{}))
+	}()
+	if err == nil || !strings.Contains(err.Error(), "construction length") {
+		t.Errorf("encoding a grown slice of pointers: %v, want the construction-length error", err)
+	}
+
+	m := smallMachine(t)
+	marks := map[string]int{}
+	imgDebugMarks = func(o int, path string) {
+		if _, ok := marks[path]; !ok {
+			marks[path] = o
+		}
+	}
+	img, err := Save(m)
+	imgDebugMarks = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, okFrom := marks["machine.wbbs"]
+	to, okTo := marks["machine.tokenSeq"]
+	if !okFrom || !okTo {
+		t.Fatal("no machine.wbbs or machine.tokenSeq mark in the image")
+	}
+	n := len(m.Trace().Threads) + 1
+	grown := append(binary.AppendUvarint(nil, uint64(n)+1), make([]byte, n)...) // n nil tags
+	header := len(envelope) + 32
+	bad := append(append(append([]byte(nil), img[:header+from]...), grown...), img[header+to:]...)
+	lm, err := Load(reseal(bad))
+	if err == nil || lm != nil || strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "construction length") {
+		t.Fatalf("Load returned (%v, %v), want the construction-length error", lm != nil, err)
+	}
+	if *updateGolden {
+		path := filepath.Join("testdata", "fuzz", "FuzzLoadSealed", "sealed_wbbs_grown")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bad[header:])), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

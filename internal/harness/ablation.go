@@ -226,11 +226,3 @@ func (h *Harness) AblInterleave() (*Table, error) {
 	}
 	return t, nil
 }
-
-func init() {
-	experiments["abl_rt"] = (*Harness).AblRT
-	experiments["abl_pb"] = (*Harness).AblPB
-	experiments["abl_eager"] = (*Harness).AblEager
-	experiments["abl_xpbuf"] = (*Harness).AblXPBuf
-	experiments["abl_interleave"] = (*Harness).AblInterleave
-}

@@ -27,7 +27,7 @@ func TestSingleflightDedup(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			r, err := h.Run("cceh", model.NameASAPRP, 4)
+			r, err := h.RunSpec(h.Spec("cceh", model.NameASAPRP, 4))
 			if err != nil {
 				t.Error(err)
 				return
@@ -55,7 +55,7 @@ func TestSingleflightDedup(t *testing.T) {
 func TestRunSharedAcrossModels(t *testing.T) {
 	h := New(Options{Ops: 30, Seed: 1, Parallel: 2})
 	for _, mdl := range []string{model.NameBaseline, model.NameHOPSRP, model.NameASAPRP} {
-		if _, err := h.Run("cceh", mdl, 4); err != nil {
+		if _, err := h.RunSpec(h.Spec("cceh", mdl, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,12 +69,12 @@ func TestRunSharedAcrossModels(t *testing.T) {
 // panicking, and the error reaches every waiter for that key.
 func TestErrorPropagation(t *testing.T) {
 	h := New(Options{Ops: 30, Seed: 1, Parallel: 2})
-	_, err := h.Run("no_such_workload", model.NameASAPRP, 4)
+	_, err := h.RunSpec(h.Spec("no_such_workload", model.NameASAPRP, 4))
 	if err == nil || !strings.Contains(err.Error(), "unknown workload") {
 		t.Fatalf("err = %v, want unknown-workload error", err)
 	}
 	// The error is cached: a second request sees it without re-executing.
-	_, err2 := h.Run("no_such_workload", model.NameASAPRP, 4)
+	_, err2 := h.RunSpec(h.Spec("no_such_workload", model.NameASAPRP, 4))
 	if err2 == nil {
 		t.Fatal("cached error lost")
 	}
@@ -84,7 +84,7 @@ func TestErrorPropagation(t *testing.T) {
 // naming the run.
 func TestUnknownModelError(t *testing.T) {
 	h := New(Options{Ops: 30, Seed: 1, Parallel: 2})
-	_, err := h.Run("cceh", "no_such_model", 4)
+	_, err := h.RunSpec(h.Spec("cceh", "no_such_model", 4))
 	if err == nil || !strings.Contains(err.Error(), "cceh/no_such_model/4t") {
 		t.Fatalf("err = %v, want error naming cceh/no_such_model/4t", err)
 	}
@@ -101,7 +101,7 @@ func TestZeroCyclesError(t *testing.T) {
 	ready := make(chan struct{})
 	close(ready)
 	h.eng.calls[tk] = &call{ready: ready, val: &trace.Trace{Name: "empty"}}
-	_, err := h.Run("cceh", model.NameASAPRP, 4)
+	_, err := h.RunSpec(h.Spec("cceh", model.NameASAPRP, 4))
 	if err == nil || !strings.Contains(err.Error(), "zero cycles") {
 		t.Fatalf("err = %v, want zero-cycles error", err)
 	}
@@ -150,10 +150,10 @@ func TestFirstErrorCancels(t *testing.T) {
 // the engine — an unrelated spec still runs to completion afterwards.
 func TestKeepGoingIsolatesErrors(t *testing.T) {
 	h := New(Options{Ops: 30, Seed: 1, Parallel: 2, KeepGoing: true})
-	if _, err := h.Run("no_such_workload", model.NameASAPRP, 4); err == nil {
+	if _, err := h.RunSpec(h.Spec("no_such_workload", model.NameASAPRP, 4)); err == nil {
 		t.Fatal("want error for unknown workload")
 	}
-	r, err := h.Run("cceh", model.NameASAPRP, 4)
+	r, err := h.RunSpec(h.Spec("cceh", model.NameASAPRP, 4))
 	if err != nil {
 		t.Fatalf("unrelated run poisoned by earlier error: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestKeepGoingIsolatesErrors(t *testing.T) {
 		t.Fatal("unrelated run produced no cycles")
 	}
 	// The failed spec's error remains cached.
-	if _, err := h.Run("no_such_workload", model.NameASAPRP, 4); err == nil {
+	if _, err := h.RunSpec(h.Spec("no_such_workload", model.NameASAPRP, 4)); err == nil {
 		t.Fatal("cached error lost under KeepGoing")
 	}
 }
@@ -181,11 +181,11 @@ func TestObserveHook(t *testing.T) {
 			seen[spec.String()]++
 			mu.Unlock()
 		}})
-	r1, err := h.Run("cceh", model.NameASAPRP, 4)
+	r1, err := h.RunSpec(h.Spec("cceh", model.NameASAPRP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Run("cceh", model.NameASAPRP, 4); err != nil {
+	if _, err := h.RunSpec(h.Spec("cceh", model.NameASAPRP, 4)); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -195,7 +195,7 @@ func TestObserveHook(t *testing.T) {
 		t.Fatalf("Observe fired %d times for one leader, want 1", n)
 	}
 	plain := New(Options{Ops: 30, Seed: 1, Parallel: 1})
-	r2, err := plain.Run("cceh", model.NameASAPRP, 4)
+	r2, err := plain.RunSpec(plain.Spec("cceh", model.NameASAPRP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestHarnessReleasesTraces(t *testing.T) {
 				runtime.SetFinalizer(m.Trace(), func(*trace.Trace) { close(collected) })
 			})
 		}})
-	if _, err := h.Run("cceh", model.NameASAPRP, 2); err != nil {
+	if _, err := h.RunSpec(h.Spec("cceh", model.NameASAPRP, 2)); err != nil {
 		t.Fatal(err)
 	}
 	h = nil

@@ -11,7 +11,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -206,15 +205,10 @@ func (h *Harness) jobParams(cfg config.Config, p workload.Params, wl, mdl string
 	return s
 }
 
-// Run executes workload wl under the named model with `threads` threads on
-// a machine with max(threads, 4) cores and 2 MCs, caching the result.
-func (h *Harness) Run(wl, mdl string, threads int) (machine.Result, error) {
-	return h.eng.run(h.job(wl, mdl, threads))
-}
-
-// Spec builds the RunSpec for the standard configuration — the spec Run
-// would execute for the same arguments. Callers that need full control
-// over parameters or configuration build specs with runspec.New.
+// Spec builds the RunSpec for the standard configuration: workload wl
+// under the named model with `threads` threads on a machine with
+// max(threads, 4) cores and 2 MCs. Callers that need full control over
+// parameters or configuration build specs with runspec.New.
 func (h *Harness) Spec(wl, mdl string, threads int) runspec.RunSpec {
 	return h.job(wl, mdl, threads)
 }
@@ -229,27 +223,38 @@ func (h *Harness) RunSpec(spec runspec.RunSpec) (machine.Result, error) {
 
 // Experiments lists the available experiment IDs in paper order.
 func Experiments() []string {
-	ids := make([]string, 0, len(experiments))
-	for id := range experiments {
-		ids = append(ids, id)
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	sort.Strings(ids)
 	return ids
 }
 
-// experiments maps each experiment ID to its table builder. A builder
-// hands the engine every simulation it needs in one runAll call, then
-// formats the results.
-var experiments = map[string]func(*Harness) (*Table, error){
-	"fig2":  (*Harness).Fig2,
-	"fig3":  (*Harness).Fig3,
-	"fig8":  (*Harness).Fig8,
-	"fig9":  (*Harness).Fig9,
-	"fig10": (*Harness).Fig10,
-	"fig11": (*Harness).Fig11,
-	"fig12": (*Harness).Fig12,
-	"fig13": (*Harness).Fig13,
-	"tab5":  (*Harness).Tab5,
+// experiments pairs each experiment ID with its table builder, in paper
+// order: the figures and tables, then the ablations and extensions. A
+// builder hands the engine every simulation it needs in one runAll call,
+// then formats the results.
+var experiments = []struct {
+	id  string
+	run func(*Harness) (*Table, error)
+}{
+	{"fig2", (*Harness).Fig2},
+	{"fig3", (*Harness).Fig3},
+	{"fig8", (*Harness).Fig8},
+	{"fig9", (*Harness).Fig9},
+	{"fig10", (*Harness).Fig10},
+	{"fig11", (*Harness).Fig11},
+	{"fig12", (*Harness).Fig12},
+	{"fig13", (*Harness).Fig13},
+	{"tab4", (*Harness).Tab4},
+	{"tab5", (*Harness).Tab5},
+	{"abl_nvmbw", (*Harness).AblNVMBW},
+	{"abl_eager", (*Harness).AblEager},
+	{"abl_pb", (*Harness).AblPB},
+	{"abl_rt", (*Harness).AblRT},
+	{"abl_xpbuf", (*Harness).AblXPBuf},
+	{"abl_interleave", (*Harness).AblInterleave},
+	{"abl_strands", (*Harness).AblStrands},
 }
 
 // Experiment runs one experiment by ID. Its simulations run in list order
@@ -257,11 +262,12 @@ var experiments = map[string]func(*Harness) (*Table, error){
 // the table is assembled from the results in list order either way, so
 // output does not depend on the pool size.
 func (h *Harness) Experiment(id string) (*Table, error) {
-	run, ok := experiments[id]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(h)
+		}
 	}
-	return run(h)
+	return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
 }
 
 // Tables runs the given experiments — concurrently when the engine is

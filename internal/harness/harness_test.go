@@ -68,6 +68,17 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestExperimentsPaperOrder pins the order Experiments returns, which
+// `asapfig all` and `asapfig -list` print: the figures and tables in paper
+// order, then the ablations and extensions in EXPERIMENTS.md's order.
+func TestExperimentsPaperOrder(t *testing.T) {
+	want := []string{"fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "tab4", "tab5",
+		"abl_nvmbw", "abl_eager", "abl_pb", "abl_rt", "abl_xpbuf", "abl_interleave", "abl_strands"}
+	if got := Experiments(); !slices.Equal(got, want) {
+		t.Fatalf("Experiments() = %v, want %v", got, want)
+	}
+}
+
 func TestWorkloadsExcludesBandwidth(t *testing.T) {
 	for _, wl := range Workloads() {
 		if wl == "bandwidth" {
@@ -84,11 +95,11 @@ func TestWorkloadsExcludesBandwidth(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	a := New(QuickOptions())
 	b := New(QuickOptions())
-	ra, err := a.Run("cceh", "asap_rp", 4)
+	ra, err := a.RunSpec(a.Spec("cceh", "asap_rp", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Run("cceh", "asap_rp", 4)
+	rb, err := b.RunSpec(b.Spec("cceh", "asap_rp", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +108,7 @@ func TestRunDeterminism(t *testing.T) {
 			ra.Cycles, ra.PMWrites, rb.Cycles, rb.PMWrites)
 	}
 	// Cached second run returns the identical result.
-	r2, err := a.Run("cceh", "asap_rp", 4)
+	r2, err := a.RunSpec(a.Spec("cceh", "asap_rp", 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func summarizeDist(r machine.Result, name string) distSummary {
 // as they did, and as a machine built for A alone reports them.
 func TestPooledResultKeepsItsStats(t *testing.T) {
 	h := New(Options{Ops: 40, Seed: 1, Parallel: 1})
-	a, err := h.Run("cceh", model.NameASAPEP, 4)
+	a, err := h.RunSpec(h.Spec("cceh", model.NameASAPEP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPooledResultKeepsItsStats(t *testing.T) {
 	if wantDist.count == 0 {
 		t.Fatal("spec A sampled no persist-buffer occupancy")
 	}
-	b, err := h.Run("dash_eh", model.NameASAPEP, 4)
+	b, err := h.RunSpec(h.Spec("dash_eh", model.NameASAPEP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,3 @@ func (h *Harness) AblStrands() (*Table, error) {
 		"(eager flushing already overlaps epochs without needing strand annotations)")
 	return t, nil
 }
-
-func init() {
-	experiments["abl_strands"] = (*Harness).AblStrands
-}

@@ -130,8 +130,3 @@ func (h *Harness) AblNVMBW() (*Table, error) {
 		"paper §I: ASAP offers greater benefit with increasing NVM write bandwidth")
 	return t, nil
 }
-
-func init() {
-	experiments["tab4"] = (*Harness).Tab4
-	experiments["abl_nvmbw"] = (*Harness).AblNVMBW
-}

@@ -22,7 +22,7 @@ func runTracedSet(t *testing.T, dir string) map[string]string {
 			wg.Add(1)
 			go func(mdl string, threads int) {
 				defer wg.Done()
-				if _, err := h.Run("atlas_queue", mdl, threads); err != nil {
+				if _, err := h.RunSpec(h.Spec("atlas_queue", mdl, threads)); err != nil {
 					t.Error(err)
 				}
 			}(mdl, threads)
@@ -88,11 +88,11 @@ func TestTraceCapture(t *testing.T) {
 func TestTraceCaptureDoesNotPerturb(t *testing.T) {
 	plain := New(Options{Ops: 30, Seed: 1, Parallel: 1})
 	traced := New(Options{Ops: 30, Seed: 1, Parallel: 1, TraceDir: t.TempDir()})
-	rp, err := plain.Run("atlas_queue", model.NameASAPEP, 4)
+	rp, err := plain.RunSpec(plain.Spec("atlas_queue", model.NameASAPEP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := traced.Run("atlas_queue", model.NameASAPEP, 4)
+	rt, err := traced.RunSpec(traced.Spec("atlas_queue", model.NameASAPEP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"asap/internal/cache"
@@ -754,7 +755,7 @@ func (m *Machine) finishRelease(c *coreState) {
 	}
 	if len(lk.waiters) > 0 {
 		next := m.cores[lk.waiters[0]]
-		lk.waiters = lk.waiters[1:]
+		lk.waiters = lk.waiters[:copy(lk.waiters, lk.waiters[1:])] // keeps the front capacity for acquire's append
 		lk.holder = next.id
 		next.handoffLine = line
 		m.Eng.AfterOp(m.Cfg.RemoteXfer, m.op(), mEvHandoff, uint64(next.id))
@@ -784,13 +785,51 @@ func (m *Machine) lock(line mem.Line) *lockState {
 	return &m.locks[lo]
 }
 
-// Check reports the first way the machine's run state does not fit its
-// plan: a core out of place or past the end of its thread, PM mark bits of
-// another length, a lock table of another size, a lock holder or waiter
-// that is no core of the trace, a controller whose ID is not its index,
-// or an NVM table not sized for its controller's PM lines. A machine decoded from a checkpoint image is
-// checked before use; unchecked, these states panic in Run.
+// Check reports the first way the machine's state breaks an invariant, each
+// error naming its component: the engine's event queue
+// (sim.Engine.CheckQueue); the caches and directory; the run state against
+// its plan — a core out of place or past the end of its thread, PM mark
+// bits of another length, a lock table of another size, a lock holder or
+// waiter that is no core of the trace, a controller whose ID is not its
+// index, or an NVM table not sized for its controller's PM lines; each
+// controller's NVM, WPQ, XPBuffer and recovery table; each core's
+// write-back buffer; and the model's persist buffers and epoch tables. A
+// machine decoded from a checkpoint image is checked before use;
+// unchecked, these states panic, hang or misorder events in Run.
 func (m *Machine) Check() error {
+	if err := m.Eng.CheckQueue(); err != nil {
+		return fmt.Errorf("event queue is malformed: %w", err)
+	}
+	if err := m.Hier.Check(m.plan.cfg); err != nil {
+		return fmt.Errorf("cache state is malformed: %w", err)
+	}
+	if err := m.checkPlan(); err != nil {
+		return fmt.Errorf("run state does not fit the trace: %w", err)
+	}
+	for i, mc := range m.MCs {
+		err := errors.Join(mc.NVM.Check(), mc.WPQ.Check(), mc.XP.Check())
+		if mc.RT != nil {
+			err = errors.Join(err, mc.RT.Check())
+		}
+		if err != nil {
+			return fmt.Errorf("controller %d memory state is malformed: %w", i, err)
+		}
+	}
+	for i, wbb := range m.wbbs {
+		if err := wbb.Check(); err != nil {
+			return fmt.Errorf("core %d write-back buffer is malformed: %w", i, err)
+		}
+	}
+	if pm, ok := m.Model.(interface{ Check() error }); ok {
+		if err := pm.Check(); err != nil {
+			return fmt.Errorf("persist buffers or epoch tables are malformed: %w", err)
+		}
+	}
+	return nil
+}
+
+// checkPlan holds the run state to the plan (see Check).
+func (m *Machine) checkPlan() error {
 	p := m.plan
 	for i, c := range m.cores {
 		if c.id != i || c.pc < 0 || c.pc > len(p.tr.Threads[i]) {

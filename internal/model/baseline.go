@@ -131,11 +131,13 @@ func (m *Baseline) fence(core int, done sim.Cont) {
 }
 
 // issueFlushes streams clwb operations, at most PBMaxInflight outstanding
-// (the write-combining/MSHR limit of the flush path).
+// (the write-combining/MSHR limit of the flush path), and moves the lines
+// left to the front of the queue, so its appends reuse the whole backing
+// array.
 func (m *Baseline) issueFlushes(c *baseCore) {
-	for len(c.issueQ) > 0 && c.outstanding < m.env.Cfg.PBMaxInflight {
-		d := c.issueQ[0]
-		c.issueQ = c.issueQ[1:]
+	n := 0
+	for ; n < len(c.issueQ) && c.outstanding < m.env.Cfg.PBMaxInflight; n++ {
+		d := c.issueQ[n]
 		c.outstanding++
 		m.hc.clwbIssued.Inc()
 		pkt := persist.FlushPacket{
@@ -145,6 +147,7 @@ func (m *Baseline) issueFlushes(c *baseCore) {
 		}
 		m.env.Link.FlushOp(m.env.IL.Home(d.line), pkt, uint64(c.id), false)
 	}
+	c.issueQ = c.issueQ[:copy(c.issueQ, c.issueQ[n:])]
 }
 
 // FlushReply receives a clwb's ACK for core arg.
