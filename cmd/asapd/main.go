@@ -1,6 +1,6 @@
 // Command asapd serves simulations over HTTP/JSON: a long-running
-// daemon wrapping the experiment harness behind a content-addressed run
-// cache. Determinism makes every result globally cacheable — identical
+// daemon that simulates each spec it has not seen on a bounded worker
+// pool and keeps the result in a content-addressed store. Determinism makes every result globally cacheable — identical
 // RunSpecs are simulated once, persisted under the SHA-256 of their
 // canonical form, and answered byte-identically forever after.
 //

@@ -121,8 +121,6 @@ type Graph struct {
 	Nodes []*Node
 	// byFunc maps declared functions and methods to their nodes.
 	byFunc map[*types.Func]*Node
-	// byLit maps function literals to their nodes.
-	byLit map[*ast.FuncLit]*Node
 	// namedTypes lists every named (non-alias, non-interface) type
 	// declared in the module, in deterministic order — the candidate set
 	// for interface dispatch resolution.
@@ -135,9 +133,6 @@ type Graph struct {
 // NodeOf returns the node of a declared function or method, or nil.
 func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFunc[fn] }
 
-// LitNode returns the node of a function literal, or nil.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // NamedTypes returns every named (non-alias, non-interface) type declared
 // in the module, in deterministic order.
 func (g *Graph) NamedTypes() []*types.Named { return g.namedTypes }
@@ -147,7 +142,6 @@ func (g *Graph) NamedTypes() []*types.Named { return g.namedTypes }
 func Build(pkgs []*analysis.Package) *Graph {
 	g := &Graph{
 		byFunc:    make(map[*types.Func]*Node),
-		byLit:     make(map[*ast.FuncLit]*Node),
 		implCache: make(map[*types.Func][]*Node),
 	}
 	// Pass 1: index declared functions and named types, so pass 2 can
@@ -209,7 +203,6 @@ func (g *Graph) walkBody(n *Node) {
 				name: fmt.Sprintf("%s·func%d", n.name, lits),
 			}
 			g.Nodes = append(g.Nodes, child)
-			g.byLit[e] = child
 			// Creating a closure is treated as a potential call of it.
 			n.Calls = append(n.Calls, Call{Site: nil, Kind: Static, Callees: []*Node{child}})
 			g.walkBody(child)

@@ -60,9 +60,6 @@ func NewLoader(dir string) (*Loader, error) {
 // Root returns the module root directory.
 func (l *Loader) Root() string { return l.root }
 
-// ModulePath returns the module path declared in go.mod.
-func (l *Loader) ModulePath() string { return l.module }
-
 func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

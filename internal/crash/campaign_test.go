@@ -1,12 +1,15 @@
 package crash
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"asap/internal/config"
 	"asap/internal/machine"
 	"asap/internal/model"
+	"asap/internal/rng"
+	"asap/internal/trace"
 	"asap/internal/workload"
 )
 
@@ -89,4 +92,47 @@ func TestCrashNowEquivalence(t *testing.T) {
 			t.Errorf("at=%d: stats diverged:\n%s\nvs\n%s", at, a, b)
 		}
 	}
+}
+
+// CampaignRebuild is the pre-checkpoint formulation — a full from-zero
+// simulation per injection point, each on the reference machine Reset from
+// its own plan, crashed as the last injection left it. It lives with the
+// tests as the differential oracle for the forked campaign (and so of Reset
+// after a crash) and as the baseline side of BenchmarkCrashCampaign.
+func CampaignRebuild(cfg config.Config, modelName string, tr *trace.Trace, runs int, seed uint64) (CampaignResult, error) {
+	res := CampaignResult{Model: modelName, Runs: runs}
+	r := rng.New(seed)
+
+	ref, err := machine.New(cfg, modelName, tr)
+	if err != nil {
+		return res, err
+	}
+	refRes := ref.Run(0)
+	res.MaxCycles = refRes.Cycles
+	if refRes.Cycles == 0 {
+		return res, fmt.Errorf("crash: reference run of %s reported zero cycles", modelName)
+	}
+	for _, mc := range ref.MCs {
+		mc.CrashFlush()
+	}
+	if rep := Check(ref); !rep.OK {
+		res.Failures = append(res.Failures, rep)
+	}
+
+	m, plan := ref, ref.Plan()
+	for i := 0; i < runs; i++ {
+		if err := m.Reset(plan); err != nil {
+			return res, err
+		}
+		at := 1 + r.Uint64n(uint64(refRes.Cycles)+1)
+		m.ScheduleCrash(at)
+		m.Run(0)
+		if m.Crashed {
+			res.Crashes++
+		}
+		if rep := Check(m); !rep.OK {
+			res.Failures = append(res.Failures, rep)
+		}
+	}
+	return res, nil
 }

@@ -2,8 +2,8 @@ package harness
 
 // The experiment engine: a concurrency-safe, singleflight-deduplicated
 // cache of workload traces and simulation runs, executed by a bounded
-// worker pool on machines it resets and reuses across the runs of one
-// (config, model).
+// worker pool on machines a machine.Pool resets and reuses across the runs
+// of one (config, model).
 //
 // Every simulation in the evaluation is a pure function of its
 // runspec.RunSpec — (workload, generator params, model, machine config)
@@ -15,11 +15,8 @@ package harness
 // one. The engine guarantees each spec is computed exactly once
 // (fig8/fig9/fig10 request heavily overlapping runs), bounds concurrently
 // executing simulations to the pool size, converts panics on worker
-// goroutines into errors, and —
-// unless Options.KeepGoing is set (asapd serves unrelated requests; one
-// bad spec must not poison the service) — cancels outstanding work when
-// any simulation fails (first error wins and is reported as the cause
-// everywhere).
+// goroutines into errors, and cancels outstanding work when any simulation
+// fails (first error wins and is reported as the cause everywhere).
 
 import (
 	"bytes"
@@ -28,37 +25,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
-	"asap/internal/config"
 	"asap/internal/machine"
 	"asap/internal/obs"
 	"asap/internal/runspec"
 	"asap/internal/trace"
 	"asap/internal/workload"
 )
-
-// poolKey names the runs an idle machine can serve: Reset keeps a
-// machine's config and model and replaces its plan.
-type poolKey struct {
-	cfg   config.Config
-	model string
-}
-
-// maxIdleMachines bounds the engine's pool of idle machines. Figure 8
-// rotates through six (config, model) keys per workload — the baseline and
-// five models — so a serial figure builds six machines and resets them for
-// every later run; sweeps that rotate through more keys than the pool
-// holds evict the least recently used machine.
-const maxIdleMachines = 8
-
-// idleMachine is one pooled machine, ready for Reset.
-type idleMachine struct {
-	key poolKey
-	m   *machine.Machine
-}
 
 // traceKey identifies one generated trace. workload.Params is a flat
 // comparable struct, so the key is directly usable in a map.
@@ -82,29 +57,26 @@ type call struct {
 // outcome (including errors — a failed simulation stays failed; results
 // are deterministic, so a cached error is as final as a cached result).
 type engine struct {
-	sem       chan struct{} // bounds concurrently executing simulations
-	ctx       context.Context
-	cancel    context.CancelCauseFunc
-	traceDir  string // when non-empty, capture trace artifacts per run
-	keepGoing bool   // don't cancel the engine on the first error
-	observe   func(runspec.RunSpec, *machine.Machine)
+	sem      chan struct{} // bounds concurrently executing simulations
+	ctx      context.Context
+	cancel   context.CancelCauseFunc
+	traceDir string // when non-empty, capture trace artifacts per run
+	observe  func(runspec.RunSpec, *machine.Machine)
+	// pool holds machines whose run completed, for build to Reset
+	// instead of constructing anew.
+	pool machine.Pool
 
 	mu    sync.Mutex
 	calls map[any]*call
-	// idle holds machines whose run completed, least recently used first,
-	// for build to Reset instead of constructing anew.
-	idle []idleMachine
 
 	// traceGens and runExecs count leader executions (not cache hits);
-	// the tests use them to prove every spec runs once, and asapd's
-	// /v1/stats reports them. simCycles accumulates the simulated cycles of
-	// executed runs for cycles/sec reporting.
+	// the tests use them to prove every spec runs once. simCycles
+	// accumulates the simulated cycles of executed runs for cycles/sec
+	// reporting, and plans counts the plans compiled.
 	traceGens atomic.Int64
 	runExecs  atomic.Int64
 	simCycles atomic.Uint64
-	// plans counts the plans compiled; builds and resets count the
-	// machines build constructed and the pooled machines it reset.
-	plans, builds, resets atomic.Int64
+	plans     atomic.Int64
 }
 
 // newEngine builds an engine from the harness options; Parallel <= 0
@@ -116,13 +88,12 @@ func newEngine(opts Options) *engine {
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	return &engine{
-		sem:       make(chan struct{}, parallel),
-		ctx:       ctx,
-		cancel:    cancel,
-		traceDir:  opts.TraceDir,
-		keepGoing: opts.KeepGoing,
-		observe:   opts.Observe,
-		calls:     make(map[any]*call),
+		sem:      make(chan struct{}, parallel),
+		ctx:      ctx,
+		cancel:   cancel,
+		traceDir: opts.TraceDir,
+		observe:  opts.Observe,
+		calls:    make(map[any]*call),
 	}
 }
 
@@ -132,9 +103,7 @@ func (e *engine) workers() int { return cap(e.sem) }
 // once runs fn exactly once per key, caching the outcome. Concurrent
 // callers of the same key block until the leader finishes. Any error
 // cancels the engine so outstanding leaders stop before simulating (the
-// first error becomes the cancellation cause reported everywhere) —
-// unless the engine keeps going, in which case the error is cached for
-// its own key and other keys are untouched.
+// first error becomes the cancellation cause reported everywhere).
 func (e *engine) once(key any, fn func() (any, error)) (any, error) {
 	e.mu.Lock()
 	if c, ok := e.calls[key]; ok {
@@ -147,7 +116,7 @@ func (e *engine) once(key any, fn func() (any, error)) (any, error) {
 	e.mu.Unlock()
 
 	c.val, c.err = fn()
-	if c.err != nil && !e.keepGoing {
+	if c.err != nil {
 		e.cancel(c.err) // no-op after the first cancellation
 	}
 	close(c.ready)
@@ -224,7 +193,7 @@ func (e *engine) run(k runspec.RunSpec) (machine.Result, error) {
 				return nil, err
 			}
 			r.Stats = r.Stats.Clone()
-			e.release(poolKey{k.Config, k.Model}, m)
+			e.pool.Put(m)
 			return r, nil
 		})
 	})
@@ -273,8 +242,7 @@ func (e *engine) runAll(specs []runspec.RunSpec) ([]machine.Result, error) {
 // config and model Reset from the plan of the spec's trace under its
 // config, or a new one. The plan is compiled once per engine, keyed by the
 // spec without its model, and shared by the runs of every model. The
-// Observe hook fires here, before Run, so callers can attach obs sinks —
-// asapd attaches a progress gauge.
+// Observe hook fires here, before Run, so callers can attach obs sinks.
 func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
 	pk := planKey(k)
 	pk.Model = ""
@@ -289,15 +257,7 @@ func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := v.(*machine.Plan)
-	m := e.acquire(poolKey{k.Config, k.Model})
-	if m != nil {
-		err = m.Reset(p)
-		e.resets.Add(1)
-	} else {
-		m, err = machine.NewFromPlan(p, k.Model)
-		e.builds.Add(1)
-	}
+	m, err := e.pool.Get(v.(*machine.Plan), k.Model)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", k, err)
 	}
@@ -305,32 +265,6 @@ func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
 		e.observe(k, m)
 	}
 	return m, nil
-}
-
-// acquire takes the most recently pooled machine of key out of the pool,
-// or returns nil if none is idle.
-func (e *engine) acquire(key poolKey) *machine.Machine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i := len(e.idle) - 1; i >= 0; i-- {
-		if e.idle[i].key == key {
-			m := e.idle[i].m
-			e.idle = slices.Delete(e.idle, i, i+1)
-			return m
-		}
-	}
-	return nil
-}
-
-// release pools m, idle after a completed run, under key, evicting the
-// least recently pooled machine past maxIdleMachines.
-func (e *engine) release(key poolKey, m *machine.Machine) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.idle = append(e.idle, idleMachine{key, m})
-	if len(e.idle) > maxIdleMachines {
-		e.idle = slices.Delete(e.idle, 0, 1)
-	}
 }
 
 // execs reports leader executions so far (traces generated, runs
@@ -342,7 +276,8 @@ func (e *engine) execs() (traces, runs int64) {
 // machines reports how many plans the engine has compiled, machines build
 // has constructed and pooled machines it has reset.
 func (e *engine) machines() (plans, builds, resets int64) {
-	return e.plans.Load(), e.builds.Load(), e.resets.Load()
+	builds, resets = e.pool.Counts()
+	return e.plans.Load(), builds, resets
 }
 
 // instrument attaches a fresh collector and default-interval timeline to

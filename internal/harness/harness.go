@@ -102,19 +102,14 @@ type Options struct {
 	// Artifacts are deterministic and written exactly once per simulation,
 	// so capture is safe at any Parallel setting.
 	TraceDir string
-	// KeepGoing stops the first simulation error from cancelling the
-	// whole engine. Batch callers (asapfig) want fail-fast: one broken
-	// experiment aborts the run with its root cause. A long-running
-	// service (asapd) wants the opposite — errors stay cached under
-	// their own spec, and unrelated requests keep working.
-	KeepGoing bool
 	// Observe, when non-nil, is invoked on each leader simulation's
 	// machine after construction and before Run — once per executed spec,
 	// in run-list order on a serial engine — so callers can attach
-	// observability sinks (asapd attaches an obs.Gauge for progress
-	// reporting). It runs on worker goroutines — implementations must be
-	// safe for concurrent calls — and must only observe: scheduling model
-	// work from here would perturb the simulation. The machine is reused
+	// observability sinks or time each run (bench/fig8.go times its
+	// fig8_cold items with it). It runs on worker goroutines —
+	// implementations must be safe for concurrent calls — and must only
+	// observe: scheduling model work from here would perturb the
+	// simulation. The machine is reused
 	// for a later simulation once its run completes (Machine.Reset
 	// detaches what the hook attached), so a hook must not retain it, or
 	// read it, past that run.
@@ -211,14 +206,6 @@ func (h *Harness) jobParams(cfg config.Config, p workload.Params, wl, mdl string
 // parameters or configuration build specs with runspec.New.
 func (h *Harness) Spec(wl, mdl string, threads int) runspec.RunSpec {
 	return h.job(wl, mdl, threads)
-}
-
-// RunSpec executes an explicit spec through the engine's singleflight
-// cache: concurrent submissions of one spec simulate once, repeats are
-// cache hits, and errors are cached per spec. This is asapd's entry
-// point; the spec's Ops/Seed override the harness-level Options scale.
-func (h *Harness) RunSpec(spec runspec.RunSpec) (machine.Result, error) {
-	return h.eng.run(spec)
 }
 
 // Experiments lists the available experiment IDs in paper order.

@@ -95,11 +95,11 @@ func TestWorkloadsExcludesBandwidth(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	a := New(QuickOptions())
 	b := New(QuickOptions())
-	ra, err := a.RunSpec(a.Spec("cceh", "asap_rp", 4))
+	ra, err := a.eng.run(a.Spec("cceh", "asap_rp", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.RunSpec(b.Spec("cceh", "asap_rp", 4))
+	rb, err := b.eng.run(b.Spec("cceh", "asap_rp", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRunDeterminism(t *testing.T) {
 			ra.Cycles, ra.PMWrites, rb.Cycles, rb.PMWrites)
 	}
 	// Cached second run returns the identical result.
-	r2, err := a.RunSpec(a.Spec("cceh", "asap_rp", 4))
+	r2, err := a.eng.run(a.Spec("cceh", "asap_rp", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestRunAllSerialOrder(t *testing.T) {
 		t.Fatalf("Observe saw %v, want %v", order, want)
 	}
 	for i, spec := range specs {
-		r, err := h.RunSpec(spec)
+		r, err := h.eng.run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,8 +290,7 @@ func TestRunAllSerialOrder(t *testing.T) {
 }
 
 // TestRunAllErrors: a serial engine returns the first failing spec's
-// error and runs nothing after it; a parallel engine returns the error of
-// the first failing spec in list order, whichever failed first in time.
+// error and runs nothing after it.
 func TestRunAllErrors(t *testing.T) {
 	var ran []string
 	h := New(Options{Ops: 20, Seed: 1, Parallel: 1,
@@ -306,20 +305,6 @@ func TestRunAllErrors(t *testing.T) {
 	}
 	if !slices.Equal(ran, []string{"cceh"}) {
 		t.Fatalf("serial: ran %v, want only the spec before the failure", ran)
-	}
-	// KeepGoing keeps each failure under its own spec, so the two
-	// failures stay distinct and the list order alone picks the error.
-	for i := 0; i < 5; i++ {
-		h := New(Options{Ops: 20, Seed: 1, Parallel: 4, KeepGoing: true})
-		_, err := h.eng.runAll([]runspec.RunSpec{
-			h.Spec("cceh", model.NameASAPRP, 2),
-			h.Spec("no_such_a", model.NameASAPRP, 2),
-			h.Spec("nstore", model.NameASAPRP, 2),
-			h.Spec("no_such_b", model.NameASAPRP, 2),
-		})
-		if err == nil || !strings.Contains(err.Error(), `"no_such_a"`) {
-			t.Fatalf("parallel: err = %v, want no_such_a's error", err)
-		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"slices"
 	"testing"
 
-	"asap/internal/config"
 	"asap/internal/machine"
 	"asap/internal/model"
 	"asap/internal/workload"
@@ -31,7 +29,7 @@ func summarizeDist(r machine.Result, name string) distSummary {
 // as they did, and as a machine built for A alone reports them.
 func TestPooledResultKeepsItsStats(t *testing.T) {
 	h := New(Options{Ops: 40, Seed: 1, Parallel: 1})
-	a, err := h.RunSpec(h.Spec("cceh", model.NameASAPEP, 4))
+	a, err := h.eng.run(h.Spec("cceh", model.NameASAPEP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +37,7 @@ func TestPooledResultKeepsItsStats(t *testing.T) {
 	if wantDist.count == 0 {
 		t.Fatal("spec A sampled no persist-buffer occupancy")
 	}
-	b, err := h.RunSpec(h.Spec("dash_eh", model.NameASAPEP, 4))
+	b, err := h.eng.run(h.Spec("dash_eh", model.NameASAPEP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,38 +82,5 @@ func TestFig8MachineReuse(t *testing.T) {
 	}
 	if plans, builds, resets := h.eng.machines(); plans != 14 || builds != 6 || resets != 78 {
 		t.Fatalf("Figure 8 compiled %d plans, built %d machines and reset %d, want 14, 6 and 78", plans, builds, resets)
-	}
-}
-
-// TestPoolEvictsLeastRecentlyUsed: past maxIdleMachines the pool drops
-// the machine whose key was used longest ago, not the one pooled first.
-func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
-	h := New(Options{Ops: 30, Seed: 1, Parallel: 1})
-	run := func(key int, wl string) {
-		spec := h.Spec(wl, model.NameASAPEP, 4)
-		spec.Config.RTEntries += key
-		if _, err := h.RunSpec(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var want []int
-	for key := 0; key < maxIdleMachines; key++ {
-		run(key, "cceh")
-	}
-	run(0, "dash_eh")            // key 0's machine is reset and pooled again
-	run(maxIdleMachines, "cceh") // one key too many: key 1 goes
-	for key := 2; key < maxIdleMachines; key++ {
-		want = append(want, key)
-	}
-	want = append(want, 0, maxIdleMachines)
-	var got []int
-	for _, im := range h.eng.idle {
-		got = append(got, im.key.cfg.RTEntries-config.Default().RTEntries)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("the pool holds the machines of keys %v, want %v", got, want)
-	}
-	if _, builds, resets := h.eng.machines(); builds != maxIdleMachines+1 || resets != 1 {
-		t.Fatalf("built %d and reset %d machines, want %d and 1", builds, resets, maxIdleMachines+1)
 	}
 }

@@ -167,7 +167,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	runs, cycles := s.h.Perf()
 	s.mu.Lock()
 	inflightRuns := len(s.runs)
 	s.mu.Unlock()
@@ -179,11 +178,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats.WriteCounterProm(&b, "asapd_inflight_joins", "submissions that joined an already-running simulation", u64(s.inflight.Load()))
 	stats.WriteCounterProm(&b, "asapd_failures", "simulations that returned an error", u64(s.failures.Load()))
 	stats.WriteCounterProm(&b, "asapd_store_errors", "result-store writes that failed", u64(s.storeErrors.Load()))
-	stats.WriteCounterProm(&b, "asapd_runs_executed", "simulations executed by the harness engine", uint64(runs))
-	stats.WriteCounterProm(&b, "asapd_simulated_cycles", "simulated cycles accumulated across executed runs", cycles)
+	stats.WriteCounterProm(&b, "asapd_runs_executed", "simulations executed by the server", u64(s.executed.Load()))
+	stats.WriteCounterProm(&b, "asapd_simulated_cycles", "simulated cycles accumulated across executed runs", s.simCycles.Load())
 	stats.WriteGaugeProm(&b, "asapd_store_entries", "envelopes in the content-addressed store", float64(entries))
 	stats.WriteGaugeProm(&b, "asapd_inflight_runs", "runs currently tracked as executing", float64(inflightRuns))
-	stats.WriteGaugeProm(&b, "asapd_workers", "harness worker-pool size", float64(s.h.Parallelism()))
+	stats.WriteGaugeProm(&b, "asapd_workers", "simulation worker-pool size", float64(cap(s.sem)))
 	s.httpm.writeProm(&b)
 	s.aggMu.Lock()
 	stats.WriteProm(&b, "asap_", s.agg)

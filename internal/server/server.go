@@ -1,15 +1,15 @@
 // Package server implements asapd: a long-running HTTP/JSON simulation
-// service over the experiment harness.
+// service.
 //
 // Every simulation is a pure function of its runspec.RunSpec, so the
-// service is a cache hierarchy over that key:
-//
-//  1. the content-addressed on-disk Store (survives restarts, shareable
-//     between daemons pointed at one directory),
-//  2. the harness engine's in-memory singleflight cache, which also
-//     dedupes identical in-flight requests — N clients submitting one
-//     spec cost one simulation,
-//  3. an actual run on the harness worker pool, bounded by Parallel.
+// content-addressed on-disk Store (survives restarts, shareable between
+// daemons pointed at one directory) is the service's only result cache.
+// A spec the store lacks is tracked in one in-flight table until its
+// envelope is stored: N clients submitting one spec cost one simulation,
+// and a failed spec stays there, serving its error. Each simulation
+// generates its trace, compiles its plan and runs on a machine from a
+// machine.Pool, at most Parallel at once; nothing of a run is kept once
+// its envelope is stored.
 //
 // Completed results are encoded once (Envelope) and served verbatim ever
 // after: responses for one spec are byte-identical across requests and
@@ -44,11 +44,11 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"asap/internal/harness"
 	"asap/internal/machine"
 	"asap/internal/model"
 	"asap/internal/obs"
@@ -93,10 +93,10 @@ type run struct {
 	progress *obs.Progress
 
 	// Span anchors. admitted is set when the run entry is created;
-	// started is set by the harness Observe hook, which fires on the
-	// leader's execute goroutine after machine construction and before
-	// Run — so both are written before ru.done closes and the only
-	// cross-goroutine reads happen after it.
+	// started is set by simulate on the run's execute goroutine, after
+	// the machine is built or reset and before Run — so both are written
+	// before ru.done closes and the only cross-goroutine reads happen
+	// after it.
 	admitted time.Time
 	started  time.Time
 
@@ -107,7 +107,6 @@ type run struct {
 
 // Server is the asapd request handler. Create with New, mount Handler.
 type Server struct {
-	h                *harness.Harness
 	store            *Store
 	log              *slog.Logger
 	maxTotalOps      int
@@ -119,6 +118,9 @@ type Server struct {
 	mu   sync.Mutex
 	runs map[string]*run // in-flight and failed runs by hash
 
+	sem  chan struct{} // bounds concurrently executing simulations
+	pool machine.Pool  // idle machines, reset for later runs
+
 	// agg aggregates simulator stats across every executed run plus the
 	// per-run span distributions (runQueueWaitMillis etc.), for the
 	// /metrics exposition. Guarded by aggMu: runs complete on worker
@@ -126,12 +128,14 @@ type Server struct {
 	aggMu sync.Mutex
 	agg   *stats.Set
 
-	submitted   atomic.Int64 // POST /v1/runs requests accepted
-	cacheHits   atomic.Int64 // answered from the store
-	inflight    atomic.Int64 // joined a run already executing
-	misses      atomic.Int64 // triggered a new simulation
-	failures    atomic.Int64 // simulations that returned an error
-	storeErrors atomic.Int64 // store writes that failed (results still served)
+	submitted   atomic.Int64  // POST /v1/runs requests accepted
+	cacheHits   atomic.Int64  // answered from the store
+	inflight    atomic.Int64  // joined a run already executing
+	misses      atomic.Int64  // triggered a new simulation
+	failures    atomic.Int64  // simulations that returned an error
+	storeErrors atomic.Int64  // store writes that failed (results still served)
+	executed    atomic.Int64  // simulations run (machine built or reset)
+	simCycles   atomic.Uint64 // simulated cycles of the executed runs
 }
 
 // discardHandler is the nil-Logger default: disabled at the Enabled
@@ -143,10 +147,7 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// New builds a server over a fresh harness. The harness runs in
-// KeepGoing mode — a failed spec stays failed under its own hash but
-// never poisons unrelated requests — and the server's Observe hook
-// attaches a progress sink to every leader simulation.
+// New builds a server over the store at o.StoreDir.
 func New(o Options) (*Server, error) {
 	st, err := OpenStore(o.StoreDir)
 	if err != nil {
@@ -164,6 +165,9 @@ func New(o Options) (*Server, error) {
 	if o.ProgressInterval == 0 {
 		o.ProgressInterval = 250 * time.Millisecond
 	}
+	if o.Parallel <= 0 {
+		o.Parallel = runtime.GOMAXPROCS(0)
+	}
 	s := &Server{
 		store:            st,
 		log:              o.Logger,
@@ -173,33 +177,14 @@ func New(o Options) (*Server, error) {
 		progressInterval: o.ProgressInterval,
 		httpm:            newHTTPMetrics(),
 		runs:             make(map[string]*run),
+		sem:              make(chan struct{}, o.Parallel),
 		agg:              stats.New(),
 	}
-	s.h = harness.New(harness.Options{
-		Parallel:  o.Parallel,
-		KeepGoing: true,
-		Observe:   s.observe,
-	})
 	return s, nil
 }
 
 // Store exposes the underlying result store (tests and stats).
 func (s *Server) Store() *Store { return s.store }
-
-// observe is the harness Observe hook: it wires the submitting run's
-// progress sink into the machine about to execute and stamps the
-// queue-wait → simulate span boundary. Specs the harness runs without a
-// tracked run entry (none today) are simply not observed.
-func (s *Server) observe(spec runspec.RunSpec, m *machine.Machine) {
-	s.mu.Lock()
-	ru := s.runs[spec.MustHash()]
-	s.mu.Unlock()
-	if ru != nil {
-		ru.started = time.Now()
-		m.AttachProgress(ru.progress)
-		s.log.Info("run started", "run", ru.hash, "spec", ru.spec.String())
-	}
-}
 
 // Handler mounts the endpoint routes, each wrapped in the metrics and
 // logging middleware.
@@ -324,7 +309,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	hash := spec.MustHash()
 	s.submitted.Add(1)
 
-	// Layer 1: the content-addressed store.
+	// The content-addressed store answers every completed spec.
 	if stored, ok, err := s.store.Get(hash); err != nil {
 		jsonError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -334,7 +319,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Layer 2/3: join an in-flight run or start one.
+	// Not stored: join the in-flight (or failed) run, or start one.
 	ru, started := s.startRun(spec, canon, hash)
 	disposition := "inflight"
 	if started {
@@ -380,10 +365,9 @@ func (s *Server) admit(spec runspec.RunSpec) error {
 
 // startRun returns the tracked run for hash, creating and launching it
 // when absent. started reports whether this call launched the leader.
-// The harness engine below provides the actual singleflight — even two
-// racing startRun leaders for one hash would simulate once — but the
-// tracked entry carries the progress sink, the span anchors, and the
-// async status.
+// The runs table is the singleflight: the entry, created under s.mu, is
+// the only execution of its spec until it is stored, and it carries the
+// progress sink, the span anchors, and the async status.
 func (s *Server) startRun(spec runspec.RunSpec, canon []byte, hash string) (ru *run, started bool) {
 	s.mu.Lock()
 	if ru = s.runs[hash]; ru != nil {
@@ -406,15 +390,14 @@ func (s *Server) startRun(spec runspec.RunSpec, canon []byte, hash string) (ru *
 	return ru, true
 }
 
-// execute runs one spec through the harness and files the result,
-// recording the span breakdown (queue wait → simulate → encode → store)
-// into the aggregate registry and the first three into the envelope's
-// timing block. On success the run entry is dropped — the store answers
-// from then on; on failure it stays, serving the cached error (the
-// harness caches it under the same spec, so the failure is final for
-// this process).
+// execute simulates one spec and files the result, recording the span
+// breakdown (queue wait → simulate → encode → store) into the aggregate
+// registry and the first three into the envelope's timing block. On
+// success the run entry is dropped — the store answers from then on; on
+// failure it stays, serving the cached error, so the failure is final for
+// this process.
 func (s *Server) execute(ru *run) {
-	res, err := s.h.RunSpec(ru.spec)
+	res, err := s.simulate(ru)
 	simDone := time.Now()
 	var queueWait, simulate time.Duration
 	if !ru.started.IsZero() {
@@ -483,6 +466,48 @@ func (s *Server) execute(ru *run) {
 	delete(s.runs, ru.hash)
 	s.mu.Unlock()
 	close(ru.done)
+}
+
+// simulate runs ru's spec once a worker slot is free: it generates the
+// trace, compiles the plan and takes a machine from the pool. It stamps
+// ru.started and attaches ru.progress once the machine is built or reset,
+// so the queue-wait span covers the slot wait, generation and build. A
+// panic below becomes the run's error, and only a machine whose run
+// completed goes back to the pool; the Result keeps its own copy of the
+// stats, which the machine's next Reset empties.
+func (s *Server) simulate(ru *run) (res machine.Result, err error) {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	k := ru.spec
+	tr, err := workload.Generate(k.Workload, k.Params)
+	if err != nil {
+		return res, err
+	}
+	p, err := machine.Compile(k.Config, tr)
+	if err != nil {
+		return res, err
+	}
+	m, err := s.pool.Get(p, k.Model)
+	if err != nil {
+		return res, err
+	}
+	ru.started = time.Now()
+	m.AttachProgress(ru.progress)
+	s.log.Info("run started", "run", ru.hash, "spec", k.String())
+	s.executed.Add(1)
+	res = m.Run(0)
+	if res.Cycles == 0 {
+		return machine.Result{}, fmt.Errorf("%s produced zero cycles", k)
+	}
+	s.simCycles.Add(uint64(res.Cycles))
+	res.Stats = res.Stats.Clone()
+	s.pool.Put(m)
+	return res, nil
 }
 
 // ms renders a duration as fractional milliseconds for log records.
@@ -595,7 +620,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	runs, cycles := s.h.Perf()
 	s.mu.Lock()
 	inflightRuns := len(s.runs)
 	s.mu.Unlock()
@@ -607,10 +631,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			InflightJoins:   s.inflight.Load(),
 			Failures:        s.failures.Load(),
 			StoreErrors:     s.storeErrors.Load(),
-			RunsExecuted:    runs,
-			SimulatedCycles: cycles,
+			RunsExecuted:    s.executed.Load(),
+			SimulatedCycles: s.simCycles.Load(),
 			StoreEntries:    entries,
-			Workers:         s.h.Parallelism(),
+			Workers:         cap(s.sem),
 			InflightRuns:    inflightRuns,
 		},
 		Registry: stats.Registered(),

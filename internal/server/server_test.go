@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,7 +105,7 @@ func TestSubmitTwiceByteIdentical(t *testing.T) {
 	if env.Result.Cycles == 0 {
 		t.Fatal("result has zero cycles")
 	}
-	if runs, _ := s.h.Perf(); runs != 1 {
+	if runs := s.executed.Load(); runs != 1 {
 		t.Fatalf("two identical submissions executed %d simulations, want 1", runs)
 	}
 
@@ -123,6 +125,54 @@ func TestSubmitTwiceByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(body1, body3) {
 		t.Fatal("reordered spec got different bytes")
+	}
+}
+
+// TestConcurrentSubmitsShareOneRun: the runs table is the only
+// singleflight, so clients submitting one spec at once cost one
+// simulation and all get its bytes, while distinct specs run side by side
+// on the shared machine pool.
+func TestConcurrentSubmitsShareOneRun(t *testing.T) {
+	const clients = 8
+	spec, canon := testSpec(t)
+	other := spec
+	other.Workload = "nstore"
+	otherCanon, err := other.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, t.TempDir())
+	bodies := make([][]byte, clients)
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for i := range clients {
+		go func() {
+			defer wg.Done()
+			body := canon
+			if i%2 == 1 {
+				body = otherCanon
+			}
+			resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("client %d: status %d, %v: %s", i, resp.StatusCode, err, buf.Bytes())
+			}
+			bodies[i] = buf.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i := 2; i < clients; i++ {
+		if !bytes.Equal(bodies[i], bodies[i%2]) {
+			t.Fatalf("client %d got other bytes than client %d", i, i%2)
+		}
+	}
+	if n := s.executed.Load(); n != 2 {
+		t.Fatalf("%d clients of two specs executed %d simulations, want 2", clients, n)
 	}
 }
 
@@ -150,7 +200,7 @@ func TestRestartServesFromStore(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Fatal("restarted server served different bytes than the original run")
 	}
-	if runs, _ := s2.h.Perf(); runs != 0 {
+	if runs := s2.executed.Load(); runs != 0 {
 		t.Fatalf("restarted server simulated %d runs, want 0 (store answers)", runs)
 	}
 }
@@ -293,11 +343,11 @@ func TestHealthz(t *testing.T) {
 // TestFailedRunIsReported covers the error path end to end: a spec that
 // passes admission but fails inside the machine yields a 500 whose body
 // names the failure, the failure is cached (resubmission serves it
-// without re-simulating), and unrelated specs still run (KeepGoing).
+// without re-simulating), and unrelated specs still run.
 func TestFailedRunIsReported(t *testing.T) {
 	// RTEntries=-1 passes config.Validate (it only checks what the paper
-	// parameterizes) but machine.New panics building the recovery table;
-	// the harness recovers that panic into an error.
+	// parameterizes) but machine construction refuses a speculative model
+	// without a recovery table.
 	spec := runspec.New("cceh", "asap_rp", workload.Default(), config.Default())
 	spec.Config.RTEntries = -1
 	b, err := json.Marshal(spec)
@@ -333,4 +383,48 @@ func TestFailedRunIsReported(t *testing.T) {
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("good spec after failure: status %d: %s", resp3.StatusCode, body3)
 	}
+}
+
+// TestServerKeepsNothingPerRun is the soak check that the store is the
+// only cache: after warm-up, 200 more distinct specs, each simulated and
+// stored, leave the server's live heap within 1 MB of where it was. A
+// server that kept each run's trace, plan or Result would grow by about
+// 15 KB a spec at this size.
+func TestServerKeepsNothingPerRun(t *testing.T) {
+	const warm, soak = 20, 200
+	workloads := []string{"cceh", "nstore", "p_art", "memcached"}
+	s, ts := newTestServer(t, t.TempDir())
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var before uint64
+	for k := 0; k < warm+soak; k++ {
+		if k == warm {
+			before = heap()
+		}
+		p := workload.Default()
+		p.Threads = 2
+		p.OpsPerThread = 20
+		p.Seed = uint64(k) + 1
+		canon, err := runspec.New(workloads[k%len(workloads)], "asap_rp", p, config.Default()).Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := post(t, ts.URL+"/v1/runs", canon)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Asap-Cache") != "miss" {
+			t.Fatalf("spec %d: status %d cache %q: %s", k, resp.StatusCode, resp.Header.Get("X-Asap-Cache"), body)
+		}
+	}
+	after := heap()
+	if n := s.executed.Load(); n != warm+soak {
+		t.Fatalf("executed %d simulations, want %d", n, warm+soak)
+	}
+	if after > before && after-before >= 1<<20 {
+		t.Fatalf("live heap grew %d KB over %d distinct specs (%d -> %d bytes), want under 1 MB",
+			(after-before)>>10, soak, before, after)
+	}
+	t.Logf("live heap %d -> %d bytes over %d specs", before, after, soak)
 }

@@ -14,7 +14,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"asap/internal/trace"
 )
@@ -79,13 +78,6 @@ func register(name string, g Generator) {
 func Names() []string {
 	out := make([]string, len(ordered))
 	copy(out, ordered)
-	return out
-}
-
-// SortedNames lists the registered workloads alphabetically.
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
 	return out
 }
 
